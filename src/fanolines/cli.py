@@ -257,6 +257,18 @@ def cmd_bezout_check(args: argparse.Namespace) -> int:
     return _finish(config, report.to_dict(), args, report.matched())
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so bad values exit 2 at parse time."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanolines",
@@ -268,11 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (falls back to $FANO_SEED, then 0)")
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                         help="odd prime for the ground field")
-    common.add_argument("--kmax", type=int, default=None,
+    common.add_argument("--kmax", type=_int_at_least(1), default=None,
                         help="extension-degree search bound")
-    common.add_argument("--trials", type=int, default=None,
+    common.add_argument("--trials", type=_int_at_least(1), default=None,
                         help="sample count for smoothness certificates")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common.add_argument("--budget", type=_int_at_least(0),
+                        default=DEFAULT_BUDGET,
                         help="enumeration budget ceiling")
     common.add_argument("--json", metavar="PATH",
                         help="write the JSON report here ('-' for stdout)")

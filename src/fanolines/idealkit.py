@@ -26,7 +26,7 @@ from .poly import (GREVLEX, MonomialOrder, Polynomial, random_homogeneous,
                    random_linear_form)
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 from .scan import singular_scan, variety_scan
-from .solve import SolveResult, solve_projective
+from .solve import SolveResult, exact_relative_degree, solve_projective
 
 DEFAULT_KMAX = 2
 LINE_COUNT_KMAX = 6  # raised default for the 0-dimensional line-count suites
@@ -126,28 +126,6 @@ def is_complete_intersection(ideal: Ideal) -> bool:
 # points
 
 
-def _exact_degree_filter(points: List[ProjectivePoint], ground: Field,
-                         k: int) -> List[ProjectivePoint]:
-    """Keep points whose coordinates generate the full degree-k extension."""
-    if k == 1:
-        return points
-    p = ground.characteristic()
-    g = getattr(ground, "degree", 1)
-    kept = []
-    for pt in points:
-        exact = True
-        for j in range(1, k):
-            if k % j:
-                continue
-            e = p ** (g * j)
-            if all((c ** e) == c for c in pt.coords):
-                exact = False
-                break
-        if exact:
-            kept.append(pt)
-    return kept
-
-
 def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
                     budget: int = DEFAULT_BUDGET, method: str = "auto",
                     seed: int = 0) -> List[ProjectivePoint]:
@@ -178,8 +156,8 @@ def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
         for k in range(1, k_max + 1):
             ext, embed = relative_extension(field, k)
             mapped = [g.map_coefficients(ext, embed) for g in gens]
-            found = variety_scan(mapped, ext, budget)
-            out.extend(_exact_degree_filter(found, field, k))
+            out.extend(pt for pt in variety_scan(mapped, ext, budget)
+                       if exact_relative_degree(pt.coords, field, k) == k)
         return out
     dim, degree = hilbert_data(ideal)
     if dim > 0:
@@ -254,8 +232,8 @@ def singular_points(ideal: Ideal, k_max: int = 1,
     for k in range(1, k_max + 1):
         ext, embed = relative_extension(field, k)
         mapped = [g.map_coefficients(ext, embed) for g in gens]
-        found = singular_scan(mapped, codim, ext, budget)
-        out.extend(_exact_degree_filter(found, field, k))
+        out.extend(pt for pt in singular_scan(mapped, codim, ext, budget)
+                   if exact_relative_degree(pt.coords, field, k) == k)
     return out
 
 

@@ -2,8 +2,9 @@
 
 Elements travel as integer codes (residues for prime fields, base-p digit
 codes for extensions). Prime fields use direct modular arithmetic on
-int64 arrays; small extension fields use precomputed q x q operation
-tables and fancy indexing. Fields too large for tables fall back to a
+int64 arrays while a product of two residues fits in int64; small
+extension fields use precomputed q x q operation tables and fancy
+indexing. Larger primes and fields too large for tables fall back to a
 plain element-by-element loop, correct but slow.
 
 Chunked chart enumeration matches the order of
@@ -34,7 +35,7 @@ class VectorContext:
         assert field.is_finite
         self.field = field
         self.q = field.order()
-        if isinstance(field, PrimeField):
+        if isinstance(field, PrimeField) and (field.p - 1) ** 2 < 2 ** 63:
             self.mode = "prime"
             self.p = field.p
         elif isinstance(field, ExtensionField) and self.q <= TABLE_LIMIT:
@@ -65,12 +66,14 @@ class VectorContext:
     # -- code/element conversion ---------------------------------------
 
     def element_from_code(self, code: int) -> FieldElement:
-        if self.mode == "prime":
+        if self.mode == "table":
+            return self.elems[code]
+        if isinstance(self.field, PrimeField):
             return self.field.from_int(code)
-        return self.elems[code]
+        return self.field.element_from_code(code)
 
     def code_of_element(self, e: FieldElement) -> int:
-        if self.mode == "prime":
+        if isinstance(self.field, PrimeField):
             return e.payload
         return self.field.code_of(e)
 
@@ -79,6 +82,11 @@ class VectorContext:
     def eval_poly(self, f: Polynomial, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Codes of f at each point; arrays[i] holds codes of coordinate i."""
         n = len(arrays[0])
+        if self.mode == "python":
+            codes = [self.code_of_element(f.evaluate(
+                [self.element_from_code(int(a[row])) for a in arrays]))
+                for row in range(n)]
+            return np.array(codes, dtype=object)
         if self.mode == "prime":
             p = self.p
             acc = np.zeros(n, dtype=np.int64)

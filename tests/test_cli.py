@@ -1,7 +1,10 @@
 """CLI surface: exit codes, JSON determinism, env seeding, file handling."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,12 @@ def test_lines_through_requires_exactly_one_source(nodal_file):
 
 def test_lines_through_invalid_parameters_exit_2():
     assert main(["lines-through", "--random", "3", "9", "2"]) == 2
+    # out-of-range common options fail at parse time, for every command
+    for option in (["--kmax", "0"], ["--kmax", "-1"], ["--trials", "0"],
+                   ["--trials", "-3"], ["--budget", "-5"]):
+        assert main(["lines-through", "--random", "3", "3", "2"]
+                    + option) == 2, option
+        assert main(["bezout-check", "3", "2", "2"] + option) == 2, option
 
 
 def test_point_not_on_hypersurface_exit_2(nodal_file):
@@ -142,3 +151,32 @@ def test_malformed_poly_file_exit_2(tmp_path):
 def test_bad_point_format_exit_2(nodal_file):
     assert main(["lines-through", "--poly", nodal_file,
                  "--point", "1:zz:0:0"]) == 2
+
+
+# sha256 of the --json reports, pinned from the solver that re-split every
+# extension level; any change of point order or formatting shows here
+PINNED_REPORTS = {
+    ("lines-through", "--random", "3", "3", "2", "--seed", "517314"):
+        "9be1f6ef4da2e87b07094425addea94a41ba3580f18b774ad8623f1fc009b489",
+    ("lines-through", "--random", "4", "3", "1", "--seed", "683273"):
+        "9b551da2b5a0aab509e224e84c738c6efbf41711400e833603a55f59bf2bb4cc",
+    ("voisin-demo", "2", "--seed", "5"):
+        "f974fd0df088bfadd2c5087a1f25722eee55ffa962dd546f77138aee070c3376",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS), ids=" ".join)
+def test_json_byte_identical_across_processes_and_hash_seeds(argv, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["fanolines"].__file__)))
+    for hash_seed in ("0", "1", "4242"):
+        target = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env.pop("FANO_SEED", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "fanolines.cli", *argv, "--json",
+             str(target), "--quiet"], env=env, capture_output=True,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == PINNED_REPORTS[argv], hash_seed

@@ -1,0 +1,31 @@
+"""Vectorized scan kernels against exact evaluation."""
+
+import numpy as np
+
+from fanolines import PrimeField
+from fanolines.scan import VectorContext
+
+from conftest import parse
+
+
+def test_large_prime_evaluates_exactly_instead_of_overflowing_int64():
+    # (p-1)^2 >= 2^63: int64 residue products would wrap silently
+    field = PrimeField(4294967311)
+    f = parse("x0^2 - 3*x1^2", 2, field)
+    ctx = VectorContext(field)
+    values = ctx.eval_poly(f, [np.array([4000000000, 5]),
+                               np.array([3999999999, 7])])
+    assert [int(v) for v in values] == [2941878023, 4294967189]
+    exact = f.evaluate([field.from_int(4000000000),
+                        field.from_int(3999999999)])
+    assert exact.payload == 2941878023
+
+
+def test_int64_kernel_kept_below_the_overflow_bound(f10007):
+    f = parse("x0^2 - 3*x1^2", 2, f10007)
+    ctx = VectorContext(f10007)
+    assert ctx.mode == "prime"
+    values = ctx.eval_poly(f, [np.array([4000, 5]), np.array([3999, 7])])
+    assert [int(v) for v in values] == [
+        f.evaluate([f10007.from_int(a), f10007.from_int(b)]).payload
+        for a, b in ((4000, 3999), (5, 7))]

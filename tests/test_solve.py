@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from fanolines import Ideal, PrimeField
 from fanolines.idealkit import rational_points
-from fanolines.solve import solve_projective
+from fanolines.fglm import lex_basis_zero_dim
+from fanolines.solve import _shape_position, solve_projective
 from fanolines.poly import random_homogeneous
 from fanolines.errors import BudgetExceeded
 
@@ -109,3 +110,77 @@ def test_enumerate_route_respects_budget():
     ideal = Ideal([parse("x0^2 + x1^2", 2, f7)])
     with pytest.raises(BudgetExceeded):
         rational_points(ideal, k_max=4, method="enumerate", budget=10)
+
+
+def first_chart_in_shape_position(ideal):
+    """Whether the chart x0 = 1 has a lex basis {x_i - g_i(x_last)} + {e}."""
+    chart = [g.dehomogenize(0) for g in ideal.nonzero_generators()]
+    return _shape_position(lex_basis_zero_dim(chart)) is not None
+
+
+def rootless_cubic(p):
+    """x^3 + a*x + b with no root in F_p, hence irreducible."""
+    for a in range(p):
+        for b in range(1, p):
+            if all((x ** 3 + a * x + b) % p for x in range(p)):
+                return f"x2^3 + {a}*x0^2*x2 + {b}*x0^3"
+    raise AssertionError("no irreducible cubic found")
+
+
+def non_square(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+# Each generator is a product of factors. On the chart x0 = 1 these set
+# x1 = g(x2), with the points' last coordinates the roots of an eliminant
+# whose factors have degree 1, 2 or 3 (one squared).
+SHAPE_SYSTEMS = {
+    "degree2": lambda p: [["x0*x1 - x2^2 - 2*x0*x2"],
+                          [f"x2^2 - {non_square(p)}*x0^2", "x2 - 3*x0"]],
+    "degree3": lambda p: [["x0*x1 - 2*x2^2 + x0^2"],
+                          [rootless_cubic(p), "x2 + x0"]],
+    "double_root": lambda p: [["x0*x1 - x2^2"],
+                              ["x2 - x0", "x2 - x0",
+                               f"x2^2 - {non_square(p)}*x0^2"]],
+}
+
+# Points the last coordinate does not tell apart: two rational points or
+# two conjugate points over F_p^2 on the line x2 = 2*x0, and a double point.
+NON_SHAPE_SYSTEMS = {
+    "rational_pair": lambda p: [["x1 - x0", "x1 + 2*x0"], ["x2 - 2*x0"]],
+    "conjugate_pair": lambda p: [[f"x1^2 - {non_square(p)}*x0^2"],
+                                 ["x2 - 2*x0"]],
+    "double_point": lambda p: [["x1^2"], ["x2 - 2*x0"]],
+}
+
+
+def product_ideal(system, field):
+    gens = []
+    for factors in system:
+        gen = parse(factors[0], 3, field)
+        for factor in factors[1:]:
+            gen = gen * parse(factor, 3, field)
+        gens.append(gen)
+    return Ideal(gens)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name", sorted(SHAPE_SYSTEMS))
+def test_routes_agree_on_shape_position_charts(name, p):
+    ideal = product_ideal(SHAPE_SYSTEMS[name](p), PrimeField(p))
+    assert first_chart_in_shape_position(ideal)
+    solved, scanned = both_routes(ideal, k_max=3)
+    assert solved == scanned
+    degrees = {"degree2": {1, 2}, "degree3": {1, 3}, "double_root": {1, 2}}
+    assert {deg for deg, _ in solved} == degrees[name]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name", sorted(NON_SHAPE_SYSTEMS))
+def test_routes_agree_on_charts_not_in_shape_position(name, p):
+    ideal = product_ideal(NON_SHAPE_SYSTEMS[name](p), PrimeField(p))
+    assert not first_chart_in_shape_position(ideal)
+    solved, scanned = both_routes(ideal, k_max=3)
+    assert solved == scanned
+    sizes = {"rational_pair": 2, "conjugate_pair": 2, "double_point": 1}
+    assert len(solved) == sizes[name]
