@@ -169,6 +169,8 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Field) and self.key() == other.key()
 
     def __hash__(self):
@@ -578,13 +580,17 @@ def build_extension(p: int, k: int, seed: int = 0) -> Field:
     return result
 
 
+_embedding_cache: dict = {}
+
+
 def embedding(src: Field, dst: Field):
     """Deterministic field homomorphism src -> dst between finite fields.
 
     src must be a subfield of dst abstractly (same p, src degree dividing
     dst degree). For extension-to-extension maps the image of the
     generator is the smallest-code root of src's modulus in dst, so the
-    same pair of fields always yields the same embedding.
+    same pair of fields always yields the same embedding; it is built once
+    per pair.
     """
     if src == dst:
         return lambda e: e
@@ -593,6 +599,9 @@ def embedding(src: Field, dst: Field):
         return lambda e: dst.from_int(e.payload)
     assert isinstance(src, ExtensionField) and isinstance(dst, ExtensionField)
     assert src.p == dst.p and dst.k % src.k == 0
+    cached = _embedding_cache.get((src.key(), dst.key()))
+    if cached is not None:
+        return cached
     from .unipoly import roots_in_field
     modulus = [dst.from_int(c) for c in src.modulus]
     rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
@@ -609,6 +618,7 @@ def embedding(src: Field, dst: Field):
                 acc = acc + b * dst.from_int(c)
         return acc
 
+    _embedding_cache[(src.key(), dst.key())] = embed
     return embed
 
 

@@ -1,17 +1,28 @@
 """Buchberger's algorithm with normal pair selection and both standard
 pair-skipping criteria, producing the unique monic reduced basis.
 
-The inner reduction loop works on dicts mapping exponent tuples to raw
-coefficient payloads (ints mod p, Fractions, coefficient tuples) through
-the field's payload hooks; FieldElement wrappers only appear at the API
-boundary. Instances here are small (tens of generators, degree <= 8), so
-no F4-style batching is attempted.
+Everything below the Polynomial-level API works on dicts mapping exponent
+tuples to raw coefficient payloads (ints mod p, Fractions, coefficient
+tuples) through the field's payload hooks; FieldElement wrappers only
+appear at the API boundary.
+
+Each basis element is kept as a reducer: its leading monomial, the
+inverse of its leading coefficient and its tail. The reducer list is
+extended once per basis growth and shared by every S-pair reduction. The
+normal form keeps its work list as a dict with a heap of its monomials,
+each monomial's order key computed once when it enters the dict; entries
+whose monomial has cancelled since are skipped when popped. Every step
+uses the first reducer whose leading monomial divides the current one, so
+the intermediate polynomials do not depend on the data structure.
+Instances here are small (tens of generators, degree <= 8), so no
+F4-style batching is attempted.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add as _add, le as _le, sub as _sub
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import ResourceLimit, ZeroPolynomial
 from .field import Field
@@ -23,88 +34,95 @@ from .poly import (GREVLEX, Monomial, MonomialOrder, Polynomial, mono_div,
 DEFAULT_COEFF_BIT_LIMIT = 1_000_000
 
 PayloadPoly = Dict[Monomial, object]
+# (leading monomial, inverse leading coefficient, tail terms)
+Reducer = Tuple[Monomial, object, List[Tuple[Monomial, object]]]
 
 
 def _to_payload(f: Polynomial) -> PayloadPoly:
     return {m: c.payload for m, c in f.terms.items()}
 
 
-def _from_payload(field: Field, nvars: int, d: PayloadPoly) -> Polynomial:
-    from .field import FieldElement
-    return Polynomial(field, nvars, {m: FieldElement(field, c) for m, c in d.items()})
-
-
-def _coeff_bits(field: Field, d: PayloadPoly) -> int:
-    if field.characteristic() != 0:
-        return 0
-    total = 0
-    for c in d.values():
-        total += c.numerator.bit_length() + c.denominator.bit_length()
-    return total
+def _bits(c) -> int:
+    return c.numerator.bit_length() + c.denominator.bit_length()
 
 
 def _leading(d: PayloadPoly, order: MonomialOrder) -> Monomial:
     return max(d, key=order.key)
 
 
-def normal_form_payload(f: PayloadPoly, reducers: Sequence[Tuple[Monomial, object, PayloadPoly]],
+def _reducer(d: PayloadPoly, lm: Monomial, field: Field) -> Reducer:
+    return lm, field._inv(d[lm]), [(m, c) for m, c in d.items() if m != lm]
+
+
+def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
                         order: MonomialOrder, field: Field,
                         bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> PayloadPoly:
     """Full normal form: every term of the remainder is reduced.
 
-    reducers: list of (leading monomial, inverse leading coefficient, terms).
+    Each step reduces by the first of `reducers` whose leading monomial
+    divides the work list's leading monomial; the remainder's terms come
+    out in descending order. Over the rationals, ResourceLimit is raised
+    once a reduction step leaves more than bit_limit bits of numerators
+    and denominators in the work list.
     """
-    mul, sub = field._mul, field._sub
-    is_zero = field._is_zero
+    mul, sub, neg, is_zero = field._mul, field._sub, field._neg, field._is_zero
+    heap_key = order.descending_key
+    push, pop = heapq.heappush, heapq.heappop
+    rational = field.characteristic() == 0
     work = dict(f)
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    bits = sum(map(_bits, work.values())) if rational else 0
     remainder: PayloadPoly = {}
-    while work:
-        lm = max(work, key=order.key)
-        lc = work[lm]
-        hit = None
-        for red_lm, red_inv, red_terms in reducers:
-            if mono_divides(red_lm, lm):
-                hit = (red_lm, red_inv, red_terms)
+    while heap:
+        lm = pop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue  # cancelled after it was pushed
+        if rational:
+            bits -= _bits(lc)
+        for red_lm, red_inv, red_tail in reducers:
+            if all(map(_le, red_lm, lm)):
                 break
-        if hit is None:
+        else:
             remainder[lm] = lc
-            del work[lm]
             continue
-        red_lm, red_inv, red_terms = hit
-        shift = mono_div(lm, red_lm)
+        shift = tuple(map(_sub, lm, red_lm))
         factor = mul(lc, red_inv)
-        for m, c in red_terms.items():
-            key = mono_mul(m, shift)
+        if rational:
+            touched = [tuple(map(_add, m, shift)) for m, _ in red_tail]
+            bits -= sum(_bits(work[k]) for k in touched if k in work)
+        for m, c in red_tail:
+            key = tuple(map(_add, m, shift))
             cur = work.get(key)
             if cur is None:
-                prod = mul(factor, c)
-                if not is_zero(prod):
-                    work[key] = field._neg(prod)
+                work[key] = neg(mul(factor, c))
+                push(heap, (heap_key(key), key))
             else:
                 new = sub(cur, mul(factor, c))
                 if is_zero(new):
                     del work[key]
                 else:
                     work[key] = new
-        if field.characteristic() == 0 and _coeff_bits(field, work) > bit_limit:
-            raise ResourceLimit("coefficient size exceeded during reduction")
+        if rational:
+            bits += sum(_bits(work[k]) for k in touched if k in work)
+            if bits > bit_limit:
+                raise ResourceLimit("coefficient size exceeded during reduction")
     return remainder
 
 
-def _spoly(fa: PayloadPoly, fb: PayloadPoly, order: MonomialOrder, field: Field) -> PayloadPoly:
-    """S-polynomial at payload level."""
+def _spoly(ra: Reducer, rb: Reducer, field: Field) -> PayloadPoly:
+    """Monic S-polynomial of two reducers; the leading terms cancel, so
+    only the tails are expanded."""
     mul, sub, is_zero = field._mul, field._sub, field._is_zero
-    lma, lmb = _leading(fa, order), _leading(fb, order)
+    (lma, ca, taila), (lmb, cb, tailb) = ra, rb
     lcm = mono_lcm(lma, lmb)
     sa, sb = mono_div(lcm, lma), mono_div(lcm, lmb)
-    ca = field._inv(fa[lma])
-    cb = field._inv(fb[lmb])
     out: PayloadPoly = {}
-    for m, c in fa.items():
-        key = mono_mul(m, sa)
-        out[key] = mul(c, ca)
-    for m, c in fb.items():
-        key = mono_mul(m, sb)
+    for m, c in taila:
+        out[tuple(map(_add, m, sa))] = mul(c, ca)
+    for m, c in tailb:
+        key = tuple(map(_add, m, sb))
         cur = out.get(key)
         term = mul(c, cb)
         if cur is None:
@@ -128,9 +146,7 @@ def buchberger_payload(gens: List[PayloadPoly], order: MonomialOrder, field: Fie
     basis = [dict(g) for g in gens if g]
     basis.sort(key=lambda d: _canonical_sort_key(d, order))
     lms = [_leading(g, order) for g in basis]
-
-    def make_reducers():
-        return [(lms[i], field._inv(basis[i][lms[i]]), basis[i]) for i in range(len(basis))]
+    reducers = [_reducer(g, lm, field) for g, lm in zip(basis, lms)]
 
     pairs = []
     pending = set()
@@ -157,7 +173,7 @@ def buchberger_payload(gens: List[PayloadPoly], order: MonomialOrder, field: Fie
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if not mono_divides(lms[k], lcm):
+            if not all(map(_le, lms[k], lcm)):
                 continue
             pa = (min(i, k), max(i, k))
             pb = (min(j, k), max(j, k))
@@ -166,12 +182,14 @@ def buchberger_payload(gens: List[PayloadPoly], order: MonomialOrder, field: Fie
                 break
         if skip:
             continue
-        s = _spoly(basis[i], basis[j], order, field)
-        r = normal_form_payload(s, make_reducers(), order, field, bit_limit)
+        s = _spoly(reducers[i], reducers[j], field)
+        r = normal_form_payload(s, reducers, order, field, bit_limit)
         if not r:
             continue
+        lm = _leading(r, order)
         basis.append(r)
-        lms.append(_leading(r, order))
+        lms.append(lm)
+        reducers.append(_reducer(r, lm, field))
         new = len(basis) - 1
         for t in range(new):
             push_pair(t, new)
@@ -194,24 +212,23 @@ def _reduce_basis(basis: List[PayloadPoly], order: MonomialOrder, field: Field,
             continue
         kept.append(g)
         kept_lms.append(lm)
-    # inter-reduce tails until stable
+    # inter-reduce tails until stable; leading terms of a minimal basis
+    # are irreducible, so each element keeps its leading monomial
+    reducers = [_reducer(g, lm, field) for g, lm in zip(kept, kept_lms)]
     changed = True
     while changed:
         changed = False
         for idx in range(len(kept)):
-            others = [(kept_lms[t], field._inv(kept[t][kept_lms[t]]), kept[t])
-                      for t in range(len(kept)) if t != idx]
+            others = reducers[:idx] + reducers[idx + 1:]
             r = normal_form_payload(kept[idx], others, order, field, bit_limit)
             if r != kept[idx]:
                 assert r, "minimal basis element reduced to zero"
                 kept[idx] = r
-                kept_lms[idx] = _leading(r, order)
+                reducers[idx] = _reducer(r, kept_lms[idx], field)
                 changed = True
     # monic, sorted by leading monomial ascending
     out = []
-    for g in kept:
-        lm = _leading(g, order)
-        inv = field._inv(g[lm])
+    for g, (_, inv, _) in zip(kept, reducers):
         out.append({m: field._mul(c, inv) for m, c in g.items()})
     out.sort(key=lambda d: order.key(_leading(d, order)))
     return out
@@ -231,7 +248,7 @@ def groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     nvars = nonzero[0].nvars
     assert all(g.field == field and g.nvars == nvars for g in nonzero)
     payload = buchberger_payload([_to_payload(g) for g in nonzero], order, field, bit_limit)
-    return [_from_payload(field, nvars, d) for d in payload]
+    return [Polynomial.from_payloads(field, nvars, d) for d in payload]
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -241,10 +258,9 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
     for g in basis:
         if g.is_zero():
             raise ZeroPolynomial("zero polynomial cannot reduce")
-        lm = g.leading_monomial(order)
-        reducers.append((lm, field._inv(g.terms[lm].payload), _to_payload(g)))
+        reducers.append(_reducer(_to_payload(g), g.leading_monomial(order), field))
     r = normal_form_payload(_to_payload(f), reducers, order, field)
-    return _from_payload(field, f.nvars, r)
+    return Polynomial.from_payloads(field, f.nvars, r)
 
 
 def is_member(f: Polynomial, basis: Sequence[Polynomial],

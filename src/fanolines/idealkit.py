@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
                      NotZeroDimensional)
-from .field import Field, embedding, relative_extension
+from .field import Field, relative_extension
 from .groebner import DEFAULT_COEFF_BIT_LIMIT, groebner_basis
 from .hilbert import staircase_data
 from .linalg import mat_rank
@@ -189,18 +189,13 @@ def jacobian_matrix(gens: Sequence[Polynomial]) -> List[List[Polynomial]]:
 
 
 def jacobian_rank_at(gens: Sequence[Polynomial], point: ProjectivePoint) -> int:
-    """Rank of the Jacobian of gens at a point, over the point's field."""
-    target = point.field
-    ground = gens[0].field
-    if target == ground:
-        mapped = list(gens)
-    else:
-        embed = embedding(ground, target)
-        mapped = [g.map_coefficients(target, embed) for g in gens]
+    """Rank of the Jacobian of gens at a point, over the point's field.
+
+    The partials are taken over the generators' own field; evaluating them
+    at the point carries each coefficient into the point's field."""
     coords = list(point.coords)
-    rows = [[g.partial_derivative(i).evaluate(coords) for i in range(g.nvars)]
-            for g in mapped]
-    return mat_rank(rows)
+    return mat_rank([[d.evaluate(coords) for d in row]
+                     for row in jacobian_matrix(gens)])
 
 
 def certify_reduced_point(ideal: Ideal, point: ProjectivePoint,

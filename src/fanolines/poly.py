@@ -2,7 +2,7 @@
 
 Terms are stored as a dict mapping exponent tuples to nonzero coefficients.
 Monomial orders are small key objects so Groebner code can be order-generic;
-grevlex is the workhorse, lex and block orders exist for elimination.
+grevlex is the workhorse, lex exists for elimination.
 
 The text format is deliberately narrow: integer or fraction coefficients,
 variables with optional ^exponent, '*' between factors, '+'/'-' between
@@ -16,10 +16,11 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from operator import add as _add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
-from .field import Field, FieldElement, RationalField
+from .field import Field, FieldElement, PrimeField, RationalField, embedding
 
 Monomial = Tuple[int, ...]
 
@@ -28,7 +29,7 @@ Monomial = Tuple[int, ...]
 # monomial helpers
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -74,6 +75,11 @@ class MonomialOrder:
     def key(self, exps: Monomial):
         raise NotImplementedError
 
+    def descending_key(self, exps: Monomial):
+        """Key whose ascending order is this order's descending order, so a
+        min-heap pops the largest monomial first."""
+        raise NotImplementedError
+
     def __repr__(self):
         return f"<order {self.name}>"
 
@@ -87,6 +93,9 @@ class GrevLexOrder(MonomialOrder):
     def key(self, exps: Monomial):
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
+    def descending_key(self, exps: Monomial):
+        return (-sum(exps), exps[::-1])
+
 
 class LexOrder(MonomialOrder):
     name = "lex"
@@ -94,22 +103,8 @@ class LexOrder(MonomialOrder):
     def key(self, exps: Monomial):
         return exps
 
-
-class BlockOrder(MonomialOrder):
-    """Eliminates the first `split` variables: compares that block first
-    (grevlex within each block by default)."""
-
-    name = "block"
-
-    def __init__(self, split: int,
-                 outer: Optional[MonomialOrder] = None,
-                 inner: Optional[MonomialOrder] = None):
-        self.split = split
-        self.outer = outer or GrevLexOrder()
-        self.inner = inner or GrevLexOrder()
-
-    def key(self, exps: Monomial):
-        return (self.outer.key(exps[:self.split]), self.inner.key(exps[self.split:]))
+    def descending_key(self, exps: Monomial):
+        return tuple(-e for e in exps)
 
 
 GREVLEX = GrevLexOrder()
@@ -118,6 +113,18 @@ LEX = LexOrder()
 
 # ---------------------------------------------------------------------------
 # polynomials
+
+def _payload_pow(field: Field, a, e: int):
+    """a^e on raw payloads, e >= 1."""
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else field._mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = field._mul(a, a)
+
 
 class Polynomial:
     """Immutable-by-convention sparse polynomial.
@@ -172,6 +179,16 @@ class Polynomial:
                 exps = tuple(1 if j == i else 0 for j in range(n))
                 terms[exps] = c
         return cls(field, n, terms)
+
+    @classmethod
+    def from_payloads(cls, field: Field, nvars: int,
+                      payloads: Dict[Monomial, object]) -> "Polynomial":
+        """Wrap a dict monomial -> nonzero raw coefficient payload."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.nvars = nvars
+        poly.terms = {m: FieldElement(field, c) for m, c in payloads.items()}
+        return poly
 
     # -- basic predicates ----------------------------------------------
 
@@ -320,23 +337,37 @@ class Polynomial:
     # -- calculus and structure -------------------------------------------
 
     def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
+        """Value at a point whose coordinates lie in this polynomial's field
+        or in an extension of it; coefficients are carried into the point's
+        field one at a time. Runs on raw payloads."""
         assert len(values) == self.nvars
         field = self.field
-        acc = field.zero()
-        pow_cache: Dict[Tuple[int, int], FieldElement] = {}
+        target = values[0].field if values else field
+        if any(v.field is not target and v.field != target for v in values):
+            raise TypeError("point coordinates lie in different fields")
+        lift = None
+        if target is not field and target != field:
+            if isinstance(field, PrimeField):
+                lift = target._from_int  # the canonical map F_p -> F_{p^k}
+            else:
+                embed = embedding(field, target)
+                lift = lambda c: embed(FieldElement(field, c)).payload
+        mul = target._mul
+        coords = [v.payload for v in values]
+        acc = target._zero_payload()
+        pow_cache: Dict[Tuple[int, int], object] = {}
         for mono, coeff in self.terms.items():
-            term = coeff
+            term = coeff.payload if lift is None else lift(coeff.payload)
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
                 key = (i, e)
                 p = pow_cache.get(key)
                 if p is None:
-                    p = values[i] ** e
-                    pow_cache[key] = p
-                term = term * p
-            acc = acc + term
-        return acc
+                    p = pow_cache[key] = _payload_pow(target, coords[i], e)
+                term = mul(term, p)
+            acc = target._add(acc, term)
+        return FieldElement(target, acc)
 
     def partial_derivative(self, index: int) -> "Polynomial":
         terms: Dict[Monomial, FieldElement] = {}
@@ -377,26 +408,48 @@ class Polynomial:
         return Polynomial(self.field, self.nvars, terms)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map x_i -> images[i]; images live in a common ring over the
-        same field (possibly a different number of variables)."""
+        """Ring map x_i -> images[i]; the images live in one ring over the
+        same field, possibly with a different number of variables.
+
+        Runs on raw coefficient payloads. The image of each source monomial
+        is cached, and built as the cached image of its prefix (the
+        monomial with its last nonzero exponent lowered by one) times one
+        image, so each monomial of the support costs one product.
+        """
         assert len(images) == self.nvars
         field = self.field
+        mul, add, is_zero = field._mul, field._add, field._is_zero
         target_nvars = images[0].nvars if images else self.nvars
-        result = Polynomial.zero(field, target_nvars)
-        pow_cache: Dict[Tuple[int, int], Polynomial] = {}
+        image_terms = [[(m, c.payload) for m, c in g.terms.items()]
+                       for g in images]
+        cache: Dict[Monomial, Dict[Monomial, object]] = {
+            (0,) * self.nvars: {(0,) * target_nvars: field._one_payload()}}
+
+        def image_of(mono: Monomial) -> Dict[Monomial, object]:
+            got = cache.get(mono)
+            if got is not None:
+                return got
+            i = len(mono) - 1
+            while mono[i] == 0:
+                i -= 1
+            prefix = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            got = {}
+            for m1, c1 in image_of(prefix).items():
+                for m2, c2 in image_terms[i]:
+                    m = tuple(map(_add, m1, m2))
+                    cur = got.get(m)
+                    got[m] = mul(c1, c2) if cur is None else add(cur, mul(c1, c2))
+            got = cache[mono] = {m: c for m, c in got.items() if not is_zero(c)}
+            return got
+
+        out: Dict[Monomial, object] = {}
         for mono, coeff in self.terms.items():
-            term = Polynomial.constant(field, target_nvars, coeff)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                key = (i, e)
-                p = pow_cache.get(key)
-                if p is None:
-                    p = images[i] ** e
-                    pow_cache[key] = p
-                term = term * p
-            result = result + term
-        return result
+            c = coeff.payload
+            for m, v in image_of(mono).items():
+                cur = out.get(m)
+                out[m] = mul(c, v) if cur is None else add(cur, mul(c, v))
+        out = {m: c for m, c in out.items() if not is_zero(c)}
+        return Polynomial.from_payloads(field, target_nvars, out)
 
     def apply_matrix(self, matrix) -> "Polynomial":
         """Substitute x_i -> sum_j matrix[i][j] x_j (linear coordinate change)."""
@@ -479,19 +532,6 @@ class Polynomial:
 
 def default_names(nvars: int) -> List[str]:
     return [f"x{i}" for i in range(nvars)]
-
-
-def linear_substitute(f: Polynomial, matrix) -> Polynomial:
-    """f composed with the invertible linear change x -> M x.
-
-    Raises SingularMatrix when M is not invertible; use apply_matrix
-    directly for maps already known to be invertible.
-    """
-    from .linalg import mat_det
-    from .errors import SingularMatrix
-    if mat_det(matrix).is_zero():
-        raise SingularMatrix("coordinate change matrix is singular")
-    return f.apply_matrix(matrix)
 
 
 # ---------------------------------------------------------------------------

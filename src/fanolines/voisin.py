@@ -264,21 +264,29 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
     return Ideal(gens + minors, ideal.order)
 
 
+def _random_linear_slice(ideal: Ideal, codim: int,
+                         rng: random.Random) -> List[Polynomial]:
+    """The generators restricted to a random linear subspace of the given
+    codimension, written in its n - codim coordinates.
+
+    The subspace is M applied to {y_m = ... = y_{n-1} = 0} for a random
+    invertible M, so the restriction is the one ring map
+    x_i -> sum_{j<m} M[i][j] y_j."""
+    field = ideal.field
+    n = ideal.nvars
+    matrix = random_invertible(field, n, rng)
+    m = n - codim
+    images = [Polynomial.linear(field, row[:m]) for row in matrix]
+    return [g.substitute(images) for g in ideal.generators]
+
+
 def _empty_linear_slice(ideal: Ideal, codim: int, rng: random.Random) -> bool:
     """Whether a random linear subspace of the given codimension misses
     V(I) over the algebraic closure.
 
     A positive answer certifies dim V(I) < codim: a projective variety of
     dimension >= codim meets every linear subspace of that codimension."""
-    field = ideal.field
-    n = ideal.nvars
-    matrix = random_invertible(field, n, rng)
-    m = n - codim
-    images = [Polynomial.variable(field, m, i) if i < m
-              else Polynomial.zero(field, m) for i in range(n)]
-    sliced = [g.apply_matrix(matrix).substitute(images)
-              for g in ideal.generators]
-    dim, _ = hilbert_data(Ideal(sliced))
+    dim, _ = hilbert_data(Ideal(_random_linear_slice(ideal, codim, rng)))
     return dim < 0
 
 

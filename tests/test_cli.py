@@ -162,6 +162,8 @@ PINNED_REPORTS = {
         "9b551da2b5a0aab509e224e84c738c6efbf41711400e833603a55f59bf2bb4cc",
     ("voisin-demo", "2", "--seed", "5"):
         "f974fd0df088bfadd2c5087a1f25722eee55ffa962dd546f77138aee070c3376",
+    ("voisin-demo", "3", "--seed", "294919"):
+        "9741991682667d79b50536210de941bbd343ee286628bdffd6f925c261de9cfd",
 }
 
 

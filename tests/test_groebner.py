@@ -11,11 +11,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanolines import PrimeField, Polynomial
-from fanolines.poly import GREVLEX, LEX, random_homogeneous
+from fanolines import QQ, PrimeField, Polynomial
+from fanolines.poly import GREVLEX, LEX, monomials_of_degree, random_homogeneous
 from fanolines.groebner import groebner_basis, is_member, normal_form
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
-from fanolines.errors import NotZeroDimensional
+from fanolines.errors import NotZeroDimensional, ResourceLimit
 
 from conftest import parse
 
@@ -173,3 +173,63 @@ def test_quotient_monomials_box_ideal():
     stair = quotient_monomials([(2, 0), (0, 3)], 2)
     assert len(stair) == 6
     assert (1, 2) in stair and (2, 0) not in stair
+
+
+def sympy_monic_basis(gens, nvars, p, order):
+    """Reduced basis from sympy's groebner(..., modulus=p), as monic term
+    dicts keyed by exponent tuples, with their leading monomials."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{nvars}")
+    exprs = [sum(c.payload * sympy.prod(x ** e for x, e in zip(xs, mono))
+                 for mono, c in g.terms.items()) for g in gens]
+    out = []
+    for g in sympy.groebner(exprs, *xs, modulus=p, order=order).exprs:
+        poly = sympy.Poly(g, *xs, modulus=p)
+        lm = poly.LM(order=order).exponents
+        inv = pow(int(poly.coeff_monomial(lm)) % p, p - 2, p)
+        out.append((lm, {m: int(c) * inv % p for m, c in poly.terms()}))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("seed", range(6))
+def test_basis_matches_sympy(p, order, seed):
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    nvars = 3
+    monos = [m for d in range(4) for m in monomials_of_degree(nvars, d)]
+    gens = []
+    for degree in rng.sample((2, 2, 3), rng.choice((2, 3))):
+        support = [m for m in monos if sum(m) <= degree]
+        terms = {m: field.from_int(rng.randrange(1, p))
+                 for m in rng.sample(support, 5)}
+        gens.append(Polynomial(field, nvars, terms))
+    expected = sympy_monic_basis(gens, nvars, p, order.name)
+    basis = groebner_basis(gens, order)
+    ours = sorted((g.leading_monomial(order),
+                   {m: c.payload for m, c in g.terms.items()}) for g in basis)
+    assert [lm for lm, _ in ours] == [lm for lm, _ in expected]
+    assert ours == expected
+
+
+def test_rational_basis():
+    # circle and line over QQ: x0 - x1 and x1^2 - 1/2 in lex
+    gens = [parse("x0^2 + x1^2 - 1", 2, QQ), parse("x0 - x1", 2, QQ)]
+    assert groebner_basis(gens, LEX) == [parse("x1^2 - 1/2", 2, QQ),
+                                          parse("x0 - x1", 2, QQ)]
+    basis = groebner_basis(gens)
+    assert all(is_member(g, basis) for g in gens)
+    assert not is_member(parse("x1", 2, QQ), basis)
+
+
+def test_rational_coefficient_growth_hits_bit_limit():
+    gens = [parse("3/7*x0^2 + 5/11*x1*x2 - 13/17", 3, QQ),
+            parse("19/23*x1^2 - 29/31*x0*x2 + 37/41", 3, QQ),
+            parse("43/47*x0*x1 + 53/59*x2^2 - 61/67", 3, QQ)]
+    basis = groebner_basis(gens)
+    assert all(is_member(g, basis) for g in gens)
+    # the work list peaks at 413 bits of numerators and denominators
+    assert groebner_basis(gens, bit_limit=413) == basis
+    with pytest.raises(ResourceLimit):
+        groebner_basis(gens, bit_limit=412)

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from fanolines import Ideal, PrimeField
+from fanolines import (Ideal, PrimeField, ProjectivePoint, build_extension,
+                       embedding)
 from fanolines.idealkit import (complete_intersection_report,
                                 certify_reduced_point, hilbert_data,
                                 is_complete_intersection, jacobian_rank_at,
                                 rational_points, sample_smooth_points,
                                 singular_points, slice_degree, solve_report)
+from fanolines.linalg import mat_rank
 from fanolines.poly import random_homogeneous
+from fanolines.projgeo import random_point
 from fanolines.errors import Inconclusive
 
 from conftest import parse
@@ -70,6 +73,26 @@ def test_jacobian_rank_values():
     smooth = rational_points(Ideal([parse("x0", 4, F11), parse("x2", 4, F11),
                                     parse("x1 + x3", 4, F11)]), k_max=1)[0]
     assert jacobian_rank_at(gens, smooth) == 1
+
+
+def test_jacobian_rank_at_extension_points_matches_mapped_generators():
+    # partials over the ground field, evaluated at F_49 points, against
+    # generators mapped into F_49 and differentiated there
+    f49 = build_extension(7, 2)
+    embed = embedding(F7, f49)
+    rng = random.Random(8)
+    for _ in range(10):
+        gens = [random_homogeneous(F7, 4, d, rng) for d in (2, 2, 3)]
+        pt = random_point(f49, 3, rng)
+        mapped = [g.map_coefficients(f49, embed) for g in gens]
+        rows = [[g.partial_derivative(i).evaluate(list(pt.coords))
+                 for i in range(4)] for g in mapped]
+        assert jacobian_rank_at(gens, pt) == mat_rank(rows)
+    # the node of a cubic over F_7, and a smooth point, as F_49 points
+    cubic = [parse("x0*x1^2 + x2^3 + x3^3", 4, F7)]
+    zero, one, t = f49.zero(), f49.one(), f49.generator()
+    assert jacobian_rank_at(cubic, ProjectivePoint([one, zero, zero, zero])) == 0
+    assert jacobian_rank_at(cubic, ProjectivePoint([one, t, zero, zero])) == 1
 
 
 def test_slice_degree_trivial_cases():

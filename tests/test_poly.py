@@ -5,17 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanolines import PrimeField, Polynomial, parse_polynomial
-from fanolines.poly import (GREVLEX, LEX, default_names, linear_substitute,
-                            mono_degree, monomials_of_degree,
-                            random_homogeneous)
+from fanolines import (QQ, PrimeField, Polynomial, build_extension, embedding,
+                       parse_polynomial)
+from fanolines.poly import (GREVLEX, LEX, default_names, mono_degree,
+                            monomials_of_degree, random_homogeneous)
 from fanolines.linalg import mat_identity, mat_vec, random_invertible
-from fanolines.errors import (ParseError, SingularMatrix, UnknownVariable,
-                              ZeroPolynomial)
+from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
 
 from conftest import parse
 
 F7 = PrimeField(7)
+F9 = build_extension(3, 2)
 F10007 = PrimeField(10007)
 
 
@@ -174,12 +174,12 @@ def test_gradient_matches_partials():
 
 def test_linear_substitute_identity_and_permutation():
     f = parse("x0^2 + x1*x2", 3, F7)
-    assert linear_substitute(f, mat_identity(F7, 3)) == f
+    assert f.apply_matrix(mat_identity(F7, 3)) == f
     # swap x0, x1
     swap = [[F7.zero(), F7.one(), F7.zero()],
             [F7.one(), F7.zero(), F7.zero()],
             [F7.zero(), F7.zero(), F7.one()]]
-    assert linear_substitute(parse("x0", 3, F7), swap) == parse("x1", 3, F7)
+    assert parse("x0", 3, F7).apply_matrix(swap) == parse("x1", 3, F7)
 
 
 def test_linear_substitute_evaluation_oracle():
@@ -187,7 +187,7 @@ def test_linear_substitute_evaluation_oracle():
     rng = random.Random(13)
     f = parse("x0^2 + x1^2", 3, F10007)
     m = random_invertible(F10007, 3, rng)
-    g = linear_substitute(f, m)
+    g = f.apply_matrix(m)
     for _ in range(20):
         v = random_point(F10007, 3, rng)
         assert g.evaluate(v) == f.evaluate(mat_vec(m, v))
@@ -199,15 +199,7 @@ def test_linear_substitute_is_ring_homomorphism():
     m = random_invertible(F7, 3, rng)
     f = random_poly(F7, 3, 2, rng)
     g = random_poly(F7, 3, 2, rng)
-    assert linear_substitute(f * g, m) == \
-        linear_substitute(f, m) * linear_substitute(g, m)
-
-
-def test_singular_matrix_rejected():
-    f = parse("x0 + x1", 2, F7)
-    degenerate = [[F7.one(), F7.one()], [F7.one(), F7.one()]]
-    with pytest.raises(SingularMatrix):
-        linear_substitute(f, degenerate)
+    assert (f * g).apply_matrix(m) == f.apply_matrix(m) * g.apply_matrix(m)
 
 
 def test_zero_polynomial_guards():
@@ -248,3 +240,53 @@ def test_extend_variables_and_substitute():
     assert g.substitute(images) == g
     images[2] = Polynomial.zero(F7, 3)
     assert g.substitute(images) == parse("x1^2", 3, F7)
+
+
+def random_image(field, nvars, rng):
+    """Zero, a linear form or a polynomial of degree up to 3."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Polynomial.zero(field, nvars)
+    return random_poly(field, nvars, 1 if kind == 1 else 3, rng)
+
+
+@pytest.mark.parametrize("field", [F7, F9, QQ], ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_substitute_commutes_with_evaluation(field, seed):
+    # f(images)(v) == f(images(v)), into fewer, as many and more variables
+    rng = random.Random(seed)
+    target = (1, 2, 3, 5)[seed % 4]
+    f = random_poly(field, 3, 4, rng, terms=10)
+    images = [random_image(field, target, rng) for _ in range(3)]
+    g = f.substitute(images)
+    assert g.nvars == target
+    for _ in range(5):
+        v = random_point(field, target, rng)
+        assert g.evaluate(v) == f.evaluate([h.evaluate(v) for h in images])
+
+
+@pytest.mark.parametrize("field", [F7, F9, QQ], ids=str)
+def test_apply_matrix_is_substitute_of_linear_images(field):
+    rng = random.Random(5)
+    for _ in range(4):
+        m = [[field.sample(rng) for _ in range(3)] for _ in range(3)]
+        images = []
+        for row in m:
+            image = Polynomial.zero(field, 3)
+            for j, c in enumerate(row):
+                image = image + Polynomial.variable(field, 3, j) * c
+            images.append(image)
+        f = random_poly(field, 3, 3, rng, terms=8)
+        assert f.apply_matrix(m) == f.substitute(images)
+
+
+@pytest.mark.parametrize("small,big", [(F7, (7, 2)), (F9, (3, 4))],
+                         ids=["F7-F49", "F9-F81"])
+def test_evaluate_at_extension_point_embeds_coefficients(small, big):
+    ext = build_extension(*big)
+    embed = embedding(small, ext)
+    rng = random.Random(3)
+    for _ in range(5):
+        f = random_poly(small, 3, 3, rng, terms=8)
+        v = random_point(ext, 3, rng)
+        assert f.evaluate(v) == f.map_coefficients(ext, embed).evaluate(v)

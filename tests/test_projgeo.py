@@ -9,7 +9,7 @@ from fanolines.linalg import mat_identity, mat_inverse, mat_vec
 from fanolines.projgeo import (base_point, enumerate_projective_points,
                                line_through, move_to_base_point,
                                projective_count, random_point)
-from fanolines.poly import linear_substitute, random_homogeneous
+from fanolines.poly import random_homogeneous
 from fanolines.errors import BudgetExceeded, EqualPoints
 
 from conftest import parse
@@ -98,9 +98,9 @@ def test_move_transfers_multiplicity_structure():
         m = move_to_base_point(y)
         # manufacture f with a double point at y by pulling back a node at e0
         node = parse("x0*x1^2 + x2^3 + x3^3", 4, F10007)
-        f = linear_substitute(node, mat_inverse(m))
+        f = node.apply_matrix(mat_inverse(m))
         assert f.evaluate(list(y.coords)) == F10007.zero()
-        moved = linear_substitute(f, m)
+        moved = f.apply_matrix(m)
         local = moved.dehomogenize(0)
         assert min(local.homogeneous_components()) == 2
 

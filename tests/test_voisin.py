@@ -10,12 +10,13 @@ import random
 
 import pytest
 
-from fanolines import Ideal, PrimeField
-from fanolines.voisin import (NormalFormCubic, analyze_node_lines,
-                              node_line_system, nodes, normal_form_cubic,
-                              plane_restriction, rank_drop_ideal,
-                              restricted_quadrics, run_node_analysis,
-                              scan_singularities)
+from fanolines import Ideal, Polynomial, PrimeField
+from fanolines.linalg import random_invertible
+from fanolines.voisin import (NormalFormCubic, _random_linear_slice,
+                              analyze_node_lines, node_line_system, nodes,
+                              normal_form_cubic, plane_restriction,
+                              rank_drop_ideal, restricted_quadrics,
+                              run_node_analysis, scan_singularities)
 from fanolines.idealkit import hilbert_data, slice_degree
 from fanolines.errors import DegenerateInstance, InvalidParameters
 
@@ -217,3 +218,22 @@ def test_run_node_analysis_small_field_resamples():
 def test_invalid_rank_r():
     with pytest.raises(InvalidParameters):
         normal_form_cubic(0, F10007, seed=0)
+
+
+def test_slice_is_one_substitution_of_the_two_ring_maps():
+    # x -> M x followed by y_j -> 0 for j >= m, done as one ring map, from
+    # the same rng stream
+    nfc = normal_form_cubic(3, F10007, seed=0)
+    certs = nodes(nfc, seed=0)
+    rd = rank_drop_ideal(node_line_system(nfc, certs[0].point))
+    n, codim = rd.nvars, 3
+    m = n - codim
+    for seed in range(3):
+        sliced = _random_linear_slice(rd, codim, random.Random(seed))
+        matrix = random_invertible(F10007, n, random.Random(seed))
+        restrict = [Polynomial.variable(F10007, m, i) if i < m
+                    else Polynomial.zero(F10007, m) for i in range(n)]
+        expected = [g.apply_matrix(matrix).substitute(restrict)
+                    for g in rd.generators]
+        assert sliced == expected
+        assert all(g.nvars == m for g in sliced)
