@@ -5,168 +5,27 @@ passing through a fixed point of given multiplicity, checks its dimension
 and degree two independent ways (Groebner invariants vs point counting),
 and exercises the construction on nodal cubics with many isolated singular
 points.
+
+The package root re-exports the fields, polynomials, points and ideals;
+the pipelines live in their modules (`fanolines.fano`,
+`fanolines.voisin`, `fanolines.idealkit`, `fanolines.cli`).
 """
 
-from .field import (
-    DEFAULT_PRIME,
-    DEFAULT_RATIONAL_BOUND,
-    ExtensionField,
-    Field,
-    FieldElement,
-    PrimeField,
-    QQ,
-    RationalField,
-    build_extension,
-    embedding,
-    is_prime,
-    relative_extension,
-)
-from .poly import (
-    GREVLEX,
-    LEX,
-    GrevLexOrder,
-    LexOrder,
-    MonomialOrder,
-    Polynomial,
-    default_names,
-    monomials_of_degree,
-    parse_polynomial,
-    random_homogeneous,
-    random_linear_form,
-)
-from .projgeo import (
-    LinearSubspace,
-    LineParametrization,
-    ProjectivePoint,
-    base_point,
-    enumerate_projective_points,
-    line_through,
-    move_to_base_point,
-    projective_count,
-    random_point,
-)
-from .groebner import groebner_basis, is_member, normal_form
-from .fglm import fglm_lex, lex_basis_zero_dim
-from .hilbert import hilbert_numerator, staircase_data
-from .solve import SolveResult, solve_projective
-from .idealkit import (
-    Ideal,
-    VarietyReport,
-    buchberger,
-    certify_reduced_point,
-    complete_intersection_report,
-    groebner_of,
-    hilbert_data,
-    is_complete_intersection,
-    jacobian_rank_at,
-    rational_points,
-    sample_smooth_points,
-    singular_points,
-    slice_degree,
-    solve_report,
-)
-from .fano import (
-    LineSystem,
-    PointedHypersurface,
-    analyze_lines,
-    direction_components,
-    expected_count,
-    line_system,
-    multiplicity_at,
-    random_pointed_hypersurface,
-    run_line_analysis,
-)
-from .voisin import (
-    NodalCubicAnalysis,
-    NodeCertificate,
-    NormalFormCubic,
-    analyze_node_lines,
-    node_line_system,
-    nodes,
-    normal_form_cubic,
-    plane_restriction,
-    rank_drop_ideal,
-    run_node_analysis,
-    scan_singularities,
-)
+from .field import PrimeField, QQ, build_extension, embedding
+from .poly import Polynomial, parse_polynomial
+from .projgeo import ProjectivePoint
+from .idealkit import Ideal
 from . import errors
 
 __all__ = [
-    "DEFAULT_PRIME",
-    "DEFAULT_RATIONAL_BOUND",
-    "ExtensionField",
-    "Field",
-    "FieldElement",
-    "PrimeField",
     "QQ",
-    "RationalField",
+    "PrimeField",
     "build_extension",
     "embedding",
-    "is_prime",
-    "relative_extension",
-    "GREVLEX",
-    "LEX",
-    "GrevLexOrder",
-    "LexOrder",
-    "MonomialOrder",
     "Polynomial",
-    "default_names",
-    "monomials_of_degree",
     "parse_polynomial",
-    "random_homogeneous",
-    "random_linear_form",
-    "LinearSubspace",
-    "LineParametrization",
     "ProjectivePoint",
-    "base_point",
-    "enumerate_projective_points",
-    "line_through",
-    "move_to_base_point",
-    "projective_count",
-    "random_point",
-    "groebner_basis",
-    "is_member",
-    "normal_form",
-    "fglm_lex",
-    "lex_basis_zero_dim",
-    "hilbert_numerator",
-    "staircase_data",
-    "SolveResult",
-    "solve_projective",
     "Ideal",
-    "VarietyReport",
-    "buchberger",
-    "certify_reduced_point",
-    "complete_intersection_report",
-    "groebner_of",
-    "hilbert_data",
-    "is_complete_intersection",
-    "jacobian_rank_at",
-    "rational_points",
-    "sample_smooth_points",
-    "singular_points",
-    "slice_degree",
-    "solve_report",
-    "LineSystem",
-    "PointedHypersurface",
-    "analyze_lines",
-    "direction_components",
-    "expected_count",
-    "line_system",
-    "multiplicity_at",
-    "random_pointed_hypersurface",
-    "run_line_analysis",
-    "NodalCubicAnalysis",
-    "NodeCertificate",
-    "NormalFormCubic",
-    "analyze_node_lines",
-    "node_line_system",
-    "nodes",
-    "normal_form_cubic",
-    "plane_restriction",
-    "rank_drop_ideal",
-    "run_node_analysis",
-    "scan_singularities",
     "errors",
     "__version__",
 ]

@@ -18,7 +18,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import (BudgetExceeded, DegenerateInstance, Inconclusive,
                      InvalidParameters, MultiplicityMismatch, NotPrime,
@@ -28,7 +28,8 @@ from .fano import (PointedHypersurface, analyze_lines, multiplicity_at,
                    run_line_analysis)
 from .field import DEFAULT_PRIME, PrimeField
 from .idealkit import (DEFAULT_BUDGET, Ideal, complete_intersection_report,
-                       groebner_of, hilbert_data, singular_points)
+                       dimension_text, groebner_of, hilbert_data,
+                       singular_points)
 from .poly import GREVLEX, LEX, Polynomial, default_names, parse_polynomial
 from .projgeo import ProjectivePoint
 from .voisin import run_node_analysis
@@ -218,7 +219,7 @@ def cmd_groebner(args: argparse.Namespace) -> int:
     }
     if ideal.is_homogeneous():
         dim, degree = hilbert_data(ideal)
-        report["dimension"] = "empty" if dim < 0 else str(dim)
+        report["dimension"] = dimension_text(dim)
         report["degree"] = str(degree)
     config = RunConfig("groebner", args.seed, args.prime, None, None,
                        args.budget, {"file": os.path.basename(args.file),
@@ -234,7 +235,7 @@ def cmd_sing_locus(args: argparse.Namespace) -> int:
     points = singular_points(ideal, k_max=k_max, budget=args.budget)
     dim, degree = hilbert_data(ideal)
     report: Dict[str, object] = {
-        "dimension": "empty" if dim < 0 else str(dim),
+        "dimension": dimension_text(dim),
         "degree": str(degree),
         "count": str(len(points)),
         "singular_points": [p.serialize() for p in points],

@@ -23,8 +23,8 @@ from typing import List, Optional
 from .errors import InvalidParameters, MultiplicityMismatch, ZeroPolynomial
 from .field import Field
 from .idealkit import (DEFAULT_BUDGET, Ideal, LINE_COUNT_KMAX, VarietyReport,
-                       hilbert_data, is_complete_intersection,
-                       jacobian_rank_at, sample_smooth_points, solve_report)
+                       add_jacobian_certificates, sample_smooth_points,
+                       solve_report, variety_report)
 from .poly import Polynomial, random_homogeneous
 from .projgeo import ProjectivePoint, base_point, move_to_base_point
 
@@ -189,46 +189,24 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
     ls = line_system(ph)
     ideal = ls.ideal()
     n, d, m = ls.n, ls.d, ls.m
-    dim, degree = hilbert_data(ideal)
     codim = d - m + 1
-    predicted = {
+    report = variety_report(ideal, {
         "dimension": str(ls.expected_dim),
         "degree": str(ls.expected_degree),
         "codimension": str(codim),
         "smooth_rank": str(codim),
-    }
-    computed = {
-        "dimension": "empty" if dim < 0 else str(dim),
-        "degree": str(degree),
-        "codimension": str(ideal.ambient_proj_dim - dim),
-    }
-    report = VarietyReport(
-        dimension=dim,
-        degree=degree,
-        is_complete_intersection=is_complete_intersection(ideal),
-        predicted=predicted,
-        computed=computed,
-    )
-    gens = ideal.nonzero_generators()
+    })
+    dim, degree = report.dimension, report.degree
     if dim == 0:
         result = solve_report(ideal, k_max, seed=seed)
-        ranks = []
-        for pt in result.points:
-            rank = jacobian_rank_at(gens, pt)
-            ranks.append(rank)
-            report.solutions.append(pt.serialize())
-            report.certificates.append({
-                "point": " : ".join(pt.serialize()),
-                "residue_degree": str(pt.field.degree // ph.field.degree),
-                "jacobian_rank": str(rank),
-                "reduced": "true" if rank >= n - 1 else "false",
-            })
+        # reduced isolated points need full ambient codimension n-1
+        ranks = add_jacobian_certificates(report, ideal, result.points,
+                                          reduced_rank=n - 1)
+        report.solutions = [pt.serialize() for pt in result.points]
         report.counts_by_degree = {
             str(k): str(v) for k, v in sorted(result.counts_by_degree.items())}
+        report.predicted["smooth_rank"] = str(n - 1)
         found = len(result.points)
-        # reduced isolated points need full ambient codimension n-1
-        computed["smooth_rank"] = str(min(ranks)) if ranks else "unsampled"
-        predicted["smooth_rank"] = str(n - 1)
         if found < degree:
             nonreduced = sum(1 for r in ranks if r < n - 1)
             if nonreduced:
@@ -240,21 +218,12 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
                 f"{degree}; the rest lies in extensions beyond "
                 f"k_max={k_max} or in point multiplicities")
         else:
-            predicted["points_found"] = str(degree)
-            computed["points_found"] = str(found)
+            report.predicted["points_found"] = str(degree)
+            report.computed["points_found"] = str(found)
     elif dim > 0:
-        rng = random.Random(seed)
-        pts = sample_smooth_points(ideal, samples, rng, budget=budget)
-        ranks = []
-        for pt in pts:
-            rank = jacobian_rank_at(gens, pt)
-            ranks.append(rank)
-            report.certificates.append({
-                "point": " : ".join(pt.serialize()),
-                "residue_degree": str(pt.field.degree // ph.field.degree),
-                "jacobian_rank": str(rank),
-            })
-        computed["smooth_rank"] = str(min(ranks)) if ranks else "unsampled"
+        pts = sample_smooth_points(ideal, samples, random.Random(seed),
+                                   budget=budget)
+        add_jacobian_certificates(report, ideal, pts)
         if not pts:
             report.flags.append("no smoothness samples found; field too small"
                                 " or every slice degenerated")

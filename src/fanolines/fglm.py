@@ -18,8 +18,7 @@ from .errors import NotZeroDimensional
 from .field import Field, FieldElement
 from .groebner import groebner_basis, normal_form
 from .linalg import mat_vec
-from .poly import (GREVLEX, LEX, Monomial, MonomialOrder, Polynomial,
-                   mono_divides)
+from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, mono_divides
 
 
 def quotient_monomials(lead_monomials: List[Monomial],

@@ -118,9 +118,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.field._is_zero(self.payload)
 
-    def is_one(self) -> bool:
-        return self.payload == self.field.one().payload
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -305,8 +302,8 @@ class PrimeField(Field):
 
 
 # ---------------------------------------------------------------------------
-# Univariate arithmetic over F_p on little-endian int lists, used for the
-# extension modulus search and for extension-element inversion.
+# Univariate arithmetic over F_p on little-endian int lists, for
+# extension-element inversion.
 
 
 def _up_trim(a):
@@ -327,66 +324,6 @@ def _up_mul(a, b, p):
             out[i + j] = (out[i + j] + ai * bj) % p
     return _up_trim(out)
 
-def _up_rem(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c == 0:
-            continue
-        q = c * inv_lead % p
-        for j in range(dm + 1):
-            a[i - dm + j] = (a[i - dm + j] - q * m[j]) % p
-    return _up_trim(a[:dm])
-
-
-def _up_gcd(a, b, p):
-    a, b = _up_trim(list(a)), _up_trim(list(b))
-    while b:
-        a, b = b, _up_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _up_powmod_x(e, m, p):
-    """x^e mod m over F_p."""
-    result = [1]
-    base = _up_rem([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _up_rem(_up_mul(result, base, p), m, p)
-        base = _up_rem(_up_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(m, p, k):
-    """Rabin test: x^(p^k) = x mod m and gcd(x^(p^(k/l)) - x, m) = 1."""
-    xq = _up_powmod_x(p**k, m, p)
-    if _up_trim([(xq[i] if i < len(xq) else 0) - (1 if i == 1 else 0) for i in range(max(len(xq), 2))]) != []:
-        return False
-    ell = 2
-    kk = k
-    checked = set()
-    while ell * ell <= kk:
-        if kk % ell == 0:
-            checked.add(ell)
-            while kk % ell == 0:
-                kk //= ell
-        ell += 1
-    if kk > 1:
-        checked.add(kk)
-    for ell in checked:
-        xe = _up_powmod_x(p ** (k // ell), m, p)
-        diff = [(xe[i] if i < len(xe) else 0) - (1 if i == 1 else 0) for i in range(max(len(xe), 2))]
-        g = _up_gcd(diff, m, p)
-        if len(g) != 1:
-            return False
-    return True
-
 
 class ExtensionField(Field):
     """F_{p^k} = F_p[t]/(modulus), elements as coefficient k-tuples."""
@@ -400,7 +337,6 @@ class ExtensionField(Field):
         self.p = p
         self.k = k
         self.modulus = tuple(c % p for c in modulus)
-        self.prime_field = PrimeField(p)
         # t^(k+i) mod modulus, i = 0..k-2, for one-pass reduction of products
         red = []
         cur = [(-c) % p for c in self.modulus[:-1]]  # t^k
@@ -511,11 +447,6 @@ class ExtensionField(Field):
                 parts.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
         return " + ".join(parts) if parts else "0"
 
-    def lift(self, e: FieldElement) -> FieldElement:
-        """Embed an F_p element along the canonical inclusion."""
-        assert e.field == self.prime_field
-        return FieldElement(self, self._from_int(e.payload))
-
     def generator(self) -> FieldElement:
         """The residue class of t."""
         return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
@@ -568,12 +499,16 @@ def build_extension(p: int, k: int, seed: int = 0) -> Field:
     if k == 1:
         result = PrimeField(p)
     else:
+        from .unipoly import distinct_degree_factorization
+        ground = PrimeField(p)
         rng = random.Random(f"fanolines-modulus-{p}-{k}-{seed}")
         while True:
             cand = [rng.randrange(p) for _ in range(k)] + [1]
             if cand[0] == 0:  # reducible: t divides
                 continue
-            if _is_irreducible(cand, p, k):
+            # irreducible: no factor of degree <= k/2
+            if not distinct_degree_factorization(
+                    [FieldElement(ground, c) for c in cand], ground, k // 2):
                 result = ExtensionField(p, k, cand)
                 break
     _extension_cache[(p, k, seed)] = result

@@ -13,7 +13,6 @@ then reads off the projective dimension (pole order - 1) and the degree
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .poly import Monomial, mono_divides

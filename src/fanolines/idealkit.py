@@ -1,5 +1,6 @@
 """Ideal-level analysis: Groebner bases, dimension and degree, point
-finding over extensions, singular loci, and random-slice degree checks.
+finding over extensions, singular loci, and random-slice degree checks;
+and the one builder of `VarietyReport`s that every pipeline uses.
 
 Dimension and degree always come from the Hilbert series of the
 leading-term ideal. Point counts come from two independent routes: the
@@ -11,9 +12,9 @@ other in the test suite on small fields.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field as dataclass_field
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
@@ -68,10 +69,6 @@ class Ideal:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
 
-    def map_to(self, target: Field, convert) -> "Ideal":
-        return Ideal([g.map_coefficients(target, convert) for g in self.generators],
-                     self.order)
-
 
 def groebner_of(ideal: Ideal, order: Optional[MonomialOrder] = None,
                 bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> List[Polynomial]:
@@ -85,23 +82,15 @@ def groebner_of(ideal: Ideal, order: Optional[MonomialOrder] = None,
     return hit
 
 
-def buchberger(ideal: Ideal) -> Ideal:
-    """The reduced Groebner basis, packaged as an ideal."""
-    gb = groebner_of(ideal)
-    if not gb:
-        return ideal  # zero ideal: nothing to do
-    out = Ideal(gb, ideal.order)
-    out._cache[("gb", ideal.order.name, getattr(ideal.order, "split", None))] = gb
-    return out
-
-
 def hilbert_data(ideal: Ideal) -> Tuple[int, int]:
     """(projective dimension, degree); (-1, 0) for empty, full space for 0.
 
     Degenerate inputs are reported, never raised: the zero ideal gives the
     whole ambient space with degree 1, and 1 in the ideal gives (-1, 0).
+    Non-homogeneous generators raise InvalidParameters.
     """
-    assert ideal.is_homogeneous(), "projective analysis needs homogeneous generators"
+    if not ideal.is_homogeneous():
+        raise InvalidParameters("projective analysis needs homogeneous generators")
     key = ("hilbert",)
     hit = ideal._cache.get(key)
     if hit is not None:
@@ -217,7 +206,8 @@ def singular_points(ideal: Ideal, k_max: int = 1,
     codimension, over F_{q^k} for k <= k_max (deduplicated by exact degree).
     """
     gens = ideal.nonzero_generators()
-    assert gens
+    if not gens:
+        raise InvalidParameters("the zero ideal has no singular locus")
     dim, _ = hilbert_data(ideal)
     if dim < 0:
         return []
@@ -296,69 +286,6 @@ def sample_smooth_points(ideal: Ideal, count: int, rng: random.Random,
     return points[:count]
 
 
-def complete_intersection_report(degrees: Sequence[int], n_proj: int,
-                                 field: Field, seed: int,
-                                 samples: int = 6, k_max: int = 4,
-                                 budget: int = DEFAULT_BUDGET) -> "VarietyReport":
-    """Random forms of the given degrees in P^n_proj, checked against the
-    Bezout predictions: codimension len(degrees), degree prod(degrees),
-    with sampled Jacobian certificates for smoothness.
-    """
-    if not degrees or any(d < 1 for d in degrees) or len(degrees) > n_proj:
-        raise InvalidParameters("need 1 <= len(degrees) <= n_proj, degrees >= 1")
-    rng = random.Random(seed)
-    gens: List[Polynomial] = []
-    for d in degrees:
-        g = random_homogeneous(field, n_proj + 1, d, rng)
-        while g.is_zero():
-            g = random_homogeneous(field, n_proj + 1, d, rng)
-        gens.append(g)
-    ideal = Ideal(gens)
-    dim, degree = hilbert_data(ideal)
-    codim = len(degrees)
-    expected_degree = 1
-    for d in degrees:
-        expected_degree *= d
-    predicted = {
-        "dimension": str(n_proj - codim),
-        "degree": str(expected_degree),
-        "codimension": str(codim),
-        "smooth_rank": str(codim),
-    }
-    computed = {
-        "dimension": "empty" if dim < 0 else str(dim),
-        "degree": str(degree),
-        "codimension": str(ideal.ambient_proj_dim - dim),
-    }
-    certificates: List[Dict[str, str]] = []
-    if dim == 0:
-        pts = rational_points(ideal, k_max=k_max, budget=budget,
-                              seed=rng.randrange(2**32))
-    elif dim > 0:
-        pts = sample_smooth_points(ideal, samples, rng, k_max=k_max,
-                                   budget=budget)
-    else:
-        pts = []
-    ranks = []
-    for pt in pts:
-        rank = jacobian_rank_at(gens, pt)
-        ranks.append(rank)
-        certificates.append({
-            "point": " : ".join(pt.serialize()),
-            "residue_degree": str(pt.field.degree // field.degree),
-            "jacobian_rank": str(rank),
-        })
-    computed["smooth_rank"] = str(min(ranks)) if ranks else "unsampled"
-    return VarietyReport(
-        dimension=dim,
-        degree=degree,
-        is_complete_intersection=is_complete_intersection(ideal),
-        predicted=predicted,
-        computed=computed,
-        certificates=certificates,
-    )
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -389,7 +316,7 @@ class VarietyReport:
 
     def to_dict(self) -> dict:
         return {
-            "dimension": "empty" if self.dimension < 0 else str(self.dimension),
+            "dimension": dimension_text(self.dimension),
             "degree": str(self.degree),
             "is_complete_intersection": "true" if self.is_complete_intersection else "false",
             "predicted": dict(self.predicted),
@@ -403,5 +330,95 @@ class VarietyReport:
             "matched": "true" if self.matched() else "false",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+def dimension_text(dim: int) -> str:
+    """A projective dimension as reported; -1 is the empty scheme."""
+    return "empty" if dim < 0 else str(dim)
+
+
+def variety_report(ideal: Ideal, predicted: Dict[str, str]) -> VarietyReport:
+    """A report of the ideal's Hilbert invariants against `predicted`:
+    computed dimension, degree and codimension, and whether the
+    codimension equals the number of nonzero generators."""
+    dim, degree = hilbert_data(ideal)
+    return VarietyReport(
+        dimension=dim,
+        degree=degree,
+        is_complete_intersection=is_complete_intersection(ideal),
+        predicted=predicted,
+        computed={
+            "dimension": dimension_text(dim),
+            "degree": str(degree),
+            "codimension": str(ideal.ambient_proj_dim - dim),
+        },
+    )
+
+
+def point_certificate(point: ProjectivePoint, ground: Field,
+                      **fields: str) -> Dict[str, str]:
+    """The certificate entry of one point: its coordinates and its residue
+    degree over the ground field, then `fields`."""
+    return {"point": " : ".join(point.serialize()),
+            "residue_degree": str(point.field.degree // ground.degree),
+            **fields}
+
+
+def add_jacobian_certificates(report: VarietyReport, ideal: Ideal,
+                              points: Sequence[ProjectivePoint],
+                              reduced_rank: Optional[int] = None) -> List[int]:
+    """Certify each point by the Jacobian rank of the ideal's generators
+    there, and record the smallest rank as computed["smooth_rank"]
+    ("unsampled" without points).
+
+    With `reduced_rank`, each certificate also says whether the point is
+    reduced, that is whether its rank reaches `reduced_rank`. Returns the
+    ranks in point order.
+    """
+    gens = ideal.nonzero_generators()
+    ranks = []
+    for pt in points:
+        rank = jacobian_rank_at(gens, pt)
+        ranks.append(rank)
+        fields = {"jacobian_rank": str(rank)}
+        if reduced_rank is not None:
+            fields["reduced"] = "true" if rank >= reduced_rank else "false"
+        report.certificates.append(point_certificate(pt, ideal.field, **fields))
+    report.computed["smooth_rank"] = str(min(ranks)) if ranks else "unsampled"
+    return ranks
+
+
+def complete_intersection_report(degrees: Sequence[int], n_proj: int,
+                                 field: Field, seed: int,
+                                 samples: int = 6, k_max: int = 4,
+                                 budget: int = DEFAULT_BUDGET) -> VarietyReport:
+    """Random forms of the given degrees in P^n_proj, checked against the
+    Bezout predictions: codimension len(degrees), degree prod(degrees),
+    with sampled Jacobian certificates for smoothness.
+    """
+    if not degrees or any(d < 1 for d in degrees) or len(degrees) > n_proj:
+        raise InvalidParameters("need 1 <= len(degrees) <= n_proj, degrees >= 1")
+    rng = random.Random(seed)
+    gens: List[Polynomial] = []
+    for d in degrees:
+        g = random_homogeneous(field, n_proj + 1, d, rng)
+        while g.is_zero():
+            g = random_homogeneous(field, n_proj + 1, d, rng)
+        gens.append(g)
+    ideal = Ideal(gens)
+    codim = len(degrees)
+    report = variety_report(ideal, {
+        "dimension": str(n_proj - codim),
+        "degree": str(prod(degrees)),
+        "codimension": str(codim),
+        "smooth_rank": str(codim),
+    })
+    if report.dimension == 0:
+        pts = rational_points(ideal, k_max=k_max, budget=budget,
+                              seed=rng.randrange(2**32))
+    elif report.dimension > 0:
+        pts = sample_smooth_points(ideal, samples, rng, k_max=k_max,
+                                   budget=budget)
+    else:
+        pts = []
+    add_jacobian_certificates(report, ideal, pts)
+    return report

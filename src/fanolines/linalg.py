@@ -31,20 +31,6 @@ def mat_vec(a: Matrix, v: Sequence[FieldElement]) -> List[FieldElement]:
     return out
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
 def _eliminate(a: Matrix):
     """Row echelon form in place; returns (rank, det_of_leading_block_sign_adjusted)."""
     if not a:

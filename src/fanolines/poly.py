@@ -17,7 +17,7 @@ import random
 import re
 from fractions import Fraction
 from operator import add as _add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
 from .field import Field, FieldElement, PrimeField, RationalField, embedding
@@ -213,9 +213,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_degree(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> FieldElement:
-        return self.terms.get((0,) * self.nvars, self.field.zero())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -321,10 +318,6 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> FieldElement:
         return self.terms[self.leading_monomial(order)]
 
-    def leading_term(self, order: MonomialOrder = GREVLEX):
-        m = self.leading_monomial(order)
-        return m, self.terms[m]
-
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
@@ -390,9 +383,6 @@ class Polynomial:
                 terms[key] = s
         return Polynomial(field, self.nvars, terms)
 
-    def gradient(self) -> List["Polynomial"]:
-        return [self.partial_derivative(i) for i in range(self.nvars)]
-
     def homogeneous_components(self) -> Dict[int, "Polynomial"]:
         """Split into degree parts; keys are the occurring degrees."""
         if not self.terms:
@@ -402,10 +392,6 @@ class Polynomial:
             buckets.setdefault(mono_degree(mono), {})[mono] = coeff
         return {d: Polynomial(self.field, self.nvars, t)
                 for d, t in sorted(buckets.items())}
-
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        terms = {m: c for m, c in self.terms.items() if mono_degree(m) == degree}
-        return Polynomial(self.field, self.nvars, terms)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Ring map x_i -> images[i]; the images live in one ring over the

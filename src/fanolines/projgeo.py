@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 from .errors import BudgetExceeded, EqualPoints
 from .field import Field, FieldElement
-from .linalg import Matrix, mat_rank
+from .linalg import Matrix
 from .poly import Polynomial
 
 DEFAULT_BUDGET = 10**8
@@ -79,36 +79,6 @@ def base_point(field: Field, n_proj: int) -> ProjectivePoint:
     """[1:0:...:0] in P^N."""
     coords = [field.one()] + [field.zero()] * n_proj
     return ProjectivePoint(coords)
-
-
-@dataclass(frozen=True)
-class LinearSubspace:
-    """Intersection of independent hyperplanes in P^N."""
-
-    forms: Tuple[Polynomial, ...]
-    ambient: int  # N
-
-    def __post_init__(self):
-        assert self.forms, "no defining forms"
-        n = self.ambient + 1
-        rows = []
-        for f in self.forms:
-            assert f.nvars == n and f.degree() == 1 and f.is_homogeneous()
-            field = f.field
-            row = []
-            for i in range(n):
-                exps = tuple(1 if j == i else 0 for j in range(n))
-                row.append(f.terms.get(exps, field.zero()))
-            rows.append(row)
-        if mat_rank(rows) != len(self.forms):
-            raise ValueError("defining forms are linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return self.ambient - len(self.forms)
-
-    def contains(self, point: ProjectivePoint) -> bool:
-        return all(f.evaluate(list(point.coords)).is_zero() for f in self.forms)
 
 
 def move_to_base_point(y: ProjectivePoint) -> Matrix:

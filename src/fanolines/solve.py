@@ -180,11 +180,6 @@ class SolveResult:
     points: List[ProjectivePoint]
     counts_by_degree: Dict[int, int]
     k_max: int
-    point_fields: List[Field] = dataclass_field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.points)
 
 
 def solve_projective(gens: List[Polynomial], k_max: int, seed: int = 0,
@@ -243,12 +238,10 @@ def solve_projective(gens: List[Polynomial], k_max: int, seed: int = 0,
 
     points: List[ProjectivePoint] = []
     counts: Dict[int, int] = {}
-    point_fields: List[Field] = []
     if base_point_solution:
         coords = [ground.zero()] * (nvars - 1) + [ground.one()]
         points.append(ProjectivePoint(coords))
         counts[1] = counts.get(1, 0) + 1
-        point_fields.append(ground)
     for k in range(1, k_max + 1):
         if stop_at is not None and len(points) >= stop_at:
             break
@@ -273,6 +266,4 @@ def solve_projective(gens: List[Polynomial], k_max: int, seed: int = 0,
                 coords = (zero,) * chart.pivot + (one,) + sol
                 points.append(ProjectivePoint(coords))
                 counts[k] = counts.get(k, 0) + 1
-                point_fields.append(ext)
-    return SolveResult(points=points, counts_by_degree=counts,
-                       k_max=k_max, point_fields=point_fields)
+    return SolveResult(points=points, counts_by_degree=counts, k_max=k_max)

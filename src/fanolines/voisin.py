@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (DegenerateInstance, InvalidParameters,
                      MultiplicityMismatch)
-from .field import Field, FieldElement, embedding
+from .field import Field, embedding
 from .fano import direction_components
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
-                       certify_reduced_point, hilbert_data,
-                       is_complete_intersection, jacobian_rank_at,
-                       rational_points, singular_points)
+                       certify_reduced_point, dimension_text, hilbert_data,
+                       point_certificate, rational_points, singular_points,
+                       variety_report)
 from .linalg import mat_rank, random_invertible
 from .poly import Polynomial, random_homogeneous
 from .projgeo import ProjectivePoint
@@ -300,59 +300,38 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
     solved and certified individually. For r >= 3 only the dimension
     bound 2r-4 is certified, by exhibiting a random linear slice of
     complementary codimension that misses the locus."""
-    dim, degree = hilbert_data(ideal)
-    predicted = {
+    report = variety_report(ideal, {
         "dimension": str(2 * r - 2),
         "degree": "6",
         "codimension": "2",
-    }
-    computed = {
-        "dimension": "empty" if dim < 0 else str(dim),
-        "degree": str(degree),
-        "codimension": str(ideal.ambient_proj_dim - dim),
-    }
-    report = VarietyReport(
-        dimension=dim,
-        degree=degree,
-        is_complete_intersection=is_complete_intersection(ideal),
-        predicted=predicted,
-        computed=computed,
-    )
+    })
+    predicted, computed = report.predicted, report.computed
     rd = rank_drop_ideal(ideal)
-    sing_dim, sing_degree = (None, None)
     if r <= 2:
+        # for r = 1 the cubic surface has a second node; the direction of
+        # the line joining the two nodes is a double point of the line
+        # system, so the singular locus is recorded but carries no prediction
         sing_dim, sing_degree = hilbert_data(rd)
-    if r == 1:
-        # the cubic surface has a second node; the direction of the line
-        # joining the two nodes is a double point of the line system, so
-        # the singular locus is recorded but carries no prediction
-        computed["singular_dimension"] = (
-            "empty" if sing_dim < 0 else str(sing_dim))
-    elif r == 2:
-        predicted["singular_dimension"] = "0"
-        predicted["singular_degree"] = "3"
-        predicted["singular_count"] = "3"
-        predicted["singular_reduced"] = "true"
-        computed["singular_dimension"] = (
-            "empty" if sing_dim < 0 else str(sing_dim))
-        computed["singular_degree"] = str(sing_degree)
-        if sing_dim == 0:
-            pts = rational_points(rd, k_max=6, budget=budget, seed=seed)
-            reduced = []
-            for pt in pts:
-                ok = certify_reduced_point(rd, pt, codim=2 * r)
-                reduced.append(ok)
-                report.singular.append(pt.serialize())
-                report.certificates.append({
-                    "kind": "singular_point",
-                    "point": " : ".join(pt.serialize()),
-                    "residue_degree":
-                        str(pt.field.degree // ideal.field.degree),
-                    "reduced": "true" if ok else "false",
-                })
-            computed["singular_count"] = str(len(pts))
-            computed["singular_reduced"] = (
-                "true" if pts and all(reduced) else "false")
+        computed["singular_dimension"] = dimension_text(sing_dim)
+        if r == 2:
+            predicted["singular_dimension"] = "0"
+            predicted["singular_degree"] = "3"
+            predicted["singular_count"] = "3"
+            predicted["singular_reduced"] = "true"
+            computed["singular_degree"] = str(sing_degree)
+            if sing_dim == 0:
+                pts = rational_points(rd, k_max=6, budget=budget, seed=seed)
+                reduced = []
+                for pt in pts:
+                    ok = certify_reduced_point(rd, pt, codim=2 * r)
+                    reduced.append(ok)
+                    report.singular.append(pt.serialize())
+                    report.certificates.append(point_certificate(
+                        pt, ideal.field, kind="singular_point",
+                        reduced="true" if ok else "false"))
+                computed["singular_count"] = str(len(pts))
+                computed["singular_reduced"] = (
+                    "true" if pts and all(reduced) else "false")
     else:
         bound = 2 * r - 4
         predicted["singular_dim_bound"] = f"<={bound}"

@@ -14,6 +14,11 @@ NODAL = "x0*x1^2 + x2^3 + x3^3\n"
 FIXTURE = "# two conics\nx0^2 + x1^2 - x2^2\nx0*x1 - x2^2\n"
 
 
+def _src_dir():
+    return os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["fanolines"].__file__)))
+
+
 @pytest.fixture()
 def nodal_file(tmp_path):
     path = tmp_path / "nodal.txt"
@@ -153,8 +158,32 @@ def test_bad_point_format_exit_2(nodal_file):
                  "--point", "1:zz:0:0"]) == 2
 
 
-# sha256 of the --json reports, pinned from the solver that re-split every
-# extension level; any change of point order or formatting shows here
+@pytest.mark.parametrize("text", ["x0^2 + x1\n", "0*x0 + 0*x1\n"],
+                         ids=["non-homogeneous", "all-zero"])
+def test_sing_locus_bad_input_exit_2(tmp_path, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["sing-locus", str(bad)]) == 2
+
+
+def test_sing_locus_bad_input_exit_2_without_asserts(tmp_path):
+    # python -O strips assert statements, so input checks must not be asserts
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    for text in ("x0^2 + x1\n", "0*x0 + 0*x1\n"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "fanolines.cli", "sing-locus",
+             str(bad)], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, (text, done.stdout, done.stderr)
+        assert "invalid input" in done.stderr
+
+
+# sha256 of the --json reports, each pinned from the code before a change
+# that had to keep it; any change of point order or formatting shows here.
+# File arguments name the fixtures in PINNED_FILES, written next to the run.
+PINNED_FILES = {"nodal.txt": NODAL, "remark.txt": FIXTURE}
+
 PINNED_REPORTS = {
     ("lines-through", "--random", "3", "3", "2", "--seed", "517314"):
         "9be1f6ef4da2e87b07094425addea94a41ba3580f18b774ad8623f1fc009b489",
@@ -164,21 +193,41 @@ PINNED_REPORTS = {
         "f974fd0df088bfadd2c5087a1f25722eee55ffa962dd546f77138aee070c3376",
     ("voisin-demo", "3", "--seed", "294919"):
         "9741991682667d79b50536210de941bbd343ee286628bdffd6f925c261de9cfd",
+    ("bezout-check", "3", "2", "2", "--seed", "1"):
+        "6b97745c24909ac11c5f02068402f023cfed7f1ea5b7738923962a74c8857f2f",
+    ("bezout-check", "2", "2", "2", "--seed", "3"):
+        "e3db29ea0884458f091fb2d8eccd923ded3905f6bf3ffa9a19614134ff9ab0c5",
+    ("lines-through", "--random", "4", "3", "2", "--seed", "0"):
+        "09cc06eeff4b63e4404cf51ba35e9e86fdba46cb0224a388bd8cbd93ce7005f0",
+    ("voisin-demo", "1", "--seed", "0"):
+        "10cb16b225171859bbd3bcb1bfc5f57deffa9f38a86a1d8fb4b1a773c45e6178",
+    ("lines-through", "--poly", "nodal.txt", "--point", "1:0:0:0"):
+        "4bfe010acb37a12ebe610f2e81e1ab1a40c97e173ba8275a15c162d99c15d791",
+    ("sing-locus", "nodal.txt", "--prime", "11", "--kmax", "2"):
+        "a6272e2e1bb58645a49d2ea58aae9fdd3e26209332be110ea68a7955b9d63f0e",
+    ("sing-locus", "remark.txt", "--prime", "11"):
+        "ce277f4663be10f5edfbd627a210de1dcce5ae146da4c907a9b1c8cde7ea1ed8",
+    ("groebner", "remark.txt", "--order", "lex"):
+        "3729654ab23c2cb1a7e3e73d96c600baa95b5ef107b5eb8fde6c94fd199cfe0a",
 }
+
+# pinned runs whose report fails its predictions: exit 3, report written
+PINNED_EXIT_3 = {("lines-through", "--poly", "nodal.txt", "--point", "1:0:0:0")}
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_REPORTS), ids=" ".join)
 def test_json_byte_identical_across_processes_and_hash_seeds(argv, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["fanolines"].__file__)))
+    for name, text in PINNED_FILES.items():
+        (tmp_path / name).write_text(text)
+    expected_code = 3 if argv in PINNED_EXIT_3 else 0
     for hash_seed in ("0", "1", "4242"):
         target = tmp_path / f"report-{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=_src_dir())
         env.pop("FANO_SEED", None)
         done = subprocess.run(
             [sys.executable, "-m", "fanolines.cli", *argv, "--json",
              str(target), "--quiet"], env=env, capture_output=True,
-            timeout=300)
-        assert done.returncode == 0, done.stderr
+            timeout=300, cwd=tmp_path)
+        assert done.returncode == expected_code, done.stderr
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == PINNED_REPORTS[argv], hash_seed

@@ -100,6 +100,43 @@ def test_extension_modulus_irreducible_7_3():
         assert power != t  # t^(p^j) = t would expose a degree-j subfield root
 
 
+# build_extension(p, k).modulus, recorded from the Rabin-test modulus search
+# that the distinct-degree test replaced; every extension built anywhere,
+# and so every report, depends on these
+PINNED_MODULI = {
+    3: {2: (2, 1, 1), 3: (2, 0, 1, 1), 4: (2, 2, 2, 1, 1),
+        5: (2, 1, 0, 1, 0, 1), 6: (1, 0, 1, 1, 0, 0, 1),
+        7: (2, 0, 2, 1, 2, 0, 0, 1), 8: (2, 2, 0, 1, 2, 2, 1, 2, 1)},
+    5: {2: (4, 3, 1), 3: (3, 2, 2, 1), 4: (4, 4, 0, 0, 1),
+        5: (4, 4, 1, 3, 0, 1), 6: (2, 0, 1, 3, 3, 1, 1),
+        7: (2, 4, 3, 1, 0, 3, 0, 1), 8: (4, 0, 1, 3, 1, 0, 3, 0, 1)},
+    7: {2: (6, 3, 1), 3: (6, 6, 5, 1), 4: (5, 0, 1, 1, 1),
+        5: (3, 4, 0, 6, 5, 1), 6: (5, 0, 2, 0, 5, 4, 1),
+        7: (1, 1, 0, 3, 0, 0, 5, 1), 8: (6, 2, 1, 6, 6, 2, 1, 0, 1)},
+    10007: {2: (3393, 2163, 1), 3: (591, 7541, 539, 1),
+            4: (901, 6384, 9574, 6141, 1),
+            5: (4474, 2047, 6211, 2907, 920, 1),
+            6: (745, 2231, 3384, 5758, 4991, 336, 1),
+            7: (9708, 9372, 6311, 3939, 7947, 2145, 8911, 1),
+            8: (2896, 897, 7074, 1152, 7483, 1481, 7820, 5878, 1)},
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_MODULI))
+def test_extension_moduli_pinned(p):
+    for k, modulus in PINNED_MODULI[p].items():
+        assert build_extension(p, k).modulus == modulus, k
+
+
+def test_pinned_moduli_irreducible_by_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for p, moduli in PINNED_MODULI.items():
+        for k, modulus in moduli.items():
+            poly = sympy.Poly(list(reversed(modulus)), t, modulus=p)
+            assert poly.is_irreducible, (p, k)
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 3)])
 def test_frobenius_fixes_whole_field(p, k):
     ext = build_extension(p, k)

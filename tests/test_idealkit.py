@@ -6,15 +6,17 @@ import pytest
 
 from fanolines import (Ideal, PrimeField, ProjectivePoint, build_extension,
                        embedding)
-from fanolines.idealkit import (complete_intersection_report,
+from fanolines.idealkit import (add_jacobian_certificates,
+                                complete_intersection_report,
                                 certify_reduced_point, hilbert_data,
                                 is_complete_intersection, jacobian_rank_at,
                                 rational_points, sample_smooth_points,
-                                singular_points, slice_degree, solve_report)
+                                singular_points, slice_degree, solve_report,
+                                variety_report)
 from fanolines.linalg import mat_rank
 from fanolines.poly import random_homogeneous
 from fanolines.projgeo import random_point
-from fanolines.errors import Inconclusive
+from fanolines.errors import Inconclusive, InvalidParameters
 
 from conftest import parse
 
@@ -164,3 +166,44 @@ def test_degenerate_inputs_reported_not_raised():
     dim, degree = hilbert_data(empty)
     assert dim == -1
     assert rational_points(empty, k_max=1) == []
+
+
+def test_singular_points_rejects_bad_input():
+    with pytest.raises(InvalidParameters):
+        singular_points(Ideal([parse("x0^2 + x1", 2, F7)]))
+    with pytest.raises(InvalidParameters):
+        singular_points(Ideal([parse("0*x0", 2, F7)]))
+
+
+def test_report_builder_invariants_and_certificates():
+    # the conic x0*x1 - x2^2 in P^2: a smooth curve of degree 2
+    conic = Ideal([parse("x0*x1 - x2^2", 3, F7)])
+    predicted = {"dimension": "1", "degree": "2", "smooth_rank": "1"}
+    report = variety_report(conic, predicted)
+    assert report.computed == {"dimension": "1", "degree": "2",
+                               "codimension": "1"}
+    assert report.is_complete_intersection
+    assert add_jacobian_certificates(report, conic, []) == []
+    assert report.computed["smooth_rank"] == "unsampled"
+    assert not report.matched()
+    f49 = build_extension(7, 2)
+    t = f49.generator()
+    points = [ProjectivePoint([F7.one(), F7.zero(), F7.zero()]),
+              ProjectivePoint([f49.one(), t * t, t])]
+    assert add_jacobian_certificates(report, conic, points,
+                                     reduced_rank=1) == [1, 1]
+    assert report.certificates == [
+        {"point": "1 : 0 : 0", "residue_degree": "1", "jacobian_rank": "1",
+         "reduced": "true"},
+        {"point": "1 : 4*t + 1 : t",
+         "residue_degree": "2", "jacobian_rank": "1", "reduced": "true"}]
+    assert report.matched()
+    # residue degrees count over the ideal's own field, here F_49
+    f49_conic = Ideal([parse("x0*x1 - x2^2", 3, f49)])
+    s = build_extension(7, 4).generator()
+    over = variety_report(f49_conic, {})
+    add_jacobian_certificates(over, f49_conic,
+                              [ProjectivePoint([s.field.one(), s * s, s])])
+    assert over.certificates[0]["residue_degree"] == "2"
+    empty = variety_report(Ideal([parse("x0", 2, F7), parse("x1", 2, F7)]), {})
+    assert empty.computed["dimension"] == empty.to_dict()["dimension"] == "empty"

@@ -167,11 +167,6 @@ def test_euler_relation_random_cubics():
             F10007, lambda c: c * F10007.from_int(3))
 
 
-def test_gradient_matches_partials():
-    f = parse("x0*x1 + x2^2", 3, F7)
-    assert f.gradient() == [f.partial_derivative(i) for i in range(3)]
-
-
 def test_linear_substitute_identity_and_permutation():
     f = parse("x0^2 + x1*x2", 3, F7)
     assert f.apply_matrix(mat_identity(F7, 3)) == f
