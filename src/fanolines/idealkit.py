@@ -155,10 +155,7 @@ def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
             f"within budget {budget} and has infinitely many closure points")
     if dim < 0:
         return []
-    # residue degrees never exceed the scheme degree, and the degree bounds
-    # the geometric point count, so deeper extensions cannot add points
-    return solve_projective(groebner_of(ideal), min(k_max, degree), seed,
-                            stop_at=degree).points
+    return solve_report(ideal, k_max, seed).points
 
 
 def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
@@ -166,11 +163,12 @@ def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
 
     Feeds the solver the reduced Groebner basis rather than the raw
     generators; for systems with many dense generators the chart-by-chart
-    eliminations get dramatically cheaper that way.
+    eliminations get dramatically cheaper that way. Residue degrees never
+    exceed the scheme degree, so k_max is capped there.
     """
     _, degree = hilbert_data(ideal)
     return solve_projective(groebner_of(ideal),
-                            min(k_max, max(1, degree)), seed, stop_at=degree)
+                            min(k_max, max(1, degree)), seed)
 
 
 def jacobian_matrix(gens: Sequence[Polynomial]) -> List[List[Polynomial]]:
@@ -211,8 +209,15 @@ def singular_points(ideal: Ideal, k_max: int = 1,
     dim, _ = hilbert_data(ideal)
     if dim < 0:
         return []
-    codim = ideal.ambient_proj_dim - dim
+    n_proj = ideal.ambient_proj_dim
+    codim = n_proj - dim
     field = ideal.field
+    q = field.order()
+    # the last level is the largest: refuse before scanning any level
+    enum_total = projective_count(n_proj, q ** k_max)
+    if enum_total > budget:
+        raise BudgetExceeded(
+            f"P^{n_proj}(F_{q}^{k_max}) has {enum_total} points, budget {budget}")
     out: List[ProjectivePoint] = []
     for k in range(1, k_max + 1):
         ext, embed = relative_extension(field, k)

@@ -4,8 +4,8 @@ Elements travel as integer codes (residues for prime fields, base-p digit
 codes for extensions). Prime fields use direct modular arithmetic on
 int64 arrays while a product of two residues fits in int64; small
 extension fields use precomputed q x q operation tables and fancy
-indexing. Larger primes and fields too large for tables fall back to a
-plain element-by-element loop, correct but slow.
+indexing. Larger primes and fields too large for tables are evaluated
+element by element inside the same chunked loop, correct but slow.
 
 Chunked chart enumeration matches the order of
 projgeo.enumerate_projective_points exactly: pivot N down to 0, free
@@ -165,8 +165,6 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     if total > budget:
         raise BudgetExceeded(f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
     ctx = VectorContext(field)
-    if ctx.mode == "python":
-        return _variety_scan_python(gens, field, n_proj, budget)
     out: List[ProjectivePoint] = []
     for pivot in range(n_proj, -1, -1):
         for arrays in _chart_chunks(n_proj, pivot, q, chunk):
@@ -182,16 +180,6 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
                 pt = ProjectivePoint.__new__(ProjectivePoint)
                 pt.coords = coords
                 out.append(pt)
-    return out
-
-
-def _variety_scan_python(gens, field, n_proj, budget):
-    from .projgeo import enumerate_projective_points
-    out = []
-    for pt in enumerate_projective_points(n_proj, field, budget):
-        coords = list(pt.coords)
-        if all(g.evaluate(coords).is_zero() for g in gens):
-            out.append(pt)
     return out
 
 

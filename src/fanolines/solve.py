@@ -2,63 +2,59 @@
 
 Works chart by chart: specializing the pivot coordinate to 1 and earlier
 coordinates to 0 gives an affine system per chart, whose lex Groebner
-basis is computed once over the ground field F_q (a lex basis stays one
-over every extension). Its eliminant e in the last variable is then
-handled in one of two ways.
+basis is computed once over the ground field F_q. Each chart is then
+solved by one recursion. The eliminant e(x_last) of the lex basis is
+factored once over F_q by distinct degrees; the degree-j part holds
+exactly the last coordinates of residue degree j, so it alone is split,
+one Frobenius orbit at a time, over F_{q^j}. Each root r is substituted
+into the basis. When that leaves {x_i - c_i} (a basis in shape position
+always does), the point is read off; otherwise the lex basis of the
+fiber over F_{q^j} is solved the same way, for residue degrees up to
+k_max // j. A point found i levels down over F_{q^j} has residue degree
+j * i over F_q by construction, so no residue-degree test is needed and
+no field is visited that holds no point.
 
-- Shape position, a basis {x_i - g_i(x_last)} together with e(x_last),
-  read off the basis itself: e is factored once over F_q by distinct
-  degrees. The degree-k part holds exactly the last coordinates of the
-  points of residue degree k, so at level k only that part is split, one
-  Frobenius orbit at a time, over F_{q^k}, and each root r gives the
-  point x_i = g_i(r). No other root is looked at, no per-root basis is
-  built and no residue-degree test is needed.
-- Any other basis (several points sharing a last coordinate, or a fat
-  point): at each level k all roots of e in F_{q^k} are found, each is
-  substituted back and the smaller system solved recursively, and a
-  point is kept at k only when k is its exact residue degree.
-
-Every solution with coordinates in F_{q^k}, k <= k_max, is found, once:
-points are labeled by their exact residue degree over the ground field,
-which deduplicates across subfields.
+Every solution with coordinates in F_{q^k}, k <= k_max, is found once,
+over the extension of its exact residue degree.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotZeroDimensional
 from .fglm import lex_basis_zero_dim
-from .field import Field, FieldElement, relative_extension
+from .field import Field, FieldElement, embedding, relative_extension
 from .poly import Polynomial
 from .projgeo import ProjectivePoint
-from .unipoly import distinct_degree_factorization, roots_in_field, ueval
+from .unipoly import distinct_degree_factorization, roots_in_field
 
 
-def _specialize_last(g: Polynomial, value: FieldElement) -> Polynomial:
-    """Substitute the last variable by a constant; drops that variable."""
-    field = g.field
-    terms = {}
-    pow_cache: Dict[int, FieldElement] = {0: field.one()}
-    for mono, coeff in g.terms.items():
-        e = mono[-1]
-        p = pow_cache.get(e)
-        if p is None:
-            p = value ** e
-            pow_cache[e] = p
-        c = coeff * p
-        if c.is_zero():
-            continue
-        key = mono[:-1]
-        acc = terms.get(key)
-        s = c if acc is None else acc + c
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return Polynomial(field, g.nvars - 1, terms)
+def _specialize_last(basis: List[Polynomial],
+                     root: FieldElement) -> List[Polynomial]:
+    """The nonzero ones among the basis polynomials, all over root's field,
+    with the last variable set to root. Runs on payloads; the powers of
+    root are built once, incrementally."""
+    field = root.field
+    mul, add, is_zero = field._mul, field._add, field._is_zero
+    powers = [field._one_payload()]
+    out = []
+    for g in basis:
+        terms: Dict[Tuple[int, ...], object] = {}
+        for mono, coeff in g.terms.items():
+            e = mono[-1]
+            while len(powers) <= e:
+                powers.append(mul(powers[-1], root.payload))
+            c = coeff.payload if e == 0 else mul(coeff.payload, powers[e])
+            key = mono[:-1]
+            cur = terms.get(key)
+            terms[key] = c if cur is None else add(cur, c)
+        terms = {m: c for m, c in terms.items() if not is_zero(c)}
+        if terms:
+            out.append(Polynomial.from_payloads(field, g.nvars - 1, terms))
+    return out
 
 
 def _univariate_in_last(g: Polynomial) -> Optional[List[FieldElement]]:
@@ -76,42 +72,23 @@ def _univariate_in_last(g: Polynomial) -> Optional[List[FieldElement]]:
     return out
 
 
-def _affine_solutions(gens: List[Polynomial], ext: Field, rng: random.Random,
-                      assume_basis: bool = False) -> List[Tuple[FieldElement, ...]]:
-    """All common zeros in ext^m of a zero-dimensional affine system.
-
-    assume_basis skips the Groebner step when the input is already a lex
-    basis; a basis over a subfield stays one after coefficient extension.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    for g in gens:
-        if g.is_constant():
-            return []
-    if not gens:
-        raise NotZeroDimensional("system vanished identically during solving")
-    m = gens[0].nvars
-    if m == 0:
-        return [()]  # nonzero constants were filtered above
-    gb = gens if assume_basis else lex_basis_zero_dim(gens)
-    if len(gb) == 1 and gb[0].is_constant():
-        return []
-    eliminant = None
-    for g in gb:
-        coeffs = _univariate_in_last(g)
-        if coeffs is not None:
-            eliminant = coeffs
-            break
-    if eliminant is None:
-        raise NotZeroDimensional("no univariate eliminant: positive-dimensional chart")
-    out: List[Tuple[FieldElement, ...]] = []
-    for root in roots_in_field(eliminant, ext, rng):
-        specialized = [_specialize_last(g, root) for g in gb]
-        if m == 1:
-            out.append((root,))
-            continue
-        for partial in _affine_solutions(specialized, ext, rng):
-            out.append(partial + (root,))
-    return out
+def _read_off(fiber: List[Polynomial],
+              nvars: int) -> Optional[Tuple[FieldElement, ...]]:
+    """(c_0, ..., c_{nvars-1}) when the fiber is {x_i - c_i}, one linear
+    polynomial per variable; None for any other system."""
+    if len(fiber) != nvars:
+        return None
+    values: List[Optional[FieldElement]] = [None] * nvars
+    for h in fiber:
+        lead = [mono for mono in h.terms if any(mono)]
+        if len(lead) != 1 or sum(lead[0]) != 1:
+            return None
+        i = lead[0].index(1)
+        if values[i] is not None:
+            return None
+        const = h.terms.get((0,) * nvars, h.field.zero())
+        values[i] = -const / h.terms[lead[0]]
+    return tuple(values)
 
 
 def exact_relative_degree(coords: Sequence[FieldElement], ground: Field,
@@ -128,49 +105,64 @@ def exact_relative_degree(coords: Sequence[FieldElement], ground: Field,
     return k
 
 
-def _shape_position(gb: List[Polynomial]):
-    """(eliminant, tails) when the reduced lex basis gb is in shape position,
-    {x_i - g_i(x_last) : i < m-1} together with e(x_last); tails[i] holds the
-    coefficients of g_i. None for any other basis."""
-    m = gb[0].nvars
-    if len(gb) != m:
-        return None
-    eliminant = None
-    tails: List[Optional[List[FieldElement]]] = [None] * (m - 1)
-    for g in gb:
-        coeffs = _univariate_in_last(g)
-        if coeffs is not None:
-            if eliminant is not None:
-                return None
-            eliminant = coeffs
-            continue
-        lead = [mono for mono in g.terms if any(mono[:-1])]
-        if len(lead) != 1 or lead[0][-1] or sum(lead[0]) != 1:
-            return None
-        i = lead[0].index(1)
-        if tails[i] is not None:
-            return None
-        scale = -g.terms[lead[0]].inverse()
-        tail = [g.field.zero()] * (1 + max(mono[-1] for mono in g.terms))
-        for mono, coeff in g.terms.items():
-            if mono != lead[0]:
-                tail[mono[-1]] = coeff * scale
-        tails[i] = tail
-    return eliminant, tails
+def _frobenius_shift(ground: Field, mid: Field, top: Field) -> int:
+    """The s for which x -> x^(p^s) after embedding(mid, top) agrees with
+    embedding(ground, top) on the image of embedding(ground, mid).
+
+    The two maps of ground into top need not agree when ground is itself
+    an extension; applying that power of Frobenius to a point found over
+    top through mid turns it into a point of the system as embedded
+    directly from ground."""
+    if ground.degree == 1 or mid is ground:
+        return 0
+    gen = ground.generator()
+    target = embedding(ground, top)(gen)
+    image = embedding(mid, top)(embedding(ground, mid)(gen))
+    for s in range(ground.degree):
+        if image == target:
+            return s
+        image = top.frobenius(image)
+    raise AssertionError("embeddings of one field differ by no Frobenius power")
 
 
-@dataclass
-class _Chart:
-    """Lex basis of the affine chart x_pivot = 1, x_i = 0 for i < pivot.
+def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
+                   rng: random.Random) -> List[Tuple[int, Tuple[FieldElement, ...]]]:
+    """Points of residue degree <= k_max over the finite field ground of
+    the zero-dimensional affine scheme with reduced lex basis gb, as
+    (residue degree k, coordinates in relative_extension(ground, k))."""
+    for elim in gb:
+        eliminant = _univariate_in_last(elim)
+        if eliminant is not None:
+            break
+    else:
+        raise NotZeroDimensional("no univariate eliminant: positive-dimensional chart")
+    rest = [g for g in gb if g is not elim]
+    nvars = gb[0].nvars - 1
+    out: List[Tuple[int, Tuple[FieldElement, ...]]] = []
+    for j, part in distinct_degree_factorization(eliminant, ground, k_max).items():
+        ext, embed = relative_extension(ground, j)
+        basis = rest if j == 1 else [g.map_coefficients(ext, embed) for g in rest]
+        for root in roots_in_field([embed(c) for c in part], ext, rng, orbit=j):
+            fiber = _specialize_last(basis, root)
+            values = _read_off(fiber, nvars)
+            if values is not None:
+                out.append((j, values + (root,)))
+                continue
+            if not fiber:
+                raise NotZeroDimensional("system vanished identically during solving")
+            for i, coords in _affine_points(lex_basis_zero_dim(fiber), ext,
+                                            k_max // j, rng):
+                top, lift = relative_extension(ext, i)
+                point = coords + (lift(root),)
+                shift = _frobenius_shift(ground, ext, top)
+                if shift:
+                    point = tuple(top.frobenius(c, shift) for c in point)
+                out.append((j * i, point))
+    return out
 
-    In shape position, tails[i] gives x_i as a polynomial in the last
-    variable and parts is the distinct-degree factorization of the
-    eliminant over the ground field; otherwise both are unused."""
 
-    pivot: int
-    basis: List[Polynomial]
-    tails: Optional[List[List[FieldElement]]] = None
-    parts: Dict[int, List[FieldElement]] = dataclass_field(default_factory=dict)
+def _code(c: FieldElement) -> int:
+    return c.field.code_of(c) if c.field.degree > 1 else c.payload
 
 
 @dataclass
@@ -179,22 +171,17 @@ class SolveResult:
 
     points: List[ProjectivePoint]
     counts_by_degree: Dict[int, int]
-    k_max: int
 
 
-def solve_projective(gens: List[Polynomial], k_max: int, seed: int = 0,
-                     stop_at: Optional[int] = None) -> SolveResult:
+def solve_projective(gens: List[Polynomial], k_max: int,
+                     seed: int = 0) -> SolveResult:
     """All points of V(gens) in P^N over F_{q^k} for every k <= k_max.
 
     gens: homogeneous polynomials over a finite ground field. Raises
     NotZeroDimensional when some chart system has infinitely many
-    solutions over the algebraic closure.
-
-    stop_at, when given, must be an upper bound on the number of
-    geometric points (the scheme degree works: every closed point of
-    residue degree j contributes at least j to it). Reaching the bound
-    proves no further extension can hold more points, so the remaining
-    k are skipped.
+    solutions over the algebraic closure. Points come by residue degree,
+    then pivot, then coordinate codes from the last coordinate to the
+    first; [0:...:0:1] comes first when it is a solution.
     """
     gens = [g for g in gens if not g.is_zero()]
     assert gens, "no nonzero generators"
@@ -203,9 +190,9 @@ def solve_projective(gens: List[Polynomial], k_max: int, seed: int = 0,
     nvars = gens[0].nvars
     rng = random.Random(f"fanolines-solve-{seed}")
 
-    # per-chart lex bases over the ground field, computed once
-    charts: List[_Chart] = []
-    base_point_solution = False
+    points: List[ProjectivePoint] = []
+    counts: Dict[int, int] = {}
+    found = []
     for pivot in range(nvars):
         m = nvars - 1 - pivot
         images = []
@@ -221,49 +208,22 @@ def solve_projective(gens: List[Polynomial], k_max: int, seed: int = 0,
         if any(g.is_constant() for g in chart_gens):
             continue  # chart empty over every extension
         if m == 0:
-            base_point_solution = not chart_gens  # [0:...:0:1] on the scheme
+            if not chart_gens:  # [0:...:0:1] on the scheme
+                points.append(ProjectivePoint([ground.zero()] * pivot + [ground.one()]))
+                counts[1] = 1
             continue
         if not chart_gens:
             raise NotZeroDimensional(f"chart {pivot} is all of affine {m}-space")
         gb = lex_basis_zero_dim(chart_gens)
         if len(gb) == 1 and gb[0].is_constant():
             continue
-        shape = _shape_position(gb)
-        if shape is None:
-            charts.append(_Chart(pivot, gb))
-        else:
-            eliminant, tails = shape
-            charts.append(_Chart(pivot, gb, tails, distinct_degree_factorization(
-                eliminant, ground, k_max)))
+        found.extend((k, pivot, sol)
+                     for k, sol in _affine_points(gb, ground, k_max, rng))
 
-    points: List[ProjectivePoint] = []
-    counts: Dict[int, int] = {}
-    if base_point_solution:
-        coords = [ground.zero()] * (nvars - 1) + [ground.one()]
-        points.append(ProjectivePoint(coords))
-        counts[1] = counts.get(1, 0) + 1
-    for k in range(1, k_max + 1):
-        if stop_at is not None and len(points) >= stop_at:
-            break
-        active = [c for c in charts if c.tails is None or k in c.parts]
-        if not active:
-            continue
-        ext, embed = relative_extension(ground, k)
-        one, zero = ext.one(), ext.zero()
-        for chart in active:
-            if chart.tails is None:
-                mapped = [g.map_coefficients(ext, embed) for g in chart.basis]
-                sols = [s for s in _affine_solutions(mapped, ext, rng,
-                                                     assume_basis=True)
-                        if exact_relative_degree(s, ground, k) == k]
-            else:
-                # every root of the degree-k part has residue degree k
-                tails = [[embed(c) for c in t] for t in chart.tails]
-                roots = roots_in_field([embed(c) for c in chart.parts[k]],
-                                       ext, rng, orbit=k)
-                sols = [tuple(ueval(t, r) for t in tails) + (r,) for r in roots]
-            for sol in sols:
-                coords = (zero,) * chart.pivot + (one,) + sol
-                points.append(ProjectivePoint(coords))
-                counts[k] = counts.get(k, 0) + 1
-    return SolveResult(points=points, counts_by_degree=counts, k_max=k_max)
+    found.sort(key=lambda item: (item[0], item[1],
+                                 tuple(_code(c) for c in reversed(item[2]))))
+    for k, pivot, sol in found:
+        ext = sol[0].field
+        points.append(ProjectivePoint((ext.zero(),) * pivot + (ext.one(),) + sol))
+        counts[k] = counts.get(k, 0) + 1
+    return SolveResult(points=points, counts_by_degree=counts)

@@ -26,8 +26,8 @@ from .field import Field, embedding
 from .fano import direction_components
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
-                       point_certificate, rational_points, singular_points,
-                       variety_report)
+                       jacobian_rank_at, point_certificate, rational_points,
+                       singular_points, variety_report)
 from .linalg import mat_rank, random_invertible
 from .poly import Polynomial, random_homogeneous
 from .projgeo import ProjectivePoint
@@ -173,12 +173,9 @@ def certify_node(nfc: NormalFormCubic, point: ProjectivePoint) -> NodeCertificat
     partials vanish, multiplicity is exactly 2, and the quadratic part of
     the local expansion has full rank 2r+1."""
     target = point.field
-    f = _mapped_to(nfc.f, target)
-    coords = list(point.coords)
-    vanishing = f.evaluate(coords).is_zero() and all(
-        f.partial_derivative(i).evaluate(coords).is_zero()
-        for i in range(f.nvars))
-    parts = direction_components(f, point)
+    vanishing = (nfc.f.evaluate(list(point.coords)).is_zero()
+                 and jacobian_rank_at([nfc.f], point) == 0)
+    parts = direction_components(_mapped_to(nfc.f, target), point)
     multiplicity_two = (parts[0].is_zero() and parts[1].is_zero()
                         and not parts[2].is_zero())
     rank = _gram_rank(parts[2]) if multiplicity_two else 0
@@ -203,8 +200,7 @@ def nodes(nfc: NormalFormCubic, seed: int = 0) -> List[NodeCertificate]:
         raise DegenerateInstance(
             f"restricted quadrics give (dim, degree) = ({dim}, {degree}), "
             f"expected (0, {2 ** r})")
-    result = solve_projective(restricted, k_max=2 ** r, seed=seed,
-                              stop_at=2 ** r)
+    result = solve_projective(restricted, k_max=2 ** r, seed=seed)
     if len(result.points) != 2 ** r:
         raise DegenerateInstance(
             f"only {len(result.points)} of {2 ** r} candidate nodes are "

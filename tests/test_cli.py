@@ -76,6 +76,16 @@ def test_budget_exceeded_exit_4(fixture_file):
                  "--budget", "5"]) == 4
 
 
+def test_sing_locus_budget_checked_before_any_level(fixture_file,
+                                                    monkeypatch):
+    # P^2(F_7^4) exceeds the budget; F_7, F_49 and F_343 alone do not
+    def scan_called(*args, **kwargs):
+        raise AssertionError("a level was scanned")
+    monkeypatch.setattr("fanolines.idealkit.singular_scan", scan_called)
+    assert main(["sing-locus", fixture_file, "--prime", "7", "--kmax", "4",
+                 "--budget", "200000"]) == 4
+
+
 def test_voisin_demo_ok(capsys):
     code = main(["voisin-demo", "1", "--seed", "0", "--quiet"])
     assert code == 0
@@ -209,6 +219,11 @@ PINNED_REPORTS = {
         "ce277f4663be10f5edfbd627a210de1dcce5ae146da4c907a9b1c8cde7ea1ed8",
     ("groebner", "remark.txt", "--order", "lex"):
         "3729654ab23c2cb1a7e3e73d96c600baa95b5ef107b5eb8fde6c94fd199cfe0a",
+    # small primes: points found by recursing over F_7^4 and F_7^5
+    ("voisin-demo", "2", "--seed", "1", "--prime", "7"):
+        "209e075760a107da3a56e756fb3c8a715c865e95f29d27af9a52e30d52c83384",
+    ("lines-through", "--random", "4", "4", "2", "--seed", "3", "--prime", "7"):
+        "0361bd3adfd5a128e784de9a522d0cb0647c077b235f1cb8f7401ce7b6e27de7",
 }
 
 # pinned runs whose report fails its predictions: exit 3, report written

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from fanolines import PrimeField
-from fanolines.scan import VectorContext
+from fanolines import Polynomial, PrimeField, build_extension
+from fanolines.projgeo import enumerate_projective_points
+from fanolines.scan import VectorContext, variety_scan
 
 from conftest import parse
 
@@ -29,3 +30,19 @@ def test_int64_kernel_kept_below_the_overflow_bound(f10007):
     assert [int(v) for v in values] == [
         f.evaluate([f10007.from_int(a), f10007.from_int(b)]).payload
         for a, b in ((4000, 3999), (5, 7))]
+
+
+def test_python_mode_scan_matches_enumeration_oracle():
+    # F_{3^7} has too many elements for operation tables; chunks of 500
+    # split each stratum of P^1 into several
+    field = build_extension(3, 7)
+    assert VectorContext(field).mode == "python"
+    x0, x1 = (Polynomial.variable(field, 2, i) for i in range(2))
+    # x0^3 = t*x1^3 has one point (cubing is bijective in characteristic 3)
+    f = x0 ** 3 - x1 ** 3 * Polynomial.constant(field, 2, field.generator())
+    for gens, count in (([f], 1), ([f * (x0 - x1)], 2), ([f, x0 - x1], 0)):
+        scanned = variety_scan(gens, field, chunk=500)
+        oracle = [pt for pt in enumerate_projective_points(1, field)
+                  if all(h.evaluate(list(pt.coords)).is_zero() for h in gens)]
+        assert [pt.coords for pt in scanned] == [pt.coords for pt in oracle]
+        assert len(scanned) == count

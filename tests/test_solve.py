@@ -10,11 +10,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanolines import Ideal, PrimeField
+from fanolines import Ideal, Polynomial, PrimeField, build_extension
 from fanolines.idealkit import rational_points
 from fanolines.fglm import lex_basis_zero_dim
-from fanolines.solve import _shape_position, solve_projective
-from fanolines.poly import random_homogeneous
+from fanolines.solve import exact_relative_degree, solve_projective
+from fanolines.poly import LEX, random_homogeneous
 from fanolines.errors import BudgetExceeded
 
 from conftest import parse
@@ -96,15 +96,6 @@ def test_solver_deterministic_across_reruns():
         [p.serialize() for p in b.points]
 
 
-def test_stop_at_does_not_lose_points():
-    f7 = PrimeField(7)
-    gens = [parse("x0^2 + x1^2 - x2^2", 3, f7), parse("x0*x1 - x2^2", 3, f7)]
-    full = solve_projective(gens, k_max=4)
-    early = solve_projective(gens, k_max=4, stop_at=len(full.points))
-    assert {point_key(p) for p in full.points} == \
-        {point_key(p) for p in early.points}
-
-
 def test_enumerate_route_respects_budget():
     f7 = PrimeField(7)
     ideal = Ideal([parse("x0^2 + x1^2", 2, f7)])
@@ -113,9 +104,14 @@ def test_enumerate_route_respects_budget():
 
 
 def first_chart_in_shape_position(ideal):
-    """Whether the chart x0 = 1 has a lex basis {x_i - g_i(x_last)} + {e}."""
+    """Whether the chart x0 = 1 has a lex basis {x_i - g_i(x_last)} + {e}:
+    one element per variable, the first m - 1 led by x_0, ..., x_{m-2}."""
     chart = [g.dehomogenize(0) for g in ideal.nonzero_generators()]
-    return _shape_position(lex_basis_zero_dim(chart)) is not None
+    gb = lex_basis_zero_dim(chart)
+    m = gb[0].nvars
+    leads = {g.leading_monomial(LEX) for g in gb}
+    linear = {tuple(int(j == i) for j in range(m)) for i in range(m - 1)}
+    return len(gb) == m and linear <= leads
 
 
 def rootless_cubic(p):
@@ -145,12 +141,30 @@ SHAPE_SYSTEMS = {
 }
 
 # Points the last coordinate does not tell apart: two rational points or
-# two conjugate points over F_p^2 on the line x2 = 2*x0, and a double point.
+# two conjugate points over F_p^2 on the line x2 = 2*x0, and a double point;
+# then two points over each root x2 of x2^2 = 2 (a non-square mod 3 and 5),
+# whose x1 has degree 2 over F_p(x2) (points of residue degree 2 * 2) or
+# lies in F_p(x2) (degree 2 * 1, two points per fiber, none read off).
 NON_SHAPE_SYSTEMS = {
     "rational_pair": lambda p: [["x1 - x0", "x1 + 2*x0"], ["x2 - 2*x0"]],
     "conjugate_pair": lambda p: [[f"x1^2 - {non_square(p)}*x0^2"],
                                  ["x2 - 2*x0"]],
     "double_point": lambda p: [["x1^2"], ["x2 - 2*x0"]],
+    "degree4_sqrt_1_plus_x2": lambda p: [["x2^2 - 2*x0^2"],
+                                  ["x1^2 - x0^2 - x0*x2"]],
+    "degree4_sqrt_x2": lambda p: [["x2^2 - 2*x0^2"], ["x1^2 - x0*x2"]],
+    "degree2_split_fibers": lambda p: [["x2^2 - 2*x0^2"],
+                                 ["x1^2 - 3*x1*x2 + 2*x2^2"]],
+}
+
+# name: (primes, k_max, points, residue degrees)
+NON_SHAPE_CASES = {
+    "rational_pair": ((5, 7), 3, 2, {1}),
+    "conjugate_pair": ((5, 7), 3, 2, {2}),
+    "double_point": ((5, 7), 3, 1, {1}),
+    "degree4_sqrt_1_plus_x2": ((3,), 4, 4, {4}),
+    "degree4_sqrt_x2": ((5,), 4, 4, {4}),
+    "degree2_split_fibers": ((5,), 4, 4, {2}),
 }
 
 
@@ -175,12 +189,30 @@ def test_routes_agree_on_shape_position_charts(name, p):
     assert {deg for deg, _ in solved} == degrees[name]
 
 
-@pytest.mark.parametrize("p", [5, 7])
-@pytest.mark.parametrize("name", sorted(NON_SHAPE_SYSTEMS))
+@pytest.mark.parametrize("name, p", [(name, p) for name in sorted(NON_SHAPE_CASES)
+                                     for p in NON_SHAPE_CASES[name][0]])
 def test_routes_agree_on_charts_not_in_shape_position(name, p):
     ideal = product_ideal(NON_SHAPE_SYSTEMS[name](p), PrimeField(p))
     assert not first_chart_in_shape_position(ideal)
-    solved, scanned = both_routes(ideal, k_max=3)
+    _, k_max, size, degrees = NON_SHAPE_CASES[name]
+    solved, scanned = both_routes(ideal, k_max=k_max)
     assert solved == scanned
-    sizes = {"rational_pair": 2, "conjugate_pair": 2, "double_point": 1}
-    assert len(solved) == sizes[name]
+    assert len(solved) == size
+    assert {deg for deg, _ in solved} == degrees
+
+
+def test_points_over_an_extension_ground_lie_on_the_system():
+    # over F_49, x2 = sqrt(t) lies in F_7^4 and x1 = sqrt(x2) in F_7^8: the
+    # fiber is solved over F_7^4, whose own map into F_7^8 differs from the
+    # one of F_49 by a Frobenius power, which the solver must undo
+    field = build_extension(7, 2)
+    x0, x1, x2 = (Polynomial.variable(field, 3, i) for i in range(3))
+    gens = [x2 ** 2 - x0 ** 2 * Polynomial.constant(field, 3, field.generator()),
+            x1 ** 2 - x0 * x2]
+    result = solve_projective(gens, k_max=4)
+    assert result.counts_by_degree == {4: 4}
+    assert len(set(result.points)) == 4
+    for pt in result.points:
+        coords = list(pt.coords)
+        assert exact_relative_degree(coords, field, 4) == 4
+        assert all(g.evaluate(coords).is_zero() for g in gens)
