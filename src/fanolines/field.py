@@ -293,6 +293,13 @@ class PrimeField(Field):
     def sample(self, rng, bound=None):
         return FieldElement(self, rng.randrange(self.p))
 
+    def code_of(self, e: FieldElement) -> int:
+        """Integer code in [0, p): the least residue itself."""
+        return e.payload
+
+    def element_from_code(self, code: int) -> FieldElement:
+        return FieldElement(self, code)
+
     def elements(self):
         for v in range(self.p):
             yield FieldElement(self, v)
@@ -483,13 +490,13 @@ class ExtensionField(Field):
 _extension_cache: dict = {}
 
 
-def build_extension(p: int, k: int, seed: int = 0) -> Field:
+def build_extension(p: int, k: int) -> Field:
     """Field with p^k elements; k = 1 gives the prime field itself.
 
     The modulus is found by seeded random search over monic degree-k
-    candidates, so the result is reproducible for fixed (p, k, seed).
+    candidates, so the result is reproducible for fixed (p, k).
     """
-    cached = _extension_cache.get((p, k, seed))
+    cached = _extension_cache.get((p, k))
     if cached is not None:
         return cached
     if not is_prime(p):
@@ -501,7 +508,7 @@ def build_extension(p: int, k: int, seed: int = 0) -> Field:
     else:
         from .unipoly import distinct_degree_factorization
         ground = PrimeField(p)
-        rng = random.Random(f"fanolines-modulus-{p}-{k}-{seed}")
+        rng = random.Random(f"fanolines-modulus-{p}-{k}-0")
         while True:
             cand = [rng.randrange(p) for _ in range(k)] + [1]
             if cand[0] == 0:  # reducible: t divides
@@ -511,7 +518,7 @@ def build_extension(p: int, k: int, seed: int = 0) -> Field:
                     [FieldElement(ground, c) for c in cand], ground, k // 2):
                 result = ExtensionField(p, k, cand)
                 break
-    _extension_cache[(p, k, seed)] = result
+    _extension_cache[(p, k)] = result
     return result
 
 
@@ -557,15 +564,15 @@ def embedding(src: Field, dst: Field):
     return embed
 
 
-def relative_extension(ground: Field, k: int, seed: int = 0):
+def relative_extension(ground: Field, k: int):
     """(E, embed) with [E : ground] = k; E is deterministic per (ground, k)."""
     if k == 1:
         return ground, (lambda e: e)
     if isinstance(ground, PrimeField):
-        ext = build_extension(ground.p, k, seed)
+        ext = build_extension(ground.p, k)
         return ext, embedding(ground, ext)
     assert isinstance(ground, ExtensionField)
-    ext = build_extension(ground.p, ground.k * k, seed)
+    ext = build_extension(ground.p, ground.k * k)
     return ext, embedding(ground, ext)
 
 

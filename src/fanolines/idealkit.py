@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
                      NotZeroDimensional)
 from .field import Field, relative_extension
-from .groebner import DEFAULT_COEFF_BIT_LIMIT, groebner_basis
+from .groebner import groebner_basis
 from .hilbert import staircase_data
 from .linalg import mat_rank
 from .poly import (GREVLEX, MonomialOrder, Polynomial, random_homogeneous,
@@ -70,15 +70,12 @@ class Ideal:
         return all(g.is_homogeneous() for g in self.generators)
 
 
-def groebner_of(ideal: Ideal, order: Optional[MonomialOrder] = None,
-                bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> List[Polynomial]:
-    """Cached reduced Groebner basis of the ideal in the given order."""
-    order = order or ideal.order
-    key = ("gb", order.name, getattr(order, "split", None))
-    hit = ideal._cache.get(key)
+def groebner_of(ideal: Ideal) -> List[Polynomial]:
+    """Cached reduced Groebner basis of the ideal in its own order."""
+    hit = ideal._cache.get("gb")
     if hit is None:
-        hit = groebner_basis(ideal.nonzero_generators(), order, bit_limit)
-        ideal._cache[key] = hit
+        hit = groebner_basis(ideal.nonzero_generators(), ideal.order)
+        ideal._cache["gb"] = hit
     return hit
 
 

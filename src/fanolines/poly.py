@@ -394,48 +394,8 @@ class Polynomial:
                 for d, t in sorted(buckets.items())}
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map x_i -> images[i]; the images live in one ring over the
-        same field, possibly with a different number of variables.
-
-        Runs on raw coefficient payloads. The image of each source monomial
-        is cached, and built as the cached image of its prefix (the
-        monomial with its last nonzero exponent lowered by one) times one
-        image, so each monomial of the support costs one product.
-        """
-        assert len(images) == self.nvars
-        field = self.field
-        mul, add, is_zero = field._mul, field._add, field._is_zero
-        target_nvars = images[0].nvars if images else self.nvars
-        image_terms = [[(m, c.payload) for m, c in g.terms.items()]
-                       for g in images]
-        cache: Dict[Monomial, Dict[Monomial, object]] = {
-            (0,) * self.nvars: {(0,) * target_nvars: field._one_payload()}}
-
-        def image_of(mono: Monomial) -> Dict[Monomial, object]:
-            got = cache.get(mono)
-            if got is not None:
-                return got
-            i = len(mono) - 1
-            while mono[i] == 0:
-                i -= 1
-            prefix = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            got = {}
-            for m1, c1 in image_of(prefix).items():
-                for m2, c2 in image_terms[i]:
-                    m = tuple(map(_add, m1, m2))
-                    cur = got.get(m)
-                    got[m] = mul(c1, c2) if cur is None else add(cur, mul(c1, c2))
-            got = cache[mono] = {m: c for m, c in got.items() if not is_zero(c)}
-            return got
-
-        out: Dict[Monomial, object] = {}
-        for mono, coeff in self.terms.items():
-            c = coeff.payload
-            for m, v in image_of(mono).items():
-                cur = out.get(m)
-                out[m] = mul(c, v) if cur is None else add(cur, mul(c, v))
-        out = {m: c for m, c in out.items() if not is_zero(c)}
-        return Polynomial.from_payloads(field, target_nvars, out)
+        """Ring map x_i -> images[i]; see `substitute_all`."""
+        return substitute_all([self], images)[0]
 
     def apply_matrix(self, matrix) -> "Polynomial":
         """Substitute x_i -> sum_j matrix[i][j] x_j (linear coordinate change)."""
@@ -516,6 +476,59 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
+def substitute_all(polys: Sequence[Polynomial],
+                   images: Sequence[Polynomial]) -> List[Polynomial]:
+    """The ring map x_i -> images[i] applied to each polynomial of one ring.
+
+    The images live in one ring over the same field, possibly with a
+    different number of variables. Runs on raw coefficient payloads. The
+    image of each source monomial is cached across all the polynomials,
+    and built as the cached image of its prefix (the monomial with its
+    last nonzero exponent lowered by one) times one image, so each
+    monomial of the joint support costs one product.
+    """
+    if not polys:
+        return []
+    field, nvars = polys[0].field, polys[0].nvars
+    assert len(images) == nvars
+    assert all(f.field == field and f.nvars == nvars for f in polys)
+    mul, add, is_zero = field._mul, field._add, field._is_zero
+    target_nvars = images[0].nvars if images else nvars
+    image_terms = [[(m, c.payload) for m, c in g.terms.items()]
+                   for g in images]
+    cache: Dict[Monomial, Dict[Monomial, object]] = {
+        (0,) * nvars: {(0,) * target_nvars: field._one_payload()}}
+
+    def image_of(mono: Monomial) -> Dict[Monomial, object]:
+        got = cache.get(mono)
+        if got is not None:
+            return got
+        i = len(mono) - 1
+        while mono[i] == 0:
+            i -= 1
+        prefix = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        got = {}
+        for m1, c1 in image_of(prefix).items():
+            for m2, c2 in image_terms[i]:
+                m = tuple(map(_add, m1, m2))
+                cur = got.get(m)
+                got[m] = mul(c1, c2) if cur is None else add(cur, mul(c1, c2))
+        got = cache[mono] = {m: c for m, c in got.items() if not is_zero(c)}
+        return got
+
+    result = []
+    for f in polys:
+        out: Dict[Monomial, object] = {}
+        for mono, coeff in f.terms.items():
+            c = coeff.payload
+            for m, v in image_of(mono).items():
+                cur = out.get(m)
+                out[m] = mul(c, v) if cur is None else add(cur, mul(c, v))
+        out = {m: c for m, c in out.items() if not is_zero(c)}
+        result.append(Polynomial.from_payloads(field, target_nvars, out))
+    return result
+
+
 def default_names(nvars: int) -> List[str]:
     return [f"x{i}" for i in range(nvars)]
 
@@ -594,13 +607,19 @@ class _Parser:
         have_coeff = False
         if kind == "num":
             self.advance()
-            numer = value
-            denom = 1
+            frac = Fraction(value)
             kind, value, pos = self.peek()
             if kind == "op" and value == "/":
                 self.advance()
+                denom_pos = self.peek()[2]
                 denom = self.expect_num()
-            coeff = self.field.from_fraction(Fraction(numer, denom))
+                if denom == 0:
+                    raise ParseError("zero denominator", denom_pos)
+                frac /= denom
+                if self.field.from_int(frac.denominator).is_zero():
+                    raise ParseError(f"denominator {denom} is not invertible "
+                                     f"in {self.field}", denom_pos)
+            coeff = self.field.from_fraction(frac)
             have_coeff = True
             # zero or more '*' before the first factor
             while True:

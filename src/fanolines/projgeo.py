@@ -156,11 +156,7 @@ def enumerate_projective_points(n_proj: int, field: Field,
     if total > budget:
         raise BudgetExceeded(
             f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
-    decode = getattr(field, "element_from_code", None)
-    if decode is None:
-        elems = [field.from_int(v) for v in range(q)]
-    else:
-        elems = [decode(code) for code in range(q)]
+    elems = [field.element_from_code(code) for code in range(q)]
     zero, one = field.zero(), field.one()
     for pivot in range(n_proj, -1, -1):
         free = n_proj - pivot

@@ -1,140 +1,186 @@
 """Vectorized brute-force scanning of projective space over finite fields.
 
-Elements travel as integer codes (residues for prime fields, base-p digit
-codes for extensions). Prime fields use direct modular arithmetic on
-int64 arrays while a product of two residues fits in int64; small
-extension fields use precomputed q x q operation tables and fancy
-indexing. Larger primes and fields too large for tables are evaluated
-element by element inside the same chunked loop, correct but slow.
+Points travel as integer codes (`Field.code_of` / `element_from_code`):
+residues for prime fields, base-p digit codes for extensions. Each field
+kind has one kernel, chosen by `VectorContext`:
+
+- "prime": modular arithmetic on residue arrays, int64 while a product
+  of two residues fits in int64 and Python ints (object arrays) above.
+- "log": every extension field F_q works on discrete logarithms to a
+  primitive element g. Zero gets the log Z = 2(q-1) - 1, so a sum of two
+  logs reaches Z exactly when a factor is zero. Multiplication adds logs
+  and reduces through a `mod` table; addition uses Zech logarithms,
+  log(g^a + g^b) = a + log(1 + g^(b-a)) (Lidl-Niederreiter, *Finite
+  Fields*; Huber 1990). The tables have O(q) entries and cost O(q) field
+  products to build.
 
 Chunked chart enumeration matches the order of
 projgeo.enumerate_projective_points exactly: pivot N down to 0, free
 coordinates ascending with the leftmost most significant.
+
+numpy is imported inside the functions that use it, so importing the
+package does not load it until a command scans.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceeded
-from .field import ExtensionField, Field, FieldElement, PrimeField
+from .field import ExtensionField, Field, PrimeField
 from .linalg import mat_rank
 from .poly import Polynomial
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 
-TABLE_LIMIT = 1024
-DEFAULT_CHUNK = 1 << 17
+if TYPE_CHECKING:
+    import numpy as np
+
+# 2^11 points per chunk: each array of a chunk (16 KiB of int64 codes,
+# 8 KiB of int32 logs) fits in the L1 data cache and far below the C
+# allocator's mmap threshold, so no chunk faults in fresh pages (at 2^17
+# an r = 1 singular scan over F_121 took about 24,000 page faults).
+# Larger chunks spend less Python per point, but their lookups stream
+# through the outer caches, and their time then follows memory traffic
+# rather than the core's speed.
+DEFAULT_CHUNK = 1 << 11
 
 
 class VectorContext:
-    """Evaluation backend for one finite field."""
+    """Evaluation kernel for one finite field.
+
+    `eval_poly` returns values in the kernel's representation: residues
+    in "prime" mode, logs in "log" mode. `zero` is the value of the field's
+    zero in that representation.
+    """
 
     def __init__(self, field: Field):
+        import numpy as np
         assert field.is_finite
         self.field = field
         self.q = field.order()
-        if isinstance(field, PrimeField) and (field.p - 1) ** 2 < 2 ** 63:
+        if isinstance(field, PrimeField):
             self.mode = "prime"
             self.p = field.p
-        elif isinstance(field, ExtensionField) and self.q <= TABLE_LIMIT:
-            self.mode = "table"
-            self._build_tables(field)
+            self.zero = 0
+            self.dtype = np.int64 if (field.p - 1) ** 2 < 2 ** 63 else object
         else:
-            self.mode = "python"
+            self.mode = "log"
+            self.dtype = np.int32
+            self._build_logs(field)
 
-    def _build_tables(self, field: ExtensionField):
-        q = self.q
-        elems = [field.element_from_code(c) for c in range(q)]
-        add = np.empty((q, q), dtype=np.int32)
-        mul = np.empty((q, q), dtype=np.int32)
-        code_of = field.code_of
-        for a in range(q):
-            ea = elems[a]
-            for b in range(a, q):
-                s = code_of(ea + elems[b])
-                m = code_of(ea * elems[b])
-                add[a, b] = s
-                add[b, a] = s
-                mul[a, b] = m
-                mul[b, a] = m
-        self.add_table = add
-        self.mul_table = mul
-        self.elems = elems
+    def _build_logs(self, field: ExtensionField):
+        """`log` (code -> log), `mod` (sum of logs -> log) and `zech`.
 
-    # -- code/element conversion ---------------------------------------
-
-    def element_from_code(self, code: int) -> FieldElement:
-        if self.mode == "table":
-            return self.elems[code]
-        if isinstance(self.field, PrimeField):
-            return self.field.from_int(code)
-        return self.field.element_from_code(code)
-
-    def code_of_element(self, e: FieldElement) -> int:
-        if isinstance(self.field, PrimeField):
-            return e.payload
-        return self.field.code_of(e)
-
-    # -- vectorized polynomial evaluation --------------------------------
+        The antilog table is the walk through the powers of the first
+        code whose powers reach every nonzero element; codes below p are
+        skipped, as their orders divide p - 1.
+        """
+        import numpy as np
+        p, n, one = field.p, self.q - 1, field.one()
+        for start in range(p, self.q):
+            g = field.element_from_code(start)
+            antilog, x = [1], g
+            while x != one:
+                antilog.append(field.code_of(x))
+                x = x * g
+            if len(antilog) == n:
+                break
+        z = self.zero = 2 * n - 1
+        antilog = np.array(antilog, dtype=np.int32)
+        log = np.empty(self.q, dtype=np.int32)
+        log[0] = z
+        log[antilog] = np.arange(n, dtype=np.int32)
+        sums = np.arange(2 * z + 1, dtype=np.int32)
+        mod = np.where(sums < z, sums % n, z).astype(np.int32)
+        # zech[d + z] for d = lb - la: log(1 + g^d) when both are nonzero,
+        # d itself when a = 0 (so la + d = lb), and 0 when b = 0
+        one_plus = log[antilog - antilog % p + (antilog + 1) % p]
+        zech = np.zeros(2 * z + 1, dtype=np.int32)
+        zech[:n] = np.arange(n, dtype=np.int32) - z
+        d = np.arange(-(n - 1), n)
+        zech[d + z] = one_plus[d % n]
+        self.log, self.mod, self.zech = log, mod, zech
 
     def eval_poly(self, f: Polynomial, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Codes of f at each point; arrays[i] holds codes of coordinate i."""
+        """Values of f at each point; arrays[i] holds codes of coordinate i."""
+        import numpy as np
         n = len(arrays[0])
-        if self.mode == "python":
-            codes = [self.code_of_element(f.evaluate(
-                [self.element_from_code(int(a[row])) for a in arrays]))
-                for row in range(n)]
-            return np.array(codes, dtype=object)
+        code_of = self.field.code_of
         if self.mode == "prime":
-            p = self.p
-            acc = np.zeros(n, dtype=np.int64)
-            pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
-            for mono, coeff in f.terms.items():
-                term = np.full(n, coeff.payload, dtype=np.int64)
-                for i, e in enumerate(mono):
-                    if e == 0:
-                        continue
-                    key = (i, e)
-                    pw = pow_cache.get(key)
-                    if pw is None:
-                        pw = arrays[i] % p
-                        for _ in range(e - 1):
-                            pw = pw * arrays[i] % p
-                        pow_cache[key] = pw
-                    term = term * pw % p
-                acc = (acc + term) % p
-            return acc
-        mul = self.mul_table
-        add = self.add_table
-        acc = np.zeros(n, dtype=np.int32)
-        pow_cache = {}
+            p, dtype, const = self.p, self.dtype, code_of
+
+            def coords(i):
+                return arrays[i].astype(dtype, copy=False)
+
+            def mul(a, b):
+                return a * b % p
+
+            def add(a, b):
+                return (a + b) % p
+        else:
+            log, mod, zech, z = self.log, self.mod, self.zech, self.zero
+
+            # every index is in range by construction (codes below q,
+            # sums and differences of logs within the tables), so the
+            # lookups skip numpy's bounds check
+            def coords(i):
+                return log.take(arrays[i], mode="clip")
+
+            def const(c):
+                return int(log[code_of(c)])
+
+            def mul(a, b):
+                return mod.take(a + b, mode="clip")
+
+            def add(a, b):
+                return mod.take(a + zech.take(b - a + z, mode="clip"),
+                                mode="clip")
+
+        acc = None
+        pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
         for mono, coeff in f.terms.items():
-            term = np.full(n, self.field.code_of(coeff), dtype=np.int32)
+            term = const(coeff)
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
-                key = (i, e)
-                pw = pow_cache.get(key)
+                pw = pow_cache.get((i, e))
                 if pw is None:
-                    pw = arrays[i].astype(np.int32)
+                    x = pw = coords(i)
                     for _ in range(e - 1):
-                        pw = mul[pw, arrays[i]]
-                    pow_cache[key] = pw
-                term = mul[term, pw]
-            acc = add[acc, term]
+                        pw = mul(pw, x)
+                    pow_cache[(i, e)] = pw
+                term = mul(pw, term)
+            if not isinstance(term, np.ndarray):
+                term = np.full(n, term, dtype=self.dtype)
+            acc = term if acc is None else add(acc, term)
+        if acc is None:
+            return np.full(n, self.zero, dtype=self.dtype)
         return acc
+
+
+def _digits(start: int, stop: int, weight: int, q: int) -> np.ndarray:
+    """(k // weight) % q for k in [start, stop), built from runs of
+    equal digits rather than by dividing every k."""
+    import numpy as np
+    first, last = start // weight, (stop - 1) // weight
+    values = np.resize(np.roll(np.arange(q, dtype=np.int64), -(first % q)),
+                       last - first + 1)
+    if weight == 1:
+        return values
+    runs = np.full(len(values), weight, dtype=np.int64)
+    runs[0] = min((first + 1) * weight, stop) - start
+    runs[-1] = stop - max(last * weight, start)
+    return values.repeat(runs)
 
 
 def _chart_chunks(n_proj: int, pivot: int, q: int,
                   chunk: int) -> Iterator[List[np.ndarray]]:
     """Coordinate code arrays for one pivot stratum, in enumeration order."""
+    import numpy as np
     free = n_proj - pivot
     total = q ** free
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
         size = stop - start
         arrays: List[np.ndarray] = []
         for i in range(n_proj + 1):
@@ -143,8 +189,8 @@ def _chart_chunks(n_proj: int, pivot: int, q: int,
             elif i == pivot:
                 arrays.append(np.ones(size, dtype=np.int64))
             else:
-                div = q ** (free - 1 - (i - pivot - 1))
-                arrays.append((idx // div) % q)
+                weight = q ** (free - 1 - (i - pivot - 1))
+                arrays.append(_digits(start, stop, weight, q))
         yield arrays
 
 
@@ -165,20 +211,20 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     if total > budget:
         raise BudgetExceeded(f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
     ctx = VectorContext(field)
+    decode = field.element_from_code
     out: List[ProjectivePoint] = []
     for pivot in range(n_proj, -1, -1):
         for arrays in _chart_chunks(n_proj, pivot, q, chunk):
             current = arrays
             for g in gens:
                 vals = ctx.eval_poly(g, current)
-                mask = vals == 0
+                mask = vals == ctx.zero
                 current = [a[mask] for a in current]
                 if len(current[0]) == 0:
                     break
-            for row in range(len(current[0])):
-                coords = tuple(ctx.element_from_code(int(a[row])) for a in current)
+            for row in zip(*(a.tolist() for a in current)):
                 pt = ProjectivePoint.__new__(ProjectivePoint)
-                pt.coords = coords
+                pt.coords = tuple(decode(c) for c in row)
                 out.append(pt)
     return out
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import NotZeroDimensional
 from .fglm import lex_basis_zero_dim
 from .field import Field, FieldElement, embedding, relative_extension
-from .poly import Polynomial
+from .poly import Polynomial, substitute_all
 from .projgeo import ProjectivePoint
 from .unipoly import distinct_degree_factorization, roots_in_field
 
@@ -161,10 +161,6 @@ def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
     return out
 
 
-def _code(c: FieldElement) -> int:
-    return c.field.code_of(c) if c.field.degree > 1 else c.payload
-
-
 @dataclass
 class SolveResult:
     """Points of a 0-dimensional projective scheme over ground extensions."""
@@ -203,8 +199,7 @@ def solve_projective(gens: List[Polynomial], k_max: int,
                 images.append(Polynomial.constant(ground, m, 1))
             else:
                 images.append(Polynomial.variable(ground, m, i - pivot - 1))
-        chart_gens = [g.substitute(images) for g in gens]
-        chart_gens = [g for g in chart_gens if not g.is_zero()]
+        chart_gens = [g for g in substitute_all(gens, images) if not g.is_zero()]
         if any(g.is_constant() for g in chart_gens):
             continue  # chart empty over every extension
         if m == 0:
@@ -220,8 +215,8 @@ def solve_projective(gens: List[Polynomial], k_max: int,
         found.extend((k, pivot, sol)
                      for k, sol in _affine_points(gb, ground, k_max, rng))
 
-    found.sort(key=lambda item: (item[0], item[1],
-                                 tuple(_code(c) for c in reversed(item[2]))))
+    found.sort(key=lambda item: (
+        item[0], item[1], tuple(c.field.code_of(c) for c in reversed(item[2]))))
     for k, pivot, sol in found:
         ext = sol[0].field
         points.append(ProjectivePoint((ext.zero(),) * pivot + (ext.one(),) + sol))

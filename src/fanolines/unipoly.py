@@ -302,6 +302,5 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
             assert ar.degree % orbit == 0
             roots = _orbit_roots(ar, f, field, xp, orbit, rng)
     elems = [FieldElement(field, r) for r in roots]
-    sort_key = field.code_of if hasattr(field, "code_of") else (lambda e: e.payload)
-    elems.sort(key=sort_key)
+    elems.sort(key=field.code_of)
     return elems

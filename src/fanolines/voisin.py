@@ -29,7 +29,7 @@ from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        jacobian_rank_at, point_certificate, rational_points,
                        singular_points, variety_report)
 from .linalg import mat_rank, random_invertible
-from .poly import Polynomial, random_homogeneous
+from .poly import Polynomial, random_homogeneous, substitute_all
 from .projgeo import ProjectivePoint
 from .solve import solve_projective
 
@@ -127,7 +127,7 @@ def restricted_quadrics(nfc: NormalFormCubic) -> List[Polynomial]:
     m = nfc.r + 1
     images = [Polynomial.variable(field, m, i) if i < m
               else Polynomial.zero(field, m) for i in range(nfc.nvars)]
-    return [q.substitute(images) for q in nfc.quadrics]
+    return substitute_all(nfc.quadrics, images)
 
 
 def plane_restriction(nfc: NormalFormCubic) -> Polynomial:
@@ -273,7 +273,7 @@ def _random_linear_slice(ideal: Ideal, codim: int,
     matrix = random_invertible(field, n, rng)
     m = n - codim
     images = [Polynomial.linear(field, row[:m]) for row in matrix]
-    return [g.substitute(images) for g in ideal.generators]
+    return substitute_all(ideal.generators, images)
 
 
 def _empty_linear_slice(ideal: Ideal, codim: int, rng: random.Random) -> bool:

@@ -163,6 +163,26 @@ def test_malformed_poly_file_exit_2(tmp_path):
     assert main(["groebner", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["groebner"], ["sing-locus"], ["lines-through", "--point", "1:0:0", "--poly"]],
+    ids=lambda argv: argv[0])
+def test_zero_denominator_exit_2(tmp_path, argv, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("x0^2 + 1/0*x1^2 + x2^2\n")
+    assert main(argv + [str(bad)]) == 2
+    assert "zero denominator (at position 9)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["groebner", "sing-locus"])
+def test_denominator_not_invertible_mod_p_exit_2(tmp_path, command, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1/5*x0^2 + x1^2 + x2^2\n")
+    assert main([command, str(bad), "--prime", "5"]) == 2
+    assert "not invertible in GF(5)" in capsys.readouterr().err
+    # the same file is fine where 5 is a unit
+    assert main([command, str(bad), "--prime", "7", "--quiet"]) == 0
+
+
 def test_bad_point_format_exit_2(nodal_file):
     assert main(["lines-through", "--poly", nodal_file,
                  "--point", "1:zz:0:0"]) == 2
@@ -192,7 +212,8 @@ def test_sing_locus_bad_input_exit_2_without_asserts(tmp_path):
 # sha256 of the --json reports, each pinned from the code before a change
 # that had to keep it; any change of point order or formatting shows here.
 # File arguments name the fixtures in PINNED_FILES, written next to the run.
-PINNED_FILES = {"nodal.txt": NODAL, "remark.txt": FIXTURE}
+HESSE = "x0^3 + x1^3 + x2^3 + 2*x0*x1*x2\n"
+PINNED_FILES = {"nodal.txt": NODAL, "remark.txt": FIXTURE, "hesse.txt": HESSE}
 
 PINNED_REPORTS = {
     ("lines-through", "--random", "3", "3", "2", "--seed", "517314"):
@@ -224,6 +245,9 @@ PINNED_REPORTS = {
         "209e075760a107da3a56e756fb3c8a715c865e95f29d27af9a52e30d52c83384",
     ("lines-through", "--random", "4", "4", "2", "--seed", "3", "--prime", "7"):
         "0361bd3adfd5a128e784de9a522d0cb0647c077b235f1cb8f7401ce7b6e27de7",
+    # an exhaustive scan up to P^2(F_7^4), in the log-domain kernel
+    ("sing-locus", "hesse.txt", "--prime", "7", "--kmax", "4"):
+        "e56b542d4c4832e833c64636601cd110efd5f7b95408885899f2da7bb5761928",
 }
 
 # pinned runs whose report fails its predictions: exit 3, report written

@@ -203,3 +203,12 @@ def test_prime_field_canonical_form(n):
     e = f.from_int(n)
     assert 0 <= e.payload < 11
     assert f.from_int(e.payload) == e
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), build_extension(3, 2),
+                                   build_extension(7, 3)], ids=str)
+def test_integer_codes_enumerate_the_field(field):
+    # one code rule for every finite field: code k is the k-th element
+    elems = list(field.elements())
+    assert [field.code_of(e) for e in elems] == list(range(field.order()))
+    assert all(field.element_from_code(field.code_of(e)) == e for e in elems)

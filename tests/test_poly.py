@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fanolines import (QQ, PrimeField, Polynomial, build_extension, embedding,
                        parse_polynomial)
 from fanolines.poly import (GREVLEX, LEX, default_names, mono_degree,
-                            monomials_of_degree, random_homogeneous)
+                            monomials_of_degree, random_homogeneous,
+                            substitute_all)
 from fanolines.linalg import mat_identity, mat_vec, random_invertible
 from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
 
@@ -65,6 +66,18 @@ def test_parse_errors_carry_position():
         parse("x0^", 2, F7)
     with pytest.raises(UnknownVariable):
         parse("x0 + y1", 2, F7)
+
+
+def test_parse_rejects_denominators_that_are_not_units():
+    with pytest.raises(ParseError) as info:
+        parse("x0^2 + 1/0*x1^2", 2, QQ)
+    assert info.value.position == 9
+    f5 = PrimeField(5)
+    with pytest.raises(ParseError) as info:
+        parse("x0 + 3/10*x1", 2, f5)
+    assert info.value.position == 7
+    # reduced first: 5/10 = 1/2 is a unit mod 5, and 10/5 = 2
+    assert parse("5/10*x0 + 10/5*x1", 2, f5) == parse("3*x0 + 2*x1", 2, f5)
 
 
 def test_parse_round_trip_random():
@@ -258,6 +271,17 @@ def test_substitute_commutes_with_evaluation(field, seed):
     for _ in range(5):
         v = random_point(field, target, rng)
         assert g.evaluate(v) == f.evaluate([h.evaluate(v) for h in images])
+
+
+@pytest.mark.parametrize("field", [F7, F9, QQ], ids=str)
+def test_substitute_all_matches_one_at_a_time(field):
+    # the shared monomial-image cache must not leak between polynomials
+    rng = random.Random(11)
+    polys = [random_poly(field, 3, 4, rng, terms=10) for _ in range(5)]
+    polys.append(Polynomial.zero(field, 3))
+    images = [random_image(field, 4, rng) for _ in range(3)]
+    assert substitute_all(polys, images) == [f.substitute(images) for f in polys]
+    assert substitute_all([], images) == []
 
 
 @pytest.mark.parametrize("field", [F7, F9, QQ], ids=str)
