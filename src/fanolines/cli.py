@@ -39,6 +39,11 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 
+# Most variables an input file may use. The ring is sized by the highest
+# index, so a stray x60010007 would otherwise build sixty million names;
+# 64 is far above any space the analyses can handle.
+MAX_VARIABLES = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -145,7 +150,11 @@ def _infer_nvars(text: str) -> int:
     indices = [int(m.group(1)) for m in re.finditer(r"\bx(\d+)\b", text)]
     if not indices:
         raise InvalidParameters("no variables of the form x<i> found")
-    return max(indices) + 1
+    top = max(indices)
+    if top >= MAX_VARIABLES:
+        raise InvalidParameters(
+            f"x{top} is past the last variable x{MAX_VARIABLES - 1}")
+    return top + 1
 
 
 def _read_poly_file(path: str, field) -> List[Polynomial]:

@@ -36,10 +36,6 @@ class SingularMatrix(FanolinesError):
     """A matrix required to be invertible is singular."""
 
 
-class EqualPoints(FanolinesError):
-    """Two projective points required to be distinct coincide."""
-
-
 class BudgetExceeded(FanolinesError):
     """Requested enumeration is larger than the configured point budget."""
 

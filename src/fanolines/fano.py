@@ -16,7 +16,7 @@ finite scheme of degree m(m+1)...d = d!/(m-1)!.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from math import factorial
 from typing import List, Optional
 
@@ -62,10 +62,20 @@ def multiplicity_at(f: Polynomial, point: ProjectivePoint) -> int:
     This is the lowest degree present in the local expansion at the
     point; 0 means the point is not on the hypersurface at all.
     """
-    for i, part in enumerate(direction_components(f, point)):
+    return _lowest_degree(direction_components(f, point))
+
+
+def _lowest_degree(parts: List[Polynomial]) -> int:
+    for i, part in enumerate(parts):
         if not part.is_zero():
             return i
     raise ZeroPolynomial("equation vanishes identically on the chart")
+
+
+def _check_shape(n: int, d: int, m: int):
+    if n < 2 or m < 1 or m > d or d > n + m - 2:
+        raise InvalidParameters(
+            f"need n >= 2 and 1 <= m <= d <= n+m-2, got n={n} d={d} m={m}")
 
 
 @dataclass(frozen=True)
@@ -74,18 +84,25 @@ class PointedHypersurface:
 
     Construction verifies the multiplicity: in the direction chart at the
     point, every component below the stated degree must vanish and the
-    component at it must not.
+    component at it must not. The components are kept, as
+    `components[i]` of degree i. The shape must satisfy
+    1 <= m <= d <= n+m-2 with n >= 2, or InvalidParameters is raised.
     """
 
     f: Polynomial
     point: ProjectivePoint
     multiplicity: int
+    components: List[Polynomial] = dataclass_field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        actual = multiplicity_at(self.f, self.point)
+        parts = direction_components(self.f, self.point)
+        actual = _lowest_degree(parts)
         if actual != self.multiplicity:
             raise MultiplicityMismatch(
                 f"stated multiplicity {self.multiplicity}, found {actual}")
+        _check_shape(self.ambient_proj_dim, self.degree, self.multiplicity)
+        object.__setattr__(self, "components", parts)
 
     @property
     def field(self) -> Field:
@@ -109,9 +126,7 @@ def random_pointed_hypersurface(n: int, d: int, m: int, field: Field,
     zero).  Requires 1 <= m <= d <= n+m-2; larger d makes the line system
     an excess intersection, which this pipeline does not model.
     """
-    if n < 2 or m < 1 or m > d or d > n + m - 2:
-        raise InvalidParameters(
-            f"need n >= 2 and 1 <= m <= d <= n+m-2, got n={n} d={d} m={m}")
+    _check_shape(n, d, m)
     rng = random.Random(seed)
     f = Polynomial.zero(field, n + 1)
     x0 = Polynomial.variable(field, n + 1, 0)
@@ -162,15 +177,9 @@ def expected_count(d: int, m: int) -> int:
 
 
 def line_system(ph: PointedHypersurface) -> LineSystem:
-    """Extract the direction-chart components f_m, ..., f_d of the instance."""
-    parts = direction_components(ph.f, ph.point)
-    lowest = next(i for i, p in enumerate(parts) if not p.is_zero())
-    if lowest != ph.multiplicity:
-        raise MultiplicityMismatch(
-            f"stated multiplicity {ph.multiplicity}, found {lowest}")
-    d = ph.degree
-    n = ph.ambient_proj_dim
-    return LineSystem(parts[ph.multiplicity:d + 1], n, d, ph.multiplicity)
+    """The direction-chart components f_m, ..., f_d of the instance."""
+    m, d = ph.multiplicity, ph.degree
+    return LineSystem(ph.components[m:d + 1], ph.ambient_proj_dim, d, m)
 
 
 def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,

@@ -51,25 +51,17 @@ def _numerator(gens: FrozenSet[Monomial], cache: Dict) -> IntSeries:
     else:
         # pairwise coprime (no shared variable) -> product of (1 - t^deg)
         nvars = len(monos[0])
-        owners = [0] * nvars
-        coprime = True
+        counts = [0] * nvars
         for m in monos:
             for i, e in enumerate(m):
                 if e:
-                    owners[i] += 1
-                    if owners[i] > 1:
-                        coprime = False
-        if coprime:
+                    counts[i] += 1
+        if max(counts) <= 1:
             result = (1,)
             for m in monos:
                 result = _series_mul_one_minus_td(result, sum(m))
         else:
             # pivot on the most shared variable
-            counts = [0] * nvars
-            for m in monos:
-                for i, e in enumerate(m):
-                    if e:
-                        counts[i] += 1
             j = max(range(nvars), key=lambda i: counts[i])
             var = tuple(1 if i == j else 0 for i in range(nvars))
             plus = frozenset(m for m in monos if m[j] == 0) | {var}

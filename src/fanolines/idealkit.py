@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
                      NotZeroDimensional)
@@ -113,39 +113,24 @@ def is_complete_intersection(ideal: Ideal) -> bool:
 
 
 def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
-                    budget: int = DEFAULT_BUDGET, method: str = "auto",
+                    budget: int = DEFAULT_BUDGET,
                     seed: int = 0) -> List[ProjectivePoint]:
     """Common zeros in P^N(F_{q^k}) for every k <= k_max, deduplicated.
 
     Each point appears once, over the extension matching its exact residue
-    degree. method="enumerate" forces the brute-force oracle (budget
-    permitting); "solve" forces the elimination solver (needs a
-    zero-dimensional scheme); "auto" enumerates when every extension fits
-    the budget and solves otherwise.
+    degree. When P^N(F_{q^k_max}) fits the budget the points are
+    enumerated (`enumerated_points`); otherwise the scheme must be
+    zero-dimensional and the elimination solver finds them
+    (`solve_report`). A positive-dimensional scheme too large to
+    enumerate raises BudgetExceeded.
     """
-    assert method in ("auto", "enumerate", "solve")
     field = ideal.field
     assert field.is_finite, "point scanning needs a finite field"
-    gens = ideal.nonzero_generators()
-    if not gens:
+    if not ideal.nonzero_generators():
         raise BudgetExceeded("the zero ideal has the whole space as zeros")
-    n_proj = ideal.ambient_proj_dim
-    q = field.order()
-    enum_total = projective_count(n_proj, q ** k_max)
-    if method == "auto":
-        method = "enumerate" if enum_total <= budget else "solve"
-    if method == "enumerate":
-        if enum_total > budget:
-            raise BudgetExceeded(
-                f"P^{n_proj}(F_{q}^{k_max}) has {enum_total} points, budget {budget}")
-        out: List[ProjectivePoint] = []
-        for k in range(1, k_max + 1):
-            ext, embed = relative_extension(field, k)
-            mapped = [g.map_coefficients(ext, embed) for g in gens]
-            out.extend(pt for pt in variety_scan(mapped, ext, budget)
-                       if exact_relative_degree(pt.coords, field, k) == k)
-        return out
-    dim, degree = hilbert_data(ideal)
+    if projective_count(ideal.ambient_proj_dim, field.order() ** k_max) <= budget:
+        return enumerated_points(ideal, k_max, budget)
+    dim, _ = hilbert_data(ideal)
     if dim > 0:
         raise BudgetExceeded(
             f"positive-dimensional scheme (dim {dim}) cannot be enumerated "
@@ -153,6 +138,43 @@ def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
     if dim < 0:
         return []
     return solve_report(ideal, k_max, seed).points
+
+
+def enumerated_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
+                      budget: int = DEFAULT_BUDGET) -> List[ProjectivePoint]:
+    """The brute-force oracle for `rational_points`: every point of
+    P^N(F_{q^k}), k <= k_max, is tested against the generators, and each
+    zero is kept over the level of its exact residue degree.
+
+    Raises BudgetExceeded when P^N(F_{q^k_max}) exceeds the budget.
+    """
+    return _scan_levels(ideal, k_max, budget,
+                        lambda gens, ext: variety_scan(gens, ext, budget))
+
+
+def _scan_levels(ideal: Ideal, k_max: int, budget: int,
+                 scan: Callable) -> List[ProjectivePoint]:
+    """The points `scan(generators over F_{q^k}, F_{q^k})` returns for
+    k = 1..k_max, each kept only at the level of its exact residue degree.
+
+    The last level is the largest, so the budget is checked against it
+    before any level is scanned.
+    """
+    field = ideal.field
+    n_proj = ideal.ambient_proj_dim
+    q = field.order()
+    total = projective_count(n_proj, q ** k_max)
+    if total > budget:
+        raise BudgetExceeded(
+            f"P^{n_proj}(F_{q}^{k_max}) has {total} points, budget {budget}")
+    gens = ideal.nonzero_generators()
+    out: List[ProjectivePoint] = []
+    for k in range(1, k_max + 1):
+        ext, embed = relative_extension(field, k)
+        mapped = [g.map_coefficients(ext, embed) for g in gens]
+        out.extend(pt for pt in scan(mapped, ext)
+                   if exact_relative_degree(pt.coords, field, k) == k)
+    return out
 
 
 def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
@@ -183,15 +205,12 @@ def jacobian_rank_at(gens: Sequence[Polynomial], point: ProjectivePoint) -> int:
 
 
 def certify_reduced_point(ideal: Ideal, point: ProjectivePoint,
-                          codim: Optional[int] = None) -> bool:
+                          codim: int) -> bool:
     """Jacobian criterion at one point: rank >= codimension there.
 
     For a zero-dimensional scheme this certifies the point is a reduced
     isolated solution; radical computations are never attempted.
     """
-    if codim is None:
-        dim, _ = hilbert_data(ideal)
-        codim = ideal.ambient_proj_dim - dim
     return jacobian_rank_at(ideal.nonzero_generators(), point) >= codim
 
 
@@ -200,28 +219,39 @@ def singular_points(ideal: Ideal, k_max: int = 1,
     """Enumerated points of V(I) where the Jacobian rank drops below the
     codimension, over F_{q^k} for k <= k_max (deduplicated by exact degree).
     """
-    gens = ideal.nonzero_generators()
-    if not gens:
+    if not ideal.nonzero_generators():
         raise InvalidParameters("the zero ideal has no singular locus")
     dim, _ = hilbert_data(ideal)
     if dim < 0:
         return []
-    n_proj = ideal.ambient_proj_dim
-    codim = n_proj - dim
-    field = ideal.field
-    q = field.order()
-    # the last level is the largest: refuse before scanning any level
-    enum_total = projective_count(n_proj, q ** k_max)
-    if enum_total > budget:
-        raise BudgetExceeded(
-            f"P^{n_proj}(F_{q}^{k_max}) has {enum_total} points, budget {budget}")
-    out: List[ProjectivePoint] = []
-    for k in range(1, k_max + 1):
-        ext, embed = relative_extension(field, k)
-        mapped = [g.map_coefficients(ext, embed) for g in gens]
-        out.extend(pt for pt in singular_scan(mapped, codim, ext, budget)
-                   if exact_relative_degree(pt.coords, field, k) == k)
-    return out
+    codim = ideal.ambient_proj_dim - dim
+    return _scan_levels(ideal, k_max, budget, lambda gens, ext:
+                        singular_scan(gens, codim, ext, budget))
+
+
+def _slices(ideal: Ideal, trials: int, rng: random.Random, k_max: int,
+            budget: int) -> Iterator[List[ProjectivePoint]]:
+    """The points of up to `trials` random slices of a positive-dimensional
+    scheme, one list per slice.
+
+    Each slice adds dim random linear forms. A slice that is not
+    zero-dimensional yields nothing. The rng is drawn lazily, so a caller
+    that stops early draws no further slice.
+    """
+    dim, _ = hilbert_data(ideal)
+    for _ in range(trials):
+        forms = [random_linear_form(ideal.field, ideal.nvars, rng)
+                 for _ in range(dim)]
+        sliced = Ideal(list(ideal.generators) + forms, ideal.order)
+        sliced_dim, _ = hilbert_data(sliced)
+        if sliced_dim != 0:
+            continue  # non-generic slice; try again
+        try:
+            pts = rational_points(sliced, k_max=k_max, budget=budget,
+                                  seed=rng.randrange(2**32))
+        except NotZeroDimensional:
+            continue
+        yield pts
 
 
 def slice_degree(ideal: Ideal, trials: int, rng: random.Random,
@@ -233,22 +263,9 @@ def slice_degree(ideal: Ideal, trials: int, rng: random.Random,
     Raises Inconclusive when no count reaches a strict majority (field too
     small, or slices keep hitting non-generic positions).
     """
-    dim, _ = hilbert_data(ideal)
-    assert dim >= 1, "slice_degree needs a positive-dimensional scheme"
-    field = ideal.field
-    counts: List[int] = []
-    for trial in range(trials):
-        forms = [random_linear_form(field, ideal.nvars, rng) for _ in range(dim)]
-        sliced = Ideal(list(ideal.generators) + forms, ideal.order)
-        sliced_dim, _ = hilbert_data(sliced)
-        if sliced_dim != 0:
-            continue  # non-generic slice; try again
-        try:
-            pts = rational_points(sliced, k_max=k_max, budget=budget,
-                                  seed=rng.randrange(2**32))
-        except NotZeroDimensional:
-            continue
-        counts.append(len(pts))
+    assert hilbert_data(ideal)[0] >= 1, \
+        "slice_degree needs a positive-dimensional scheme"
+    counts = [len(pts) for pts in _slices(ideal, trials, rng, k_max, budget)]
     if not counts:
         raise Inconclusive("every slice was degenerate")
     best = max(set(counts), key=lambda v: (counts.count(v), -v))
@@ -269,21 +286,12 @@ def sample_smooth_points(ideal: Ideal, count: int, rng: random.Random,
     """
     dim, _ = hilbert_data(ideal)
     assert dim >= 1, "smoothness sampling needs a positive-dimensional scheme"
-    field = ideal.field
     points: List[ProjectivePoint] = []
-    for _ in range(trials):
-        if len(points) >= count:
+    slices = _slices(ideal, trials, rng, k_max, budget)
+    while len(points) < count:
+        pts = next(slices, None)
+        if pts is None:
             break
-        forms = [random_linear_form(field, ideal.nvars, rng) for _ in range(dim)]
-        sliced = Ideal(list(ideal.generators) + forms, ideal.order)
-        sliced_dim, _ = hilbert_data(sliced)
-        if sliced_dim != 0:
-            continue
-        try:
-            pts = rational_points(sliced, k_max=k_max, budget=budget,
-                                  seed=rng.randrange(2**32))
-        except (NotZeroDimensional, BudgetExceeded):
-            continue
         points.extend(pts)
     return points[:count]
 

@@ -538,6 +538,13 @@ def default_names(nvars: int) -> List[str]:
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^])|(\S)")
 
+# Highest total degree of a parsed term. Substitution recurses once per
+# degree and the Hilbert series builds lists as long as the degree, so
+# the cap stays well below Python's default recursion depth of 1000, and
+# far above every polynomial file the tests and scripts read (all of
+# degree <= 8).
+MAX_TERM_DEGREE = 512
+
 
 def _tokenize(text: str):
     tokens = []
@@ -598,6 +605,7 @@ class _Parser:
 
     def parse_term(self, sign: int) -> Polynomial:
         kind, value, pos = self.peek()
+        term_pos = pos
         # optional extra sign from the coefficient itself, e.g. "x + -2*y"
         if kind == "op" and value == "-":
             self.advance()
@@ -654,6 +662,9 @@ class _Parser:
             raise ParseError("expected a coefficient or variable", pos)
         if not saw_factor and not have_coeff:
             raise ParseError("empty term", pos)
+        if sum(exps) > MAX_TERM_DEGREE:
+            raise ParseError(f"term of degree {sum(exps)} exceeds the maximum "
+                             f"{MAX_TERM_DEGREE}", term_pos)
         if sign < 0:
             coeff = -coeff
         return Polynomial.monomial(self.field, tuple(exps), coeff)

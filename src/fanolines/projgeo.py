@@ -1,4 +1,4 @@
-"""Projective points, coordinate changes, lines, and exhaustive enumeration.
+"""Projective points, coordinate changes, and exhaustive enumeration.
 
 Points are stored canonically: the first nonzero coordinate is scaled to 1,
 so equality of points is equality of tuples. Enumeration of P^N(F_q) is
@@ -10,14 +10,11 @@ makes the stream reproducible and partitionable.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
-from .errors import BudgetExceeded, EqualPoints
+from .errors import BudgetExceeded
 from .field import Field, FieldElement
 from .linalg import Matrix
-from .poly import Polynomial
 
 DEFAULT_BUDGET = 10**8
 
@@ -100,48 +97,6 @@ def move_to_base_point(y: ProjectivePoint) -> Matrix:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class LineParametrization:
-    """The line {u*a + v*b : (u:v) in P^1} through two distinct points."""
-
-    a: ProjectivePoint
-    b: ProjectivePoint
-
-    def point_at(self, u: FieldElement, v: FieldElement) -> ProjectivePoint:
-        coords = [u * x + v * y for x, y in zip(self.a.coords, self.b.coords)]
-        return ProjectivePoint(coords)
-
-    def restrict(self, f: Polynomial) -> List[FieldElement]:
-        """Coefficients of f(u*a + v*b) as a binary form in (u, v).
-
-        Returns [c_0, ..., c_d] with c_i the coefficient of u^(d-i) v^i;
-        f is homogeneous of degree d. The line lies in V(f) iff all vanish.
-        """
-        assert f.is_homogeneous() and not f.is_zero()
-        field = f.field
-        images = []
-        for x, y in zip(self.a.coords, self.b.coords):
-            # u*x + v*y in the 2-variable ring k[u, v]
-            terms = {}
-            if not x.is_zero():
-                terms[(1, 0)] = x
-            if not y.is_zero():
-                terms[(0, 1)] = y
-            images.append(Polynomial(field, 2, terms))
-        g = f.substitute(images)
-        d = f.degree()
-        return [g.terms.get((d - i, i), field.zero()) for i in range(d + 1)]
-
-    def lies_in(self, f: Polynomial) -> bool:
-        return all(c.is_zero() for c in self.restrict(f))
-
-
-def line_through(a: ProjectivePoint, b: ProjectivePoint) -> LineParametrization:
-    if a == b:
-        raise EqualPoints(f"need two distinct points, got {a} twice")
-    return LineParametrization(a, b)
-
-
 def enumerate_projective_points(n_proj: int, field: Field,
                                 budget: int = DEFAULT_BUDGET) -> Iterator[ProjectivePoint]:
     """Every point of P^N(F_q) exactly once, canonical, deterministic order.
@@ -166,9 +121,3 @@ def enumerate_projective_points(n_proj: int, field: Field,
             pt.coords = prefix + tail
             yield pt
 
-
-def random_point(field: Field, n_proj: int, rng: random.Random) -> ProjectivePoint:
-    while True:
-        coords = [field.sample(rng) for _ in range(n_proj + 1)]
-        if any(not c.is_zero() for c in coords):
-            return ProjectivePoint(coords)

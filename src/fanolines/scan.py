@@ -247,11 +247,12 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
         system = [g for g in partials if not g.is_zero()] + [f]
         return variety_scan(system, field, budget, chunk)
     points = variety_scan(gens, field, budget, chunk)
+    jacobian = [[g.partial_derivative(i) for i in range(g.nvars)]
+                for g in gens]
     out = []
     for pt in points:
         coords = list(pt.coords)
-        jac = [[g.partial_derivative(i).evaluate(coords) for i in range(g.nvars)]
-               for g in gens]
-        if mat_rank(jac) < codim:
+        if mat_rank([[d.evaluate(coords) for d in row]
+                     for row in jacobian]) < codim:
             out.append(pt)
     return out

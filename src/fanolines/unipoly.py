@@ -168,13 +168,6 @@ def _payloads(a: List[FieldElement], ar: _Arith) -> list:
     return ar.trim([c.payload for c in a])
 
 
-def ueval(a: List[FieldElement], x: FieldElement) -> FieldElement:
-    acc = x.field.zero()
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def distinct_degree_factorization(e: List[FieldElement], field: Field,
                                   k_max: int) -> Dict[int, List[FieldElement]]:
     """{j: product of the distinct monic irreducible degree-j factors of e}

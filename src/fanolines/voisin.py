@@ -20,18 +20,16 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (DegenerateInstance, InvalidParameters,
-                     MultiplicityMismatch)
+from .errors import DegenerateInstance, InvalidParameters
 from .field import Field, embedding
-from .fano import direction_components
+from .fano import PointedHypersurface, direction_components, line_system
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
                        jacobian_rank_at, point_certificate, rational_points,
-                       singular_points, variety_report)
+                       singular_points, solve_report, variety_report)
 from .linalg import mat_rank, random_invertible
 from .poly import Polynomial, random_homogeneous, substitute_all
 from .projgeo import ProjectivePoint
-from .solve import solve_projective
 
 MAX_RESAMPLES = 5
 SLICE_RETRIES = 3
@@ -88,16 +86,6 @@ class NodeCertificate:
     quadratic_part_rank: int
     is_simple_double_point: bool
 
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "kind": "node",
-            "point": " : ".join(self.point.serialize()),
-            "residue_degree": str(self.residue_degree),
-            "quadratic_part_rank": str(self.quadratic_part_rank),
-            "is_simple_double_point":
-                "true" if self.is_simple_double_point else "false",
-        }
-
 
 def normal_form_cubic(r: int, field: Field, seed: int) -> NormalFormCubic:
     """Sample the normal-form cubic with dense random quadrics Q_i."""
@@ -128,20 +116,6 @@ def restricted_quadrics(nfc: NormalFormCubic) -> List[Polynomial]:
     images = [Polynomial.variable(field, m, i) if i < m
               else Polynomial.zero(field, m) for i in range(nfc.nvars)]
     return substitute_all(nfc.quadrics, images)
-
-
-def plane_restriction(nfc: NormalFormCubic) -> Polynomial:
-    """f restricted to the span of x_0, ..., x_{r+1} (the last r variables
-    set to zero), as a cubic in r+2 variables.
-
-    For a true normal form this equals x_{r+1}^2 x_0 on the nose, whose
-    zero locus in that P^{r+1} is the union of the two r-planes
-    {x_{r+1} = 0} and {x_0 = 0}."""
-    field = nfc.field
-    m = nfc.r + 2
-    images = [Polynomial.variable(field, m, i) if i < m
-              else Polynomial.zero(field, m) for i in range(nfc.nvars)]
-    return nfc.f.substitute(images)
 
 
 def _mapped_to(f: Polynomial, target: Field) -> Polynomial:
@@ -194,13 +168,13 @@ def nodes(nfc: NormalFormCubic, seed: int = 0) -> List[NodeCertificate]:
     Anything else raises DegenerateInstance so callers can resample.
     """
     r = nfc.r
-    restricted = restricted_quadrics(nfc)
-    dim, degree = hilbert_data(Ideal(restricted))
+    ideal = Ideal(restricted_quadrics(nfc))
+    dim, degree = hilbert_data(ideal)
     if (dim, degree) != (0, 2 ** r):
         raise DegenerateInstance(
             f"restricted quadrics give (dim, degree) = ({dim}, {degree}), "
             f"expected (0, {2 ** r})")
-    result = solve_projective(restricted, k_max=2 ** r, seed=seed)
+    result = solve_report(ideal, 2 ** r, seed)
     if len(result.points) != 2 ** r:
         raise DegenerateInstance(
             f"only {len(result.points)} of {2 ** r} candidate nodes are "
@@ -237,12 +211,7 @@ def node_line_system(nfc: NormalFormCubic, node: ProjectivePoint) -> Ideal:
     means); the lines through the node are V(f_2, f_3) in the P^{2r} of
     directions."""
     f = _mapped_to(nfc.f, node.field)
-    parts = direction_components(f, node)
-    if not parts[0].is_zero() or not parts[1].is_zero():
-        raise MultiplicityMismatch("point is not a double point of the cubic")
-    if parts[2].is_zero():
-        raise MultiplicityMismatch("multiplicity at the point exceeds 2")
-    return Ideal([parts[2], parts[3]])
+    return line_system(PointedHypersurface(f, node, 2)).ideal()
 
 
 def rank_drop_ideal(ideal: Ideal) -> Ideal:
@@ -377,8 +346,12 @@ def run_node_analysis(r: int, field: Field, seed: int,
         report = analyze_node_lines(ideal, r, seed=s, budget=budget)
         report.predicted["node_count"] = str(2 ** r)
         report.computed["node_count"] = str(len(certs))
-        report.certificates = ([c.to_dict() for c in certs]
-                               + report.certificates)
+        report.certificates = [point_certificate(
+            c.point, field, kind="node",
+            quadratic_part_rank=str(c.quadratic_part_rank),
+            is_simple_double_point=(
+                "true" if c.is_simple_double_point else "false"))
+            for c in certs] + report.certificates
         analysis = NodalCubicAnalysis(nfc, certs, node, report)
         outcome = "ok" if report.matched() else "certificate mismatch"
         attempts.append({"seed": str(s), "outcome": outcome})

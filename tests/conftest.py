@@ -2,7 +2,8 @@
 
 import pytest
 
-from fanolines import PrimeField, build_extension, parse_polynomial
+from fanolines import (Polynomial, PrimeField, ProjectivePoint,
+                       build_extension, parse_polynomial)
 from fanolines.poly import default_names
 
 
@@ -28,6 +29,22 @@ def f9():
 
 def parse(text, nvars, field):
     return parse_polynomial(text, default_names(nvars), field)
+
+
+def random_point(field, n_proj, rng):
+    """A uniformly drawn nonzero vector of F^(n_proj+1), as a point."""
+    while True:
+        coords = [field.sample(rng) for _ in range(n_proj + 1)]
+        if any(not c.is_zero() for c in coords):
+            return ProjectivePoint(coords)
+
+
+def line_lies_in(f, a, b):
+    """Whether the line through the points a and b lies in V(f): f(u*a + v*b)
+    vanishes identically as a form in (u, v). f, a and b share one field."""
+    images = [Polynomial.linear(a.field, [x, y])
+              for x, y in zip(a.coords, b.coords)]
+    return f.substitute(images).is_zero()
 
 
 # acceptance-gate result lines, echoed after the run so they survive

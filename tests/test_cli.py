@@ -66,6 +66,42 @@ def test_lines_through_invalid_parameters_exit_2():
         assert main(["bezout-check", "3", "2", "2"] + option) == 2, option
 
 
+def test_lines_through_poly_outside_the_model_exit_2(tmp_path, capsys):
+    # a smooth point (m = 1) of a cubic surface (n = 3): d = 3 > n + m - 2,
+    # the same shape rule that --random 3 3 1 fails
+    fermat = tmp_path / "fermat.txt"
+    fermat.write_text("x0^3 + x1^3 + x2^3 + x3^3\n")
+    assert main(["lines-through", "--poly", str(fermat),
+                 "--point", "1:-1:0:0"]) == 2
+    assert "1 <= m <= d <= n+m-2" in capsys.readouterr().err
+    assert main(["lines-through", "--random", "3", "3", "1"]) == 2
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("x0^1500*x3 + x1^1501 + x2^1501\n",
+     ["lines-through", "--point", "1:0:0:0", "--poly"]),
+    ("x0^99999999999\n", ["groebner"]),
+    ("x0^99999999999\n", ["sing-locus", "--prime", "5"])],
+    ids=["lines-through", "groebner", "sing-locus"])
+def test_high_degree_term_exit_2(tmp_path, text, argv, capsys):
+    # such terms once overflowed the recursion depth of substitution or
+    # sized a Hilbert-series list by the degree
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(argv + [str(bad)]) == 2
+    assert "exceeds the maximum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["groebner", "sing-locus"])
+def test_variable_index_past_the_limit_exit_2(tmp_path, command, capsys):
+    # the ring is sized by the highest index: x60010007 once asked for
+    # sixty million variable names
+    bad = tmp_path / "bad.txt"
+    bad.write_text("x060010007 + x1\n")
+    assert main([command, str(bad)]) == 2
+    assert "past the last variable x63" in capsys.readouterr().err
+
+
 def test_point_not_on_hypersurface_exit_2(nodal_file):
     assert main(["lines-through", "--poly", nodal_file,
                  "--point", "1:1:1:1"]) == 2

@@ -19,11 +19,11 @@ from fanolines.fano import (PointedHypersurface, analyze_lines,
 from fanolines.idealkit import (hilbert_data, is_complete_intersection,
                                 rational_points, slice_degree)
 from fanolines.projgeo import (ProjectivePoint, base_point,
-                               enumerate_projective_points, line_through)
+                               enumerate_projective_points)
 from fanolines.field import embedding
 from fanolines.errors import InvalidParameters, MultiplicityMismatch
 
-from conftest import parse
+from conftest import line_lies_in, parse
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -39,7 +39,7 @@ def embedded_line_in_hypersurface(f, direction):
     mapped = f.map_coefficients(field, embed)
     a = base_point(field, f.nvars - 1)
     b = ProjectivePoint([field.zero()] + list(direction.coords))
-    return line_through(a, b).lies_in(mapped)
+    return line_lies_in(mapped, a, b)
 
 
 def test_direction_components_hand_example():

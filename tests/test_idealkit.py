@@ -8,17 +8,17 @@ from fanolines import (Ideal, PrimeField, ProjectivePoint, build_extension,
                        embedding)
 from fanolines.idealkit import (add_jacobian_certificates,
                                 complete_intersection_report,
-                                certify_reduced_point, hilbert_data,
+                                certify_reduced_point, enumerated_points,
+                                hilbert_data,
                                 is_complete_intersection, jacobian_rank_at,
                                 rational_points, sample_smooth_points,
                                 singular_points, slice_degree, solve_report,
                                 variety_report)
 from fanolines.linalg import mat_rank
-from fanolines.poly import random_homogeneous
-from fanolines.projgeo import random_point
+from fanolines.poly import random_homogeneous, random_linear_form
 from fanolines.errors import Inconclusive, InvalidParameters
 
-from conftest import parse
+from conftest import parse, random_point
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -47,6 +47,26 @@ def test_remark_fixture_four_points_within_k2():
     assert len(pts) == 4
     for pt in pts:
         assert certify_reduced_point(ideal, pt, codim=2)
+
+
+def test_rational_points_enumerates_within_budget_and_solves_beyond(
+        monkeypatch):
+    ideal = Ideal([parse("x0^2 + x1^2 - x2^2", 3, F7),
+                   parse("x0*x1 - x2^2", 3, F7)])
+    expected = [p.serialize() for p in enumerated_points(ideal, k_max=2)]
+    assert len(expected) == 4
+
+    def wrong_route(*args, **kwargs):
+        raise AssertionError("the other route was taken")
+    # P^2(F_49) has 2451 points
+    with monkeypatch.context() as patch:
+        patch.setattr("fanolines.idealkit.solve_report", wrong_route)
+        within = rational_points(ideal, k_max=2, budget=2451)
+    with monkeypatch.context() as patch:
+        patch.setattr("fanolines.idealkit.variety_scan", wrong_route)
+        beyond = rational_points(ideal, k_max=2, budget=2450)
+    assert [p.serialize() for p in within] == expected
+    assert sorted(p.serialize() for p in beyond) == sorted(expected)
 
 
 def test_solve_report_counts():
@@ -150,6 +170,19 @@ def test_sample_smooth_points_on_quadric_surface():
             mapped = g.map_coefficients(pt.field, embed)
             assert mapped.evaluate(list(pt.coords)).is_zero()
         assert jacobian_rank_at(gens, pt) == 1
+
+
+def test_sample_smooth_points_stops_drawing_at_count():
+    # one generic slice of a quadric surface already holds two points, so
+    # the sampler draws two linear forms and one solver seed, then stops
+    ideal = Ideal([parse("x0*x3 - x1*x2", 4, F10007)])
+    rng = random.Random(3)
+    assert len(sample_smooth_points(ideal, 2, rng)) == 2
+    replay = random.Random(3)
+    for _ in range(2):
+        random_linear_form(F10007, 4, replay)
+    replay.randrange(2**32)
+    assert rng.getstate() == replay.getstate()
 
 
 def test_complete_intersection_report_quadric_cubic():

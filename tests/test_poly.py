@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from fanolines import (QQ, PrimeField, Polynomial, build_extension, embedding,
                        parse_polynomial)
-from fanolines.poly import (GREVLEX, LEX, default_names, mono_degree,
-                            monomials_of_degree, random_homogeneous,
-                            substitute_all)
+from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
+                            mono_degree, monomials_of_degree,
+                            random_homogeneous, substitute_all)
 from fanolines.linalg import mat_identity, mat_vec, random_invertible
 from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
 
@@ -78,6 +78,19 @@ def test_parse_rejects_denominators_that_are_not_units():
     assert info.value.position == 7
     # reduced first: 5/10 = 1/2 is a unit mod 5, and 10/5 = 2
     assert parse("5/10*x0 + 10/5*x1", 2, f5) == parse("3*x0 + 2*x1", 2, f5)
+
+
+def test_parse_caps_the_degree_of_a_term():
+    top = parse(f"x0^{MAX_TERM_DEGREE - 1}*x1 + x1^{MAX_TERM_DEGREE}", 2, F7)
+    assert top.degree() == MAX_TERM_DEGREE
+    # the position is that of the offending term; repeated factors add up
+    for text, position in ((f"x0 + 2*x1^{MAX_TERM_DEGREE + 1}", 5),
+                           (f"x0^{MAX_TERM_DEGREE}*x1 - x1", 0),
+                           ("x1^2 - x0^99999999999", 7),
+                           ("x0 + x0^300*x0^300", 5)):
+        with pytest.raises(ParseError) as info:
+            parse(text, 2, F7)
+        assert info.value.position == position, text
 
 
 def test_parse_round_trip_random():

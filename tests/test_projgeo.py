@@ -7,12 +7,11 @@ import pytest
 from fanolines import PrimeField, ProjectivePoint, build_extension
 from fanolines.linalg import mat_identity, mat_inverse, mat_vec
 from fanolines.projgeo import (base_point, enumerate_projective_points,
-                               line_through, move_to_base_point,
-                               projective_count, random_point)
+                               move_to_base_point, projective_count)
 from fanolines.poly import random_homogeneous
-from fanolines.errors import BudgetExceeded, EqualPoints
+from fanolines.errors import BudgetExceeded
 
-from conftest import parse
+from conftest import line_lies_in, parse, random_point
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -105,23 +104,6 @@ def test_move_transfers_multiplicity_structure():
         assert min(local.homogeneous_components()) == 2
 
 
-def test_line_through_axis_points():
-    a = ProjectivePoint([F7.one(), F7.zero(), F7.zero()])
-    b = ProjectivePoint([F7.zero(), F7.one(), F7.zero()])
-    line = line_through(a, b)
-    u, v = F7.from_int(3), F7.from_int(5)
-    pt = line.point_at(u, v)
-    assert pt == ProjectivePoint([u, v, F7.zero()])
-    assert line.point_at(F7.one(), F7.zero()) == a
-    assert line.point_at(F7.zero(), F7.one()) == b
-
-
-def test_line_through_equal_points_rejected():
-    a = ProjectivePoint([F7.one(), F7.from_int(2), F7.zero()])
-    with pytest.raises(EqualPoints):
-        line_through(a, a)
-
-
 def test_line_substitution_splits_by_degree():
     # on the representative (u, v*y'), f restricts to sum u^(d-i) v^i f_i(y')
     rng = random.Random(31)
@@ -136,12 +118,6 @@ def test_line_substitution_splits_by_degree():
         for i, comp in comps.items():
             rhs = rhs + u ** (3 - i) * v ** i * comp.evaluate(yp)
         assert lhs == rhs
-    # and the parametrized line does pass through both defining points
-    a = base_point(F10007, 3)
-    b = ProjectivePoint([F10007.zero()] + yp)
-    line = line_through(a, b)
-    assert line.point_at(F10007.one(), F10007.zero()) == a
-    assert line.point_at(F10007.zero(), F10007.one()) == b
 
 
 def test_line_in_quadric_iff_all_coefficients_vanish():
@@ -149,14 +125,14 @@ def test_line_in_quadric_iff_all_coefficients_vanish():
     # rulings of the quadric surface lie in it
     a = ProjectivePoint([F7.one(), F7.zero(), F7.zero(), F7.zero()])
     b = ProjectivePoint([F7.zero(), F7.one(), F7.zero(), F7.zero()])
-    assert line_through(a, b).lies_in(quadric)
+    assert line_lies_in(quadric, a, b)
     # a chord joining two points of the quadric generally does not
     c = ProjectivePoint([F7.one(), F7.one(), F7.one(), F7.one()])
     d = ProjectivePoint([F7.one(), F7.from_int(2), F7.from_int(3),
                          F7.from_int(6)])
     assert quadric.evaluate(list(c.coords)).is_zero()
     assert quadric.evaluate(list(d.coords)).is_zero()
-    assert not line_through(c, d).lies_in(quadric)
+    assert not line_lies_in(quadric, c, d)
 
 
 def test_random_point_deterministic():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import Ideal, Polynomial, PrimeField, build_extension
-from fanolines.idealkit import rational_points
+from fanolines.idealkit import enumerated_points, solve_report
 from fanolines.fglm import lex_basis_zero_dim
 from fanolines.solve import exact_relative_degree, solve_projective
 from fanolines.poly import LEX, random_homogeneous
@@ -27,8 +27,8 @@ def point_key(pt):
 
 
 def both_routes(ideal, k_max, seed=0):
-    solved = rational_points(ideal, k_max=k_max, method="solve", seed=seed)
-    scanned = rational_points(ideal, k_max=k_max, method="enumerate")
+    solved = solve_report(ideal, k_max, seed).points
+    scanned = enumerated_points(ideal, k_max=k_max)
     return ({point_key(p) for p in solved}, {point_key(p) for p in scanned})
 
 
@@ -100,7 +100,7 @@ def test_enumerate_route_respects_budget():
     f7 = PrimeField(7)
     ideal = Ideal([parse("x0^2 + x1^2", 2, f7)])
     with pytest.raises(BudgetExceeded):
-        rational_points(ideal, k_max=4, method="enumerate", budget=10)
+        enumerated_points(ideal, k_max=4, budget=10)
 
 
 def first_chart_in_shape_position(ideal):

@@ -14,9 +14,9 @@ from fanolines import Ideal, Polynomial, PrimeField
 from fanolines.linalg import random_invertible
 from fanolines.voisin import (NormalFormCubic, _random_linear_slice,
                               analyze_node_lines, node_line_system, nodes,
-                              normal_form_cubic, plane_restriction,
-                              rank_drop_ideal, restricted_quadrics,
-                              run_node_analysis, scan_singularities)
+                              normal_form_cubic, rank_drop_ideal,
+                              restricted_quadrics, run_node_analysis,
+                              scan_singularities)
 from fanolines.idealkit import hilbert_data, slice_degree
 from fanolines.errors import DegenerateInstance, InvalidParameters
 
@@ -66,13 +66,6 @@ def test_normal_form_needs_odd_characteristic():
         PrimeField(2)
 
 
-def test_plane_restriction_exact():
-    for r in (1, 2, 3):
-        nfc = normal_form_cubic(r, F10007, seed=1)
-        restricted = plane_restriction(nfc)
-        assert restricted == parse(f"x{r + 1}^2*x0", r + 2, F10007)
-
-
 def test_restricted_quadrics_cut_finite_scheme():
     for r in (1, 2, 3):
         nfc = normal_form_cubic(r, F10007, seed=0)
@@ -107,9 +100,7 @@ def test_nodes_sorted_by_residue_degree():
 
 
 def test_node_certificate_serialization():
-    nfc = normal_form_cubic(1, F10007, seed=0)
-    cert = nodes(nfc, seed=0)[0]
-    d = cert.to_dict()
+    d = run_node_analysis(1, F10007, seed=0).report.certificates[0]
     assert d["kind"] == "node"
     assert d["quadratic_part_rank"] == "3"
 
