@@ -21,16 +21,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .errors import (BudgetExceeded, DegenerateInstance, Inconclusive,
-                     InvalidParameters, MultiplicityMismatch, NotPrime,
-                     NotZeroDimensional, ParseError, UnknownVariable,
-                     ZeroPolynomial)
-from .fano import (PointedHypersurface, analyze_lines, multiplicity_at,
-                   run_line_analysis)
+                     InvalidParameters, NotPrime, NotZeroDimensional,
+                     ParseError, UnknownVariable, ZeroPolynomial)
+from .fano import PointedHypersurface, analyze_lines, run_line_analysis
 from .field import DEFAULT_PRIME, PrimeField
+from .groebner import groebner_basis
 from .idealkit import (DEFAULT_BUDGET, Ideal, complete_intersection_report,
                        dimension_text, groebner_of, hilbert_data,
                        singular_points)
-from .poly import GREVLEX, LEX, Polynomial, default_names, parse_polynomial
+from .poly import LEX, Polynomial, default_names, parse_polynomial
 from .projgeo import ProjectivePoint
 from .voisin import run_node_analysis
 
@@ -191,14 +190,12 @@ def cmd_lines_through(args: argparse.Namespace) -> int:
             raise InvalidParameters("--poly file must hold exactly one form")
         f = polys[0]
         point = _parse_point(args.point, field)
-        m = multiplicity_at(f, point)
-        if m == 0:
-            raise InvalidParameters("the point does not lie on the hypersurface")
-        ph = PointedHypersurface(f, point, m)
+        ph = PointedHypersurface(f, point)
         config = RunConfig("lines-through", args.seed, args.prime, k_max,
                            samples, args.budget,
-                           {"poly": f.to_text(), "point": ":".join(
-                               point.serialize()), "m": str(m)})
+                           {"poly": f.to_text(),
+                            "point": ":".join(point.serialize()),
+                            "m": str(ph.multiplicity)})
         report = analyze_lines(ph, k_max=k_max, samples=samples,
                                seed=args.seed, budget=args.budget)
     return _finish(config, report.to_dict(), args, report.matched())
@@ -216,10 +213,10 @@ def cmd_voisin_demo(args: argparse.Namespace) -> int:
 
 def cmd_groebner(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    order = LEX if args.order == "lex" else GREVLEX
     gens = _read_poly_file(args.file, field)
-    ideal = Ideal(gens, order)
-    basis = groebner_of(ideal)
+    ideal = Ideal(gens)
+    basis = (groebner_basis(gens, LEX) if args.order == "lex"
+             else groebner_of(ideal))
     names = default_names(ideal.nvars)
     report: Dict[str, object] = {
         "order": args.order,
@@ -345,6 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # `--point V` as `--point=V`, so that a V such as -1:0:0:0 is a value
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--point":
+            argv[i - 1:i + 1] = [f"--point={argv[i]}"]
     try:
         args = parser.parse_args(argv)
         if args.command == "lines-through":
@@ -363,7 +365,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ZeroPolynomial, NotZeroDimensional, OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateInstance, MultiplicityMismatch, Inconclusive) as exc:
+    except (DegenerateInstance, Inconclusive) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -44,10 +44,6 @@ class ResourceLimit(FanolinesError):
     """Groebner computation exceeded its configured work ceiling."""
 
 
-class MultiplicityMismatch(FanolinesError):
-    """Claimed multiplicity disagrees with the homogeneous decomposition."""
-
-
 class InvalidParameters(FanolinesError):
     """Pipeline parameters outside the supported range."""
 

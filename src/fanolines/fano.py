@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import factorial
 from typing import List, Optional
 
-from .errors import InvalidParameters, MultiplicityMismatch, ZeroPolynomial
+from .errors import InvalidParameters, ZeroPolynomial
 from .field import Field
 from .idealkit import (DEFAULT_BUDGET, Ideal, LINE_COUNT_KMAX, VarietyReport,
                        add_jacobian_certificates, sample_smooth_points,
@@ -56,22 +56,6 @@ def direction_components(f: Polynomial, point: ProjectivePoint) -> List[Polynomi
             for i in range(d + 1)]
 
 
-def multiplicity_at(f: Polynomial, point: ProjectivePoint) -> int:
-    """Multiplicity of the hypersurface V(f) at a point of it.
-
-    This is the lowest degree present in the local expansion at the
-    point; 0 means the point is not on the hypersurface at all.
-    """
-    return _lowest_degree(direction_components(f, point))
-
-
-def _lowest_degree(parts: List[Polynomial]) -> int:
-    for i, part in enumerate(parts):
-        if not part.is_zero():
-            return i
-    raise ZeroPolynomial("equation vanishes identically on the chart")
-
-
 def _check_shape(n: int, d: int, m: int):
     if n < 2 or m < 1 or m > d or d > n + m - 2:
         raise InvalidParameters(
@@ -80,28 +64,29 @@ def _check_shape(n: int, d: int, m: int):
 
 @dataclass(frozen=True)
 class PointedHypersurface:
-    """A homogeneous form together with a marked point of stated multiplicity.
+    """A homogeneous form together with a marked point on it.
 
-    Construction verifies the multiplicity: in the direction chart at the
-    point, every component below the stated degree must vanish and the
-    component at it must not. The components are kept, as
-    `components[i]` of degree i. The shape must satisfy
-    1 <= m <= d <= n+m-2 with n >= 2, or InvalidParameters is raised.
+    The direction-chart components at the point are kept, as
+    `components[i]` of degree i, and the multiplicity m of the form at
+    the point is the lowest degree among the nonzero ones. A point off
+    the hypersurface (m = 0) raises InvalidParameters, and so does a
+    shape outside 1 <= m <= d <= n+m-2 with n >= 2.
     """
 
     f: Polynomial
     point: ProjectivePoint
-    multiplicity: int
+    multiplicity: int = dataclass_field(init=False)
     components: List[Polynomial] = dataclass_field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = direction_components(self.f, self.point)
-        actual = _lowest_degree(parts)
-        if actual != self.multiplicity:
-            raise MultiplicityMismatch(
-                f"stated multiplicity {self.multiplicity}, found {actual}")
-        _check_shape(self.ambient_proj_dim, self.degree, self.multiplicity)
+        # f is a nonzero form, so its expansion at the point is nonzero
+        m = next(i for i, part in enumerate(parts) if not part.is_zero())
+        if m == 0:
+            raise InvalidParameters("the point does not lie on the hypersurface")
+        _check_shape(self.ambient_proj_dim, self.degree, m)
+        object.__setattr__(self, "multiplicity", m)
         object.__setattr__(self, "components", parts)
 
     @property
@@ -135,7 +120,7 @@ def random_pointed_hypersurface(n: int, d: int, m: int, field: Field,
         while comp.is_zero():
             comp = random_homogeneous(field, n, i, rng)
         f = f + x0 ** (d - i) * comp.extend_variables(n + 1, 1)
-    return PointedHypersurface(f, base_point(field, n), m)
+    return PointedHypersurface(f, base_point(field, n))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from .field import Field, relative_extension
 from .groebner import groebner_basis
 from .hilbert import staircase_data
 from .linalg import mat_rank
-from .poly import (GREVLEX, MonomialOrder, Polynomial, random_homogeneous,
-                   random_linear_form)
+from .poly import GREVLEX, Polynomial, random_homogeneous, random_linear_form
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 from .scan import singular_scan, variety_scan
 from .solve import SolveResult, exact_relative_degree, solve_projective
@@ -35,20 +34,17 @@ LINE_COUNT_KMAX = 6  # raised default for the 0-dimensional line-count suites
 
 @dataclass(eq=False)
 class Ideal:
-    """Generators in a fixed polynomial ring with a preferred order."""
+    """Generators in a fixed polynomial ring; its Groebner basis is grevlex."""
 
     generators: Tuple[Polynomial, ...]
-    order: MonomialOrder = GREVLEX
     _cache: dict = dataclass_field(default_factory=dict, repr=False)
 
-    def __init__(self, generators: Sequence[Polynomial],
-                 order: MonomialOrder = GREVLEX):
+    def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
         assert gens, "an ideal needs at least one generator"
         f0 = gens[0]
         assert all(g.field == f0.field and g.nvars == f0.nvars for g in gens)
         self.generators = gens
-        self.order = order
         self._cache = {}
 
     @property
@@ -71,10 +67,10 @@ class Ideal:
 
 
 def groebner_of(ideal: Ideal) -> List[Polynomial]:
-    """Cached reduced Groebner basis of the ideal in its own order."""
+    """Cached reduced grevlex Groebner basis of the ideal."""
     hit = ideal._cache.get("gb")
     if hit is None:
-        hit = groebner_basis(ideal.nonzero_generators(), ideal.order)
+        hit = groebner_basis(ideal.nonzero_generators(), GREVLEX)
         ideal._cache["gb"] = hit
     return hit
 
@@ -96,7 +92,7 @@ def hilbert_data(ideal: Ideal) -> Tuple[int, int]:
     if not gb:
         result = (ideal.ambient_proj_dim, 1)
     else:
-        lms = [g.leading_monomial(ideal.order) for g in gb]
+        lms = [g.leading_monomial(GREVLEX) for g in gb]
         result = staircase_data(lms, ideal.nvars)
     ideal._cache[key] = result
     return result
@@ -180,10 +176,9 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
 def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
     """Solver route with per-degree counts, for report assembly.
 
-    Feeds the solver the reduced Groebner basis rather than the raw
-    generators; for systems with many dense generators the chart-by-chart
-    eliminations get dramatically cheaper that way. Residue degrees never
-    exceed the scheme degree, so k_max is capped there.
+    Feeds the solver the ideal's cached grevlex basis, the one its Hilbert
+    data come from; the solver reads every chart off it. Residue degrees
+    never exceed the scheme degree, so k_max is capped there.
     """
     _, degree = hilbert_data(ideal)
     return solve_projective(groebner_of(ideal),
@@ -242,7 +237,7 @@ def _slices(ideal: Ideal, trials: int, rng: random.Random, k_max: int,
     for _ in range(trials):
         forms = [random_linear_form(ideal.field, ideal.nvars, rng)
                  for _ in range(dim)]
-        sliced = Ideal(list(ideal.generators) + forms, ideal.order)
+        sliced = Ideal(list(ideal.generators) + forms)
         sliced_dim, _ = hilbert_data(sliced)
         if sliced_dim != 0:
             continue  # non-generic slice; try again

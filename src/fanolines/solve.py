@@ -1,8 +1,10 @@
 """Complete point solving for zero-dimensional projective schemes.
 
-Works chart by chart: specializing the pivot coordinate to 1 and earlier
-coordinates to 0 gives an affine system per chart, whose lex Groebner
-basis is computed once over the ground field F_q. Each chart is then
+Works chart by chart from the ideal's one grevlex Groebner basis. Chart p
+holds the points whose last nonzero coordinate is x_p: setting x_p = 1
+and every later coordinate to 0 in that basis gives a grevlex basis of
+the chart, since those are the smallest variables, and FGLM turns it
+into the chart's lex basis over the ground field F_q. Each chart is then
 solved by one recursion. The eliminant e(x_last) of the lex basis is
 factored once over F_q by distinct degrees; the degree-j part holds
 exactly the last coordinates of residue degree j, so it alone is split,
@@ -21,11 +23,12 @@ over the extension of its exact residue degree.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotZeroDimensional
-from .fglm import lex_basis_zero_dim
+from .fglm import fglm_lex, lex_basis_zero_dim
 from .field import Field, FieldElement, embedding, relative_extension
 from .poly import Polynomial, substitute_all
 from .projgeo import ProjectivePoint
@@ -169,56 +172,58 @@ class SolveResult:
     counts_by_degree: Dict[int, int]
 
 
-def solve_projective(gens: List[Polynomial], k_max: int,
-                     seed: int = 0) -> SolveResult:
-    """All points of V(gens) in P^N over F_{q^k} for every k <= k_max.
+def chart_system(polys: Sequence[Polynomial], last: int) -> List[Polynomial]:
+    """The nonzero ones among polys with x_last = 1 and every later variable
+    0, as polynomials in x_0, ..., x_{last-1}: the affine chart of the
+    points whose last nonzero coordinate is x_last."""
+    field = polys[0].field
+    images = ([Polynomial.variable(field, last, i) for i in range(last)]
+              + [Polynomial.constant(field, last, 1)]
+              + [Polynomial.zero(field, last)] * (polys[0].nvars - 1 - last))
+    return [g for g in substitute_all(polys, images) if not g.is_zero()]
 
-    gens: homogeneous polynomials over a finite ground field. Raises
-    NotZeroDimensional when some chart system has infinitely many
+
+def solve_projective(basis: List[Polynomial], k_max: int,
+                     seed: int = 0) -> SolveResult:
+    """All points of V(I) in P^N over F_{q^k} for every k <= k_max.
+
+    basis: a grevlex Groebner basis (x_0 > ... > x_N) of a homogeneous
+    ideal I over a finite ground field. Chart p, the points whose last
+    nonzero coordinate is x_p, sets the smallest variables x_{p+1}, ...,
+    x_N to 0, which keeps a grevlex basis (Bayer-Stillman 1987), and then
+    the smallest one left, x_p, to 1, which gives a grevlex basis of the
+    chart (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8
+    §4). So every chart is read off the one basis and converted by FGLM.
+
+    Raises NotZeroDimensional when some chart has infinitely many
     solutions over the algebraic closure. Points come by residue degree,
-    then pivot, then coordinate codes from the last coordinate to the
-    first; [0:...:0:1] comes first when it is a solution.
+    then [0:...:0:1] first, then pivot (first nonzero coordinate), then
+    coordinate codes from the last coordinate to the first.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    assert gens, "no nonzero generators"
-    ground = gens[0].field
+    assert basis, "the zero ideal has no finite solution set"
+    ground = basis[0].field
     assert ground.is_finite
-    nvars = gens[0].nvars
+    nvars = basis[0].nvars
     rng = random.Random(f"fanolines-solve-{seed}")
 
-    points: List[ProjectivePoint] = []
-    counts: Dict[int, int] = {}
-    found = []
-    for pivot in range(nvars):
-        m = nvars - 1 - pivot
-        images = []
-        for i in range(nvars):
-            if i < pivot:
-                images.append(Polynomial.zero(ground, m))
-            elif i == pivot:
-                images.append(Polynomial.constant(ground, m, 1))
-            else:
-                images.append(Polynomial.variable(ground, m, i - pivot - 1))
-        chart_gens = [g for g in substitute_all(gens, images) if not g.is_zero()]
-        if any(g.is_constant() for g in chart_gens):
+    found: List[Tuple[int, ProjectivePoint]] = []
+    for last in range(nvars):
+        chart = chart_system(basis, last)
+        if any(g.is_constant() for g in chart):
             continue  # chart empty over every extension
-        if m == 0:
-            if not chart_gens:  # [0:...:0:1] on the scheme
-                points.append(ProjectivePoint([ground.zero()] * pivot + [ground.one()]))
-                counts[1] = 1
+        if not chart:
+            if last > 0:
+                raise NotZeroDimensional(
+                    f"chart {last} is all of affine {last}-space")
+            found.append((1, ProjectivePoint(
+                [ground.one()] + [ground.zero()] * (nvars - 1))))
             continue
-        if not chart_gens:
-            raise NotZeroDimensional(f"chart {pivot} is all of affine {m}-space")
-        gb = lex_basis_zero_dim(chart_gens)
-        if len(gb) == 1 and gb[0].is_constant():
-            continue
-        found.extend((k, pivot, sol)
-                     for k, sol in _affine_points(gb, ground, k_max, rng))
-
+        for k, coords in _affine_points(fglm_lex(chart), ground, k_max, rng):
+            ext = coords[0].field
+            found.append((k, ProjectivePoint(
+                coords + (ext.one(),) + (ext.zero(),) * (nvars - 1 - last))))
     found.sort(key=lambda item: (
-        item[0], item[1], tuple(c.field.code_of(c) for c in reversed(item[2]))))
-    for k, pivot, sol in found:
-        ext = sol[0].field
-        points.append(ProjectivePoint((ext.zero(),) * pivot + (ext.one(),) + sol))
-        counts[k] = counts.get(k, 0) + 1
-    return SolveResult(points=points, counts_by_degree=counts)
+        item[0], item[1].pivot() != nvars - 1, item[1].pivot(),
+        tuple(c.field.code_of(c) for c in reversed(item[1].coords))))
+    return SolveResult(points=[point for _, point in found],
+                       counts_by_degree=dict(Counter(k for k, _ in found)))

@@ -211,7 +211,7 @@ def node_line_system(nfc: NormalFormCubic, node: ProjectivePoint) -> Ideal:
     means); the lines through the node are V(f_2, f_3) in the P^{2r} of
     directions."""
     f = _mapped_to(nfc.f, node.field)
-    return line_system(PointedHypersurface(f, node, 2)).ideal()
+    return line_system(PointedHypersurface(f, node)).ideal()
 
 
 def rank_drop_ideal(ideal: Ideal) -> Ideal:
@@ -226,7 +226,7 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
     dh = [h.partial_derivative(i) for i in range(n)]
     minors = [dg[i] * dh[j] - dg[j] * dh[i]
               for i in range(n) for j in range(i + 1, n)]
-    return Ideal(gens + minors, ideal.order)
+    return Ideal(gens + minors)
 
 
 def _random_linear_slice(ideal: Ideal, codim: int,

@@ -107,6 +107,18 @@ def test_point_not_on_hypersurface_exit_2(nodal_file):
                  "--point", "1:1:1:1"]) == 2
 
 
+def test_point_with_leading_minus_sign_is_a_value(nodal_file, tmp_path):
+    # -1:0:0:0 is the point 1:0:0:0, not an unknown option
+    runs = []
+    for name, point in (("plus", "1:0:0:0"), ("minus", "-1:0:0:0")):
+        target = tmp_path / f"{name}.json"
+        code = main(["lines-through", "--poly", nodal_file, "--point", point,
+                     "--json", str(target), "--quiet"])
+        runs.append((code, target.read_bytes()))
+    assert runs[0][0] == 3
+    assert runs[1] == runs[0]
+
+
 def test_budget_exceeded_exit_4(fixture_file):
     assert main(["sing-locus", fixture_file, "--prime", "11",
                  "--budget", "5"]) == 4
@@ -276,6 +288,8 @@ PINNED_REPORTS = {
         "ce277f4663be10f5edfbd627a210de1dcce5ae146da4c907a9b1c8cde7ea1ed8",
     ("groebner", "remark.txt", "--order", "lex"):
         "3729654ab23c2cb1a7e3e73d96c600baa95b5ef107b5eb8fde6c94fd199cfe0a",
+    ("groebner", "remark.txt"):
+        "2efc0a6636b0faa5b5ae6753ba5bfde2222d609986ccd314c64d9d5bc5e9f823",
     # small primes: points found by recursing over F_7^4 and F_7^5
     ("voisin-demo", "2", "--seed", "1", "--prime", "7"):
         "209e075760a107da3a56e756fb3c8a715c865e95f29d27af9a52e30d52c83384",

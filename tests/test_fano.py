@@ -14,14 +14,14 @@ import pytest
 from fanolines import Ideal, PrimeField, build_extension
 from fanolines.fano import (PointedHypersurface, analyze_lines,
                             direction_components, expected_count,
-                            line_system, multiplicity_at,
+                            line_system,
                             random_pointed_hypersurface, run_line_analysis)
 from fanolines.idealkit import (hilbert_data, is_complete_intersection,
                                 rational_points, slice_degree)
 from fanolines.projgeo import (ProjectivePoint, base_point,
                                enumerate_projective_points)
 from fanolines.field import embedding
-from fanolines.errors import InvalidParameters, MultiplicityMismatch
+from fanolines.errors import InvalidParameters
 
 from conftest import line_lies_in, parse
 
@@ -50,24 +50,28 @@ def test_direction_components_hand_example():
     assert comps[0].is_zero() and comps[1].is_zero()
     assert comps[2] == parse("x0^2", 3, F10007)  # x1^2 in ambient names
     assert comps[3] == parse("x1^3 + x2^3", 3, F10007)
-    assert multiplicity_at(f, point) == 2
+    assert PointedHypersurface(f, point).multiplicity == 2
 
 
 def test_multiplicity_at_off_base_point():
-    f = parse(NODAL_CUBIC, 4, F10007)
+    # the cubic in P^4, where the shape rule admits a smooth point (m = 1)
+    f = parse(NODAL_CUBIC, 5, F10007)
     smooth = ProjectivePoint([F10007.zero(), F10007.one(), F10007.one(),
-                              F10007.from_int(10006)])
+                              F10007.from_int(10006), F10007.zero()])
     assert f.evaluate(list(smooth.coords)).is_zero()
-    assert multiplicity_at(f, smooth) == 1
+    assert PointedHypersurface(f, smooth).multiplicity == 1
 
 
 def test_pointed_hypersurface_validates_multiplicity():
     f = parse(NODAL_CUBIC, 4, F10007)
     point = base_point(F10007, 3)
-    with pytest.raises(MultiplicityMismatch):
-        PointedHypersurface(f, point, 3)
-    ph = PointedHypersurface(f, point, 2)
+    ph = PointedHypersurface(f, point)
+    assert ph.multiplicity == 2
     assert ph.degree == 3 and ph.ambient_proj_dim == 3
+    off = ProjectivePoint([F10007.one(), F10007.one(), F10007.zero(),
+                           F10007.zero()])
+    with pytest.raises(InvalidParameters, match="does not lie"):
+        PointedHypersurface(f, off)
 
 
 def test_random_instance_parameter_validation():
@@ -81,7 +85,7 @@ def test_random_instance_has_requested_shape():
         ph = random_pointed_hypersurface(4, 3, 2, F10007, seed=seed)
         assert ph.f.is_homogeneous() and ph.f.degree() == 3
         assert ph.point == base_point(F10007, 4)
-        assert multiplicity_at(ph.f, ph.point) == 2
+        assert ph.multiplicity == 2
 
 
 def test_line_system_shape():
@@ -173,7 +177,7 @@ def test_cubic_threefold_smooth_point_dim_and_slice():
 
 def test_analyze_lines_nodal_cubic_end_to_end():
     f = parse(NODAL_CUBIC, 4, F10007)
-    ph = PointedHypersurface(f, base_point(F10007, 3), 2)
+    ph = PointedHypersurface(f, base_point(F10007, 3))
     report = analyze_lines(ph, seed=0)
     assert report.dimension == 0 and report.degree == 6
     assert report.computed["codimension"] == "2"

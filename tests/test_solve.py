@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import Ideal, Polynomial, PrimeField, build_extension
-from fanolines.idealkit import enumerated_points, solve_report
-from fanolines.fglm import lex_basis_zero_dim
-from fanolines.solve import exact_relative_degree, solve_projective
+from fanolines.idealkit import (enumerated_points, groebner_of, hilbert_data,
+                                solve_report)
+from fanolines.fglm import fglm_lex, lex_basis_zero_dim
+from fanolines.groebner import groebner_basis
+from fanolines.solve import chart_system, exact_relative_degree, solve_projective
 from fanolines.poly import LEX, random_homogeneous
-from fanolines.errors import BudgetExceeded
+from fanolines.errors import BudgetExceeded, NotZeroDimensional
 
 from conftest import parse
 
@@ -81,7 +83,7 @@ def test_routes_agree_minus_one_square_mod_5():
 def test_counts_by_degree_partition_points():
     f7 = PrimeField(7)
     gens = [parse("x0^2 + x1^2 - x2^2", 3, f7), parse("x0*x1 - x2^2", 3, f7)]
-    result = solve_projective(gens, k_max=4)
+    result = solve_projective(groebner_basis(gens), k_max=4)
     assert sum(result.counts_by_degree.values()) == len(result.points)
     for pt in result.points:
         assert pt.field.degree in result.counts_by_degree
@@ -90,8 +92,8 @@ def test_counts_by_degree_partition_points():
 def test_solver_deterministic_across_reruns():
     f7 = PrimeField(7)
     gens = [parse("x0^2 + x1^2 - x2^2", 3, f7), parse("x0*x1 - x2^2", 3, f7)]
-    a = solve_projective(gens, k_max=3, seed=9)
-    b = solve_projective(gens, k_max=3, seed=9)
+    a = solve_projective(groebner_basis(gens), k_max=3, seed=9)
+    b = solve_projective(groebner_basis(gens), k_max=3, seed=9)
     assert [p.serialize() for p in a.points] == \
         [p.serialize() for p in b.points]
 
@@ -209,10 +211,72 @@ def test_points_over_an_extension_ground_lie_on_the_system():
     x0, x1, x2 = (Polynomial.variable(field, 3, i) for i in range(3))
     gens = [x2 ** 2 - x0 ** 2 * Polynomial.constant(field, 3, field.generator()),
             x1 ** 2 - x0 * x2]
-    result = solve_projective(gens, k_max=4)
+    result = solve_projective(groebner_basis(gens), k_max=4)
     assert result.counts_by_degree == {4: 4}
     assert len(set(result.points)) == 4
     for pt in result.points:
         coords = list(pt.coords)
         assert exact_relative_degree(coords, field, 4) == 4
         assert all(g.evaluate(coords).is_zero() for g in gens)
+
+
+CHART_FIELDS = {"5": lambda: PrimeField(5), "7": lambda: PrimeField(7),
+                "10007": lambda: PrimeField(10007),
+                "7^2": lambda: build_extension(7, 2)}
+
+
+def coordinate_product_systems(field, rng):
+    """Zero-dimensional homogeneous systems whose points include some on
+    x_N = 0 and on x_{N-1} = x_N = 0: random forms times the last
+    coordinates, so the lower charts are not all empty."""
+    def var(nvars, i):
+        return Polynomial.variable(field, nvars, i)
+
+    shapes = [(3, lambda: [var(3, 2) * random_homogeneous(field, 3, 1, rng),
+                           var(3, 1) * random_homogeneous(field, 3, 1, rng)]),
+              (3, lambda: [var(3, 2) * random_homogeneous(field, 3, 2, rng),
+                           random_homogeneous(field, 3, 2, rng)]),
+              (4, lambda: [var(4, 3) * random_homogeneous(field, 4, 1, rng),
+                           var(4, 2) * random_homogeneous(field, 4, 1, rng),
+                           random_homogeneous(field, 4, 2, rng)])]
+    out = []
+    while len(out) < 6:
+        nvars, draw = shapes[len(out) % len(shapes)]
+        gens = draw()
+        if hilbert_data(Ideal(gens))[0] == 0:
+            out.append((nvars, gens))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHART_FIELDS))
+def test_charts_read_off_the_grevlex_basis_match_per_chart_buchberger(name):
+    field = CHART_FIELDS[name]()
+    rng = random.Random(f"charts-{name}")
+    nonempty = set()
+    for nvars, gens in coordinate_product_systems(field, rng):
+        basis = groebner_of(Ideal(gens))
+        for last in range(1, nvars):
+            chart = chart_system(basis, last)
+            oracle = lex_basis_zero_dim(chart_system(gens, last))
+            if any(g.is_constant() for g in chart):
+                assert len(oracle) == 1 and oracle[0].is_constant()
+            else:
+                assert fglm_lex(chart) == oracle
+                nonempty.add((nvars, last))
+    assert nonempty == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
+
+
+@pytest.mark.parametrize("text", ["x0^2 + x1^2 - x2^2", "x2"])
+def test_positive_dimensional_basis_raises(text):
+    basis = groebner_basis([parse(text, 3, PrimeField(7))])
+    with pytest.raises(NotZeroDimensional):
+        solve_projective(basis, k_max=1)
+
+
+def test_points_come_in_the_documented_order():
+    # [0:...:0:1] first, then by pivot
+    f5 = PrimeField(5)
+    gens = [parse(t, 3, f5) for t in ("x1*x2", "x0*x2", "x0*x1")]
+    result = solve_projective(groebner_basis(gens), k_max=1)
+    assert [p.serialize() for p in result.points] == [
+        ["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]
