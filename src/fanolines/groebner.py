@@ -1,5 +1,5 @@
-"""Buchberger's algorithm with normal pair selection and both standard
-pair-skipping criteria, producing the unique monic reduced basis.
+"""Buchberger's algorithm with normal pair selection and the
+Gebauer-Moeller pair update, producing the unique monic reduced basis.
 
 Everything below the Polynomial-level API works on dicts mapping exponent
 tuples to raw coefficient payloads (ints mod p, Fractions, coefficient
@@ -8,12 +8,25 @@ appear at the API boundary.
 
 Each basis element is kept as a reducer: its leading monomial, the
 inverse of its leading coefficient and its tail. The reducer list is
-extended once per basis growth and shared by every S-pair reduction. The
-normal form keeps its work list as a dict with a heap of its monomials,
-each monomial's order key computed once when it enters the dict; entries
-whose monomial has cancelled since are skipped when popped. Every step
-uses the first reducer whose leading monomial divides the current one, so
-the intermediate polynomials do not depend on the data structure.
+extended once per basis growth and shared by every S-pair reduction.
+
+- Pair update (Gebauer-Moeller 1988): when an element joins the basis,
+  its new pairs are pruned against each other and the queued pairs it
+  makes redundant are dropped, so a popped pair is reduced with no
+  further check (see `buchberger_payload`).
+- Reduction: the normal form keeps its work list as a dict with a heap
+  of its monomials, each monomial's order key computed once when it
+  enters the dict; entries whose monomial has cancelled since are skipped
+  when popped. Every step uses the first reducer whose leading monomial
+  divides the current one, so the intermediate polynomials do not depend
+  on the data structure.
+- First-divisor memo: one dict per reducer list, from a monomial to its
+  first dividing reducer, or to how many reducers it was checked against
+  without one. The list only grows, so a hit stays the linear scan's
+  choice and a miss resumes where it stopped.
+- Inter-reduction: one normal form of each minimal-basis element's tail,
+  with no fixed-point loop (see `_reduce_basis`).
+
 Instances here are small (tens of generators, degree <= 8), so no
 F4-style batching is attempted.
 """
@@ -21,6 +34,7 @@ F4-style batching is attempted.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from operator import add as _add, le as _le, sub as _sub
 from typing import Dict, List, Sequence, Tuple
 
@@ -55,20 +69,26 @@ def _reducer(d: PayloadPoly, lm: Monomial, field: Field) -> Reducer:
 
 
 def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
+                        memo: Dict[Monomial, Tuple[int, int]],
                         order: MonomialOrder, field: Field,
                         bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> PayloadPoly:
     """Full normal form: every term of the remainder is reduced.
 
     Each step reduces by the first of `reducers` whose leading monomial
     divides the work list's leading monomial; the remainder's terms come
-    out in descending order. Over the rationals, ResourceLimit is raised
-    once a reduction step leaves more than bit_limit bits of numerators
-    and denominators in the work list.
+    out in descending order. `memo` maps a monomial to (index of its
+    first dividing reducer or -1, number of reducers checked); it may be
+    shared by every normal form against one reducer list that is only
+    ever appended to, since a divisor found stays the first one and a
+    miss resumes its scan where it stopped. Over the rationals,
+    ResourceLimit is raised once a reduction step leaves more than
+    bit_limit bits of numerators and denominators in the work list.
     """
     mul, sub, neg, is_zero = field._mul, field._sub, field._neg, field._is_zero
     heap_key = order.descending_key
     push, pop = heapq.heappush, heapq.heappop
     rational = field.characteristic() == 0
+    count = len(reducers)
     work = dict(f)
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
@@ -81,12 +101,18 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
             continue  # cancelled after it was pushed
         if rational:
             bits -= _bits(lc)
-        for red_lm, red_inv, red_tail in reducers:
-            if all(map(_le, red_lm, lm)):
-                break
-        else:
+        hit = memo.get(lm)
+        if hit is None or (hit[0] < 0 and hit[1] < count):
+            index = -1
+            for k in range(0 if hit is None else hit[1], count):
+                if all(map(_le, reducers[k][0], lm)):
+                    index = k
+                    break
+            hit = memo[lm] = (index, count)
+        if hit[0] < 0:
             remainder[lm] = lc
             continue
+        red_lm, red_inv, red_tail = reducers[hit[0]]
         shift = tuple(map(_sub, lm, red_lm))
         factor = mul(lc, red_inv)
         if rational:
@@ -142,95 +168,91 @@ def _canonical_sort_key(d: PayloadPoly, order: MonomialOrder):
 
 def buchberger_payload(gens: List[PayloadPoly], order: MonomialOrder, field: Field,
                        bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> List[PayloadPoly]:
-    """Reduced Groebner basis of the nonzero payload polynomials."""
-    basis = [dict(g) for g in gens if g]
-    basis.sort(key=lambda d: _canonical_sort_key(d, order))
-    lms = [_leading(g, order) for g in basis]
-    reducers = [_reducer(g, lm, field) for g, lm in zip(basis, lms)]
+    """Reduced Groebner basis of the nonzero payload polynomials.
 
-    pairs = []
-    pending = set()
+    Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller 1988;
+    Becker-Weispfenning, *Groebner Bases*, algorithm UPDATE), run once
+    for each generator and each new basis element h:
 
-    def push_pair(i: int, j: int):
-        lcm = mono_lcm(lms[i], lms[j])
-        heapq.heappush(pairs, (order.key(lcm), i, j, lcm))
-        pending.add((i, j))
+    - h pairs with every live element g. A new pair is dropped when the
+      lcm of another new pair divides its lcm (of equal lcms one is
+      kept); coprime pairs take part in that test but are never queued.
+    - A queued pair (i, j) is dropped when lm(h) divides lcm(i, j) and
+      that lcm differs from both lcm(i, h) and lcm(j, h).
+    - g stops being live when lm(h) divides lm(g); it stays a reducer.
 
-    for j in range(len(basis)):
-        for i in range(j):
-            push_pair(i, j)
+    So every popped pair is reduced with no further check.
+    """
+    lms: List[Monomial] = []
+    reducers: List[Reducer] = []
+    live: List[int] = []
+    pairs: list = []  # heap of (order key of lcm, i, j, lcm), i < j
 
-    while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        # first criterion: coprime leading monomials
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue
-        # chain criterion: some k with lm_k | lcm and both pairs already done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not all(map(_le, lms[k], lcm)):
-                continue
-            pa = (min(i, k), max(i, k))
-            pb = (min(j, k), max(j, k))
-            if pa not in pending and pb not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _spoly(reducers[i], reducers[j], field)
-        r = normal_form_payload(s, reducers, order, field, bit_limit)
-        if not r:
-            continue
-        lm = _leading(r, order)
-        basis.append(r)
+    def insert(h: PayloadPoly):
+        lm = _leading(h, order)
+        new = len(reducers)
+        candidates = [(mono_lcm(lms[g], lm), g) for g in live]
+        chosen = []
+        for idx, (lcm, g) in enumerate(candidates):
+            coprime = lcm == mono_mul(lms[g], lm)
+            if coprime or not any(
+                    all(map(_le, other[0], lcm))
+                    for other in chain(chosen, candidates[idx + 1:])):
+                chosen.append((lcm, g, coprime))
+        kept = [pr for pr in pairs
+                if not (all(map(_le, lm, pr[3]))
+                        and mono_lcm(lms[pr[1]], lm) != pr[3]
+                        and mono_lcm(lms[pr[2]], lm) != pr[3])]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        for lcm, g, coprime in chosen:
+            if not coprime:
+                heapq.heappush(pairs, (order.key(lcm), g, new, lcm))
+        live[:] = [g for g in live if not all(map(_le, lm, lms[g]))]
+        live.append(new)
         lms.append(lm)
-        reducers.append(_reducer(r, lm, field))
-        new = len(basis) - 1
-        for t in range(new):
-            push_pair(t, new)
+        reducers.append(_reducer(h, lm, field))
 
-    return _reduce_basis(basis, order, field, bit_limit)
+    for g in sorted((dict(g) for g in gens if g),
+                    key=lambda d: _canonical_sort_key(d, order)):
+        insert(g)
+    memo: Dict[Monomial, Tuple[int, int]] = {}
+    while pairs:
+        _, i, j, _ = heapq.heappop(pairs)
+        r = normal_form_payload(_spoly(reducers[i], reducers[j], field),
+                                reducers, memo, order, field, bit_limit)
+        if r:
+            insert(r)
+
+    return _reduce_basis(reducers, order, field, bit_limit)
 
 
-def _reduce_basis(basis: List[PayloadPoly], order: MonomialOrder, field: Field,
+def _reduce_basis(reducers: List[Reducer], order: MonomialOrder, field: Field,
                   bit_limit: int) -> List[PayloadPoly]:
-    """Minimalize, inter-reduce, and normalize to leading coefficient 1."""
-    if not basis:
-        return []
+    """The monic reduced basis of a Groebner basis given as reducers,
+    sorted by leading monomial ascending.
+
+    Minimalizing keeps a Groebner basis, and an element's leading
+    monomial divides none of its tail monomials, which are all smaller.
+    So each reduced element is its leading term plus the unique normal
+    form of its tail modulo the whole minimal basis, scaled to be monic:
+    one normal form per element.
+    """
     # minimal: drop any element whose LM is divisible by another's LM
-    items = sorted(basis, key=lambda d: order.key(_leading(d, order)))
-    kept: List[PayloadPoly] = []
-    kept_lms: List[Monomial] = []
-    for g in items:
-        lm = _leading(g, order)
-        if any(mono_divides(other, lm) for other in kept_lms):
-            continue
-        kept.append(g)
-        kept_lms.append(lm)
-    # inter-reduce tails until stable; leading terms of a minimal basis
-    # are irreducible, so each element keeps its leading monomial
-    reducers = [_reducer(g, lm, field) for g, lm in zip(kept, kept_lms)]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = reducers[:idx] + reducers[idx + 1:]
-            r = normal_form_payload(kept[idx], others, order, field, bit_limit)
-            if r != kept[idx]:
-                assert r, "minimal basis element reduced to zero"
-                kept[idx] = r
-                reducers[idx] = _reducer(r, kept_lms[idx], field)
-                changed = True
-    # monic, sorted by leading monomial ascending
+    kept: List[Reducer] = []
+    for red in sorted(reducers, key=lambda r: order.key(r[0])):
+        if not any(mono_divides(other[0], red[0]) for other in kept):
+            kept.append(red)
+    memo: Dict[Monomial, Tuple[int, int]] = {}
+    one, mul = field._one_payload(), field._mul
     out = []
-    for g, (_, inv, _) in zip(kept, reducers):
-        out.append({m: field._mul(c, inv) for m, c in g.items()})
-    out.sort(key=lambda d: order.key(_leading(d, order)))
+    for lm, inv, tail in kept:
+        rest = normal_form_payload(dict(tail), kept, memo, order, field,
+                                   bit_limit)
+        reduced = {lm: one}
+        reduced.update((m, mul(c, inv)) for m, c in rest.items())
+        out.append(reduced)
     return out
 
 
@@ -259,7 +281,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
         if g.is_zero():
             raise ZeroPolynomial("zero polynomial cannot reduce")
         reducers.append(_reducer(_to_payload(g), g.leading_monomial(order), field))
-    r = normal_form_payload(_to_payload(f), reducers, order, field)
+    r = normal_form_payload(_to_payload(f), reducers, {}, order, field)
     return Polynomial.from_payloads(field, f.nvars, r)
 
 

@@ -19,11 +19,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
                      NotZeroDimensional)
-from .field import Field, relative_extension
+from .field import Field, FieldElement, relative_extension
 from .groebner import groebner_basis
 from .hilbert import staircase_data
 from .linalg import mat_rank
-from .poly import GREVLEX, Polynomial, random_homogeneous, random_linear_form
+from .poly import (GREVLEX, Polynomial, payload_lift, random_homogeneous,
+                   random_linear_form)
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 from .scan import singular_scan, variety_scan
 from .solve import SolveResult, exact_relative_degree, solve_projective
@@ -185,18 +186,53 @@ def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
                             min(k_max, max(1, degree)), seed)
 
 
-def jacobian_matrix(gens: Sequence[Polynomial]) -> List[List[Polynomial]]:
-    return [[g.partial_derivative(i) for i in range(g.nvars)] for g in gens]
-
-
 def jacobian_rank_at(gens: Sequence[Polynomial], point: ProjectivePoint) -> int:
     """Rank of the Jacobian of gens at a point, over the point's field.
 
-    The partials are taken over the generators' own field; evaluating them
-    at the point carries each coefficient into the point's field."""
-    coords = list(point.coords)
-    return mat_rank([[d.evaluate(coords) for d in row]
-                     for row in jacobian_matrix(gens)])
+    Entry (g, i) is the sum of c * m_i * P^(m - e_i) over the terms
+    c * x^m of g with m_i > 0, on raw payloads; no partial derivative is
+    built. The terms are summed per exponent m_i first, so each distinct
+    exponent costs one scaling. Each monomial's value at P is computed
+    once for all the generators, as the value of the monomial with its
+    last nonzero exponent lowered by one, times that coordinate.
+    Coefficients are carried into the point's field as
+    `Polynomial.evaluate` carries them.
+    """
+    target = point.field
+    coords = [c.payload for c in point.coords]
+    n = len(coords)
+    mul, add, zero = target._mul, target._add, target._zero_payload()
+    char = target.characteristic()
+    values: Dict[Tuple[int, ...], object] = {(0,) * n: target._one_payload()}
+
+    def value(mono: Tuple[int, ...]):
+        got = values.get(mono)
+        if got is None:
+            i = n - 1
+            while mono[i] == 0:
+                i -= 1
+            lowered = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            got = values[mono] = mul(value(lowered), coords[i])
+        return got
+
+    lift = payload_lift(gens[0].field, target) if gens else None
+    rows = []
+    for g in gens:
+        assert g.nvars == n and g.field == gens[0].field
+        sums: Dict[Tuple[int, int], object] = {}  # (i, m_i) -> sum
+        for mono, coeff in g.terms.items():
+            c = coeff.payload if lift is None else lift(coeff.payload)
+            for i, e in enumerate(mono):
+                if e == 0 or (char and e % char == 0):
+                    continue  # no term, or one the characteristic kills
+                term = mul(c, value(mono[:i] + (e - 1,) + mono[i + 1:]))
+                cur = sums.get((i, e))
+                sums[i, e] = term if cur is None else add(cur, term)
+        row = [zero] * n
+        for (i, e), s in sums.items():
+            row[i] = add(row[i], s if e == 1 else mul(s, target._from_int(e)))
+        rows.append([FieldElement(target, v) for v in row])
+    return mat_rank(rows)
 
 
 def certify_reduced_point(ideal: Ideal, point: ProjectivePoint,

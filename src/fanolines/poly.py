@@ -114,6 +114,17 @@ LEX = LexOrder()
 # ---------------------------------------------------------------------------
 # polynomials
 
+def payload_lift(field: Field, target: Field):
+    """Map of raw coefficient payloads from `field` into `target`, which
+    is `field` or an extension of it; None when no map is needed."""
+    if target is field or target == field:
+        return None
+    if isinstance(field, PrimeField):
+        return target._from_int  # the canonical map F_p -> F_{p^k}
+    embed = embedding(field, target)
+    return lambda c: embed(FieldElement(field, c)).payload
+
+
 def _payload_pow(field: Field, a, e: int):
     """a^e on raw payloads, e >= 1."""
     result = None
@@ -269,30 +280,41 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        """Product with a scalar or a polynomial, on raw payloads."""
+        field = self.field
+        mul = field._mul
         if isinstance(other, (int, Fraction, FieldElement)):
             c = other
             if isinstance(c, Fraction):
-                c = self.field.from_fraction(c)
+                c = field.from_fraction(c)
             elif isinstance(c, int):
-                c = self.field.from_int(c)
+                c = field.from_int(c)
             if c.is_zero():
-                return Polynomial.zero(self.field, self.nvars)
-            return Polynomial(self.field, self.nvars,
-                              {m: co * c for m, co in self.terms.items()})
+                return Polynomial.zero(field, self.nvars)
+            c = c.payload
+            return Polynomial.from_payloads(
+                field, self.nvars, {m: mul(co.payload, c)
+                                    for m, co in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: Dict[Monomial, FieldElement] = {}
+        add, is_zero = field._add, field._is_zero
+        right = [(m, c.payload) for m, c in other.terms.items()]
+        out: Dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                prod = c1 * c2
+            c1 = c1.payload
+            for m2, c2 in right:
+                m = tuple(map(_add, m1, m2))
+                prod = mul(c1, c2)
                 acc = out.get(m)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(m, None)
+                if acc is None:
+                    out[m] = prod
                 else:
-                    out[m] = s
-        return Polynomial(self.field, self.nvars, out)
+                    s = add(acc, prod)
+                    if is_zero(s):
+                        del out[m]
+                    else:
+                        out[m] = s
+        return Polynomial.from_payloads(field, self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -332,19 +354,13 @@ class Polynomial:
     def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
         """Value at a point whose coordinates lie in this polynomial's field
         or in an extension of it; coefficients are carried into the point's
-        field one at a time. Runs on raw payloads."""
+        field one at a time (`payload_lift`). Runs on raw payloads."""
         assert len(values) == self.nvars
         field = self.field
         target = values[0].field if values else field
         if any(v.field is not target and v.field != target for v in values):
             raise TypeError("point coordinates lie in different fields")
-        lift = None
-        if target is not field and target != field:
-            if isinstance(field, PrimeField):
-                lift = target._from_int  # the canonical map F_p -> F_{p^k}
-            else:
-                embed = embedding(field, target)
-                lift = lambda c: embed(FieldElement(field, c)).payload
+        lift = payload_lift(field, target)
         mul = target._mul
         coords = [v.payload for v in values]
         acc = target._zero_payload()
@@ -363,25 +379,20 @@ class Polynomial:
         return FieldElement(target, acc)
 
     def partial_derivative(self, index: int) -> "Polynomial":
-        terms: Dict[Monomial, FieldElement] = {}
+        """d/dx_index, on raw payloads. Lowering one exponent maps distinct
+        terms to distinct monomials, so no two terms combine; a term whose
+        exponent the characteristic divides drops out."""
         field = self.field
+        mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
+        terms: Dict[Monomial, object] = {}
         for mono, coeff in self.terms.items():
             e = mono[index]
             if e == 0:
                 continue
-            scaled = coeff * field.from_int(e)
-            if scaled.is_zero():
-                continue  # exponent divisible by the characteristic
-            new = list(mono)
-            new[index] = e - 1
-            key = tuple(new)
-            acc = terms.get(key)
-            s = scaled if acc is None else acc + scaled
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Polynomial(field, self.nvars, terms)
+            scaled = mul(coeff.payload, from_int(e))
+            if not is_zero(scaled):
+                terms[mono[:index] + (e - 1,) + mono[index + 1:]] = scaled
+        return Polynomial.from_payloads(field, self.nvars, terms)
 
     def homogeneous_components(self) -> Dict[int, "Polynomial"]:
         """Split into degree parts; keys are the occurring degrees."""

@@ -45,6 +45,20 @@ if TYPE_CHECKING:
 DEFAULT_CHUNK = 1 << 11
 
 
+def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 class VectorContext:
     """Evaluation kernel for one finite field.
 
@@ -71,22 +85,32 @@ class VectorContext:
     def _build_logs(self, field: ExtensionField):
         """`log` (code -> log), `mod` (sum of logs -> log) and `zech`.
 
-        The antilog table is the walk through the powers of the first
-        code whose powers reach every nonzero element; codes below p are
-        skipped, as their orders divide p - 1.
+        The logs are to g, the first code from p up (codes below p lie in
+        F_p, whose orders divide p - 1) with g^((q-1)/l) != 1 for every
+        prime l dividing q - 1, that is the first primitive one. Multiplying
+        by a fixed element is F_p-linear on coefficient vectors, so the
+        antilog table (the codes of g^0, g^1, ...) doubles at each step:
+        g^s .. g^(2s-1) are g^0 .. g^(s-1) times the matrix of g^s, mod p.
         """
         import numpy as np
-        p, n, one = field.p, self.q - 1, field.one()
-        for start in range(p, self.q):
-            g = field.element_from_code(start)
-            antilog, x = [1], g
-            while x != one:
-                antilog.append(field.code_of(x))
-                x = x * g
-            if len(antilog) == n:
-                break
+        p, k, n, one = field.p, field.k, self.q - 1, field.one()
+        primes = _prime_factors(n)
+        start = next(code for code in range(p, self.q)
+                     if all(field.element_from_code(code) ** (n // l) != one
+                            for l in primes))
+        units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        powers = np.zeros((n, k), dtype=np.int64)
+        powers[0, 0] = 1
+        size, step = 1, field.element_from_code(start).payload  # step = g^size
+        while size < n:
+            count = min(size, n - size)
+            matrix = np.array([field._mul(u, step) for u in units],
+                              dtype=np.int64)
+            powers[size:size + count] = powers[:count] @ matrix % p
+            size += count
+            step = field._mul(step, step)
+        antilog = (powers @ p ** np.arange(k, dtype=np.int64)).astype(np.int32)
         z = self.zero = 2 * n - 1
-        antilog = np.array(antilog, dtype=np.int32)
         log = np.empty(self.q, dtype=np.int32)
         log[0] = z
         log[antilog] = np.arange(n, dtype=np.int32)

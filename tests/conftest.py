@@ -4,6 +4,7 @@ import pytest
 
 from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, parse_polynomial)
+from fanolines.linalg import mat_rank
 from fanolines.poly import default_names
 
 
@@ -45,6 +46,15 @@ def line_lies_in(f, a, b):
     images = [Polynomial.linear(a.field, [x, y])
               for x, y in zip(a.coords, b.coords)]
     return f.substitute(images).is_zero()
+
+
+def jacobian_rank_oracle(gens, point):
+    """Rank of the Jacobian of gens at a point by the direct route: the
+    partial derivatives over the generators' field, each evaluated at the
+    point, then `mat_rank`."""
+    coords = list(point.coords)
+    return mat_rank([[g.partial_derivative(i).evaluate(coords)
+                      for i in range(g.nvars)] for g in gens])
 
 
 # acceptance-gate result lines, echoed after the run so they survive

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanolines import QQ, PrimeField, Polynomial
+from fanolines import QQ, PrimeField, Polynomial, build_extension
 from fanolines.poly import GREVLEX, LEX, monomials_of_degree, random_homogeneous
 from fanolines.groebner import groebner_basis, is_member, normal_form
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
@@ -108,13 +108,14 @@ def test_s_polynomials_reduce_to_zero():
 
 def test_reduced_basis_unique_under_generator_shuffle():
     rng = random.Random(41)
-    gens = [random_homogeneous(F10007, 3, 2, rng) for _ in range(3)]
-    reference = [g.to_text() for g in groebner_basis(gens)]
-    for _ in range(5):
-        shuffled = gens[:]
-        rng.shuffle(shuffled)
-        again = [g.to_text() for g in groebner_basis(shuffled + [gens[0]])]
-        assert again == reference
+    for field in (F10007, build_extension(7, 2)):
+        gens = [random_homogeneous(field, 3, 2, rng) for _ in range(3)]
+        reference = [g.to_text() for g in groebner_basis(gens)]
+        for _ in range(5):
+            shuffled = gens[:]
+            rng.shuffle(shuffled)
+            again = [g.to_text() for g in groebner_basis(shuffled + [gens[0]])]
+            assert again == reference
 
 
 def test_normal_form_is_idempotent_and_linear():
@@ -193,7 +194,7 @@ def sympy_monic_basis(gens, nvars, p, order):
 
 @pytest.mark.parametrize("p", [7, 10007])
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(24))
 def test_basis_matches_sympy(p, order, seed):
     field = PrimeField(p)
     rng = random.Random(seed)
@@ -211,6 +212,61 @@ def test_basis_matches_sympy(p, order, seed):
                    {m: c.payload for m, c in g.terms.items()}) for g in basis)
     assert [lm for lm, _ in ours] == [lm for lm, _ in expected]
     assert ours == expected
+
+
+def minor_ideal(field, nvars, rng):
+    """A random quadric and cubic with every 2x2 minor of their Jacobian:
+    the shape of the rank-drop ideals Buchberger meets in voisin-demo."""
+    f = random_homogeneous(field, nvars, 2, rng)
+    g = random_homogeneous(field, nvars, 3, rng)
+    df = [f.partial_derivative(i) for i in range(nvars)]
+    dg = [g.partial_derivative(i) for i in range(nvars)]
+    return [f, g] + [df[i] * dg[j] - df[j] * dg[i]
+                     for i in range(nvars) for j in range(i + 1, nvars)]
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+@pytest.mark.parametrize("nvars", [4, 5])
+def test_minor_ideal_basis_matches_sympy(p, nvars):
+    field = PrimeField(p)
+    gens = minor_ideal(field, nvars, random.Random(nvars * 100 + p))
+    expected = sympy_monic_basis(gens, nvars, p, "grevlex")
+    ours = sorted((g.leading_monomial(GREVLEX),
+                   {m: c.payload for m, c in g.terms.items()})
+                  for g in groebner_basis(gens))
+    assert ours == expected
+
+
+def test_rank_drop_basis_work_is_pinned(monkeypatch):
+    # the rank-drop ideal of `voisin-demo 2 --seed 585427`: 12 generators
+    # in 5 variables, a reduced basis of 33 elements. The pair update keeps
+    # 109 S-pair reductions, and inter-reduction takes one normal form per
+    # element of the minimal basis.
+    from fanolines import groebner
+    from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
+                                  rank_drop_ideal)
+    nfc = normal_form_cubic(2, F10007, 585427)
+    ideal = node_line_system(nfc, nodes(nfc, seed=585427)[0].point)
+    gens = rank_drop_ideal(ideal).nonzero_generators()
+    calls = {"pairs": 0, "inter": 0}
+    phase = ["pairs"]
+    normal_form_payload, reduce_basis = (groebner.normal_form_payload,
+                                         groebner._reduce_basis)
+
+    def counted_normal_form(*args, **kwargs):
+        calls[phase[0]] += 1
+        return normal_form_payload(*args, **kwargs)
+
+    def inter_reduction(*args, **kwargs):
+        phase[0] = "inter"
+        return reduce_basis(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form_payload", counted_normal_form)
+    monkeypatch.setattr(groebner, "_reduce_basis", inter_reduction)
+    basis = groebner_basis(gens)
+    assert (len(gens), gens[0].nvars, len(basis)) == (12, 5, 33)
+    assert calls["pairs"] <= 109
+    assert calls["inter"] <= 33
 
 
 def test_rational_basis():

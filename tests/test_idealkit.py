@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from fanolines import (Ideal, PrimeField, ProjectivePoint, build_extension,
-                       embedding)
+from fanolines import (QQ, Ideal, Polynomial, PrimeField, ProjectivePoint,
+                       build_extension, embedding)
 from fanolines.idealkit import (add_jacobian_certificates,
                                 complete_intersection_report,
                                 certify_reduced_point, enumerated_points,
@@ -18,7 +18,7 @@ from fanolines.linalg import mat_rank
 from fanolines.poly import random_homogeneous, random_linear_form
 from fanolines.errors import Inconclusive, InvalidParameters
 
-from conftest import parse, random_point
+from conftest import jacobian_rank_oracle, parse, random_point
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -115,6 +115,61 @@ def test_jacobian_rank_at_extension_points_matches_mapped_generators():
     zero, one, t = f49.zero(), f49.one(), f49.generator()
     assert jacobian_rank_at(cubic, ProjectivePoint([one, zero, zero, zero])) == 0
     assert jacobian_rank_at(cubic, ProjectivePoint([one, t, zero, zero])) == 1
+
+
+def dependent_generators(field, nvars, rng):
+    """Random f and g over `field`, a combination a*f + b*g (whose row
+    depends on theirs, so the three have rank at most 2) and the monomial
+    x0*x1*x_last (whose row vanishes at every coordinate point)."""
+    f = random_homogeneous(field, nvars, 2, rng)
+    g = random_homogeneous(field, nvars, 3, rng)
+    combo = f * field.sample(rng) + g * field.sample(rng)
+    xs = [Polynomial.variable(field, nvars, i) for i in range(nvars)]
+    return [f, g, combo, xs[0] * xs[1] * xs[nvars - 1]]
+
+
+def special_points(field, nvars, rng):
+    """Coordinate points, points with zero coordinates, random points."""
+    zero, one = field.zero(), field.one()
+    points = [ProjectivePoint([one if j == i else zero for j in range(nvars)])
+              for i in range(nvars)]
+    for _ in range(4):
+        coords = [field.sample(rng) for _ in range(nvars)]
+        coords[rng.randrange(nvars)] = zero
+        coords[0] = one
+        points.append(ProjectivePoint(coords))
+    points.extend(random_point(field, nvars - 1, rng) for _ in range(6))
+    return points
+
+
+@pytest.mark.parametrize("ground,point_field", [
+    (PrimeField(7), PrimeField(7)),
+    (PrimeField(10007), PrimeField(10007)),
+    (PrimeField(7), build_extension(7, 3)),
+    (build_extension(7, 2), build_extension(7, 4)),
+    (QQ, QQ),
+], ids=["F7", "F10007", "F7-F343", "F49-F2401", "QQ"])
+def test_jacobian_rank_at_matches_partials_then_evaluate(ground, point_field):
+    rng = random.Random(ground.order() or 0)
+    for _ in range(3):
+        gens = dependent_generators(ground, 4, rng)
+        for pt in special_points(point_field, 4, rng):
+            for subset in (gens, gens[:1], gens[2:], gens[:3]):
+                assert jacobian_rank_at(subset, pt) == \
+                    jacobian_rank_oracle(subset, pt)
+
+
+def test_jacobian_rank_at_drops_exponents_divisible_by_p():
+    # every partial of x0^7 - x1^7 vanishes over F_7, and x2^7 * x3 only
+    # contributes x2^7 through d/dx3
+    f7 = PrimeField(7)
+    gens = [parse("x0^7 - x1^7", 4, f7), parse("x2^7*x3 + x0^8", 4, f7),
+            parse("x1^14*x2 + 3*x3^15", 4, f7)]
+    rng = random.Random(2)
+    for field in (f7, build_extension(7, 2)):
+        for pt in special_points(field, 4, rng):
+            assert jacobian_rank_at(gens[:1], pt) == 0
+            assert jacobian_rank_at(gens, pt) == jacobian_rank_oracle(gens, pt)
 
 
 def test_slice_degree_trivial_cases():

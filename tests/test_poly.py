@@ -180,6 +180,59 @@ def test_partial_derivative_examples():
         is_zero()
 
 
+def element_product(f, g):
+    """f * g term by term on FieldElements, the reference for the payload
+    product; a sum that cancels leaves the dict and re-enters at its end."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = c1 * c2 if m not in out else out[m] + c1 * c2
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def element_partial(f, i):
+    """df/dx_i on FieldElements, the reference for the payload partial."""
+    out = {}
+    for mono, c in f.terms.items():
+        scaled = c * f.field.from_int(mono[i])
+        if mono[i] == 0 or scaled.is_zero():
+            continue
+        m = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        s = scaled if m not in out else out[m] + scaled
+        if s.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+@pytest.mark.parametrize("field", [F7, F9, QQ], ids=str)
+def test_product_and_partials_match_element_arithmetic(field):
+    # same terms in the same dict order; over F_7 and F_9 exponents of 7
+    # and 3 make partials vanish, and many products cancel
+    x0, x1, x2 = (Polynomial.variable(field, 3, i) for i in range(3))
+    # x0*x1*x2 cancels after two products and comes back with the third
+    f, g = x0 + x1 + x2, x1 * x2 - x0 * x2 + x0 * x1 * 2
+    assert list((f * g).terms)[-1] == (1, 1, 1)
+    assert list((f * g).terms.items()) == list(element_product(f, g).items())
+    rng = random.Random(23)
+    for _ in range(12):
+        f = random_poly(field, 3, 8, rng, terms=12)
+        g = random_poly(field, 3, 8, rng, terms=12)
+        assert list((f * g).terms.items()) == list(element_product(f, g).items())
+        c = field.sample(rng)
+        assert list((f * c).terms.items()) == [
+            (m, a * c) for m, a in f.terms.items() if not c.is_zero()]
+        for i in range(3):
+            assert list(f.partial_derivative(i).terms.items()) == \
+                list(element_partial(f, i).items())
+
+
 def test_euler_relation_random_cubics():
     # sum x_i df/dx_i = d*f for homogeneous f; valid since p > d
     rng = random.Random(7)

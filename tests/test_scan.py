@@ -75,6 +75,31 @@ def test_log_kernel_add_and_multiply_on_all_pairs(p, k):
         assert ctx.eval_poly(f, pairs).tolist() == expected_logs(ctx, f, pairs)
 
 
+def walked_antilog(field):
+    """Codes of g^0, g^1, ... by walking the powers of each code from p up
+    with field products, until the walk reaches every nonzero element."""
+    one = field.one()
+    for start in range(field.p, field.order()):
+        g = field.element_from_code(start)
+        antilog, x = [1], g
+        while x != one:
+            antilog.append(field.code_of(x))
+            x = x * g
+        if len(antilog) == field.order() - 1:
+            return antilog
+
+
+@pytest.mark.parametrize("p,k", [(3, 5), (7, 3), (5, 4)])
+def test_log_tables_match_the_power_walk(p, k):
+    # the primitivity test picks the walk's start code, and the doubled
+    # numpy blocks reproduce its antilog table entry for entry
+    field = build_extension(p, k)
+    ctx = VectorContext(field)
+    antilog = walked_antilog(field)
+    assert ctx.log[antilog].tolist() == list(range(field.order() - 1))
+    assert ctx.log[0] == ctx.zero
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (11, 2), (3, 7), (7, 4)])
 def test_eval_poly_matches_evaluate_on_random_codes(p, k):
     field = build_extension(p, k)
