@@ -1,4 +1,5 @@
-"""Groebner basis conversion for zero-dimensional ideals.
+"""Groebner basis conversion for zero-dimensional ideals (FGLM:
+Faugere-Gianni-Lazard-Mora 1993).
 
 Direct lex Buchberger runs blow up on dense systems, but a grevlex basis
 is cheap, and for a finite quotient algebra the lex basis is a linear
@@ -7,6 +8,14 @@ track their normal-form vectors in the quotient, and every new linear
 dependence is exactly one element of the reduced lex basis.  Reduced
 bases are unique, so the converted basis coincides with what Buchberger
 would have produced.
+
+Everything runs on raw payloads. The vector of x_i * m comes from the
+vector of the lex member m by the normal forms of x_i * s for the
+grevlex staircase monomials s in its support; each such normal form is
+taken once, against one reducer list and one first-divisor memo. The
+dependences come from `linalg.Echelon`: each candidate's vector goes in
+with its own unit vector appended, and a vector that reduces to zero
+leaves the coefficients of the new basis element in the appended part.
 """
 
 from __future__ import annotations
@@ -15,10 +24,9 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotZeroDimensional
-from .field import Field, FieldElement
-from .groebner import groebner_basis, normal_form
-from .linalg import mat_vec
-from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, mono_divides
+from .groebner import _reducer, _to_payload, groebner_basis, normal_form_payload
+from .linalg import Echelon, unit_row
+from .poly import GREVLEX, Monomial, Polynomial, mono_divides
 
 
 def quotient_monomials(lead_monomials: List[Monomial],
@@ -52,86 +60,6 @@ def quotient_monomials(lead_monomials: List[Monomial],
     return out
 
 
-def _nf_vector(mono: Monomial, basis: List[Polynomial], order: MonomialOrder,
-               index: Dict[Monomial, int], field: Field) -> List[FieldElement]:
-    reduced = normal_form(Polynomial.monomial(field, mono), basis, order)
-    vec = [field.zero()] * len(index)
-    for m, c in reduced.terms.items():
-        vec[index[m]] = c
-    return vec
-
-
-def multiplication_matrices(basis: List[Polynomial],
-                            staircase: List[Monomial],
-                            index: Dict[Monomial, int]
-                            ) -> List[List[List[FieldElement]]]:
-    """Matrices of multiplication by each variable on the quotient algebra.
-
-    Column j of matrix i holds the normal form of x_i * staircase[j],
-    expressed in the staircase basis."""
-    field = basis[0].field
-    nvars = basis[0].nvars
-    d = len(staircase)
-    matrices = []
-    for i in range(nvars):
-        mat = [[field.zero()] * d for _ in range(d)]
-        for j, mono in enumerate(staircase):
-            shifted = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-            hit = index.get(shifted)
-            if hit is not None:
-                mat[hit][j] = field.one()
-                continue
-            for row, value in enumerate(
-                    _nf_vector(shifted, basis, GREVLEX, index, field)):
-                mat[row][j] = value
-        matrices.append(mat)
-    return matrices
-
-
-class _Span:
-    """Incremental row space with change-of-basis tracking.
-
-    Rows are normal-form vectors of lex staircase monomials; reducing a
-    candidate vector against the span either proves independence or
-    returns the exact combination realizing it."""
-
-    def __init__(self, field: Field, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows: List[List[FieldElement]] = []
-        self.combos: List[Dict[int, FieldElement]] = []
-        self.pivots: List[int] = []
-
-    def reduce(self, vec: List[FieldElement]
-               ) -> Tuple[List[FieldElement], Dict[int, FieldElement]]:
-        w = list(vec)
-        combo: Dict[int, FieldElement] = {}
-        for row, rowcombo, pivot in zip(self.rows, self.combos, self.pivots):
-            c = w[pivot]
-            if c.is_zero():
-                continue
-            for t in range(self.dim):
-                w[t] = w[t] - c * row[t]
-            for k, v in rowcombo.items():
-                s = combo.get(k, self.field.zero()) + c * v
-                combo[k] = s
-        return w, combo
-
-    def insert(self, reduced: List[FieldElement],
-               combo: Dict[int, FieldElement], member: int):
-        # reduced = v(member) - sum_k combo[k] v(b_k), so the normalized
-        # row is inv*v(member) - sum_k inv*combo[k] v(b_k)
-        pivot = next(t for t, v in enumerate(reduced) if not v.is_zero())
-        inv = reduced[pivot].inverse()
-        rowcombo = {member: inv}
-        for k, v in combo.items():
-            if not v.is_zero():
-                rowcombo[k] = -(inv * v)
-        self.rows.append([v * inv for v in reduced])
-        self.combos.append(rowcombo)
-        self.pivots.append(pivot)
-
-
 def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
     """Reduced lex basis of a zero-dimensional ideal from its grevlex basis.
 
@@ -142,31 +70,57 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
     lms = [g.leading_monomial(GREVLEX) for g in basis]
     staircase = quotient_monomials(lms, nvars)
     index = {m: i for i, m in enumerate(staircase)}
-    mats = multiplication_matrices(basis, staircase, index)
     dim = len(staircase)
+    reducers = [_reducer(_to_payload(g), lm, field) for g, lm in zip(basis, lms)]
+    memo: Dict[Monomial, Tuple[int, int]] = {}
+    zero, one = field._zero_payload(), field._one_payload()
+    add, mul, is_zero = field._add, field._mul, field._is_zero
+    columns: Dict[Monomial, List[Tuple[int, object]]] = {}
 
-    origin = (0,) * nvars
-    span = _Span(field, dim)
-    vectors: List[List[FieldElement]] = []
+    def column(mono: Monomial) -> List[Tuple[int, object]]:
+        """Normal form of a monomial as (staircase index, payload) pairs."""
+        hit = index.get(mono)
+        if hit is not None:
+            return [(hit, one)]
+        col = columns.get(mono)
+        if col is None:
+            nf = normal_form_payload({mono: one}, reducers, memo, GREVLEX, field)
+            col = columns[mono] = [(index[m], c) for m, c in nf.items()]
+        return col
+
+    def times(var: int, vec: list) -> list:
+        """Normal-form vector of x_var times the element with vector vec."""
+        out = [zero] * dim
+        for s, c in zip(staircase, vec):
+            if is_zero(c):
+                continue
+            for t, v in column(s[:var] + (s[var] + 1,) + s[var + 1:]):
+                out[t] = add(out[t], mul(c, v))
+        return out
+
+    # row: normal-form vector, then the unit vector of the candidate's
+    # index among the lex members; there are at most dim members, so the
+    # last candidate's unit sits at index dim of the appended part
+    echelon = Echelon(field, dim)
+    vectors: List[list] = []
     lex_members: List[Monomial] = []
 
-    def accept(mono: Monomial, vec: List[FieldElement]) -> Optional[Polynomial]:
-        reduced, combo = span.reduce(vec)
-        if any(not v.is_zero() for v in reduced):
-            member = len(lex_members)
+    def accept(mono: Monomial, vec: list) -> Optional[Polynomial]:
+        member = len(lex_members)
+        rank = echelon.rank
+        w = echelon.add(vec + unit_row(field, member, dim + 1))
+        if echelon.rank > rank:
             lex_members.append(mono)
             vectors.append(vec)
-            span.insert(reduced, combo, member)
             return None
-        terms = {mono: field.one()}
-        for k, c in combo.items():
-            if not c.is_zero():
-                terms[lex_members[k]] = -c
-        return Polynomial(field, nvars, terms)
+        terms = {mono: one}
+        for k, c in enumerate(w[dim:dim + member]):
+            if not is_zero(c):
+                terms[lex_members[k]] = c
+        return Polynomial.from_payloads(field, nvars, terms)
 
-    one_vec = [field.zero()] * dim
-    one_vec[index[origin]] = field.one()
-    first = accept(origin, one_vec)
+    origin = (0,) * nvars
+    first = accept(origin, unit_row(field, index[origin], dim))
     assert first is None, "the quotient of a proper ideal contains 1"
 
     out: List[Polynomial] = []
@@ -181,8 +135,7 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
         mono, var, parent = heapq.heappop(heap)
         if any(mono_divides(lm, mono) for lm in found_lms):
             continue
-        vec = mat_vec(mats[var], vectors[parent])
-        g = accept(mono, vec)
+        g = accept(mono, times(var, vectors[parent]))
         if g is not None:
             out.append(g)
             found_lms.append(mono)

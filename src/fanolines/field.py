@@ -308,30 +308,6 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
-# ---------------------------------------------------------------------------
-# Univariate arithmetic over F_p on little-endian int lists, for
-# extension-element inversion.
-
-
-def _up_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _up_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _up_trim(out)
-
-
 class ExtensionField(Field):
     """F_{p^k} = F_p[t]/(modulus), elements as coefficient k-tuples."""
 
@@ -353,6 +329,7 @@ class ExtensionField(Field):
             lead = cur[-1]
             cur = [(cur[j] - lead * self.modulus[j]) % p for j in range(k)]
         self._red = red
+        self._arith = None  # F_p[t] arithmetic for inverses, built on first use
 
     def key(self):
         return ("extension", self.p, self.k, self.modulus)
@@ -407,35 +384,11 @@ class ExtensionField(Field):
         return tuple(out)
 
     def _inv(self, a):
-        # extended Euclid in F_p[t]
-        p = self.p
-        r0, r1 = list(self.modulus), _up_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            for i in range(len(rem) - 1, len(r1) - 2, -1):
-                c = rem[i] % p
-                if c == 0:
-                    continue
-                qc = c * inv_lead % p
-                q[i - (len(r1) - 1)] = qc
-                for j in range(len(r1)):
-                    rem[i - (len(r1) - 1) + j] = (rem[i - (len(r1) - 1) + j] - qc * r1[j]) % p
-            rem = _up_trim(rem)
-            r0, r1 = r1, rem
-            qs1 = _up_mul(q, s1, p)
-            news = [( (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p for i in range(max(len(s0), len(qs1), 1))]
-            s0, s1 = s1, _up_trim(news)
-        # r0 = gcd (a unit since modulus irreducible); normalize
-        c_inv = pow(r0[0], p - 2, p) if len(r0) == 1 else None
-        if c_inv is None:
-            raise ZeroInversion("element shares a factor with the modulus")
-        inv = [c * c_inv % p for c in s0]
-        inv += [0] * (self.k - len(inv))
-        return tuple(inv[: self.k])
+        if self._arith is None:
+            from .unipoly import _Arith
+            self._arith = _Arith(PrimeField(self.p))
+        inv = self._arith.inverse(list(a), list(self.modulus))
+        return tuple(inv) + (0,) * (self.k - len(inv))
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)

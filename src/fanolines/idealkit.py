@@ -19,10 +19,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
                      NotZeroDimensional)
-from .field import Field, FieldElement, relative_extension
+from .field import Field, relative_extension
 from .groebner import groebner_basis
 from .hilbert import staircase_data
-from .linalg import mat_rank
+from .linalg import payload_rank
 from .poly import (GREVLEX, Polynomial, payload_lift, random_homogeneous,
                    random_linear_form)
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
@@ -231,8 +231,8 @@ def jacobian_rank_at(gens: Sequence[Polynomial], point: ProjectivePoint) -> int:
         row = [zero] * n
         for (i, e), s in sums.items():
             row[i] = add(row[i], s if e == 1 else mul(s, target._from_int(e)))
-        rows.append([FieldElement(target, v) for v in row])
-    return mat_rank(rows)
+        rows.append(row)
+    return payload_rank(target, n, rows)
 
 
 def certify_reduced_point(ideal: Ideal, point: ProjectivePoint,

@@ -1,14 +1,19 @@
 """Dense linear algebra over an exact field.
 
-Matrices are lists of row lists of FieldElement. Everything here is plain
-Gaussian elimination; sizes stay small (coordinate changes, Gram matrices),
-so no pivoting strategy beyond "first nonzero entry" is needed.
+Every elimination in the package goes through `Echelon`, one incremental
+row echelon on raw coefficient payloads: the ranks of the Jacobian, Gram
+and scan certificates, the determinant, the inverse, and FGLM's linear
+dependences. Sizes stay small (coordinate changes, Gram matrices, the
+quotient algebras of zero-dimensional charts), so the pivot of a row is
+simply its first nonzero entry.
+
+The matrix functions take and return lists of row lists of FieldElement.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Iterable, List
 
 from .field import Field, FieldElement
 from .errors import SingularMatrix
@@ -16,94 +21,120 @@ from .errors import SingularMatrix
 Matrix = List[List[FieldElement]]
 
 
-def mat_identity(field: Field, n: int) -> Matrix:
-    z, o = field.zero(), field.one()
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+class Echelon:
+    """Incremental row echelon on payload lists over one field.
+
+    An added row is reduced against the rows stored before it and, unless
+    its leading `width` entries are then all zero, stored scaled monic at
+    its pivot: its first nonzero entry among those `width`. Entries after
+    `width` ride along and are never pivots, so a caller that appends a
+    unit vector to each row reads, from a row that reduces to zero there,
+    the combination of earlier rows that it equals.
+    """
+
+    def __init__(self, field: Field, width: int):
+        self.field = field
+        self.width = width
+        self.pivots: List[int] = []
+        # per stored row: (index, payload) of its nonzero entries after its
+        # pivot; the entries before the pivot are zero and the pivot is one
+        self._tails: List[List[tuple]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: list) -> list:
+        """The row minus the combination of stored rows that clears every
+        stored pivot. Rows are taken in the order they were stored: each
+        has zeros at the pivots of the rows before it."""
+        sub, mul, is_zero = self.field._sub, self.field._mul, self.field._is_zero
+        zero = self.field._zero_payload()
+        w = list(row)
+        for pivot, tail in zip(self.pivots, self._tails):
+            c = w[pivot]
+            if is_zero(c):
+                continue
+            w[pivot] = zero
+            for t, v in tail:
+                w[t] = sub(w[t], mul(c, v))
+        return w
+
+    def add(self, row: list) -> list:
+        """Reduce the row, store it when it is independent of the stored
+        rows, and return it reduced but not yet scaled."""
+        w = self.reduce(row)
+        mul, is_zero = self.field._mul, self.field._is_zero
+        for pivot in range(self.width):
+            if not is_zero(w[pivot]):
+                inv = self.field._inv(w[pivot])
+                self.pivots.append(pivot)
+                self._tails.append([(t, mul(inv, w[t]))
+                                    for t in range(pivot + 1, len(w))
+                                    if not is_zero(w[t])])
+                break
+        return w
 
 
-def mat_vec(a: Matrix, v: Sequence[FieldElement]) -> List[FieldElement]:
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
+def payload_rank(field: Field, width: int, rows: Iterable[list]) -> int:
+    """Rank of payload rows whose leading `width` entries are the matrix."""
+    echelon = Echelon(field, width)
+    for row in rows:
+        echelon.add(row)
+    return echelon.rank
+
+
+def _payloads(a: Matrix) -> List[list]:
+    return [[x.payload for x in row] for row in a]
+
+
+def unit_row(field: Field, j: int, size: int) -> list:
+    """The payload row e_j of length size."""
+    out = [field._zero_payload()] * size
+    out[j] = field._one_payload()
     return out
 
 
-def _eliminate(a: Matrix):
-    """Row echelon form in place; returns (rank, det_of_leading_block_sign_adjusted)."""
-    if not a:
-        return 0, None
-    rows, cols = len(a), len(a[0])
-    det_factor = a[0][0].field.one()
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[rank], a[pivot] = a[pivot], a[rank]
-            det_factor = -det_factor
-        inv = a[rank][col].inverse()
-        for r in range(rank + 1, rows):
-            if a[r][col].is_zero():
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, cols):
-                a[r][c] = a[r][c] - factor * a[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank, det_factor
-
-
 def mat_rank(a: Matrix) -> int:
-    work = [list(row) for row in a]
-    rank, _ = _eliminate(work)
-    return rank
+    if not a:
+        return 0
+    return payload_rank(a[0][0].field, len(a[0]), _payloads(a))
 
 
 def mat_det(a: Matrix) -> FieldElement:
+    """Product of the unscaled pivots, signed by the parity of the pivot
+    columns taken in row order: reducing a row by earlier rows keeps the
+    determinant, and the reduced rows, with columns put in pivot order,
+    form a triangular matrix."""
     n = len(a)
     assert all(len(row) == n for row in a)
     field = a[0][0].field
-    work = [list(row) for row in a]
-    rank, sign = _eliminate(work)
-    if rank < n:
+    echelon = Echelon(field, n)
+    reduced = [echelon.add(row) for row in _payloads(a)]
+    if echelon.rank < n:
         return field.zero()
-    det = sign
-    for i in range(n):
-        det = det * work[i][i]
-    return det
+    det = field._one_payload()
+    for w, pivot in zip(reduced, echelon.pivots):
+        det = field._mul(det, w[pivot])
+    pivots = echelon.pivots
+    inversions = sum(pivots[j] > pivots[i] for i in range(n) for j in range(i))
+    return FieldElement(field, field._neg(det) if inversions % 2 else det)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Inverse via Gauss-Jordan on [a | I]; raises SingularMatrix."""
+    """Inverse from the echelon of [a | I]: reducing [e_j | 0] leaves
+    [0 | -row j of the inverse]. Raises SingularMatrix."""
     n = len(a)
     field = a[0][0].field
-    work = [list(row) + list(idrow) for row, idrow in zip(a, mat_identity(field, n))]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not work[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrix("matrix is not invertible")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero():
-                continue
-            factor = work[r][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    echelon = Echelon(field, n)
+    for i, row in enumerate(_payloads(a)):
+        echelon.add(row + unit_row(field, i, n))
+    if echelon.rank < n:
+        raise SingularMatrix("matrix is not invertible")
+    zeros = [field._zero_payload()] * n
+    return [[FieldElement(field, field._neg(v))
+             for v in echelon.reduce(unit_row(field, j, n) + zeros)[n:]]
+            for j in range(n)]
 
 
 def random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceeded
 from .field import ExtensionField, Field, PrimeField
-from .linalg import mat_rank
+from .linalg import payload_rank
 from .poly import Polynomial
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 
@@ -276,7 +276,8 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
     out = []
     for pt in points:
         coords = list(pt.coords)
-        if mat_rank([[d.evaluate(coords) for d in row]
-                     for row in jacobian]) < codim:
+        if payload_rank(field, len(coords),
+                        [[d.evaluate(coords).payload for d in row]
+                         for row in jacobian]) < codim:
             out.append(pt)
     return out

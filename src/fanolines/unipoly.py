@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from .errors import ZeroInversion
 from .field import Field, FieldElement
 
 
@@ -117,6 +118,24 @@ class _Arith:
             if e:
                 base = self.mulmod(base, base, m)
         return result
+
+    def inverse(self, a: list, m: list) -> list:
+        """The inverse of a modulo the monic m, by extended Euclid; raises
+        ZeroInversion when they share a factor. Every Bezout coefficient
+        has degree below deg m, so the quotient products are taken mod m."""
+        mul = self.mul
+        r0, r1 = m, self.trim(a)
+        s0, s1 = [], [self.one]  # s_i * a = r_i mod m
+        while r1:
+            inv = self.inv(r1[-1])
+            q, r = self.divmod(r0, [mul(c, inv) for c in r1])
+            q = [mul(c, inv) for c in q]  # r0 = q * r1 + r
+            r0, r1 = r1, r
+            s0, s1 = s1, self.sub_poly(s0, self.mulmod(q, s1, m))
+        if len(r0) != 1:
+            raise ZeroInversion("element shares a factor with the modulus")
+        inv = self.inv(r0[0])
+        return [mul(c, inv) for c in s0]
 
     def gcd(self, a: list, b: list) -> list:
         """Monic gcd; [] when both are zero."""

@@ -27,7 +27,7 @@ from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
                        jacobian_rank_at, point_certificate, rational_points,
                        singular_points, solve_report, variety_report)
-from .linalg import mat_rank, random_invertible
+from .linalg import payload_rank, random_invertible
 from .poly import Polynomial, random_homogeneous, substitute_all
 from .projgeo import ProjectivePoint
 
@@ -128,18 +128,17 @@ def _gram_rank(quad: Polynomial) -> int:
     """Rank of a quadratic form via its symmetric Gram matrix."""
     field = quad.field
     n = quad.nvars
-    half = field.from_int(2).inverse()
-    gram = [[field.zero() for _ in range(n)] for _ in range(n)]
+    half = field.from_int(2).inverse().payload
+    gram = [[field._zero_payload()] * n for _ in range(n)]
     for exps, coeff in quad.terms.items():
         support = [i for i, e in enumerate(exps) if e]
         if len(support) == 1:
             i = support[0]
-            gram[i][i] = coeff
+            gram[i][i] = coeff.payload
         else:
             i, j = support
-            gram[i][j] = coeff * half
-            gram[j][i] = coeff * half
-    return mat_rank(gram)
+            gram[i][j] = gram[j][i] = field._mul(coeff.payload, half)
+    return payload_rank(field, n, gram)
 
 
 def certify_node(nfc: NormalFormCubic, point: ProjectivePoint) -> NodeCertificate:

@@ -48,6 +48,22 @@ def line_lies_in(f, a, b):
     return f.substitute(images).is_zero()
 
 
+def mat_identity(field, n):
+    z, o = field.zero(), field.one()
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
+def mat_vec(a, v):
+    """The matrix a of FieldElement rows times the vector v."""
+    out = []
+    for row in a:
+        acc = row[0] * v[0]
+        for x, y in zip(row[1:], v[1:]):
+            acc = acc + x * y
+        out.append(acc)
+    return out
+
+
 def jacobian_rank_oracle(gens, point):
     """Rank of the Jacobian of gens at a point by the direct route: the
     partial derivatives over the generators' field, each evaluated at the

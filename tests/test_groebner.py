@@ -269,6 +269,35 @@ def test_rank_drop_basis_work_is_pinned(monkeypatch):
     assert calls["inter"] <= 33
 
 
+def test_fglm_work_is_pinned(monkeypatch):
+    # the last chart of the grevlex basis of `lines-through --random 4 3 1
+    # --seed 0` over F_10007: 4 generators in 3 variables. FGLM takes the
+    # normal form of x_i * s, s in the staircase, only where a lex member's
+    # vector first needs it, all against one list of reducers.
+    from fanolines import fglm, groebner
+    from fanolines.fano import line_system, random_pointed_hypersurface
+    from fanolines.idealkit import groebner_of
+    from fanolines.solve import chart_system
+    ph = random_pointed_hypersurface(4, 3, 1, F10007, seed=0)
+    basis = groebner_of(line_system(ph).ideal())
+    chart = chart_system(basis, basis[0].nvars - 1)
+    reducer_lists = []  # held, so the ids of their reducers stay distinct
+    normal_form_payload = groebner.normal_form_payload
+
+    def counted_normal_form(f, reducers, *args, **kwargs):
+        reducer_lists.append(reducers)
+        return normal_form_payload(f, reducers, *args, **kwargs)
+
+    for module in (groebner, fglm):  # every module that binds the name
+        if hasattr(module, "normal_form_payload"):
+            monkeypatch.setattr(module, "normal_form_payload",
+                                counted_normal_form)
+    lex = fglm_lex(chart)
+    assert (len(chart), chart[0].nvars, len(lex)) == (4, 3, 3)
+    assert len(reducer_lists) <= 3
+    assert len({id(r) for rs in reducer_lists for r in rs}) <= len(chart)
+
+
 def test_rational_basis():
     # circle and line over QQ: x0 - x1 and x1^2 - 1/2 in lex
     gens = [parse("x0^2 + x1^2 - 1", 2, QQ), parse("x0 - x1", 2, QQ)]

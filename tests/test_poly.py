@@ -10,10 +10,10 @@ from fanolines import (QQ, PrimeField, Polynomial, build_extension, embedding,
 from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
                             mono_degree, monomials_of_degree,
                             random_homogeneous, substitute_all)
-from fanolines.linalg import mat_identity, mat_vec, random_invertible
+from fanolines.linalg import random_invertible
 from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
 
-from conftest import parse
+from conftest import mat_identity, mat_vec, parse
 
 F7 = PrimeField(7)
 F9 = build_extension(3, 2)

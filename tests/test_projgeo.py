@@ -5,13 +5,13 @@ import random
 import pytest
 
 from fanolines import PrimeField, ProjectivePoint, build_extension
-from fanolines.linalg import mat_identity, mat_inverse, mat_vec
+from fanolines.linalg import mat_inverse
 from fanolines.projgeo import (base_point, enumerate_projective_points,
                                move_to_base_point, projective_count)
 from fanolines.poly import random_homogeneous
 from fanolines.errors import BudgetExceeded
 
-from conftest import line_lies_in, parse, random_point
+from conftest import line_lies_in, mat_identity, mat_vec, parse, random_point
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
