@@ -111,8 +111,6 @@ class FieldElement:
         return acc
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroInversion(f"zero has no inverse in {self.field}")
         return FieldElement(self.field, self.field._inv(self.payload))
 
     def is_zero(self) -> bool:
@@ -224,6 +222,8 @@ class RationalField(Field):
         return -a
 
     def _inv(self, a):
+        if a == 0:
+            raise ZeroInversion(f"zero has no inverse in {self}")
         return 1 / a
 
     def _is_zero(self, a):
@@ -285,6 +285,8 @@ class PrimeField(Field):
         return -a % self.p
 
     def _inv(self, a):
+        if a == 0:
+            raise ZeroInversion(f"zero has no inverse in {self}")
         return pow(a, self.p - 2, self.p)
 
     def _is_zero(self, a):
@@ -384,6 +386,8 @@ class ExtensionField(Field):
         return tuple(out)
 
     def _inv(self, a):
+        if not any(a):
+            raise ZeroInversion(f"zero has no inverse in {self}")
         if self._arith is None:
             from .unipoly import _Arith
             self._arith = _Arith(PrimeField(self.p))

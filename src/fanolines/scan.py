@@ -14,9 +14,13 @@ kind has one kernel, chosen by `VectorContext`:
   Fields*; Huber 1990). The tables have O(q) entries and cost O(q) field
   products to build.
 
-Chunked chart enumeration matches the order of
-projgeo.enumerate_projective_points exactly: pivot N down to 0, free
-coordinates ascending with the leftmost most significant.
+`variety_scan` walks the strata of P^N in the order of
+projgeo.enumerate_projective_points: pivot N down to 0, then the free
+coordinates ascending with the leftmost most significant. It evaluates
+the first generator by partial evaluation, in the manner of a
+multivariate Horner scheme: the trailing free coordinates run through one
+cached grid per stratum, and the leading ones enter each block as
+scalars. The later generators run on the pooled zeros of the first.
 
 numpy is imported inside the functions that use it, so importing the
 package does not load it until a command scans.
@@ -24,25 +28,25 @@ package does not load it until a command scans.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
+from itertools import product
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
-from .field import ExtensionField, Field, PrimeField
+from .field import ExtensionField, Field, FieldElement, PrimeField
 from .linalg import payload_rank
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 
 if TYPE_CHECKING:
     import numpy as np
 
-# 2^11 points per chunk: each array of a chunk (16 KiB of int64 codes,
-# 8 KiB of int32 logs) fits in the L1 data cache and far below the C
-# allocator's mmap threshold, so no chunk faults in fresh pages (at 2^17
-# an r = 1 singular scan over F_121 took about 24,000 page faults).
-# Larger chunks spend less Python per point, but their lookups stream
-# through the outer caches, and their time then follows memory traffic
-# rather than the core's speed.
-DEFAULT_CHUNK = 1 << 11
+# 2^14 points bound a block and the survivor pool. The grid of the last
+# two coordinates of P^3 over F_121 (14,641 points) fits in one block, and
+# an array of int64 codes of a block (at most 128 KiB) stays within glibc's
+# initial mmap threshold, so blocks reuse heap memory: an r = 1 singular
+# scan over F_121 takes about 300 page faults, where the per-chunk loop
+# with chunks of 2^17 points took about 24,000.
+DEFAULT_CHUNK = 1 << 14
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -75,11 +79,12 @@ class VectorContext:
         if isinstance(field, PrimeField):
             self.mode = "prime"
             self.p = field.p
-            self.zero = 0
+            self.zero, self.one = 0, 1
             self.dtype = np.int64 if (field.p - 1) ** 2 < 2 ** 63 else object
         else:
             self.mode = "log"
             self.dtype = np.int32
+            self.one = 0
             self._build_logs(field)
 
     def _build_logs(self, field: ExtensionField):
@@ -125,108 +130,159 @@ class VectorContext:
         zech[d + z] = one_plus[d % n]
         self.log, self.mod, self.zech = log, mod, zech
 
+    # The kernel operations below take arrays and Python ints alike. In
+    # "log" mode every index is in range by construction (codes below q,
+    # sums and differences of logs within the tables), so the lookups
+    # skip numpy's bounds check.
+
+    def coords(self, codes: np.ndarray) -> np.ndarray:
+        """Kernel values of an array of coordinate codes."""
+        if self.mode == "prime":
+            return codes.astype(self.dtype, copy=False)
+        return self.log.take(codes, mode="clip")
+
+    def scalar(self, code: int) -> int:
+        """Kernel value of one coordinate code."""
+        return code if self.mode == "prime" else int(self.log[code])
+
+    def const(self, c: FieldElement) -> int:
+        """Kernel value of a field element."""
+        return self.scalar(self.field.code_of(c))
+
+    def mul(self, a, b):
+        if self.mode == "prime":
+            return a * b % self.p
+        return self.mod.take(a + b, mode="clip")
+
+    def add(self, a, b):
+        if self.mode == "prime":
+            return (a + b) % self.p
+        return self.mod.take(a + self.zech.take(b - a + self.zero, mode="clip"),
+                             mode="clip")
+
+    def monomial(self, values: Sequence[int], exps: Sequence[int]) -> int:
+        """Kernel value of prod values[j]^exps[j], for kernel scalars."""
+        if self.mode == "prime":
+            p, out = self.p, 1
+            for v, e in zip(values, exps):
+                if e:
+                    out = out * pow(v, e, p) % p
+            return out
+        out = 0
+        for v, e in zip(values, exps):
+            if e:
+                if v == self.zero:
+                    return self.zero
+                out += e * v
+        return out % (self.q - 1)
+
     def eval_poly(self, f: Polynomial, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Values of f at each point; arrays[i] holds codes of coordinate i."""
         import numpy as np
-        n = len(arrays[0])
-        code_of = self.field.code_of
-        if self.mode == "prime":
-            p, dtype, const = self.p, self.dtype, code_of
-
-            def coords(i):
-                return arrays[i].astype(dtype, copy=False)
-
-            def mul(a, b):
-                return a * b % p
-
-            def add(a, b):
-                return (a + b) % p
-        else:
-            log, mod, zech, z = self.log, self.mod, self.zech, self.zero
-
-            # every index is in range by construction (codes below q,
-            # sums and differences of logs within the tables), so the
-            # lookups skip numpy's bounds check
-            def coords(i):
-                return log.take(arrays[i], mode="clip")
-
-            def const(c):
-                return int(log[code_of(c)])
-
-            def mul(a, b):
-                return mod.take(a + b, mode="clip")
-
-            def add(a, b):
-                return mod.take(a + zech.take(b - a + z, mode="clip"),
-                                mode="clip")
-
         acc = None
         pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
         for mono, coeff in f.terms.items():
-            term = const(coeff)
+            term = self.const(coeff)
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
                 pw = pow_cache.get((i, e))
                 if pw is None:
-                    x = pw = coords(i)
+                    x = pw = self.coords(arrays[i])
                     for _ in range(e - 1):
-                        pw = mul(pw, x)
+                        pw = self.mul(pw, x)
                     pow_cache[(i, e)] = pw
-                term = mul(pw, term)
+                term = self.mul(pw, term)
             if not isinstance(term, np.ndarray):
-                term = np.full(n, term, dtype=self.dtype)
-            acc = term if acc is None else add(acc, term)
+                term = np.full(len(arrays[0]), term, dtype=self.dtype)
+            acc = term if acc is None else self.add(acc, term)
         if acc is None:
-            return np.full(n, self.zero, dtype=self.dtype)
+            return np.full(len(arrays[0]), self.zero, dtype=self.dtype)
         return acc
 
 
-def _digits(start: int, stop: int, weight: int, q: int) -> np.ndarray:
-    """(k // weight) % q for k in [start, stop), built from runs of
-    equal digits rather than by dividing every k."""
-    import numpy as np
-    first, last = start // weight, (stop - 1) // weight
-    values = np.resize(np.roll(np.arange(q, dtype=np.int64), -(first % q)),
-                       last - first + 1)
-    if weight == 1:
-        return values
-    runs = np.full(len(values), weight, dtype=np.int64)
-    runs[0] = min((first + 1) * weight, stop) - start
-    runs[-1] = stop - max(last * weight, start)
-    return values.repeat(runs)
+def _inner_count(free: int, q: int, chunk: int) -> int:
+    """How many trailing free coordinates of a stratum span its grid: as
+    many as keep q^inner <= max(chunk, q)."""
+    inner, bound = 0, max(chunk, q)
+    while inner < free and q ** (inner + 1) <= bound:
+        inner += 1
+    return inner
 
 
-def _chart_chunks(n_proj: int, pivot: int, q: int,
-                  chunk: int) -> Iterator[List[np.ndarray]]:
-    """Coordinate code arrays for one pivot stratum, in enumeration order."""
+def _codes(n_proj: int, pivot: int, q: int, idx: np.ndarray) -> List[np.ndarray]:
+    """Coordinate code arrays of the points with indices idx in the pivot
+    stratum: 0 below the pivot, 1 at it, and the free coordinates are the
+    base-q digits of the index, the leftmost most significant."""
     import numpy as np
     free = n_proj - pivot
-    total = q ** free
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        size = stop - start
-        arrays: List[np.ndarray] = []
-        for i in range(n_proj + 1):
-            if i < pivot:
-                arrays.append(np.zeros(size, dtype=np.int64))
-            elif i == pivot:
-                arrays.append(np.ones(size, dtype=np.int64))
-            else:
-                weight = q ** (free - 1 - (i - pivot - 1))
-                arrays.append(_digits(start, stop, weight, q))
-        yield arrays
+    zeros = np.zeros(len(idx), dtype=np.int64)
+    return ([zeros] * pivot + [np.ones(len(idx), dtype=np.int64)]
+            + [idx // q ** (free - 1 - j) % q for j in range(free)])
+
+
+def _blocks(free: int, inner: int, q: int,
+            chunk: int) -> Iterator[Tuple[Tuple[int, ...], int, int, int]]:
+    """The blocks of a stratum with `free` free coordinates, in enumeration
+    order, as (outer, start, stop, first): the codes of the leading
+    free - inner coordinates, fixed in the block; the range [start, stop)
+    of the grid of the trailing `inner` ones that it spans, the whole grid
+    unless q > chunk; and the stratum index of its first point."""
+    size = q ** inner
+    for rank, outer in enumerate(product(range(q), repeat=free - inner)):
+        for start in range(0, size, chunk):
+            yield outer, start, min(start + chunk, size), rank * size + start
+
+
+def _split(f: Polynomial, pivot: int,
+           n_outer: int) -> List[Tuple[Monomial, Polynomial]]:
+    """f on the pivot stratum as [(a, h_a)] with
+    f(0, .., 0, 1, y, z) = sum_a y^a h_a(z), where y are the n_outer
+    leading free coordinates and z the rest; each h_a keeps f's variables,
+    with exponent 0 outside z."""
+    lo, hi = pivot + 1, pivot + 1 + n_outer
+    parts: Dict[Monomial, Dict[Monomial, FieldElement]] = {}
+    for mono, coeff in f.terms.items():
+        if any(mono[:pivot]):
+            continue
+        inner = (0,) * hi + mono[hi:]
+        terms = parts.setdefault(mono[lo:hi], {})
+        terms[inner] = terms[inner] + coeff if inner in terms else coeff
+    return [(exps, Polynomial(f.field, f.nvars, terms))
+            for exps, terms in parts.items()]
+
+
+def _block_values(ctx: VectorContext,
+                  parts: Sequence[Tuple[Monomial, np.ndarray]],
+                  outer: Sequence[int]) -> Optional[np.ndarray]:
+    """sum_a outer^a * H_a for the grid values H_a of the parts, skipping
+    the terms whose scalar is zero; None when every scalar is zero."""
+    values = [ctx.scalar(c) for c in outer]
+    acc = None
+    for exps, grid_values in parts:
+        s = ctx.monomial(values, exps)
+        if s == ctx.zero:
+            continue
+        term = grid_values if s == ctx.one else ctx.mul(grid_values, s)
+        acc = term if acc is None else ctx.add(acc, term)
+    return acc
 
 
 def variety_scan(gens: Sequence[Polynomial], field: Field,
                  budget: int = DEFAULT_BUDGET,
                  chunk: int = DEFAULT_CHUNK) -> List[ProjectivePoint]:
-    """All points of P^N(F_q) where every generator vanishes.
+    """All points of P^N(F_q) where every generator vanishes, in the order
+    of enumerate_projective_points.
 
-    Generators are evaluated with early masking: the first over the whole
-    chunk, later ones only on the survivors. Order of results matches
-    enumerate_projective_points.
+    The first generator is evaluated by partial evaluation: on each pivot
+    stratum it is split as sum_a y^a h_a(z) over the leading free
+    coordinates y and the trailing ones z, each h_a is evaluated once on
+    the grid of z, and each tuple of y is one block whose values are the
+    grid arrays times scalar monomials. The indices of its zeros are
+    pooled across blocks and strata, and the later generators run on the
+    pool whenever it would pass `chunk` points.
     """
+    import numpy as np
     gens = [g for g in gens if not g.is_zero()]
     assert gens, "no nonzero generators"
     n_proj = gens[0].nvars - 1
@@ -237,19 +293,49 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     ctx = VectorContext(field)
     decode = field.element_from_code
     out: List[ProjectivePoint] = []
+    pool: Dict[int, List[np.ndarray]] = {}  # pivot -> zeros of gens[0]
+
+    def flush():
+        arrays = [np.concatenate(col) for col in zip(*(
+            _codes(n_proj, pivot, q, np.concatenate(idx))
+            for pivot, idx in pool.items()))]
+        pool.clear()
+        for g in gens[1:]:
+            keep = ctx.eval_poly(g, arrays) == ctx.zero
+            arrays = [a[keep] for a in arrays]
+            if len(arrays[0]) == 0:
+                return
+        for row in zip(*(a.tolist() for a in arrays)):
+            pt = ProjectivePoint.__new__(ProjectivePoint)
+            pt.coords = tuple(decode(c) for c in row)
+            out.append(pt)
+
+    pooled = 0
     for pivot in range(n_proj, -1, -1):
-        for arrays in _chart_chunks(n_proj, pivot, q, chunk):
-            current = arrays
-            for g in gens:
-                vals = ctx.eval_poly(g, current)
-                mask = vals == ctx.zero
-                current = [a[mask] for a in current]
-                if len(current[0]) == 0:
-                    break
-            for row in zip(*(a.tolist() for a in current)):
-                pt = ProjectivePoint.__new__(ProjectivePoint)
-                pt.coords = tuple(decode(c) for c in row)
-                out.append(pt)
+        free = n_proj - pivot
+        inner = _inner_count(free, q, chunk)
+        parts = _split(gens[0], pivot, free - inner)
+        span = None
+        for outer, start, stop, first in _blocks(free, inner, q, chunk):
+            if (start, stop) != span:  # once per stratum unless q > chunk
+                span = (start, stop)
+                grid = _codes(n_proj, pivot, q, np.arange(start, stop))
+                grid_parts = [(exps, ctx.eval_poly(h, grid))
+                              for exps, h in parts]
+            values = _block_values(ctx, grid_parts, outer)
+            if values is None:  # every point of the block is a zero
+                hits = np.arange(first, first + stop - start)
+            else:
+                hits = np.flatnonzero(values == ctx.zero) + first
+            if not len(hits):
+                continue
+            if pooled + len(hits) > chunk:
+                flush()
+                pooled = 0
+            pool.setdefault(pivot, []).append(hits)
+            pooled += len(hits)
+    if pooled:
+        flush()
     return out
 
 

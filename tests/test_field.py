@@ -58,6 +58,14 @@ def test_zero_inversion_raises(field):
         field.zero().inverse()
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_payload_inverse_of_zero_raises(field):
+    # payload-level callers (row echelon pivots, monic reducers) get the
+    # same error as FieldElement.inverse, not a silent 0 or ZeroDivisionError
+    with pytest.raises(ZeroInversion):
+        field._inv(field._zero_payload())
+
+
 def test_from_int_reduces(f7):
     assert f7.from_int(15) == f7.one()
     assert f7.from_int(-1) == f7.from_int(6)

@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from fanolines import Polynomial, PrimeField, build_extension
+from fanolines import Polynomial, PrimeField, build_extension, scan
 from fanolines.poly import random_homogeneous
 from fanolines.projgeo import enumerate_projective_points
-from fanolines.scan import VectorContext, _chart_chunks, variety_scan
+from fanolines.scan import (VectorContext, _block_values, _blocks, _codes,
+                            _inner_count, _split, singular_scan, variety_scan)
 
 from conftest import parse
 
@@ -138,17 +139,32 @@ def test_scan_over_f7_4_matches_enumeration_oracle():
     (3, 5, 7), (3, 5, 25), (3, 5, 1 << 14), (2, 11, 100), (2, 11, 121),
     (3, 9, 500), (1, 2187, 500), (4, 3, 10)])
 def test_chart_chunks_match_the_digit_formula(n_proj, q, chunk):
-    # runs of equal digits give the base-q digits of the point index,
-    # also where a chunk ends inside a run or holds fewer than q points
+    # each block's slice of the grid of trailing coordinates, with its
+    # outer coordinates filled in, gives the base-q digits of the point
+    # index, also where q > chunk splits the grid into several slices
     for pivot in range(n_proj, -1, -1):
         free = n_proj - pivot
+        inner = _inner_count(free, q, chunk)
+        bound = max(chunk, q)
+        assert q ** inner <= bound
+        assert inner == free or q ** (inner + 1) > bound
         idx = np.arange(q ** free)
-        chunks = list(_chart_chunks(n_proj, pivot, q, chunk))
-        assert all(len(a) <= chunk for arrays in chunks for a in arrays)
-        got = [np.concatenate(col) for col in zip(*chunks)]
         want = [np.zeros_like(idx)] * pivot + [np.ones_like(idx)] + [
             idx // q ** (free - 1 - j) % q for j in range(free)]
+        blocks, seen = [], 0
+        for outer, start, stop, first in _blocks(free, inner, q, chunk):
+            assert 0 < stop - start <= chunk and first == seen
+            assert len(outer) == free - inner
+            codes = _codes(n_proj, pivot, q, np.arange(start, stop))
+            for j, code in enumerate(outer):
+                codes[pivot + 1 + j] = np.full(stop - start, code)
+            blocks.append(codes)
+            seen += stop - start
+        got = [np.concatenate(col) for col in zip(*blocks)]
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        # the survivor pool decodes stratum indices with the same formula
+        assert [a.tolist() for a in _codes(n_proj, pivot, q, idx)] == \
+            [a.tolist() for a in want]
 
 
 def test_scan_does_not_depend_on_the_chunk_size():
@@ -176,3 +192,115 @@ def test_importing_the_cli_does_not_load_numpy():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=60)
     assert done.stdout.strip() == "False", done.stderr
+
+
+def oracle_scan(gens, field):
+    n_proj = gens[0].nvars - 1
+    return [pt.coords for pt in enumerate_projective_points(n_proj, field)
+            if all(g.evaluate(list(pt.coords)).is_zero() for g in gens)]
+
+
+class ObjectContext(VectorContext):
+    """The prime kernel on Python ints in object arrays, as it runs for
+    primes whose products overflow int64, over a small field."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.dtype = object
+
+
+def differential_systems(field, n_proj, rng):
+    """The singular system of a cubic with a node at (1:0:..:0), a first
+    generator that vanishes on every stratum but the last (so each of
+    their points survives it), and a curve on the cubic."""
+    nvars = n_proj + 1
+    x = [Polynomial.variable(field, nvars, i) for i in range(nvars)]
+    f = x[0] * random_homogeneous(field, n_proj, 2, rng).extend_variables(
+        nvars, 1) + random_homogeneous(field, n_proj, 3, rng).extend_variables(
+        nvars, 1)
+    partials = [f.partial_derivative(i) for i in range(nvars)]
+    quadric = random_homogeneous(field, nvars, 2, rng)
+    return [[g for g in partials if g] + [f],
+            [x[0] * quadric, f],
+            [f, x[0] + x[1] - x[n_proj]]]
+
+
+@pytest.mark.parametrize("kernel,p,k,n_proj", [
+    ("int64", 7, 1, 3), ("object", 5, 1, 3), ("log", 3, 2, 3),
+    ("log", 5, 2, 2)])
+def test_scan_matches_enumeration_for_every_block_shape(kernel, p, k, n_proj,
+                                                        monkeypatch):
+    field = PrimeField(p) if k == 1 else build_extension(p, k)
+    if kernel == "object":
+        monkeypatch.setattr(scan, "VectorContext", ObjectContext)
+    assert scan.VectorContext(field).dtype == {
+        "int64": np.int64, "object": object, "log": np.int32}[kernel]
+    q = field.order()
+    # chunks giving: one block per stratum; n_proj - 1 outer coordinates
+    # fixed per block (two on P^3); q > chunk, so one inner coordinate,
+    # cut into slices
+    shapes = {1 << 14: (n_proj, 0), q: (1, n_proj - 1), q - 2: (1, n_proj - 1)}
+    for chunk, (inner, outer) in shapes.items():
+        assert _inner_count(n_proj, q, chunk) == inner
+        assert n_proj - inner == outer
+    systems = differential_systems(field, n_proj, random.Random(p * 10 + k))
+    # x0 * quadric has no term left on the strata where x0 = 0
+    assert [_split(systems[1][0], pivot, 0)
+            for pivot in range(1, n_proj + 1)] == [[]] * n_proj
+    sizes = []
+    eval_poly = VectorContext.eval_poly
+
+    def sized(self, g, arrays):
+        sizes.append(len(arrays[0]))
+        return eval_poly(self, g, arrays)
+
+    monkeypatch.setattr(VectorContext, "eval_poly", sized)
+    for gens in systems:
+        want = oracle_scan(gens, field)
+        assert want
+        for chunk in shapes:
+            sizes.clear()
+            assert [pt.coords for pt in variety_scan(gens, field,
+                                                     chunk=chunk)] == want
+            # chunk bounds each grid slice and each pool of survivors
+            assert max(sizes) <= chunk
+
+
+def test_object_kernel_blocks_on_p1_match_evaluate():
+    # (p-1)^2 >= 2^63: grid values times outer scalars stay exact Python
+    # ints. x1 is the outer coordinate over a one-point grid of P^1.
+    field = PrimeField(4294967311)
+    ctx = VectorContext(field)
+    assert ctx.dtype is object
+    rng = random.Random(5)
+    f = random_homogeneous(field, 2, 4, rng)
+    grid = _codes(1, 0, field.order(), np.arange(1))
+    parts = [(exps, ctx.eval_poly(h, grid)) for exps, h in _split(f, 0, 1)]
+    for code in [0, 1, field.order() - 1] + [rng.randrange(field.order())
+                                             for _ in range(20)]:
+        values = _block_values(ctx, parts, (code,))
+        exact = f.evaluate([field.one(), field.element_from_code(code)])
+        assert (0 if values is None else int(values[0])) == exact.payload
+
+
+def test_scan_kernel_work_is_pinned(monkeypatch):
+    # sing-locus of nodal.txt over F_121: each stratum evaluates its first
+    # generator once on its grid, and the later ones run once on the pool
+    # of its zeros; per-chunk evaluation took 899 calls on 1,815,973 points
+    from fanolines.field import relative_extension
+    f11 = PrimeField(11)
+    field, embed = relative_extension(f11, 2)
+    f = parse("x0*x1^2 + x2^3 + x3^3", 4, f11).map_coefficients(field, embed)
+    sizes = []
+    eval_poly = VectorContext.eval_poly
+
+    def counted(self, g, arrays):
+        sizes.append(len(arrays[0]))
+        return eval_poly(self, g, arrays)
+
+    monkeypatch.setattr(VectorContext, "eval_poly", counted)
+    points = singular_scan([f], 1, field)
+    assert [pt.coords for pt in points] == [
+        (field.one(), field.zero(), field.zero(), field.zero())]
+    assert len(sizes) <= 6
+    assert sum(sizes) <= 58931
