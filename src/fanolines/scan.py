@@ -291,7 +291,15 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     if total > budget:
         raise BudgetExceeded(f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
     ctx = VectorContext(field)
-    decode = field.element_from_code
+    decoded: Dict[int, FieldElement] = {}  # a dict: q can be 2^32
+
+    def decode(code: int) -> FieldElement:
+        """The element of a code, decoded once per scan."""
+        e = decoded.get(code)
+        if e is None:
+            e = decoded[code] = field.element_from_code(code)
+        return e
+
     out: List[ProjectivePoint] = []
     pool: Dict[int, List[np.ndarray]] = {}  # pivot -> zeros of gens[0]
 

@@ -7,6 +7,24 @@ Inside, the arithmetic runs on raw payload lists (no trailing zeros)
 through the field's payload hooks, so the hot loops build no
 FieldElement.
 
+Every product modulo a polynomial m of degree n over F_(p^k) is one
+Python int product, by Kronecker substitution (ibid., ch. 8; CPython
+multiplies big ints by Karatsuba). A polynomial of length <= n is packed
+with digit j of coefficient i, its t^j coefficient in [0, p), in slot
+i*(2k - 1) + j; the stride 2k - 1 leaves room for the digits t^j,
+j <= 2k - 2, of a product, and is 1 when k = 1. The slot width W is the
+least multiple of 64 bits with 2^W > (2n + 1)(2k - 1) k p^3, which bounds
+every slot of a product of two packed polynomials, of the reduction
+below and of a Frobenius sum, so no slot carries into the next. The
+product is unpacked once. Its digits t^j x^i with i >= n or j >= k are
+taken mod p and folded back in one sum of small multiples of packed rows
+(t^j x^i reduced mod m and the field modulus, one table per m); one more
+unpack mod p gives the reduced digits. Between products the operands of
+powers and Frobenius steps stay flat digit lists, digit j of coefficient
+i at index i*k + j, not payload tuples. With 64-bit slots, packing and
+unpacking go through one `struct` layout; the wider slots that primes
+above about 2^18 need are shifted and masked one by one.
+
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
 and returns, for each j, the product of the irreducible factors of degree
@@ -26,30 +44,185 @@ log p + 2D products instead of 1.5 * D * log p.
 from __future__ import annotations
 
 import random
+from operator import mul
+from struct import Struct
 from typing import Dict, List, Optional
 
 from .errors import ZeroInversion
 from .field import Field, FieldElement
 
 
+class _Ring:
+    """F[x]/(m) for one monic m of degree n >= 1 over F = F_(p^k), by
+    packed products (see the module docstring). Elements are flat digit
+    lists of at most n*k digits."""
+
+    __slots__ = ("p", "k", "n", "stride", "width", "one", "frob_rows",
+                 "unit_mask", "nonunit", "rows", "layouts", "span")
+
+    def __init__(self, ar: "_Arith", m: list):
+        p, k, n = ar.p, ar.degree, len(m) - 1
+        assert n >= 1, "the modulus must have positive degree"
+        self.p, self.k, self.n = p, k, n
+        self.one, self.frob_rows = ar.one, ar.frob_rows
+        self.stride = stride = 2 * k - 1
+        self.width = width = 64 * -(-((2 * n + 1) * stride * k * p**3)
+                                     .bit_length() // 64)
+        # with 64-bit slots, layouts[c] packs the digits of c <= n
+        # coefficients, gap slots left zero
+        self.layouts = [Struct("<" + f"{k}Q{8 * (stride - k)}x" * count)
+                        for count in range(n + 1)] if width == 64 else []
+        # every slot of a product of two reduced polynomials: their layout,
+        # or their count when slots are wider
+        span = (2 * n - 1) * stride
+        self.span = Struct(f"<{span}Q") if width == 64 else span
+        digit = (1 << width) - 1
+        self.unit_mask = sum(digit << ((i * stride + j) * width)
+                             for i in range(n) for j in range(k))
+        # the product slots that are not reduced digits, in slot order:
+        # t^j x^i with j >= k and i < n, then every t^j x^i with i >= n
+        self.nonunit = [i * stride + j for i in range(2 * n - 1)
+                        for j in range(stride) if i >= n or j >= k]
+        # their rows in the same order: t^j reduced by the field modulus,
+        # then t^j x^i mod m, each from an earlier row times t or x
+        gaps = [self.pack(self.flat([ar.zero] * i + [c]))
+                for i in range(n) for c in ar.overflow]
+        self.rows = rows = list(gaps)
+        first = self.flat([ar.sub(ar.zero, c) for c in m[:n]])  # x^n
+        xn = []  # t^j x^n mod m, j < k
+        for i in range(n, 2 * n - 1):
+            if i > n:  # x * (x^(i-1) mod m): its top coefficient folds by xn
+                first = self.digits(self.pack([0] * k + first[:-k])
+                                    + sum(map(mul, first[-k:], xn)))
+            row = first
+            for j in range(stride):
+                if j:  # t * (t^(j-1) x^i mod m): each top digit folds by t^k
+                    row = self.digits((packed << width & self.unit_mask)
+                                      + sum(map(mul, row[k - 1::k],
+                                                gaps[::k - 1])))
+                packed = self.pack(row)
+                rows.append(packed)
+                if i == n and j < k:
+                    xn.append(packed)
+
+    def _slot(self, i: int) -> int:
+        """The slot of flat index i."""
+        return i // self.k * self.stride + i % self.k
+
+    def pack(self, flat: list) -> int:
+        """The packed int of a flat digit list."""
+        if self.width == 64:
+            return int.from_bytes(self.layouts[len(flat) // self.k]
+                                  .pack(*flat), "little")
+        width = self.width
+        return sum(d << self._slot(i) * width for i, d in enumerate(flat))
+
+    def reduce(self, v: int) -> list:
+        """The reduced flat digits (n*k) of a packed value with slots below
+        (2n - 1)(2k - 1) and slot values below 2^W."""
+        p, width, span = self.p, self.width, self.span
+        if width == 64:
+            slots = span.unpack(v.to_bytes(span.size, "little"))
+        else:
+            slots = [v >> s * width & (1 << width) - 1 for s in range(span)]
+        return self.digits(sum(
+            map(mul, [slots[s] % p for s in self.nonunit], self.rows),
+            v & self.unit_mask))
+
+    def digits(self, v: int) -> list:
+        """The flat digits mod p of a packed value of n coefficients with
+        nothing in the slots t^j, j >= k."""
+        p, width = self.p, self.width
+        if width == 64:
+            layout = self.layouts[self.n]
+            return [d % p for d in layout.unpack(v.to_bytes(layout.size,
+                                                            "little"))]
+        return [(v >> self._slot(i) * width & (1 << width) - 1) % p
+                for i in range(self.n * self.k)]
+
+    def flat(self, a: list) -> list:
+        """The flat digits of a payload list."""
+        return list(a) if self.k == 1 else [d for c in a for d in c]
+
+    def trim(self, flat: list) -> list:
+        """flat without its zero top coefficients."""
+        i, k = len(flat), self.k
+        while i and not flat[i - 1]:
+            i -= 1
+        return flat[:(i + k - 1) // k * k]
+
+    def payloads(self, flat: list) -> list:
+        """The payload list (no trailing zeros) of flat digits."""
+        flat, k = self.trim(flat), self.k
+        return flat if k == 1 else [tuple(flat[i:i + k])
+                                    for i in range(0, len(flat), k)]
+
+    def mul(self, a: list, b: list) -> list:
+        """a * b mod m for reduced flat a and b."""
+        return self.reduce(self.pack(a) * self.pack(b))
+
+    def pow(self, a: list, e: int) -> list:
+        """a^e mod m for a reduced flat a, left to right with a packed
+        once."""
+        if not e:
+            return self.flat([self.one])
+        base = self.pack(a)
+        for bit in bin(e)[3:]:
+            v = self.pack(a)
+            a = self.reduce(v * v)
+            if bit == "1":
+                a = self.reduce(self.pack(a) * base)
+        return a
+
+    def frobenius_table(self, xp: list) -> list:
+        """Packed rows for `frobenius`, from the flat xp = x^p mod m: row
+        j*k + d is t^(d p) x^(j p), a product of two packed reduced
+        polynomials left unreduced."""
+        powers = [self.flat([self.one]), xp]
+        while len(powers) < self.n:
+            powers.append(self.mul(powers[-1], xp))
+        scalars = [self.pack(self.flat([c])) for c in self.frob_rows]
+        return [s * x for x in map(self.pack, powers[:self.n])
+                for s in scalars]
+
+    def frobenius(self, u: list, table: list) -> list:
+        """u^p mod m for a reduced flat u: sum of c_j^p * x^(j*p), where
+        c_j^p is F_p-linear in the digits of c_j, so u^p is the sum of
+        each digit of u times its table row."""
+        return self.reduce(sum(map(mul, u, table)))
+
+
 class _Arith:
     """Polynomial arithmetic on payload lists over one field; moduli and
-    divisors are monic."""
+    divisors are monic. Products modulo m go through `ring(m)`."""
 
     __slots__ = ("add", "sub", "mul", "inv", "is_zero", "zero", "one", "p",
-                 "degree", "frob_rows")
+                 "degree", "frob_rows", "overflow", "rings")
 
     def __init__(self, field: Field):
         self.add, self.sub, self.mul = field._add, field._sub, field._mul
         self.inv, self.is_zero = field._inv, field._is_zero
         self.zero, self.one = field._zero_payload(), field._one_payload()
         self.p = field.characteristic()
-        self.degree = field.degree
-        # c -> c^p is F_p-linear: rows are the images of the basis t^i
-        self.frob_rows = [] if self.degree == 1 else [
-            field.frobenius(FieldElement(field, tuple(
-                int(i == j) for j in range(self.degree)))).payload
-            for i in range(self.degree)]
+        self.degree = k = field.degree
+        self.rings: Dict[tuple, _Ring] = {}
+        # c -> c^p is F_p-linear: rows are the images (t^p)^i of the basis
+        # t^i; overflow holds the field's t^k, ..., t^(2k-2) reduced, where
+        # the digits of a product of two field elements fold
+        self.frob_rows, self.overflow = [self.one], []
+        if k > 1:
+            self.overflow = field._red
+            tp = field.frobenius(field.generator()).payload
+            for _ in range(k - 1):
+                self.frob_rows.append(self.mul(self.frob_rows[-1], tp))
+
+    def ring(self, m: list) -> _Ring:
+        """Packed arithmetic modulo the monic m, built once per m."""
+        key = tuple(m)
+        ring = self.rings.get(key)
+        if ring is None:
+            ring = self.rings[key] = _Ring(self, m)
+        return ring
 
     def frob(self, c):
         """c^p for a payload of an extension field."""
@@ -95,47 +268,41 @@ class _Arith:
     def rem(self, a: list, m: list) -> list:
         return self.divmod(a, m)[1]
 
-    def mulmod(self, a: list, b: list, m: list) -> list:
-        if not a or not b:
-            return []
-        add, mul, is_zero = self.add, self.mul, self.is_zero
-        out = [self.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ai, bj))
-        return self.rem(out, m)
-
     def powmod(self, base: list, e: int, m: list) -> list:
         """base^e mod the monic m."""
-        result = self.rem([self.one], m)
-        base = self.rem(base, m)
-        while e:
-            if e & 1:
-                result = self.mulmod(result, base, m)
-            e >>= 1
-            if e:
-                base = self.mulmod(base, base, m)
-        return result
+        ring = self.ring(m)
+        return ring.payloads(ring.pow(ring.flat(self.rem(base, m)), e))
 
     def inverse(self, a: list, m: list) -> list:
-        """The inverse of a modulo the monic m, by extended Euclid; raises
-        ZeroInversion when they share a factor. Every Bezout coefficient
-        has degree below deg m, so the quotient products are taken mod m."""
-        mul = self.mul
-        r0, r1 = m, self.trim(a)
-        s0, s1 = [], [self.one]  # s_i * a = r_i mod m
-        while r1:
-            inv = self.inv(r1[-1])
-            q, r = self.divmod(r0, [mul(c, inv) for c in r1])
-            q = [mul(c, inv) for c in q]  # r0 = q * r1 + r
-            r0, r1 = r1, r
-            s0, s1 = s1, self.sub_poly(s0, self.mulmod(q, s1, m))
-        if len(r0) != 1:
+        """The inverse of a, reduced mod the monic m, over a prime field, by
+        extended Euclid; raises ZeroInversion when they share a factor.
+        The division steps run on the int coefficients. The Bezout
+        coefficients s_i (s_0 = 0, s_1 = 1) are kept packed as
+        t_i = (-1)^(i+1) s_i, so each update s0 - q * s1 is t0 + q * t1,
+        one packed product; its degree is below deg m, so it needs no
+        division by m."""
+        assert self.degree == 1, "inverse runs over F_p"
+        p, ring = self.p, self.ring(m)
+        r0, r1 = list(m), self.trim(list(a))
+        assert len(r1) < len(r0), "the element must be reduced"
+        t0, t1 = 0, 1  # packed; sign * t1 * a = r1 mod m
+        sign = 1
+        while len(r1) > 1:
+            d1 = len(r1) - 1
+            inv = pow(r1[-1], p - 2, p)
+            q = [0] * (len(r0) - d1)
+            for i in range(len(r0) - 1, d1 - 1, -1):
+                c = q[i - d1] = r0[i] * inv % p
+                if c:
+                    for j in range(i - d1, i):
+                        r0[j] = (r0[j] - c * r1[j - i + d1]) % p
+            r0, r1 = r1, self.trim(r0[:d1])
+            t0, t1 = t1, ring.pack(ring.digits(t0 + ring.pack(q) * t1))
+            sign = -sign
+        if not r1:
             raise ZeroInversion("element shares a factor with the modulus")
-        inv = self.inv(r0[0])
-        return [mul(c, inv) for c in s0]
+        return ring.payloads(ring.digits(t1 * (sign * pow(r1[0], p - 2, p)
+                                               % p)))
 
     def gcd(self, a: list, b: list) -> list:
         """Monic gcd; [] when both are zero."""
@@ -161,26 +328,6 @@ class _Arith:
             acc = add(a[i], mul(root, acc))
         assert self.is_zero(acc), "deflating by a non-root"
         return out
-
-    def frobenius_table(self, xp: list, m: list) -> list:
-        """x^(j*p) mod m for j < deg m, from xp = x^p mod a multiple of m."""
-        x1 = self.rem(xp, m)
-        table = [[self.one], x1]
-        while len(table) < len(m) - 1:
-            table.append(self.mulmod(table[-1], x1, m))
-        return table
-
-    def frobenius(self, u: list, table: list) -> list:
-        """u^p mod m for u reduced mod m: sum of c_j^p * x^(j*p)."""
-        add, mul = self.add, self.mul
-        out = [self.zero] * (len(table) or 1)
-        for c, xj in zip(u, table):
-            if self.is_zero(c):
-                continue
-            c = self.frob(c)
-            for i, v in enumerate(xj):
-                out[i] = add(out[i], mul(c, v))
-        return self.trim(out)
 
 
 def _payloads(a: List[FieldElement], ar: _Arith) -> list:
@@ -233,15 +380,17 @@ def _split_one(ar: _Arith, f: list, field: Field, xp: list,
     x^p mod a multiple of f.
     """
     d = len(f) - 1
-    table = ar.frobenius_table(xp, f) if ar.degree > 1 else []
+    ring = ar.ring(f)
+    if ar.degree > 1:
+        table = ring.frobenius_table(ring.flat(ar.rem(xp, f)))
     while True:
         r = field.sample(rng).payload
-        b = ar.powmod([r, ar.one], (ar.p - 1) // 2, f)
+        b = ring.pow(ring.flat([r, ar.one]), (ar.p - 1) // 2)
         h = b
         for _ in range(ar.degree - 1):
-            b = ar.frobenius(b, table)
-            h = ar.mulmod(h, b, f)
-        g = ar.gcd(ar.sub_poly(h, [ar.one]), f)
+            b = ring.frobenius(b, table)
+            h = ring.mul(h, b)
+        g = ar.gcd(ar.sub_poly(ring.payloads(h), [ar.one]), f)
         if 0 < len(g) - 1 < d:
             return g
 
@@ -271,9 +420,12 @@ def _split_roots(ar: _Arith, f: list, field: Field, xp: list,
     """Every root in the field: gcd(x^Q - x, f), split down to linears."""
     xq = xp  # x^Q mod f, Q = p^D, by D - 1 Frobenius steps from x^p
     if ar.degree > 1:
-        table = ar.frobenius_table(xp, f)
+        ring = ar.ring(f)
+        xq = ring.flat(xp)
+        table = ring.frobenius_table(xq)
         for _ in range(ar.degree - 1):
-            xq = ar.frobenius(xq, table)
+            xq = ring.frobenius(xq, table)
+        xq = ring.payloads(xq)
     roots = []
     stack = [ar.gcd(ar.sub_poly(xq, [ar.zero, ar.one]), f)]
     while stack:

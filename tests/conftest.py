@@ -73,6 +73,42 @@ def jacobian_rank_oracle(gens, point):
                       for i in range(g.nvars)] for g in gens])
 
 
+def schoolbook_rem(field, a, m):
+    """a mod the monic m, payload lists over `field`, by long division."""
+    a = list(a)
+    dm = len(m) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        for j in range(dm + 1):
+            a[i - dm + j] = field._sub(a[i - dm + j], field._mul(c, m[j]))
+    a = a[:dm]
+    while a and field._is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def schoolbook_mulmod(field, a, b, m):
+    """a * b mod the monic m, payload lists over `field`: the schoolbook
+    product, one field multiplication per pair of coefficients, then long
+    division. The oracle for the packed products of `unipoly`."""
+    out = [field._zero_payload()] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = field._add(out[i + j], field._mul(ai, bj))
+    return schoolbook_rem(field, out, m)
+
+
+def schoolbook_powmod(field, a, e, m):
+    """a^e mod the monic m by square and multiply on `schoolbook_mulmod`."""
+    out = schoolbook_rem(field, [field._one_payload()], m)
+    while e:
+        if e & 1:
+            out = schoolbook_mulmod(field, out, a, m)
+        e >>= 1
+        a = schoolbook_mulmod(field, a, a, m)
+    return out
+
+
 # acceptance-gate result lines, echoed after the run so they survive
 # pytest's fd-level capture
 acceptance_lines = []

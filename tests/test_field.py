@@ -15,9 +15,13 @@ from fanolines import QQ, PrimeField, build_extension
 from fanolines.field import embedding, is_prime, relative_extension
 from fanolines.errors import NotPrime, ZeroInversion
 
+# F_(7^4), F_(10007^6) and F_(p^2), p = 4294967311, also invert through
+# 64- and 128-bit packed slots
 FIELDS = [PrimeField(7), PrimeField(10007), build_extension(3, 2),
-          build_extension(7, 3), QQ]
-FIELD_IDS = ["F7", "F10007", "F9", "F343", "QQ"]
+          build_extension(7, 3), build_extension(7, 4),
+          build_extension(10007, 6), build_extension(4294967311, 2), QQ]
+FIELD_IDS = ["F7", "F10007", "F9", "F343", "F2401", "F10007^6",
+             "F4294967311^2", "QQ"]
 
 
 def sample_many(field, seed, count):

@@ -135,6 +135,26 @@ def test_scan_over_f7_4_matches_enumeration_oracle():
         assert len(scanned) == count
 
 
+def test_scan_decodes_each_code_once(monkeypatch):
+    # a cubic surface over F_7: 57 points, 228 coordinates, 7 codes (the
+    # prime kernel decodes nothing itself)
+    field = PrimeField(7)
+    f = parse("x0^3 + x1^3 + x2^3 + x0*x1*x3 + x3^3", 4, field)
+    oracle = [pt.coords for pt in enumerate_projective_points(3, field)
+              if f.evaluate(list(pt.coords)).is_zero()]
+    codes = []
+    decode = type(field).element_from_code
+
+    def counted_decode(self, code):
+        codes.append(code)
+        return decode(self, code)
+
+    monkeypatch.setattr(type(field), "element_from_code", counted_decode)
+    assert [pt.coords for pt in variety_scan([f], field)] == oracle
+    assert len(oracle) == 57
+    assert len(codes) == len(set(codes)) <= field.order()
+
+
 @pytest.mark.parametrize("n_proj,q,chunk", [
     (3, 5, 7), (3, 5, 25), (3, 5, 1 << 14), (2, 11, 100), (2, 11, 121),
     (3, 9, 500), (1, 2187, 500), (4, 3, 10)])

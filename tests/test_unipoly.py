@@ -12,9 +12,13 @@ import random
 import pytest
 
 from fanolines import PrimeField, build_extension
-from fanolines.field import relative_extension
+from fanolines.errors import ZeroInversion
+from fanolines.field import FieldElement, relative_extension
 from fanolines.solve import exact_relative_degree
-from fanolines.unipoly import distinct_degree_factorization, roots_in_field
+from fanolines.unipoly import (_Arith, distinct_degree_factorization,
+                               roots_in_field)
+
+from conftest import schoolbook_mulmod, schoolbook_powmod
 
 
 def horner(coeffs, x):
@@ -122,3 +126,130 @@ def test_linear_input_returns_its_root_without_splitting():
         b = f343.sample(rng)
     assert roots_in_field([a, b], f343, rng) == [-a / b]
     assert roots_in_field([a, b], f343, rng, orbit=1) == [-a / b]
+
+
+PACKED_FIELDS = [(p, k) for p in (3, 7, 10007) for k in range(1, 7)] + [
+    (4294967311, 1), (4294967311, 2)]
+
+
+def operands(field, rng, n):
+    """Reduced payload lists mod a degree-n modulus: random ones of every
+    length, zero, and constants."""
+    def poly(length):
+        a = [field.sample(rng).payload for _ in range(length)]
+        while a and field._is_zero(a[-1]):
+            a.pop()
+        return a
+    return ([poly(rng.randint(1, n)) for _ in range(3)]
+            + [poly(n), [], [field.from_int(rng.randint(1, 5)).payload]])
+
+
+@pytest.mark.parametrize("p,k", PACKED_FIELDS)
+def test_packed_products_match_the_schoolbook_oracle(p, k):
+    # slots of 64 bits up to p = 10007; 128 bits for the 33-bit prime
+    field = build_extension(p, k)
+    ar = _Arith(field)
+    rng = random.Random(f"packed-{p}-{k}")
+    for n in range(1, 9):
+        m = [field.sample(rng).payload for _ in range(n)] + [ar.one]
+        ring = ar.ring(m)
+        assert ring.width == (64 if p < 1 << 20 else 128)
+        cases = operands(field, rng, n)
+        for a, b in zip(cases, cases[1:] + cases[:1]):
+            got = ring.payloads(ring.mul(ring.flat(a), ring.flat(b)))
+            assert got == schoolbook_mulmod(field, a, b, m), (n, a, b)
+        a = cases[0]
+        for e in (0, 1, 2, rng.randrange(3, 200), p):
+            assert ar.powmod(a, e, m) == schoolbook_powmod(field, a, e, m)
+        # u^p = sum of frob(c_j) x^(j p), each c_j^p by field.frobenius
+        xp = schoolbook_powmod(field, [ar.zero, ar.one], p, m)
+        powers = [[ar.one]]
+        while len(powers) < n:
+            powers.append(schoolbook_mulmod(field, powers[-1], xp, m))
+        table = ring.frobenius_table(ring.flat(xp))
+        for u in cases:
+            want = [ar.zero] * n
+            for c, xjp in zip(u, powers):
+                image = c if k == 1 else field.frobenius(
+                    FieldElement(field, c)).payload  # c^p = c in F_p
+                term = schoolbook_mulmod(field, [image], xjp, m)
+                for i, v in enumerate(term):
+                    want[i] = field._add(want[i], v)
+            got = ring.payloads(ring.frobenius(ring.flat(u), table))
+            assert got == ar.trim(want), (n, u)
+
+
+@pytest.mark.parametrize("p", [3, 7, 10007, 4294967311])
+def test_packed_inverse_matches_the_schoolbook_oracle(p):
+    field = PrimeField(p)
+    ar = _Arith(field)
+    rng = random.Random(f"inverse-{p}")
+    for n in range(1, 9):
+        m = [rng.randrange(p) for _ in range(n)] + [1]
+        for a in operands(field, rng, n):
+            g = ar.gcd(list(a), m)
+            if len(g) == 1:
+                assert schoolbook_mulmod(field, ar.inverse(a, m), a, m) == [1]
+            else:
+                with pytest.raises(ZeroInversion):
+                    ar.inverse(a, m)
+    # x^2 + x shares x with the reducible x^2 (x + 1)
+    with pytest.raises(ZeroInversion):
+        ar.inverse([0, 1, 1], [0, 0, 1, 1])
+
+
+def irreducible(field, j, rng):
+    """Little-endian ints of a random monic irreducible of degree j over
+    the prime field, found by distinct-degree factorization."""
+    while True:
+        coeffs = [rng.randrange(field.p) for _ in range(j)] + [1]
+        parts = distinct_degree_factorization(
+            [field.from_int(c) for c in coeffs], field, j)
+        if list(parts) == [j] and len(parts[j]) == j + 1:
+            return coeffs
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
+def test_orbit_roots_at_benchmark_scale(j):
+    # the line-counts shapes: a degree-j part over F_10007, split in
+    # F_(10007^j); two orbits, so the descent splits a reducible part
+    ground = PrimeField(10007)
+    rng = random.Random(f"scale-{j}")
+    first = irreducible(ground, j, rng)
+    second = first
+    while second == first:
+        second = irreducible(ground, j, rng)
+    ext, embed = relative_extension(ground, j)
+    mapped = [embed(ground.from_int(c))
+              for c in int_mul(first, second, ground.p)]
+    roots = roots_in_field(mapped, ext, random.Random(1), orbit=j)
+    assert len(roots) == len(mapped) - 1 == 2 * j
+    assert all(horner(mapped, r).is_zero() for r in roots)
+    assert {ext.frobenius(r) for r in roots} == set(roots)
+    codes = [ext.code_of(r) for r in roots]
+    assert codes == sorted(codes)
+    assert roots == roots_in_field(mapped, ext, random.Random(2))
+
+
+def test_orbit_six_root_work_is_pinned(monkeypatch):
+    # one irreducible sextic over F_10007 split in F_(10007^6), as in a
+    # depth-6 line count. The products of polynomials are packed ints, so
+    # field multiplications are left only in gcds, deflation and the
+    # Frobenius images of t; the tuple-loop products made 2945.
+    from fanolines.field import ExtensionField
+    ground = PrimeField(10007)
+    coeffs = irreducible(ground, 6, random.Random("pinned-orbit-6"))
+    assert coeffs == [1596, 8186, 9026, 1665, 7777, 3788, 1]
+    ext, embed = relative_extension(ground, 6)
+    mapped = [embed(ground.from_int(c)) for c in coeffs]
+    calls = []
+    mul = ExtensionField._mul
+
+    def counted_mul(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(ExtensionField, "_mul", counted_mul)
+    roots = roots_in_field(mapped, ext, random.Random(0), orbit=6)
+    assert len(roots) == 6
+    assert len(calls) <= 87
