@@ -12,6 +12,7 @@ Exit codes: 0 all predicted values matched, 2 bad usage or input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -276,14 +277,27 @@ def _int_at_least(low: int):
     return parse
 
 
+def _env_seed() -> int:
+    """The --seed default: $FANO_SEED, then 0."""
+    text = os.environ.get("FANO_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameters(
+            f"FANO_SEED must be an integer, got {text!r}") from None
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use. The
+    --seed default is left as None and read from the environment per
+    call (`_env_seed`), so the parser holds no environment state."""
     parser = argparse.ArgumentParser(
         prog="fanolines",
         description="Line systems through singular points of hypersurfaces, "
                     "verified over finite fields.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int,
-                        default=int(os.environ.get("FANO_SEED", "0")),
+    common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (falls back to $FANO_SEED, then 0)")
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                         help="odd prime for the ground field")
@@ -357,6 +371,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits; keep main() returning
         return int(exc.code or 0)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ would have produced.
 Everything runs on raw payloads. The vector of x_i * m comes from the
 vector of the lex member m by the normal forms of x_i * s for the
 grevlex staircase monomials s in its support; each such normal form is
-taken once, against one reducer list and one first-divisor memo. The
+taken once, on packed monomials (`groebner.Packing`), against one
+reducer list and one first-divisor memo. The
 dependences come from `linalg.Echelon`: each candidate's vector goes in
 with its own unit vector appended, and a vector that reduces to zero
 leaves the coefficients of the new basis element in the appended part.
@@ -24,7 +25,8 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotZeroDimensional
-from .groebner import _reducer, _to_payload, groebner_basis, normal_form_payload
+from .groebner import (Packing, _reducer, _to_payload, groebner_basis,
+                       normal_form_payload)
 from .linalg import Echelon, unit_row
 from .poly import GREVLEX, Monomial, Polynomial, mono_divides
 
@@ -71,8 +73,14 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
     staircase = quotient_monomials(lms, nvars)
     index = {m: i for i, m in enumerate(staircase)}
     dim = len(staircase)
-    reducers = [_reducer(_to_payload(g), lm, field) for g, lm in zip(basis, lms)]
-    memo: Dict[Monomial, Tuple[int, int]] = {}
+    # a grevlex normal form never rises in degree, so slots that hold
+    # every basis element and every x_i * s hold all its terms
+    degree = max([g.degree() for g in basis] + [sum(s) + 1 for s in staircase])
+    packing = Packing.for_degree(GREVLEX, nvars, degree)
+    encode, decode = packing.encode, packing.decode
+    reducers = [_reducer(_to_payload(g, packing), encode(lm), field)
+                for g, lm in zip(basis, lms)]
+    memo: Dict[int, Tuple[int, int]] = {}
     zero, one = field._zero_payload(), field._one_payload()
     add, mul, is_zero = field._add, field._mul, field._is_zero
     columns: Dict[Monomial, List[Tuple[int, object]]] = {}
@@ -84,8 +92,9 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
             return [(hit, one)]
         col = columns.get(mono)
         if col is None:
-            nf = normal_form_payload({mono: one}, reducers, memo, GREVLEX, field)
-            col = columns[mono] = [(index[m], c) for m, c in nf.items()]
+            nf = normal_form_payload({encode(mono): one}, reducers, memo,
+                                     packing, field)
+            col = columns[mono] = [(index[decode(m)], c) for m, c in nf.items()]
         return col
 
     def times(var: int, vec: list) -> list:

@@ -37,11 +37,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -68,43 +63,71 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Monomial]:
 # monomial orders
 
 class MonomialOrder:
-    """Total order on exponent tuples; larger key = larger monomial."""
+    """Total order on exponent tuples; larger key = larger monomial.
+
+    `slots(nvars)` gives the order's packed layout: rows of nonnegative
+    integer weights over the variables, most significant first. Packed
+    (see `groebner.Packing`), a monomial is one int whose slot k holds
+    row k's weighted sum of its exponents, so a product is an int sum and,
+    because the rows decide every comparison in order, this order is int
+    order. Every row has 0/1 weights, so no slot exceeds the degree; the
+    rows include e_i for every variable, so the exponents can be read
+    back and a | b exactly when no slot of b - a is negative.
+    """
 
     name = "base"
 
     def key(self, exps: Monomial):
         raise NotImplementedError
 
-    def descending_key(self, exps: Monomial):
-        """Key whose ascending order is this order's descending order, so a
-        min-heap pops the largest monomial first."""
+    def slots(self, nvars: int) -> List[Tuple[int, ...]]:
         raise NotImplementedError
 
     def __repr__(self):
         return f"<order {self.name}>"
 
 
+def _prefix(nvars: int, j: int) -> Tuple[int, ...]:
+    """Weights of P_j = e_0 + ... + e_j."""
+    return (1,) * (j + 1) + (0,) * (nvars - j - 1)
+
+
+def _unit(nvars: int, i: int) -> Tuple[int, ...]:
+    """Weights of e_i."""
+    return tuple(int(k == i) for k in range(nvars))
+
+
 class GrevLexOrder(MonomialOrder):
     """Graded reverse lexicographic: degree first, then reversed exponents
-    compared smallest-last-variable-wins."""
+    compared smallest-last-variable-wins.
+
+    Packed as [deg | P_{n-2} | ... | P_0 | e_{n-1} | ... | e_1] with
+    P_j = e_0 + ... + e_j: at equal degree P_{n-2} = deg - e_{n-1}, so a
+    larger P_{n-2} is a smaller last exponent, and so on down, making
+    grevlex the lex order on (deg, P_{n-2}, ..., P_0). P_0 = e_0 and the
+    raw slots below decide nothing, they only hold the exponents.
+    """
 
     name = "grevlex"
 
     def key(self, exps: Monomial):
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
-    def descending_key(self, exps: Monomial):
-        return (-sum(exps), exps[::-1])
+    def slots(self, nvars: int) -> List[Tuple[int, ...]]:
+        rows = [_prefix(nvars, j) for j in range(nvars - 1, -1, -1)]
+        return rows + [_unit(nvars, i) for i in range(nvars - 1, 0, -1)]
 
 
 class LexOrder(MonomialOrder):
+    """Lexicographic, x0 most significant; packed as [e_0 | ... | e_{n-1}]."""
+
     name = "lex"
 
     def key(self, exps: Monomial):
         return exps
 
-    def descending_key(self, exps: Monomial):
-        return tuple(-e for e in exps)
+    def slots(self, nvars: int) -> List[Tuple[int, ...]]:
+        return [_unit(nvars, i) for i in range(nvars)]
 
 
 GREVLEX = GrevLexOrder()

@@ -8,7 +8,11 @@ import sys
 
 import pytest
 
+from fanolines import PrimeField
 from fanolines.cli import main
+from fanolines.field import DEFAULT_PRIME
+
+from conftest import parse
 
 NODAL = "x0*x1^2 + x2^3 + x3^3\n"
 FIXTURE = "# two conics\nx0^2 + x1^2 - x2^2\nx0*x1 - x2^2\n"
@@ -193,6 +197,27 @@ def test_fano_seed_env_default(tmp_path, monkeypatch):
     main(["lines-through", "--random", "3", "3", "2", "--seed", "5",
           "--json", b, "--quiet"])
     assert open(a).read() == open(b).read()
+
+
+def test_malformed_fano_seed_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("FANO_SEED", "abc")
+    assert main(["bezout-check", "3", "2", "2", "--quiet"]) == 2
+    assert "invalid input" in capsys.readouterr().err
+    # an explicit --seed does not read the environment
+    assert main(["bezout-check", "3", "2", "2", "--seed", "1",
+                 "--quiet"]) == 0
+
+
+def test_groebner_lex_exponents_never_wrap(tmp_path, capsys):
+    # the lex basis holds x0 - x3^216, past the 127 an 8-bit slot of a
+    # packed monomial holds, so the computation widens its slots
+    chain = tmp_path / "chain.txt"
+    chain.write_text("x0 - x1^6\nx1 - x2^6\nx2 - x3^6\n")
+    code = main(["groebner", str(chain), "--order", "lex", "--json", "-"])
+    assert code == 0
+    basis = json.loads(capsys.readouterr().out)["report"]["basis"]
+    assert basis == [parse(text, 4, PrimeField(DEFAULT_PRIME)).to_text()
+                     for text in ("x2 - x3^6", "x1 - x3^36", "x0 - x3^216")]
 
 
 def test_quiet_suppresses_summary(capsys):

@@ -7,13 +7,15 @@ reduced bases are unique per order.
 """
 
 import random
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import QQ, PrimeField, Polynomial, build_extension
-from fanolines.poly import GREVLEX, LEX, monomials_of_degree, random_homogeneous
-from fanolines.groebner import groebner_basis, is_member, normal_form
+from fanolines.poly import (GREVLEX, LEX, mono_divides, mono_mul,
+                            monomials_of_degree, random_homogeneous)
+from fanolines.groebner import Packing, groebner_basis, is_member, normal_form
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
 from fanolines.errors import NotZeroDimensional, ResourceLimit
 
@@ -91,7 +93,7 @@ def test_nonmembership_detected():
 
 def test_s_polynomials_reduce_to_zero():
     # the defining property of a Groebner basis
-    from fanolines.poly import mono_lcm, mono_div
+    from fanolines.poly import mono_lcm
     rng = random.Random(37)
     gens = [random_homogeneous(F7, 3, 2, rng) for _ in range(2)]
     basis = groebner_basis(gens)
@@ -101,8 +103,8 @@ def test_s_polynomials_reduce_to_zero():
             mi = fi.leading_monomial(GREVLEX)
             mj = fj.leading_monomial(GREVLEX)
             lcm = mono_lcm(mi, mj)
-            s = Polynomial.monomial(F7, mono_div(lcm, mi)) * fi - \
-                Polynomial.monomial(F7, mono_div(lcm, mj)) * fj
+            s = Polynomial.monomial(F7, tuple(map(sub, lcm, mi))) * fi - \
+                Polynomial.monomial(F7, tuple(map(sub, lcm, mj))) * fj
             assert normal_form(s, basis).is_zero()
 
 
@@ -129,6 +131,111 @@ def test_normal_form_is_idempotent_and_linear():
         assert normal_form(nf, basis) == nf
         assert normal_form(f + g, basis) == \
             normal_form(normal_form(f, basis) + normal_form(g, basis), basis)
+
+
+# packed monomials: one int per monomial, see groebner.Packing
+
+@st.composite
+def monomials(draw, count):
+    """`count` exponent tuples in 1..8 variables, exponents mostly small so
+    that equal monomials and divisors turn up."""
+    nvars = draw(st.integers(1, 8))
+    exps = st.lists(st.integers(0, 3) | st.integers(0, 60),
+                    min_size=nvars, max_size=nvars).map(tuple)
+    return [draw(exps) for _ in range(count)]
+
+
+def packing_for(order, monos):
+    return Packing.for_degree(order, len(monos[0]), max(map(sum, monos)))
+
+
+ORDERS = pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+
+
+@ORDERS
+@given(monos=monomials(1))
+@settings(max_examples=150, deadline=None)
+def test_packing_decode_inverts_encode(order, monos):
+    packing = packing_for(order, monos)
+    assert packing.decode(packing.encode(monos[0])) == monos[0]
+
+
+@ORDERS
+@given(monos=monomials(2))
+@settings(max_examples=150, deadline=None)
+def test_packed_int_order_is_the_monomial_order(order, monos):
+    a, b = monos
+    packing = packing_for(order, monos)
+    ka, kb = order.key(a), order.key(b)
+    pa, pb = packing.encode(a), packing.encode(b)
+    assert (pa < pb, pa == pb) == (ka < kb, ka == kb)
+
+
+@ORDERS
+@given(monos=monomials(2))
+@settings(max_examples=150, deadline=None)
+def test_packed_sum_is_the_product(order, monos):
+    a, b = monos
+    packing = packing_for(order, monos)
+    product = packing.encode(a) + packing.encode(b)
+    assert not product & packing.guard
+    assert product == packing.encode(mono_mul(a, b))
+
+
+@ORDERS
+@given(monos=monomials(3))
+@settings(max_examples=150, deadline=None)
+def test_guard_bit_divisibility_is_mono_divides(order, monos):
+    a, b, c = monos
+    packing = packing_for(order, [mono_mul(a, c), b])
+    pa, pb = packing.encode(a), packing.encode(b)
+    assert packing.divides(pa, pb) == mono_divides(a, b)
+    assert packing.divides(pb, pa) == mono_divides(b, a)
+    assert packing.divides(pa, packing.encode(mono_mul(a, c)))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+def test_slots_widen_past_the_starting_width(order, monkeypatch):
+    # degree-3 inputs whose lex basis holds x0 - x3^27: 4-bit slots hold
+    # at most 7, so the lex run must widen and still match sympy (in
+    # grevlex the leading terms x1^3, x2^3, x3^3 are coprime, so the
+    # inputs are already a basis)
+    from fanolines import groebner
+    widths = []
+
+    class Recorded(Packing):
+        def __init__(self, order, nvars, width):
+            widths.append(width)
+            super().__init__(order, nvars, width)
+
+    monkeypatch.setattr(groebner, "_SLOT_BITS", 4)
+    monkeypatch.setattr(groebner, "Packing", Recorded)
+    gens = [parse(text, 4, F7) for text in ("x0 - x1^3", "x1 - x2^3",
+                                            "x2 - x3^3")]
+    basis = groebner_basis(gens, order)
+    assert widths == ([4, 8] if order is LEX else [4])
+    if order is LEX:
+        assert parse("x0 - x3^27", 4, F7) in basis
+    ours = sorted((g.leading_monomial(order),
+                   {m: c.payload for m, c in g.terms.items()}) for g in basis)
+    assert ours == sympy_monic_basis(gens, 4, 7, order.name)
+    # a lex normal form rises in degree: x0 -> x3^27 against degree-3 inputs
+    widths.clear()
+    assert normal_form(parse("x0", 4, F7), gens, LEX) == parse("x3^27", 4, F7)
+    assert widths == [4, 8]
+
+
+def test_terms_reaching_a_guard_bit_are_refused():
+    from fanolines import groebner
+    packing = Packing(LEX, 2, 4)  # slots hold 0..7
+    assert packing.encode((4, 3)) == 4 * packing.units[0] + 3 * packing.units[1]
+    with pytest.raises(groebner._SlotOverflow):
+        packing.encode((4, 4))  # degree 8: a grevlex degree slot would wrap
+    # x0^7 * x0 carries no slot into the next, but sets x0's guard bit
+    past = packing.encode((7, 0)) + packing.encode((1, 0))
+    assert past & packing.guard
+    with pytest.raises(groebner._SlotOverflow):
+        groebner.normal_form_payload({past: 1}, [], {}, packing, F7)
 
 
 # conversion route: grevlex basis + staircase walk vs direct lex Buchberger
@@ -240,22 +347,25 @@ def test_minor_ideal_basis_matches_sympy(p, nvars):
 def test_rank_drop_basis_work_is_pinned(monkeypatch):
     # the rank-drop ideal of `voisin-demo 2 --seed 585427`: 12 generators
     # in 5 variables, a reduced basis of 33 elements. The pair update keeps
-    # 109 S-pair reductions, and inter-reduction takes one normal form per
-    # element of the minimal basis.
+    # 109 S-pair reductions, 82 of which end at zero, and inter-reduction
+    # takes one normal form per element of the minimal basis.
     from fanolines import groebner
     from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
                                   rank_drop_ideal)
     nfc = normal_form_cubic(2, F10007, 585427)
     ideal = node_line_system(nfc, nodes(nfc, seed=585427)[0].point)
     gens = rank_drop_ideal(ideal).nonzero_generators()
-    calls = {"pairs": 0, "inter": 0}
+    calls = {"pairs": 0, "inter": 0, "zero": 0}
     phase = ["pairs"]
     normal_form_payload, reduce_basis = (groebner.normal_form_payload,
                                          groebner._reduce_basis)
 
     def counted_normal_form(*args, **kwargs):
         calls[phase[0]] += 1
-        return normal_form_payload(*args, **kwargs)
+        remainder = normal_form_payload(*args, **kwargs)
+        if phase[0] == "pairs" and not remainder:
+            calls["zero"] += 1
+        return remainder
 
     def inter_reduction(*args, **kwargs):
         phase[0] = "inter"
@@ -266,6 +376,7 @@ def test_rank_drop_basis_work_is_pinned(monkeypatch):
     basis = groebner_basis(gens)
     assert (len(gens), gens[0].nvars, len(basis)) == (12, 5, 33)
     assert calls["pairs"] <= 109
+    assert calls["zero"] <= 82
     assert calls["inter"] <= 33
 
 
