@@ -3,6 +3,14 @@
 Elements are immutable value objects carrying a reference to their field.
 Extension fields F_{p^k} store elements as little-endian coefficient tuples
 reduced modulo a fixed irreducible polynomial in the generator t.
+
+Every map between extension payloads is F_p-linear on their coefficient
+digits, so it is one row table: row i is the image of t^i, and
+`_apply_rows` sends a payload c to sum c_i * row_i mod p
+(Lidl-Niederreiter, *Finite Fields*, ch. 2). Frobenius c -> c^p has the
+rows (t^p)^i, built once per field. An embedding F_{p^a} -> F_{p^b} has
+the rows r^i, r the smallest-code root in F_{p^b} of the modulus of
+F_{p^a}, built once per pair of fields.
 """
 
 from __future__ import annotations
@@ -332,6 +340,8 @@ class ExtensionField(Field):
             cur = [(cur[j] - lead * self.modulus[j]) % p for j in range(k)]
         self._red = red
         self._arith = None  # F_p[t] arithmetic for inverses, built on first use
+        # the Frobenius row table: row i is (t^p)^i
+        self.frob_rows = _power_rows(self, (self.generator() ** p).payload, k)
 
     def key(self):
         return ("extension", self.p, self.k, self.modulus)
@@ -416,8 +426,11 @@ class ExtensionField(Field):
         return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
 
     def frobenius(self, e: FieldElement, j: int = 1) -> FieldElement:
-        """e^(p^j)."""
-        return e ** (self.p**j)
+        """e^(p^j): the Frobenius row table applied j mod k times."""
+        c = e.payload
+        for _ in range(j % self.k):
+            c = _apply_rows(self.frob_rows, c, self.p)
+        return FieldElement(self, c)
 
     def code_of(self, e: FieldElement) -> int:
         """Integer code in [0, p^k): base-p digits of the coefficient tuple."""
@@ -479,57 +492,70 @@ def build_extension(p: int, k: int) -> Field:
     return result
 
 
+def _power_rows(field: ExtensionField, x, n: int) -> list:
+    """The row table of payloads x^i, i < n: the map sending t to x."""
+    rows = [field._one_payload()]
+    for _ in range(n - 1):
+        rows.append(field._mul(rows[-1], x))
+    return rows
+
+
+def _apply_rows(rows: list, c, p: int) -> tuple:
+    """sum c_i * rows[i] mod p: the F_p-linear map with this row table,
+    applied to the payload c."""
+    out = [0] * len(rows[0])
+    for ci, row in zip(c, rows):
+        if ci:
+            for i, v in enumerate(row):
+                out[i] += ci * v
+    return tuple(v % p for v in out)
+
+
 _embedding_cache: dict = {}
 
 
-def embedding(src: Field, dst: Field):
-    """Deterministic field homomorphism src -> dst between finite fields.
+def payload_lift(src: Field, dst: Field):
+    """The payload map of `embedding(src, dst)`; None when dst is src.
 
-    src must be a subfield of dst abstractly (same p, src degree dividing
-    dst degree). For extension-to-extension maps the image of the
-    generator is the smallest-code root of src's modulus in dst, so the
-    same pair of fields always yields the same embedding; it is built once
-    per pair.
+    From F_p it is the canonical map. Between extensions it applies the
+    rows r^i, i < [src : F_p], where r is the smallest-code root of src's
+    modulus in dst, so the same pair of fields always yields the same map;
+    it is built once per pair.
     """
     if src == dst:
-        return lambda e: e
+        return None
     if isinstance(src, PrimeField):
         assert dst.characteristic() == src.p
-        return lambda e: dst.from_int(e.payload)
+        return dst._from_int
     assert isinstance(src, ExtensionField) and isinstance(dst, ExtensionField)
     assert src.p == dst.p and dst.k % src.k == 0
-    cached = _embedding_cache.get((src.key(), dst.key()))
-    if cached is not None:
-        return cached
-    from .unipoly import roots_in_field
-    modulus = [dst.from_int(c) for c in src.modulus]
-    rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
-    roots = roots_in_field(modulus, dst, rng)
-    assert roots, "modulus of a subfield must split"
-    powers = [dst.one()]
-    for _ in range(src.k - 1):
-        powers.append(powers[-1] * roots[0])
+    key = (src.key(), dst.key())
+    lift = _embedding_cache.get(key)
+    if lift is None:
+        from .unipoly import roots_in_field
+        modulus = [dst.from_int(c) for c in src.modulus]
+        rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
+        root = roots_in_field(modulus, dst, rng, orbit=1)[0]
+        rows = _power_rows(dst, root.payload, src.k)
+        lift = _embedding_cache[key] = lambda c: _apply_rows(rows, c, src.p)
+    return lift
 
-    def embed(e: FieldElement) -> FieldElement:
-        acc = dst.zero()
-        for c, b in zip(e.payload, powers):
-            if c:
-                acc = acc + b * dst.from_int(c)
-        return acc
 
-    _embedding_cache[(src.key(), dst.key())] = embed
-    return embed
+def embedding(src: Field, dst: Field):
+    """Deterministic field homomorphism src -> dst between finite fields,
+    src a subfield of dst abstractly (same p, src degree dividing dst
+    degree): `payload_lift` on FieldElements."""
+    lift = payload_lift(src, dst)
+    if lift is None:
+        return lambda e: e
+    return lambda e: FieldElement(dst, lift(e.payload))
 
 
 def relative_extension(ground: Field, k: int):
     """(E, embed) with [E : ground] = k; E is deterministic per (ground, k)."""
     if k == 1:
         return ground, (lambda e: e)
-    if isinstance(ground, PrimeField):
-        ext = build_extension(ground.p, k)
-        return ext, embedding(ground, ext)
-    assert isinstance(ground, ExtensionField)
-    ext = build_extension(ground.p, ground.k * k)
+    ext = build_extension(ground.p, ground.degree * k)
     return ext, embedding(ground, ext)
 
 

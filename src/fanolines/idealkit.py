@@ -22,8 +22,7 @@ from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
 from .field import Field, relative_extension
 from .groebner import groebner_basis
 from .hilbert import staircase_data
-from .linalg import payload_rank
-from .poly import (GREVLEX, Polynomial, payload_lift, random_homogeneous,
+from .poly import (GREVLEX, Polynomial, jacobian_rank_at, random_homogeneous,
                    random_linear_form)
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 from .scan import singular_scan, variety_scan
@@ -184,55 +183,6 @@ def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
     _, degree = hilbert_data(ideal)
     return solve_projective(groebner_of(ideal),
                             min(k_max, max(1, degree)), seed)
-
-
-def jacobian_rank_at(gens: Sequence[Polynomial], point: ProjectivePoint) -> int:
-    """Rank of the Jacobian of gens at a point, over the point's field.
-
-    Entry (g, i) is the sum of c * m_i * P^(m - e_i) over the terms
-    c * x^m of g with m_i > 0, on raw payloads; no partial derivative is
-    built. The terms are summed per exponent m_i first, so each distinct
-    exponent costs one scaling. Each monomial's value at P is computed
-    once for all the generators, as the value of the monomial with its
-    last nonzero exponent lowered by one, times that coordinate.
-    Coefficients are carried into the point's field as
-    `Polynomial.evaluate` carries them.
-    """
-    target = point.field
-    coords = [c.payload for c in point.coords]
-    n = len(coords)
-    mul, add, zero = target._mul, target._add, target._zero_payload()
-    char = target.characteristic()
-    values: Dict[Tuple[int, ...], object] = {(0,) * n: target._one_payload()}
-
-    def value(mono: Tuple[int, ...]):
-        got = values.get(mono)
-        if got is None:
-            i = n - 1
-            while mono[i] == 0:
-                i -= 1
-            lowered = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            got = values[mono] = mul(value(lowered), coords[i])
-        return got
-
-    lift = payload_lift(gens[0].field, target) if gens else None
-    rows = []
-    for g in gens:
-        assert g.nvars == n and g.field == gens[0].field
-        sums: Dict[Tuple[int, int], object] = {}  # (i, m_i) -> sum
-        for mono, coeff in g.terms.items():
-            c = coeff.payload if lift is None else lift(coeff.payload)
-            for i, e in enumerate(mono):
-                if e == 0 or (char and e % char == 0):
-                    continue  # no term, or one the characteristic kills
-                term = mul(c, value(mono[:i] + (e - 1,) + mono[i + 1:]))
-                cur = sums.get((i, e))
-                sums[i, e] = term if cur is None else add(cur, term)
-        row = [zero] * n
-        for (i, e), s in sums.items():
-            row[i] = add(row[i], s if e == 1 else mul(s, target._from_int(e)))
-        rows.append(row)
-    return payload_rank(target, n, rows)
 
 
 def certify_reduced_point(ideal: Ideal, point: ProjectivePoint,

@@ -17,10 +17,14 @@ import random
 import re
 from fractions import Fraction
 from operator import add as _add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
-from .field import Field, FieldElement, PrimeField, RationalField, embedding
+from .field import Field, FieldElement, RationalField, payload_lift
+from .linalg import payload_rank
+
+if TYPE_CHECKING:
+    from .projgeo import ProjectivePoint
 
 Monomial = Tuple[int, ...]
 
@@ -136,17 +140,6 @@ LEX = LexOrder()
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-def payload_lift(field: Field, target: Field):
-    """Map of raw coefficient payloads from `field` into `target`, which
-    is `field` or an extension of it; None when no map is needed."""
-    if target is field or target == field:
-        return None
-    if isinstance(field, PrimeField):
-        return target._from_int  # the canonical map F_p -> F_{p^k}
-    embed = embedding(field, target)
-    return lambda c: embed(FieldElement(field, c)).payload
-
 
 def _payload_pow(field: Field, a, e: int):
     """a^e on raw payloads, e >= 1."""
@@ -508,6 +501,55 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_text()})"
+
+
+def jacobian_rank_at(gens: Sequence[Polynomial], point: ProjectivePoint) -> int:
+    """Rank of the Jacobian of gens at a point, over the point's field.
+
+    Entry (g, i) is the sum of c * m_i * P^(m - e_i) over the terms
+    c * x^m of g with m_i > 0, on raw payloads; no partial derivative is
+    built. The terms are summed per exponent m_i first, so each distinct
+    exponent costs one scaling. Each monomial's value at P is computed
+    once for all the generators, as the value of the monomial with its
+    last nonzero exponent lowered by one, times that coordinate.
+    Coefficients are carried into the point's field by `payload_lift`, as
+    in `Polynomial.evaluate`.
+    """
+    target = point.field
+    coords = [c.payload for c in point.coords]
+    n = len(coords)
+    mul, add, zero = target._mul, target._add, target._zero_payload()
+    char = target.characteristic()
+    values: Dict[Tuple[int, ...], object] = {(0,) * n: target._one_payload()}
+
+    def value(mono: Tuple[int, ...]):
+        got = values.get(mono)
+        if got is None:
+            i = n - 1
+            while mono[i] == 0:
+                i -= 1
+            lowered = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            got = values[mono] = mul(value(lowered), coords[i])
+        return got
+
+    lift = payload_lift(gens[0].field, target) if gens else None
+    rows = []
+    for g in gens:
+        assert g.nvars == n and g.field == gens[0].field
+        sums: Dict[Tuple[int, int], object] = {}  # (i, m_i) -> sum
+        for mono, coeff in g.terms.items():
+            c = coeff.payload if lift is None else lift(coeff.payload)
+            for i, e in enumerate(mono):
+                if e == 0 or (char and e % char == 0):
+                    continue  # no term, or one the characteristic kills
+                term = mul(c, value(mono[:i] + (e - 1,) + mono[i + 1:]))
+                cur = sums.get((i, e))
+                sums[i, e] = term if cur is None else add(cur, term)
+        row = [zero] * n
+        for (i, e), s in sums.items():
+            row[i] = add(row[i], s if e == 1 else mul(s, target._from_int(e)))
+        rows.append(row)
+    return payload_rank(target, n, rows)
 
 
 def substitute_all(polys: Sequence[Polynomial],

@@ -33,8 +33,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from .errors import BudgetExceeded
 from .field import ExtensionField, Field, FieldElement, PrimeField
-from .linalg import payload_rank
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, jacobian_rank_at
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
 
 if TYPE_CHECKING:
@@ -354,8 +353,8 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
 
     For a single generator this reduces to the vanishing of all partial
     derivatives and is fully vectorized; with several generators the
-    variety points are scanned vectorized and the rank condition is
-    checked pointwise (fine for the small ambient spaces it is used on).
+    variety points are scanned vectorized and `jacobian_rank_at` checks
+    the rank pointwise (fine for the small ambient spaces it is used on).
     """
     gens = [g for g in gens if not g.is_zero()]
     assert gens
@@ -364,14 +363,5 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
         partials = [f.partial_derivative(i) for i in range(f.nvars)]
         system = [g for g in partials if not g.is_zero()] + [f]
         return variety_scan(system, field, budget, chunk)
-    points = variety_scan(gens, field, budget, chunk)
-    jacobian = [[g.partial_derivative(i) for i in range(g.nvars)]
-                for g in gens]
-    out = []
-    for pt in points:
-        coords = list(pt.coords)
-        if payload_rank(field, len(coords),
-                        [[d.evaluate(coords).payload for d in row]
-                         for row in jacobian]) < codim:
-            out.append(pt)
-    return out
+    return [pt for pt in variety_scan(gens, field, budget, chunk)
+            if jacobian_rank_at(gens, pt) < codim]

@@ -99,12 +99,10 @@ def exact_relative_degree(coords: Sequence[FieldElement], ground: Field,
     """Smallest j | k such that every coordinate, an element of the degree-k
     extension of ground, lies in its degree-j subextension: the residue
     degree over ground of the point they span."""
-    p = ground.characteristic()
     for j in range(1, k):
-        if k % j == 0:
-            e = p ** (ground.degree * j)
-            if all((c ** e) == c for c in coords):
-                return j
+        if k % j == 0 and all(c.field.frobenius(c, ground.degree * j) == c
+                              for c in coords):
+            return j
     return k
 
 

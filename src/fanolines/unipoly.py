@@ -31,13 +31,14 @@ and returns, for each j, the product of the irreducible factors of degree
 j. Every root of that degree-j part has residue degree exactly j, so it
 is split over F_(q0^j) and nowhere else: roots_in_field(..., orbit=j)
 finds one root per Frobenius orbit by descent into the smaller factor of
-each random split, takes its conjugates a^q0, ..., a^(q0^(j-1)) and
-divides the orbit out. Without the orbit size it takes gcd(a, x^Q - x)
-and splits that down to linear factors.
+each random split, takes its conjugates a^q0, ..., a^(q0^(j-1)) through
+the field's Frobenius row table and divides the orbit out. With orbit=1
+the same descent roots any product of distinct linear factors, such as
+the modulus of a subfield.
 
-Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) and x^Q are not
-taken by squaring up to Q: from x^p mod the polynomial, each p-th power
-is one Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
+Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) is not taken by
+squaring up to Q: from x^p mod the polynomial, each p-th power is one
+Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
 log p + 2D products instead of 1.5 * D * log p.
 """
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import random
 from operator import mul
 from struct import Struct
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .errors import ZeroInversion
 from .field import Field, FieldElement
@@ -206,15 +207,11 @@ class _Arith:
         self.p = field.characteristic()
         self.degree = k = field.degree
         self.rings: Dict[tuple, _Ring] = {}
-        # c -> c^p is F_p-linear: rows are the images (t^p)^i of the basis
-        # t^i; overflow holds the field's t^k, ..., t^(2k-2) reduced, where
-        # the digits of a product of two field elements fold
-        self.frob_rows, self.overflow = [self.one], []
-        if k > 1:
-            self.overflow = field._red
-            tp = field.frobenius(field.generator()).payload
-            for _ in range(k - 1):
-                self.frob_rows.append(self.mul(self.frob_rows[-1], tp))
+        # the field's Frobenius row table (identity over F_p); overflow
+        # holds its t^k, ..., t^(2k-2) reduced, where the digits of a
+        # product of two field elements fold
+        self.frob_rows, self.overflow = (([self.one], []) if k == 1
+                                         else (field.frob_rows, field._red))
 
     def ring(self, m: list) -> _Ring:
         """Packed arithmetic modulo the monic m, built once per m."""
@@ -223,15 +220,6 @@ class _Arith:
         if ring is None:
             ring = self.rings[key] = _Ring(self, m)
         return ring
-
-    def frob(self, c):
-        """c^p for a payload of an extension field."""
-        out = [0] * self.degree
-        for ci, row in zip(c, self.frob_rows):
-            if ci:
-                for i, v in enumerate(row):
-                    out[i] += ci * v
-        return tuple(v % self.p for v in out)
 
     def trim(self, a: list) -> list:
         i = len(a)
@@ -405,42 +393,17 @@ def _orbit_roots(ar: _Arith, f: list, field: Field, xp: list, orbit: int,
         while len(g) > 2:
             h = _split_one(ar, g, field, xp, rng)
             g = h if 2 * (len(h) - 1) <= len(g) - 1 else ar.divmod(g, h)[0]
-        root = ar.sub(ar.zero, g[0])
+        root = FieldElement(field, ar.sub(ar.zero, g[0]))
         for i in range(orbit):
             if i:
-                for _ in range(steps):
-                    root = ar.frob(root)
+                root = field.frobenius(root, steps)
             roots.append(root)
-            f = ar.deflate(f, root)
-    return roots
-
-
-def _split_roots(ar: _Arith, f: list, field: Field, xp: list,
-                 rng: random.Random) -> list:
-    """Every root in the field: gcd(x^Q - x, f), split down to linears."""
-    xq = xp  # x^Q mod f, Q = p^D, by D - 1 Frobenius steps from x^p
-    if ar.degree > 1:
-        ring = ar.ring(f)
-        xq = ring.flat(xp)
-        table = ring.frobenius_table(xq)
-        for _ in range(ar.degree - 1):
-            xq = ring.frobenius(xq, table)
-        xq = ring.payloads(xq)
-    roots = []
-    stack = [ar.gcd(ar.sub_poly(xq, [ar.zero, ar.one]), f)]
-    while stack:
-        g = stack.pop()
-        if len(g) == 2:
-            roots.append(ar.sub(ar.zero, g[0]))
-        elif len(g) > 2:
-            h = _split_one(ar, g, field, xp, rng)
-            stack.append(h)
-            stack.append(ar.divmod(g, h)[0])
+            f = ar.deflate(f, root.payload)
     return roots
 
 
 def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
-                   *, orbit: Optional[int] = None) -> List[FieldElement]:
+                   *, orbit: int) -> List[FieldElement]:
     """Distinct roots of `a` lying in the finite field itself, sorted.
 
     orbit=j promises that `a` is a product of distinct irreducible factors
@@ -450,21 +413,15 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     the roots come one orbit at a time. The rng only influences internal
     splitting choices.
     """
-    assert field.is_finite
+    assert field.is_finite and field.degree % orbit == 0
     ar = _Arith(field)
     f = _payloads(a, ar)
     if len(f) <= 1:
         return []  # constants (callers guard the zero polynomial)
     f = ar.monic(f)
     if len(f) == 2:
-        roots = [ar.sub(ar.zero, f[0])]
+        roots = [FieldElement(field, ar.sub(ar.zero, f[0]))]
     else:
         xp = ar.powmod([ar.zero, ar.one], ar.p, f)
-        if orbit is None:
-            roots = _split_roots(ar, f, field, xp, rng)
-        else:
-            assert ar.degree % orbit == 0
-            roots = _orbit_roots(ar, f, field, xp, orbit, rng)
-    elems = [FieldElement(field, r) for r in roots]
-    elems.sort(key=field.code_of)
-    return elems
+        roots = _orbit_roots(ar, f, field, xp, orbit, rng)
+    return sorted(roots, key=field.code_of)

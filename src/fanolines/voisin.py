@@ -35,6 +35,16 @@ MAX_RESAMPLES = 5
 SLICE_RETRIES = 3
 
 
+def _normal_form(field: Field, r: int, quadrics) -> Polynomial:
+    """x_{r+1}^2 x_0 + sum_i x_{r+2+i} Q_i in 2r+2 variables."""
+    nvars = 2 * r + 2
+    f = (Polynomial.variable(field, nvars, r + 1) ** 2
+         * Polynomial.variable(field, nvars, 0))
+    for i, q in enumerate(quadrics):
+        f = f + Polynomial.variable(field, nvars, r + 2 + i) * q
+    return f
+
+
 @dataclass(frozen=True)
 class NormalFormCubic:
     """A cubic x_{r+1}^2 x_0 + sum_i x_{r+1+i} Q_i in 2r+2 variables.
@@ -55,12 +65,7 @@ class NormalFormCubic:
         nvars = 2 * r + 2
         if self.f.nvars != nvars or len(self.quadrics) != r:
             raise InvalidParameters("wrong number of variables or quadrics")
-        field = self.f.field
-        expect = (Polynomial.variable(field, nvars, r + 1) ** 2
-                  * Polynomial.variable(field, nvars, 0))
-        for i, q in enumerate(self.quadrics):
-            expect = expect + Polynomial.variable(field, nvars, r + 2 + i) * q
-        if self.f != expect:
+        if self.f != _normal_form(self.f.field, r, self.quadrics):
             raise InvalidParameters("cubic is not in normal form")
 
     @property
@@ -101,11 +106,7 @@ def normal_form_cubic(r: int, field: Field, seed: int) -> NormalFormCubic:
         while q.is_zero():
             q = random_homogeneous(field, nvars, 2, rng)
         quadrics.append(q)
-    f = (Polynomial.variable(field, nvars, r + 1) ** 2
-         * Polynomial.variable(field, nvars, 0))
-    for i, q in enumerate(quadrics):
-        f = f + Polynomial.variable(field, nvars, r + 2 + i) * q
-    return NormalFormCubic(r, f, tuple(quadrics))
+    return NormalFormCubic(r, _normal_form(field, r, quadrics), tuple(quadrics))
 
 
 def restricted_quadrics(nfc: NormalFormCubic) -> List[Polynomial]:

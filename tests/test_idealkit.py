@@ -87,6 +87,22 @@ def test_singular_points_nodal_cubic_finds_node():
     assert [p.serialize() for p in pts] == [["1", "0", "0", "0"]]
 
 
+def test_singular_points_of_several_generators_match_the_oracle():
+    # a curve in P^3 cut by two quadrics: the scan's several-generator
+    # branch against every enumerated point filtered by the direct rank
+    gens = [parse("x1^2 + x2^2 - x3^2", 4, F7),
+            parse("x0*x1 + x2*x3 + x1^2", 4, F7)]
+    ideal = Ideal(gens)
+    dim, _ = hilbert_data(ideal)
+    codim = ideal.ambient_proj_dim - dim
+    points = enumerated_points(ideal, k_max=2)
+    expected = [p.serialize() for p in points
+                if jacobian_rank_oracle(gens, p) < codim]
+    got = [p.serialize() for p in singular_points(ideal, k_max=2)]
+    assert len(points) == 49
+    assert got == expected == [["1", "0", "0", "0"]]
+
+
 def test_jacobian_rank_values():
     gens = [parse("x0*x1^2 + x2^3 + x3^3", 4, F11)]
     node = rational_points(Ideal([parse("x1", 4, F11), parse("x2", 4, F11),

@@ -1,6 +1,5 @@
 """Univariate layer: distinct-degree factorization against sympy, and root
-extraction by Frobenius orbits against the general gcd-and-split route and
-against brute force over the whole field.
+extraction by Frobenius orbits against brute force over the whole field.
 
 Random draws include repeated and p-th-power factors, whose derivative
 vanishes, so a factorization that leaned on the squarefree part would
@@ -109,13 +108,11 @@ def test_orbit_roots_match_general_roots_and_brute_force(ground):
         for j in range(1, k_max + 1):
             ext, embed = relative_extension(ground, j)
             mapped = [embed(c) for c in e]
-            general = [r for r in roots_in_field(mapped, ext, rng)
-                       if exact_relative_degree([r], ground, j) == j]
             brute = [z for z in ext.elements() if horner(mapped, z).is_zero()
                      and exact_relative_degree([z], ground, j) == j]
             orbit = roots_in_field([embed(c) for c in parts[j]], ext, rng,
                                    orbit=j) if j in parts else []
-            assert orbit == general == brute, (trial, j)
+            assert orbit == brute, (trial, j)
 
 
 def test_linear_input_returns_its_root_without_splitting():
@@ -124,7 +121,6 @@ def test_linear_input_returns_its_root_without_splitting():
     a, b = f343.sample(rng), f343.sample(rng)
     while b.is_zero():
         b = f343.sample(rng)
-    assert roots_in_field([a, b], f343, rng) == [-a / b]
     assert roots_in_field([a, b], f343, rng, orbit=1) == [-a / b]
 
 
@@ -228,14 +224,15 @@ def test_orbit_roots_at_benchmark_scale(j):
     assert {ext.frobenius(r) for r in roots} == set(roots)
     codes = [ext.code_of(r) for r in roots]
     assert codes == sorted(codes)
-    assert roots == roots_in_field(mapped, ext, random.Random(2))
+    assert roots == roots_in_field(mapped, ext, random.Random(2), orbit=j)
 
 
 def test_orbit_six_root_work_is_pinned(monkeypatch):
     # one irreducible sextic over F_10007 split in F_(10007^6), as in a
-    # depth-6 line count. The products of polynomials are packed ints, so
-    # field multiplications are left only in gcds, deflation and the
-    # Frobenius images of t; the tuple-loop products made 2945.
+    # depth-6 line count. The products of polynomials are packed ints and
+    # the Frobenius row table comes with the field, so field
+    # multiplications are left only in gcds and deflation; the tuple-loop
+    # products made 2945, and building the table per call 27 more.
     from fanolines.field import ExtensionField
     ground = PrimeField(10007)
     coeffs = irreducible(ground, 6, random.Random("pinned-orbit-6"))
@@ -252,4 +249,4 @@ def test_orbit_six_root_work_is_pinned(monkeypatch):
     monkeypatch.setattr(ExtensionField, "_mul", counted_mul)
     roots = roots_in_field(mapped, ext, random.Random(0), orbit=6)
     assert len(roots) == 6
-    assert len(calls) <= 87
+    assert len(calls) <= 60
