@@ -11,13 +11,23 @@ digits, so it is one row table: row i is the image of t^i, and
 rows (t^p)^i, built once per field. An embedding F_{p^a} -> F_{p^b} has
 the rows r^i, r the smallest-code root in F_{p^b} of the modulus of
 F_{p^a}, built once per pair of fields.
+
+Sums of products, the entries of a Jacobian and the coefficients of a
+specialized polynomial, run on ints: `Field._packer(terms)` returns
+(pack, unpack), and unpack(sum of up to `terms` products pack(a) * pack(b))
+is the payload of the sum of the products a * b. Over F_{p^k} pack puts
+digit i in slot i of an int (Kronecker substitution; von zur Gathen-Gerhard,
+*Modern Computer Algebra*, §8.4), with slots wide enough that the sum never
+carries, so it is reduced once instead of once per product (delayed
+reduction, as in Dumas-Giorgi-Pernet's FFLAS).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, Union
+from operator import lshift, mul
+from typing import Callable, Iterator, Tuple, Union
 
 from .errors import InvalidParameters, NotPrime, ZeroInversion
 
@@ -143,6 +153,12 @@ class FieldElement:
 
 Scalar = Union[FieldElement, int]
 
+Packer = Tuple[Callable, Callable]
+
+
+def _same(a):
+    return a
+
 
 class Field:
     """Common interface; concrete fields implement the payload hooks."""
@@ -237,6 +253,10 @@ class RationalField(Field):
     def _is_zero(self, a):
         return a == 0
 
+    def _packer(self, terms: int) -> Packer:
+        """Fractions sum as they are."""
+        return _same, _same
+
     def sample(self, rng, bound=DEFAULT_RATIONAL_BOUND):
         """Uniform integer in [-bound, bound], as a rational."""
         return FieldElement(self, Fraction(rng.randint(-bound, bound)))
@@ -299,6 +319,10 @@ class PrimeField(Field):
 
     def _is_zero(self, a):
         return a == 0
+
+    def _packer(self, terms: int) -> Packer:
+        """Residues sum as ints and are reduced mod p once."""
+        return _same, self.p.__rmod__
 
     def sample(self, rng, bound=None):
         return FieldElement(self, rng.randrange(self.p))
@@ -406,6 +430,36 @@ class ExtensionField(Field):
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)
+
+    def _packer(self, terms: int) -> Packer:
+        """Digit i in slot i of W bits, W = bit_length(terms k (p-1)^2) + 1.
+
+        A product of two packed payloads has 2k - 1 slots, each a sum of
+        at most k digit products, so a sum of `terms` products never
+        carries. unpack takes slots k..2k-2 mod p and folds them into the
+        low k slots by the packed rows t^k, ..., t^(2k-2) reduced, the
+        fold of `_mul`; each low slot stays below 2^W, since the fold adds
+        at most (k-1)(p-1)^2. The low slots mod p are the payload. A
+        payload from F_p, (c, 0, ..., 0), packs to c itself.
+        """
+        p, k = self.p, self.k
+        width = (terms * k * (p - 1) ** 2).bit_length() + 1
+        digit = (1 << width) - 1
+        shifts = [i * width for i in range(k)]
+        high = [(k + i) * width for i in range(k - 1)]
+        low = (1 << k * width) - 1
+
+        def pack(c) -> int:
+            return sum(map(lshift, c, shifts))
+
+        rows = [pack(row) for row in self._red]
+
+        def unpack(v: int) -> tuple:
+            v = (v & low) + sum(map(mul, [(v >> s & digit) % p for s in high],
+                                    rows))
+            return tuple((v >> s & digit) % p for s in shifts)
+
+        return pack, unpack
 
     def element_str(self, payload) -> str:
         parts = []

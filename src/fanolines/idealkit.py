@@ -192,7 +192,7 @@ def certify_reduced_point(ideal: Ideal, point: ProjectivePoint,
     For a zero-dimensional scheme this certifies the point is a reduced
     isolated solution; radical computations are never attempted.
     """
-    return jacobian_rank_at(ideal.nonzero_generators(), point) >= codim
+    return jacobian_rank_at(ideal.nonzero_generators(), [point])[0] >= codim
 
 
 def singular_points(ideal: Ideal, k_max: int = 1,
@@ -362,14 +362,20 @@ def add_jacobian_certificates(report: VarietyReport, ideal: Ideal,
     ("unsampled" without points).
 
     With `reduced_rank`, each certificate also says whether the point is
-    reduced, that is whether its rank reaches `reduced_rank`. Returns the
-    ranks in point order.
+    reduced, that is whether its rank reaches `reduced_rank`. The points
+    are ranked in one `jacobian_rank_at` call per field; the ranks are
+    returned in point order.
     """
     gens = ideal.nonzero_generators()
-    ranks = []
-    for pt in points:
-        rank = jacobian_rank_at(gens, pt)
-        ranks.append(rank)
+    by_field: Dict[Field, List[int]] = {}
+    for i, pt in enumerate(points):
+        by_field.setdefault(pt.field, []).append(i)
+    ranks = [0] * len(points)
+    for indices in by_field.values():
+        for i, rank in zip(indices, jacobian_rank_at(
+                gens, [points[i] for i in indices])):
+            ranks[i] = rank
+    for pt, rank in zip(points, ranks):
         fields = {"jacobian_rank": str(rank)}
         if reduced_rank is not None:
             fields["reduced"] = "true" if rank >= reduced_rank else "false"

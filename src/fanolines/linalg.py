@@ -5,7 +5,9 @@ row echelon on raw coefficient payloads: the ranks of the Jacobian, Gram
 and scan certificates, the determinant, the inverse, and FGLM's linear
 dependences. Sizes stay small (coordinate changes, Gram matrices, the
 quotient algebras of zero-dimensional charts), so the pivot of a row is
-simply its first nonzero entry.
+simply its first nonzero entry. A stored row is kept unscaled and made
+monic, at the cost of one inverse, only the first time a later row
+needs it, so the last row of a rank computation is never inverted.
 
 The matrix functions take and return lists of row lists of FieldElement.
 """
@@ -25,20 +27,24 @@ class Echelon:
     """Incremental row echelon on payload lists over one field.
 
     An added row is reduced against the rows stored before it and, unless
-    its leading `width` entries are then all zero, stored scaled monic at
-    its pivot: its first nonzero entry among those `width`. Entries after
-    `width` ride along and are never pivots, so a caller that appends a
-    unit vector to each row reads, from a row that reduces to zero there,
-    the combination of earlier rows that it equals.
+    its leading `width` entries are then all zero, stored as it is at its
+    pivot: its first nonzero entry among those `width`. A stored row is
+    scaled monic, and its pivot inverted, the first time a later row has
+    a nonzero entry at that pivot; a row nothing reduces against is never
+    inverted. Entries after `width` ride along and are never pivots, so a
+    caller that appends a unit vector to each row reads, from a row that
+    reduces to zero there, the combination of earlier rows that it
+    equals.
     """
 
     def __init__(self, field: Field, width: int):
         self.field = field
         self.width = width
         self.pivots: List[int] = []
-        # per stored row: (index, payload) of its nonzero entries after its
-        # pivot; the entries before the pivot are zero and the pivot is one
-        self._tails: List[List[tuple]] = []
+        # per stored row: [pivot entry, (index, payload) of its nonzero
+        # entries after the pivot]; the entries before the pivot are zero,
+        # and the pivot entry is None once the row is scaled monic
+        self._rows: List[list] = []
 
     @property
     def rank(self) -> int:
@@ -48,13 +54,19 @@ class Echelon:
         """The row minus the combination of stored rows that clears every
         stored pivot. Rows are taken in the order they were stored: each
         has zeros at the pivots of the rows before it."""
-        sub, mul, is_zero = self.field._sub, self.field._mul, self.field._is_zero
-        zero = self.field._zero_payload()
+        field = self.field
+        sub, mul, is_zero = field._sub, field._mul, field._is_zero
+        zero = field._zero_payload()
         w = list(row)
-        for pivot, tail in zip(self.pivots, self._tails):
+        for pivot, stored in zip(self.pivots, self._rows):
             c = w[pivot]
             if is_zero(c):
                 continue
+            lead, tail = stored
+            if lead is not None:  # first use: scale the row monic
+                inv = field._inv(lead)
+                tail = stored[1] = [(t, mul(inv, v)) for t, v in tail]
+                stored[0] = None
             w[pivot] = zero
             for t, v in tail:
                 w[t] = sub(w[t], mul(c, v))
@@ -62,16 +74,15 @@ class Echelon:
 
     def add(self, row: list) -> list:
         """Reduce the row, store it when it is independent of the stored
-        rows, and return it reduced but not yet scaled."""
+        rows, and return it reduced."""
         w = self.reduce(row)
-        mul, is_zero = self.field._mul, self.field._is_zero
+        is_zero = self.field._is_zero
         for pivot in range(self.width):
             if not is_zero(w[pivot]):
-                inv = self.field._inv(w[pivot])
                 self.pivots.append(pivot)
-                self._tails.append([(t, mul(inv, w[t]))
-                                    for t in range(pivot + 1, len(w))
-                                    if not is_zero(w[t])])
+                self._rows.append([w[pivot],
+                                   [(t, w[t]) for t in range(pivot + 1, len(w))
+                                    if not is_zero(w[t])]])
                 break
         return w
 

@@ -16,7 +16,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, mul as _mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
@@ -503,53 +503,80 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
-def jacobian_rank_at(gens: Sequence[Polynomial], point: ProjectivePoint) -> int:
-    """Rank of the Jacobian of gens at a point, over the point's field.
+def jacobian_rank_at(gens: Sequence[Polynomial],
+                     points: Sequence[ProjectivePoint]) -> List[int]:
+    """Ranks of the Jacobian of gens at points over one field, in order.
 
-    Entry (g, i) is the sum of c * m_i * P^(m - e_i) over the terms
-    c * x^m of g with m_i > 0, on raw payloads; no partial derivative is
-    built. The terms are summed per exponent m_i first, so each distinct
-    exponent costs one scaling. Each monomial's value at P is computed
-    once for all the generators, as the value of the monomial with its
-    last nonzero exponent lowered by one, times that coordinate.
-    Coefficients are carried into the point's field by `payload_lift`, as
-    in `Polynomial.evaluate`.
+    Entry (g, i) at P is the sum of c * m_i * P^(m - e_i) over the terms
+    c * x^m of g; no partial derivative is built. A plan, made once for
+    the generator list, holds each entry's coefficients c * m_i, taken
+    over the generators' field with the terms the characteristic kills
+    dropped, keyed by the lowered monomial m - e_i, and the order in
+    which every lowered monomial's value is built: its prefix's value
+    (last nonzero exponent lowered by one) times one coordinate. The
+    coefficients are carried into the points' field (`payload_lift`, as in
+    `Polynomial.evaluate`) and packed (`Field._packer`) once. At each
+    point every value is one packed product, reduced and packed again,
+    and each entry is one int sum of packed products, reduced once.
     """
-    target = point.field
-    coords = [c.payload for c in point.coords]
-    n = len(coords)
-    mul, add, zero = target._mul, target._add, target._zero_payload()
-    char = target.characteristic()
-    values: Dict[Tuple[int, ...], object] = {(0,) * n: target._one_payload()}
+    if not gens or not points:
+        return [0] * len(points)
+    field = gens[0].field
+    n = gens[0].nvars
+    mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
+    # value slots: 1, then x_0, ..., x_(n-1), then one per chain step
+    # (parent, i), whose value is the parent's value times x_i
+    index: Dict[Monomial, int] = {(0,) * n: 0}
+    index.update((_unit(n, i), i + 1) for i in range(n))
+    chain: List[Tuple[int, int]] = []
 
-    def value(mono: Tuple[int, ...]):
-        got = values.get(mono)
-        if got is None:
+    def slot(mono: Monomial) -> int:
+        j = index.get(mono)
+        if j is None:
             i = n - 1
             while mono[i] == 0:
                 i -= 1
-            lowered = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            got = values[mono] = mul(value(lowered), coords[i])
-        return got
+            parent = slot(mono[:i] + (mono[i] - 1,) + mono[i + 1:])
+            j = index[mono] = n + 1 + len(chain)
+            chain.append((parent, i))
+        return j
 
-    lift = payload_lift(gens[0].field, target) if gens else None
-    rows = []
+    plan = []  # per generator, per variable: (value slots, coefficients)
     for g in gens:
-        assert g.nvars == n and g.field == gens[0].field
-        sums: Dict[Tuple[int, int], object] = {}  # (i, m_i) -> sum
+        assert g.nvars == n and g.field == field
+        entries = [([], []) for _ in range(n)]
         for mono, coeff in g.terms.items():
-            c = coeff.payload if lift is None else lift(coeff.payload)
             for i, e in enumerate(mono):
-                if e == 0 or (char and e % char == 0):
-                    continue  # no term, or one the characteristic kills
-                term = mul(c, value(mono[:i] + (e - 1,) + mono[i + 1:]))
-                cur = sums.get((i, e))
-                sums[i, e] = term if cur is None else add(cur, term)
-        row = [zero] * n
-        for (i, e), s in sums.items():
-            row[i] = add(row[i], s if e == 1 else mul(s, target._from_int(e)))
-        rows.append(row)
-    return payload_rank(target, n, rows)
+                if e == 0:
+                    continue
+                c = mul(coeff.payload, from_int(e))
+                if not is_zero(c):  # else the characteristic divides e
+                    slots, coeffs = entries[i]
+                    slots.append(slot(mono[:i] + (e - 1,) + mono[i + 1:]))
+                    coeffs.append(c)
+        plan.append(entries)
+
+    target = points[0].field
+    lift = payload_lift(field, target)
+    pack, unpack = target._packer(
+        max(1, max(len(slots) for entries in plan for slots, _ in entries)))
+    packed_plan = [[(slots, [pack(c if lift is None else lift(c))
+                             for c in coeffs])
+                    for slots, coeffs in entries] for entries in plan]
+    one, zero = pack(target._one_payload()), target._zero_payload()
+    ranks = []
+    for point in points:
+        assert point.field == target and len(point.coords) == n
+        coords = [pack(c.payload) for c in point.coords]
+        values = [one] + coords
+        for parent, i in chain:
+            values.append(pack(unpack(values[parent] * coords[i])))
+        get = values.__getitem__
+        rows = [[unpack(sum(map(_mul, coeffs, map(get, slots))))
+                 if slots else zero for slots, coeffs in entries]
+                for entries in packed_plan]
+        ranks.append(payload_rank(target, n, rows))
+    return ranks
 
 
 def substitute_all(polys: Sequence[Polynomial],

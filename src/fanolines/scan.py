@@ -353,8 +353,8 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
 
     For a single generator this reduces to the vanishing of all partial
     derivatives and is fully vectorized; with several generators the
-    variety points are scanned vectorized and `jacobian_rank_at` checks
-    the rank pointwise (fine for the small ambient spaces it is used on).
+    variety points are scanned vectorized and one `jacobian_rank_at` call
+    ranks them all.
     """
     gens = [g for g in gens if not g.is_zero()]
     assert gens
@@ -363,5 +363,6 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
         partials = [f.partial_derivative(i) for i in range(f.nvars)]
         system = [g for g in partials if not g.is_zero()] + [f]
         return variety_scan(system, field, budget, chunk)
-    return [pt for pt in variety_scan(gens, field, budget, chunk)
-            if jacobian_rank_at(gens, pt) < codim]
+    points = variety_scan(gens, field, budget, chunk)
+    return [pt for pt, rank in zip(points, jacobian_rank_at(gens, points))
+            if rank < codim]

@@ -38,23 +38,26 @@ from .unipoly import distinct_degree_factorization, roots_in_field
 def _specialize_last(basis: List[Polynomial],
                      root: FieldElement) -> List[Polynomial]:
     """The nonzero ones among the basis polynomials, all over root's field,
-    with the last variable set to root. Runs on payloads; the powers of
-    root are built once, incrementally."""
+    with the last variable set to root. Each coefficient, the sum of
+    c * root^e over the terms c * x^m of one polynomial that share m
+    without its last exponent e, is one int sum of packed products
+    (`Field._packer`), reduced once; the powers of root are built once,
+    incrementally, and packed once."""
     field = root.field
-    mul, add, is_zero = field._mul, field._add, field._is_zero
-    powers = [field._one_payload()]
+    pack, unpack = field._packer(max((len(g.terms) for g in basis), default=1))
+    powers = [pack(field._one_payload())]
+    step = pack(root.payload)
     out = []
     for g in basis:
-        terms: Dict[Tuple[int, ...], object] = {}
+        sums: Dict[Tuple[int, ...], int] = {}
         for mono, coeff in g.terms.items():
             e = mono[-1]
             while len(powers) <= e:
-                powers.append(mul(powers[-1], root.payload))
-            c = coeff.payload if e == 0 else mul(coeff.payload, powers[e])
+                powers.append(pack(unpack(powers[-1] * step)))
             key = mono[:-1]
-            cur = terms.get(key)
-            terms[key] = c if cur is None else add(cur, c)
-        terms = {m: c for m, c in terms.items() if not is_zero(c)}
+            sums[key] = sums.get(key, 0) + pack(coeff.payload) * powers[e]
+        terms = {m: c for m, c in zip(sums, map(unpack, sums.values()))
+                 if not field._is_zero(c)}
         if terms:
             out.append(Polynomial.from_payloads(field, g.nvars - 1, terms))
     return out

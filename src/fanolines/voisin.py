@@ -148,7 +148,7 @@ def certify_node(nfc: NormalFormCubic, point: ProjectivePoint) -> NodeCertificat
     the local expansion has full rank 2r+1."""
     target = point.field
     vanishing = (nfc.f.evaluate(list(point.coords)).is_zero()
-                 and jacobian_rank_at([nfc.f], point) == 0)
+                 and jacobian_rank_at([nfc.f], [point]) == [0])
     parts = direction_components(_mapped_to(nfc.f, target), point)
     multiplicity_two = (parts[0].is_zero() and parts[1].is_zero()
                         and not parts[2].is_zero())

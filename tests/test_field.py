@@ -245,3 +245,34 @@ def test_integer_codes_enumerate_the_field(field):
     elems = list(field.elements())
     assert [field.code_of(e) for e in elems] == list(range(field.order()))
     assert all(field.element_from_code(field.code_of(e)) == e for e in elems)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(10007),
+                                   build_extension(3, 2),
+                                   build_extension(7, 4),
+                                   build_extension(10007, 6),
+                                   build_extension(4294967311, 2)], ids=str)
+def test_packed_sums_of_products_match_field_arithmetic(field):
+    # unpack of a sum of up to `terms` packed products is the _mul/_add sum;
+    # at the bound with every digit p - 1 each slot of the sum is largest
+    rng = random.Random(f"packer-{field}")
+    top = field.from_int(-1).payload
+    if field.kind == "extension":
+        top = (field.p - 1,) * field.k
+    for terms in (1, 2, 5, 64):
+        pack, unpack = field._packer(terms)
+        cases = [[(top, top)] * terms,
+                 [(field.sample(rng).payload, field.sample(rng).payload)
+                  for _ in range(terms)],
+                 [(field.from_int(rng.randrange(-9, 9)).payload,
+                   field.sample(rng).payload) for _ in range(terms)]]
+        for pairs in cases:
+            want = field._zero_payload()
+            for a, b in pairs:
+                want = field._add(want, field._mul(a, b))
+            got = unpack(sum(pack(a) * pack(b) for a, b in pairs))
+            assert got == want, (terms, pairs)
+        assert unpack(pack(top)) == top
+    if field.kind != "rationals":
+        # a payload from F_p packs to the small int itself
+        assert pack(field.from_int(2).payload) == 2

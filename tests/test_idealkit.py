@@ -107,10 +107,10 @@ def test_jacobian_rank_values():
     gens = [parse("x0*x1^2 + x2^3 + x3^3", 4, F11)]
     node = rational_points(Ideal([parse("x1", 4, F11), parse("x2", 4, F11),
                                   parse("x3", 4, F11)]), k_max=1)[0]
-    assert jacobian_rank_at(gens, node) == 0
+    assert jacobian_rank_at(gens, [node]) == [0]
     smooth = rational_points(Ideal([parse("x0", 4, F11), parse("x2", 4, F11),
                                     parse("x1 + x3", 4, F11)]), k_max=1)[0]
-    assert jacobian_rank_at(gens, smooth) == 1
+    assert jacobian_rank_at(gens, [smooth]) == [1]
 
 
 def test_jacobian_rank_at_extension_points_matches_mapped_generators():
@@ -125,12 +125,12 @@ def test_jacobian_rank_at_extension_points_matches_mapped_generators():
         mapped = [g.map_coefficients(f49, embed) for g in gens]
         rows = [[g.partial_derivative(i).evaluate(list(pt.coords))
                  for i in range(4)] for g in mapped]
-        assert jacobian_rank_at(gens, pt) == mat_rank(rows)
+        assert jacobian_rank_at(gens, [pt]) == [mat_rank(rows)]
     # the node of a cubic over F_7, and a smooth point, as F_49 points
     cubic = [parse("x0*x1^2 + x2^3 + x3^3", 4, F7)]
     zero, one, t = f49.zero(), f49.one(), f49.generator()
-    assert jacobian_rank_at(cubic, ProjectivePoint([one, zero, zero, zero])) == 0
-    assert jacobian_rank_at(cubic, ProjectivePoint([one, t, zero, zero])) == 1
+    assert jacobian_rank_at(cubic, [ProjectivePoint([one, zero, zero, zero])]) == [0]
+    assert jacobian_rank_at(cubic, [ProjectivePoint([one, t, zero, zero])]) == [1]
 
 
 def dependent_generators(field, nvars, rng):
@@ -158,21 +158,88 @@ def special_points(field, nvars, rng):
     return points
 
 
-@pytest.mark.parametrize("ground,point_field", [
-    (PrimeField(7), PrimeField(7)),
-    (PrimeField(10007), PrimeField(10007)),
-    (PrimeField(7), build_extension(7, 3)),
-    (build_extension(7, 2), build_extension(7, 4)),
-    (QQ, QQ),
-], ids=["F7", "F10007", "F7-F343", "F49-F2401", "QQ"])
+# the 33-bit prime of the packed-product tests: over F_(p^2) the packed
+# Jacobian entries need slots wider than 64 bits
+BIG_PRIME = 4294967311
+
+# (generators' field, points' field): prime fields, F_p generators at
+# F_(p^k) points for k = 2..6, and F_(p^2) generators lifted into F_(p^4)
+# and F_(p^6)
+JACOBIAN_FIELDS = (
+    [(PrimeField(7), PrimeField(7)), (PrimeField(10007), PrimeField(10007)),
+     (PrimeField(7), build_extension(7, 3)),
+     (build_extension(7, 2), build_extension(7, 4)), (QQ, QQ),
+     (PrimeField(3), PrimeField(3))]
+    + [(PrimeField(p), build_extension(p, k))
+       for p in (3, 10007) for k in range(2, 7)]
+    + [(build_extension(7, 2), build_extension(7, 6)),
+       (build_extension(10007, 2), build_extension(10007, 4)),
+       (PrimeField(BIG_PRIME), build_extension(BIG_PRIME, 2))])
+
+
+@pytest.mark.parametrize(
+    "ground,point_field", JACOBIAN_FIELDS,
+    ids=["F7", "F10007", "F7-F343", "F49-F2401", "QQ", "F3"]
+    + [f"F{p}-F{p}^{k}" for p in (3, 10007) for k in range(2, 7)]
+    + ["F49-F7^6", "F10007^2-F10007^4", "Fbig-Fbig^2"])
 def test_jacobian_rank_at_matches_partials_then_evaluate(ground, point_field):
+    # the packed kernel against the oracle, point by point, in one call per
+    # point list
     rng = random.Random(ground.order() or 0)
     for _ in range(3):
         gens = dependent_generators(ground, 4, rng)
-        for pt in special_points(point_field, 4, rng):
-            for subset in (gens, gens[:1], gens[2:], gens[:3]):
-                assert jacobian_rank_at(subset, pt) == \
-                    jacobian_rank_oracle(subset, pt)
+        points = special_points(point_field, 4, rng)
+        for subset in (gens, gens[:1], gens[2:], gens[:3]):
+            assert jacobian_rank_at(subset, points) == \
+                [jacobian_rank_oracle(subset, pt) for pt in points]
+
+
+def test_jacobian_ranks_come_in_point_order():
+    # the node of x0*x1^2 + x2^3 + x3^3 has rank 0, points off it rank 1;
+    # over F_11 and as F_121 points
+    gens = [parse("x0*x1^2 + x2^3 + x3^3", 4, F11)]
+    for field in (F11, build_extension(11, 2)):
+        zero, one = field.zero(), field.one()
+        node = ProjectivePoint([one, zero, zero, zero])
+        smooth = [ProjectivePoint([one, zero, -one, one]),
+                  ProjectivePoint([zero, one, zero, zero]),
+                  ProjectivePoint([one, one, one, field.from_int(9)])]
+        points = [smooth[0], node, smooth[1], node, node, smooth[2]]
+        assert jacobian_rank_at(gens, points) == [1, 0, 1, 0, 0, 1]
+        assert jacobian_rank_at(gens, points[::-1]) == [1, 0, 0, 1, 0, 1]
+        assert jacobian_rank_at(gens, []) == []
+
+
+def test_jacobian_certificate_work_is_pinned(monkeypatch):
+    # the six lines of `lines-through --random 4 3 1 --seed 0`, over
+    # F_10007^k. Each entry is one packed sum reduced once and each
+    # monomial value one packed product, so field multiplications are left
+    # only in the eliminations, which invert a pivot only when a later row
+    # needs it; the parent kernel made 400 `_mul` and 12 `_inv` calls
+    from fanolines.fano import line_system, random_pointed_hypersurface
+    from fanolines.field import ExtensionField
+    ph = random_pointed_hypersurface(4, 3, 1, F10007, seed=0)
+    ideal = line_system(ph).ideal()
+    points = solve_report(ideal, 6).points
+    report = variety_report(ideal, {"dimension": "0"})
+    calls = {"mul": 0, "inv": 0}
+    mul, inv = ExtensionField._mul, ExtensionField._inv
+
+    def counted_mul(self, a, b):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    def counted_inv(self, a):
+        calls["inv"] += 1
+        return inv(self, a)
+
+    monkeypatch.setattr(ExtensionField, "_mul", counted_mul)
+    monkeypatch.setattr(ExtensionField, "_inv", counted_inv)
+    ranks = add_jacobian_certificates(report, ideal, points, reduced_rank=3)
+    assert ranks == [3] * 6
+    assert [pt.field.degree for pt in points] == [1, 1, 2, 2, 2, 2]
+    assert calls["mul"] <= 52
+    assert calls["inv"] <= 8
 
 
 def test_jacobian_rank_at_drops_exponents_divisible_by_p():
@@ -184,8 +251,8 @@ def test_jacobian_rank_at_drops_exponents_divisible_by_p():
     rng = random.Random(2)
     for field in (f7, build_extension(7, 2)):
         for pt in special_points(field, 4, rng):
-            assert jacobian_rank_at(gens[:1], pt) == 0
-            assert jacobian_rank_at(gens, pt) == jacobian_rank_oracle(gens, pt)
+            assert jacobian_rank_at(gens[:1], [pt]) == [0]
+            assert jacobian_rank_at(gens, [pt]) == [jacobian_rank_oracle(gens, pt)]
 
 
 def test_slice_degree_trivial_cases():
@@ -240,7 +307,7 @@ def test_sample_smooth_points_on_quadric_surface():
         for g in gens:
             mapped = g.map_coefficients(pt.field, embed)
             assert mapped.evaluate(list(pt.coords)).is_zero()
-        assert jacobian_rank_at(gens, pt) == 1
+        assert jacobian_rank_at(gens, [pt]) == [1]
 
 
 def test_sample_smooth_points_stops_drawing_at_count():

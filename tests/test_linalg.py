@@ -8,7 +8,7 @@ import pytest
 
 from fanolines import PrimeField, build_extension
 from fanolines.errors import SingularMatrix
-from fanolines.linalg import mat_det, mat_inverse, mat_rank
+from fanolines.linalg import mat_det, mat_inverse, mat_rank, payload_rank
 
 from conftest import mat_identity
 
@@ -100,3 +100,26 @@ def test_inverse_det_rank_identities_over_extensions(p, k):
         assert mat_mul(a, inv) == mat_identity(field, n)
         assert mat_mul(inv, a) == mat_identity(field, n)
     assert invertible
+
+
+@pytest.mark.parametrize("field", [PrimeField(10007), build_extension(7, 3)],
+                         ids=str)
+def test_full_rank_inverts_every_pivot_but_the_last(field, monkeypatch):
+    # Vandermonde rows (1, x_i, x_i^2, ...) with distinct nodes x_i: row i,
+    # reduced by the rows before pivot j, holds prod_(l < j) (x_i - x_l) at
+    # pivot j, so every stored row but the last is used, and inverted, once
+    calls = []
+    inv = type(field)._inv
+
+    def counted_inv(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(type(field), "_inv", counted_inv)
+    for r in range(1, 7):
+        for width in (r, r + 2):
+            rows = [[field.from_int(x ** j).payload for j in range(width)]
+                    for x in range(1, r + 1)]
+            calls.clear()
+            assert payload_rank(field, width, rows) == r
+            assert len(calls) == r - 1
