@@ -185,14 +185,16 @@ def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
                             min(k_max, max(1, degree)), seed)
 
 
-def certify_reduced_point(ideal: Ideal, point: ProjectivePoint,
-                          codim: int) -> bool:
-    """Jacobian criterion at one point: rank >= codimension there.
+def certify_reduced_point(ideal: Ideal, points: Sequence[ProjectivePoint],
+                          codim: int) -> List[bool]:
+    """Jacobian criterion at each point: rank >= codimension there.
 
     For a zero-dimensional scheme this certifies the point is a reduced
-    isolated solution; radical computations are never attempted.
+    isolated solution; radical computations are never attempted. The
+    points are ranked in one `jacobian_rank_at` call.
     """
-    return jacobian_rank_at(ideal.nonzero_generators(), [point])[0] >= codim
+    return [rank >= codim for rank in
+            jacobian_rank_at(ideal.nonzero_generators(), points)]
 
 
 def singular_points(ideal: Ideal, k_max: int = 1,
@@ -362,19 +364,10 @@ def add_jacobian_certificates(report: VarietyReport, ideal: Ideal,
     ("unsampled" without points).
 
     With `reduced_rank`, each certificate also says whether the point is
-    reduced, that is whether its rank reaches `reduced_rank`. The points
-    are ranked in one `jacobian_rank_at` call per field; the ranks are
-    returned in point order.
+    reduced, that is whether its rank reaches `reduced_rank`. The ranks
+    are returned in point order.
     """
-    gens = ideal.nonzero_generators()
-    by_field: Dict[Field, List[int]] = {}
-    for i, pt in enumerate(points):
-        by_field.setdefault(pt.field, []).append(i)
-    ranks = [0] * len(points)
-    for indices in by_field.values():
-        for i, rank in zip(indices, jacobian_rank_at(
-                gens, [points[i] for i in indices])):
-            ranks[i] = rank
+    ranks = jacobian_rank_at(ideal.nonzero_generators(), points)
     for pt, rank in zip(points, ranks):
         fields = {"jacobian_rank": str(rank)}
         if reduced_rank is not None:

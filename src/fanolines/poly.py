@@ -505,19 +505,20 @@ class Polynomial:
 
 def jacobian_rank_at(gens: Sequence[Polynomial],
                      points: Sequence[ProjectivePoint]) -> List[int]:
-    """Ranks of the Jacobian of gens at points over one field, in order.
+    """Ranks of the Jacobian of gens at points, in the points' order.
 
-    Entry (g, i) at P is the sum of c * m_i * P^(m - e_i) over the terms
-    c * x^m of g; no partial derivative is built. A plan, made once for
-    the generator list, holds each entry's coefficients c * m_i, taken
+    The points may lie over any mix of extensions of the generators'
+    field. Entry (g, i) at P is the sum of c * m_i * P^(m - e_i) over the
+    terms c * x^m of g; no partial derivative is built. A plan, made once
+    for the generator list, holds each entry's coefficients c * m_i, taken
     over the generators' field with the terms the characteristic kills
     dropped, keyed by the lowered monomial m - e_i, and the order in
     which every lowered monomial's value is built: its prefix's value
     (last nonzero exponent lowered by one) times one coordinate. The
-    coefficients are carried into the points' field (`payload_lift`, as in
-    `Polynomial.evaluate`) and packed (`Field._packer`) once. At each
-    point every value is one packed product, reduced and packed again,
-    and each entry is one int sum of packed products, reduced once.
+    coefficients are carried into a point's field (`payload_lift`, as in
+    `Polynomial.evaluate`) and packed (`Field._packer`) once per field.
+    At each point every value is one packed product, reduced and packed
+    again, and each entry is one int sum of packed products, reduced once.
     """
     if not gens or not points:
         return [0] * len(points)
@@ -556,17 +557,21 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
                     coeffs.append(c)
         plan.append(entries)
 
-    target = points[0].field
-    lift = payload_lift(field, target)
-    pack, unpack = target._packer(
-        max(1, max(len(slots) for entries in plan for slots, _ in entries)))
-    packed_plan = [[(slots, [pack(c if lift is None else lift(c))
-                             for c in coeffs])
-                    for slots, coeffs in entries] for entries in plan]
-    one, zero = pack(target._one_payload()), target._zero_payload()
+    terms = max(1, max(len(slots) for entries in plan for slots, _ in entries))
+    packed: Dict[Field, tuple] = {}  # per field of the points, on first use
     ranks = []
     for point in points:
-        assert point.field == target and len(point.coords) == n
+        target = point.field
+        assert len(point.coords) == n
+        if target not in packed:
+            lift = payload_lift(field, target)
+            pack, unpack = target._packer(terms)
+            packed[target] = (pack, unpack, [
+                [(slots, [pack(c if lift is None else lift(c))
+                          for c in coeffs]) for slots, coeffs in entries]
+                for entries in plan],
+                pack(target._one_payload()), target._zero_payload())
+        pack, unpack, packed_plan, one, zero = packed[target]
         coords = [pack(c.payload) for c in point.coords]
         values = [one] + coords
         for parent, i in chain:

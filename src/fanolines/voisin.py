@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance, InvalidParameters
 from .field import Field, embedding
-from .fano import PointedHypersurface, direction_components, line_system
+from .fano import PointedHypersurface, line_system
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
                        jacobian_rank_at, point_certificate, rational_points,
                        singular_points, solve_report, variety_report)
-from .linalg import payload_rank, random_invertible
+from .linalg import random_invertible
 from .poly import Polynomial, random_homogeneous, substitute_all
 from .projgeo import ProjectivePoint
 
@@ -81,9 +81,10 @@ class NormalFormCubic:
 class NodeCertificate:
     """Evidence that a point of the cubic is a simple double point.
 
-    `quadratic_part_rank` is the rank of the Hessian quadric in the
-    affine chart at the point; a simple double point needs the full rank
-    2r+1 together with multiplicity exactly 2.
+    `quadratic_part_rank` is rank H(p), the rank of the Hessian of the
+    cubic at the point, which is the rank of the quadratic part of the
+    affine chart expansion there (0 where f or its gradient does not
+    vanish); a simple double point needs the full rank 2r+1.
     """
 
     point: ProjectivePoint
@@ -125,37 +126,28 @@ def _mapped_to(f: Polynomial, target: Field) -> Polynomial:
     return f.map_coefficients(target, embedding(f.field, target))
 
 
-def _gram_rank(quad: Polynomial) -> int:
-    """Rank of a quadratic form via its symmetric Gram matrix."""
-    field = quad.field
-    n = quad.nvars
-    half = field.from_int(2).inverse().payload
-    gram = [[field._zero_payload()] * n for _ in range(n)]
-    for exps, coeff in quad.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            i = support[0]
-            gram[i][i] = coeff.payload
-        else:
-            i, j = support
-            gram[i][j] = gram[j][i] = field._mul(coeff.payload, half)
-    return payload_rank(field, n, gram)
+def certify_node(nfc: NormalFormCubic,
+                 points: Sequence[ProjectivePoint]) -> List[NodeCertificate]:
+    """Certify each point as a simple double point of the cubic or not:
+    f and its gradient vanish there, and the Hessian H(p) has rank 2r+1.
 
-
-def certify_node(nfc: NormalFormCubic, point: ProjectivePoint) -> NodeCertificate:
-    """Check that a point is a simple double point of the cubic: all
-    partials vanish, multiplicity is exactly 2, and the quadratic part of
-    the local expansion has full rank 2r+1."""
-    target = point.field
-    vanishing = (nfc.f.evaluate(list(point.coords)).is_zero()
-                 and jacobian_rank_at([nfc.f], [point]) == [0])
-    parts = direction_components(_mapped_to(nfc.f, target), point)
-    multiplicity_two = (parts[0].is_zero() and parts[1].is_zero()
-                        and not parts[2].is_zero())
-    rank = _gram_rank(parts[2]) if multiplicity_two else 0
-    ok = vanishing and multiplicity_two and rank == 2 * nfc.r + 1
-    residue = target.degree // nfc.field.degree
-    return NodeCertificate(point, residue, rank, ok)
+    Moving p to [1:0:...:0] turns H(p) into diag(0, 2G), G the Gram
+    matrix of the chart expansion's quadratic part, so in odd
+    characteristic rank H(p) is that part's rank, and H(p) != 0 makes the
+    multiplicity exactly 2. f(p) = 0 is checked on its own: in
+    characteristic 3 Euler's relation does not give it from the gradient.
+    """
+    f = nfc.f
+    gradient = [f.partial_derivative(i) for i in range(nfc.nvars)]
+    certificates = []
+    for point, singular, rank in zip(points, jacobian_rank_at([f], points),
+                                     jacobian_rank_at(gradient, points)):
+        if singular or not f.evaluate(list(point.coords)).is_zero():
+            rank = 0
+        certificates.append(NodeCertificate(
+            point, point.field.degree // nfc.field.degree, rank,
+            rank == 2 * nfc.r + 1))
+    return certificates
 
 
 def nodes(nfc: NormalFormCubic, seed: int = 0) -> List[NodeCertificate]:
@@ -179,16 +171,14 @@ def nodes(nfc: NormalFormCubic, seed: int = 0) -> List[NodeCertificate]:
         raise DegenerateInstance(
             f"only {len(result.points)} of {2 ** r} candidate nodes are "
             "geometric; system is non-reduced")
-    certificates = []
-    for z in result.points:
-        zero = z.field.zero()
-        lifted = ProjectivePoint(list(z.coords) + [zero] * (r + 1))
-        cert = certify_node(nfc, lifted)
+    certificates = certify_node(nfc, [
+        ProjectivePoint(list(z.coords) + [z.field.zero()] * (r + 1))
+        for z in result.points])
+    for cert in certificates:
         if not cert.is_simple_double_point:
             raise DegenerateInstance(
-                f"candidate {lifted} fails the node certificate "
+                f"candidate {cert.point} fails the node certificate "
                 f"(rank {cert.quadratic_part_rank})")
-        certificates.append(cert)
     certificates.sort(key=lambda c: (c.residue_degree, c.point.serialize()))
     return certificates
 
@@ -286,10 +276,8 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
             computed["singular_degree"] = str(sing_degree)
             if sing_dim == 0:
                 pts = rational_points(rd, k_max=6, budget=budget, seed=seed)
-                reduced = []
-                for pt in pts:
-                    ok = certify_reduced_point(rd, pt, codim=2 * r)
-                    reduced.append(ok)
+                reduced = certify_reduced_point(rd, pts, codim=2 * r)
+                for pt, ok in zip(pts, reduced):
                     report.singular.append(pt.serialize())
                     report.certificates.append(point_certificate(
                         pt, ideal.field, kind="singular_point",

@@ -3,7 +3,8 @@
 import pytest
 
 from fanolines import (Polynomial, PrimeField, ProjectivePoint,
-                       build_extension, parse_polynomial)
+                       build_extension, embedding, parse_polynomial)
+from fanolines.fano import direction_components
 from fanolines.linalg import mat_rank
 from fanolines.poly import default_names
 
@@ -71,6 +72,47 @@ def jacobian_rank_oracle(gens, point):
     coords = list(point.coords)
     return mat_rank([[g.partial_derivative(i).evaluate(coords)
                       for i in range(g.nvars)] for g in gens])
+
+
+def chart_quadratic_rank(f, point):
+    """Rank of the quadratic part of the form f at a point by the chart
+    route: f mapped into the point's field, moved so that the point is
+    [1:0:...:0] and split by degree in the other coordinates
+    (`direction_components`), then the rank of the symmetric Gram matrix
+    of the degree-2 part; 0 unless the degree-0 and degree-1 parts
+    vanish. The oracle for the Hessian rank of `voisin.certify_node`."""
+    field = point.field
+    if f.field != field:
+        f = f.map_coefficients(field, embedding(f.field, field))
+    parts = direction_components(f, point)
+    if not (parts[0].is_zero() and parts[1].is_zero()):
+        return 0
+    n = parts[2].nvars
+    half = field.from_int(2).inverse()
+    gram = [[field.zero()] * n for _ in range(n)]
+    for exps, coeff in parts[2].terms.items():
+        support = [i for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            gram[support[0]][support[0]] = coeff
+        else:
+            i, j = support
+            gram[i][j] = gram[j][i] = coeff * half
+    return mat_rank(gram)
+
+
+def sympy_hessian_rank(f, point):
+    """Rank of the Hessian of f at a point of F_p^n, by sympy: f with its
+    coefficients lifted to integers, `sympy.hessian` at the integer lifts
+    of the coordinates, then the rank of that matrix over GF(p)."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+    xs = sympy.symbols(f"x0:{f.nvars}")
+    expr = sum(int(c.payload) * sympy.prod([x ** e for x, e in zip(xs, m)])
+               for m, c in f.terms.items())
+    at = {x: int(c.payload) for x, c in zip(xs, point.coords)}
+    hessian = sympy.hessian(expr, xs).subs(at)
+    return DomainMatrix.from_Matrix(hessian).convert_to(
+        sympy.GF(f.field.characteristic())).rank()
 
 
 def schoolbook_rem(field, a, m):

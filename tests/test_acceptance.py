@@ -197,7 +197,7 @@ def test_criterion_09_isolated_points_fixture():
         result = solve_report(ideal, k_max=2)
         assert len(result.points) == 4
         for pt in result.points:
-            assert certify_reduced_point(ideal, pt, codim=2)
+            assert certify_reduced_point(ideal, [pt], codim=2) == [True]
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):

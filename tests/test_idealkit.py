@@ -46,7 +46,18 @@ def test_remark_fixture_four_points_within_k2():
     pts = rational_points(ideal, k_max=2)
     assert len(pts) == 4
     for pt in pts:
-        assert certify_reduced_point(ideal, pt, codim=2)
+        assert certify_reduced_point(ideal, [pt], codim=2) == [True]
+
+
+@pytest.mark.parametrize("p", [3, 5, 10007])
+def test_fat_point_is_not_certified_reduced(p):
+    # (x1^2, x2) is a double point at [1:0:0]: degree 2 on one point, and
+    # Jacobian rank 1 < 2 there
+    field = PrimeField(p)
+    ideal = Ideal([parse("x1^2", 3, field), parse("x2", 3, field)])
+    point = ProjectivePoint([field.one(), field.zero(), field.zero()])
+    assert hilbert_data(ideal) == (0, 2)
+    assert certify_reduced_point(ideal, [point], codim=2) == [False]
 
 
 def test_rational_points_enumerates_within_budget_and_solves_beyond(
@@ -208,6 +219,22 @@ def test_jacobian_ranks_come_in_point_order():
         assert jacobian_rank_at(gens, points) == [1, 0, 1, 0, 0, 1]
         assert jacobian_rank_at(gens, points[::-1]) == [1, 0, 0, 1, 0, 1]
         assert jacobian_rank_at(gens, []) == []
+
+
+def test_jacobian_ranks_of_mixed_fields_come_in_point_order():
+    # F_p and F_(p^2) points interleaved, ranked in one call: each point
+    # gets the rank the oracle gives it, in input order
+    for p in (7, 10007):
+        ground, quadratic = PrimeField(p), build_extension(p, 2)
+        rng = random.Random(p)
+        gens = dependent_generators(ground, 4, rng)
+        pools = {1: iter(special_points(ground, 4, rng)),
+                 2: iter(special_points(quadratic, 4, rng))}
+        points = [next(pools[k]) for k in [1, 2, 1, 2, 2, 1] * 2]
+        expected = [jacobian_rank_oracle(gens, pt) for pt in points]
+        assert len(set(expected)) > 1
+        assert jacobian_rank_at(gens, points) == expected
+        assert jacobian_rank_at(gens, points[::-1]) == expected[::-1]
 
 
 def test_jacobian_certificate_work_is_pinned(monkeypatch):

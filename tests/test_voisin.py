@@ -10,17 +10,18 @@ import random
 
 import pytest
 
-from fanolines import Ideal, Polynomial, PrimeField
+from fanolines import Ideal, Polynomial, PrimeField, ProjectivePoint
 from fanolines.linalg import random_invertible
-from fanolines.voisin import (NormalFormCubic, _random_linear_slice,
-                              analyze_node_lines, node_line_system, nodes,
+from fanolines.voisin import (NormalFormCubic, _normal_form,
+                              _random_linear_slice, analyze_node_lines,
+                              certify_node, node_line_system, nodes,
                               normal_form_cubic, rank_drop_ideal,
                               restricted_quadrics, run_node_analysis,
                               scan_singularities)
 from fanolines.idealkit import hilbert_data, slice_degree
 from fanolines.errors import DegenerateInstance, InvalidParameters
 
-from conftest import parse
+from conftest import chart_quadratic_rank, parse, sympy_hessian_rank
 
 F5 = PrimeField(5)
 F11 = PrimeField(11)
@@ -90,6 +91,76 @@ def test_node_count_and_certificates(r):
             from fanolines.field import embedding
             f = f.map_coefficients(pt.field, embedding(F10007, pt.field))
         assert f.evaluate(list(pt.coords)).is_zero()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_node_ranks_match_the_chart_oracle(r):
+    # the Hessian rank against the chart expansion's Gram rank at every
+    # node, and against sympy's Hessian at the nodes over F_p
+    for seed in range(4):
+        nfc = normal_form_cubic(r, F10007, seed)
+        for cert in nodes(nfc, seed=seed):
+            assert cert.quadratic_part_rank == 2 * r + 1
+            assert chart_quadratic_rank(nfc.f, cert.point) == 2 * r + 1
+            if cert.residue_degree == 1:
+                assert sympy_hessian_rank(nfc.f, cert.point) == 2 * r + 1
+
+
+# (Q, point, rank, certified) on the r = 1 cubic x0*x2^2 + x3*Q: x1^2 and
+# x1^2 + x0*x3 restrict to x1^2 on the line x2 = x3 = 0, a double root at
+# [1:0:0:0] that leaves the Hessian rank 1 and 2 there, while x0*x1 + x3^2
+# restricts to x0*x1 and makes a node; [0:0:1:0] is a smooth point of V(f)
+# off that line
+NODE_FALSIFIERS = [("x1^2", "1:0:0:0", 1, False),
+                   ("x1^2 + x0*x3", "1:0:0:0", 2, False),
+                   ("x0*x1 + x3^2", "1:0:0:0", 3, True),
+                   ("x0*x1 + x3^2", "0:0:1:0", 0, False)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 10007])
+@pytest.mark.parametrize("quadric,coords,rank,certified", NODE_FALSIFIERS)
+def test_node_certificate_says_no_off_simple_double_points(
+        p, quadric, coords, rank, certified):
+    field = PrimeField(p)
+    q = parse(quadric, 4, field)
+    nfc = NormalFormCubic(1, _normal_form(field, 1, [q]), (q,))
+    point = ProjectivePoint([field.from_int(int(c))
+                             for c in coords.split(":")])
+    [cert] = certify_node(nfc, [point])
+    assert cert.quadratic_part_rank == rank
+    assert cert.is_simple_double_point is certified
+    assert chart_quadratic_rank(nfc.f, point) == rank
+    if rank:  # a singular point: rank H(p) by sympy too
+        assert sympy_hessian_rank(nfc.f, point) == rank
+
+
+def test_node_certificate_work_is_pinned(monkeypatch):
+    # the four candidates of normal_form_cubic(2, F_10007, 0), one over
+    # F_p and three over F_(p^3), are ranked by two Jacobian calls, one for
+    # f and one for its gradient, with no coordinate change; the chart
+    # route made one `jacobian_rank_at` and one `Polynomial.apply_matrix`
+    # call per candidate, 4 + 4
+    import sys
+    from fanolines import poly
+    calls = {"jacobian_rank_at": 0, "apply_matrix": 0}
+    rank_at, apply_matrix = poly.jacobian_rank_at, Polynomial.apply_matrix
+
+    def counted_rank_at(*args, **kwargs):
+        calls["jacobian_rank_at"] += 1
+        return rank_at(*args, **kwargs)
+
+    def counted_apply_matrix(*args, **kwargs):
+        calls["apply_matrix"] += 1
+        return apply_matrix(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("fanolines")
+                and getattr(module, "jacobian_rank_at", None) is rank_at):
+            monkeypatch.setattr(module, "jacobian_rank_at", counted_rank_at)
+    monkeypatch.setattr(Polynomial, "apply_matrix", counted_apply_matrix)
+    certs = nodes(normal_form_cubic(2, F10007, 0), seed=0)
+    assert [c.residue_degree for c in certs] == [1, 3, 3, 3]
+    assert calls == {"jacobian_rank_at": 2, "apply_matrix": 0}
 
 
 def test_nodes_sorted_by_residue_degree():
