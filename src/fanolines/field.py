@@ -12,8 +12,10 @@ rows (t^p)^i, built once per field. An embedding F_{p^a} -> F_{p^b} has
 the rows r^i, r the smallest-code root in F_{p^b} of the modulus of
 F_{p^a}, built once per pair of fields.
 
-Sums of products, the entries of a Jacobian and the coefficients of a
-specialized polynomial, run on ints: `Field._packer(terms)` returns
+Sums of products run on ints: the entries of a Jacobian, the
+coefficients of a specialized or substituted polynomial
+(`poly.substitute_all`) and the work coefficients of a normal form
+(`groebner.normal_form_payload`). `Field._packer(terms)` returns
 (pack, unpack), and unpack(sum of up to `terms` products pack(a) * pack(b))
 is the payload of the sum of the products a * b. Over F_{p^k} pack puts
 digit i in slot i of an int (Kronecker substitution; von zur Gathen-Gerhard,

@@ -23,19 +23,28 @@ difference, and a | b is `d = b - a; d >= 0 and not d & guard`.
   same and no exponent ever wraps.
 
 Each basis element is kept as a reducer: its leading monomial, the
-inverse of its leading coefficient and its tail. The reducer list is
-extended once per basis growth and shared by every S-pair reduction.
+negated inverse of its leading coefficient and its tail, with the
+tail's coefficients packed (`Field._packer`) once, when the reducer is
+made. The reducer list is extended once per basis growth and shared by
+every S-pair reduction; FGLM makes its reducers the same way.
 
 - Pair update (Gebauer-Moeller 1988): when an element joins the basis,
   its new pairs are pruned against each other and the queued pairs it
   makes redundant are dropped, so a popped pair is reduced with no
   further check (see `buchberger_payload`).
-- Reduction: the normal form keeps its work list as a dict with a heap
-  of its negated packed monomials, pushed once when a monomial enters
-  the dict; entries whose monomial has cancelled since are skipped when
-  popped. Every step uses the first reducer whose leading monomial
-  divides the current one, so the intermediate polynomials do not depend
-  on the data structure.
+- Reduction: the normal form keeps its work list as a dict from packed
+  monomials to packed coefficients, with a heap of the negated
+  monomials, pushed once when a monomial enters the dict. A step adds
+  factor * c for each packed tail coefficient c, the factor carrying
+  the sign, as one int product and sum with no field call per term
+  (delayed reduction: Dumas-Giorgi-Pernet, FFLAS 2008, in the heap
+  division of Monagan-Pearce 2011). A coefficient is reduced only when
+  its monomial pops, and skipped when it has cancelled to 0; over
+  F_{p^k} the sums are bounded by renormalising (see
+  `normal_form_payload`). Every step uses the first reducer whose
+  leading monomial divides the current one, so the intermediate
+  polynomials do not depend on the data structure. S-polynomials and
+  inter-reduction run on the same packed tails.
 - First-divisor memo: one dict per reducer list, from a monomial to its
   first dividing reducer, or to how many reducers it was checked against
   without one. The list only grows, so a hit stays the linear scan's
@@ -67,9 +76,14 @@ DEFAULT_COEFF_BIT_LIMIT = 1_000_000
 # least slot width of a packing, guard bit included
 _SLOT_BITS = 8
 
+# products a work coefficient sums before it is unpacked and packed again
+_TERMS = 64
+
 PayloadPoly = Dict[int, object]
-# (packed leading monomial, inverse leading coefficient, tail terms)
-Reducer = Tuple[int, object, List[Tuple[int, object]]]
+# (packed leading monomial, negated inverse of the leading coefficient,
+# tail terms with their coefficients packed by the field's packer for
+# _TERMS products)
+Reducer = Tuple[int, object, List[Tuple[int, int]]]
 
 
 class _SlotOverflow(Exception):
@@ -152,11 +166,14 @@ def _from_payload(d: PayloadPoly, packing: Packing, field: Field,
 
 
 def _bits(c) -> int:
-    return c.numerator.bit_length() + c.denominator.bit_length()
+    """Bits of numerator and denominator; 0 for a cancelled entry."""
+    return c.numerator.bit_length() + c.denominator.bit_length() if c else 0
 
 
 def _reducer(d: PayloadPoly, lm: int, field: Field) -> Reducer:
-    return lm, field._inv(d[lm]), [(m, c) for m, c in d.items() if m != lm]
+    pack = field._packer(_TERMS)[0]
+    return (lm, field._neg(field._inv(d[lm])),
+            [(m, pack(c)) for m, c in d.items() if m != lm])
 
 
 def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
@@ -176,26 +193,43 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
     bit_limit bits of numerators and denominators in the work list.
     _SlotOverflow is raised when a term of `f`, or one new to the work
     list, reaches a guard bit of `packing`.
+
+    Work coefficients are packed (`Field._packer`) and summed
+    unreduced: a step by the reducer g adds pack(-lc / lc(g)) * c for
+    each packed tail coefficient c of g, with no field call per term.
+    A value is unpacked only when its monomial pops; one that comes out
+    0 has cancelled and is skipped. The rationals pack to
+    themselves and F_p reduces mod p on unpack, so neither needs a
+    bound. Over F_{p^k} the packer holds sums of _TERMS products: a
+    value enters as one packed payload (one product, as pack(1) = 1),
+    and a step adds at most one product to any monomial, since the
+    shifted tail monomials of one reducer are distinct. So after every
+    _TERMS - 1 steps each value still in the work list holds at most
+    _TERMS products, and is unpacked and packed again.
     """
-    mul, sub, neg, is_zero = field._mul, field._sub, field._neg, field._is_zero
+    pack, unpack = field._packer(_TERMS)
+    mul, zero = field._mul, field._zero_payload()
     guard = packing.guard
     push, pop = heapq.heappush, heapq.heappop
     rational = field.characteristic() == 0
     count = len(reducers)
     if reduce(_or, f, 0) & guard:
         raise _SlotOverflow
-    work = dict(f)
+    # a monomial enters `work` and the heap once: terms reduce to smaller
+    # monomials only, so a popped one never comes back
+    work = {m: pack(c) for m, c in f.items()}
     heap = [-m for m in work]  # a min-heap of -m pops the largest m first
     heapq.heapify(heap)
     bits = sum(map(_bits, work.values())) if rational else 0
     remainder: PayloadPoly = {}
+    steps = 0
     while heap:
         lm = -pop(heap)
-        lc = work.pop(lm, None)
-        if lc is None:
-            continue  # cancelled after it was pushed
+        lc = unpack(work.pop(lm))
         if rational:
             bits -= _bits(lc)
+        if lc == zero:
+            continue  # cancelled after it was pushed
         hit = memo.get(lm)
         if hit is None or (hit[0] < 0 and hit[1] < count):
             index = -1
@@ -208,9 +242,9 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
         if hit[0] < 0:
             remainder[lm] = lc
             continue
-        red_lm, red_inv, red_tail = reducers[hit[0]]
+        red_lm, red_scale, red_tail = reducers[hit[0]]
         shift = lm - red_lm
-        factor = mul(lc, red_inv)
+        factor = pack(mul(lc, red_scale))
         if rational:
             touched = [m + shift for m, _ in red_tail]
             bits -= sum(_bits(work[k]) for k in touched if k in work)
@@ -220,44 +254,36 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
             if cur is None:
                 if key & guard:
                     raise _SlotOverflow
-                work[key] = neg(mul(factor, c))
+                work[key] = factor * c
                 push(heap, -key)
             else:
-                new = sub(cur, mul(factor, c))
-                if is_zero(new):
-                    del work[key]
-                else:
-                    work[key] = new
+                work[key] = cur + factor * c
         if rational:
             bits += sum(_bits(work[k]) for k in touched if k in work)
             if bits > bit_limit:
                 raise ResourceLimit("coefficient size exceeded during reduction")
+        steps += 1
+        if steps == _TERMS - 1:
+            steps = 0
+            work = {k: pack(unpack(v)) for k, v in work.items()}
     return remainder
 
 
 def _spoly(ra: Reducer, rb: Reducer, lcm: int, field: Field) -> PayloadPoly:
     """Monic S-polynomial of two reducers whose leading monomials have
     the packed lcm `lcm`; the leading terms cancel, so only the tails are
-    expanded."""
-    mul, sub, is_zero = field._mul, field._sub, field._is_zero
-    (lma, ca, taila), (lmb, cb, tailb) = ra, rb
-    sa, sb = lcm - lma, lcm - lmb
-    out: PayloadPoly = {}
-    for m, c in taila:
-        out[m + sa] = mul(c, ca)
+    expanded. With the reducers' negated inverses n_a, n_b it is
+    -n_a * x^sa * tail_a + n_b * x^sb * tail_b: each coefficient a packed
+    sum of at most two products, unpacked once."""
+    pack, unpack = field._packer(_TERMS)
+    (lma, na, taila), (lmb, nb, tailb) = ra, rb
+    sa, sb, fa, fb = lcm - lma, lcm - lmb, pack(field._neg(na)), pack(nb)
+    out = {m + sa: fa * c for m, c in taila}
     for m, c in tailb:
         key = m + sb
-        cur = out.get(key)
-        term = mul(c, cb)
-        if cur is None:
-            out[key] = field._neg(term)
-        else:
-            new = sub(cur, term)
-            if is_zero(new):
-                del out[key]
-            else:
-                out[key] = new
-    return out
+        out[key] = out.get(key, 0) + fb * c
+    zero = field._zero_payload()
+    return {m: c for m, v in out.items() if (c := unpack(v)) != zero}
 
 
 def buchberger_payload(gens: List[PayloadPoly], packing: Packing, field: Field,
@@ -343,11 +369,13 @@ def _reduce_basis(reducers: List[Reducer], packing: Packing, field: Field,
         if not any(packing.divides(other[0], red[0]) for other in kept):
             kept.append(red)
     memo: Dict[int, Tuple[int, int]] = {}
-    one, mul = field._one_payload(), field._mul
+    one, mul, neg = field._one_payload(), field._mul, field._neg
+    unpack = field._packer(_TERMS)[1]
     out = []
-    for lm, inv, tail in kept:
-        rest = normal_form_payload(dict(tail), kept, memo, packing, field,
-                                   bit_limit)
+    for lm, scale, tail in kept:
+        rest = normal_form_payload({m: unpack(c) for m, c in tail}, kept,
+                                   memo, packing, field, bit_limit)
+        inv = neg(scale)
         reduced = {lm: one}
         reduced.update((m, mul(c, inv)) for m, c in rest.items())
         out.append(reduced)

@@ -16,7 +16,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from operator import add as _add, mul as _mul
+from operator import add as _add, lshift as _lshift, mul as _mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
@@ -584,6 +584,12 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     return ranks
 
 
+def _top_degree(polys: Sequence[Polynomial]) -> int:
+    """The largest degree of a term of polys; 0 when there is none."""
+    return max(map(sum, itertools.chain.from_iterable(f.terms for f in polys)),
+               default=0)
+
+
 def substitute_all(polys: Sequence[Polynomial],
                    images: Sequence[Polynomial]) -> List[Polynomial]:
     """The ring map x_i -> images[i] applied to each polynomial of one ring.
@@ -594,20 +600,35 @@ def substitute_all(polys: Sequence[Polynomial],
     and built as the cached image of its prefix (the monomial with its
     last nonzero exponent lowered by one) times one image, so each
     monomial of the joint support costs one product.
+
+    A target monomial is one int key: exponent j in slot j of w bits
+    (Kronecker), w the bit length of the largest degree an image can
+    reach, so no slot carries and a product is a key sum. Coefficients
+    are packed (`Field._packer`) and summed unreduced. In a cached image
+    of mono = prefix * x_i, a key gets at most one product per term of
+    images[i], since the prefix's keys are distinct; in an output
+    polynomial, at most one per term of its source, since each image's
+    keys are distinct. So one packer for the most terms of any image or
+    source holds every sum, and each is unpacked once.
     """
     if not polys:
         return []
     field, nvars = polys[0].field, polys[0].nvars
     assert len(images) == nvars
     assert all(f.field == field and f.nvars == nvars for f in polys)
-    mul, add, is_zero = field._mul, field._add, field._is_zero
     target_nvars = images[0].nvars if images else nvars
-    image_terms = [[(m, c.payload) for m, c in g.terms.items()]
-                   for g in images]
-    cache: Dict[Monomial, Dict[Monomial, object]] = {
-        (0,) * nvars: {(0,) * target_nvars: field._one_payload()}}
+    width = max(1, (_top_degree(polys) * _top_degree(images)).bit_length())
+    shifts = [j * width for j in range(target_nvars)]
+    mask = (1 << width) - 1
+    pack, unpack = field._packer(
+        max(1, max(len(g.terms) for g in itertools.chain(polys, images))))
+    zero = field._zero_payload()
+    image_terms = [[(sum(map(_lshift, m, shifts)), pack(c.payload))
+                    for m, c in g.terms.items()] for g in images]
+    cache: Dict[Monomial, Dict[int, int]] = {
+        (0,) * nvars: {0: pack(field._one_payload())}}
 
-    def image_of(mono: Monomial) -> Dict[Monomial, object]:
+    def image_of(mono: Monomial) -> Dict[int, int]:
         got = cache.get(mono)
         if got is not None:
             return got
@@ -615,25 +636,25 @@ def substitute_all(polys: Sequence[Polynomial],
         while mono[i] == 0:
             i -= 1
         prefix = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-        got = {}
-        for m1, c1 in image_of(prefix).items():
-            for m2, c2 in image_terms[i]:
-                m = tuple(map(_add, m1, m2))
-                cur = got.get(m)
-                got[m] = mul(c1, c2) if cur is None else add(cur, mul(c1, c2))
-        got = cache[mono] = {m: c for m, c in got.items() if not is_zero(c)}
+        sums: Dict[int, int] = {}
+        for k1, c1 in image_of(prefix).items():
+            for k2, c2 in image_terms[i]:
+                k = k1 + k2
+                sums[k] = sums.get(k, 0) + c1 * c2
+        got = cache[mono] = {k: pack(c) for k, v in sums.items()
+                             if (c := unpack(v)) != zero}
         return got
 
     result = []
     for f in polys:
-        out: Dict[Monomial, object] = {}
+        sums = {}
         for mono, coeff in f.terms.items():
-            c = coeff.payload
-            for m, v in image_of(mono).items():
-                cur = out.get(m)
-                out[m] = mul(c, v) if cur is None else add(cur, mul(c, v))
-        out = {m: c for m, c in out.items() if not is_zero(c)}
-        result.append(Polynomial.from_payloads(field, target_nvars, out))
+            c = pack(coeff.payload)
+            for k, v in image_of(mono).items():
+                sums[k] = sums.get(k, 0) + c * v
+        result.append(Polynomial.from_payloads(field, target_nvars, {
+            tuple(k >> s & mask for s in shifts): c
+            for k, v in sums.items() if (c := unpack(v)) != zero}))
     return result
 
 

@@ -16,8 +16,10 @@ from fanolines.fano import (PointedHypersurface, analyze_lines,
                             direction_components, expected_count,
                             line_system,
                             random_pointed_hypersurface, run_line_analysis)
-from fanolines.idealkit import (hilbert_data, is_complete_intersection,
-                                rational_points, slice_degree)
+from fanolines.groebner import is_member
+from fanolines.idealkit import (groebner_of, hilbert_data,
+                                is_complete_intersection, rational_points,
+                                slice_degree)
 from fanolines.projgeo import (ProjectivePoint, base_point,
                                enumerate_projective_points)
 from fanolines.field import embedding
@@ -184,6 +186,25 @@ def test_analyze_lines_nodal_cubic_end_to_end():
     # this specific cubic is degenerate: three double lines
     assert len(report.solutions) == 3
     assert any("non-reduced" in fl for fl in report.flags)
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_double_lines_are_not_certified_reduced(p):
+    # in direction coordinates the nodal cubic's line scheme at [1:0:0:0]
+    # is (x0^2, x1^3 + x2^3): x0 vanishes at each of its points, but only
+    # x0^2 lies in the ideal, so the scheme is not reduced, and no point
+    # may be certified reduced
+    field = PrimeField(p)
+    ph = PointedHypersurface(parse(NODAL_CUBIC, 4, field),
+                             base_point(field, 3))
+    basis = groebner_of(line_system(ph).ideal())
+    x0 = parse("x0", 3, field)
+    assert is_member(x0 * x0, basis) and not is_member(x0, basis)
+    report = analyze_lines(ph, seed=0)
+    assert len(report.solutions) == 3
+    assert all(pt[0] == "0" for pt in report.solutions)
+    assert [c["reduced"] for c in report.certificates] == ["false"] * 3
+    assert not report.matched()
 
 
 def test_run_line_analysis_matched_with_attempt_log():

@@ -18,8 +18,9 @@ from fanolines.poly import (GREVLEX, LEX, mono_divides, mono_mul,
 from fanolines.groebner import Packing, groebner_basis, is_member, normal_form
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
 from fanolines.errors import NotZeroDimensional, ResourceLimit
+from fanolines import groebner
 
-from conftest import parse
+from conftest import parse, plain_normal_form
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -407,6 +408,125 @@ def test_fglm_work_is_pinned(monkeypatch):
     assert (len(chart), chart[0].nvars, len(lex)) == (4, 3, 3)
     assert len(reducer_lists) <= 3
     assert len({id(r) for rs in reducer_lists for r in rs}) <= len(chart)
+
+
+def test_normal_form_field_calls_are_pinned(monkeypatch):
+    # the rank-drop ideal of `voisin-demo 2 --seed 585427`, as in
+    # test_rank_drop_basis_work_is_pinned. Work coefficients sum as
+    # unreduced ints and reduce once when their monomial pops, so F_p
+    # calls are left in the step factors, the inverses' scaling of the
+    # reduced basis and nowhere else; a field call per tail term made
+    # 37,364 `_mul`, 31,301 `_sub` and 31,301 `_is_zero` calls
+    from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
+                                  rank_drop_ideal)
+    nfc = normal_form_cubic(2, F10007, 585427)
+    ideal = node_line_system(nfc, nodes(nfc, seed=585427)[0].point)
+    gens = rank_drop_ideal(ideal).nonzero_generators()
+    calls = {"mul": 0, "sub": 0, "is_zero": 0}
+    mul, sub, is_zero = PrimeField._mul, PrimeField._sub, PrimeField._is_zero
+
+    def counted_mul(self, a, b):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    def counted_sub(self, a, b):
+        calls["sub"] += 1
+        return sub(self, a, b)
+
+    def counted_is_zero(self, a):
+        calls["is_zero"] += 1
+        return is_zero(self, a)
+
+    monkeypatch.setattr(PrimeField, "_mul", counted_mul)
+    monkeypatch.setattr(PrimeField, "_sub", counted_sub)
+    monkeypatch.setattr(PrimeField, "_is_zero", counted_is_zero)
+    assert len(groebner_basis(gens)) == 33
+    assert calls["mul"] <= 2925
+    assert calls["sub"] == 0
+    assert calls["is_zero"] == 0
+
+
+# fields of the normal-form differentials: a 33-bit prime, and F_{p^k}
+# whose packed work values need renormalising
+NF_FIELDS = [QQ, F7, F10007, PrimeField(4294967311), build_extension(10007, 2),
+             build_extension(3, 6), build_extension(10007, 6)]
+
+
+def payload_system(field, rng, nvars, degree, basis_terms, count):
+    """A grevlex packing for `degree`, three random polynomials of that
+    degree to reduce and `count` nonzero random reducers of degree 1 to
+    3, all as packed payload dicts; a grevlex normal form never rises in
+    degree, so no term overflows."""
+    packing = Packing.for_degree(GREVLEX, nvars, degree)
+
+    def draw(max_deg, terms):
+        while True:
+            f = random_poly(field, nvars, max_deg, rng, terms)
+            if not f.is_zero():
+                return groebner._to_payload(f, packing)
+
+    fs = [draw(degree, 20) for _ in range(3)]
+    basis = [draw(rng.randrange(1, 4), basis_terms) for _ in range(count)]
+    return packing, fs, basis
+
+
+def assert_normal_forms_match(field, packing, fs, basis):
+    """normal_form_payload against plain_normal_form on each of fs, with
+    one memo shared by all; over the rationals also the exact bit limit:
+    the most bits a step leaves passes, one fewer raises. Returns the
+    most steps any normal form took."""
+    reducers = [groebner._reducer(d, max(d), field) for d in basis]
+    memo = {}
+    most = 0
+    for f in fs:
+        stats = {}
+        expected = plain_normal_form(f, basis, packing, field, stats=stats)
+        peak = stats["peak_bits"]
+        got = groebner.normal_form_payload(f, reducers, memo, packing, field,
+                                           bit_limit=peak)
+        assert list(got.items()) == list(expected.items())
+        if peak:
+            with pytest.raises(ResourceLimit):
+                groebner.normal_form_payload(f, reducers, memo, packing,
+                                             field, bit_limit=peak - 1)
+        most = max(most, stats["steps"])
+    return most
+
+
+@given(st.integers(0, 10**6), st.sampled_from(NF_FIELDS),
+       st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_plain_loop(seed, field, count):
+    rng = random.Random(seed)
+    packing, fs, basis = payload_system(field, rng, 3, 6, 4, count)
+    assert_normal_forms_match(field, packing, fs, basis)
+
+
+@pytest.mark.parametrize("field", NF_FIELDS[-3:], ids=str)
+def test_normal_form_matches_plain_loop_past_renormalising(field, monkeypatch):
+    # a dense octic against x0^2 + q0 and x1^2 + q1, q0 and q1 every
+    # monomial of degree <= 2 in x1, x2, x3 and in x2, x3, each with
+    # every digit p - 1: 350 steps, so over F_{p^k} every packed work
+    # value is renormalised five times; with slots for sums of only two
+    # products, after every step, and a monomial that took all 16 tail
+    # products unreduced would carry into the next slot
+    rng = random.Random(17)
+    packing = Packing.for_degree(GREVLEX, 4, 8)
+    dense = {m: field.sample(rng) for d in range(9)
+             for m in monomials_of_degree(4, d)}
+    f = groebner._to_payload(Polynomial(field, 4, dense), packing)
+    top = field.element_from_code(field.order() - 1)
+    basis = []
+    for i in (0, 1):
+        terms = {m: top for d in range(3) for m in monomials_of_degree(4, d)
+                 if not any(m[:i + 1])}
+        terms[tuple(2 * int(j == i) for j in range(4))] = field.one()
+        basis.append(groebner._to_payload(Polynomial(field, 4, terms),
+                                          packing))
+    assert assert_normal_forms_match(field, packing, [f], basis) == 350
+    assert 350 > 5 * (groebner._TERMS - 1)
+    monkeypatch.setattr(groebner, "_TERMS", 2)
+    assert_normal_forms_match(field, packing, [f], basis)
 
 
 def test_rational_basis():

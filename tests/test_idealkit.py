@@ -310,6 +310,40 @@ def test_is_complete_intersection():
     assert not is_complete_intersection(triangle)
 
 
+def sympy_hilbert_function(texts, nvars, degrees, modulus=None):
+    """Hilbert function of the homogeneous ideal at each of degrees, by
+    sympy: the grevlex basis of `sympy.groebner`, then the monomials of
+    each degree that no leading monomial divides."""
+    sympy = pytest.importorskip("sympy")
+    from fanolines.poly import monomials_of_degree, mono_divides
+    xs = sympy.symbols(f"x0:{nvars}")
+    kwargs = {} if modulus is None else {"modulus": modulus}
+    basis = sympy.groebner([sympy.sympify(t) for t in texts], *xs,
+                           order="grevlex", **kwargs)
+    lms = [sympy.Poly(g, *xs).LM(order="grevlex").exponents
+           for g in basis.exprs]
+    return [sum(not any(mono_divides(lm, m) for lm in lms)
+                for m in monomials_of_degree(nvars, d)) for d in degrees]
+
+
+@pytest.mark.parametrize("field", [F7, F10007, QQ], ids=str)
+def test_twisted_cubic_is_not_a_complete_intersection(field):
+    # the twisted cubic is cut out by three quadrics but has codimension
+    # 2: a curve of degree 3, not a complete intersection. sympy's basis
+    # gives the Hilbert function 3t + 1, so dimension 1 and degree 3
+    texts = ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]
+    ideal = Ideal([parse(t, 4, field) for t in texts])
+    report = variety_report(ideal, {"dimension": "1", "degree": "3"}).to_dict()
+    assert report["is_complete_intersection"] == "false"
+    assert (report["dimension"], report["degree"]) == ("1", "3")
+    assert report["computed"]["codimension"] == "2"
+    assert report["matched"] == "true"
+    modulus = field.characteristic() or None
+    values = sympy_hilbert_function([t.replace("^", "**") for t in texts], 4,
+                                    range(3, 7), modulus)
+    assert values == [3 * t + 1 for t in range(3, 7)]
+
+
 def test_bezout_bound_never_exceeded():
     rng = random.Random(77)
     for degs in [(2,), (2, 2), (2, 3), (1, 2, 2)]:

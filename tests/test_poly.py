@@ -13,7 +13,7 @@ from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
 from fanolines.linalg import random_invertible
 from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
 
-from conftest import mat_identity, mat_vec, parse
+from conftest import mat_identity, mat_vec, parse, plain_substitute_all
 
 F7 = PrimeField(7)
 F9 = build_extension(3, 2)
@@ -348,6 +348,22 @@ def test_substitute_all_matches_one_at_a_time(field):
     images = [random_image(field, 4, rng) for _ in range(3)]
     assert substitute_all(polys, images) == [f.substitute(images) for f in polys]
     assert substitute_all([], images) == []
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([QQ, F7, F10007, PrimeField(4294967311), F9,
+                        build_extension(10007, 6)]),
+       st.integers(1, 4), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_substitute_all_matches_plain_route(seed, field, nvars, target):
+    # dense sources and images sum many products into one packed value
+    rng = random.Random(seed)
+    polys = [random_poly(field, nvars, 5, rng, terms=rng.randrange(40))
+             for _ in range(3)]
+    images = [random_image(field, target, rng) if rng.randrange(2)
+              else random_poly(field, target, 2, rng, terms=20)
+              for _ in range(nvars)]
+    assert substitute_all(polys, images) == plain_substitute_all(polys, images)
 
 
 @pytest.mark.parametrize("field", [F7, F9, QQ], ids=str)
