@@ -12,16 +12,17 @@ rows (t^p)^i, built once per field. An embedding F_{p^a} -> F_{p^b} has
 the rows r^i, r the smallest-code root in F_{p^b} of the modulus of
 F_{p^a}, built once per pair of fields.
 
-Sums of products run on ints: the entries of a Jacobian, the
-coefficients of a specialized or substituted polynomial
-(`poly.substitute_all`) and the work coefficients of a normal form
-(`groebner.normal_form_payload`). `Field._packer(terms)` returns
-(pack, unpack), and unpack(sum of up to `terms` products pack(a) * pack(b))
-is the payload of the sum of the products a * b. Over F_{p^k} pack puts
-digit i in slot i of an int (Kronecker substitution; von zur Gathen-Gerhard,
-*Modern Computer Algebra*, §8.4), with slots wide enough that the sum never
-carries, so it is reduced once instead of once per product (delayed
-reduction, as in Dumas-Giorgi-Pernet's FFLAS).
+Sums of products run on ints: polynomial values and Jacobian entries at
+a point (`poly._term_sums`), the coefficients of a specialized or
+substituted polynomial (`poly.substitute_all`) and the work coefficients
+of a normal form (`groebner.normal_form_payload`).
+`Field._packer(terms)` returns (pack, unpack), and unpack(sum of up to
+`terms` products pack(a) * pack(b)) is the payload of the sum of the
+products a * b. Over F_{p^k} pack puts digit i in slot i of an int
+(Kronecker substitution; von zur Gathen-Gerhard, *Modern Computer
+Algebra*, §8.4), with slots wide enough that the sum never carries, so
+it is reduced once instead of once per product (delayed reduction, as in
+Dumas-Giorgi-Pernet's FFLAS).
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Dense linear algebra over an exact field.
 
 Every elimination in the package goes through `Echelon`, one incremental
-row echelon on raw coefficient payloads: the ranks of the Jacobian, Gram
-and scan certificates, the determinant, the inverse, and FGLM's linear
-dependences. Sizes stay small (coordinate changes, Gram matrices, the
-quotient algebras of zero-dimensional charts), so the pivot of a row is
-simply its first nonzero entry. A stored row is kept unscaled and made
-monic, at the cost of one inverse, only the first time a later row
-needs it, so the last row of a rank computation is never inverted.
+row echelon on raw coefficient payloads: the Jacobian ranks of every
+certificate (a node's Hessian rank included), the determinant, the
+inverse, and FGLM's linear dependences. Sizes stay small (coordinate
+changes, Jacobians of a few generators, the quotient algebras of
+zero-dimensional charts), so the pivot of a row is simply its first
+nonzero entry. A stored row is kept unscaled and made monic, at the cost
+of one inverse, only the first time a later row needs it, so the last
+row of a rank computation is never inverted.
 
 The matrix functions take and return lists of row lists of FieldElement.
 """

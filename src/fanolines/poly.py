@@ -17,7 +17,8 @@ import random
 import re
 from fractions import Fraction
 from operator import add as _add, lshift as _lshift, mul as _mul
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
 from .field import Field, FieldElement, RationalField, payload_lift
@@ -140,18 +141,6 @@ LEX = LexOrder()
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-def _payload_pow(field: Field, a, e: int):
-    """a^e on raw payloads, e >= 1."""
-    result = None
-    while True:
-        if e & 1:
-            result = a if result is None else field._mul(result, a)
-        e >>= 1
-        if not e:
-            return result
-        a = field._mul(a, a)
-
 
 class Polynomial:
     """Immutable-by-convention sparse polynomial.
@@ -369,30 +358,8 @@ class Polynomial:
 
     def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
         """Value at a point whose coordinates lie in this polynomial's field
-        or in an extension of it; coefficients are carried into the point's
-        field one at a time (`payload_lift`). Runs on raw payloads."""
-        assert len(values) == self.nvars
-        field = self.field
-        target = values[0].field if values else field
-        if any(v.field is not target and v.field != target for v in values):
-            raise TypeError("point coordinates lie in different fields")
-        lift = payload_lift(field, target)
-        mul = target._mul
-        coords = [v.payload for v in values]
-        acc = target._zero_payload()
-        pow_cache: Dict[Tuple[int, int], object] = {}
-        for mono, coeff in self.terms.items():
-            term = coeff.payload if lift is None else lift(coeff.payload)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                key = (i, e)
-                p = pow_cache.get(key)
-                if p is None:
-                    p = pow_cache[key] = _payload_pow(target, coords[i], e)
-                term = mul(term, p)
-            acc = target._add(acc, term)
-        return FieldElement(target, acc)
+        or in an extension of it; see `evaluate_at`."""
+        return evaluate_at([self], [values])[0][0]
 
     def partial_derivative(self, index: int) -> "Polynomial":
         """d/dx_index, on raw payloads. Lowering one exponent maps distinct
@@ -503,85 +470,124 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
+def _chain(monos: Iterable[Monomial], nvars: int
+           ) -> Tuple[Dict[Monomial, int], List[Tuple[int, int]]]:
+    """(slot of each monomial, chain) for monos and all their prefixes.
+
+    Slot 0 holds 1, slot i + 1 holds x_i and slot nvars + 1 + k holds
+    chain[k] = (parent, i): the parent's value times x_i. The parent is
+    the prefix, the monomial with its last nonzero exponent lowered by
+    one, so each monomial of the joint support costs one product. A loop
+    walks down to the first known prefix; nothing recurses.
+    """
+    index: Dict[Monomial, int] = {(0,) * nvars: 0}
+    index.update((_unit(nvars, i), i + 1) for i in range(nvars))
+    chain: List[Tuple[int, int]] = []
+    for mono in monos:
+        path = []
+        while mono not in index:
+            i = nvars - 1
+            while mono[i] == 0:
+                i -= 1
+            path.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        slot = index[mono]
+        for step, i in reversed(path):
+            chain.append((slot, i))
+            slot = index[step] = nvars + len(chain)
+    return index, chain
+
+
+def _term_sums(field: Field, nvars: int,
+               term_lists: Sequence[Sequence[Tuple[Monomial, object]]],
+               points: Sequence[Sequence[FieldElement]]) -> List[tuple]:
+    """Per point, (its field, the payload of sum c * x^m over each list).
+
+    The one monomial-value kernel. A term list holds (m, payload c over
+    `field`); a point is nvars coordinates in `field` or an extension of
+    it, and points may mix fields. One `_chain` serves all the lists. The
+    coefficients are lifted (`payload_lift`) and packed (`Field._packer`)
+    once per field of the points. At a point each chain value is one
+    packed product, reduced and packed again, and each output one int sum
+    of packed products, reduced once.
+    """
+    index, chain = _chain((m for terms in term_lists for m, _ in terms), nvars)
+    plan = [([index[m] for m, _ in terms], [c for _, c in terms])
+            for terms in term_lists]
+    bound = max(1, max(map(len, term_lists), default=0))
+    packed: Dict[Field, tuple] = {}  # per field of the points, on first use
+    out = []
+    for coords in points:
+        assert len(coords) == nvars
+        target = coords[0].field if coords else field
+        if any(v.field is not target and v.field != target for v in coords):
+            raise TypeError("point coordinates lie in different fields")
+        if target not in packed:
+            lift = payload_lift(field, target)
+            pack, unpack = target._packer(bound)
+            packed[target] = (pack, unpack, [
+                (slots, [pack(c if lift is None else lift(c)) for c in coeffs])
+                for slots, coeffs in plan],
+                pack(target._one_payload()), pack(target._zero_payload()))
+        pack, unpack, packed_plan, one, zero = packed[target]
+        xs = [pack(v.payload) for v in coords]
+        values = [one] + xs
+        for parent, i in chain:
+            values.append(pack(unpack(values[parent] * xs[i])))
+        get = values.__getitem__
+        out.append((target, [unpack(sum(map(_mul, coeffs, map(get, slots)),
+                                        zero))
+                             for slots, coeffs in packed_plan]))
+    return out
+
+
+def evaluate_at(polys: Sequence[Polynomial],
+                points: Sequence[Sequence[FieldElement]]
+                ) -> List[List[FieldElement]]:
+    """Per point, in order, the value of each of polys in the point's field.
+
+    The polynomials share one ring; a point is a coordinate sequence (a
+    ProjectivePoint's `coords`) in their field or an extension of it, and
+    points may mix fields. One `_term_sums` call does all the work.
+    """
+    if not polys:
+        return [[] for _ in points]
+    field, nvars = polys[0].field, polys[0].nvars
+    assert all(f.field == field and f.nvars == nvars for f in polys)
+    return [[FieldElement(target, v) for v in values]
+            for target, values in _term_sums(
+                field, nvars,
+                [[(m, c.payload) for m, c in f.terms.items()] for f in polys],
+                points)]
+
+
 def jacobian_rank_at(gens: Sequence[Polynomial],
                      points: Sequence[ProjectivePoint]) -> List[int]:
     """Ranks of the Jacobian of gens at points, in the points' order.
 
     The points may lie over any mix of extensions of the generators'
     field. Entry (g, i) at P is the sum of c * m_i * P^(m - e_i) over the
-    terms c * x^m of g; no partial derivative is built. A plan, made once
-    for the generator list, holds each entry's coefficients c * m_i, taken
-    over the generators' field with the terms the characteristic kills
-    dropped, keyed by the lowered monomial m - e_i, and the order in
-    which every lowered monomial's value is built: its prefix's value
-    (last nonzero exponent lowered by one) times one coordinate. The
-    coefficients are carried into a point's field (`payload_lift`, as in
-    `Polynomial.evaluate`) and packed (`Field._packer`) once per field.
-    At each point every value is one packed product, reduced and packed
-    again, and each entry is one int sum of packed products, reduced once.
+    terms c * x^m of g, one term list of `_term_sums`; no partial
+    derivative is built. A term drops out of entry (g, i) when the
+    characteristic divides m_i.
     """
     if not gens or not points:
         return [0] * len(points)
-    field = gens[0].field
-    n = gens[0].nvars
+    field, n = gens[0].field, gens[0].nvars
     mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
-    # value slots: 1, then x_0, ..., x_(n-1), then one per chain step
-    # (parent, i), whose value is the parent's value times x_i
-    index: Dict[Monomial, int] = {(0,) * n: 0}
-    index.update((_unit(n, i), i + 1) for i in range(n))
-    chain: List[Tuple[int, int]] = []
-
-    def slot(mono: Monomial) -> int:
-        j = index.get(mono)
-        if j is None:
-            i = n - 1
-            while mono[i] == 0:
-                i -= 1
-            parent = slot(mono[:i] + (mono[i] - 1,) + mono[i + 1:])
-            j = index[mono] = n + 1 + len(chain)
-            chain.append((parent, i))
-        return j
-
-    plan = []  # per generator, per variable: (value slots, coefficients)
+    entries = []
     for g in gens:
         assert g.nvars == n and g.field == field
-        entries = [([], []) for _ in range(n)]
+        row = [[] for _ in range(n)]
         for mono, coeff in g.terms.items():
             for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                c = mul(coeff.payload, from_int(e))
-                if not is_zero(c):  # else the characteristic divides e
-                    slots, coeffs = entries[i]
-                    slots.append(slot(mono[:i] + (e - 1,) + mono[i + 1:]))
-                    coeffs.append(c)
-        plan.append(entries)
-
-    terms = max(1, max(len(slots) for entries in plan for slots, _ in entries))
-    packed: Dict[Field, tuple] = {}  # per field of the points, on first use
-    ranks = []
-    for point in points:
-        target = point.field
-        assert len(point.coords) == n
-        if target not in packed:
-            lift = payload_lift(field, target)
-            pack, unpack = target._packer(terms)
-            packed[target] = (pack, unpack, [
-                [(slots, [pack(c if lift is None else lift(c))
-                          for c in coeffs]) for slots, coeffs in entries]
-                for entries in plan],
-                pack(target._one_payload()), target._zero_payload())
-        pack, unpack, packed_plan, one, zero = packed[target]
-        coords = [pack(c.payload) for c in point.coords]
-        values = [one] + coords
-        for parent, i in chain:
-            values.append(pack(unpack(values[parent] * coords[i])))
-        get = values.__getitem__
-        rows = [[unpack(sum(map(_mul, coeffs, map(get, slots))))
-                 if slots else zero for slots, coeffs in entries]
-                for entries in packed_plan]
-        ranks.append(payload_rank(target, n, rows))
-    return ranks
+                if e and not is_zero(c := mul(coeff.payload, from_int(e))):
+                    row[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
+        entries += row
+    return [payload_rank(target, n, [sums[k:k + n]
+                                     for k in range(0, len(sums), n)])
+            for target, sums in _term_sums(field, n, entries,
+                                           [pt.coords for pt in points])]
 
 
 def _top_degree(polys: Sequence[Polynomial]) -> int:
@@ -596,10 +602,8 @@ def substitute_all(polys: Sequence[Polynomial],
 
     The images live in one ring over the same field, possibly with a
     different number of variables. Runs on raw coefficient payloads. The
-    image of each source monomial is cached across all the polynomials,
-    and built as the cached image of its prefix (the monomial with its
-    last nonzero exponent lowered by one) times one image, so each
-    monomial of the joint support costs one product.
+    image of each source monomial is cached across all the polynomials
+    and built along one `_chain`, as its prefix's image times one image.
 
     A target monomial is one int key: exponent j in slot j of w bits
     (Kronecker), w the bit length of the largest degree an image can
@@ -625,32 +629,25 @@ def substitute_all(polys: Sequence[Polynomial],
     zero = field._zero_payload()
     image_terms = [[(sum(map(_lshift, m, shifts)), pack(c.payload))
                     for m, c in g.terms.items()] for g in images]
-    cache: Dict[Monomial, Dict[int, int]] = {
-        (0,) * nvars: {0: pack(field._one_payload())}}
-
-    def image_of(mono: Monomial) -> Dict[int, int]:
-        got = cache.get(mono)
-        if got is not None:
-            return got
-        i = len(mono) - 1
-        while mono[i] == 0:
-            i -= 1
-        prefix = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+    index, chain = _chain(
+        itertools.chain.from_iterable(f.terms for f in polys), nvars)
+    cache: List[Dict[int, int]] = [{0: pack(field._one_payload())}]
+    cache += map(dict, image_terms)
+    for parent, i in chain:
         sums: Dict[int, int] = {}
-        for k1, c1 in image_of(prefix).items():
+        for k1, c1 in cache[parent].items():
             for k2, c2 in image_terms[i]:
                 k = k1 + k2
                 sums[k] = sums.get(k, 0) + c1 * c2
-        got = cache[mono] = {k: pack(c) for k, v in sums.items()
-                             if (c := unpack(v)) != zero}
-        return got
+        cache.append({k: pack(c) for k, v in sums.items()
+                      if (c := unpack(v)) != zero})
 
     result = []
     for f in polys:
         sums = {}
         for mono, coeff in f.terms.items():
             c = pack(coeff.payload)
-            for k, v in image_of(mono).items():
+            for k, v in cache[index[mono]].items():
                 sums[k] = sums.get(k, 0) + c * v
         result.append(Polynomial.from_payloads(field, target_nvars, {
             tuple(k >> s & mask for s in shifts): c
@@ -667,11 +664,13 @@ def default_names(nvars: int) -> List[str]:
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^])|(\S)")
 
-# Highest total degree of a parsed term. Substitution recurses once per
-# degree and the Hilbert series builds lists as long as the degree, so
-# the cap stays well below Python's default recursion depth of 1000, and
-# far above every polynomial file the tests and scripts read (all of
-# degree <= 8).
+# Highest total degree of a parsed term. Evaluation, Jacobian ranks and
+# substitution reach a monomial along a chain of up to that many prefix
+# steps (`_chain`, a loop) and the Hilbert series builds lists as long as
+# the degree, so the cap bounds both; it stays below Python's default
+# recursion depth of 1000, so the recursive test oracle of substitution
+# runs at the cap, and far above every polynomial file the tests and
+# scripts read (all of degree <= 8).
 MAX_TERM_DEGREE = 512
 
 

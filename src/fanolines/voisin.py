@@ -28,7 +28,7 @@ from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        jacobian_rank_at, point_certificate, rational_points,
                        singular_points, solve_report, variety_report)
 from .linalg import random_invertible
-from .poly import Polynomial, random_homogeneous, substitute_all
+from .poly import Polynomial, evaluate_at, random_homogeneous, substitute_all
 from .projgeo import ProjectivePoint
 
 MAX_RESAMPLES = 5
@@ -139,15 +139,12 @@ def certify_node(nfc: NormalFormCubic,
     """
     f = nfc.f
     gradient = [f.partial_derivative(i) for i in range(nfc.nvars)]
-    certificates = []
-    for point, singular, rank in zip(points, jacobian_rank_at([f], points),
-                                     jacobian_rank_at(gradient, points)):
-        if singular or not f.evaluate(list(point.coords)).is_zero():
-            rank = 0
-        certificates.append(NodeCertificate(
-            point, point.field.degree // nfc.field.degree, rank,
-            rank == 2 * nfc.r + 1))
-    return certificates
+    ranks = [0 if any(values) else rank for values, rank in zip(
+        evaluate_at([f] + gradient, [p.coords for p in points]),
+        jacobian_rank_at(gradient, points))]
+    return [NodeCertificate(point, point.field.degree // nfc.field.degree,
+                            rank, rank == 2 * nfc.r + 1)
+            for point, rank in zip(points, ranks)]
 
 
 def nodes(nfc: NormalFormCubic, seed: int = 0) -> List[NodeCertificate]:

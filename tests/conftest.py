@@ -5,6 +5,7 @@ import pytest
 from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
 from fanolines.fano import direction_components
+from fanolines.field import FieldElement, payload_lift
 from fanolines.linalg import mat_rank
 from fanolines.poly import default_names
 
@@ -65,12 +66,49 @@ def mat_vec(a, v):
     return out
 
 
+def plain_evaluate(f, values):
+    """f at a point whose coordinates lie in f's field or in an extension
+    of it: each coefficient lifted into the point's field on its own, each
+    power x_i^e by square and multiply, cached per (i, e), and one field
+    multiplication per factor of every term. The oracle of
+    `poly.evaluate_at` and `Polynomial.evaluate`."""
+    field = f.field
+    target = values[0].field if values else field
+    lift = payload_lift(field, target)
+    mul = target._mul
+
+    def power(a, e):
+        result = None
+        while True:
+            if e & 1:
+                result = a if result is None else mul(result, a)
+            e >>= 1
+            if not e:
+                return result
+            a = mul(a, a)
+
+    coords = [v.payload for v in values]
+    acc = target._zero_payload()
+    pow_cache = {}
+    for mono, coeff in f.terms.items():
+        term = coeff.payload if lift is None else lift(coeff.payload)
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            p = pow_cache.get((i, e))
+            if p is None:
+                p = pow_cache[i, e] = power(coords[i], e)
+            term = mul(term, p)
+        acc = target._add(acc, term)
+    return FieldElement(target, acc)
+
+
 def jacobian_rank_oracle(gens, point):
     """Rank of the Jacobian of gens at a point by the direct route: the
     partial derivatives over the generators' field, each evaluated at the
-    point, then `mat_rank`."""
+    point by `plain_evaluate`, then `mat_rank`."""
     coords = list(point.coords)
-    return mat_rank([[g.partial_derivative(i).evaluate(coords)
+    return mat_rank([[plain_evaluate(g.partial_derivative(i), coords)
                       for i in range(g.nvars)] for g in gens])
 
 

@@ -3,21 +3,26 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fanolines import (QQ, PrimeField, Polynomial, build_extension, embedding,
-                       parse_polynomial)
+from fanolines import (QQ, PrimeField, Polynomial, ProjectivePoint,
+                       build_extension, embedding, parse_polynomial)
 from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
-                            mono_degree, monomials_of_degree,
-                            random_homogeneous, substitute_all)
+                            evaluate_at, jacobian_rank_at, mono_degree,
+                            monomials_of_degree, random_homogeneous,
+                            substitute_all)
 from fanolines.linalg import random_invertible
 from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
 
-from conftest import mat_identity, mat_vec, parse, plain_substitute_all
+from conftest import (jacobian_rank_oracle, mat_identity, mat_vec, parse,
+                      plain_evaluate, plain_substitute_all)
 
 F7 = PrimeField(7)
 F9 = build_extension(3, 2)
 F10007 = PrimeField(10007)
+F10007_2 = build_extension(10007, 2)
+F10007_6 = build_extension(10007, 6)
+F_BIG = PrimeField(4294967311)
 
 
 def random_poly(field, nvars, max_deg, rng, terms=6):
@@ -391,3 +396,62 @@ def test_evaluate_at_extension_point_embeds_coefficients(small, big):
         f = random_poly(small, 3, 3, rng, terms=8)
         v = random_point(ext, 3, rng)
         assert f.evaluate(v) == f.map_coefficients(ext, embed).evaluate(v)
+
+
+# (polynomial field, field of the extension points): each field at its own
+# points, and F_p and F_9 polynomials at extension points
+EVALUATION_FIELDS = [(QQ, QQ), (F7, F7), (F10007, F10007), (F_BIG, F_BIG),
+                     (F9, F9), (F10007_6, F10007_6),
+                     (F7, build_extension(7, 3)), (F10007, F10007_6),
+                     (F_BIG, build_extension(4294967311, 2)),
+                     (F9, build_extension(3, 4))]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(EVALUATION_FIELDS),
+       st.integers(0, 4))
+@example(0, (QQ, QQ), 0)
+@example(3, (F10007, F10007_6), 0)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_matches_plain_route(seed, fields, nvars):
+    # one call over points of both fields, against one field call per
+    # factor; nvars = 0 is the constant at the empty point
+    ground, ext = fields
+    rng = random.Random(seed)
+    polys = [random_poly(ground, nvars, 5, rng, terms=rng.randrange(30))
+             for _ in range(3)]
+    points = [random_point(rng.choice((ground, ext)), nvars, rng)
+              for _ in range(4)]
+    expected = [[plain_evaluate(f, v) for f in polys] for v in points]
+    assert evaluate_at(polys, points) == expected
+    assert [[f.evaluate(v) for f in polys] for v in points] == expected
+    assert evaluate_at([], points) == [[] for _ in points]
+
+
+def test_evaluate_rejects_coordinates_in_different_fields():
+    f = parse("x0*x1 + 1", 2, F7)
+    with pytest.raises(TypeError):
+        evaluate_at([f], [[F7.one(), build_extension(7, 2).one()]])
+
+
+@pytest.mark.parametrize("field", [F10007, F10007_2], ids=str)
+def test_value_kernel_at_the_degree_cap(field):
+    # each monomial of top degree is reached along a chain of
+    # MAX_TERM_DEGREE prefix steps; values, Jacobian ranks and the
+    # substituted polynomial against the oracles
+    top = MAX_TERM_DEGREE
+    f = parse(f"x0^{top} - x1^{top - 1}*x2 + x2^{top}", 3, field)
+    assert f.degree() == top
+    rng = random.Random(top)
+    points = [ProjectivePoint(random_point(ext, 3, rng))
+              for ext in (field, F10007_6 if field is F10007 else field)
+              for _ in range(3)]
+    points.append(ProjectivePoint([field.zero(), field.one(), field.zero()]))
+    coords = [list(pt.coords) for pt in points]
+    expected = [plain_evaluate(f, v) for v in coords]
+    assert [f.evaluate(v) for v in coords] == expected
+    assert evaluate_at([f], coords) == [[v] for v in expected]
+    assert jacobian_rank_at([f], points) == \
+        [jacobian_rank_oracle([f], pt) for pt in points]
+    y0, y1 = (Polynomial.variable(field, 2, i) for i in range(2))
+    images = [y0 + y1, y1, y0 * 2]
+    assert f.substitute(images) == plain_substitute_all([f], images)[0]

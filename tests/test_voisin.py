@@ -110,11 +110,15 @@ def test_node_ranks_match_the_chart_oracle(r):
 # x1^2 + x0*x3 restrict to x1^2 on the line x2 = x3 = 0, a double root at
 # [1:0:0:0] that leaves the Hessian rank 1 and 2 there, while x0*x1 + x3^2
 # restricts to x0*x1 and makes a node; [0:0:1:0] is a smooth point of V(f)
-# off that line
+# off that line. At [0:0:0:1], off V(f), the last Q gives f = 2 and, over
+# F_3 only, a vanishing gradient and a Hessian of rank 3: only the check
+# f(p) = 0 keeps that point from being certified as a node
 NODE_FALSIFIERS = [("x1^2", "1:0:0:0", 1, False),
                    ("x1^2 + x0*x3", "1:0:0:0", 2, False),
                    ("x0*x1 + x3^2", "1:0:0:0", 3, True),
-                   ("x0*x1 + x3^2", "0:0:1:0", 0, False)]
+                   ("x0*x1 + x3^2", "0:0:1:0", 0, False),
+                   ("x0^2 + x0*x1 + x1^2 + 2*x0*x2 + 2*x3^2", "0:0:0:1", 0,
+                    False)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 10007])
@@ -136,31 +140,33 @@ def test_node_certificate_says_no_off_simple_double_points(
 
 def test_node_certificate_work_is_pinned(monkeypatch):
     # the four candidates of normal_form_cubic(2, F_10007, 0), one over
-    # F_p and three over F_(p^3), are ranked by two Jacobian calls, one for
-    # f and one for its gradient, with no coordinate change; the chart
-    # route made one `jacobian_rank_at` and one `Polynomial.apply_matrix`
-    # call per candidate, 4 + 4
+    # F_p and three over F_(p^3), take one `evaluate_at` call for f and its
+    # gradient and one Jacobian call for the Hessian, with no coordinate
+    # change and no per-candidate `Polynomial.evaluate`
     import sys
     from fanolines import poly
-    calls = {"jacobian_rank_at": 0, "apply_matrix": 0}
-    rank_at, apply_matrix = poly.jacobian_rank_at, Polynomial.apply_matrix
+    counted = {"jacobian_rank_at": poly.jacobian_rank_at,
+               "evaluate_at": poly.evaluate_at}
+    calls = dict.fromkeys([*counted, "evaluate", "apply_matrix"], 0)
 
-    def counted_rank_at(*args, **kwargs):
-        calls["jacobian_rank_at"] += 1
-        return rank_at(*args, **kwargs)
-
-    def counted_apply_matrix(*args, **kwargs):
-        calls["apply_matrix"] += 1
-        return apply_matrix(*args, **kwargs)
+    def counter(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
     for name, module in list(sys.modules.items()):
-        if (name.startswith("fanolines")
-                and getattr(module, "jacobian_rank_at", None) is rank_at):
-            monkeypatch.setattr(module, "jacobian_rank_at", counted_rank_at)
-    monkeypatch.setattr(Polynomial, "apply_matrix", counted_apply_matrix)
+        for fn_name, fn in counted.items():
+            if (name.startswith("fanolines")
+                    and getattr(module, fn_name, None) is fn):
+                monkeypatch.setattr(module, fn_name, counter(fn_name, fn))
+    for method in ("evaluate", "apply_matrix"):
+        monkeypatch.setattr(Polynomial, method,
+                            counter(method, getattr(Polynomial, method)))
     certs = nodes(normal_form_cubic(2, F10007, 0), seed=0)
     assert [c.residue_degree for c in certs] == [1, 3, 3, 3]
-    assert calls == {"jacobian_rank_at": 2, "apply_matrix": 0}
+    assert calls == {"jacobian_rank_at": 1, "evaluate_at": 1,
+                     "evaluate": 0, "apply_matrix": 0}
 
 
 def test_nodes_sorted_by_residue_degree():
