@@ -14,11 +14,14 @@ F_{p^a}, built once per pair of fields.
 
 Sums of products run on ints: polynomial values and Jacobian entries at
 a point (`poly._term_sums`), the coefficients of a specialized or
-substituted polynomial (`poly.substitute_all`) and the work coefficients
-of a normal form (`groebner.normal_form_payload`).
+substituted polynomial (`poly.substitute_all`), of a solver chart
+(`solve.chart_system`) and of a rank-drop minor (`voisin.rank_drop_ideal`)
+and the work coefficients of a normal form
+(`groebner.normal_form_payload`).
 `Field._packer(terms)` returns (pack, unpack), and unpack(sum of up to
 `terms` products pack(a) * pack(b)) is the payload of the sum of the
-products a * b. Over F_{p^k} pack puts digit i in slot i of an int
+products a * b; pack(1) is 1, so a sum of packed payloads is one too.
+Over F_{p^k} pack puts digit i in slot i of an int
 (Kronecker substitution; von zur Gathen-Gerhard, *Modern Computer
 Algebra*, §8.4), with slots wide enough that the sum never carries, so
 it is reduced once instead of once per product (delayed reduction, as in

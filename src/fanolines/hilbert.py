@@ -9,25 +9,27 @@ with memoized subproblems, a product base case for pairwise coprime
 generators, and minimalization at every node. Cancelling powers of (1-t)
 then reads off the projective dimension (pole order - 1) and the degree
 (remaining numerator at t = 1).
+
+The recursion runs on packed monomials: each generator is one int of a
+lex `groebner.Packing`, encoded once on entry, with exponent e_j in its
+own slot under a guard bit. Nothing is ever multiplied, so no slot grows:
+
+- a divides b exactly when b - a sets no guard bit, and a divisor's int
+  is never larger than its multiple's, so minimalization sorts by int
+  value and tests each monomial against the kept smaller ones;
+- x_j divides m exactly when slot j of m is nonzero, and I : x_j
+  subtracts x_j's unit from those monomials;
+- the unit monomial is the int 0.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .poly import Monomial, mono_divides
+from .groebner import Packing
+from .poly import LEX, Monomial
 
 IntSeries = Tuple[int, ...]
-
-
-def _minimalize(monos: Sequence[Monomial]) -> Tuple[Monomial, ...]:
-    """Drop monomials divisible by another generator."""
-    out = []
-    by_degree = sorted(set(monos), key=lambda m: (sum(m), m))
-    for m in by_degree:
-        if not any(mono_divides(g, m) for g in out):
-            out.append(m)
-    return tuple(sorted(out))
 
 
 def _series_mul_one_minus_td(series: IntSeries, d: int) -> IntSeries:
@@ -39,37 +41,39 @@ def _series_mul_one_minus_td(series: IntSeries, d: int) -> IntSeries:
     return tuple(out)
 
 
-def _numerator(gens: FrozenSet[Monomial], cache: Dict) -> IntSeries:
+def _numerator(gens: FrozenSet[int], packing: Packing,
+               masks: List[int], cache: Dict) -> IntSeries:
+    """N(t) of the ideal spanned by the packed monomials gens; masks[j]
+    holds the exponent bits of slot j."""
     cached = cache.get(gens)
     if cached is not None:
         return cached
-    monos = _minimalize(tuple(gens))
+    guard = packing.guard
+    monos: List[int] = []
+    for m in sorted(gens):
+        # every kept g is smaller than m, so g | m is one guard-bit test
+        if all(map(guard.__and__, map(m.__sub__, monos))):
+            monos.append(m)
     if not monos:
         result: IntSeries = (1,)
-    elif any(sum(m) == 0 for m in monos):
+    elif monos[0] == 0:
         result = ()
     else:
         # pairwise coprime (no shared variable) -> product of (1 - t^deg)
-        nvars = len(monos[0])
-        counts = [0] * nvars
-        for m in monos:
-            for i, e in enumerate(m):
-                if e:
-                    counts[i] += 1
+        counts = [sum(map(bool, map(mask.__and__, monos))) for mask in masks]
         if max(counts) <= 1:
             result = (1,)
             for m in monos:
-                result = _series_mul_one_minus_td(result, sum(m))
+                result = _series_mul_one_minus_td(result,
+                                                  sum(packing.decode(m)))
         else:
             # pivot on the most shared variable
-            j = max(range(nvars), key=lambda i: counts[i])
-            var = tuple(1 if i == j else 0 for i in range(nvars))
-            plus = frozenset(m for m in monos if m[j] == 0) | {var}
-            colon = frozenset(
-                tuple(e - 1 if i == j and e else e for i, e in enumerate(m))
-                for m in monos)
-            a = _numerator(plus, cache)
-            b = _numerator(colon, cache)
+            j = max(range(len(masks)), key=counts.__getitem__)
+            mask, var = masks[j], packing.units[j]
+            plus = frozenset(m for m in monos if not m & mask) | {var}
+            colon = frozenset(m - var if m & mask else m for m in monos)
+            a = _numerator(plus, packing, masks, cache)
+            b = _numerator(colon, packing, masks, cache)
             n = max(len(a), len(b) + 1)
             out = [0] * n
             for i, c in enumerate(a):
@@ -87,7 +91,11 @@ def hilbert_numerator(lead_monomials: Sequence[Monomial], nvars: int) -> List[in
     """Coefficients of N(t) with HS(R/I) = N(t)/(1-t)^nvars."""
     for m in lead_monomials:
         assert len(m) == nvars
-    return list(_numerator(frozenset(lead_monomials), {}))
+    packing = Packing.for_degree(LEX, nvars,
+                                 max(map(sum, lead_monomials), default=0))
+    masks = [unit * (packing.limit - 1) for unit in packing.units]
+    return list(_numerator(frozenset(map(packing.encode, lead_monomials)),
+                           packing, masks, {}))
 
 
 def staircase_data(lead_monomials: Sequence[Monomial], nvars: int) -> Tuple[int, int]:

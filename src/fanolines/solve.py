@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import NotZeroDimensional
 from .fglm import fglm_lex, lex_basis_zero_dim
 from .field import Field, FieldElement, embedding, relative_extension
-from .poly import Polynomial, substitute_all
+from .poly import Polynomial
 from .projgeo import ProjectivePoint
 from .unipoly import distinct_degree_factorization, roots_in_field
 
@@ -176,12 +176,27 @@ class SolveResult:
 def chart_system(polys: Sequence[Polynomial], last: int) -> List[Polynomial]:
     """The nonzero ones among polys with x_last = 1 and every later variable
     0, as polynomials in x_0, ..., x_{last-1}: the affine chart of the
-    points whose last nonzero coordinate is x_last."""
+    points whose last nonzero coordinate is x_last.
+
+    This is a projection of monomials, not a ring map: a term with a
+    positive exponent after x_last drops out, and the others are keyed by
+    their exponents before it. The coefficients that meet at one key,
+    at most one per term of the polynomial, are summed as packed payloads
+    (`Field._packer`) and unpacked once."""
     field = polys[0].field
-    images = ([Polynomial.variable(field, last, i) for i in range(last)]
-              + [Polynomial.constant(field, last, 1)]
-              + [Polynomial.zero(field, last)] * (polys[0].nvars - 1 - last))
-    return [g for g in substitute_all(polys, images) if not g.is_zero()]
+    pack, unpack = field._packer(max(1, max(len(g.terms) for g in polys)))
+    zero = field._zero_payload()
+    out = []
+    for g in polys:
+        sums: Dict[Tuple[int, ...], int] = {}
+        for mono, coeff in g.terms.items():
+            if not any(mono[last + 1:]):
+                key = mono[:last]
+                sums[key] = sums.get(key, 0) + pack(coeff.payload)
+        terms = {m: c for m, v in sums.items() if (c := unpack(v)) != zero}
+        if terms:
+            out.append(Polynomial.from_payloads(field, last, terms))
+    return out
 
 
 def solve_projective(basis: List[Polynomial], k_max: int,

@@ -23,12 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import DegenerateInstance, InvalidParameters
 from .field import Field, embedding
 from .fano import PointedHypersurface, line_system
+from .groebner import Packing
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
                        jacobian_rank_at, point_certificate, rational_points,
                        singular_points, solve_report, variety_report)
 from .linalg import random_invertible
-from .poly import Polynomial, evaluate_at, random_homogeneous, substitute_all
+from .poly import (LEX, Polynomial, evaluate_at, random_homogeneous,
+                   substitute_all)
 from .projgeo import ProjectivePoint
 
 MAX_RESAMPLES = 5
@@ -203,17 +205,55 @@ def node_line_system(nfc: NormalFormCubic, node: ProjectivePoint) -> Ideal:
 
 def rank_drop_ideal(ideal: Ideal) -> Ideal:
     """Singular-locus ideal of a codimension-2 complete intersection: the
-    generators together with the 2x2 minors of their Jacobian."""
+    generators g, h together with the 2x2 minors dg_i dh_j - dg_j dh_i of
+    their Jacobian, i < j.
+
+    The minors run on raw payloads. A monomial is one int key of a lex
+    `groebner.Packing` (Kronecker slots) for degree deg g + deg h, above
+    any degree a minor reaches, so no slot carries and a product is a key
+    sum. The partials are built on payloads, dg_j negated, with their
+    coefficients packed (`Field._packer`). A minor is one dict of packed
+    sums: for one term of dg_i the keys of its products with dh_j are
+    distinct, and so for dg_j and dh_i, so a key gets at most
+    len(dg_i) + len(dg_j) <= 2 len(g) products, the packer's bound. Each
+    sum is unpacked once, and each key of the minors decoded once.
+    """
     gens = ideal.nonzero_generators()
     if len(gens) != 2:
         raise InvalidParameters("rank-drop ideal needs exactly 2 generators")
     g, h = gens
-    n = g.nvars
-    dg = [g.partial_derivative(i) for i in range(n)]
-    dh = [h.partial_derivative(i) for i in range(n)]
-    minors = [dg[i] * dh[j] - dg[j] * dh[i]
-              for i in range(n) for j in range(i + 1, n)]
-    return Ideal(gens + minors)
+    field, n = g.field, g.nvars
+    mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
+    pack, unpack = field._packer(2 * len(g.terms))
+    zero = field._zero_payload()
+    packing = Packing.for_degree(LEX, n, g.degree() + h.degree())
+
+    def partials(f: Polynomial, sign: int) -> List[List[Tuple[int, int]]]:
+        """Per x_i, the (key, packed coefficient) terms of sign * df/dx_i."""
+        rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        for mono, coeff in f.terms.items():
+            key = packing.encode(mono)
+            for i, e in enumerate(mono):
+                if e and not is_zero(
+                        c := mul(coeff.payload, from_int(sign * e))):
+                    rows[i].append((key - packing.units[i], pack(c)))
+        return rows
+
+    dg, minus_dg, dh = partials(g, 1), partials(g, -1), partials(h, 1)
+    minors: List[Dict[int, int]] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            sums: Dict[int, int] = {}
+            for left, right in ((dg[i], dh[j]), (minus_dg[j], dh[i])):
+                for k1, c1 in left:
+                    for k2, c2 in right:
+                        k = k1 + k2
+                        sums[k] = sums.get(k, 0) + c1 * c2
+            minors.append(sums)
+    monomial = {k: packing.decode(k) for k in set().union(*minors)}
+    return Ideal(gens + [Polynomial.from_payloads(field, n, {
+        monomial[k]: c for k, v in sums.items() if (c := unpack(v)) != zero})
+        for sums in minors])
 
 
 def _random_linear_slice(ideal: Ideal, codim: int,

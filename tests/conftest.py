@@ -292,6 +292,91 @@ def plain_substitute_all(polys, images):
     return out
 
 
+def plain_hilbert_numerator(lead_monomials, nvars):
+    """Coefficients of the Hilbert numerator N(t) of the monomial ideal
+    spanned by lead_monomials, exponent tuples in nvars variables: the
+    pivot recursion N(I) = N(I + (x_j)) + t * N(I : x_j) on tuples, with
+    `mono_divides` minimalization at every node, a memo keyed by the
+    generator set, the product of (1 - t^deg) for pairwise coprime
+    generators, and the pivot on the first most shared variable. The
+    oracle of `hilbert.hilbert_numerator`."""
+    from fanolines.poly import mono_divides
+
+    def times_one_minus_t_to(series, d):
+        out = list(series) + [0] * d
+        for i, c in enumerate(series):
+            out[i + d] -= c
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    cache = {}
+
+    def numerator(gens):
+        if gens in cache:
+            return cache[gens]
+        monos = []
+        for m in sorted(set(gens), key=lambda m: (sum(m), m)):
+            if not any(mono_divides(g, m) for g in monos):
+                monos.append(m)
+        if not monos:
+            result = (1,)
+        elif any(sum(m) == 0 for m in monos):
+            result = ()
+        else:
+            counts = [sum(1 for m in monos if m[i]) for i in range(nvars)]
+            if max(counts) <= 1:
+                result = (1,)
+                for m in monos:
+                    result = times_one_minus_t_to(result, sum(m))
+            else:
+                j = counts.index(max(counts))
+                var = tuple(int(i == j) for i in range(nvars))
+                a = numerator(frozenset(m for m in monos if m[j] == 0)
+                              | {var})
+                b = numerator(frozenset(
+                    m[:j] + (m[j] - 1,) + m[j + 1:] if m[j] else m
+                    for m in monos))
+                out = [0] * max(len(a), len(b) + 1)
+                for i, c in enumerate(a):
+                    out[i] += c
+                for i, c in enumerate(b):
+                    out[i + 1] += c
+                while out and out[-1] == 0:
+                    out.pop()
+                result = tuple(out)
+        cache[gens] = result
+        return result
+
+    return list(numerator(frozenset(lead_monomials)))
+
+
+def plain_chart_system(polys, last):
+    """The nonzero ones among polys with x_last = 1 and every later
+    variable 0, by the ring map x_i -> x_i (i < last), x_last -> 1, the
+    rest -> 0, in one `substitute_all` call. The oracle of
+    `solve.chart_system`."""
+    from fanolines.poly import substitute_all
+    field = polys[0].field
+    images = ([Polynomial.variable(field, last, i) for i in range(last)]
+              + [Polynomial.constant(field, last, 1)]
+              + [Polynomial.zero(field, last)] * (polys[0].nvars - 1 - last))
+    return [g for g in substitute_all(polys, images) if not g.is_zero()]
+
+
+def plain_rank_drop_ideal(ideal):
+    """The generators g, h of ideal and the 2x2 minors
+    dg_i * dh_j - dg_j * dh_i, i < j, of their Jacobian, by `Polynomial`
+    products and differences. The oracle of `voisin.rank_drop_ideal`."""
+    from fanolines import Ideal
+    g, h = ideal.nonzero_generators()
+    n = g.nvars
+    dg = [g.partial_derivative(i) for i in range(n)]
+    dh = [h.partial_derivative(i) for i in range(n)]
+    return Ideal([g, h] + [dg[i] * dh[j] - dg[j] * dh[i]
+                           for i in range(n) for j in range(i + 1, n)])
+
+
 # acceptance-gate result lines, echoed after the run so they survive
 # pytest's fd-level capture
 acceptance_lines = []

@@ -6,12 +6,14 @@ staircase recursion to hand-computable answers.
 
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from fanolines import Ideal, PrimeField
 from fanolines.hilbert import hilbert_numerator, staircase_data
 from fanolines.idealkit import hilbert_data
-from fanolines.poly import random_homogeneous
+from fanolines.poly import MAX_TERM_DEGREE, random_homogeneous
 
-from conftest import parse
+from conftest import parse, plain_hilbert_numerator
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -91,3 +93,27 @@ def test_degree_is_bezout_for_generic_ci():
         dim, degree = hilbert_data(Ideal(gens))
         assert dim == 1
         assert degree == degs[0] * degs[1]
+
+
+def random_monomials(rng, nvars, top):
+    """Up to 12 exponent tuples in nvars variables, each of a random total
+    degree up to top, split at random cut points."""
+    out = []
+    for _ in range(rng.randrange(13)):
+        degree = rng.randrange(top + 1)
+        cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        out.append(tuple(b - a for a, b in
+                         zip([0] + cuts, cuts + [degree]))[:nvars])
+    return out
+
+
+@given(st.integers(0, 10**6), st.integers(0, 6), st.sampled_from([1, 3, 6]))
+@example(7, 3, MAX_TERM_DEGREE)
+@example(0, 0, 1)
+@settings(max_examples=120, deadline=None)
+def test_numerator_matches_plain_route(seed, nvars, top):
+    # shared variables force pivots; the degree cap forces the widest slots
+    rng = random.Random(seed)
+    monos = random_monomials(rng, nvars, top)
+    assert hilbert_numerator(monos, nvars) == plain_hilbert_numerator(
+        monos, nvars)

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanolines import Ideal, Polynomial, PrimeField, build_extension
+from fanolines import QQ, Ideal, Polynomial, PrimeField, build_extension
 from fanolines.idealkit import (enumerated_points, groebner_of, hilbert_data,
                                 solve_report)
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim
@@ -19,7 +19,7 @@ from fanolines.solve import chart_system, exact_relative_degree, solve_projectiv
 from fanolines.poly import LEX, random_homogeneous
 from fanolines.errors import BudgetExceeded, NotZeroDimensional
 
-from conftest import parse
+from conftest import parse, plain_chart_system
 
 PRIMES = [3, 5, 7]
 
@@ -264,6 +264,42 @@ def test_charts_read_off_the_grevlex_basis_match_per_chart_buchberger(name):
                 assert fglm_lex(chart) == oracle
                 nonempty.add((nvars, last))
     assert nonempty == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([QQ, PrimeField(7), PrimeField(10007),
+                        build_extension(3, 2), build_extension(10007, 3)]),
+       st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_chart_system_matches_plain_route(seed, field, nvars):
+    # dense polynomials, so terms that differ only in x_last meet at one
+    # key; the last one cancels to zero on its chart
+    rng = random.Random(seed)
+    last = rng.randrange(nvars)
+    polys = []
+    for _ in range(3):
+        terms = {}
+        for _ in range(rng.randrange(40)):
+            mono = tuple(rng.randrange(4) for _ in range(nvars))
+            terms[mono] = field.sample(rng)
+        polys.append(Polynomial(field, nvars, terms))
+    c = field.sample(rng)
+    polys.append(Polynomial(field, nvars, {
+        tuple(int(i == last) for i in range(nvars)): c,
+        tuple(2 * int(i == last) for i in range(nvars)): -c}))
+    assert chart_system(polys, last) == plain_chart_system(polys, last)
+
+
+@pytest.mark.parametrize("field", [build_extension(3, 2),
+                                   build_extension(10007, 3)], ids=str)
+def test_chart_system_at_the_packer_bound(field):
+    # 64 terms meet at the key of x0 on chart 1, each coefficient with
+    # every digit p - 1
+    t = field.generator()
+    c = -sum((t ** i for i in range(field.degree)), field.zero())
+    f = Polynomial(field, 3, {(1, e, 0): c for e in range(64)})
+    assert chart_system([f], 1) == plain_chart_system([f], 1)
+    assert chart_system([f], 1) == [parse("64*x0", 1, field) * c]
 
 
 @pytest.mark.parametrize("text", ["x0^2 + x1^2 - x2^2", "x2"])

@@ -9,19 +9,24 @@ the certified list, extension level by extension level.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fanolines import Ideal, Polynomial, PrimeField, ProjectivePoint
+from fanolines import (QQ, Ideal, Polynomial, PrimeField, ProjectivePoint,
+                       build_extension)
 from fanolines.linalg import random_invertible
+from fanolines.poly import random_homogeneous
 from fanolines.voisin import (NormalFormCubic, _normal_form,
                               _random_linear_slice, analyze_node_lines,
                               certify_node, node_line_system, nodes,
                               normal_form_cubic, rank_drop_ideal,
                               restricted_quadrics, run_node_analysis,
                               scan_singularities)
-from fanolines.idealkit import hilbert_data, slice_degree
+from fanolines.idealkit import (certify_reduced_point, hilbert_data,
+                                slice_degree)
 from fanolines.errors import DegenerateInstance, InvalidParameters
 
-from conftest import chart_quadratic_rank, parse, sympy_hessian_rank
+from conftest import (chart_quadratic_rank, parse, plain_rank_drop_ideal,
+                      sympy_hessian_rank)
 
 F5 = PrimeField(5)
 F11 = PrimeField(11)
@@ -232,6 +237,153 @@ def test_rank_drop_ideal_generator_count():
     rd = rank_drop_ideal(ideal)
     # two originals plus all 2x2 minors of the 2x5 Jacobian
     assert len(rd.generators) == 2 + 10
+
+
+def random_terms(field, nvars, top, rng):
+    """A polynomial of up to 25 terms of degree at most top."""
+    terms = {}
+    for _ in range(rng.randrange(1, 26)):
+        mono = tuple(rng.randrange(top + 1) for _ in range(nvars))
+        if sum(mono) <= top:
+            terms[mono] = field.sample(rng)
+    return Polynomial(field, nvars, terms)
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([QQ, PrimeField(7), F10007, build_extension(3, 2),
+                        build_extension(10007, 3)]),
+       st.integers(1, 5), st.sampled_from([3, 8]))
+@settings(max_examples=60, deadline=None)
+def test_rank_drop_ideal_matches_plain_route(seed, field, nvars, top):
+    # dense g and h, so many products meet at one key of a minor; degree 8
+    # makes partials whose exponent the characteristic divides drop terms
+    rng = random.Random(seed)
+    g = h = Polynomial.zero(field, nvars)
+    while g.is_zero():
+        g = random_terms(field, nvars, top, rng)
+    while h.is_zero():
+        h = random_terms(field, nvars, top, rng)
+    ideal = Ideal([g, h])
+    assert (rank_drop_ideal(ideal).generators
+            == plain_rank_drop_ideal(ideal).generators)
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_rank_drop_ideal_at_a_node_over_a_cubic_extension(p):
+    # normal_form_cubic(2, F_p, 0) has nodes of residue degrees 1, 3, 3, 3
+    nfc = normal_form_cubic(2, PrimeField(p), seed=0)
+    node = nodes(nfc, seed=0)[1].point
+    ideal = node_line_system(nfc, node)
+    assert ideal.field.degree == 3
+    assert (rank_drop_ideal(ideal).generators
+            == plain_rank_drop_ideal(ideal).generators)
+
+
+@pytest.mark.parametrize("field", [build_extension(3, 2),
+                                   build_extension(10007, 3)], ids=str)
+def test_rank_drop_minors_at_the_packer_bound(field):
+    # every monomial of degree <= 8 in two variables, each coefficient
+    # with every digit p - 1, so the keys of a minor collect the most and
+    # the largest packed products
+    t = field.generator()
+    c = -sum((t ** i for i in range(field.degree)), field.zero())
+    dense = Polynomial(field, 2, {(a, b): c for a in range(9)
+                                  for b in range(9 - a)})
+    ideal = Ideal([dense, dense * parse("x0 + 2*x1", 2, field) + dense])
+    assert (rank_drop_ideal(ideal).generators
+            == plain_rank_drop_ideal(ideal).generators)
+
+
+def cusp_system(field):
+    """g = x0*x4 + Q and h = x0*(x1^2 + x2^2 + x4*(x1 + x3)) + C, Q and C
+    random forms in x1..x4 only. At [1:0:0:0:0] the surface V(g, h) is
+    locally the graph x4 = -Q of the plane curve
+    x1^2 + x2^2 - Q*(x1 + x3) + C = 0 restricted to x0 = 1, an A_2 (cusp)
+    point: the rank-drop locus has Tjurina number 2 there."""
+    rng = random.Random(3)
+
+    def lifted(form):
+        return Polynomial(field, 5, {(0,) + m: c
+                                     for m, c in form.terms.items()})
+
+    q = lifted(random_homogeneous(field, 4, 2, rng))
+    c = lifted(random_homogeneous(field, 4, 3, rng))
+    return Ideal([parse("x0*x4", 5, field) + q,
+                  parse("x0*x1^2 + x0*x2^2 + x0*x1*x4 + x0*x3*x4", 5, field)
+                  + c])
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_cusp_rank_drop_point_is_not_certified_reduced(p):
+    # one point of degree 2: the Hilbert degree against the point count
+    # is the second route, the Jacobian rank 3 < 4 the certificate
+    field = PrimeField(p)
+    ideal = cusp_system(field)
+    rd = rank_drop_ideal(ideal)
+    point = ProjectivePoint([field.one()] + [field.zero()] * 4)
+    assert hilbert_data(rd) == (0, 2)
+    assert certify_reduced_point(rd, [point], codim=4) == [False]
+    report = analyze_node_lines(ideal, 2)
+    assert report.singular == [point.serialize()]
+    assert (report.computed["singular_count"],
+            report.computed["singular_degree"],
+            report.computed["singular_reduced"]) == ("1", "2", "false")
+    assert not report.matched()
+
+
+def test_singular_locus_work_is_pinned(monkeypatch):
+    # the line system through the first node of `voisin-demo 2 --seed
+    # 585427`: the minors make no Polynomial product, the solver's charts
+    # no substitution, the Hilbert numerator no tuple divisibility test,
+    # and Buchberger runs twice, on the complete intersection and on the
+    # rank-drop ideal
+    import sys
+    from fanolines import groebner, idealkit, poly, voisin
+    nfc = normal_form_cubic(2, F10007, 585427)
+    ideal = node_line_system(nfc, nodes(nfc, seed=585427)[0].point)
+    phase = ["other"]
+    calls = {}
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            key = (phase[0], name)
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def staged(name, fn):
+        def run(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return run
+
+    counted = {"substitute_all": poly.substitute_all,
+               "mono_divides": poly.mono_divides,
+               "groebner_basis": groebner.groebner_basis}
+    for name, module in list(sys.modules.items()):
+        for fn_name, fn in counted.items():
+            if (name.startswith("fanolines")
+                    and getattr(module, fn_name, None) is fn):
+                monkeypatch.setattr(module, fn_name, counter(fn_name, fn))
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        counter("__mul__", Polynomial.__mul__))
+    monkeypatch.setattr(voisin, "rank_drop_ideal", staged(
+        "rank_drop_ideal", voisin.rank_drop_ideal))
+    monkeypatch.setattr(idealkit, "solve_projective", staged(
+        "solve_projective", idealkit.solve_projective))
+    monkeypatch.setattr(idealkit, "staircase_data", staged(
+        "staircase_data", idealkit.staircase_data))
+    report = analyze_node_lines(ideal, 2, seed=585427)
+    assert report.matched()
+    assert report.computed["singular_count"] == "3"
+    assert calls.get(("rank_drop_ideal", "__mul__"), 0) == 0
+    assert calls.get(("solve_projective", "substitute_all"), 0) == 0
+    assert calls.get(("staircase_data", "mono_divides"), 0) == 0
+    assert sum(n for (_, name), n in calls.items()
+               if name == "groebner_basis") == 2
 
 
 def test_analyze_node_lines_r2_three_singular_points():
