@@ -16,9 +16,10 @@ Usage:
 import argparse
 import time
 
-from fanolines import PrimeField
+from fanolines import Ideal, PrimeField
 from fanolines.errors import DegenerateInstance
-from fanolines.voisin import nodes, normal_form_cubic, scan_singularities
+from fanolines.idealkit import singular_points
+from fanolines.voisin import nodes, normal_form_cubic
 
 
 def key(pt):
@@ -45,7 +46,8 @@ def main():
             continue
         shallow = {key(c.point) for c in certs
                    if c.residue_degree <= args.kmax}
-        scanned = {key(p) for p in scan_singularities(nfc, k_max=args.kmax)}
+        scanned = {key(p) for p in singular_points(Ideal([nfc.f]),
+                                                   k_max=args.kmax)}
         dt = time.monotonic() - t0
         extra = scanned - shallow
         missed = shallow - scanned

@@ -47,7 +47,10 @@ def direction_components(f: Polynomial, point: ProjectivePoint) -> List[Polynomi
     if f.nvars != point.ambient_dim + 1:
         raise InvalidParameters("point and equation live in different spaces")
     moved = f.apply_matrix(move_to_base_point(point))
-    local = moved.dehomogenize(0)
+    # x_0 = 1: the moved form is homogeneous, so dropping x_0's exponent
+    # merges no two terms
+    local = Polynomial(f.field, f.nvars - 1,
+                       {m[1:]: c for m, c in moved.terms.items()})
     d = f.degree()
     if local.is_zero():
         return [Polynomial.zero(f.field, f.nvars - 1) for _ in range(d + 1)]

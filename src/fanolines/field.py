@@ -13,11 +13,11 @@ the rows r^i, r the smallest-code root in F_{p^b} of the modulus of
 F_{p^a}, built once per pair of fields.
 
 Sums of products run on ints: polynomial values and Jacobian entries at
-a point (`poly._term_sums`), the coefficients of a specialized or
-substituted polynomial (`poly.substitute_all`), of a solver chart
-(`solve.chart_system`) and of a rank-drop minor (`voisin.rank_drop_ideal`)
-and the work coefficients of a normal form
-(`groebner.normal_form_payload`).
+a point (`poly._term_sums`), the coefficients of a substituted
+polynomial (`poly.substitute_all`), of a restriction to x_last = value
+(`poly.restrict`: the solver's charts and fibres) and of a rank-drop
+minor (`voisin.rank_drop_ideal`) and the work coefficients of a normal
+form (`groebner.normal_form_payload`).
 `Field._packer(terms)` returns (pack, unpack), and unpack(sum of up to
 `terms` products pack(a) * pack(b)) is the payload of the sum of the
 products a * b; pack(1) is 1, so a sum of packed payloads is one too.
@@ -25,7 +25,9 @@ Over F_{p^k} pack puts digit i in slot i of an int
 (Kronecker substitution; von zur Gathen-Gerhard, *Modern Computer
 Algebra*, §8.4), with slots wide enough that the sum never carries, so
 it is reduced once instead of once per product (delayed reduction, as in
-Dumas-Giorgi-Pernet's FFLAS).
+Dumas-Giorgi-Pernet's FFLAS). One product in F_{p^k} is the same packed
+product with `terms` = 1, and an inverse is extended Euclid over F_p on
+the digit lists (ibid., §4.2).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from operator import lshift, mul
-from typing import Callable, Iterator, Tuple, Union
+from typing import Callable, Tuple, Union
 
 from .errors import InvalidParameters, NotPrime, ZeroInversion
 
@@ -218,9 +220,6 @@ class Field:
     def sample(self, rng: random.Random, bound: int = DEFAULT_RATIONAL_BOUND) -> FieldElement:
         raise NotImplementedError
 
-    def elements(self) -> Iterator[FieldElement]:
-        raise NotImplementedError(f"{self} is not enumerable")
-
 
 class RationalField(Field):
     """The rationals with arbitrary-precision reduced fractions."""
@@ -340,10 +339,6 @@ class PrimeField(Field):
     def element_from_code(self, code: int) -> FieldElement:
         return FieldElement(self, code)
 
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -369,7 +364,7 @@ class ExtensionField(Field):
             lead = cur[-1]
             cur = [(cur[j] - lead * self.modulus[j]) % p for j in range(k)]
         self._red = red
-        self._arith = None  # F_p[t] arithmetic for inverses, built on first use
+        self._pack, self._unpack = self._packer(1)  # for `_mul`
         # the Frobenius row table: row i is (t^p)^i
         self.frob_rows = _power_rows(self, (self.generator() ** p).payload, k)
 
@@ -408,31 +403,34 @@ class ExtensionField(Field):
         return tuple(-x % p for x in a)
 
     def _mul(self, a, b):
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-        out = [c % p for c in conv[:k]]
-        for i in range(k - 1):
-            c = conv[k + i] % p
-            if c == 0:
-                continue
-            row = self._red[i]
-            for j in range(k):
-                out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
+        return self._unpack(self._pack(a) * self._pack(b))
 
     def _inv(self, a):
-        if not any(a):
+        """Extended Euclid on digit lists: r_i = s_i * a mod the modulus,
+        from (r_0, s_0) = (modulus, 0) and (r_1, s_1) = (a, 1), down to a
+        constant r_i, nonzero as the modulus is irreducible; then
+        1/a = s_i / r_i."""
+        p = self.p
+        r0, r1 = list(self.modulus), _trim(list(a))
+        if not r1:
             raise ZeroInversion(f"zero has no inverse in {self}")
-        if self._arith is None:
-            from .unipoly import _Arith
-            self._arith = _Arith(PrimeField(self.p))
-        inv = self._arith.inverse(list(a), list(self.modulus))
-        return tuple(inv) + (0,) * (self.k - len(inv))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            d, inv = len(r1) - 1, pow(r1[-1], -1, p)
+            q = [0] * (len(r0) - d)
+            for i in range(len(r0) - 1, d - 1, -1):
+                c = q[i - d] = r0[i] * inv % p
+                if c:
+                    for j in range(i - d, i):
+                        r0[j] = (r0[j] - c * r1[j - i + d]) % p
+            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, c in enumerate(q):
+                for j, x in enumerate(s1):
+                    s[i + j] -= c * x
+            r0, r1 = r1, _trim(r0[:d])
+            s0, s1 = s1, _trim([x % p for x in s])
+        inv = pow(r1[0], -1, p)
+        return tuple(x * inv % p for x in s1) + (0,) * (self.k - len(s1))
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)
@@ -443,10 +441,10 @@ class ExtensionField(Field):
         A product of two packed payloads has 2k - 1 slots, each a sum of
         at most k digit products, so a sum of `terms` products never
         carries. unpack takes slots k..2k-2 mod p and folds them into the
-        low k slots by the packed rows t^k, ..., t^(2k-2) reduced, the
-        fold of `_mul`; each low slot stays below 2^W, since the fold adds
-        at most (k-1)(p-1)^2. The low slots mod p are the payload. A
-        payload from F_p, (c, 0, ..., 0), packs to c itself.
+        low k slots by the packed rows t^k, ..., t^(2k-2) reduced; each
+        low slot stays below 2^W, since the fold adds at most
+        (k-1)(p-1)^2. The low slots mod p are the payload. A payload from
+        F_p, (c, 0, ..., 0), packs to c itself.
         """
         p, k = self.p, self.k
         width = (terms * k * (p - 1) ** 2).bit_length() + 1
@@ -509,10 +507,6 @@ class ExtensionField(Field):
     def sample(self, rng, bound=None):
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
 
-    def elements(self):
-        for code in range(self.p**self.k):
-            yield self.element_from_code(code)
-
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
 
@@ -550,6 +544,13 @@ def build_extension(p: int, k: int) -> Field:
                 break
     _extension_cache[(p, k)] = result
     return result
+
+
+def _trim(digits: list) -> list:
+    """digits without its zero top digits."""
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
 
 
 def _power_rows(field: ExtensionField, x, n: int) -> list:

@@ -361,21 +361,14 @@ class Polynomial:
         or in an extension of it; see `evaluate_at`."""
         return evaluate_at([self], [values])[0][0]
 
+    def gradient(self) -> List["Polynomial"]:
+        """The partial derivatives d/dx_0, ..., d/dx_{n-1}; see `_lowered`."""
+        return [Polynomial.from_payloads(self.field, self.nvars, dict(terms))
+                for terms in _lowered(self)]
+
     def partial_derivative(self, index: int) -> "Polynomial":
-        """d/dx_index, on raw payloads. Lowering one exponent maps distinct
-        terms to distinct monomials, so no two terms combine; a term whose
-        exponent the characteristic divides drops out."""
-        field = self.field
-        mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
-        terms: Dict[Monomial, object] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            scaled = mul(coeff.payload, from_int(e))
-            if not is_zero(scaled):
-                terms[mono[:index] + (e - 1,) + mono[index + 1:]] = scaled
-        return Polynomial.from_payloads(field, self.nvars, terms)
+        """d/dx_index; see `_lowered`."""
+        return self.gradient()[index]
 
     def homogeneous_components(self) -> Dict[int, "Polynomial"]:
         """Split into degree parts; keys are the occurring degrees."""
@@ -397,19 +390,6 @@ class Polynomial:
         images = [Polynomial.linear(self.field, matrix[i]) for i in range(n)]
         assert all(len(matrix[i]) == n for i in range(n))
         return self.substitute(images)
-
-    def dehomogenize(self, index: int = 0) -> "Polynomial":
-        """Set x_index = 1 and drop that variable (nvars shrinks by one)."""
-        terms: Dict[Monomial, FieldElement] = {}
-        for mono, coeff in self.terms.items():
-            key = mono[:index] + mono[index + 1:]
-            acc = terms.get(key)
-            s = coeff if acc is None else acc + coeff
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Polynomial(self.field, self.nvars - 1, terms)
 
     def extend_variables(self, nvars: int, offset: int = 0) -> "Polynomial":
         """Reindex into a larger ring: x_i -> x_(i + offset)."""
@@ -498,6 +478,21 @@ def _chain(monos: Iterable[Monomial], nvars: int
     return index, chain
 
 
+def _lowered(f: Polynomial) -> List[List[Tuple[Monomial, object]]]:
+    """Per variable x_i, the payload terms (m - e_i, m_i * c) of df/dx_i
+    over the terms c * x^m of f with m_i > 0. Lowering one exponent maps
+    distinct terms to distinct monomials, so no two terms combine; a term
+    whose exponent m_i the characteristic divides drops out."""
+    field = f.field
+    mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
+    rows: List[List[Tuple[Monomial, object]]] = [[] for _ in range(f.nvars)]
+    for mono, coeff in f.terms.items():
+        for i, e in enumerate(mono):
+            if e and not is_zero(c := mul(coeff.payload, from_int(e))):
+                rows[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
+    return rows
+
+
 def _term_sums(field: Field, nvars: int,
                term_lists: Sequence[Sequence[Tuple[Monomial, object]]],
                points: Sequence[Sequence[FieldElement]]) -> List[tuple]:
@@ -566,24 +561,17 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     """Ranks of the Jacobian of gens at points, in the points' order.
 
     The points may lie over any mix of extensions of the generators'
-    field. Entry (g, i) at P is the sum of c * m_i * P^(m - e_i) over the
-    terms c * x^m of g, one term list of `_term_sums`; no partial
-    derivative is built. A term drops out of entry (g, i) when the
-    characteristic divides m_i.
+    field. Entry (g, i) at P is dg/dx_i at P: the term lists of
+    `_lowered(g)` go to `_term_sums` as they are, so no partial
+    derivative is built as a Polynomial.
     """
     if not gens or not points:
         return [0] * len(points)
     field, n = gens[0].field, gens[0].nvars
-    mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
     entries = []
     for g in gens:
         assert g.nvars == n and g.field == field
-        row = [[] for _ in range(n)]
-        for mono, coeff in g.terms.items():
-            for i, e in enumerate(mono):
-                if e and not is_zero(c := mul(coeff.payload, from_int(e))):
-                    row[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
-        entries += row
+        entries += _lowered(g)
     return [payload_rank(target, n, [sums[k:k + n]
                                      for k in range(0, len(sums), n)])
             for target, sums in _term_sums(field, n, entries,
@@ -594,6 +582,41 @@ def _top_degree(polys: Sequence[Polynomial]) -> int:
     """The largest degree of a term of polys; 0 when there is none."""
     return max(map(sum, itertools.chain.from_iterable(f.terms for f in polys)),
                default=0)
+
+
+def restrict(polys: Sequence[Polynomial], last: int,
+             value: FieldElement) -> List[Polynomial]:
+    """Each of polys with x_last = value and every later variable 0, as a
+    polynomial in x_0, ..., x_{last-1}; zero results are kept. value lies
+    in the polynomials' field.
+
+    A projection of monomials: a term with a positive exponent after
+    x_last drops out, and a term c * x^m adds the one packed product
+    pack(c) * value^(m_last) (`Field._packer`) at the key m[:last]. So
+    at most one product per term meets at a key, and the packer's bound
+    is the most terms of any polynomial. The powers of value are built
+    once, packed, and each sum is unpacked once.
+    """
+    field = value.field
+    assert all(f.field == field for f in polys)
+    pack, unpack = field._packer(max([1] + [len(f.terms) for f in polys]))
+    zero = field._zero_payload()
+    step = pack(value.payload)
+    powers = [pack(field._one_payload())]
+    out = []
+    for f in polys:
+        sums: Dict[Monomial, int] = {}
+        for mono, coeff in f.terms.items():
+            if any(mono[last + 1:]):
+                continue
+            e = mono[last]
+            while len(powers) <= e:
+                powers.append(pack(unpack(powers[-1] * step)))
+            key = mono[:last]
+            sums[key] = sums.get(key, 0) + pack(coeff.payload) * powers[e]
+        out.append(Polynomial.from_payloads(field, last, {
+            m: c for m, v in sums.items() if (c := unpack(v)) != zero}))
+    return out
 
 
 def substitute_all(polys: Sequence[Polynomial],

@@ -1,18 +1,14 @@
-"""Projective points, coordinate changes, and exhaustive enumeration.
+"""Projective points, coordinate changes and point counts.
 
 Points are stored canonically: the first nonzero coordinate is scaled to 1,
-so equality of points is equality of tuples. Enumeration of P^N(F_q) is
-stratified by pivot position and ascends lexicographically over the
-canonical coordinate tuples (element order = integer code order), which
-makes the stream reproducible and partitionable.
+so equality of points is equality of tuples. `scan.variety_scan`
+enumerates P^N(F_q) in canonical form.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
-from .errors import BudgetExceeded
 from .field import Field, FieldElement
 from .linalg import Matrix
 
@@ -95,29 +91,3 @@ def move_to_base_point(y: ProjectivePoint) -> Matrix:
         cols.append([field.one() if i == j else field.zero() for i in range(n)])
     # transpose column list into row-major matrix
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def enumerate_projective_points(n_proj: int, field: Field,
-                                budget: int = DEFAULT_BUDGET) -> Iterator[ProjectivePoint]:
-    """Every point of P^N(F_q) exactly once, canonical, deterministic order.
-
-    Pivot N first (the single point [0:...:0:1]), then pivot N-1, down to
-    pivot 0; within a stratum the free coordinates run in ascending
-    code order, leftmost coordinate most significant.
-    """
-    assert field.is_finite, "enumeration needs a finite field"
-    q = field.order()
-    total = projective_count(n_proj, q)
-    if total > budget:
-        raise BudgetExceeded(
-            f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
-    elems = [field.element_from_code(code) for code in range(q)]
-    zero, one = field.zero(), field.one()
-    for pivot in range(n_proj, -1, -1):
-        free = n_proj - pivot
-        prefix = (zero,) * pivot + (one,)
-        for tail in itertools.product(elems, repeat=free):
-            pt = ProjectivePoint.__new__(ProjectivePoint)
-            pt.coords = prefix + tail
-            yield pt
-

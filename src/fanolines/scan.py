@@ -14,13 +14,15 @@ kind has one kernel, chosen by `VectorContext`:
   Fields*; Huber 1990). The tables have O(q) entries and cost O(q) field
   products to build.
 
-`variety_scan` walks the strata of P^N in the order of
-projgeo.enumerate_projective_points: pivot N down to 0, then the free
-coordinates ascending with the leftmost most significant. It evaluates
-the first generator by partial evaluation, in the manner of a
-multivariate Horner scheme: the trailing free coordinates run through one
-cached grid per stratum, and the leading ones enter each block as
-scalars. The later generators run on the pooled zeros of the first.
+`variety_scan` walks P^N(F_q) in one fixed order. Points are in the
+canonical form of `projgeo.ProjectivePoint` (first nonzero coordinate,
+the pivot, is 1). The pivot runs from N down to 0, so [0:...:0:1] comes
+first, and within a stratum the free coordinates after the pivot ascend
+by code, the leftmost most significant. It evaluates the first
+generator by partial evaluation, in the manner of a multivariate Horner
+scheme: the trailing free coordinates run through one cached grid per
+stratum, and the leading ones enter each block as scalars. The later
+generators run on the pooled zeros of the first.
 
 numpy is imported inside the functions that use it, so importing the
 package does not load it until a command scans.
@@ -270,8 +272,8 @@ def _block_values(ctx: VectorContext,
 def variety_scan(gens: Sequence[Polynomial], field: Field,
                  budget: int = DEFAULT_BUDGET,
                  chunk: int = DEFAULT_CHUNK) -> List[ProjectivePoint]:
-    """All points of P^N(F_q) where every generator vanishes, in the order
-    of enumerate_projective_points.
+    """All points of P^N(F_q) where every generator vanishes, in the scan
+    order of the module docstring.
 
     The first generator is evaluated by partial evaluation: on each pivot
     stratum it is split as sum_a y^a h_a(z) over the leading free
@@ -360,8 +362,7 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
     assert gens
     if len(gens) == 1 and codim == 1:
         f = gens[0]
-        partials = [f.partial_derivative(i) for i in range(f.nvars)]
-        system = [g for g in partials if not g.is_zero()] + [f]
+        system = [g for g in f.gradient() if not g.is_zero()] + [f]
         return variety_scan(system, field, budget, chunk)
     points = variety_scan(gens, field, budget, chunk)
     return [pt for pt, rank in zip(points, jacobian_rank_at(gens, points))

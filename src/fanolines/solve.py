@@ -30,37 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import NotZeroDimensional
 from .fglm import fglm_lex, lex_basis_zero_dim
 from .field import Field, FieldElement, embedding, relative_extension
-from .poly import Polynomial
+from .poly import Polynomial, restrict
 from .projgeo import ProjectivePoint
 from .unipoly import distinct_degree_factorization, roots_in_field
-
-
-def _specialize_last(basis: List[Polynomial],
-                     root: FieldElement) -> List[Polynomial]:
-    """The nonzero ones among the basis polynomials, all over root's field,
-    with the last variable set to root. Each coefficient, the sum of
-    c * root^e over the terms c * x^m of one polynomial that share m
-    without its last exponent e, is one int sum of packed products
-    (`Field._packer`), reduced once; the powers of root are built once,
-    incrementally, and packed once."""
-    field = root.field
-    pack, unpack = field._packer(max((len(g.terms) for g in basis), default=1))
-    powers = [pack(field._one_payload())]
-    step = pack(root.payload)
-    out = []
-    for g in basis:
-        sums: Dict[Tuple[int, ...], int] = {}
-        for mono, coeff in g.terms.items():
-            e = mono[-1]
-            while len(powers) <= e:
-                powers.append(pack(unpack(powers[-1] * step)))
-            key = mono[:-1]
-            sums[key] = sums.get(key, 0) + pack(coeff.payload) * powers[e]
-        terms = {m: c for m, c in zip(sums, map(unpack, sums.values()))
-                 if not field._is_zero(c)}
-        if terms:
-            out.append(Polynomial.from_payloads(field, g.nvars - 1, terms))
-    return out
 
 
 def _univariate_in_last(g: Polynomial) -> Optional[List[FieldElement]]:
@@ -147,7 +119,7 @@ def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
         ext, embed = relative_extension(ground, j)
         basis = rest if j == 1 else [g.map_coefficients(ext, embed) for g in rest]
         for root in roots_in_field([embed(c) for c in part], ext, rng, orbit=j):
-            fiber = _specialize_last(basis, root)
+            fiber = [g for g in restrict(basis, nvars, root) if g]
             values = _read_off(fiber, nvars)
             if values is not None:
                 out.append((j, values + (root,)))
@@ -175,28 +147,9 @@ class SolveResult:
 
 def chart_system(polys: Sequence[Polynomial], last: int) -> List[Polynomial]:
     """The nonzero ones among polys with x_last = 1 and every later variable
-    0, as polynomials in x_0, ..., x_{last-1}: the affine chart of the
-    points whose last nonzero coordinate is x_last.
-
-    This is a projection of monomials, not a ring map: a term with a
-    positive exponent after x_last drops out, and the others are keyed by
-    their exponents before it. The coefficients that meet at one key,
-    at most one per term of the polynomial, are summed as packed payloads
-    (`Field._packer`) and unpacked once."""
-    field = polys[0].field
-    pack, unpack = field._packer(max(1, max(len(g.terms) for g in polys)))
-    zero = field._zero_payload()
-    out = []
-    for g in polys:
-        sums: Dict[Tuple[int, ...], int] = {}
-        for mono, coeff in g.terms.items():
-            if not any(mono[last + 1:]):
-                key = mono[:last]
-                sums[key] = sums.get(key, 0) + pack(coeff.payload)
-        terms = {m: c for m, v in sums.items() if (c := unpack(v)) != zero}
-        if terms:
-            out.append(Polynomial.from_payloads(field, last, terms))
-    return out
+    0, as polynomials in x_0, ..., x_{last-1} (`poly.restrict`): the affine
+    chart of the points whose last nonzero coordinate is x_last."""
+    return [g for g in restrict(polys, last, polys[0].field.one()) if g]
 
 
 def solve_projective(basis: List[Polynomial], k_max: int,

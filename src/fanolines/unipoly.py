@@ -5,7 +5,8 @@ Gathen-Gerhard, Modern Computer Algebra, ch. 14).
 The public functions take and return little-endian lists of FieldElement.
 Inside, the arithmetic runs on raw payload lists (no trailing zeros)
 through the field's payload hooks, so the hot loops build no
-FieldElement.
+FieldElement. Field inverses are the field's own (extended Euclid in
+`field.py`); this module serves factorization and roots only.
 
 Every product modulo a polynomial m of degree n over F_(p^k) is one
 Python int product, by Kronecker substitution (ibid., ch. 8; CPython
@@ -49,7 +50,6 @@ from operator import mul
 from struct import Struct
 from typing import Dict, List
 
-from .errors import ZeroInversion
 from .field import Field, FieldElement
 
 
@@ -260,37 +260,6 @@ class _Arith:
         """base^e mod the monic m."""
         ring = self.ring(m)
         return ring.payloads(ring.pow(ring.flat(self.rem(base, m)), e))
-
-    def inverse(self, a: list, m: list) -> list:
-        """The inverse of a, reduced mod the monic m, over a prime field, by
-        extended Euclid; raises ZeroInversion when they share a factor.
-        The division steps run on the int coefficients. The Bezout
-        coefficients s_i (s_0 = 0, s_1 = 1) are kept packed as
-        t_i = (-1)^(i+1) s_i, so each update s0 - q * s1 is t0 + q * t1,
-        one packed product; its degree is below deg m, so it needs no
-        division by m."""
-        assert self.degree == 1, "inverse runs over F_p"
-        p, ring = self.p, self.ring(m)
-        r0, r1 = list(m), self.trim(list(a))
-        assert len(r1) < len(r0), "the element must be reduced"
-        t0, t1 = 0, 1  # packed; sign * t1 * a = r1 mod m
-        sign = 1
-        while len(r1) > 1:
-            d1 = len(r1) - 1
-            inv = pow(r1[-1], p - 2, p)
-            q = [0] * (len(r0) - d1)
-            for i in range(len(r0) - 1, d1 - 1, -1):
-                c = q[i - d1] = r0[i] * inv % p
-                if c:
-                    for j in range(i - d1, i):
-                        r0[j] = (r0[j] - c * r1[j - i + d1]) % p
-            r0, r1 = r1, self.trim(r0[:d1])
-            t0, t1 = t1, ring.pack(ring.digits(t0 + ring.pack(q) * t1))
-            sign = -sign
-        if not r1:
-            raise ZeroInversion("element shares a factor with the modulus")
-        return ring.payloads(ring.digits(t1 * (sign * pow(r1[0], p - 2, p)
-                                               % p)))
 
     def gcd(self, a: list, b: list) -> list:
         """Monic gcd; [] when both are zero."""

@@ -27,10 +27,10 @@ from .groebner import Packing
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
                        jacobian_rank_at, point_certificate, rational_points,
-                       singular_points, solve_report, variety_report)
+                       solve_report, variety_report)
 from .linalg import random_invertible
-from .poly import (LEX, Polynomial, evaluate_at, random_homogeneous,
-                   substitute_all)
+from .poly import (LEX, Polynomial, _lowered, evaluate_at,
+                   random_homogeneous, restrict, substitute_all)
 from .projgeo import ProjectivePoint
 
 MAX_RESAMPLES = 5
@@ -114,12 +114,8 @@ def normal_form_cubic(r: int, field: Field, seed: int) -> NormalFormCubic:
 
 def restricted_quadrics(nfc: NormalFormCubic) -> List[Polynomial]:
     """The Q_i restricted to the r-plane x_{r+1} = ... = x_{2r+1} = 0,
-    as quadrics in the r+1 surviving variables."""
-    field = nfc.field
-    m = nfc.r + 1
-    images = [Polynomial.variable(field, m, i) if i < m
-              else Polynomial.zero(field, m) for i in range(nfc.nvars)]
-    return substitute_all(nfc.quadrics, images)
+    as quadrics in the r+1 surviving variables (`poly.restrict`)."""
+    return restrict(nfc.quadrics, nfc.r + 1, nfc.field.zero())
 
 
 def _mapped_to(f: Polynomial, target: Field) -> Polynomial:
@@ -140,7 +136,7 @@ def certify_node(nfc: NormalFormCubic,
     characteristic 3 Euler's relation does not give it from the gradient.
     """
     f = nfc.f
-    gradient = [f.partial_derivative(i) for i in range(nfc.nvars)]
+    gradient = f.gradient()
     ranks = [0 if any(values) else rank for values, rank in zip(
         evaluate_at([f] + gradient, [p.coords for p in points]),
         jacobian_rank_at(gradient, points))]
@@ -182,16 +178,6 @@ def nodes(nfc: NormalFormCubic, seed: int = 0) -> List[NodeCertificate]:
     return certificates
 
 
-def scan_singularities(nfc: NormalFormCubic, k_max: int,
-                       budget: int = DEFAULT_BUDGET) -> List[ProjectivePoint]:
-    """Exhaustive Jacobian scan of the whole cubic over small fields.
-
-    Independent of the node-finding route: enumerates points of V(f) and
-    keeps those where the gradient vanishes. Only usable when q^k_max is
-    within budget."""
-    return singular_points(Ideal([nfc.f]), k_max=k_max, budget=budget)
-
-
 def node_line_system(nfc: NormalFormCubic, node: ProjectivePoint) -> Ideal:
     """The equations for lines of the cubic through a certified node.
 
@@ -211,35 +197,30 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
     The minors run on raw payloads. A monomial is one int key of a lex
     `groebner.Packing` (Kronecker slots) for degree deg g + deg h, above
     any degree a minor reaches, so no slot carries and a product is a key
-    sum. The partials are built on payloads, dg_j negated, with their
-    coefficients packed (`Field._packer`). A minor is one dict of packed
-    sums: for one term of dg_i the keys of its products with dh_j are
-    distinct, and so for dg_j and dh_i, so a key gets at most
-    len(dg_i) + len(dg_j) <= 2 len(g) products, the packer's bound. Each
-    sum is unpacked once, and each key of the minors decoded once.
+    sum. The partials are the term lists of `poly._lowered`, dg_j
+    negated, with their keys and coefficients packed (`Field._packer`).
+    A minor is one dict of packed sums: for one term of dg_i the keys of
+    its products with dh_j are distinct, and so for dg_j and dh_i, so a
+    key gets at most len(dg_i) + len(dg_j) <= 2 len(g) products, the
+    packer's bound. Each sum is unpacked once, and each key of the minors
+    decoded once.
     """
     gens = ideal.nonzero_generators()
     if len(gens) != 2:
         raise InvalidParameters("rank-drop ideal needs exactly 2 generators")
     g, h = gens
     field, n = g.field, g.nvars
-    mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
     pack, unpack = field._packer(2 * len(g.terms))
     zero = field._zero_payload()
     packing = Packing.for_degree(LEX, n, g.degree() + h.degree())
 
-    def partials(f: Polynomial, sign: int) -> List[List[Tuple[int, int]]]:
-        """Per x_i, the (key, packed coefficient) terms of sign * df/dx_i."""
-        rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for mono, coeff in f.terms.items():
-            key = packing.encode(mono)
-            for i, e in enumerate(mono):
-                if e and not is_zero(
-                        c := mul(coeff.payload, from_int(sign * e))):
-                    rows[i].append((key - packing.units[i], pack(c)))
-        return rows
+    def partials(f: Polynomial,
+                 sign=lambda c: c) -> List[List[Tuple[int, int]]]:
+        """Per x_i, the (key, packed sign(c)) terms of df/dx_i."""
+        return [[(packing.encode(m), pack(sign(c))) for m, c in terms]
+                for terms in _lowered(f)]
 
-    dg, minus_dg, dh = partials(g, 1), partials(g, -1), partials(h, 1)
+    dg, minus_dg, dh = partials(g), partials(g, field._neg), partials(h)
     minors: List[Dict[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -1,13 +1,18 @@
-"""Shared fixtures: small working fields and a terse parse helper."""
+"""Shared fixtures: small working fields, a terse parse helper, and the
+plain routes that the package's fast paths are tested against."""
+
+import itertools
 
 import pytest
 
 from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
+from fanolines.errors import BudgetExceeded
 from fanolines.fano import direction_components
 from fanolines.field import FieldElement, payload_lift
 from fanolines.linalg import mat_rank
-from fanolines.poly import default_names
+from fanolines.poly import default_names, substitute_all
+from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +45,100 @@ def random_point(field, n_proj, rng):
         coords = [field.sample(rng) for _ in range(n_proj + 1)]
         if any(not c.is_zero() for c in coords):
             return ProjectivePoint(coords)
+
+
+def enumerate_projective_points(n_proj, field, budget=DEFAULT_BUDGET):
+    """Every point of P^N(F_q) once, canonical, in the scan order of
+    `scan.variety_scan`: pivot N first (the single point [0:...:0:1]),
+    then pivot N-1, down to pivot 0; within a stratum the free
+    coordinates run in ascending code order, leftmost coordinate most
+    significant. Raises BudgetExceeded above budget points. The
+    scan-order oracle."""
+    assert field.is_finite, "enumeration needs a finite field"
+    q = field.order()
+    total = projective_count(n_proj, q)
+    if total > budget:
+        raise BudgetExceeded(
+            f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
+    elems = [field.element_from_code(code) for code in range(q)]
+    zero, one = field.zero(), field.one()
+    for pivot in range(n_proj, -1, -1):
+        prefix = (zero,) * pivot + (one,)
+        for tail in itertools.product(elems, repeat=n_proj - pivot):
+            pt = ProjectivePoint.__new__(ProjectivePoint)
+            pt.coords = prefix + tail
+            yield pt
+
+
+def plain_extension_mul(field, a, b):
+    """a * b for payloads of the extension field: the schoolbook
+    convolution of the digit tuples, then each digit t^(k+i) folded back
+    by its reduced row t^(k+i) mod the modulus. The oracle of
+    `ExtensionField._mul`."""
+    p, k = field.p, field.k
+    conv = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    out = [c % p for c in conv[:k]]
+    for i in range(k - 1):
+        for j in range(k):
+            out[j] = (out[j] + conv[k + i] * field._red[i][j]) % p
+    return tuple(out)
+
+
+def fermat_inverse(field, a):
+    """The inverse of a nonzero payload of the extension field F_q as
+    a^(q - 2), by square and multiply on `plain_extension_mul`. An
+    independent route to `ExtensionField._inv`."""
+    out, e = field._one_payload(), field.order() - 2
+    while e:
+        if e & 1:
+            out = plain_extension_mul(field, out, a)
+        e >>= 1
+        a = plain_extension_mul(field, a, a)
+    return out
+
+
+def plain_gradient(f):
+    """The partial derivatives of f, one field multiplication per term and
+    variable through the payload hooks: c * x^m gives m_i * c * x^(m - e_i)
+    unless that is zero. The oracle of `Polynomial.gradient`."""
+    field = f.field
+    out = []
+    for i in range(f.nvars):
+        terms = {}
+        for mono, coeff in f.terms.items():
+            e = mono[i]
+            if e == 0:
+                continue
+            scaled = field._mul(coeff.payload, field._from_int(e))
+            if not field._is_zero(scaled):
+                terms[mono[:i] + (e - 1,) + mono[i + 1:]] = scaled
+        out.append(Polynomial.from_payloads(field, f.nvars, terms))
+    return out
+
+
+def plain_restrict(polys, last, value):
+    """Each of polys with x_last = value and every later variable 0, by the
+    ring map x_i -> x_i (i < last), x_last -> value, the rest -> 0, in
+    one `substitute_all` call. The oracle of `poly.restrict`."""
+    field = value.field
+    images = ([Polynomial.variable(field, last, i) for i in range(last)]
+              + [Polynomial.constant(field, last, value)]
+              + [Polynomial.zero(field, last)] * (polys[0].nvars - 1 - last))
+    return substitute_all(polys, images)
+
+
+def dehomogenize(f, index=0):
+    """f with x_index = 1, in the other variables in their order: the ring
+    map x_index -> 1, x_j -> y_j for j < index and x_j -> y_(j-1) for
+    j > index, in one `substitute` call."""
+    n = f.nvars - 1
+    images = [Polynomial.variable(f.field, n, j - (j > index)) for j in
+              range(f.nvars)]
+    images[index] = Polynomial.constant(f.field, n, 1)
+    return f.substitute(images)
 
 
 def line_lies_in(f, a, b):
@@ -105,11 +204,11 @@ def plain_evaluate(f, values):
 
 def jacobian_rank_oracle(gens, point):
     """Rank of the Jacobian of gens at a point by the direct route: the
-    partial derivatives over the generators' field, each evaluated at the
-    point by `plain_evaluate`, then `mat_rank`."""
+    partial derivatives over the generators' field (`plain_gradient`),
+    each evaluated at the point by `plain_evaluate`, then `mat_rank`."""
     coords = list(point.coords)
-    return mat_rank([[plain_evaluate(g.partial_derivative(i), coords)
-                      for i in range(g.nvars)] for g in gens])
+    return mat_rank([[plain_evaluate(dg, coords) for dg in plain_gradient(g)]
+                     for g in gens])
 
 
 def chart_quadratic_rank(f, point):
@@ -366,13 +465,13 @@ def plain_chart_system(polys, last):
 
 def plain_rank_drop_ideal(ideal):
     """The generators g, h of ideal and the 2x2 minors
-    dg_i * dh_j - dg_j * dh_i, i < j, of their Jacobian, by `Polynomial`
-    products and differences. The oracle of `voisin.rank_drop_ideal`."""
+    dg_i * dh_j - dg_j * dh_i, i < j, of their Jacobian, from
+    `plain_gradient` by `Polynomial` products and differences. The oracle
+    of `voisin.rank_drop_ideal`."""
     from fanolines import Ideal
     g, h = ideal.nonzero_generators()
     n = g.nvars
-    dg = [g.partial_derivative(i) for i in range(n)]
-    dh = [h.partial_derivative(i) for i in range(n)]
+    dg, dh = plain_gradient(g), plain_gradient(h)
     return Ideal([g, h] + [dg[i] * dh[j] - dg[j] * dh[i]
                            for i in range(n) for j in range(i + 1, n)])
 

@@ -15,9 +15,9 @@ from fanolines.cli import main as cli_main
 from fanolines.fano import expected_count, run_line_analysis
 from fanolines.idealkit import (complete_intersection_report,
                                 certify_reduced_point, hilbert_data,
-                                slice_degree, solve_report)
+                                singular_points, slice_degree, solve_report)
 from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
-                              run_node_analysis, scan_singularities)
+                              run_node_analysis)
 from fanolines.errors import DegenerateInstance
 
 import conftest
@@ -142,7 +142,7 @@ def test_criterion_06_node_counts_and_exhaustive_scan():
             certs = nodes(nfc, seed=seed)
             expected = {(c.point.field.degree, tuple(c.point.serialize()))
                         for c in certs if c.residue_degree <= 2}
-            scanned = scan_singularities(nfc, k_max=2)
+            scanned = singular_points(Ideal([nfc.f]), k_max=2)
             got = {(pt.field.degree, tuple(pt.serialize()))
                    for pt in scanned}
             assert got == expected and expected

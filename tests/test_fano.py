@@ -20,12 +20,11 @@ from fanolines.groebner import is_member
 from fanolines.idealkit import (groebner_of, hilbert_data,
                                 is_complete_intersection, rational_points,
                                 slice_degree)
-from fanolines.projgeo import (ProjectivePoint, base_point,
-                               enumerate_projective_points)
+from fanolines.projgeo import ProjectivePoint, base_point
 from fanolines.field import embedding
 from fanolines.errors import InvalidParameters
 
-from conftest import line_lies_in, parse
+from conftest import enumerate_projective_points, line_lies_in, parse
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)

@@ -15,6 +15,8 @@ from fanolines import QQ, PrimeField, build_extension
 from fanolines.field import embedding, is_prime, relative_extension
 from fanolines.errors import NotPrime, ZeroInversion
 
+from conftest import fermat_inverse, plain_extension_mul
+
 # F_(7^4), F_(10007^6) and F_(p^2), p = 4294967311, also invert through
 # 64- and 128-bit packed slots
 FIELDS = [PrimeField(7), PrimeField(10007), build_extension(3, 2),
@@ -157,7 +159,8 @@ def test_frobenius_fixes_whole_field(p, k):
         a = ext.sample(rng)
         assert a ** (p ** k) == a
     # the order-k automorphism fixes exactly the prime field
-    fixed = [a for a in ext.elements() if ext.frobenius(a) == a]
+    fixed = [a for a in map(ext.element_from_code, range(ext.order()))
+             if ext.frobenius(a) == a]
     assert len(fixed) == p
 
 
@@ -216,7 +219,7 @@ def test_embedding_is_ring_homomorphism(p, a, b, code):
         assert embed(x + y) == embed(x) + embed(y)
         assert embed(x * y) == embed(x) * embed(y)
     if src.order() <= 343:
-        images = {embed(x) for x in src.elements()}
+        images = {embed(src.element_from_code(c)) for c in range(src.order())}
         assert len(images) == src.order()  # injective
     assert embed(src.one()) == dst.one()
 
@@ -242,7 +245,7 @@ def test_prime_field_canonical_form(n):
                                    build_extension(7, 3)], ids=str)
 def test_integer_codes_enumerate_the_field(field):
     # one code rule for every finite field: code k is the k-th element
-    elems = list(field.elements())
+    elems = [field.element_from_code(c) for c in range(field.order())]
     assert [field.code_of(e) for e in elems] == list(range(field.order()))
     assert all(field.element_from_code(field.code_of(e)) == e for e in elems)
 
@@ -276,3 +279,41 @@ def test_packed_sums_of_products_match_field_arithmetic(field):
     if field.kind != "rationals":
         # a payload from F_p packs to the small int itself
         assert pack(field.from_int(2).payload) == 2
+
+
+# the product and the inverse of every extension degree 2..7, at primes
+# whose packed slots are a few bits wide up to more than 64 bits wide
+ROUTE_PRIMES = [3, 7, 10007, 4294967311]
+
+
+def payloads(field):
+    """Payloads of the extension field: k digits in [0, p)."""
+    return st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+
+
+@given(st.data(), st.sampled_from(ROUTE_PRIMES), st.integers(2, 7))
+@settings(max_examples=120, deadline=None)
+def test_extension_product_matches_the_schoolbook_route(data, p, k):
+    field = build_extension(p, k)
+    a, b = data.draw(payloads(field)), data.draw(payloads(field))
+    assert field._mul(a, b) == plain_extension_mul(field, a, b)
+    top = (p - 1,) * k  # every digit p - 1: the largest slot sums
+    assert field._mul(top, b) == plain_extension_mul(field, top, b)
+
+
+@pytest.mark.parametrize("p", ROUTE_PRIMES, ids=str)
+@given(data=st.data(), k=st.integers(2, 7))
+@settings(max_examples=30, deadline=None)
+def test_extension_inverse_matches_fermat_route(p, data, k):
+    # extended Euclid against a^(q-2); constants and t, whose Euclid
+    # chains are shortest, are drawn on purpose
+    field = build_extension(p, k)
+    a = data.draw(st.one_of(
+        st.just((0, 1) + (0,) * (k - 2)),
+        st.integers(1, p - 1).map(lambda c: (c,) + (0,) * (k - 1)),
+        payloads(field).filter(any)))
+    inv = field._inv(a)
+    assert inv == fermat_inverse(field, a)
+    assert plain_extension_mul(field, a, inv) == field._one_payload()
+    with pytest.raises(ZeroInversion):
+        field._inv(field._zero_payload())

@@ -20,7 +20,7 @@ from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
 from fanolines.errors import NotZeroDimensional, ResourceLimit
 from fanolines import groebner
 
-from conftest import parse, plain_normal_form
+from conftest import dehomogenize, parse, plain_normal_form
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -54,7 +54,7 @@ def test_fixture_quotient_dimension_four():
             parse("x0*x1 - x2^2", 3, F10007)]
     basis = groebner_basis(gens, GREVLEX)
     # affine chart x2 = 1 has a finite staircase of size 4
-    chart = [g.dehomogenize(2) for g in basis]
+    chart = [dehomogenize(g, 2) for g in basis]
     chart_basis = groebner_basis(chart, GREVLEX)
     stair = quotient_monomials(
         [g.leading_monomial(GREVLEX) for g in chart_basis], 2)

@@ -1,14 +1,22 @@
 """Every name a package module or script imports is used in it, and no
-private helper of the package is left behind unused.
+helper of the package, private or public, is left behind unused.
 
 pyflakes is not a dependency, so the checks walk the syntax tree: an
 imported name counts as used when it appears as a name anywhere in the
 module, in a quoted annotation, or in `__all__`. A module-level private
 function or class, or a method of a private class, counts as used when
-its name appears as a name or an attribute anywhere in the package.
+its name appears as a name or an attribute anywhere in the package. A
+public function, class or method counts as used when its name appears
+outside its own definition as a name or an attribute in the package,
+the scripts or the benchmark, or as a word in a string of the benchmark
+(its tracer names the layers it wraps in strings). Tests do not count:
+code that only tests call belongs in `tests/conftest.py` as a named
+oracle.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,3 +114,63 @@ def test_the_check_sees_a_dead_private_helper():
 
 def test_no_dead_private_code():
     assert dead_private_code({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+CALLERS = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("verdictbench/*.py")])
+
+
+def dead_public_code(package, callers, strings=()):
+    """`module.name` of every public module-level function or class, and
+    every public method of a public class, of `package` (module name ->
+    source text) that is named nowhere outside its own definition: not as
+    a name or an attribute in `package` or `callers` (more sources), nor
+    as a word in a string constant of `strings` (more sources)."""
+    def named(tree):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(tree)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    trees = {module: ast.parse(text) for module, text in package.items()}
+    used = Counter()
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        used += named(tree)
+    for text in strings:
+        used.update(word for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    for word in re.findall(r"\w+", node.value))
+
+    def public(nodes):
+        return [node for node in nodes
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")]
+
+    dead = []
+    for module, tree in trees.items():
+        for node in public(tree.body):
+            defs = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{item.name}", item)
+                         for item in public(node.body)]
+            dead += [label for label, item in defs
+                     if used[item.name] <= named(item)[item.name]]
+    return sorted(dead)
+
+
+def test_the_check_sees_dead_public_code():
+    package = {"m": ("def used(): return 1\n"
+                     "def recursive(n): return recursive(n - 1)\n"
+                     "def listed(): return 2\n"
+                     "class Box:\n"
+                     "    def live(self): return used()\n"
+                     "    def stale(self): return self.stale\n"),
+               "n": "def helper(box): return box.live()\n"}
+    assert dead_public_code(package, [], ['LAYERS = {"m": ("listed",)}']) == [
+        "m.Box", "m.Box.stale", "m.recursive", "n.helper"]
+
+
+def test_no_dead_public_code():
+    assert dead_public_code(
+        {p.stem: p.read_text() for p in PACKAGE},
+        [p.read_text() for p in CALLERS],
+        [p.read_text() for p in ROOT.glob("verdictbench/*.py")]) == []

@@ -7,15 +7,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanolines import (QQ, PrimeField, Polynomial, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
+from fanolines.field import relative_extension
 from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
                             evaluate_at, jacobian_rank_at, mono_degree,
                             monomials_of_degree, random_homogeneous,
-                            substitute_all)
+                            restrict, substitute_all)
+from fanolines.unipoly import roots_in_field
 from fanolines.linalg import random_invertible
 from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
 
-from conftest import (jacobian_rank_oracle, mat_identity, mat_vec, parse,
-                      plain_evaluate, plain_substitute_all)
+from conftest import (dehomogenize, jacobian_rank_oracle, mat_identity,
+                      mat_vec, parse, plain_evaluate, plain_gradient,
+                      plain_restrict, plain_substitute_all)
 
 F7 = PrimeField(7)
 F9 = build_extension(3, 2)
@@ -173,7 +176,7 @@ def test_components_reassemble():
 def test_dehomogenized_node_has_no_low_terms():
     # double point at the origin: local expansion starts in degree 2
     cubic = parse("x0*x1^2 + x2^3 + x3^3", 4, F10007)
-    local = cubic.dehomogenize(0)
+    local = dehomogenize(cubic, 0)
     comps = local.homogeneous_components()
     assert min(comps) == 2
 
@@ -183,6 +186,27 @@ def test_partial_derivative_examples():
     assert f.partial_derivative(0) == parse("2*x0*x1", 2, F7)
     assert Polynomial.constant(F7, 2, F7.from_int(5)).partial_derivative(1). \
         is_zero()
+    # terms whose exponent the characteristic divides drop out
+    f = parse("x0^3 + x0*x1^7 + 2*x1^6", 2, PrimeField(3))
+    assert f.gradient() == [parse("x1^7", 2, PrimeField(3)),
+                            parse("x0*x1^6", 2, PrimeField(3))]
+    g = parse("x0^7*x1 + 3*x0^8 + x1^14", 2, F7)
+    assert g.gradient() == [parse("3*x0^7", 2, F7), parse("x0^7", 2, F7)]
+
+
+@given(st.integers(0, 10**6), st.sampled_from([PrimeField(3), F7, F9, QQ]),
+       st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_gradient_matches_plain_route(seed, field, nvars):
+    # exponents p and 2p vanish on differentiation over F_3, F_7 and F_9
+    p = field.characteristic() or 7
+    rng = random.Random(seed)
+    f = Polynomial(field, nvars, {
+        tuple(rng.choice((0, 1, 2, p - 1, p, p + 1, 2 * p))
+              for _ in range(nvars)): field.sample(rng)
+        for _ in range(rng.randrange(30))})
+    assert f.gradient() == plain_gradient(f)
+    assert [f.partial_derivative(i) for i in range(nvars)] == plain_gradient(f)
 
 
 def element_product(f, g):
@@ -455,3 +479,59 @@ def test_value_kernel_at_the_degree_cap(field):
     y0, y1 = (Polynomial.variable(field, 2, i) for i in range(2))
     images = [y0 + y1, y1, y0 * 2]
     assert f.substitute(images) == plain_substitute_all([f], images)[0]
+
+
+RESTRICT_FIELDS = [QQ, F7, F10007, F9, build_extension(10007, 3)]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(RESTRICT_FIELDS),
+       st.integers(1, 5), st.sampled_from(["zero", "one", "random"]))
+@settings(max_examples=80, deadline=None)
+def test_restrict_matches_plain_route(seed, field, nvars, value):
+    # dense polynomials, so terms that differ only in x_last meet at one
+    # key; the last one vanishes at x_last = value and stays in the list
+    rng = random.Random(seed)
+    last = rng.randrange(nvars)
+    value = {"zero": field.zero(), "one": field.one(),
+             "random": field.sample(rng)}[value]
+    polys = [random_poly(field, nvars, 5, rng, terms=rng.randrange(40))
+             for _ in range(3)]
+    c = field.sample(rng)
+    x_last = Polynomial.variable(field, nvars, last)
+    polys.append(x_last * x_last * c - x_last * c * value)
+    got = restrict(polys, last, value)
+    assert got == plain_restrict(polys, last, value)
+    assert len(got) == len(polys) and got[-1].is_zero()
+
+
+@pytest.mark.parametrize("field", [F9, build_extension(10007, 3)], ids=str)
+def test_restrict_at_the_packer_bound(field):
+    # 64 terms meet at the key of x0, each coefficient and the value with
+    # every digit p - 1
+    t = field.generator()
+    top = -sum((t ** i for i in range(field.degree)), field.zero())
+    f = Polynomial(field, 3, {(1, e, 0): top for e in range(64)})
+    assert restrict([f], 1, top) == plain_restrict([f], 1, top)
+    assert restrict([f], 1, field.one()) == [parse("64*x0", 1, field) * top]
+
+
+def test_restrict_at_fibre_roots_over_a_cubic_extension():
+    # the solver's fibres: a lex basis over F_10007 with an irreducible
+    # cubic eliminant in x2, over F_(10007^3) at each of its three roots
+    ext, embed = relative_extension(F10007, 3)
+    e = Polynomial(F10007, 3, {(0, 0, i): F10007.from_int(c)
+                               for i, c in enumerate(ext.modulus)})
+    basis = [parse("x0 - 3*x2^2 - 5", 3, F10007),
+             parse("x1^2 - x1*x2 + 2", 3, F10007), e]
+    mapped = [g.map_coefficients(ext, embed) for g in basis]
+    roots = roots_in_field([embed(F10007.from_int(c)) for c in ext.modulus],
+                           ext, random.Random(3), orbit=3)
+    assert len(roots) == 3
+    x0, x1 = (Polynomial.variable(ext, 2, i) for i in range(2))
+    for root in roots:
+        fibre = restrict(mapped, 2, root)
+        assert fibre == plain_restrict(mapped, 2, root)
+        assert fibre[0] == x0 - (root * root * 3 + 5)
+        assert fibre[1] == x1 * x1 - x1 * root + 2
+        assert fibre[2].is_zero()
+

@@ -6,12 +6,12 @@ import pytest
 
 from fanolines import PrimeField, ProjectivePoint, build_extension
 from fanolines.linalg import mat_inverse
-from fanolines.projgeo import (base_point, enumerate_projective_points,
-                               move_to_base_point, projective_count)
+from fanolines.projgeo import base_point, move_to_base_point, projective_count
 from fanolines.poly import random_homogeneous
 from fanolines.errors import BudgetExceeded
 
-from conftest import line_lies_in, mat_identity, mat_vec, parse, random_point
+from conftest import (dehomogenize, enumerate_projective_points, line_lies_in,
+                      mat_identity, mat_vec, parse, random_point)
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -100,7 +100,7 @@ def test_move_transfers_multiplicity_structure():
         f = node.apply_matrix(mat_inverse(m))
         assert f.evaluate(list(y.coords)) == F10007.zero()
         moved = f.apply_matrix(m)
-        local = moved.dehomogenize(0)
+        local = dehomogenize(moved, 0)
         assert min(local.homogeneous_components()) == 2
 
 
@@ -109,7 +109,7 @@ def test_line_substitution_splits_by_degree():
     rng = random.Random(31)
     f = random_homogeneous(F10007, 4, 3, rng)
     yp = [F10007.sample(rng) for _ in range(3)]
-    comps = f.dehomogenize(0).homogeneous_components()
+    comps = dehomogenize(f, 0).homogeneous_components()
     for _ in range(10):
         u, v = F10007.sample(rng), F10007.sample(rng)
         rep = [u] + [v * c for c in yp]

@@ -10,11 +10,10 @@ import pytest
 
 from fanolines import Polynomial, PrimeField, build_extension, scan
 from fanolines.poly import random_homogeneous
-from fanolines.projgeo import enumerate_projective_points
 from fanolines.scan import (VectorContext, _block_values, _blocks, _codes,
                             _inner_count, _split, singular_scan, variety_scan)
 
-from conftest import parse
+from conftest import enumerate_projective_points, parse
 
 
 def test_large_prime_evaluates_exactly_instead_of_overflowing_int64():

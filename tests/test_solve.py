@@ -19,7 +19,7 @@ from fanolines.solve import chart_system, exact_relative_degree, solve_projectiv
 from fanolines.poly import LEX, random_homogeneous
 from fanolines.errors import BudgetExceeded, NotZeroDimensional
 
-from conftest import parse, plain_chart_system
+from conftest import dehomogenize, parse, plain_chart_system
 
 PRIMES = [3, 5, 7]
 
@@ -108,7 +108,7 @@ def test_enumerate_route_respects_budget():
 def first_chart_in_shape_position(ideal):
     """Whether the chart x0 = 1 has a lex basis {x_i - g_i(x_last)} + {e}:
     one element per variable, the first m - 1 led by x_0, ..., x_{m-2}."""
-    chart = [g.dehomogenize(0) for g in ideal.nonzero_generators()]
+    chart = [dehomogenize(g, 0) for g in ideal.nonzero_generators()]
     gb = lex_basis_zero_dim(chart)
     m = gb[0].nvars
     leads = {g.leading_monomial(LEX) for g in gb}

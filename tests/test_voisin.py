@@ -19,10 +19,9 @@ from fanolines.voisin import (NormalFormCubic, _normal_form,
                               _random_linear_slice, analyze_node_lines,
                               certify_node, node_line_system, nodes,
                               normal_form_cubic, rank_drop_ideal,
-                              restricted_quadrics, run_node_analysis,
-                              scan_singularities)
+                              restricted_quadrics, run_node_analysis)
 from fanolines.idealkit import (certify_reduced_point, hilbert_data,
-                                slice_degree)
+                                singular_points, slice_degree)
 from fanolines.errors import DegenerateInstance, InvalidParameters
 
 from conftest import (chart_quadratic_rank, parse, plain_rank_drop_ideal,
@@ -199,7 +198,7 @@ def test_exhaustive_scan_agrees_with_certified_nodes(r, p, seed):
     assert len(certs) == 2 ** r
     expected = {(c.point.field.degree, tuple(c.point.serialize()))
                 for c in certs if c.residue_degree <= 2}
-    scanned = scan_singularities(nfc, k_max=2)
+    scanned = singular_points(Ideal([nfc.f]), k_max=2)
     got = {(pt.field.degree, tuple(pt.serialize())) for pt in scanned}
     assert got == expected
     assert expected  # chosen seeds have at least one shallow node
