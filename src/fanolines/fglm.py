@@ -78,8 +78,7 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
     degree = max([g.degree() for g in basis] + [sum(s) + 1 for s in staircase])
     packing = Packing.for_degree(GREVLEX, nvars, degree)
     encode, decode = packing.encode, packing.decode
-    reducers = [_reducer(_to_payload(g, packing), encode(lm), field)
-                for g, lm in zip(basis, lms)]
+    reducers = [_reducer(_to_payload(g, packing), field) for g in basis]
     memo: Dict[int, Tuple[int, int]] = {}
     zero, one = field._zero_payload(), field._one_payload()
     add, mul, is_zero = field._add, field._mul, field._is_zero

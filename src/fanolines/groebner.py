@@ -31,7 +31,7 @@ every S-pair reduction; FGLM makes its reducers the same way.
 - Pair update (Gebauer-Moeller 1988): when an element joins the basis,
   its new pairs are pruned against each other and the queued pairs it
   makes redundant are dropped, so a popped pair is reduced with no
-  further check (see `buchberger_payload`).
+  further check, all on packed ints (see `buchberger_payload`).
 - Reduction: the normal form keeps its work list as a dict from packed
   monomials to packed coefficients, with a heap of the negated
   monomials, pushed once when a monomial enters the dict. A step adds
@@ -41,10 +41,10 @@ every S-pair reduction; FGLM makes its reducers the same way.
   division of Monagan-Pearce 2011). A coefficient is reduced only when
   its monomial pops, and skipped when it has cancelled to 0; over
   F_{p^k} the sums are bounded by renormalising (see
-  `normal_form_payload`). Every step uses the first reducer whose
+  `_packed_normal_form`). Every step uses the first reducer whose
   leading monomial divides the current one, so the intermediate
   polynomials do not depend on the data structure. S-polynomials and
-  inter-reduction run on the same packed tails.
+  inter-reduction hand their packed tail sums over as the work list.
 - First-divisor memo: one dict per reducer list, from a monomial to its
   first dividing reducer, or to how many reducers it was checked against
   without one. The list only grows, so a hit stays the linear scan's
@@ -61,13 +61,12 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from itertools import chain
-from operator import le as _le, mul as _mul, or_ as _or
+from operator import mul as _mul, or_ as _or
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ResourceLimit, ZeroPolynomial
 from .field import Field
-from .poly import (GREVLEX, Monomial, MonomialOrder, Polynomial, mono_lcm,
-                   mono_mul)
+from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial
 
 # Groebner bases over the rationals can blow up; this caps the total bit
 # size of any single polynomial's coefficients mid-computation.
@@ -109,7 +108,7 @@ class Packing:
     """
 
     __slots__ = ("order", "nvars", "width", "limit", "guard", "units",
-                 "_shifts")
+                 "exponents", "_shifts")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         rows = order.slots(nvars)[::-1]  # least significant first
@@ -120,6 +119,7 @@ class Packing:
                       for i in range(nvars)]
         self._shifts = [rows.index(tuple(int(k == i) for k in range(nvars)))
                         * width for i in range(nvars)]
+        self.exponents = sum(((1 << width) - 1) << s for s in self._shifts)
 
     @classmethod
     def for_degree(cls, order: MonomialOrder, nvars: int,
@@ -140,6 +140,22 @@ class Packing:
     def divides(self, a: int, b: int) -> bool:
         d = b - a
         return d >= 0 and not d & self.guard
+
+    def lcms(self, a: int, others: List[int]) -> List[int]:
+        """lcm(a, b) for each b of `others`, all cut to `exponents`, the
+        slots that hold one exponent each (low `nvars` of grevlex, all of
+        lex). With g their guard bits, t = (a | g) - b holds
+        limit + a_k - b_k in slot k with no borrow, so its guard bit is
+        set where a_k >= b_k; for d those bits, d - (d >> (width - 1))
+        masks their slots, and b plus t under that mask is the max."""
+        guard = self.guard & self.exponents
+        high, shift = a | guard, self.width - 1
+        out = []
+        for b in others:
+            t = high - b
+            d = t & guard
+            out.append(b + (t & (d - (d >> shift))))
+        return out
 
 
 def _widening(packing: Packing, run: Callable[[Packing], object]):
@@ -170,8 +186,8 @@ def _bits(c) -> int:
     return c.numerator.bit_length() + c.denominator.bit_length() if c else 0
 
 
-def _reducer(d: PayloadPoly, lm: int, field: Field) -> Reducer:
-    pack = field._packer(_TERMS)[0]
+def _reducer(d: PayloadPoly, field: Field) -> Reducer:
+    pack, lm = field._packer(_TERMS)[0], max(d)
     return (lm, field._neg(field._inv(d[lm])),
             [(m, pack(c)) for m, c in d.items() if m != lm])
 
@@ -180,32 +196,34 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
                         memo: Dict[int, Tuple[int, int]], packing: Packing,
                         field: Field,
                         bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> PayloadPoly:
-    """Full normal form: every term of the remainder is reduced.
+    """`_packed_normal_form` of the payload dict f, packed."""
+    pack = field._packer(_TERMS)[0]
+    return _packed_normal_form({m: pack(c) for m, c in f.items()}, 1,
+                               reducers, memo, packing, field, bit_limit)
+
+
+def _packed_normal_form(work: Dict[int, int], products: int,
+                        reducers: Sequence[Reducer],
+                        memo: Dict[int, Tuple[int, int]], packing: Packing,
+                        field: Field, bit_limit: int) -> PayloadPoly:
+    """Full normal form of `work`, packed coefficients (`Field._packer`)
+    of at most `products` products each, maybe 0; the dict is consumed.
 
     Each step reduces by the first of `reducers` whose leading monomial
     divides the work list's leading monomial; the remainder's terms come
     out in descending order. `memo` maps a monomial to (index of its
-    first dividing reducer or -1, number of reducers checked); it may be
+    first dividing reducer or -1, number of reducers checked), and may be
     shared by every normal form against one reducer list that is only
-    ever appended to, since a divisor found stays the first one and a
-    miss resumes its scan where it stopped. Over the rationals,
-    ResourceLimit is raised once a reduction step leaves more than
-    bit_limit bits of numerators and denominators in the work list.
-    _SlotOverflow is raised when a term of `f`, or one new to the work
-    list, reaches a guard bit of `packing`.
+    ever appended to. Over the rationals, ResourceLimit is raised once a
+    step leaves more than bit_limit bits of numerators and denominators
+    in the work list. _SlotOverflow is raised when a term of `work`, or
+    one new to it, reaches a guard bit of `packing`.
 
-    Work coefficients are packed (`Field._packer`) and summed
-    unreduced: a step by the reducer g adds pack(-lc / lc(g)) * c for
-    each packed tail coefficient c of g, with no field call per term.
-    A value is unpacked only when its monomial pops; one that comes out
-    0 has cancelled and is skipped. The rationals pack to
-    themselves and F_p reduces mod p on unpack, so neither needs a
-    bound. Over F_{p^k} the packer holds sums of _TERMS products: a
-    value enters as one packed payload (one product, as pack(1) = 1),
-    and a step adds at most one product to any monomial, since the
-    shifted tail monomials of one reducer are distinct. So after every
-    _TERMS - 1 steps each value still in the work list holds at most
-    _TERMS products, and is unpacked and packed again.
+    The rationals and F_p need no bound on their sums. Over F_{p^k} a
+    step adds at most one product to any value (the shifted tail
+    monomials of one reducer are distinct), so before a step would take
+    a value past _TERMS products every value is packed anew (one
+    product, as pack(1) = 1).
     """
     pack, unpack = field._packer(_TERMS)
     mul, zero = field._mul, field._zero_payload()
@@ -213,16 +231,15 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
     push, pop = heapq.heappush, heapq.heappop
     rational = field.characteristic() == 0
     count = len(reducers)
-    if reduce(_or, f, 0) & guard:
+    if reduce(_or, work, 0) & guard:
         raise _SlotOverflow
     # a monomial enters `work` and the heap once: terms reduce to smaller
     # monomials only, so a popped one never comes back
-    work = {m: pack(c) for m, c in f.items()}
     heap = [-m for m in work]  # a min-heap of -m pops the largest m first
     heapq.heapify(heap)
     bits = sum(map(_bits, work.values())) if rational else 0
     remainder: PayloadPoly = {}
-    steps = 0
+    held = products  # the most products any work value holds
     while heap:
         lm = -pop(heap)
         lc = unpack(work.pop(lm))
@@ -242,6 +259,10 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
         if hit[0] < 0:
             remainder[lm] = lc
             continue
+        if held == _TERMS:
+            work = {k: pack(unpack(v)) for k, v in work.items()}
+            held = 1
+        held += 1
         red_lm, red_scale, red_tail = reducers[hit[0]]
         shift = lm - red_lm
         factor = pack(mul(lc, red_scale))
@@ -262,28 +283,23 @@ def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
             bits += sum(_bits(work[k]) for k in touched if k in work)
             if bits > bit_limit:
                 raise ResourceLimit("coefficient size exceeded during reduction")
-        steps += 1
-        if steps == _TERMS - 1:
-            steps = 0
-            work = {k: pack(unpack(v)) for k, v in work.items()}
     return remainder
 
 
-def _spoly(ra: Reducer, rb: Reducer, lcm: int, field: Field) -> PayloadPoly:
+def _spoly(ra: Reducer, rb: Reducer, lcm: int, field: Field) -> Dict[int, int]:
     """Monic S-polynomial of two reducers whose leading monomials have
     the packed lcm `lcm`; the leading terms cancel, so only the tails are
     expanded. With the reducers' negated inverses n_a, n_b it is
-    -n_a * x^sa * tail_a + n_b * x^sb * tail_b: each coefficient a packed
-    sum of at most two products, unpacked once."""
-    pack, unpack = field._packer(_TERMS)
+    -n_a * x^sa * tail_a + n_b * x^sb * tail_b, returned packed: each
+    coefficient a sum of at most two products, possibly a packed 0."""
+    pack = field._packer(_TERMS)[0]
     (lma, na, taila), (lmb, nb, tailb) = ra, rb
     sa, sb, fa, fb = lcm - lma, lcm - lmb, pack(field._neg(na)), pack(nb)
     out = {m + sa: fa * c for m, c in taila}
     for m, c in tailb:
         key = m + sb
         out[key] = out.get(key, 0) + fb * c
-    zero = field._zero_payload()
-    return {m: c for m, v in out.items() if (c := unpack(v)) != zero}
+    return out
 
 
 def buchberger_payload(gens: List[PayloadPoly], packing: Packing, field: Field,
@@ -302,41 +318,41 @@ def buchberger_payload(gens: List[PayloadPoly], packing: Packing, field: Field,
     - g stops being live when lm(h) divides lm(g); it stays a reducer.
 
     So every popped pair is reduced with no further check. The update
-    runs a few hundred times per basis and keeps exponent tuples (an lcm
-    is not linear in the packing); pairs pop in order of packed lcm.
+    keeps leading monomials cut to `packing.exponents` and takes each
+    lcm(lm(g), lm(h)) once (`Packing.lcms`); a kept pair is queued under
+    its lcm packed in full, so pairs pop in order of packed lcm.
     """
-    decode, encode = packing.decode, packing.encode
-    lms: List[Monomial] = []
+    decode, encode, divides = packing.decode, packing.encode, packing.divides
+    lms: List[int] = []  # cut to the exponent slots
     reducers: List[Reducer] = []
     live: List[int] = []
-    pairs: list = []  # heap of (packed lcm, i, j, lcm), i < j
+    pairs: list = []  # heap of (packed lcm, i, j, lcm cut to exponents), i < j
 
     def insert(h: PayloadPoly):
-        key = max(h)
-        lm = decode(key)
+        lm = max(h) & packing.exponents
         new = len(reducers)
-        candidates = [(mono_lcm(lms[g], lm), g) for g in live]
+        lcms = packing.lcms(lm, lms)
+        candidates = [(lcms[g], g) for g in live]
         chosen = []
         for idx, (lcm, g) in enumerate(candidates):
-            coprime = lcm == mono_mul(lms[g], lm)
+            coprime = lcm == lm + lms[g]
             if coprime or not any(
-                    all(map(_le, other[0], lcm))
+                    divides(other[0], lcm)
                     for other in chain(chosen, candidates[idx + 1:])):
                 chosen.append((lcm, g, coprime))
         kept = [pr for pr in pairs
-                if not (all(map(_le, lm, pr[3]))
-                        and mono_lcm(lms[pr[1]], lm) != pr[3]
-                        and mono_lcm(lms[pr[2]], lm) != pr[3])]
+                if not (divides(lm, pr[3]) and lcms[pr[1]] != pr[3]
+                        and lcms[pr[2]] != pr[3])]
         if len(kept) < len(pairs):
             pairs[:] = kept
             heapq.heapify(pairs)
         for lcm, g, coprime in chosen:
             if not coprime:
-                heapq.heappush(pairs, (encode(lcm), g, new, lcm))
-        live[:] = [g for g in live if not all(map(_le, lm, lms[g]))]
+                heapq.heappush(pairs, (encode(decode(lcm)), g, new, lcm))
+        live[:] = [g for g in live if not divides(lm, lms[g])]
         live.append(new)
         lms.append(lm)
-        reducers.append(_reducer(h, key, field))
+        reducers.append(_reducer(h, field))
 
     for g in sorted((dict(g) for g in gens if g),
                     key=lambda d: sorted(d, reverse=True)):
@@ -344,8 +360,8 @@ def buchberger_payload(gens: List[PayloadPoly], packing: Packing, field: Field,
     memo: Dict[int, Tuple[int, int]] = {}
     while pairs:
         lcm, i, j, _ = heapq.heappop(pairs)
-        r = normal_form_payload(_spoly(reducers[i], reducers[j], lcm, field),
-                                reducers, memo, packing, field, bit_limit)
+        r = _packed_normal_form(_spoly(reducers[i], reducers[j], lcm, field),
+                                2, reducers, memo, packing, field, bit_limit)
         if r:
             insert(r)
 
@@ -370,11 +386,10 @@ def _reduce_basis(reducers: List[Reducer], packing: Packing, field: Field,
             kept.append(red)
     memo: Dict[int, Tuple[int, int]] = {}
     one, mul, neg = field._one_payload(), field._mul, field._neg
-    unpack = field._packer(_TERMS)[1]
     out = []
     for lm, scale, tail in kept:
-        rest = normal_form_payload({m: unpack(c) for m, c in tail}, kept,
-                                   memo, packing, field, bit_limit)
+        rest = _packed_normal_form(dict(tail), 1, kept, memo, packing, field,
+                                   bit_limit)
         inv = neg(scale)
         reduced = {lm: one}
         reduced.update((m, mul(c, inv)) for m, c in rest.items())
@@ -413,10 +428,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
         raise ZeroPolynomial("zero polynomial cannot reduce")
 
     def run(packing: Packing) -> PayloadPoly:
-        reducers = []
-        for g in basis:
-            d = _to_payload(g, packing)
-            reducers.append(_reducer(d, max(d), field))
+        reducers = [_reducer(_to_payload(g, packing), field) for g in basis]
         return normal_form_payload(_to_payload(f, packing), reducers, {},
                                    packing, field)
 

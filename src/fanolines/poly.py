@@ -33,21 +33,9 @@ Monomial = Tuple[int, ...]
 # ---------------------------------------------------------------------------
 # monomial helpers
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(_add, a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> List[Monomial]:
@@ -218,16 +206,16 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
-        degs = {mono_degree(m) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         return len(degs) == 1
 
     def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -376,7 +364,7 @@ class Polynomial:
             raise ZeroPolynomial("zero polynomial has no degree decomposition")
         buckets: Dict[int, Dict[Monomial, FieldElement]] = {}
         for mono, coeff in self.terms.items():
-            buckets.setdefault(mono_degree(mono), {})[mono] = coeff
+            buckets.setdefault(sum(mono), {})[mono] = coeff
         return {d: Polynomial(self.field, self.nvars, t)
                 for d, t in sorted(buckets.items())}
 

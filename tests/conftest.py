@@ -288,6 +288,19 @@ def schoolbook_powmod(field, a, e, m):
     return out
 
 
+def mono_mul(a, b):
+    """The product of two exponent tuples, slot by slot. The oracle of a
+    sum of packed monomials (`groebner.Packing`)."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    """The lcm of two exponent tuples: the larger exponent of each
+    variable. The oracle of the pair update's packed lcm
+    (`groebner.Packing.lcms`)."""
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def plain_normal_form(f, basis, packing, field, bit_limit=None, stats=None):
     """Normal form of the payload dict f against the payload dicts of
     basis, keyed by monomials packed by `packing`: one field call per

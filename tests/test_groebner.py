@@ -6,6 +6,7 @@ conversion path must reproduce the direct lex computation exactly since
 reduced bases are unique per order.
 """
 
+import itertools
 import random
 from operator import sub
 
@@ -13,14 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import QQ, PrimeField, Polynomial, build_extension
-from fanolines.poly import (GREVLEX, LEX, mono_divides, mono_mul,
-                            monomials_of_degree, random_homogeneous)
+from fanolines.poly import (GREVLEX, LEX, mono_divides, monomials_of_degree,
+                            random_homogeneous)
 from fanolines.groebner import Packing, groebner_basis, is_member, normal_form
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
 from fanolines.errors import NotZeroDimensional, ResourceLimit
 from fanolines import groebner
 
-from conftest import dehomogenize, parse, plain_normal_form
+from conftest import (dehomogenize, mono_lcm, mono_mul, parse,
+                      plain_normal_form)
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -94,7 +96,6 @@ def test_nonmembership_detected():
 
 def test_s_polynomials_reduce_to_zero():
     # the defining property of a Groebner basis
-    from fanolines.poly import mono_lcm
     rng = random.Random(37)
     gens = [random_homogeneous(F7, 3, 2, rng) for _ in range(2)]
     basis = groebner_basis(gens)
@@ -193,6 +194,40 @@ def test_guard_bit_divisibility_is_mono_divides(order, monos):
     assert packing.divides(pa, pb) == mono_divides(a, b)
     assert packing.divides(pb, pa) == mono_divides(b, a)
     assert packing.divides(pa, packing.encode(mono_mul(a, c)))
+
+
+def exponent_slots(packing, mono):
+    """mono packed into the `exponents` slots of `packing` alone, each
+    exponent in its own slot; any exponent below `limit` fits."""
+    return sum(e << s for e, s in zip(mono, packing._shifts))
+
+
+@ORDERS
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_exponent_slot_lcm_coprime_and_divisibility(order, data):
+    # the pair update's packed lcm, coprime test and divisibility on
+    # monomials cut down to the exponent slots, against the tuple oracles
+    width = data.draw(st.sampled_from([8, 16, 32, 64]))
+    nvars = data.draw(st.integers(1, 8))
+    packing = Packing(order, nvars, width)
+    top = packing.limit - 1
+    exps = st.lists(st.integers(0, 3) | st.integers(0, top) | st.just(top),
+                    min_size=nvars, max_size=nvars).map(tuple)
+    a = data.draw(exps)
+    others = data.draw(st.lists(exps, min_size=1, max_size=5))
+    pa = exponent_slots(packing, a)
+    assert packing.decode(pa) == a
+    if sum(a) < packing.limit:
+        assert packing.encode(a) & packing.exponents == pa
+    lcms = packing.lcms(pa, [exponent_slots(packing, b) for b in others])
+    assert lcms == [exponent_slots(packing, mono_lcm(a, b)) for b in others]
+    for b, lcm in zip(others, lcms):
+        pb = exponent_slots(packing, b)
+        assert (lcm == pa + pb) == (mono_lcm(a, b) == mono_mul(a, b))
+        assert packing.divides(pa, pb) == mono_divides(a, b)
+        assert packing.divides(pb, pa) == mono_divides(b, a)
+        assert packing.divides(pa, lcm) and packing.divides(pb, lcm)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
@@ -345,25 +380,40 @@ def test_minor_ideal_basis_matches_sympy(p, nvars):
     assert ours == expected
 
 
-def test_rank_drop_basis_work_is_pinned(monkeypatch):
-    # the rank-drop ideal of `voisin-demo 2 --seed 585427`: 12 generators
-    # in 5 variables, a reduced basis of 33 elements. The pair update keeps
-    # 109 S-pair reductions, 82 of which end at zero, and inter-reduction
-    # takes one normal form per element of the minimal basis.
-    from fanolines import groebner
+def seed_585427_rank_drop():
+    """The nonzero generators of the rank-drop ideal of `voisin-demo 2
+    --seed 585427`: 12 in 5 variables, with a reduced grevlex basis of
+    33 elements."""
     from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
                                   rank_drop_ideal)
     nfc = normal_form_cubic(2, F10007, 585427)
     ideal = node_line_system(nfc, nodes(nfc, seed=585427)[0].point)
-    gens = rank_drop_ideal(ideal).nonzero_generators()
+    return rank_drop_ideal(ideal).nonzero_generators()
+
+
+def test_rank_drop_basis_matches_sympy():
+    gens = seed_585427_rank_drop()
+    ours = sorted((g.leading_monomial(GREVLEX),
+                   {m: c.payload for m, c in g.terms.items()})
+                  for g in groebner_basis(gens))
+    assert len(ours) == 33
+    assert ours == sympy_monic_basis(gens, 5, 10007, "grevlex")
+
+
+def test_rank_drop_basis_work_is_pinned(monkeypatch):
+    # the seed-585427 rank-drop ideal. The pair update keeps 109 S-pair
+    # reductions, 82 of which end at zero, and inter-reduction takes one
+    # normal form per element of the minimal basis; both hand their
+    # packed work lists to `_packed_normal_form`
+    gens = seed_585427_rank_drop()
     calls = {"pairs": 0, "inter": 0, "zero": 0}
     phase = ["pairs"]
-    normal_form_payload, reduce_basis = (groebner.normal_form_payload,
-                                         groebner._reduce_basis)
+    packed_normal_form, reduce_basis = (groebner._packed_normal_form,
+                                        groebner._reduce_basis)
 
     def counted_normal_form(*args, **kwargs):
         calls[phase[0]] += 1
-        remainder = normal_form_payload(*args, **kwargs)
+        remainder = packed_normal_form(*args, **kwargs)
         if phase[0] == "pairs" and not remainder:
             calls["zero"] += 1
         return remainder
@@ -372,13 +422,39 @@ def test_rank_drop_basis_work_is_pinned(monkeypatch):
         phase[0] = "inter"
         return reduce_basis(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "normal_form_payload", counted_normal_form)
+    monkeypatch.setattr(groebner, "_packed_normal_form", counted_normal_form)
     monkeypatch.setattr(groebner, "_reduce_basis", inter_reduction)
     basis = groebner_basis(gens)
     assert (len(gens), gens[0].nvars, len(basis)) == (12, 5, 33)
+    assert min(calls.values()) > 0  # the wrapped name is the one entered
     assert calls["pairs"] <= 109
     assert calls["zero"] <= 82
     assert calls["inter"] <= 33
+
+
+def test_rank_drop_exponent_tuple_traffic_is_pinned(monkeypatch):
+    # the seed-585427 rank-drop ideal: Packing.decode and encode calls,
+    # exponent tuples in or out, over the whole groebner_basis call. The
+    # 283 input and 348 output terms take 631 of them, and each of the
+    # 109 queued pairs one decode and one encode of its lcm. A pair
+    # update on exponent tuples, with one decode per leading monomial
+    # (39) in place of the pairs' decodes, took 779
+    calls = {"decode": 0, "encode": 0}
+    decode, encode = Packing.decode, Packing.encode
+
+    def counted_decode(self, key):
+        calls["decode"] += 1
+        return decode(self, key)
+
+    def counted_encode(self, mono):
+        calls["encode"] += 1
+        return encode(self, mono)
+
+    gens = seed_585427_rank_drop()
+    monkeypatch.setattr(Packing, "decode", counted_decode)
+    monkeypatch.setattr(Packing, "encode", counted_encode)
+    assert len(groebner_basis(gens)) == 33
+    assert calls["decode"] + calls["encode"] <= 849
 
 
 def test_fglm_work_is_pinned(monkeypatch):
@@ -406,22 +482,18 @@ def test_fglm_work_is_pinned(monkeypatch):
                                 counted_normal_form)
     lex = fglm_lex(chart)
     assert (len(chart), chart[0].nvars, len(lex)) == (4, 3, 3)
-    assert len(reducer_lists) <= 3
+    assert 0 < len(reducer_lists) <= 3
     assert len({id(r) for rs in reducer_lists for r in rs}) <= len(chart)
 
 
 def test_normal_form_field_calls_are_pinned(monkeypatch):
-    # the rank-drop ideal of `voisin-demo 2 --seed 585427`, as in
+    # the seed-585427 rank-drop ideal, as in
     # test_rank_drop_basis_work_is_pinned. Work coefficients sum as
     # unreduced ints and reduce once when their monomial pops, so F_p
     # calls are left in the step factors, the inverses' scaling of the
     # reduced basis and nowhere else; a field call per tail term made
     # 37,364 `_mul`, 31,301 `_sub` and 31,301 `_is_zero` calls
-    from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
-                                  rank_drop_ideal)
-    nfc = normal_form_cubic(2, F10007, 585427)
-    ideal = node_line_system(nfc, nodes(nfc, seed=585427)[0].point)
-    gens = rank_drop_ideal(ideal).nonzero_generators()
+    gens = seed_585427_rank_drop()
     calls = {"mul": 0, "sub": 0, "is_zero": 0}
     mul, sub, is_zero = PrimeField._mul, PrimeField._sub, PrimeField._is_zero
 
@@ -475,7 +547,7 @@ def assert_normal_forms_match(field, packing, fs, basis):
     one memo shared by all; over the rationals also the exact bit limit:
     the most bits a step leaves passes, one fewer raises. Returns the
     most steps any normal form took."""
-    reducers = [groebner._reducer(d, max(d), field) for d in basis]
+    reducers = [groebner._reducer(d, field) for d in basis]
     memo = {}
     most = 0
     for f in fs:
@@ -527,6 +599,73 @@ def test_normal_form_matches_plain_loop_past_renormalising(field, monkeypatch):
     assert 350 > 5 * (groebner._TERMS - 1)
     monkeypatch.setattr(groebner, "_TERMS", 2)
     assert_normal_forms_match(field, packing, [f], basis)
+
+
+class Products(int):
+    """A packed value that counts the products pack(a) * pack(b) summed
+    into it: a packed payload is one product (pack(1) = 1), a product
+    of sums of m and n products holds m * n of them, a sum adds."""
+
+    def __new__(cls, value, products):
+        self = super().__new__(cls, value)
+        self.products = products
+        return self
+
+    def __mul__(self, other):
+        return Products(int(self) * int(other),
+                        self.products * other.products)
+
+    def __add__(self, other):
+        return Products(int(self) + int(other),
+                        self.products + getattr(other, "products", 0))
+
+    __radd__ = __add__
+
+
+@pytest.mark.parametrize("p, k", [(10007, 2), (3, 6)])
+def test_product_budget_of_packed_s_pairs(p, k, monkeypatch):
+    # three dense quadrics in 4 variables, every coefficient with every
+    # digit p - 1, over F_{p^k}: an S-polynomial enters the normal form
+    # holding two products per value, so with sums of only _TERMS = 2
+    # products allowed every value is renormalised before each step. A
+    # counting packer refuses to unpack a value of more than _TERMS
+    # products, and the basis must not depend on _TERMS
+    field = build_extension(p, k)
+    top = field.element_from_code(field.order() - 1)
+    rng = random.Random(1)
+    monos = [m for d in range(3) for m in monomials_of_degree(4, d)]
+    gens = [Polynomial(field, 4, {m: top for m in monos if rng.random() < 0.7})
+            for _ in range(3)]
+    reference = groebner_basis(gens)
+    assert len(reference) == 6
+    packing = Packing.for_degree(GREVLEX, 4, 4)
+    payloads = [groebner._to_payload(g, packing) for g in reference]
+    for gi, gj in itertools.combinations(reference, 2):
+        mi, mj = gi.leading_monomial(GREVLEX), gj.leading_monomial(GREVLEX)
+        lcm = mono_lcm(mi, mj)
+        s = (Polynomial.monomial(field, tuple(map(sub, lcm, mi))) * gi
+             - Polynomial.monomial(field, tuple(map(sub, lcm, mj))) * gj)
+        assert plain_normal_form(groebner._to_payload(s, packing), payloads,
+                                 packing, field) == {}
+    packer = field._packer
+    most = []
+
+    def counting_packer(terms):
+        pack, unpack = packer(terms)
+
+        def counted_unpack(v):
+            most.append(v.products)
+            assert v.products <= terms
+            return unpack(int(v))
+
+        return (lambda c: Products(pack(c), 1)), counted_unpack
+
+    monkeypatch.setattr(field, "_packer", counting_packer)
+    for terms in (2, 3):
+        monkeypatch.setattr(groebner, "_TERMS", terms)
+        most.clear()
+        assert groebner_basis(gens) == reference
+        assert max(most) == terms
 
 
 def test_rational_basis():
