@@ -2,8 +2,10 @@
 """Cross-check node certification against an exhaustive Jacobian scan.
 
 Over a small prime the whole of P^{2r+1}(F_{p^k}) can be enumerated, so
-the singular locus of a nodal cubic is computable with no algebra at
-all: evaluate every partial at every point.  Comparing that scan with
+the singular locus of a nodal cubic is computable with no Groebner
+algebra at all: every point is decided against every partial (the first
+partial, a quadric, solved for one coordinate by the quadratic formula,
+the others evaluated on its zeros).  Comparing that scan with
 the certified node list catches two failure modes that certification
 alone cannot: a node the construction missed, and a stray singular
 point off the distinguished plane (which does happen at small p; such

@@ -139,8 +139,10 @@ def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
 def enumerated_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
                       budget: int = DEFAULT_BUDGET) -> List[ProjectivePoint]:
     """The brute-force oracle for `rational_points`: every point of
-    P^N(F_{q^k}), k <= k_max, is tested against the generators, and each
-    zero is kept over the level of its exact residue degree.
+    P^N(F_{q^k}), k <= k_max, is decided against the generators by
+    `variety_scan` (a quadric's zeros in one coordinate come from the
+    quadratic formula, the rest by evaluation), and each zero is kept over
+    the level of its exact residue degree.
 
     Raises BudgetExceeded when P^N(F_{q^k_max}) exceeds the budget.
     """

@@ -21,8 +21,13 @@ first, and within a stratum the free coordinates after the pivot ascend
 by code, the leftmost most significant. It evaluates the first
 generator by partial evaluation, in the manner of a multivariate Horner
 scheme: the trailing free coordinates run through one cached grid per
-stratum, and the leading ones enter each block as scalars. The later
-generators run on the pooled zeros of the first.
+stratum, and the leading ones enter each block as scalars. In the log
+kernel, when the first generator has degree <= 2 in the last of the
+leading coordinates, that one is solved for instead of enumerated: its
+zeros over each grid point come from the quadratic formula on the log
+tables. The later generators run on the pooled zeros of the first. Every
+point is still decided exactly, and the zeros reach the pool as stratum
+indices in ascending order, so the output order is the same either way.
 
 numpy is imported inside the functions that use it, so importing the
 package does not load it until a command scans.
@@ -89,7 +94,8 @@ class VectorContext:
             self._build_logs(field)
 
     def _build_logs(self, field: ExtensionField):
-        """`log` (code -> log), `mod` (sum of logs -> log) and `zech`.
+        """`log` (code -> log), `antilog`, `mod` (sum of logs -> log) and
+        `zech`.
 
         The logs are to g, the first code from p up (codes below p lie in
         F_p, whose orders divide p - 1) with g^((q-1)/l) != 1 for every
@@ -129,7 +135,10 @@ class VectorContext:
         zech[:n] = np.arange(n, dtype=np.int32) - z
         d = np.arange(-(n - 1), n)
         zech[d + z] = one_plus[d % n]
-        self.log, self.mod, self.zech = log, mod, zech
+        # antilog[l] is the code of g^l, and the code 0 at l = Z
+        codes = np.zeros(z + 1, dtype=np.int64)
+        codes[:n] = antilog
+        self.log, self.mod, self.zech, self.antilog = log, mod, zech, codes
 
     # The kernel operations below take arrays and Python ints alike. In
     # "log" mode every index is in range by construction (codes below q,
@@ -269,6 +278,54 @@ def _block_values(ctx: VectorContext,
     return acc
 
 
+def _fibre_hits(ctx: VectorContext, coeffs: Sequence[Optional[np.ndarray]],
+                size: int, chunk: int) -> Iterator[np.ndarray]:
+    """The zeros of H_2 y^2 + H_1 y + H_0, y in F_q, on the fibres over
+    the `size` <= chunk grid points j, as indices y * size + j, ascending,
+    in arrays of at most `chunk`.
+
+    coeffs are the log arrays H_0, H_1, H_2 (None for zero). A fibre where
+    all three vanish is all zeros, one where H_2 alone does has the zero
+    -H_0/H_1, and the rest have (-H_1 +- sqrt D)/(2 H_2) with
+    D = H_1^2 - 4 H_2 H_0. A nonzero D is a square exactly when its log
+    is even, q being odd (`PrimeField` rejects p = 2).
+    """
+    import numpy as np
+    n, z, q = ctx.q - 1, ctx.zero, ctx.q
+    h0, h1, h2 = (np.full(size, z, dtype=ctx.dtype) if h is None else h
+                  for h in coeffs)
+    minus, two = n // 2, ctx.scalar(2)  # the logs of -1 and 2
+    quad = h2 != z
+    linear = ~quad & (h1 != z)
+    whole = np.flatnonzero(~quad & (h1 == z) & (h0 == z))
+    minus_four = (2 * two + minus) % n
+    d = ctx.add(ctx.mul(h1, h1), ctx.mul(ctx.mul(h2, h0), minus_four))
+    square = d % 2 == 0  # Z is odd, so D = 0 is not one of them
+    root = np.where(square, d // 2, z)
+    b, over = ctx.mul(h1, minus), (-two - h2) % n  # -H_1 and 1/(2 H_2)
+    first = np.where(quad, ctx.mul(ctx.add(b, root), over),
+                     ctx.mul(ctx.mul(h0, minus), (n - h1) % n))
+    second = ctx.mul(ctx.add(b, ctx.mul(root, minus)), over)
+    ys, keys = [], []
+    for logs, has in ((first, (quad & (square | (d == z))) | linear),
+                      (second, quad & square)):
+        ys.append(ctx.antilog[logs[has]])
+        keys.append(ys[-1] * size + np.flatnonzero(has))
+    # a value y has at most `size` zeros, one per fibre, so each band of
+    # values closes before its zeros pass `chunk`
+    ends = np.cumsum(len(whole)
+                     + sum(np.bincount(y, minlength=q) for y in ys))
+    lo = done = 0
+    while lo < q:
+        hi = int(np.searchsorted(ends, done + chunk, side="right"))
+        band = [k[(k >= lo * size) & (k < hi * size)] for k in keys]
+        band.append((np.arange(lo, hi)[:, None] * size + whole).ravel())
+        hits = np.sort(np.concatenate(band))
+        if len(hits):
+            yield hits
+        done, lo = ends[hi - 1], hi
+
+
 def variety_scan(gens: Sequence[Polynomial], field: Field,
                  budget: int = DEFAULT_BUDGET,
                  chunk: int = DEFAULT_CHUNK) -> List[ProjectivePoint]:
@@ -279,9 +336,15 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     stratum it is split as sum_a y^a h_a(z) over the leading free
     coordinates y and the trailing ones z, each h_a is evaluated once on
     the grid of z, and each tuple of y is one block whose values are the
-    grid arrays times scalar monomials. The indices of its zeros are
-    pooled across blocks and strata, and the later generators run on the
-    pool whenever it would pass `chunk` points.
+    grid arrays times scalar monomials. In the log kernel, with the grid
+    whole (q <= chunk) and the first generator of degree <= 2 in the
+    last outer coordinate, only the outer coordinates before it make
+    blocks; over each block the generator is H_2 y^2 + H_1 y + H_0 in the
+    last one, y, with the H_e arrays on the grid, and `_fibre_hits` gives
+    its zeros in y exactly, by the quadratic formula (all of F_q where the
+    H_e all vanish). The indices of the zeros are pooled across blocks and
+    strata in ascending order, at most `chunk` at a time, and the later
+    generators run on the pool whenever it would pass `chunk` points.
     """
     import numpy as np
     gens = [g for g in gens if not g.is_zero()]
@@ -320,10 +383,37 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
             out.append(pt)
 
     pooled = 0
+
+    def collect(pivot: int, hits: np.ndarray):
+        """Pool the stratum indices of zeros of gens[0] in `hits`, after
+        a flush when the pool would pass `chunk`."""
+        nonlocal pooled
+        if pooled + len(hits) > chunk:
+            flush()
+            pooled = 0
+        pool.setdefault(pivot, []).append(hits)
+        pooled += len(hits)
+
     for pivot in range(n_proj, -1, -1):
         free = n_proj - pivot
         inner = _inner_count(free, q, chunk)
         parts = _split(gens[0], pivot, free - inner)
+        size = q ** inner
+        if (ctx.mode == "log" and inner < free and size <= chunk
+                and all(exps[-1] <= 2 for exps, _ in parts)):
+            grid = _codes(n_proj, pivot, q, np.arange(size))
+            groups: List[List[Tuple[Monomial, np.ndarray]]] = [[], [], []]
+            for exps, h in parts:  # by the exponent of y
+                groups[exps[-1]].append((exps[:-1], ctx.eval_poly(h, grid)))
+            for rank, lead in enumerate(product(range(q),
+                                                repeat=free - inner - 1)):
+                if lead:
+                    coeffs = [_block_values(ctx, g, lead) for g in groups]
+                else:  # at most one part per exponent: its grid values
+                    coeffs = [g[0][1] if g else None for g in groups]
+                for hits in _fibre_hits(ctx, coeffs, size, chunk):
+                    collect(pivot, hits + rank * q * size)
+            continue
         span = None
         for outer, start, stop, first in _blocks(free, inner, q, chunk):
             if (start, stop) != span:  # once per stratum unless q > chunk
@@ -336,13 +426,8 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
                 hits = np.arange(first, first + stop - start)
             else:
                 hits = np.flatnonzero(values == ctx.zero) + first
-            if not len(hits):
-                continue
-            if pooled + len(hits) > chunk:
-                flush()
-                pooled = 0
-            pool.setdefault(pivot, []).append(hits)
-            pooled += len(hits)
+            if len(hits):
+                collect(pivot, hits)
     if pooled:
         flush()
     return out

@@ -285,6 +285,109 @@ def test_scan_matches_enumeration_for_every_block_shape(kernel, p, k, n_proj,
             assert max(sizes) <= chunk
 
 
+def fibre_branches(ctx, coeffs, size):
+    """Which cases of the quadratic formula the fibres of one solved block
+    reach, by field arithmetic on the decoded coefficients H_0, H_1, H_2."""
+    field, seen = ctx.field, set()
+    codes = np.stack([np.zeros(size, dtype=np.int64) if h is None
+                      else ctx.antilog[h] for h in coeffs], axis=1)
+    for row in np.unique(codes, axis=0).tolist():
+        h0, h1, h2 = (field.element_from_code(c) for c in row)
+        if h2.is_zero():
+            seen.add("whole" if h1.is_zero() and h0.is_zero() else
+                     "none" if h1.is_zero() else "linear")
+        else:
+            d = h1 * h1 - field.from_int(4) * h2 * h0
+            seen.add("double" if d.is_zero() else
+                     "square" if d ** ((ctx.q - 1) // 2) == field.one() else
+                     "nonsquare")
+        if h0.is_zero() and not (h1.is_zero() and h2.is_zero()):
+            seen.add("zero root")
+    return seen
+
+
+def solver_systems(field, n_proj, rng):
+    """First generators for each case of the fibre solve, whichever of the
+    last two outer coordinates is solved for, and a cubic in both."""
+    x = [Polynomial.variable(field, n_proj + 1, i) for i in range(n_proj + 1)]
+    u, v = x[n_proj - 1], x[n_proj]
+    double = sum(x[1:n_proj], Polynomial.zero(field, n_proj + 1)) - v
+    return {
+        "vanishing": [u * v],
+        "linear": [x[1] * v + v ** 2 + x[0] * u],
+        "double": [double ** 2],
+        "quadric": [random_homogeneous(field, n_proj + 1, 2, rng)],
+        "quadric, cubic": [random_homogeneous(field, n_proj + 1, 2, rng),
+                           random_homogeneous(field, n_proj + 1, 3, rng)],
+        "cubic": [sum((xi ** 3 for xi in x[1:]), x[0] * x[1] * v)],
+    }
+
+
+@pytest.mark.parametrize("p,k,n_proj", [
+    (3, 2, 3), (5, 2, 2), (3, 3, 2), (7, 1, 3)])
+def test_fibre_solve_matches_enumeration_in_every_branch(p, k, n_proj,
+                                                         monkeypatch):
+    # chunk q, q^2 and the default: on P^3, two, one and no outer
+    # coordinates; on P^2, one and none. The log kernel solves the last
+    # outer coordinate of a first generator of degree <= 2 in it; the
+    # prime kernel and the cubic stay on the block loop
+    field = PrimeField(p) if k == 1 else build_extension(p, k)
+    q = field.order()
+    fibre_hits, calls = scan._fibre_hits, []
+
+    def recorded(ctx, coeffs, size, chunk):
+        calls.append(fibre_branches(ctx, coeffs, size))
+        return fibre_hits(ctx, coeffs, size, chunk)
+
+    monkeypatch.setattr(scan, "_fibre_hits", recorded)
+    seen = set()
+    for name, gens in solver_systems(field, n_proj,
+                                     random.Random(q + n_proj)).items():
+        want = oracle_scan(gens, field)
+        for chunk in (q, q * q, scan.DEFAULT_CHUNK):
+            calls.clear()
+            got = variety_scan(gens, field, chunk=chunk)
+            assert [pt.coords for pt in got] == want, (name, chunk)
+            solved = k > 1 and name != "cubic" and chunk < q ** n_proj
+            assert bool(calls) == solved, (name, chunk)
+            seen.update(*calls)
+    if k > 1:
+        assert seen == {"whole", "none", "linear", "double", "square",
+                        "nonsquare", "zero root"}
+
+
+def test_vanishing_fibres_past_the_chunk_are_pooled_in_bounded_pieces(
+        monkeypatch):
+    # x2*x3 on P^3 over F_9 at chunk 81: the pivot-0 stratum solves for
+    # x1 over the grid of (x2, x3), where 17 fibres vanish whole, 153
+    # zeros; every pooled array, every flush and every evaluation stays
+    # within the chunk
+    field = build_extension(3, 2)
+    f = parse("x2*x3", 4, field)
+    g = parse("x0 + x1 + x2^2 - x3^2", 4, field)
+    chunk = 81
+    fibre_hits, codes, pieces, flushes = scan._fibre_hits, scan._codes, [], []
+
+    def recorded(ctx, coeffs, size, chunk):
+        for hits in fibre_hits(ctx, coeffs, size, chunk):
+            pieces.append(len(hits))
+            yield hits
+
+    def sized(n_proj, pivot, q, idx):
+        flushes.append(len(idx))
+        return codes(n_proj, pivot, q, idx)
+
+    monkeypatch.setattr(scan, "_fibre_hits", recorded)
+    monkeypatch.setattr(scan, "_codes", sized)
+    for gens in ([f], [f, g]):
+        pieces.clear()
+        flushes.clear()
+        got = variety_scan(gens, field, chunk=chunk)
+        assert [pt.coords for pt in got] == oracle_scan(gens, field)
+        assert sum(pieces) == 153 and len(pieces) > 1
+        assert max(pieces + flushes) <= chunk
+
+
 def test_object_kernel_blocks_on_p1_match_evaluate():
     # (p-1)^2 >= 2^63: grid values times outer scalars stay exact Python
     # ints. x1 is the outer coordinate over a one-point grid of P^1.
@@ -317,9 +420,19 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
         sizes.append(len(arrays[0]))
         return eval_poly(self, g, arrays)
 
+    block_values, blocks = scan._block_values, []
+
+    def counted_blocks(ctx, parts, outer):
+        blocks.append(outer)
+        return block_values(ctx, parts, outer)
+
     monkeypatch.setattr(VectorContext, "eval_poly", counted)
+    monkeypatch.setattr(scan, "_block_values", counted_blocks)
     points = singular_scan([f], 1, field)
     assert [pt.coords for pt in points] == [
         (field.one(), field.zero(), field.zero(), field.zero())]
     assert len(sizes) <= 6
     assert sum(sizes) <= 58931
+    # the pivot-0 stratum solves for x1 in one pass; one block per value
+    # of x1 took 121 blocks there
+    assert len(blocks) <= 4
