@@ -5,7 +5,11 @@ Over a small prime the whole of P^{2r+1}(F_{p^k}) can be enumerated, so
 the singular locus of a nodal cubic is computable with no Groebner
 algebra at all: every point is decided against every partial (the first
 partial, a quadric, solved for one coordinate by the quadratic formula,
-the others evaluated on its zeros).  Comparing that scan with
+the others evaluated on its zeros).  Only F_{p^kmax} and the levels
+dividing no larger one are scanned; the points of a lower residue
+degree k are read off a scan that contains F_{p^k} and brought down to
+it.  Comparing
+that scan with
 the certified node list catches two failure modes that certification
 alone cannot: a node the construction missed, and a stray singular
 point off the distinguished plane (which does happen at small p; such

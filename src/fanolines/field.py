@@ -612,6 +612,61 @@ def embedding(src: Field, dst: Field):
     return lambda e: FieldElement(dst, lift(e.payload))
 
 
+def _frobenius_shift(ground: Field, mid: Field, top: Field) -> int:
+    """The s for which x -> x^(p^s) after embedding(mid, top) agrees with
+    embedding(ground, top) on the image of embedding(ground, mid).
+
+    The two maps of ground into top need not agree when ground is itself
+    an extension; applying that power of Frobenius to a point found over
+    top through mid turns it into a point of the system as embedded
+    directly from ground."""
+    if ground.degree == 1 or mid is ground:
+        return 0
+    gen = ground.generator()
+    target = embedding(ground, top)(gen)
+    image = embedding(mid, top)(embedding(ground, mid)(gen))
+    for s in range(ground.degree):
+        if image == target:
+            return s
+        image = top.frobenius(image)
+    raise AssertionError("embeddings of one field differ by no Frobenius power")
+
+
+_descent_cache: dict = {}
+
+
+def payload_descent(ground: Field, sub: Field, top: Field):
+    """The payload map that brings an element of top lying in sub back
+    down to sub: the inverse, on its image, of the embedding e of sub in
+    top that agrees with embedding(ground, top) on the image of
+    embedding(ground, sub). So a point over top of a system embedded from
+    ground, with coordinates in sub, comes down to a point over sub of
+    the same system embedded into sub.
+
+    e is `payload_lift(sub, top)` followed by the Frobenius power
+    `_frobenius_shift(ground, sub, top)`. It is F_p-linear, so an image x
+    is sum a_i e(t^i): x reduced against the rows e(t^i), each followed by
+    its unit vector, leaves zero with -(a_i) in the unit slots. Built
+    once per (ground, sub, top).
+    """
+    if isinstance(sub, PrimeField):
+        return lambda c: c[0]
+    key = (ground.key(), sub.key(), top.key())
+    descent = _descent_cache.get(key)
+    if descent is None:
+        from .linalg import Echelon
+        p, k, lift = sub.p, sub.k, payload_lift(sub, top)
+        shift = _frobenius_shift(ground, sub, top)
+        rows = Echelon(build_extension(p, 1), top.k)
+        for i in range(k):
+            unit = [int(i == j) for j in range(k)]
+            image = top.frobenius(FieldElement(top, lift(unit)), shift)
+            rows.add(list(image.payload) + unit)
+        descent = _descent_cache[key] = lambda c: tuple(
+            -v % p for v in rows.reduce(list(c) + [0] * k)[top.k:])
+    return descent
+
+
 def relative_extension(ground: Field, k: int):
     """(E, embed) with [E : ground] = k; E is deterministic per (ground, k)."""
     if k == 1:

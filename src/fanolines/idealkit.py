@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
                      NotZeroDimensional)
-from .field import Field, relative_extension
+from .field import Field, FieldElement, payload_descent, relative_extension
 from .groebner import groebner_basis
 from .hilbert import staircase_data
 from .poly import (GREVLEX, Polynomial, jacobian_rank_at, random_homogeneous,
@@ -142,7 +142,8 @@ def enumerated_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
     P^N(F_{q^k}), k <= k_max, is decided against the generators by
     `variety_scan` (a quadric's zeros in one coordinate come from the
     quadratic formula, the rest by evaluation), and each zero is kept over
-    the level of its exact residue degree.
+    the level of its exact residue degree. Only the top levels are
+    scanned; the lower ones are read off them (`_scan_levels`).
 
     Raises BudgetExceeded when P^N(F_{q^k_max}) exceeds the budget.
     """
@@ -153,10 +154,18 @@ def enumerated_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
 def _scan_levels(ideal: Ideal, k_max: int, budget: int,
                  scan: Callable) -> List[ProjectivePoint]:
     """The points `scan(generators over F_{q^k}, F_{q^k})` returns for
-    k = 1..k_max, each kept only at the level of its exact residue degree.
+    k = 1..k_max, each kept only at the level of its exact residue degree,
+    the levels ascending and each in the scan order of `variety_scan`
+    over its own field.
 
-    The last level is the largest, so the budget is checked against it
-    before any level is scanned.
+    Only the top levels are scanned: the k <= k_max that divide no larger
+    k' <= k_max (F_{q^2} alone at k_max = 2), since P^N(F_{q^k'}) holds
+    P^N(F_{q^k}). A lower level j is read off the largest top level it
+    divides: the scanned points of exact residue degree j come down to
+    relative_extension(field, j) by `payload_descent`, and are sorted by
+    their codes there, which is that level's scan order (embedded codes
+    need not keep it). The top level is the largest, so the budget is
+    checked against it before any level is scanned.
     """
     field = ideal.field
     n_proj = ideal.ambient_proj_dim
@@ -166,13 +175,28 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
         raise BudgetExceeded(
             f"P^{n_proj}(F_{q}^{k_max}) has {total} points, budget {budget}")
     gens = ideal.nonzero_generators()
-    out: List[ProjectivePoint] = []
-    for k in range(1, k_max + 1):
-        ext, embed = relative_extension(field, k)
+    levels: Dict[int, List[ProjectivePoint]] = {}
+    for top in range(k_max, 0, -1):
+        if top in levels:
+            continue  # read off a larger level already
+        ext, embed = relative_extension(field, top)
         mapped = [g.map_coefficients(ext, embed) for g in gens]
-        out.extend(pt for pt in scan(mapped, ext)
-                   if exact_relative_degree(pt.coords, field, k) == k)
-    return out
+        own = [j for j in range(1, top + 1)
+               if top % j == 0 and j not in levels]
+        for j in own:
+            levels[j] = []
+        for pt in scan(mapped, ext):
+            j = exact_relative_degree(pt.coords, field, top)
+            if j in own:
+                levels[j].append(pt)
+        for j in own[:-1]:
+            sub = relative_extension(field, j)[0]
+            descent = payload_descent(field, sub, ext)
+            for pt in levels[j]:
+                pt.coords = tuple(FieldElement(sub, descent(c.payload))
+                                  for c in pt.coords)
+            levels[j].sort(key=lambda pt: [sub.code_of(c) for c in pt.coords])
+    return [pt for j in sorted(levels) for pt in levels[j]]
 
 
 def solve_report(ideal: Ideal, k_max: int, seed: int = 0) -> SolveResult:
@@ -203,6 +227,8 @@ def singular_points(ideal: Ideal, k_max: int = 1,
                     budget: int = DEFAULT_BUDGET) -> List[ProjectivePoint]:
     """Enumerated points of V(I) where the Jacobian rank drops below the
     codimension, over F_{q^k} for k <= k_max (deduplicated by exact degree).
+    Only the top levels are scanned (`singular_scan`); the lower ones are
+    read off them (`_scan_levels`).
     """
     if not ideal.nonzero_generators():
         raise InvalidParameters("the zero ideal has no singular locus")

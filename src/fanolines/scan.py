@@ -22,12 +22,14 @@ by code, the leftmost most significant. It evaluates the first
 generator by partial evaluation, in the manner of a multivariate Horner
 scheme: the trailing free coordinates run through one cached grid per
 stratum, and the leading ones enter each block as scalars. In the log
-kernel, when the first generator has degree <= 2 in the last of the
-leading coordinates, that one is solved for instead of enumerated: its
+kernel, when the first generator has degree <= 2 in the free coordinate
+just before the grid, that one is solved for instead of enumerated: its
 zeros over each grid point come from the quadratic formula on the log
-tables. The later generators run on the pooled zeros of the first. Every
-point is still decided exactly, and the zeros reach the pool as stratum
-indices in ascending order, so the output order is the same either way.
+tables, and a stratum that fits one grid gives its first free coordinate
+up to be solved for. The later generators run on the pooled zeros of the
+first, and only their common zeros are sorted into scan order. Every
+point is still decided exactly, so the output is the same either way.
+The log tables are built once per field and process.
 
 numpy is imported inside the functions that use it, so importing the
 package does not load it until a command scans.
@@ -35,6 +37,7 @@ package does not load it until a command scans.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -136,7 +139,7 @@ class VectorContext:
         d = np.arange(-(n - 1), n)
         zech[d + z] = one_plus[d % n]
         # antilog[l] is the code of g^l, and the code 0 at l = Z
-        codes = np.zeros(z + 1, dtype=np.int64)
+        codes = np.zeros(z + 1, dtype=np.int32)
         codes[:n] = antilog
         self.log, self.mod, self.zech, self.antilog = log, mod, zech, codes
 
@@ -211,6 +214,14 @@ class VectorContext:
         return acc
 
 
+@lru_cache(maxsize=None)
+def _log_context(field: ExtensionField) -> VectorContext:
+    """The log kernel of the field, built once per field and process: its
+    tables cost O(q) field products, and every scan of the field reads
+    the same ones."""
+    return VectorContext(field)
+
+
 def _inner_count(free: int, q: int, chunk: int) -> int:
     """How many trailing free coordinates of a stratum span its grid: as
     many as keep q^inner <= max(chunk, q)."""
@@ -223,12 +234,17 @@ def _inner_count(free: int, q: int, chunk: int) -> int:
 def _codes(n_proj: int, pivot: int, q: int, idx: np.ndarray) -> List[np.ndarray]:
     """Coordinate code arrays of the points with indices idx in the pivot
     stratum: 0 below the pivot, 1 at it, and the free coordinates are the
-    base-q digits of the index, the leftmost most significant."""
+    base-q digits of the index, the leftmost most significant. One divmod
+    per coordinate, on int32 while the stratum's q^free indices fit."""
     import numpy as np
     free = n_proj - pivot
-    zeros = np.zeros(len(idx), dtype=np.int64)
-    return ([zeros] * pivot + [np.ones(len(idx), dtype=np.int64)]
-            + [idx // q ** (free - 1 - j) % q for j in range(free)])
+    idx = idx.astype(np.int32 if q ** free < 2 ** 31 else np.int64, copy=False)
+    digits = []
+    for _ in range(free):
+        idx, digit = np.divmod(idx, q)
+        digits.append(digit)
+    ones = np.ones(len(idx), dtype=idx.dtype)
+    return [np.zeros_like(ones)] * pivot + [ones] + digits[::-1]
 
 
 def _blocks(free: int, inner: int, q: int,
@@ -281,46 +297,65 @@ def _block_values(ctx: VectorContext,
 def _fibre_hits(ctx: VectorContext, coeffs: Sequence[Optional[np.ndarray]],
                 size: int, chunk: int) -> Iterator[np.ndarray]:
     """The zeros of H_2 y^2 + H_1 y + H_0, y in F_q, on the fibres over
-    the `size` <= chunk grid points j, as indices y * size + j, ascending,
-    in arrays of at most `chunk`.
+    the `size` <= chunk grid points j, as indices y * size + j, in arrays
+    of at most `chunk`: one per band of values of y, the bands ascending,
+    the indices within a band in no set order.
 
     coeffs are the log arrays H_0, H_1, H_2 (None for zero). A fibre where
     all three vanish is all zeros, one where H_2 alone does has the zero
     -H_0/H_1, and the rest have (-H_1 +- sqrt D)/(2 H_2) with
     D = H_1^2 - 4 H_2 H_0. A nonzero D is a square exactly when its log
-    is even, q being odd (`PrimeField` rejects p = 2).
+    is even, q being odd (`PrimeField` rejects p = 2). The quadratic
+    formula runs only on the fibres with H_2 != 0, and the roots only on
+    those where D is a square or zero.
     """
     import numpy as np
     n, z, q = ctx.q - 1, ctx.zero, ctx.q
     h0, h1, h2 = (np.full(size, z, dtype=ctx.dtype) if h is None else h
                   for h in coeffs)
     minus, two = n // 2, ctx.scalar(2)  # the logs of -1 and 2
-    quad = h2 != z
-    linear = ~quad & (h1 != z)
-    whole = np.flatnonzero(~quad & (h1 == z) & (h0 == z))
-    minus_four = (2 * two + minus) % n
-    d = ctx.add(ctx.mul(h1, h1), ctx.mul(ctx.mul(h2, h0), minus_four))
-    square = d % 2 == 0  # Z is odd, so D = 0 is not one of them
-    root = np.where(square, d // 2, z)
-    b, over = ctx.mul(h1, minus), (-two - h2) % n  # -H_1 and 1/(2 H_2)
-    first = np.where(quad, ctx.mul(ctx.add(b, root), over),
-                     ctx.mul(ctx.mul(h0, minus), (n - h1) % n))
-    second = ctx.mul(ctx.add(b, ctx.mul(root, minus)), over)
-    ys, keys = [], []
-    for logs, has in ((first, (quad & (square | (d == z))) | linear),
-                      (second, quad & square)):
-        ys.append(ctx.antilog[logs[has]])
-        keys.append(ys[-1] * size + np.flatnonzero(has))
+    index = np.int32 if q * size < 2 ** 31 else np.int64
+    keys: List[np.ndarray] = []
+    counts = np.zeros(q, dtype=np.int64)  # zeros per value of y
+
+    def emit(logs: np.ndarray, fibres: np.ndarray):
+        nonlocal counts
+        y = ctx.antilog[logs]
+        counts += np.bincount(y, minlength=q)
+        keys.append(y.astype(index, copy=False) * size
+                    + fibres.astype(index, copy=False))
+
+    flat = h2 == z
+    whole = np.flatnonzero(flat & (h1 == z) & (h0 == z)).astype(index)
+    j = np.flatnonzero(flat & (h1 != z))
+    emit(ctx.mul(ctx.mul(h0[j], minus), (n - h1[j]) % n), j)
+    j = np.flatnonzero(~flat)
+    del flat
+    a, b = h2[j], ctx.mul(h1[j], minus)  # H_2 and -H_1
+    d = ctx.add(ctx.mul(b, b),
+                ctx.mul(ctx.mul(a, h0[j]), (2 * two + minus) % n))
+    has = (d % 2 == 0) | (d == z)  # Z is odd: D is zero or a square
+    j, a, b, d = j[has], a[has], b[has], d[has]
+    del has
+    twin = d != z
+    root = np.where(twin, d // 2, z)
+    over = (-two - a) % n  # 1/(2 H_2)
+    emit(ctx.mul(ctx.add(b, root), over), j)
+    emit(ctx.mul(ctx.add(b[twin], ctx.mul(root[twin], minus)), over[twin]),
+         j[twin])
+    del a, b, d, root, over, twin
+    counts += len(whole)
     # a value y has at most `size` zeros, one per fibre, so each band of
     # values closes before its zeros pass `chunk`
-    ends = np.cumsum(len(whole)
-                     + sum(np.bincount(y, minlength=q) for y in ys))
+    ends = np.cumsum(counts)
     lo = done = 0
     while lo < q:
         hi = int(np.searchsorted(ends, done + chunk, side="right"))
-        band = [k[(k >= lo * size) & (k < hi * size)] for k in keys]
-        band.append((np.arange(lo, hi)[:, None] * size + whole).ravel())
-        hits = np.sort(np.concatenate(band))
+        band = (list(keys) if hi - lo == q else
+                [k[(k >= lo * size) & (k < hi * size)] for k in keys])
+        band.append((np.arange(lo, hi, dtype=index)[:, None] * size
+                     + whole).ravel())
+        hits = np.concatenate(band)
         if len(hits):
             yield hits
         done, lo = ends[hi - 1], hi
@@ -336,15 +371,18 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     stratum it is split as sum_a y^a h_a(z) over the leading free
     coordinates y and the trailing ones z, each h_a is evaluated once on
     the grid of z, and each tuple of y is one block whose values are the
-    grid arrays times scalar monomials. In the log kernel, with the grid
-    whole (q <= chunk) and the first generator of degree <= 2 in the
-    last outer coordinate, only the outer coordinates before it make
-    blocks; over each block the generator is H_2 y^2 + H_1 y + H_0 in the
-    last one, y, with the H_e arrays on the grid, and `_fibre_hits` gives
-    its zeros in y exactly, by the quadratic formula (all of F_q where the
-    H_e all vanish). The indices of the zeros are pooled across blocks and
-    strata in ascending order, at most `chunk` at a time, and the later
-    generators run on the pool whenever it would pass `chunk` points.
+    grid arrays times scalar monomials. In the log kernel, when the grid
+    is whole (q^inner <= chunk) and the first generator has degree <= 2
+    in the free coordinate just before it, that coordinate is solved for:
+    only the outer coordinates before it make blocks, over each block the
+    generator is H_2 y^2 + H_1 y + H_0 in it, y, with the H_e arrays on
+    the grid, and `_fibre_hits` gives its zeros in y exactly, by the
+    quadratic formula (all of F_q where the H_e all vanish). A stratum
+    that fits one grid gives its first free coordinate up to be solved
+    for. The indices of the zeros are pooled across blocks and strata, at
+    most `chunk` at a time, and the later generators run on the pool
+    whenever it would pass `chunk` points; only their common zeros are
+    put in scan order.
     """
     import numpy as np
     gens = [g for g in gens if not g.is_zero()]
@@ -354,7 +392,8 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     total = projective_count(n_proj, q)
     if total > budget:
         raise BudgetExceeded(f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
-    ctx = VectorContext(field)
+    ctx = (VectorContext(field) if isinstance(field, PrimeField)
+           else _log_context(field))
     decoded: Dict[int, FieldElement] = {}  # a dict: q can be 2^32
 
     def decode(code: int) -> FieldElement:
@@ -377,7 +416,10 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
             arrays = [a[keep] for a in arrays]
             if len(arrays[0]) == 0:
                 return
-        for row in zip(*(a.tolist() for a in arrays)):
+        # the pool spans one stretch of the scan, whose order is the
+        # lexicographic order of the codes (0 before the pivot, 1 at it)
+        order = np.lexsort(arrays[::-1])
+        for row in zip(*(a[order].tolist() for a in arrays)):
             pt = ProjectivePoint.__new__(ProjectivePoint)
             pt.coords = tuple(decode(c) for c in row)
             out.append(pt)
@@ -397,23 +439,29 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     for pivot in range(n_proj, -1, -1):
         free = n_proj - pivot
         inner = _inner_count(free, q, chunk)
+        if ctx.mode == "log" and free:
+            # a stratum that fits one grid gives its first coordinate up
+            on_grid = min(inner, free - 1)
+            parts = _split(gens[0], pivot, free - on_grid)
+            size = q ** on_grid
+            if size <= chunk and all(exps[-1] <= 2 for exps, _ in parts):
+                index = np.int32 if q ** free < 2 ** 31 else np.int64
+                grid = _codes(n_proj, pivot, q, np.arange(size))
+                groups: List[List[Tuple[Monomial, np.ndarray]]] = [[], [], []]
+                for exps, h in parts:  # by the exponent of y
+                    groups[exps[-1]].append((exps[:-1],
+                                             ctx.eval_poly(h, grid)))
+                for rank, lead in enumerate(product(
+                        range(q), repeat=free - on_grid - 1)):
+                    if lead:
+                        coeffs = [_block_values(ctx, g, lead) for g in groups]
+                    else:  # at most one part per exponent: its grid values
+                        coeffs = [g[0][1] if g else None for g in groups]
+                    for hits in _fibre_hits(ctx, coeffs, size, chunk):
+                        collect(pivot, hits.astype(index, copy=False)
+                                + rank * q * size)
+                continue
         parts = _split(gens[0], pivot, free - inner)
-        size = q ** inner
-        if (ctx.mode == "log" and inner < free and size <= chunk
-                and all(exps[-1] <= 2 for exps, _ in parts)):
-            grid = _codes(n_proj, pivot, q, np.arange(size))
-            groups: List[List[Tuple[Monomial, np.ndarray]]] = [[], [], []]
-            for exps, h in parts:  # by the exponent of y
-                groups[exps[-1]].append((exps[:-1], ctx.eval_poly(h, grid)))
-            for rank, lead in enumerate(product(range(q),
-                                                repeat=free - inner - 1)):
-                if lead:
-                    coeffs = [_block_values(ctx, g, lead) for g in groups]
-                else:  # at most one part per exponent: its grid values
-                    coeffs = [g[0][1] if g else None for g in groups]
-                for hits in _fibre_hits(ctx, coeffs, size, chunk):
-                    collect(pivot, hits + rank * q * size)
-            continue
         span = None
         for outer, start, stop, first in _blocks(free, inner, q, chunk):
             if (start, stop) != span:  # once per stratum unless q > chunk

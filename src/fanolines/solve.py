@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotZeroDimensional
 from .fglm import fglm_lex, lex_basis_zero_dim
-from .field import Field, FieldElement, embedding, relative_extension
+from .field import Field, FieldElement, _frobenius_shift, relative_extension
 from .poly import Polynomial, restrict
 from .projgeo import ProjectivePoint
 from .unipoly import distinct_degree_factorization, roots_in_field
@@ -79,26 +79,6 @@ def exact_relative_degree(coords: Sequence[FieldElement], ground: Field,
                               for c in coords):
             return j
     return k
-
-
-def _frobenius_shift(ground: Field, mid: Field, top: Field) -> int:
-    """The s for which x -> x^(p^s) after embedding(mid, top) agrees with
-    embedding(ground, top) on the image of embedding(ground, mid).
-
-    The two maps of ground into top need not agree when ground is itself
-    an extension; applying that power of Frobenius to a point found over
-    top through mid turns it into a point of the system as embedded
-    directly from ground."""
-    if ground.degree == 1 or mid is ground:
-        return 0
-    gen = ground.generator()
-    target = embedding(ground, top)(gen)
-    image = embedding(mid, top)(embedding(ground, mid)(gen))
-    for s in range(ground.degree):
-        if image == target:
-            return s
-        image = top.frobenius(image)
-    raise AssertionError("embeddings of one field differ by no Frobenius power")
 
 
 def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,

@@ -9,10 +9,11 @@ from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
 from fanolines.errors import BudgetExceeded
 from fanolines.fano import direction_components
-from fanolines.field import FieldElement, payload_lift
+from fanolines.field import FieldElement, payload_lift, relative_extension
 from fanolines.linalg import mat_rank
 from fanolines.poly import default_names, substitute_all
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
+from fanolines.solve import exact_relative_degree
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +69,22 @@ def enumerate_projective_points(n_proj, field, budget=DEFAULT_BUDGET):
             pt = ProjectivePoint.__new__(ProjectivePoint)
             pt.coords = prefix + tail
             yield pt
+
+
+def per_level_points(ideal, k_max, scan):
+    """The points `scan(generators over F_{q^k}, F_{q^k})` returns for
+    k = 1..k_max, every level scanned on its own, each point kept only at
+    the level of its exact residue degree. The per-level oracle for
+    `idealkit._scan_levels`, which scans only the top levels."""
+    field = ideal.field
+    gens = ideal.nonzero_generators()
+    out = []
+    for k in range(1, k_max + 1):
+        ext, embed = relative_extension(field, k)
+        mapped = [g.map_coefficients(ext, embed) for g in gens]
+        out.extend(pt for pt in scan(mapped, ext)
+                   if exact_relative_degree(pt.coords, field, k) == k)
+    return out
 
 
 def plain_extension_mul(field, a, b):

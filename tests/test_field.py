@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import QQ, PrimeField, build_extension
-from fanolines.field import embedding, is_prime, relative_extension
+from fanolines.field import (FieldElement, embedding, is_prime,
+                             payload_descent, relative_extension)
 from fanolines.errors import NotPrime, ZeroInversion
 
 from conftest import fermat_inverse, plain_extension_mul
@@ -230,6 +231,33 @@ def test_relative_extension_tower():
     assert ext.degree == 6
     a = ground.sample(random.Random(2))
     assert embed(a) ** (5 ** 2) == embed(a ** (5 ** 2))
+
+
+@pytest.mark.parametrize("p,d,j,k", [
+    (5, 1, 1, 4), (5, 1, 2, 4), (3, 2, 1, 2), (3, 2, 2, 4), (3, 2, 3, 6),
+    (3, 3, 2, 4)])
+def test_payload_descent_is_a_field_map_that_fixes_the_ground(p, d, j, k):
+    # sub and top are the degree-j and degree-k extensions of the ground.
+    # The descent must map sub's image in top onto sub as a field map
+    # that commutes with both embeddings of the ground; at (3, 2, 3, 6)
+    # and (3, 3, 2, 4) the plain inverse of embedding(sub, top) does not,
+    # as embedding the ground into top through sub differs from embedding
+    # it directly by a Frobenius power
+    ground = PrimeField(p) if d == 1 else build_extension(p, d)
+    sub, to_sub = relative_extension(ground, j)
+    top, to_top = relative_extension(ground, k)
+    descent = payload_descent(ground, sub, top)
+    up = embedding(sub, top)
+
+    def down(u):
+        return FieldElement(sub, descent(u.payload))
+
+    for a in sample_many(ground, 1, 20):
+        assert down(to_top(a)) == to_sub(a)
+    for x, y in zip(sample_many(sub, 2, 20), sample_many(sub, 3, 20)):
+        assert down(up(x) * up(y)) == down(up(x)) * down(up(y))
+        assert down(up(x) + up(y)) == down(up(x)) + down(up(y))
+    assert down(up(sub.one())) == sub.one()
 
 
 @given(st.integers(min_value=-200, max_value=200))

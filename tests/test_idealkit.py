@@ -15,10 +15,14 @@ from fanolines.idealkit import (add_jacobian_certificates,
                                 singular_points, slice_degree, solve_report,
                                 variety_report)
 from fanolines.linalg import mat_rank
+from fanolines.projgeo import projective_count
+from fanolines.scan import singular_scan, variety_scan
+from fanolines.unipoly import distinct_degree_factorization
 from fanolines.poly import random_homogeneous, random_linear_form
 from fanolines.errors import Inconclusive, InvalidParameters
 
-from conftest import jacobian_rank_oracle, parse, random_point
+from conftest import (jacobian_rank_oracle, parse, per_level_points,
+                      random_point)
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -112,6 +116,73 @@ def test_singular_points_of_several_generators_match_the_oracle():
     got = [p.serialize() for p in singular_points(ideal, k_max=2)]
     assert len(points) == 49
     assert got == expected == [["1", "0", "0", "0"]]
+
+
+def irreducible_binary_form(ground, degree, rng):
+    """x1^degree h(x0/x1) for a random monic h of that degree irreducible
+    over the ground field: its zeros are one Frobenius orbit of points of
+    residue degree `degree`."""
+    while True:
+        h = [ground.sample(rng) for _ in range(degree)] + [ground.one()]
+        if degree == 1 or (not h[0].is_zero() and not
+                           distinct_degree_factorization(h, ground,
+                                                         degree // 2)):
+            return Polynomial(ground, 2, {(i, degree - i): c
+                                          for i, c in enumerate(h) if c})
+
+
+def level_systems(ground, k_max, rng):
+    """(points ideal, singular ideal) pairs with points spread over the
+    levels up to k_max: on P^1, a product of irreducible forms of degrees
+    1, 1, 1, 2, 2, 3, 4, with its square singular on its zeros; on P^2,
+    where P^2(F_{q^k_max}) has under 10^6 points, the conic
+    x0 x2 - x1^2 and a conic meeting it at [1:t:t^2] for the roots t of
+    (t - a)(t - b) times an irreducible quadratic, with their product
+    singular there."""
+    forms = [irreducible_binary_form(ground, d, rng)
+             for d in (1, 1, 1, 2, 2, 3, 4)]
+    f = forms[0]
+    for g in forms[1:]:
+        f = f * g
+    systems = [(Ideal([f]), Ideal([f * f]))]
+    if projective_count(2, ground.order() ** k_max) < 10 ** 6:
+        h = (irreducible_binary_form(ground, 1, rng)
+             * irreducible_binary_form(ground, 1, rng)
+             * irreducible_binary_form(ground, 2, rng))
+        # g2(1, t, t^2) = h(t, 1): x0^2, x0 x1, x1^2, x1 x2, x2^2 take h's
+        # coefficients of t^0 .. t^4
+        slots = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        g1 = parse("x0*x2 - x1^2", 3, ground)
+        g2 = Polynomial(ground, 3, {slots[i]: c for (i, _), c
+                                    in h.terms.items()})
+        systems.append((Ideal([g1, g2]), Ideal([g1 * g2])))
+    return systems
+
+
+@pytest.mark.parametrize("p,k,k_max", [
+    (5, 1, 2), (5, 1, 3), (5, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4)])
+def test_levels_read_off_the_top_scan_match_the_per_level_oracle(p, k, k_max):
+    # only F_{q^k_max} and the levels dividing no larger one are scanned:
+    # at k_max = 3 level 2 is scanned on its own, at k_max = 4 it is read
+    # off F_{q^4}; over F_9 the codes of F_9 embedded in F_81 are out of
+    # order, so each level must be put back in its own scan order
+    ground = PrimeField(p) if k == 1 else build_extension(p, k)
+    levels = set()
+    for points, singular in level_systems(ground, k_max,
+                                          random.Random(10 * p + k)):
+        want = per_level_points(points, k_max, variety_scan)
+        assert [pt.coords for pt in enumerated_points(points, k_max)] == \
+            [pt.coords for pt in want]
+        dim, _ = hilbert_data(singular)
+        codim = singular.ambient_proj_dim - dim
+        want_singular = per_level_points(
+            singular, k_max,
+            lambda gens, ext: singular_scan(gens, codim, ext))
+        assert [pt.coords for pt in singular_points(singular, k_max)] == \
+            [pt.coords for pt in want_singular]
+        assert want_singular
+        levels.update(pt.field.degree // ground.degree for pt in want)
+    assert levels == set(range(1, k_max + 1))
 
 
 def test_jacobian_rank_values():

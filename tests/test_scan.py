@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fanolines import Polynomial, PrimeField, build_extension, scan
-from fanolines.poly import random_homogeneous
+from fanolines.poly import evaluate_at, random_homogeneous
 from fanolines.scan import (VectorContext, _block_values, _blocks, _codes,
                             _inner_count, _split, singular_scan, variety_scan)
 
@@ -49,17 +49,17 @@ def test_python_mode_scan_matches_enumeration_oracle():
     f = x0 ** 3 - x1 ** 3 * Polynomial.constant(field, 2, field.generator())
     for gens, count in (([f], 1), ([f * (x0 - x1)], 2), ([f, x0 - x1], 0)):
         scanned = variety_scan(gens, field, chunk=500)
-        oracle = [pt for pt in enumerate_projective_points(1, field)
-                  if all(h.evaluate(list(pt.coords)).is_zero() for h in gens)]
-        assert [pt.coords for pt in scanned] == [pt.coords for pt in oracle]
+        assert [pt.coords for pt in scanned] == oracle_scan(gens, field)
         assert len(scanned) == count
 
 
 def expected_logs(ctx, f, arrays):
-    """Polynomial.evaluate at each point, as logs of the log kernel."""
+    """The value of f at each point by one `evaluate_at` call, as logs of
+    the log kernel."""
     field = ctx.field
-    codes = [field.code_of(f.evaluate([field.element_from_code(c) for c in row]))
-             for row in zip(*(a.tolist() for a in arrays))]
+    rows = [[field.element_from_code(c) for c in row]
+            for row in zip(*(a.tolist() for a in arrays))]
+    codes = [field.code_of(value) for value, in evaluate_at([f], rows)]
     return ctx.log[codes].tolist()
 
 
@@ -128,9 +128,7 @@ def test_scan_over_f7_4_matches_enumeration_oracle():
                         ([(x0 ** 4 - x1 ** 4) * (x0 - t * x1)], 5),
                         ([x0 * x1, x0 - x1], 0)):
         scanned = variety_scan(gens, field)
-        oracle = [pt for pt in enumerate_projective_points(1, field)
-                  if all(h.evaluate(list(pt.coords)).is_zero() for h in gens)]
-        assert [pt.coords for pt in scanned] == [pt.coords for pt in oracle]
+        assert [pt.coords for pt in scanned] == oracle_scan(gens, field)
         assert len(scanned) == count
 
 
@@ -139,8 +137,7 @@ def test_scan_decodes_each_code_once(monkeypatch):
     # prime kernel decodes nothing itself)
     field = PrimeField(7)
     f = parse("x0^3 + x1^3 + x2^3 + x0*x1*x3 + x3^3", 4, field)
-    oracle = [pt.coords for pt in enumerate_projective_points(3, field)
-              if f.evaluate(list(pt.coords)).is_zero()]
+    oracle = oracle_scan([f], field)
     codes = []
     decode = type(field).element_from_code
 
@@ -190,12 +187,9 @@ def test_scan_does_not_depend_on_the_chunk_size():
     field = build_extension(5, 2)
     x = [Polynomial.variable(field, 4, i) for i in range(4)]
     f = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - x[3] ** 3 + x[0] * x[1] * x[2]
-    points = list(enumerate_projective_points(3, field))
     for gens in ([f], [f, x[0] + x[1] + x[2] + x[3]]):
         whole = [pt.coords for pt in variety_scan(gens, field)]
-        assert whole == [pt.coords for pt in points
-                         if all(g.evaluate(list(pt.coords)).is_zero()
-                                for g in gens)]
+        assert whole == oracle_scan(gens, field)
         assert whole  # a surface and a curve on it: both have points
         for chunk in (3, 24, 625, 700):
             scanned = variety_scan(gens, field, chunk=chunk)
@@ -214,9 +208,12 @@ def test_importing_the_cli_does_not_load_numpy():
 
 
 def oracle_scan(gens, field):
+    """The coordinates of every point of P^N(F_q), in scan order, where
+    every generator vanishes, by one `evaluate_at` call over all points."""
     n_proj = gens[0].nvars - 1
-    return [pt.coords for pt in enumerate_projective_points(n_proj, field)
-            if all(g.evaluate(list(pt.coords)).is_zero() for g in gens)]
+    points = [pt.coords for pt in enumerate_projective_points(n_proj, field)]
+    return [coords for coords, values in zip(points, evaluate_at(gens, points))
+            if all(v.is_zero() for v in values)]
 
 
 class ObjectContext(VectorContext):
@@ -329,8 +326,10 @@ def test_fibre_solve_matches_enumeration_in_every_branch(p, k, n_proj,
                                                          monkeypatch):
     # chunk q, q^2 and the default: on P^3, two, one and no outer
     # coordinates; on P^2, one and none. The log kernel solves the last
-    # outer coordinate of a first generator of degree <= 2 in it; the
-    # prime kernel and the cubic stay on the block loop
+    # outer coordinate of a first generator of degree <= 2 in it, and a
+    # stratum that fits one grid gives its first coordinate up to be
+    # solved, so every chunk solves; the prime kernel and the cubic stay
+    # on the block loop
     field = PrimeField(p) if k == 1 else build_extension(p, k)
     q = field.order()
     fibre_hits, calls = scan._fibre_hits, []
@@ -348,7 +347,7 @@ def test_fibre_solve_matches_enumeration_in_every_branch(p, k, n_proj,
             calls.clear()
             got = variety_scan(gens, field, chunk=chunk)
             assert [pt.coords for pt in got] == want, (name, chunk)
-            solved = k > 1 and name != "cubic" and chunk < q ** n_proj
+            solved = k > 1 and name != "cubic"
             assert bool(calls) == solved, (name, chunk)
             seen.update(*calls)
     if k > 1:
@@ -360,8 +359,10 @@ def test_vanishing_fibres_past_the_chunk_are_pooled_in_bounded_pieces(
         monkeypatch):
     # x2*x3 on P^3 over F_9 at chunk 81: the pivot-0 stratum solves for
     # x1 over the grid of (x2, x3), where 17 fibres vanish whole, 153
-    # zeros; every pooled array, every flush and every evaluation stays
-    # within the chunk
+    # zeros; the pivot-1 stratum fits one grid and solves for x2 over x3
+    # (17 zeros), and the pivot-2 one for x3 (1 zero), 171 in all; every
+    # pooled array, every flush and every evaluation stays within the
+    # chunk
     field = build_extension(3, 2)
     f = parse("x2*x3", 4, field)
     g = parse("x0 + x1 + x2^2 - x3^2", 4, field)
@@ -384,7 +385,7 @@ def test_vanishing_fibres_past_the_chunk_are_pooled_in_bounded_pieces(
         flushes.clear()
         got = variety_scan(gens, field, chunk=chunk)
         assert [pt.coords for pt in got] == oracle_scan(gens, field)
-        assert sum(pieces) == 153 and len(pieces) > 1
+        assert sum(pieces) == 171 and len(pieces) > 1
         assert max(pieces + flushes) <= chunk
 
 
@@ -398,11 +399,13 @@ def test_object_kernel_blocks_on_p1_match_evaluate():
     f = random_homogeneous(field, 2, 4, rng)
     grid = _codes(1, 0, field.order(), np.arange(1))
     parts = [(exps, ctx.eval_poly(h, grid)) for exps, h in _split(f, 0, 1)]
-    for code in [0, 1, field.order() - 1] + [rng.randrange(field.order())
-                                             for _ in range(20)]:
+    codes = [0, 1, field.order() - 1] + [rng.randrange(field.order())
+                                         for _ in range(20)]
+    exact = evaluate_at([f], [[field.one(), field.element_from_code(code)]
+                              for code in codes])
+    for code, (value,) in zip(codes, exact):
         values = _block_values(ctx, parts, (code,))
-        exact = f.evaluate([field.one(), field.element_from_code(code)])
-        assert (0 if values is None else int(values[0])) == exact.payload
+        assert (0 if values is None else int(values[0])) == value.payload
 
 
 def test_scan_kernel_work_is_pinned(monkeypatch):
@@ -426,13 +429,27 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
         blocks.append(outer)
         return block_values(ctx, parts, outer)
 
+    build_logs, builds = VectorContext._build_logs, []
+
+    def counted_builds(self, field):
+        builds.append(field)
+        return build_logs(self, field)
+
     monkeypatch.setattr(VectorContext, "eval_poly", counted)
     monkeypatch.setattr(scan, "_block_values", counted_blocks)
+    monkeypatch.setattr(VectorContext, "_build_logs", counted_builds)
     points = singular_scan([f], 1, field)
     assert [pt.coords for pt in points] == [
         (field.one(), field.zero(), field.zero(), field.zero())]
     assert len(sizes) <= 6
-    assert sum(sizes) <= 58931
+    # the pivot-1 stratum solves for x2 over a 121-point grid, where
+    # evaluating its whole 14,641-point grid took 58931 points in all
+    assert sum(sizes) <= 44411
     # the pivot-0 stratum solves for x1 in one pass; one block per value
     # of x1 took 121 blocks there
     assert len(blocks) <= 4
+    # the log tables of F_121 are built once per process
+    builds.clear()
+    assert [pt.coords for pt in singular_scan([f], 1, field)] == \
+        [pt.coords for pt in points]
+    assert builds == []
