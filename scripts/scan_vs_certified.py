@@ -8,12 +8,11 @@ partial, a quadric, solved for one coordinate by the quadratic formula,
 the others evaluated on its zeros).  Only F_{p^kmax} and the levels
 dividing no larger one are scanned; the points of a lower residue
 degree k are read off a scan that contains F_{p^k} and brought down to
-it.  Comparing
-that scan with
-the certified node list catches two failure modes that certification
-alone cannot: a node the construction missed, and a stray singular
-point off the distinguished plane (which does happen at small p; such
-draws are reported as DEGENERATE below, not hidden).
+it.  Comparing that scan with the certified node list catches two
+failure modes that certification alone cannot: a node the construction
+missed, and a stray singular point off the distinguished plane (which
+does happen at small p; such draws are reported as DEGENERATE below,
+not hidden).
 
 Usage:
     python3 scripts/scan_vs_certified.py --r 1 --prime 11 --seeds 6

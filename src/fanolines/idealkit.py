@@ -24,7 +24,7 @@ from .groebner import groebner_basis
 from .hilbert import staircase_data
 from .poly import (GREVLEX, Polynomial, jacobian_rank_at, random_homogeneous,
                    random_linear_form)
-from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
+from .projgeo import DEFAULT_BUDGET, ProjectivePoint, exceeds_budget
 from .scan import singular_scan, variety_scan
 from .solve import SolveResult, exact_relative_degree, solve_projective
 
@@ -124,7 +124,8 @@ def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
     assert field.is_finite, "point scanning needs a finite field"
     if not ideal.nonzero_generators():
         raise BudgetExceeded("the zero ideal has the whole space as zeros")
-    if projective_count(ideal.ambient_proj_dim, field.order() ** k_max) <= budget:
+    if not exceeds_budget(ideal.ambient_proj_dim, field.order(), budget,
+                          k_max):
         return enumerated_points(ideal, k_max, budget)
     dim, _ = hilbert_data(ideal)
     if dim > 0:
@@ -170,10 +171,9 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
     field = ideal.field
     n_proj = ideal.ambient_proj_dim
     q = field.order()
-    total = projective_count(n_proj, q ** k_max)
-    if total > budget:
+    if exceeds_budget(n_proj, q, budget, k_max):
         raise BudgetExceeded(
-            f"P^{n_proj}(F_{q}^{k_max}) has {total} points, budget {budget}")
+            f"P^{n_proj}(F_{q}^{k_max}) has more than {budget} points")
     gens = ideal.nonzero_generators()
     levels: Dict[int, List[ProjectivePoint]] = {}
     for top in range(k_max, 0, -1):

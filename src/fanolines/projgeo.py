@@ -20,6 +20,18 @@ def projective_count(n_proj: int, q: int) -> int:
     return (q ** (n_proj + 1) - 1) // (q - 1)
 
 
+def exceeds_budget(n_proj: int, q: int, budget: int, k: int = 1) -> bool:
+    """Whether |P^N(F_{q^k})| > budget, without building q^k when it is
+    huge: for N >= 1 the count is above q^(kN) >= 2^(kN (bits(q) - 1)),
+    so a kN (bits(q) - 1) of at least the bit length of the budget
+    decides it, and only smaller powers are computed."""
+    if not n_proj:
+        return budget < 1  # P^0 is one point
+    if k * n_proj * (q.bit_length() - 1) >= budget.bit_length():
+        return True
+    return projective_count(n_proj, q ** k) > budget
+
+
 class ProjectivePoint:
     """Point of P^N in canonical form (first nonzero coordinate = 1)."""
 

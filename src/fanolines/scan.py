@@ -18,18 +18,20 @@ kind has one kernel, chosen by `VectorContext`:
 canonical form of `projgeo.ProjectivePoint` (first nonzero coordinate,
 the pivot, is 1). The pivot runs from N down to 0, so [0:...:0:1] comes
 first, and within a stratum the free coordinates after the pivot ascend
-by code, the leftmost most significant. It evaluates the first
-generator by partial evaluation, in the manner of a multivariate Horner
-scheme: the trailing free coordinates run through one cached grid per
-stratum, and the leading ones enter each block as scalars. In the log
-kernel, when the first generator has degree <= 2 in the free coordinate
-just before the grid, that one is solved for instead of enumerated: its
-zeros over each grid point come from the quadratic formula on the log
-tables, and a stratum that fits one grid gives its first free coordinate
-up to be solved for. The later generators run on the pooled zeros of the
-first, and only their common zeros are sorted into scan order. Every
-point is still decided exactly, so the output is the same either way.
-The log tables are built once per field and process.
+by code, the leftmost most significant. Every stratum with a free
+coordinate takes one route: its free coordinates split as
+lead | y | grid. The grid is the trailing coordinates whose q^g points
+fit one chunk, all but y at most; y is the coordinate just before it;
+the lead coordinates enter one tuple at a time as scalars. In the manner
+of a multivariate Horner scheme, the first generator is evaluated once
+per stratum on the grid and is, for each lead tuple, a polynomial in y
+with arrays on the grid as coefficients. Its zeros in y are solved for
+by the quadratic formula on the log tables in the log kernel at degree
+<= 2 in y, and otherwise found by Horner's rule at every value of y, in
+bands of values that fit one chunk. The later generators run on the
+pooled zeros of the first, and only their common zeros are sorted into
+scan order. Every point is still decided exactly, so the output is the
+same either way. The log tables are built once per field and process.
 
 numpy is imported inside the functions that use it, so importing the
 package does not load it until a command scans.
@@ -44,17 +46,18 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 from .errors import BudgetExceeded
 from .field import ExtensionField, Field, FieldElement, PrimeField
 from .poly import Monomial, Polynomial, jacobian_rank_at
-from .projgeo import DEFAULT_BUDGET, ProjectivePoint, projective_count
+from .projgeo import DEFAULT_BUDGET, ProjectivePoint, exceeds_budget
 
 if TYPE_CHECKING:
     import numpy as np
 
-# 2^14 points bound a block and the survivor pool. The grid of the last
-# two coordinates of P^3 over F_121 (14,641 points) fits in one block, and
-# an array of int64 codes of a block (at most 128 KiB) stays within glibc's
-# initial mmap threshold, so blocks reuse heap memory: an r = 1 singular
-# scan over F_121 takes about 300 page faults, where the per-chunk loop
-# with chunks of 2^17 points took about 24,000.
+# 2^14 points bound a grid, a band of values of y and the survivor pool.
+# The grid of the last two coordinates of P^3 over F_121 (14,641 points)
+# fits in one chunk, and an array of int64 codes of a chunk (at most
+# 128 KiB) stays within glibc's initial mmap threshold, so the arrays
+# reuse heap memory: an r = 1 singular scan over F_121 takes about 300
+# page faults, where the per-chunk loop with chunks of 2^17 points took
+# about 24,000.
 DEFAULT_CHUNK = 1 << 14
 
 
@@ -106,6 +109,9 @@ class VectorContext:
         by a fixed element is F_p-linear on coefficient vectors, so the
         antilog table (the codes of g^0, g^1, ...) doubles at each step:
         g^s .. g^(2s-1) are g^0 .. g^(s-1) times the matrix of g^s, mod p.
+        Only the int32 codes are kept; the digits of a block of rows at a
+        time are taken from them for the product, so the build's peak
+        memory stays near that of the tables.
         """
         import numpy as np
         p, k, n, one = field.p, field.k, self.q - 1, field.one()
@@ -114,33 +120,37 @@ class VectorContext:
                      if all(field.element_from_code(code) ** (n // l) != one
                             for l in primes))
         units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-        powers = np.zeros((n, k), dtype=np.int64)
-        powers[0, 0] = 1
+        weights = p ** np.arange(k, dtype=np.int64)
+        rows = max(1, (1 << 16) // k)  # a block's int64 digits: 512 KiB
+        z = self.zero = 2 * n - 1
+        # codes[l] is the code of g^l, and the code 0 at l = Z
+        codes = np.zeros(z + 1, dtype=np.int32)
+        codes[0] = 1
         size, step = 1, field.element_from_code(start).payload  # step = g^size
         while size < n:
             count = min(size, n - size)
             matrix = np.array([field._mul(u, step) for u in units],
                               dtype=np.int64)
-            powers[size:size + count] = powers[:count] @ matrix % p
+            for lo in range(0, count, rows):
+                hi = min(lo + rows, count)
+                digits = codes[lo:hi, None] // weights % p
+                codes[size + lo:size + hi] = digits @ matrix % p @ weights
             size += count
             step = field._mul(step, step)
-        antilog = (powers @ p ** np.arange(k, dtype=np.int64)).astype(np.int32)
-        z = self.zero = 2 * n - 1
+        antilog = codes[:n]
         log = np.empty(self.q, dtype=np.int32)
         log[0] = z
         log[antilog] = np.arange(n, dtype=np.int32)
-        sums = np.arange(2 * z + 1, dtype=np.int32)
-        mod = np.where(sums < z, sums % n, z).astype(np.int32)
+        mod = np.arange(2 * z + 1, dtype=np.int32)
+        mod[:z] %= n
+        mod[z:] = z
         # zech[d + z] for d = lb - la: log(1 + g^d) when both are nonzero,
         # d itself when a = 0 (so la + d = lb), and 0 when b = 0
         one_plus = log[antilog - antilog % p + (antilog + 1) % p]
         zech = np.zeros(2 * z + 1, dtype=np.int32)
-        zech[:n] = np.arange(n, dtype=np.int32) - z
-        d = np.arange(-(n - 1), n)
-        zech[d + z] = one_plus[d % n]
-        # antilog[l] is the code of g^l, and the code 0 at l = Z
-        codes = np.zeros(z + 1, dtype=np.int32)
-        codes[:n] = antilog
+        zech[:n] = np.arange(-z, n - z, dtype=np.int32)
+        zech[z - n + 1:z] = one_plus[1:]  # d < 0
+        zech[z:z + n] = one_plus  # d >= 0
         self.log, self.mod, self.zech, self.antilog = log, mod, zech, codes
 
     # The kernel operations below take arrays and Python ints alike. In
@@ -222,13 +232,14 @@ def _log_context(field: ExtensionField) -> VectorContext:
     return VectorContext(field)
 
 
-def _inner_count(free: int, q: int, chunk: int) -> int:
+def _grid_count(free: int, q: int, chunk: int) -> int:
     """How many trailing free coordinates of a stratum span its grid: as
-    many as keep q^inner <= max(chunk, q)."""
-    inner, bound = 0, max(chunk, q)
-    while inner < free and q ** (inner + 1) <= bound:
-        inner += 1
-    return inner
+    many as keep q^g <= chunk, and at most free - 1, so that the
+    coordinate y before the grid is left."""
+    g = 0
+    while g < free - 1 and q ** (g + 1) <= chunk:
+        g += 1
+    return g
 
 
 def _codes(n_proj: int, pivot: int, q: int, idx: np.ndarray) -> List[np.ndarray]:
@@ -245,19 +256,6 @@ def _codes(n_proj: int, pivot: int, q: int, idx: np.ndarray) -> List[np.ndarray]
         digits.append(digit)
     ones = np.ones(len(idx), dtype=idx.dtype)
     return [np.zeros_like(ones)] * pivot + [ones] + digits[::-1]
-
-
-def _blocks(free: int, inner: int, q: int,
-            chunk: int) -> Iterator[Tuple[Tuple[int, ...], int, int, int]]:
-    """The blocks of a stratum with `free` free coordinates, in enumeration
-    order, as (outer, start, stop, first): the codes of the leading
-    free - inner coordinates, fixed in the block; the range [start, stop)
-    of the grid of the trailing `inner` ones that it spans, the whole grid
-    unless q > chunk; and the stratum index of its first point."""
-    size = q ** inner
-    for rank, outer in enumerate(product(range(q), repeat=free - inner)):
-        for start in range(0, size, chunk):
-            yield outer, start, min(start + chunk, size), rank * size + start
 
 
 def _split(f: Polynomial, pivot: int,
@@ -361,37 +359,60 @@ def _fibre_hits(ctx: VectorContext, coeffs: Sequence[Optional[np.ndarray]],
         done, lo = ends[hi - 1], hi
 
 
+def _enumerated_hits(ctx: VectorContext,
+                     coeffs: Sequence[Optional[np.ndarray]], size: int,
+                     chunk: int) -> Iterator[np.ndarray]:
+    """The zeros of sum_e H_e y^e, y in F_q, on the `size` <= chunk grid
+    points j, as ascending indices y * size + j: Horner's rule at every
+    value of y, in bands of max(1, chunk // size) values, one array of
+    at most `chunk` per band. coeffs are the kernel arrays H_0, H_1, ...
+    (None for zero)."""
+    import numpy as np
+    q, band = ctx.q, max(1, chunk // size)
+    for lo in range(0, q, band):
+        hi = min(lo + band, q)
+        y = ctx.coords(np.arange(lo, hi))[:, None]
+        acc = None
+        for h in reversed(coeffs):
+            if acc is not None:
+                acc = ctx.mul(acc, y)
+            if h is not None:
+                acc = h if acc is None else ctx.add(acc, h)
+        zero = True if acc is None else acc == ctx.zero  # None: all zeros
+        hits = np.flatnonzero(np.broadcast_to(zero, (hi - lo, size)))
+        if len(hits):
+            yield hits + lo * size
+
+
 def variety_scan(gens: Sequence[Polynomial], field: Field,
                  budget: int = DEFAULT_BUDGET,
                  chunk: int = DEFAULT_CHUNK) -> List[ProjectivePoint]:
     """All points of P^N(F_q) where every generator vanishes, in the scan
     order of the module docstring.
 
-    The first generator is evaluated by partial evaluation: on each pivot
-    stratum it is split as sum_a y^a h_a(z) over the leading free
-    coordinates y and the trailing ones z, each h_a is evaluated once on
-    the grid of z, and each tuple of y is one block whose values are the
-    grid arrays times scalar monomials. In the log kernel, when the grid
-    is whole (q^inner <= chunk) and the first generator has degree <= 2
-    in the free coordinate just before it, that coordinate is solved for:
-    only the outer coordinates before it make blocks, over each block the
-    generator is H_2 y^2 + H_1 y + H_0 in it, y, with the H_e arrays on
-    the grid, and `_fibre_hits` gives its zeros in y exactly, by the
-    quadratic formula (all of F_q where the H_e all vanish). A stratum
-    that fits one grid gives its first free coordinate up to be solved
-    for. The indices of the zeros are pooled across blocks and strata, at
-    most `chunk` at a time, and the later generators run on the pool
-    whenever it would pass `chunk` points; only their common zeros are
-    put in scan order.
+    The free coordinates of each pivot stratum split as lead | y | grid
+    (`_grid_count`). The first generator is split as sum_a lead^a h_a
+    (`_split`), each h_a is evaluated once on the grid, and for each lead
+    tuple `_block_values` sums the grid arrays times scalar monomials into
+    H_e, so that the generator is sum_e H_e y^e over the grid. In the log
+    kernel at degree <= 2 in y, `_fibre_hits` gives its zeros in y exactly
+    by the quadratic formula (all of F_q where the H_e all vanish);
+    otherwise `_enumerated_hits` evaluates it at every value of y by
+    Horner's rule, in bands of at most `chunk` points. The point
+    [0:...:0:1] is decided from the terms of the first generator in x_N
+    alone. The indices of the zeros are pooled across lead tuples and
+    strata, at most `chunk` at a time, and the later generators run on the
+    pool whenever it would pass `chunk` points; only their common zeros
+    are put in scan order.
     """
     import numpy as np
     gens = [g for g in gens if not g.is_zero()]
     assert gens, "no nonzero generators"
     n_proj = gens[0].nvars - 1
     q = field.order()
-    total = projective_count(n_proj, q)
-    if total > budget:
-        raise BudgetExceeded(f"P^{n_proj}(F_{q}) has {total} points, budget {budget}")
+    if exceeds_budget(n_proj, q, budget):
+        raise BudgetExceeded(
+            f"P^{n_proj}(F_{q}) has more than {budget} points")
     ctx = (VectorContext(field) if isinstance(field, PrimeField)
            else _log_context(field))
     decoded: Dict[int, FieldElement] = {}  # a dict: q can be 2^32
@@ -438,44 +459,31 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
 
     for pivot in range(n_proj, -1, -1):
         free = n_proj - pivot
-        inner = _inner_count(free, q, chunk)
-        if ctx.mode == "log" and free:
-            # a stratum that fits one grid gives its first coordinate up
-            on_grid = min(inner, free - 1)
-            parts = _split(gens[0], pivot, free - on_grid)
-            size = q ** on_grid
-            if size <= chunk and all(exps[-1] <= 2 for exps, _ in parts):
-                index = np.int32 if q ** free < 2 ** 31 else np.int64
-                grid = _codes(n_proj, pivot, q, np.arange(size))
-                groups: List[List[Tuple[Monomial, np.ndarray]]] = [[], [], []]
-                for exps, h in parts:  # by the exponent of y
-                    groups[exps[-1]].append((exps[:-1],
-                                             ctx.eval_poly(h, grid)))
-                for rank, lead in enumerate(product(
-                        range(q), repeat=free - on_grid - 1)):
-                    if lead:
-                        coeffs = [_block_values(ctx, g, lead) for g in groups]
-                    else:  # at most one part per exponent: its grid values
-                        coeffs = [g[0][1] if g else None for g in groups]
-                    for hits in _fibre_hits(ctx, coeffs, size, chunk):
-                        collect(pivot, hits.astype(index, copy=False)
-                                + rank * q * size)
-                continue
-        parts = _split(gens[0], pivot, free - inner)
-        span = None
-        for outer, start, stop, first in _blocks(free, inner, q, chunk):
-            if (start, stop) != span:  # once per stratum unless q > chunk
-                span = (start, stop)
-                grid = _codes(n_proj, pivot, q, np.arange(start, stop))
-                grid_parts = [(exps, ctx.eval_poly(h, grid))
-                              for exps, h in parts]
-            values = _block_values(ctx, grid_parts, outer)
-            if values is None:  # every point of the block is a zero
-                hits = np.arange(first, first + stop - start)
-            else:
-                hits = np.flatnonzero(values == ctx.zero) + first
-            if len(hits):
-                collect(pivot, hits)
+        if not free:  # [0:...:0:1]: only the terms in x_N alone are left
+            value = sum((c for mono, c in gens[0].terms.items()
+                         if not any(mono[:pivot])), field.zero())
+            if value.is_zero():
+                collect(pivot, np.zeros(1, dtype=np.int32))
+            continue
+        on_grid = _grid_count(free, q, chunk)
+        size = q ** on_grid
+        grid = _codes(n_proj, pivot, q, np.arange(size))
+        # the parts of the first generator by the exponent of y
+        groups: Dict[int, List[Tuple[Monomial, np.ndarray]]] = {}
+        for exps, h in _split(gens[0], pivot, free - on_grid):
+            groups.setdefault(exps[-1], []).append((exps[:-1],
+                                                    ctx.eval_poly(h, grid)))
+        degree = max(groups, default=0)
+        hits_of = (_fibre_hits if ctx.mode == "log" and degree <= 2
+                   else _enumerated_hits)
+        index = np.int32 if q ** free < 2 ** 31 else np.int64
+        for rank, lead in enumerate(product(range(q),
+                                            repeat=free - on_grid - 1)):
+            coeffs = [_block_values(ctx, groups[e], lead) if e in groups
+                      else None for e in range(max(degree, 2) + 1)]
+            for hits in hits_of(ctx, coeffs, size, chunk):
+                collect(pivot, hits.astype(index, copy=False)
+                        + rank * q * size)
     if pooled:
         flush()
     return out

@@ -138,6 +138,23 @@ def test_sing_locus_budget_checked_before_any_level(fixture_file,
                  "--budget", "200000"]) == 4
 
 
+@pytest.mark.parametrize("k_max", ["20000", "1000000"])
+def test_sing_locus_huge_kmax_is_a_budget_overflow(fixture_file, k_max,
+                                                   capsys):
+    # |P^2(F_10007^20000)| has some 160,000 digits: the budget check must
+    # neither build it nor print it
+    assert main(["sing-locus", fixture_file, "--prime", "10007",
+                 "--kmax", k_max]) == 4
+    assert "more than 100000000 points" in capsys.readouterr().err
+
+
+def test_bezout_check_huge_kmax_does_not_build_the_count():
+    # the slices of two quadrics in P^3 are solved, not enumerated;
+    # deciding that took 22.5 s at --kmax 100000 while q^k_max was built
+    assert main(["bezout-check", "3", "2", "2", "--kmax", "100000",
+                 "--quiet"]) == 0
+
+
 def test_voisin_demo_ok(capsys):
     code = main(["voisin-demo", "1", "--seed", "0", "--quiet"])
     assert code == 0

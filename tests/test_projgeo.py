@@ -6,7 +6,8 @@ import pytest
 
 from fanolines import PrimeField, ProjectivePoint, build_extension
 from fanolines.linalg import mat_inverse
-from fanolines.projgeo import base_point, move_to_base_point, projective_count
+from fanolines.projgeo import (base_point, exceeds_budget, move_to_base_point,
+                               projective_count)
 from fanolines.poly import random_homogeneous
 from fanolines.errors import BudgetExceeded
 
@@ -35,6 +36,19 @@ def test_enumeration_counts_examples():
     assert projective_count(5, 7) == 19608
     f3 = PrimeField(3)
     assert len(list(enumerate_projective_points(1, f3))) == 4
+
+
+def test_budget_check_matches_the_count_without_the_huge_power():
+    # every small case agrees with the exact count, at the budget's edge too
+    for n in range(4):
+        for q in (2, 3, 4, 7, 9, 11, 121, 10007):
+            for k in range(1, 5):
+                total = projective_count(n, q ** k)
+                for budget in (0, 1, total - 1, total, total + 1, 10 ** 8):
+                    assert exceeds_budget(n, q, budget, k) == (total > budget)
+    # P^3(F_10007^(10^9)) would be a power of some 4 * 10^10 digits
+    assert exceeds_budget(3, 10007, 10 ** 8, 10 ** 9)
+    assert not exceeds_budget(0, 10007, 1, 10 ** 9)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])

@@ -10,8 +10,8 @@ import pytest
 
 from fanolines import Polynomial, PrimeField, build_extension, scan
 from fanolines.poly import evaluate_at, random_homogeneous
-from fanolines.scan import (VectorContext, _block_values, _blocks, _codes,
-                            _inner_count, _split, singular_scan, variety_scan)
+from fanolines.scan import (VectorContext, _block_values, _codes, _grid_count,
+                            _split, singular_scan, variety_scan)
 
 from conftest import enumerate_projective_points, parse
 
@@ -155,32 +155,31 @@ def test_scan_decodes_each_code_once(monkeypatch):
     (3, 5, 7), (3, 5, 25), (3, 5, 1 << 14), (2, 11, 100), (2, 11, 121),
     (3, 9, 500), (1, 2187, 500), (4, 3, 10)])
 def test_chart_chunks_match_the_digit_formula(n_proj, q, chunk):
-    # each block's slice of the grid of trailing coordinates, with its
-    # outer coordinates filled in, gives the base-q digits of the point
-    # index, also where q > chunk splits the grid into several slices
-    for pivot in range(n_proj, -1, -1):
+    # a stratum splits as lead | y | grid: the grid spans the most trailing
+    # coordinates whose q^g points fit the chunk, at most free - 1 of them,
+    # and the point with lead tuple number `rank`, y and grid point j has
+    # the stratum index (rank * q + y) * size + j, whose base-q digits are
+    # its free coordinates, also where q > chunk leaves the grid one point
+    for pivot in range(n_proj - 1, -1, -1):
         free = n_proj - pivot
-        inner = _inner_count(free, q, chunk)
-        bound = max(chunk, q)
-        assert q ** inner <= bound
-        assert inner == free or q ** (inner + 1) > bound
-        idx = np.arange(q ** free)
-        want = [np.zeros_like(idx)] * pivot + [np.ones_like(idx)] + [
-            idx // q ** (free - 1 - j) % q for j in range(free)]
-        blocks, seen = [], 0
-        for outer, start, stop, first in _blocks(free, inner, q, chunk):
-            assert 0 < stop - start <= chunk and first == seen
-            assert len(outer) == free - inner
-            codes = _codes(n_proj, pivot, q, np.arange(start, stop))
-            for j, code in enumerate(outer):
-                codes[pivot + 1 + j] = np.full(stop - start, code)
-            blocks.append(codes)
-            seen += stop - start
-        got = [np.concatenate(col) for col in zip(*blocks)]
+        g = _grid_count(free, q, chunk)
+        size = q ** g
+        assert size <= chunk and g <= free - 1
+        assert g == free - 1 or q ** (g + 1) > chunk
+        grid = _codes(n_proj, pivot, q, np.arange(size))
+        ranks = np.arange(q ** (free - g - 1))
+        rank, y, j = (a.ravel() for a in np.meshgrid(
+            ranks, np.arange(q), np.arange(size), indexing="ij"))
+        lead = [rank // q ** (free - g - 2 - i) % q
+                for i in range(free - g - 1)]
+        want = [np.zeros_like(j)] * pivot + [np.ones_like(j)] + lead + [y] + [
+            c[j] for c in grid[n_proj + 1 - g:]]
+        got = _codes(n_proj, pivot, q, (rank * q + y) * size + j)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
-        # the survivor pool decodes stratum indices with the same formula
-        assert [a.tolist() for a in _codes(n_proj, pivot, q, idx)] == \
-            [a.tolist() for a in want]
+        # the indices run once over the stratum, in scan order
+        assert ((rank * q + y) * size + j).tolist() == list(range(q ** free))
+    assert [a.tolist() for a in _codes(n_proj, n_proj, q, np.arange(1))] == \
+        [[0]] * n_proj + [[1]]
 
 
 def test_scan_does_not_depend_on_the_chunk_size():
@@ -252,13 +251,12 @@ def test_scan_matches_enumeration_for_every_block_shape(kernel, p, k, n_proj,
     assert scan.VectorContext(field).dtype == {
         "int64": np.int64, "object": object, "log": np.int32}[kernel]
     q = field.order()
-    # chunks giving: one block per stratum; n_proj - 1 outer coordinates
-    # fixed per block (two on P^3); q > chunk, so one inner coordinate,
-    # cut into slices
-    shapes = {1 << 14: (n_proj, 0), q: (1, n_proj - 1), q - 2: (1, n_proj - 1)}
-    for chunk, (inner, outer) in shapes.items():
-        assert _inner_count(n_proj, q, chunk) == inner
-        assert n_proj - inner == outer
+    # chunks giving the pivot-0 stratum a grid of: its last n_proj - 1
+    # coordinates; one coordinate; no coordinate, q > chunk, so y runs in
+    # bands of chunk values
+    shapes = {1 << 14: n_proj - 1, q: 1, q - 2: 0}
+    for chunk, grid in shapes.items():
+        assert _grid_count(n_proj, q, chunk) == grid
     systems = differential_systems(field, n_proj, random.Random(p * 10 + k))
     # x0 * quadric has no term left on the strata where x0 = 0
     assert [_split(systems[1][0], pivot, 0)
@@ -283,7 +281,7 @@ def test_scan_matches_enumeration_for_every_block_shape(kernel, p, k, n_proj,
 
 
 def fibre_branches(ctx, coeffs, size):
-    """Which cases of the quadratic formula the fibres of one solved block
+    """Which cases of the quadratic formula the fibres of one lead tuple
     reach, by field arithmetic on the decoded coefficients H_0, H_1, H_2."""
     field, seen = ctx.field, set()
     codes = np.stack([np.zeros(size, dtype=np.int64) if h is None
@@ -324,12 +322,12 @@ def solver_systems(field, n_proj, rng):
     (3, 2, 3), (5, 2, 2), (3, 3, 2), (7, 1, 3)])
 def test_fibre_solve_matches_enumeration_in_every_branch(p, k, n_proj,
                                                          monkeypatch):
-    # chunk q, q^2 and the default: on P^3, two, one and no outer
-    # coordinates; on P^2, one and none. The log kernel solves the last
-    # outer coordinate of a first generator of degree <= 2 in it, and a
-    # stratum that fits one grid gives its first coordinate up to be
-    # solved, so every chunk solves; the prime kernel and the cubic stay
-    # on the block loop
+    # chunk q, q^2 and the default: the pivot-0 stratum of P^3 has one
+    # lead coordinate and a grid of one, then no lead coordinate and a
+    # grid of two; on P^2 the grid is one coordinate at every chunk. The
+    # log kernel solves for y when the first generator has degree <= 2
+    # in it, so every chunk solves; the prime kernel and the cubic run
+    # Horner's rule in y (`_enumerated_hits`)
     field = PrimeField(p) if k == 1 else build_extension(p, k)
     q = field.order()
     fibre_hits, calls = scan._fibre_hits, []
@@ -389,7 +387,7 @@ def test_vanishing_fibres_past_the_chunk_are_pooled_in_bounded_pieces(
         assert max(pieces + flushes) <= chunk
 
 
-def test_object_kernel_blocks_on_p1_match_evaluate():
+def test_object_kernel_block_values_on_p1_match_evaluate():
     # (p-1)^2 >= 2^63: grid values times outer scalars stay exact Python
     # ints. x1 is the outer coordinate over a one-point grid of P^1.
     field = PrimeField(4294967311)
@@ -425,7 +423,7 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
 
     block_values, blocks = scan._block_values, []
 
-    def counted_blocks(ctx, parts, outer):
+    def counted_block_values(ctx, parts, outer):
         blocks.append(outer)
         return block_values(ctx, parts, outer)
 
@@ -436,7 +434,7 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
         return build_logs(self, field)
 
     monkeypatch.setattr(VectorContext, "eval_poly", counted)
-    monkeypatch.setattr(scan, "_block_values", counted_blocks)
+    monkeypatch.setattr(scan, "_block_values", counted_block_values)
     monkeypatch.setattr(VectorContext, "_build_logs", counted_builds)
     points = singular_scan([f], 1, field)
     assert [pt.coords for pt in points] == [
@@ -453,3 +451,62 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
     assert [pt.coords for pt in singular_scan([f], 1, field)] == \
         [pt.coords for pt in points]
     assert builds == []
+
+
+@pytest.mark.parametrize("p,k,bound", [(11, 1, 84), (3, 2, 50)])
+def test_first_generator_is_combined_per_lead_tuple_and_band(p, k, bound,
+                                                            monkeypatch):
+    # a cubic surface in P^3 at chunk 60, in the prime kernel over F_11 and
+    # the log kernel over F_9: q <= 60 < q^2, so the grid is x3 alone and
+    # the pivot-0 stratum runs q lead tuples x1, each with Horner's rule
+    # in x2 on bands of 60 // q values, 3 over F_11 and 2 over F_9. A lead
+    # tuple adds at most once in `_block_values` and a band at most twice,
+    # and the two smaller strata 7 times over F_11 and 5 over F_9 (84 and
+    # 50 adds); one block per tuple (x1, x2) took 340 and 224
+    field = PrimeField(p) if k == 1 else build_extension(p, k)
+    q = field.order()
+    f = parse("x0^3 + x1^3 + x2^3 - x3^3 + x0*x1*x2 + x1*x2*x3", 4, field)
+    want = oracle_scan([f], field)
+    depth, adds = [0], []
+    eval_poly, add = VectorContext.eval_poly, VectorContext.add
+
+    def evaluated(self, g, arrays):
+        depth[0] += 1
+        try:
+            return eval_poly(self, g, arrays)
+        finally:
+            depth[0] -= 1
+
+    def counted(self, a, b):
+        if not depth[0]:  # combining grid values, not evaluating a grid
+            adds.append(1)
+        return add(self, a, b)
+
+    monkeypatch.setattr(VectorContext, "eval_poly", evaluated)
+    monkeypatch.setattr(VectorContext, "add", counted)
+    assert [pt.coords for pt in variety_scan([f], field, chunk=60)] == want
+    assert len(adds) <= bound
+    assert _grid_count(3, q, 60) == 1
+
+
+def test_log_table_build_stays_near_the_kept_tables():
+    # F_{3^12} keeps 22.3 MiB of tables; doubling the antilog table
+    # through an int64 (q - 1) x k digit matrix peaked at 99.5 MB, and
+    # doubling the int32 codes in row blocks stays within 1.5x of them.
+    # The blocks reproduce g^(l+1) = g * g^l at sampled l.
+    import tracemalloc
+    field = build_extension(3, 12)
+    tracemalloc.start()
+    try:
+        ctx = VectorContext(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (ctx.log, ctx.mod, ctx.zech, ctx.antilog))
+    assert peak <= 1.5 * kept
+    n = field.order() - 1
+    g = field.element_from_code(int(ctx.antilog[1]))
+    for l in random.Random(12).sample(range(n), 200):
+        power = field.element_from_code(int(ctx.antilog[l]))
+        assert field.code_of(power * g) == ctx.antilog[(l + 1) % n]
+        assert ctx.log[ctx.antilog[l]] == l
