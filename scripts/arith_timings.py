@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Per-operation timings of the finite-field arithmetic and root extraction.
+
+Each operation runs `--number` times per repeat; the script prints the
+median over `--repeat` repeats of the microseconds per call, one line
+per operation:
+
+- `mul` and `inv`: one product and one inverse of random payloads of
+  F_{10007^2}, F_{10007^6}, F_{3^6} and F_{4294967311^2};
+- `packer64`: one `Field._packer(64)` call, as `groebner` makes per
+  reducer;
+- `roots_orbit6`: `roots_in_field` on the irreducible sextic over
+  F_10007 of `test_orbit_six_root_work_is_pinned`, split in
+  F_{10007^6}.
+
+Only names that every version of the package has are used, so the same
+script times two checkouts for comparison.
+
+Usage:
+    PYTHONPATH=src python3 scripts/arith_timings.py --repeat 7
+"""
+
+import argparse
+import random
+import statistics
+import timeit
+
+from fanolines import PrimeField, build_extension
+from fanolines.field import relative_extension
+from fanolines.unipoly import roots_in_field
+
+FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
+
+ORBIT_SIX = [1596, 8186, 9026, 1665, 7777, 3788, 1]
+
+
+def median_us(stmt, number: int, repeat: int) -> float:
+    times = timeit.repeat(stmt, number=number, repeat=repeat)
+    return statistics.median(times) / number * 1e6
+
+
+def operations():
+    """(name, callable) of every timed operation."""
+    rng = random.Random("arith-timings")
+    ops = []
+    for p, k in FIELDS:
+        field = build_extension(p, k)
+        pairs = [(field.sample(rng).payload, field.sample(rng).payload)
+                 for _ in range(64)]
+        units = [a for a, _ in pairs if any(a)]
+        mul, inv = field._mul, field._inv
+
+        def products(pairs=pairs, mul=mul):
+            for a, b in pairs:
+                mul(a, b)
+
+        def inverses(units=units, inv=inv):
+            for a in units:
+                inv(a)
+
+        ops.append((f"mul {field}", products, len(pairs)))
+        ops.append((f"inv {field}", inverses, len(units)))
+        ops.append((f"packer64 {field}",
+                    lambda field=field: field._packer(64), 1))
+    ground = PrimeField(10007)
+    ext, embed = relative_extension(ground, 6)
+    sextic = [embed(ground.from_int(c)) for c in ORBIT_SIX]
+    ops.append(("roots_orbit6 GF(10007^6)",
+                lambda: roots_in_field(sextic, ext, random.Random(0),
+                                       orbit=6), 1))
+    return ops
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=7)
+    ap.add_argument("--number", type=int, default=50,
+                    help="calls of each operation per repeat")
+    args = ap.parse_args()
+    for name, run, calls in operations():
+        us = median_us(run, args.number, args.repeat) / calls
+        print(f"{name:<32} {us:10.2f} us")
+
+
+if __name__ == "__main__":
+    main()

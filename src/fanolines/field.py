@@ -21,20 +21,28 @@ form (`groebner.normal_form_payload`).
 `Field._packer(terms)` returns (pack, unpack), and unpack(sum of up to
 `terms` products pack(a) * pack(b)) is the payload of the sum of the
 products a * b; pack(1) is 1, so a sum of packed payloads is one too.
-Over F_{p^k} pack puts digit i in slot i of an int
-(Kronecker substitution; von zur Gathen-Gerhard, *Modern Computer
-Algebra*, §8.4), with slots wide enough that the sum never carries, so
-it is reduced once instead of once per product (delayed reduction, as in
-Dumas-Giorgi-Pernet's FFLAS). One product in F_{p^k} is the same packed
-product with `terms` = 1, and an inverse is extended Euclid over F_p on
-the digit lists (ibid., §4.2).
+
+One class, `_Ring`, packs every product modulo a polynomial: F_{p^k} is
+F_p[t]/(modulus), and `unipoly` works in F_{p^k}[x]/(m). The t^j digit
+of coefficient i goes to slot i(2k - 1) + j of an int (Kronecker
+substitution; von zur Gathen-Gerhard, *Modern Computer Algebra*, §8.4),
+with slots wide enough that a sum of `terms` products never carries, so
+it is reduced once (delayed reduction, as in Dumas-Giorgi-Pernet's
+FFLAS): the overflow slots mod p fold back by packed reduced rows, and
+the unit slots mod p are the digits. A field keeps its ring for one
+product, widened per `_packer(terms)` width once. The ring of a field
+holds the one Euclid for polynomials over it, a division adding one
+packed product per step (`_Ring.divmod`), and inverts by extended
+Euclid over F_p on the digit lists (ibid., §4.2).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from operator import lshift, mul
+import struct
 from typing import Callable, Tuple, Union
 
 from .errors import InvalidParameters, NotPrime, ZeroInversion
@@ -282,6 +290,7 @@ class PrimeField(Field):
             # quadratic-form ranks and the node certificates need 1/2
             raise InvalidParameters("characteristic 2 is unsupported")
         self.p = p
+        self.ring = _Ring(p, (0, 1), 1)  # F_p[x]/(x): Euclid over F_p
 
     def key(self):
         return ("prime", self.p)
@@ -355,16 +364,8 @@ class ExtensionField(Field):
         self.p = p
         self.k = k
         self.modulus = tuple(c % p for c in modulus)
-        # t^(k+i) mod modulus, i = 0..k-2, for one-pass reduction of products
-        red = []
-        cur = [(-c) % p for c in self.modulus[:-1]]  # t^k
-        for _ in range(k - 1):
-            red.append(tuple(cur))
-            cur = [0] + cur
-            lead = cur[-1]
-            cur = [(cur[j] - lead * self.modulus[j]) % p for j in range(k)]
-        self._red = red
-        self._pack, self._unpack = self._packer(1)  # for `_mul`
+        self.ring = _Ring(p, self.modulus, 1)  # for `_mul` and `_inv`
+        self._pack, self._unpack = self.ring.pack, self.ring.reduce
         # the Frobenius row table: row i is (t^p)^i
         self.frob_rows = _power_rows(self, (self.generator() ** p).payload, k)
 
@@ -406,64 +407,17 @@ class ExtensionField(Field):
         return self._unpack(self._pack(a) * self._pack(b))
 
     def _inv(self, a):
-        """Extended Euclid on digit lists: r_i = s_i * a mod the modulus,
-        from (r_0, s_0) = (modulus, 0) and (r_1, s_1) = (a, 1), down to a
-        constant r_i, nonzero as the modulus is irreducible; then
-        1/a = s_i / r_i."""
-        p = self.p
-        r0, r1 = list(self.modulus), _trim(list(a))
-        if not r1:
+        if not any(a):
             raise ZeroInversion(f"zero has no inverse in {self}")
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            d, inv = len(r1) - 1, pow(r1[-1], -1, p)
-            q = [0] * (len(r0) - d)
-            for i in range(len(r0) - 1, d - 1, -1):
-                c = q[i - d] = r0[i] * inv % p
-                if c:
-                    for j in range(i - d, i):
-                        r0[j] = (r0[j] - c * r1[j - i + d]) % p
-            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
-            for i, c in enumerate(q):
-                for j, x in enumerate(s1):
-                    s[i + j] -= c * x
-            r0, r1 = r1, _trim(r0[:d])
-            s0, s1 = s1, _trim([x % p for x in s])
-        inv = pow(r1[0], -1, p)
-        return tuple(x * inv % p for x in s1) + (0,) * (self.k - len(s1))
+        return self.ring.inverse(a)
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)
 
     def _packer(self, terms: int) -> Packer:
-        """Digit i in slot i of W bits, W = bit_length(terms k (p-1)^2) + 1.
-
-        A product of two packed payloads has 2k - 1 slots, each a sum of
-        at most k digit products, so a sum of `terms` products never
-        carries. unpack takes slots k..2k-2 mod p and folds them into the
-        low k slots by the packed rows t^k, ..., t^(2k-2) reduced; each
-        low slot stays below 2^W, since the fold adds at most
-        (k-1)(p-1)^2. The low slots mod p are the payload. A payload from
-        F_p, (c, 0, ..., 0), packs to c itself.
-        """
-        p, k = self.p, self.k
-        width = (terms * k * (p - 1) ** 2).bit_length() + 1
-        digit = (1 << width) - 1
-        shifts = [i * width for i in range(k)]
-        high = [(k + i) * width for i in range(k - 1)]
-        low = (1 << k * width) - 1
-
-        def pack(c) -> int:
-            return sum(map(lshift, c, shifts))
-
-        rows = [pack(row) for row in self._red]
-
-        def unpack(v: int) -> tuple:
-            v = (v & low) + sum(map(mul, [(v >> s & digit) % p for s in high],
-                                    rows))
-            return tuple((v >> s & digit) % p for s in shifts)
-
-        return pack, unpack
+        """The field's ring for sums of up to `terms` products."""
+        ring = self.ring.widen(terms)
+        return ring.pack, ring.reduce
 
     def element_str(self, payload) -> str:
         parts = []
@@ -511,6 +465,269 @@ class ExtensionField(Field):
         return f"GF({self.p}^{self.k})"
 
 
+# A product of two packed values of more than this many bits at the
+# tightest slot width unpacks faster through one `struct` layout of
+# 64-bit slots than slot by slot, by shifts.
+_STRUCT_BITS = 448
+
+
+class _Ring:
+    """F[x]/(m), m monic of degree n >= 1 over F = F_p (k = 1) or over
+    F_{p^k} = F_p[t]/(base.m), `base` the field's ring: elements are flat
+    digit tuples (digit j of coefficient i at index i*k + j), and reduce
+    takes a sum of up to `terms` products of packed elements to digits.
+    A ring over F_p with m irreducible is the field F_p[x]/(m), with
+    Euclid for polynomials over it (n digits per coefficient)."""
+
+    __slots__ = ("p", "k", "n", "m", "base", "width", "shifts", "high",
+                 "nonunit", "unit_mask", "folds", "rows", "layouts", "span",
+                 "widths")
+
+    def __init__(self, p: int, m, terms: int, base: "_Ring" = None,
+                 widths=None):
+        k = base.n if base else 1
+        n = len(m) // k - 1
+        assert n >= 1, "the modulus must have positive degree"
+        self.p, self.k, self.n, self.m, self.base = p, k, n, tuple(m), base
+        stride = 2 * k - 1
+        self.width = width = _slot_width(p, k, n, terms)
+        # the product slots that are not reduced digits, in slot order:
+        # t^j x^i with j >= k and i < n, then every t^j x^i with i >= n
+        self.nonunit = [i * stride + j for i in range(2 * n - 1)
+                        for j in range(stride) if i >= n or j >= k]
+        self.high = [s * width for s in self.nonunit]
+        self.shifts = [(i // k * stride + i % k) * width for i in range(n * k)]
+        digit = (1 << width) - 1
+        self.unit_mask = sum(digit << s for s in self.shifts)
+        # with 64-bit slots, layouts[c] packs the digits of c <= n
+        # coefficients, gap slots left zero, and span every slot of a
+        # product of two elements
+        self.layouts = [struct.Struct("<" + f"{k}Q{8 * (stride - k)}x" * count)
+                        for count in range(n + 1)] if width == 64 else None
+        self.span = (struct.Struct(f"<{(2 * n - 1) * stride}Q")
+                     if width == 64 else None)
+        self.widths = widths  # width -> ring, shared by `widen`
+        # the rows of the nonunit slots, in the same order, as digits and
+        # packed: t^j reduced by the field modulus, then t^j x^i mod m
+        self.folds, self.rows = self._folds()
+
+    def _folds(self):
+        """(digits, packed) of the rows of the nonunit slots, each from an
+        earlier row times t or x."""
+        p, k, n, width = self.p, self.k, self.n, self.width
+        gaps = [(0,) * (i * k) + row for i in range(n)
+                for row in (self.base.folds if self.base else ())]
+        folds, packed_gaps = list(gaps), [self.pack(g) for g in gaps]
+        rows = list(packed_gaps)
+        first = tuple(-d % p for d in self.m[:n * k])  # x^n
+        xn = []  # t^j x^n mod m, j < k, packed
+        for i in range(n, 2 * n - 1):
+            if i > n:  # x * (x^(i-1) mod m): its top coefficient folds by xn
+                first = self.digits(self.pack((0,) * k + first[:-k])
+                                    + sum(map(mul, first[-k:], xn)))
+            row = first
+            for j in range(2 * k - 1):
+                if j:  # t * (t^(j-1) x^i mod m): each top digit folds by t^k
+                    row = self.digits((packed << width & self.unit_mask)
+                                      + sum(map(mul, row[k - 1::k],
+                                                packed_gaps[::k - 1])))
+                packed = self.pack(row)
+                folds.append(row)
+                rows.append(packed)
+                if i == n and j < k:
+                    xn.append(packed)
+        return folds, rows
+
+    def widen(self, terms: int) -> "_Ring":
+        """This ring with slots for sums of up to `terms` products, built
+        once per slot width."""
+        if self.widths is None:
+            self.widths = {self.width: self}
+        width = _slot_width(self.p, self.k, self.n, terms)
+        if width not in self.widths:
+            self.widths[width] = _Ring(self.p, self.m, terms, self.base,
+                                       self.widths)
+        return self.widths[width]
+
+    def pack(self, flat) -> int:
+        """The packed int of flat digits."""
+        if self.layouts:
+            return int.from_bytes(self.layouts[len(flat) // self.k]
+                                  .pack(*flat), "little")
+        return sum(map(lshift, flat, self.shifts))
+
+    def reduce(self, v: int) -> tuple:
+        """The reduced digits of a sum of products: the nonunit slots mod p
+        fold back by their packed rows, then the unit slots mod p."""
+        p = self.p
+        if self.layouts:
+            span = self.span
+            slots = span.unpack(v.to_bytes(span.size, "little"))
+            return self.digits(sum(map(mul, [slots[s] % p for s in
+                                             self.nonunit], self.rows),
+                                   v & self.unit_mask))
+        digit = (1 << self.width) - 1
+        v = sum(map(mul, [(v >> s & digit) % p for s in self.high],
+                    self.rows), v & self.unit_mask)
+        return tuple([(v >> s & digit) % p for s in self.shifts])
+
+    def digits(self, v: int) -> tuple:
+        """The digits mod p of a packed value with nothing in the nonunit
+        slots."""
+        p = self.p
+        if self.layouts:
+            layout = self.layouts[self.n]
+            return tuple([d % p for d in layout.unpack(
+                v.to_bytes(layout.size, "little"))])
+        digit = (1 << self.width) - 1
+        return tuple([(v >> s & digit) % p for s in self.shifts])
+
+    def mul(self, a, b) -> tuple:
+        """a * b mod m."""
+        return self.reduce(self.pack(a) * self.pack(b))
+
+    def pow(self, a, e: int) -> tuple:
+        """a^e mod m, left to right with a packed once."""
+        if not e:
+            return self.digits(1)
+        base = self.pack(a)
+        for bit in bin(e)[3:]:
+            v = self.pack(a)
+            a = self.reduce(v * v)
+            if bit == "1":
+                a = self.reduce(self.pack(a) * base)
+        return a
+
+    def frobenius_table(self, xp, frob_rows) -> list:
+        """Packed rows for `frobenius`, from xp = x^p mod m and the
+        field's Frobenius rows: row j*k + d is t^(d p) x^(j p), a product
+        of two packed elements left unreduced. The ring must be built for
+        at least k(p - 1) terms."""
+        powers = [(1,) + (0,) * (self.k - 1), xp]
+        while len(powers) < self.n:
+            powers.append(self.mul(powers[-1], xp))
+        scalars = [self.pack(c) for c in frob_rows]
+        return [s * x for x in map(self.pack, powers[:self.n])
+                for s in scalars]
+
+    def frobenius(self, u, table: list) -> tuple:
+        """u^p mod m: sum of c_j^p * x^(j*p), where c_j^p is F_p-linear in
+        the digits of c_j, so u^p is the sum of each digit of u times its
+        table row."""
+        return self.reduce(sum(map(mul, u, table)))
+
+    # Euclid over the field F_p[x]/(m), on polynomials whose coefficients
+    # are n digits each
+
+    def trim(self, a) -> tuple:
+        """The polynomial a without its zero top coefficients."""
+        i, n = len(a), self.n
+        while i and not a[i - 1]:
+            i -= 1
+        return tuple(a[:(i + n - 1) // n * n])
+
+    def _coefficients(self, terms: int):
+        """(pack, reduce, spread, gather) for coefficients that sum up to
+        `terms` products: pack and reduce one coefficient, and pack the
+        coefficients of a polynomial and unpack a list of them to digits.
+        Over F_p a digit is its own packed coefficient, reduced mod p."""
+        p, n = self.p, self.n
+        if n == 1:
+            return sum, (lambda v: (v % p,)), list, (
+                lambda work: [w % p for w in work])
+        ring = self.widen(terms)
+        pack, reduce = ring.pack, ring.reduce
+        return pack, reduce, (
+            lambda a: [pack(a[i:i + n]) for i in range(0, len(a), n)]), (
+            lambda work: [d for w in work for d in reduce(w)])
+
+    def monic(self, a) -> tuple:
+        """The nonzero polynomial a over its leading coefficient."""
+        pack, _, spread, gather = self._coefficients(1)
+        inv = pack(self.inverse(a[-self.n:]))
+        return tuple(gather([w * inv for w in spread(a)]))
+
+    def divmod(self, a, b):
+        """Quotient and remainder of the trimmed polynomial a by the
+        trimmed nonzero b, on packed coefficients. Each step reads one
+        leading coefficient (times 1/lc(b) unless b is monic) and adds
+        its packed product with each lower coefficient of b to the
+        dividend's, which are unpacked only at the end: a coefficient
+        sums at most one product per step."""
+        p, n = self.p, self.n
+        la, lb = len(a) // n, len(b) // n
+        if la < lb:
+            return (), tuple(a)
+        pack, reduce, spread, gather = self._coefficients(la - lb + 2)
+        work, neg = spread(a), spread([-d % p for d in b[:-n]])
+        lead = b[-n:]
+        inv = None if lead[0] == 1 and not any(lead[1:]) else pack(
+            self.inverse(lead))
+        quot = []
+        for i in range(la - 1, lb - 2, -1):
+            c = reduce(work[i])
+            if inv is not None:
+                c = reduce(pack(c) * inv)
+            quot.append(c)
+            if any(c):
+                c, low = pack(c), i - lb + 1
+                work[low:i] = [w + c * x for w, x in zip(work[low:i], neg)]
+        quot.reverse()
+        return (tuple(chain.from_iterable(quot)),
+                self.trim(gather(work[:lb - 1])))
+
+    def gcd(self, a, b) -> tuple:
+        """The monic gcd of the trimmed polynomials a and b, () when both
+        are zero."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a) if a else a
+
+    def inverse(self, a) -> tuple:
+        """1/a for a nonzero element a. Over F_p a power; else extended
+        Euclid over F_p on digit lists: r_i = s_i * a mod m, from
+        (r_0, s_0) = (m, 0) and (r_1, s_1) = (a, 1), down to a constant
+        r_i, nonzero as m is irreducible; then 1/a = s_i / r_i."""
+        p, n = self.p, self.n
+        if n == 1:
+            return (pow(a[0], -1, p),)
+        r0, r1 = list(self.m), list(a)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            d, inv = len(r1) - 1, pow(r1[-1], -1, p)
+            q = [0] * (len(r0) - d)
+            for i in range(len(r0) - 1, d - 1, -1):
+                c = q[i - d] = r0[i] * inv % p
+                if c:
+                    for j in range(i - d, i):
+                        r0[j] = (r0[j] - c * r1[j - i + d]) % p
+            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, c in enumerate(q):
+                for j, x in enumerate(s1):
+                    s[i + j] -= c * x
+            r0, r1 = r1, r0[:d]
+            while not r1[-1]:
+                r1.pop()
+            s0, s1 = s1, [x % p for x in s]
+            while not s1[-1]:
+                s1.pop()
+        inv = pow(r1[0], -1, p)
+        return tuple(x * inv % p for x in s1) + (0,) * (n - len(s1))
+
+
+def _slot_width(p: int, k: int, n: int, terms: int) -> int:
+    """The least slot width W of `_Ring` for sums of up to `terms`
+    products, or 64 (a struct layout) for a product of more than
+    _STRUCT_BITS bits: a product slot sums at most n*k digit products and
+    the fold adds one per nonunit slot, so 2^W > (terms n k + nonunit
+    slots) (p - 1)^2."""
+    span = (2 * n - 1) * (2 * k - 1)
+    width = ((terms * n * k + span - n * k) * (p - 1) ** 2).bit_length()
+    return 64 if width <= 64 and span * width > _STRUCT_BITS else width
+
+
 _extension_cache: dict = {}
 
 
@@ -544,13 +761,6 @@ def build_extension(p: int, k: int) -> Field:
                 break
     _extension_cache[(p, k)] = result
     return result
-
-
-def _trim(digits: list) -> list:
-    """digits without its zero top digits."""
-    while digits and not digits[-1]:
-        digits.pop()
-    return digits
 
 
 def _power_rows(field: ExtensionField, x, n: int) -> list:

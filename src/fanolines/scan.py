@@ -415,15 +415,6 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
             f"P^{n_proj}(F_{q}) has more than {budget} points")
     ctx = (VectorContext(field) if isinstance(field, PrimeField)
            else _log_context(field))
-    decoded: Dict[int, FieldElement] = {}  # a dict: q can be 2^32
-
-    def decode(code: int) -> FieldElement:
-        """The element of a code, decoded once per scan."""
-        e = decoded.get(code)
-        if e is None:
-            e = decoded[code] = field.element_from_code(code)
-        return e
-
     out: List[ProjectivePoint] = []
     pool: Dict[int, List[np.ndarray]] = {}  # pivot -> zeros of gens[0]
 
@@ -439,10 +430,14 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
                 return
         # the pool spans one stretch of the scan, whose order is the
         # lexicographic order of the codes (0 before the pivot, 1 at it)
+        # each distinct code is decoded once per flush
         order = np.lexsort(arrays[::-1])
-        for row in zip(*(a[order].tolist() for a in arrays)):
+        columns = [a[order].tolist() for a in arrays]
+        decoded = {c: field.element_from_code(c)
+                   for c in set().union(*columns)}
+        for coords in zip(*(map(decoded.__getitem__, col) for col in columns)):
             pt = ProjectivePoint.__new__(ProjectivePoint)
-            pt.coords = tuple(decode(c) for c in row)
+            pt.coords = coords
             out.append(pt)
 
     pooled = 0

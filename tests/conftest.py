@@ -89,19 +89,19 @@ def per_level_points(ideal, k_max, scan):
 
 def plain_extension_mul(field, a, b):
     """a * b for payloads of the extension field: the schoolbook
-    convolution of the digit tuples, then each digit t^(k+i) folded back
-    by its reduced row t^(k+i) mod the modulus. The oracle of
-    `ExtensionField._mul`."""
-    p, k = field.p, field.k
+    convolution of the digit tuples, then schoolbook long division by
+    `field.modulus`, top digit first. The oracle of `ExtensionField._mul`;
+    it shares no fold rows with the field's ring."""
+    p, k, modulus = field.p, field.k, field.modulus
     conv = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             conv[i + j] += ai * bj
-    out = [c % p for c in conv[:k]]
-    for i in range(k - 1):
-        for j in range(k):
-            out[j] = (out[j] + conv[k + i] * field._red[i][j]) % p
-    return tuple(out)
+    for i in range(2 * k - 2, k - 1, -1):
+        c = conv[i] % p
+        for j in range(k + 1):
+            conv[i - k + j] -= c * modulus[j]
+    return tuple(c % p for c in conv[:k])
 
 
 def fermat_inverse(field, a):
@@ -115,6 +115,77 @@ def fermat_inverse(field, a):
         e >>= 1
         a = plain_extension_mul(field, a, a)
     return out
+
+
+def ring_digits(field, payloads):
+    """The flat digits of a payload list: the layout of `field._Ring`."""
+    if field.degree == 1:
+        return list(payloads)
+    return [d for c in payloads for d in c]
+
+
+def ring_payloads(field, digits):
+    """The payload list, without zero top coefficients, of flat digits."""
+    k = field.degree
+    out = list(digits) if k == 1 else [tuple(digits[i:i + k])
+                                       for i in range(0, len(digits), k)]
+    while out and field._is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+class PlainArith:
+    """Univariate arithmetic on payload lists (no trailing zeros) over one
+    field, one field-hook call per coefficient step; divisors are monic.
+    The oracle of the Euclid of `field._Ring` (`divmod`, `gcd`, `monic`,
+    and deflation as division by x - root)."""
+
+    def __init__(self, field):
+        self.add, self.sub, self.mul = field._add, field._sub, field._mul
+        self.inv, self.is_zero = field._inv, field._is_zero
+        self.zero, self.one = field._zero_payload(), field._one_payload()
+
+    def trim(self, a):
+        i = len(a)
+        while i and self.is_zero(a[i - 1]):
+            i -= 1
+        return a[:i]
+
+    def monic(self, a):
+        inv = self.inv(a[-1])
+        return [self.mul(c, inv) for c in a]
+
+    def divmod(self, a, m):
+        """Quotient and remainder of a by the monic m."""
+        a = list(a)
+        dm = len(m) - 1
+        quot = [self.zero] * max(len(a) - dm, 0)
+        for i in range(len(a) - 1, dm - 1, -1):
+            c = a[i]
+            if self.is_zero(c):
+                continue
+            quot[i - dm] = c
+            for j in range(dm):
+                a[i - dm + j] = self.sub(a[i - dm + j], self.mul(c, m[j]))
+        return quot, self.trim(a[:dm])
+
+    def gcd(self, a, b):
+        """Monic gcd; [] when both are zero."""
+        while b:
+            b = self.monic(b)
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a) if a else a
+
+    def deflate(self, a, root):
+        """a / (x - root) for a monic a vanishing at root, by synthetic
+        division."""
+        out = [self.zero] * (len(a) - 1)
+        acc = a[-1]
+        for i in range(len(a) - 2, -1, -1):
+            out[i] = acc
+            acc = self.add(a[i], self.mul(root, acc))
+        assert self.is_zero(acc), "deflating by a non-root"
+        return out
 
 
 def plain_gradient(f):

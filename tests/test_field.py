@@ -16,10 +16,11 @@ from fanolines.field import (FieldElement, embedding, is_prime,
                              payload_descent, relative_extension)
 from fanolines.errors import NotPrime, ZeroInversion
 
-from conftest import fermat_inverse, plain_extension_mul
+from conftest import (PlainArith, fermat_inverse, plain_extension_mul,
+                      ring_digits, ring_payloads)
 
-# F_(7^4), F_(10007^6) and F_(p^2), p = 4294967311, also invert through
-# 64- and 128-bit packed slots
+# F_(7^4) and F_(p^2), p = 4294967311, also multiply through slot-by-slot
+# packing, F_(10007^6) through 64-bit struct slots
 FIELDS = [PrimeField(7), PrimeField(10007), build_extension(3, 2),
           build_extension(7, 3), build_extension(7, 4),
           build_extension(10007, 6), build_extension(4294967311, 2), QQ]
@@ -345,3 +346,78 @@ def test_extension_inverse_matches_fermat_route(p, data, k):
     assert plain_extension_mul(field, a, inv) == field._one_payload()
     with pytest.raises(ZeroInversion):
         field._inv(field._zero_payload())
+
+
+def elements(field):
+    """Payloads of the field: ints for F_p, k-tuples of digits otherwise."""
+    digit = st.integers(0, field.p - 1)
+    return digit if field.degree == 1 else st.tuples(*[digit] * field.degree)
+
+
+def polynomials(field, max_length=8):
+    """Payload lists without zero top coefficients."""
+    return st.lists(elements(field), max_size=max_length).map(
+        lambda a: ring_payloads(field, ring_digits(field, a)))
+
+
+@given(st.data(), st.sampled_from(ROUTE_PRIMES), st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_one_ring_matches_the_plain_routes(data, p, k):
+    # the field's `_Ring` at both levels against routes that share none of
+    # its code: the product and inverse of F_(p^k), the packed sums of
+    # `_packer` at the bound, and Euclid over F_(p^k)[x]
+    field = build_extension(p, k)
+    a, b = data.draw(elements(field)), data.draw(elements(field))
+    zero, one = field._zero_payload(), field._one_payload()
+    if k == 1:
+        assert field._mul(a, b) == a * b % p
+    else:
+        assert field._mul(a, b) == plain_extension_mul(field, a, b)
+        if any(a):
+            assert field._inv(a) == fermat_inverse(field, a)
+    top = p - 1 if k == 1 else (p - 1,) * k  # every digit p - 1
+    for terms in (1, 2, 64):
+        pack, unpack = field._packer(terms)
+        want = zero
+        for _ in range(terms):
+            want = field._add(want, field._mul(top, b))
+        assert unpack(sum(pack(top) * pack(b) for _ in range(terms))) == want
+    ar, ring = PlainArith(field), field.ring
+    f, g = data.draw(polynomials(field)), data.draw(polynomials(field))
+    digits = lambda u: ring_digits(field, u)
+    back = lambda u: ring_payloads(field, u)
+    assert back(ring.gcd(digits(f), digits(g))) == ar.gcd(f, g)
+    if g:
+        quot, rem = ar.divmod(f, ar.monic(g))
+        got = ring.divmod(digits(f), digits(g))  # g need not be monic
+        scale = field._inv(g[-1])
+        assert back(got[0]) == back(digits([field._mul(c, scale)
+                                            for c in quot]))
+        assert back(got[1]) == rem
+    # deflation: division by x - root of a monic multiple of it
+    h = data.draw(polynomials(field)) + [one]
+    root = data.draw(elements(field))
+    multiple = [zero] * (len(h) + 1)
+    for i, c in enumerate(h):
+        multiple[i + 1] = field._add(multiple[i + 1], c)
+        multiple[i] = field._sub(multiple[i], field._mul(root, c))
+    quot, rem = ring.divmod(digits(multiple), digits([field._neg(root), one]))
+    assert not rem and back(quot) == ar.deflate(multiple, root)
+
+
+@pytest.mark.parametrize("p", ROUTE_PRIMES, ids=str)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_division_sums_reach_the_slot_bound(p, k):
+    # dividing 16 coefficients by a monic divisor of 8, every digit p - 1,
+    # adds up to 7 products to a dividend coefficient before it is
+    # unpacked: the widest sums `_Ring.divmod` makes at these lengths
+    field = build_extension(p, k)
+    top = p - 1 if k == 1 else (p - 1,) * k
+    f, g = [top] * 16, [top] * 7 + [field._one_payload()]
+    ar, ring = PlainArith(field), field.ring
+    quot, rem = ring.divmod(ring_digits(field, f), ring_digits(field, g))
+    assert (ring_payloads(field, quot), ring_payloads(field, rem)) == \
+        ar.divmod(f, g)
+    assert ring_payloads(field, ring.gcd(ring_digits(field, f),
+                                         ring_digits(field, g))) == \
+        ar.gcd(f, g)

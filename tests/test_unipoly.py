@@ -11,12 +11,13 @@ import random
 import pytest
 
 from fanolines import PrimeField, build_extension
-from fanolines.field import FieldElement, relative_extension
+from fanolines.field import _STRUCT_BITS, FieldElement, relative_extension
 from fanolines.solve import exact_relative_degree
-from fanolines.unipoly import (_Arith, distinct_degree_factorization,
+from fanolines.unipoly import (_quotient_ring, distinct_degree_factorization,
                                roots_in_field)
 
-from conftest import schoolbook_mulmod, schoolbook_powmod
+from conftest import (ring_digits, ring_payloads, schoolbook_mulmod,
+                      schoolbook_powmod)
 
 
 def horner(coeffs, x):
@@ -124,7 +125,7 @@ def test_linear_input_returns_its_root_without_splitting():
     assert roots_in_field([a, b], f343, rng, orbit=1) == [-a / b]
 
 
-PACKED_FIELDS = [(p, k) for p in (3, 7, 10007) for k in range(1, 7)] + [
+PACKED_FIELDS = [(p, k) for p in (3, 7, 10007) for k in range(1, 8)] + [
     (4294967311, 1), (4294967311, 2)]
 
 
@@ -140,39 +141,62 @@ def operands(field, rng, n):
             + [poly(n), [], [field.from_int(rng.randint(1, 5)).payload]])
 
 
+def expected_width(p, k, n, terms):
+    """The slot width of a ring of n coefficients of k digits for sums of
+    `terms` products: the least width above the bound of a slot, or 64
+    bits (a struct layout) when that fits and a product has more than
+    _STRUCT_BITS bits at the least width."""
+    span = (2 * n - 1) * (2 * k - 1)
+    width = ((terms * n * k + span - n * k) * (p - 1) ** 2).bit_length()
+    return 64 if width <= 64 and span * width > _STRUCT_BITS else width
+
+
 @pytest.mark.parametrize("p,k", PACKED_FIELDS)
 def test_packed_products_match_the_schoolbook_oracle(p, k):
-    # slots of 64 bits up to p = 10007; 128 bits for the 33-bit prime
     field = build_extension(p, k)
-    ar = _Arith(field)
+    zero, one = field._zero_payload(), field._one_payload()
     rng = random.Random(f"packed-{p}-{k}")
+    # the field's own ring: F_p[t]/(modulus) (F_p[x]/(x) for k = 1), for
+    # one product
+    assert field.ring.width == expected_width(p, 1, k, 1)
     for n in range(1, 9):
-        m = [field.sample(rng).payload for _ in range(n)] + [ar.one]
-        ring = ar.ring(m)
-        assert ring.width == (64 if p < 1 << 20 else 128)
+        m = [field.sample(rng).payload for _ in range(n)] + [one]
+        ring = _quotient_ring(field, {}, tuple(ring_digits(field, m)))
+        # F[x]/(m), for a Frobenius sum of k(p - 1) products: 64-bit
+        # slots at p = 10007 from n k = 6 on, never for the 33-bit prime
+        assert ring.width == expected_width(p, k, n, k * (p - 1))
+        if p == 10007 and n * k >= 6:
+            assert ring.width == 64 and ring.layouts
+        if p > 1 << 32:
+            assert ring.width > 64 and not ring.layouts
         cases = operands(field, rng, n)
         for a, b in zip(cases, cases[1:] + cases[:1]):
-            got = ring.payloads(ring.mul(ring.flat(a), ring.flat(b)))
+            got = ring_payloads(field, ring.mul(ring_digits(field, a),
+                                                ring_digits(field, b)))
             assert got == schoolbook_mulmod(field, a, b, m), (n, a, b)
         a = cases[0]
         for e in (0, 1, 2, rng.randrange(3, 200), p):
-            assert ar.powmod(a, e, m) == schoolbook_powmod(field, a, e, m)
+            got = ring_payloads(field, ring.pow(ring_digits(field, a), e))
+            assert got == schoolbook_powmod(field, a, e, m)
         # u^p = sum of frob(c_j) x^(j p), each c_j^p by field.frobenius
-        xp = schoolbook_powmod(field, [ar.zero, ar.one], p, m)
-        powers = [[ar.one]]
+        xp = schoolbook_powmod(field, [zero, one], p, m)
+        powers = [[one]]
         while len(powers) < n:
             powers.append(schoolbook_mulmod(field, powers[-1], xp, m))
-        table = ring.frobenius_table(ring.flat(xp))
+        table = ring.frobenius_table(
+            ring_digits(field, xp), field.frob_rows if k > 1 else [(1,)])
         for u in cases:
-            want = [ar.zero] * n
+            want = [zero] * n
             for c, xjp in zip(u, powers):
                 image = c if k == 1 else field.frobenius(
                     FieldElement(field, c)).payload  # c^p = c in F_p
                 term = schoolbook_mulmod(field, [image], xjp, m)
                 for i, v in enumerate(term):
                     want[i] = field._add(want[i], v)
-            got = ring.payloads(ring.frobenius(ring.flat(u), table))
-            assert got == ar.trim(want), (n, u)
+            got = ring_payloads(field, ring.frobenius(ring_digits(field, u),
+                                                      table))
+            want = ring_payloads(field, ring_digits(field, want))
+            assert got == want, (n, u)
 
 
 def irreducible(field, j, rng):
