@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-operation timings of the finite-field arithmetic and root extraction.
+"""Per-operation timings of field arithmetic, root extraction and parsing.
 
 Each operation runs `--number` times per repeat; the script prints the
 median over `--repeat` repeats of the microseconds per call, one line
@@ -11,7 +11,9 @@ per operation:
   reducer;
 - `roots_orbit6`: `roots_in_field` on the irreducible sextic over
   F_10007 of `test_orbit_six_root_work_is_pinned`, split in
-  F_{10007^6}.
+  F_{10007^6};
+- `parse`: `parse_polynomial` on a fixed dense form of degree 8 in 6
+  variables over F_10007 (1,287 terms).
 
 Only names that every version of the package has are used, so the same
 script times two checkouts for comparison.
@@ -25,8 +27,9 @@ import random
 import statistics
 import timeit
 
-from fanolines import PrimeField, build_extension
+from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.field import relative_extension
+from fanolines.poly import default_names, monomials_of_degree
 from fanolines.unipoly import roots_in_field
 
 FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
@@ -68,6 +71,13 @@ def operations():
     ops.append(("roots_orbit6 GF(10007^6)",
                 lambda: roots_in_field(sextic, ext, random.Random(0),
                                        orbit=6), 1))
+    names = default_names(6)
+    dense = " + ".join(
+        f"{rng.randrange(1, 10007)}*"
+        + "*".join(f"{x}^{e}" for x, e in zip(names, mono) if e)
+        for mono in monomials_of_degree(6, 8))
+    ops.append(("parse GF(10007) 1287 terms",
+                lambda: parse_polynomial(dense, names, ground), 1))
     return ops
 
 

@@ -30,7 +30,8 @@ from .groebner import groebner_basis
 from .idealkit import (DEFAULT_BUDGET, Ideal, complete_intersection_report,
                        dimension_text, groebner_of, hilbert_data,
                        singular_points)
-from .poly import LEX, Polynomial, default_names, parse_polynomial
+from .poly import (_TOKEN_RE, LEX, Polynomial, default_names,
+                   parse_polynomial)
 from .projgeo import ProjectivePoint
 from .voisin import run_node_analysis
 
@@ -147,7 +148,11 @@ def _finish(config: RunConfig, report: Dict[str, object],
 
 
 def _infer_nvars(text: str) -> int:
-    indices = [int(m.group(1)) for m in re.finditer(r"\bx(\d+)\b", text)]
+    """One more than the highest i of the names x<i> among the parser's
+    own tokens, so `2x3` counts x3; a bad character is passed over here
+    and left for the parser to report."""
+    indices = [int(m[2][1:]) for m in _TOKEN_RE.finditer(text)
+               if re.fullmatch(r"x\d+", m[2] or "")]
     if not indices:
         raise InvalidParameters("no variables of the form x<i> found")
     top = max(indices)
@@ -302,7 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                         help="odd prime for the ground field")
     common.add_argument("--kmax", type=_int_at_least(1), default=None,
-                        help="extension-degree search bound")
+                        help="extension-degree bound of the lines "
+                             "lines-through counts, the levels sing-locus "
+                             "scans and the points bezout-check finds; "
+                             "lines-through samples points of degree <= 4 "
+                             "regardless")
     common.add_argument("--trials", type=_int_at_least(1), default=None,
                         help="sample count for smoothness certificates")
     common.add_argument("--budget", type=_int_at_least(0),

@@ -6,8 +6,11 @@ grevlex is the workhorse, lex exists for elimination.
 
 The text format is deliberately narrow: integer or fraction coefficients,
 variables with optional ^exponent, '*' between factors, '+'/'-' between
-terms. Printing is canonical (grevlex-descending, least-residue
-coefficients over prime fields) so equal polynomials print identically.
+terms. Parsing is one pass over the tokens: each term's coefficient
+payload adds into one dict keyed by its exponent tuple, and the
+polynomial is built from that dict once. Printing is canonical
+(grevlex-descending, least-residue coefficients over prime fields) so
+equal polynomials print identically.
 """
 
 from __future__ import annotations
@@ -701,120 +704,92 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, names: Sequence[str], field: Field):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.field = field
-        self.index_of = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
+def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomial:
+    """Parse the textual grammar; raises ParseError / UnknownVariable.
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_num(self) -> int:
-        kind, value, pos = self.advance()
-        if kind != "num":
-            raise ParseError("expected an integer", pos)
-        return value
-
-    def parse(self) -> Polynomial:
-        result = Polynomial.zero(self.field, self.nvars)
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            self.advance()
-        result = result + self.parse_term(sign)
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "end":
-                break
-            if kind != "op" or value not in "+-":
-                raise ParseError("expected '+' or '-' between terms", pos)
-            self.advance()
-            sign = -1 if value == "-" else 1
-            result = result + self.parse_term(sign)
-        return result
-
-    def parse_term(self, sign: int) -> Polynomial:
-        kind, value, pos = self.peek()
-        term_pos = pos
+    One pass over the tokens: each term's coefficient payload adds into
+    one dict keyed by its exponent tuple, and a key whose sum cancels is
+    dropped, so the terms keep the order in which they first appear. An
+    operator token is told by its value alone, which no name, number or
+    end marker can equal.
+    """
+    if not text.strip():
+        raise ParseError("empty polynomial text", 0)
+    tokens = _tokenize(text)
+    index_of = {name: i for i, name in enumerate(names)}
+    add, neg, is_zero = field._add, field._neg, field._is_zero
+    zero, one = field.zero().payload, field.one().payload
+    payloads: Dict[Monomial, object] = {}
+    i = 0
+    while True:
+        # the sign before a term: optional before the first, needed after
+        kind, value, pos = tokens[i]
+        sign = -1 if value == "-" else 1
+        if value in ("+", "-"):
+            i += 1
+        elif i:
+            raise ParseError("expected '+' or '-' between terms", pos)
+        kind, value, term_pos = tokens[i]
         # optional extra sign from the coefficient itself, e.g. "x + -2*y"
-        if kind == "op" and value == "-":
-            self.advance()
+        if value == "-":
             sign = -sign
-            kind, value, pos = self.peek()
-        coeff = self.field.one()
-        have_coeff = False
+            i += 1
+            kind, value, pos = tokens[i]
+        coeff = None
         if kind == "num":
-            self.advance()
             frac = Fraction(value)
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "/":
-                self.advance()
-                denom_pos = self.peek()[2]
-                denom = self.expect_num()
+            i += 1
+            if tokens[i][1] == "/":
+                kind, denom, pos = tokens[i + 1]
+                if kind != "num":
+                    raise ParseError("expected an integer", pos)
                 if denom == 0:
-                    raise ParseError("zero denominator", denom_pos)
+                    raise ParseError("zero denominator", pos)
                 frac /= denom
-                if self.field.from_int(frac.denominator).is_zero():
+                if field.from_int(frac.denominator).is_zero():
                     raise ParseError(f"denominator {denom} is not invertible "
-                                     f"in {self.field}", denom_pos)
-            coeff = self.field.from_fraction(frac)
-            have_coeff = True
+                                     f"in {field}", pos)
+                i += 2
+            coeff = field.from_fraction(frac).payload
             # zero or more '*' before the first factor
-            while True:
-                kind, value, pos = self.peek()
-                if kind == "op" and value == "*":
-                    self.advance()
-                else:
-                    break
-        exps = [0] * self.nvars
-        saw_factor = False
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "name":
-                self.advance()
-                idx = self.index_of.get(value)
-                if idx is None:
-                    raise UnknownVariable(f"unknown variable {value!r} at position {pos}")
-                power = 1
-                kind2, value2, _ = self.peek()
-                if kind2 == "op" and value2 == "^":
-                    self.advance()
-                    power = self.expect_num()
-                exps[idx] += power
-                saw_factor = True
-                kind, value, pos = self.peek()
-                if kind == "op" and value == "*":
-                    self.advance()
-                    continue
-                break
-            if saw_factor or have_coeff:
-                break
+            while tokens[i][1] == "*":
+                i += 1
+        exps = [0] * len(names)
+        kind, value, pos = tokens[i]
+        if kind != "name" and coeff is None:
             raise ParseError("expected a coefficient or variable", pos)
-        if not saw_factor and not have_coeff:
-            raise ParseError("empty term", pos)
+        while kind == "name":
+            idx = index_of.get(value)
+            if idx is None:
+                raise UnknownVariable(
+                    f"unknown variable {value!r} at position {pos}")
+            power = 1
+            if tokens[i + 1][1] == "^":
+                kind, power, pos = tokens[i + 2]
+                if kind != "num":
+                    raise ParseError("expected an integer", pos)
+                i += 2
+            exps[idx] += power
+            i += 1
+            if tokens[i][1] != "*":
+                break
+            i += 1
+            kind, value, pos = tokens[i]
         if sum(exps) > MAX_TERM_DEGREE:
             raise ParseError(f"term of degree {sum(exps)} exceeds the maximum "
                              f"{MAX_TERM_DEGREE}", term_pos)
+        if coeff is None:
+            coeff = one
         if sign < 0:
-            coeff = -coeff
-        return Polynomial.monomial(self.field, tuple(exps), coeff)
-
-
-def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomial:
-    """Parse the textual grammar; raises ParseError / UnknownVariable."""
-    stripped = text.strip()
-    if not stripped:
-        raise ParseError("empty polynomial text", 0)
-    return _Parser(text, names, field).parse()
+            coeff = neg(coeff)
+        mono = tuple(exps)
+        total = add(payloads.get(mono, zero), coeff)
+        if is_zero(total):
+            payloads.pop(mono, None)
+        else:
+            payloads[mono] = total
+        if tokens[i][0] == "end":
+            return Polynomial.from_payloads(field, len(names), payloads)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,18 @@
 plain routes that the package's fast paths are tested against."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
-from fanolines.errors import BudgetExceeded
+from fanolines.errors import BudgetExceeded, ParseError, UnknownVariable
 from fanolines.fano import direction_components
 from fanolines.field import FieldElement, payload_lift, relative_extension
 from fanolines.linalg import mat_rank
-from fanolines.poly import default_names, substitute_all
+from fanolines.poly import (MAX_TERM_DEGREE, _tokenize, default_names,
+                            substitute_all)
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 from fanolines.solve import exact_relative_degree
 
@@ -575,6 +577,124 @@ def plain_rank_drop_ideal(ideal):
     dg, dh = plain_gradient(g), plain_gradient(h)
     return Ideal([g, h] + [dg[i] * dh[j] - dg[j] * dh[i]
                            for i in range(n) for j in range(i + 1, n)])
+
+
+class _TokenParser:
+    """The parser as it was before `parse_polynomial` took one pass: one
+    `Polynomial.monomial` per term, summed with `Polynomial.__add__`."""
+
+    def __init__(self, text, names, field):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.field = field
+        self.index_of = {name: i for i, name in enumerate(names)}
+        self.nvars = len(names)
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_num(self):
+        kind, value, pos = self.advance()
+        if kind != "num":
+            raise ParseError("expected an integer", pos)
+        return value
+
+    def parse(self):
+        result = Polynomial.zero(self.field, self.nvars)
+        sign = 1
+        kind, value, pos = self.peek()
+        if kind == "op" and value in "+-":
+            sign = -1 if value == "-" else 1
+            self.advance()
+        result = result + self.parse_term(sign)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "end":
+                break
+            if kind != "op" or value not in "+-":
+                raise ParseError("expected '+' or '-' between terms", pos)
+            self.advance()
+            sign = -1 if value == "-" else 1
+            result = result + self.parse_term(sign)
+        return result
+
+    def parse_term(self, sign):
+        kind, value, pos = self.peek()
+        term_pos = pos
+        if kind == "op" and value == "-":
+            self.advance()
+            sign = -sign
+            kind, value, pos = self.peek()
+        coeff = self.field.one()
+        have_coeff = False
+        if kind == "num":
+            self.advance()
+            frac = Fraction(value)
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "/":
+                self.advance()
+                denom_pos = self.peek()[2]
+                denom = self.expect_num()
+                if denom == 0:
+                    raise ParseError("zero denominator", denom_pos)
+                frac /= denom
+                if self.field.from_int(frac.denominator).is_zero():
+                    raise ParseError(f"denominator {denom} is not invertible "
+                                     f"in {self.field}", denom_pos)
+            coeff = self.field.from_fraction(frac)
+            have_coeff = True
+            while True:
+                kind, value, pos = self.peek()
+                if kind == "op" and value == "*":
+                    self.advance()
+                else:
+                    break
+        exps = [0] * self.nvars
+        saw_factor = False
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "name":
+                self.advance()
+                idx = self.index_of.get(value)
+                if idx is None:
+                    raise UnknownVariable(
+                        f"unknown variable {value!r} at position {pos}")
+                power = 1
+                kind2, value2, _ = self.peek()
+                if kind2 == "op" and value2 == "^":
+                    self.advance()
+                    power = self.expect_num()
+                exps[idx] += power
+                saw_factor = True
+                kind, value, pos = self.peek()
+                if kind == "op" and value == "*":
+                    self.advance()
+                    continue
+                break
+            if saw_factor or have_coeff:
+                break
+            raise ParseError("expected a coefficient or variable", pos)
+        if not saw_factor and not have_coeff:
+            raise ParseError("empty term", pos)
+        if sum(exps) > MAX_TERM_DEGREE:
+            raise ParseError(f"term of degree {sum(exps)} exceeds the "
+                             f"maximum {MAX_TERM_DEGREE}", term_pos)
+        if sign < 0:
+            coeff = -coeff
+        return Polynomial.monomial(self.field, tuple(exps), coeff)
+
+
+def token_parse(text, names, field):
+    """Oracle of `parse_polynomial`: the same grammar, errors and term
+    order, read by a token-at-a-time parser that adds term by term."""
+    if not text.strip():
+        raise ParseError("empty polynomial text", 0)
+    return _TokenParser(text, names, field).parse()
 
 
 # acceptance-gate result lines, echoed after the run so they survive

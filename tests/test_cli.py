@@ -106,6 +106,46 @@ def test_variable_index_past_the_limit_exit_2(tmp_path, command, capsys):
     assert "past the last variable x63" in capsys.readouterr().err
 
 
+def _reports(tmp_path, capsys, argv, texts):
+    """(exit code, --json stdout) of `argv` on each text, all written to
+    one file name so the configs agree."""
+    path = tmp_path / "input.txt"
+    out = []
+    for text in texts:
+        path.write_text(text)
+        code = main(argv + [str(path), "--json", "-"])
+        out.append((code, capsys.readouterr().out))
+    return out
+
+
+@pytest.mark.parametrize("starless,starred", [
+    ("2x3^2 + x1*x2\n", "2*x3^2 + x1*x2\n"),
+    ("3x2\n", "3*x2\n"),
+    ("x0^2 + x1^2 - 3x2^2\n2x0*x1 - 5x2^2\n",
+     "x0^2 + x1^2 - 3*x2^2\n2*x0*x1 - 5*x2^2\n")],
+    ids=["2x3^2", "3x2", "two-conics"])
+def test_coefficient_without_star_names_its_variable(tmp_path, capsys,
+                                                     starless, starred):
+    # the variable count comes from the parser's own tokens, in which
+    # `2x3` is the number 2 and the name x3
+    without, with_star = _reports(tmp_path, capsys, ["groebner"],
+                                  [starless, starred])
+    assert without == with_star
+    assert without[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["groebner"], ["sing-locus", "--prime", "11", "--kmax", "2"],
+    ["lines-through", "--point", "1:0:0:0", "--poly"]],
+    ids=lambda argv: argv[0])
+def test_repeated_and_cancelled_terms_give_the_canonical_report(
+        tmp_path, capsys, argv):
+    spellings = [NODAL, "x0*x1^2 + x2^3 - x2^3 + x2^3 + x3^3\n",
+                 "x2^3 + x0*x1^2 - x2^3 + x3^3 + 2*x2^3 - x2^3\n"]
+    canonical, *others = _reports(tmp_path, capsys, argv, spellings)
+    assert all(other == canonical for other in others)
+
+
 def test_point_not_on_hypersurface_exit_2(nodal_file):
     assert main(["lines-through", "--poly", nodal_file,
                  "--point", "1:1:1:1"]) == 2

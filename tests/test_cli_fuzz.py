@@ -1,9 +1,12 @@
 """Hypothesis fuzz of the input boundary: polynomial text and --point
 strings go through the in-process `cli.main` of `groebner`, `sing-locus`
 and `lines-through --poly`. Whatever the input, the command ends with
-exit code 0, 2, 3 or 4, never with a traceback.
+exit code 0, 2, 3 or 4, never with a traceback; and `groebner` writes
+the same report whether a coefficient is followed by '*' or not.
 """
 
+import contextlib
+import io
 import os
 import tempfile
 
@@ -24,9 +27,10 @@ def pieces(alphabet, max_size):
 
 
 @st.composite
-def forms(draw):
-    """A form in x0..x3 with no pure power of x0, so it vanishes at
-    [1:0:0:0] and gets past the input checks into the analysis."""
+def form_terms(draw):
+    """The terms (coefficient, factors) of a form in x0..x3 with no pure
+    power of x0, so it vanishes at [1:0:0:0] and gets past the input
+    checks into the analysis."""
     degree = draw(st.integers(1, 3))
     terms = []
     for _ in range(draw(st.integers(1, 4))):
@@ -35,8 +39,25 @@ def forms(draw):
                                 min_size=degree, max_size=degree))
         if set(factors) == {"x0"}:
             factors[-1] = draw(st.sampled_from(VARIABLES[1:]))
-        terms.append("*".join([str(coeff)] + factors))
-    return " + ".join(terms)
+        terms.append((coeff, factors))
+    return terms
+
+
+def spell(terms, stars):
+    """The form as text, each coefficient followed by its entry of
+    `stars`: '*' or nothing, as the grammar allows `2x3` for `2*x3`."""
+    return " + ".join(f"{coeff}{star}" + "*".join(factors)
+                      for (coeff, factors), star in zip(terms, stars))
+
+
+@st.composite
+def forms(draw):
+    """A form of `form_terms`, each coefficient written with or without
+    the '*' before its first factor."""
+    terms = draw(form_terms())
+    stars = draw(st.lists(st.sampled_from(["*", ""]), min_size=len(terms),
+                          max_size=len(terms)))
+    return spell(terms, stars)
 
 
 lines = st.one_of(pieces(POLY_PIECES, 12), forms())
@@ -63,3 +84,24 @@ def test_cli_exits_with_a_code_on_any_input(command, text, point, prime):
             argv.append(path)
         code = main(argv + ["--prime", prime, "--budget", "400", "--quiet"])
     assert code in (0, 2, 3, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=form_terms(), order=st.sampled_from(["grevlex", "lex"]),
+       prime=st.sampled_from(["5", "7"]))
+def test_groebner_reads_both_spellings_of_a_coefficient_alike(terms, order,
+                                                              prime):
+    # `2x3` and `2*x3` name the same variable, so the variable count read
+    # off the file and the whole report agree byte for byte
+    outs = []
+    for star in ("*", ""):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "input.txt")
+            with open(path, "w") as handle:
+                handle.write(spell(terms, [star] * len(terms)) + "\n")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["groebner", path, "--order", order, "--prime",
+                             prime, "--budget", "400", "--json", "-"])
+        outs.append((code, stdout.getvalue()))
+    assert outs[0] == outs[1]

@@ -13,11 +13,13 @@ from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
                             random_homogeneous, restrict, substitute_all)
 from fanolines.unipoly import roots_in_field
 from fanolines.linalg import random_invertible
-from fanolines.errors import ParseError, UnknownVariable, ZeroPolynomial
+from fanolines.errors import (FanolinesError, ParseError, UnknownVariable,
+                              ZeroPolynomial)
 
 from conftest import (dehomogenize, jacobian_rank_oracle, mat_identity,
                       mat_vec, parse, plain_evaluate, plain_gradient,
-                      plain_restrict, plain_substitute_all)
+                      plain_restrict, plain_substitute_all, token_parse)
+from test_cli_fuzz import POLY_PIECES, forms, pieces
 
 F7 = PrimeField(7)
 F9 = build_extension(3, 2)
@@ -98,6 +100,57 @@ def test_parse_caps_the_degree_of_a_term():
         with pytest.raises(ParseError) as info:
             parse(text, 2, F7)
         assert info.value.position == position, text
+
+
+PARSE_FIELDS = [PrimeField(5), F7, F10007, QQ]
+
+
+def parse_outcome(parser, text, field):
+    """(class, message, position) of the error, or (nvars, ordered terms)."""
+    try:
+        f = parser(text, default_names(4), field)
+    except FanolinesError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return f.nvars, list(f.terms.items())
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=st.one_of(pieces(POLY_PIECES, 16), forms()),
+       field=st.sampled_from(PARSE_FIELDS))
+@example("x2^3 + x0*x1^2 - x2^3 + x3^3 + x2^3", F7)
+@example("-x1 - -2/4*x1 + 3x2**x3* - 7/14x1", QQ)
+@example("1/5*x0 + 1/0*x1", PrimeField(5))
+@example("x0 - -x1^600", F7)
+def test_parse_matches_the_token_parser(text, field):
+    # errors alike to the message and position; accepted text alike to
+    # the order of the terms, a cancelled term going to the back
+    assert (parse_outcome(parse_polynomial, text, field)
+            == parse_outcome(token_parse, text, field))
+
+
+def test_parse_builds_one_polynomial_and_adds_none(monkeypatch):
+    dense = Polynomial(F10007, 6, {
+        mono: F10007.from_int(k + 1)
+        for k, mono in enumerate(monomials_of_degree(6, 3))})
+    text = dense.to_text()
+    # every Polynomial is built by __init__ or by from_payloads
+    calls = {"__add__": 0, "__init__": 0, "from_payloads": 0}
+
+    def counted(name, method):
+        def run(*args):
+            calls[name] += 1
+            return method(*args)
+        return run
+
+    for name in ("__add__", "__init__"):
+        monkeypatch.setattr(Polynomial, name,
+                            counted(name, getattr(Polynomial, name)))
+    monkeypatch.setattr(Polynomial, "from_payloads", classmethod(counted(
+        "from_payloads", Polynomial.from_payloads.__func__)))
+    f = parse_polynomial(text, default_names(6), F10007)
+    monkeypatch.undo()
+    assert len(f.terms) == 56 and f == dense
+    assert calls == {"__add__": 0, "__init__": 0, "from_payloads": 1}
 
 
 def test_parse_round_trip_random():

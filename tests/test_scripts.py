@@ -15,7 +15,8 @@ RUNS = [
     (["line_count_grid.py", "--nmax", "3", "--dmax", "3"], "6/6 by deg"),
     (["node_survey.py", "--rmax", "2", "--seeds", "1"], "matched=true"),
     (["scan_vs_certified.py", "--seeds", "1"], "1/1 seeds fully agree"),
-    (["arith_timings.py", "--repeat", "1", "--number", "1"], "roots_orbit6"),
+    (["arith_timings.py", "--repeat", "1", "--number", "1"],
+     "parse GF(10007)"),
 ]
 
 
