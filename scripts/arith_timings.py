@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-operation timings of field arithmetic, root extraction and parsing.
+"""Per-operation timings of field arithmetic, root extraction, parsing
+and scanning.
 
 Each operation runs `--number` times per repeat; the script prints the
 median over `--repeat` repeats of the microseconds per call, one line
@@ -13,7 +14,10 @@ per operation:
   F_10007 of `test_orbit_six_root_work_is_pinned`, split in
   F_{10007^6};
 - `parse`: `parse_polynomial` on a fixed dense form of degree 8 in 6
-  variables over F_10007 (1,287 terms).
+  variables over F_10007 (1,287 terms);
+- `singular_scan`: the singular points of `normal_form_cubic(1, F_11, 0)`
+  over F_121, the scan of an r = 1 `sing-locus --kmax 2`;
+- `variety_scan`: the points of a fixed random cubic surface over F_121.
 
 Only names that every version of the package has are used, so the same
 script times two checkouts for comparison.
@@ -29,8 +33,11 @@ import timeit
 
 from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.field import relative_extension
-from fanolines.poly import default_names, monomials_of_degree
+from fanolines.poly import (default_names, monomials_of_degree,
+                            random_homogeneous)
+from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import roots_in_field
+from fanolines.voisin import normal_form_cubic
 
 FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
 
@@ -78,6 +85,14 @@ def operations():
         for mono in monomials_of_degree(6, 8))
     ops.append(("parse GF(10007) 1287 terms",
                 lambda: parse_polynomial(dense, names, ground), 1))
+    f11 = PrimeField(11)
+    f121, embed = relative_extension(f11, 2)
+    nodal = normal_form_cubic(1, f11, 0).f.map_coefficients(f121, embed)
+    ops.append(("singular_scan r1 GF(11^2)",
+                lambda: singular_scan([nodal], 1, f121), 1))
+    cubic = random_homogeneous(f121, 4, 3, rng)
+    ops.append(("variety_scan cubic GF(11^2)",
+                lambda: variety_scan([cubic], f121), 1))
     return ops
 
 

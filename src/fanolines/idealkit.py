@@ -142,8 +142,9 @@ def enumerated_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
     """The brute-force oracle for `rational_points`: every point of
     P^N(F_{q^k}), k <= k_max, is decided against the generators by
     `variety_scan` (a quadric's zeros in one coordinate come from the
-    quadratic formula, the rest by evaluation), and each zero is kept over
-    the level of its exact residue degree. Only the top levels are
+    quadratic formula, on the fibres where its resultant with a later
+    generator vanishes, the rest by evaluation), and each zero is kept
+    over the level of its exact residue degree. Only the top levels are
     scanned; the lower ones are read off them (`_scan_levels`).
 
     Raises BudgetExceeded when P^N(F_{q^k_max}) exceeds the budget.

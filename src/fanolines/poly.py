@@ -170,13 +170,6 @@ class Polynomial:
         return cls(field, nvars, {exps: field.one()})
 
     @classmethod
-    def monomial(cls, field: Field, exps: Monomial, coeff=None) -> "Polynomial":
-        c = coeff if coeff is not None else field.one()
-        if not isinstance(c, FieldElement):
-            c = field.from_int(c)
-        return cls(field, len(exps), {tuple(exps): c})
-
-    @classmethod
     def linear(cls, field: Field, coeffs: Sequence[FieldElement]) -> "Polynomial":
         """Linear form sum(coeffs[i] * x_i)."""
         n = len(coeffs)

@@ -22,16 +22,20 @@ by code, the leftmost most significant. Every stratum with a free
 coordinate takes one route: its free coordinates split as
 lead | y | grid. The grid is the trailing coordinates whose q^g points
 fit one chunk, all but y at most; y is the coordinate just before it;
-the lead coordinates enter one tuple at a time as scalars. In the manner
-of a multivariate Horner scheme, the first generator is evaluated once
-per stratum on the grid and is, for each lead tuple, a polynomial in y
-with arrays on the grid as coefficients. Its zeros in y are solved for
-by the quadratic formula on the log tables in the log kernel at degree
-<= 2 in y, and otherwise found by Horner's rule at every value of y, in
-bands of values that fit one chunk. The later generators run on the
-pooled zeros of the first, and only their common zeros are sorted into
-scan order. Every point is still decided exactly, so the output is the
-same either way. The log tables are built once per field and process.
+the lead coordinates enter one tuple at a time as scalars. The first
+generator is evaluated once per stratum on the grid, each of its parts
+by a nested Horner scheme over the product of the grid's coordinates,
+and is, for each lead tuple, a polynomial in y with arrays on the grid
+as coefficients. Where it has degree 1 or 2 in y, a later generator of
+degree <= 2 in y filters the fibres over the grid first: only those
+where the resultant in y of the two vanishes can hold a common zero. The
+zeros in y on the fibres kept are solved for by the quadratic formula on
+the log tables in the log kernel at degree <= 2 in y, and otherwise
+found by Horner's rule at every value of y, in bands of values that fit
+one chunk. The later generators run on the pooled zeros of the first,
+and only their common zeros are sorted into scan order. Every point is
+still decided exactly, so the output is the same either way. The log
+tables are built once per field and process.
 
 numpy is imported inside the functions that use it, so importing the
 package does not load it until a command scans.
@@ -183,7 +187,7 @@ class VectorContext:
         return self.mod.take(a + self.zech.take(b - a + self.zero, mode="clip"),
                              mode="clip")
 
-    def monomial(self, values: Sequence[int], exps: Sequence[int]) -> int:
+    def power_product(self, values: Sequence[int], exps: Sequence[int]) -> int:
         """Kernel value of prod values[j]^exps[j], for kernel scalars."""
         if self.mode == "prime":
             p, out = self.p, 1
@@ -258,22 +262,138 @@ def _codes(n_proj: int, pivot: int, q: int, idx: np.ndarray) -> List[np.ndarray]
     return [np.zeros_like(ones)] * pivot + [ones] + digits[::-1]
 
 
-def _split(f: Polynomial, pivot: int,
-           n_outer: int) -> List[Tuple[Monomial, Polynomial]]:
+def _split(f: Polynomial, pivot: int, n_outer: int
+           ) -> List[Tuple[Monomial, Dict[Monomial, FieldElement]]]:
     """f on the pivot stratum as [(a, h_a)] with
     f(0, .., 0, 1, y, z) = sum_a y^a h_a(z), where y are the n_outer
-    leading free coordinates and z the rest; each h_a keeps f's variables,
-    with exponent 0 outside z."""
+    leading free coordinates and z the rest; each h_a is its terms
+    {exponents of z: coefficient}, without the zero ones."""
     lo, hi = pivot + 1, pivot + 1 + n_outer
     parts: Dict[Monomial, Dict[Monomial, FieldElement]] = {}
     for mono, coeff in f.terms.items():
         if any(mono[:pivot]):
             continue
-        inner = (0,) * hi + mono[hi:]
+        inner = mono[hi:]
         terms = parts.setdefault(mono[lo:hi], {})
         terms[inner] = terms[inner] + coeff if inner in terms else coeff
-    return [(exps, Polynomial(f.field, f.nvars, terms))
+    return [(exps, {m: c for m, c in terms.items() if not c.is_zero()})
             for exps, terms in parts.items()]
+
+
+def _grid_values(ctx: VectorContext, terms: Dict[Monomial, FieldElement],
+                 axis: Optional[np.ndarray], size: int) -> np.ndarray:
+    """Values of sum_m c_m z^m, for terms {m: c_m} in the g coordinates z
+    of the grid, at its size = q^g points, the first coordinate most
+    significant; axis holds the kernel values of the codes 0..q-1 (unused
+    at g = 0, where the sum is a constant on a one-point grid)."""
+    import numpy as np
+    value = _horner(ctx, {m: ctx.const(c) for m, c in terms.items()}, axis)
+    if isinstance(value, np.ndarray):
+        return value
+    return np.full(size, ctx.zero if value is None else value,
+                   dtype=ctx.dtype)
+
+
+def _horner(ctx: VectorContext, terms: Dict[Monomial, int],
+            axis: Optional[np.ndarray]):
+    """sum_m c_m z^m on the grid axis^g of its g coordinates, for kernel
+    scalars c_m, by a nested Horner scheme: the sum is sum_e x^e s_e in
+    the first coordinate x, each s_e is evaluated on the grid of the rest,
+    and Horner's rule in x combines the (q, 1) array of x with the
+    (1, q^(g-1)) arrays of the s_e by broadcasting. A sum in no grid
+    coordinate stays a kernel scalar, and one with no term is None; any
+    other is a flat array of the whole grid."""
+    import numpy as np
+    if not terms:
+        return None
+    g = len(next(iter(terms)))
+    if g == 0:
+        return terms[()]
+    inner: Dict[int, Dict[Monomial, int]] = {}
+    for mono, c in terms.items():
+        inner.setdefault(mono[0], {})[mono[1:]] = c
+    x, acc = axis[:, None], None
+    for e in range(max(inner), -1, -1):
+        if acc is not None:
+            acc = ctx.mul(acc, x)
+        if e in inner:
+            h = inner[e][()] if g == 1 else _horner(ctx, inner[e], axis)
+            acc = h if acc is None else ctx.add(acc, h)
+    if not isinstance(acc, np.ndarray):
+        return acc
+    shape = (len(axis), len(axis) ** (g - 1))
+    return (acc if acc.shape == shape else np.broadcast_to(acc, shape)).ravel()
+
+
+def _parts(ctx: VectorContext, f: Polynomial, pivot: int, n_outer: int,
+           axis: Optional[np.ndarray], size: int
+           ) -> Dict[int, List[Tuple[Monomial, np.ndarray]]]:
+    """The parts of f on the pivot stratum (`_split`) as
+    {e: [(lead exponents, grid values)]} by the exponent e of y, the last
+    outer coordinate."""
+    groups: Dict[int, List[Tuple[Monomial, np.ndarray]]] = {}
+    for exps, terms in _split(f, pivot, n_outer):
+        groups.setdefault(exps[-1], []).append(
+            (exps[:-1], _grid_values(ctx, terms, axis, size)))
+    return groups
+
+
+def _degree_in(f: Polynomial, pivot: int, y: int) -> int:
+    """The degree of f in x_y on the pivot stratum, -1 where f vanishes."""
+    return max((mono[y] for mono in f.terms if not any(mono[:pivot])),
+               default=-1)
+
+
+def _resultant_zeros(ctx: VectorContext, a: Sequence[Optional[np.ndarray]],
+                     b: Sequence[Optional[np.ndarray]],
+                     size: int) -> np.ndarray:
+    """The grid points j, ascending, whose fibres A = sum_e a_e y^e and
+    B = sum_e b_e y^e have a vanishing Res_y(A, B), at the formal degrees
+    m = len(a) - 1 and n = len(b) - 1, each at most 2; the a_e, b_e are
+    kernel arrays over the `size` grid points, None for zero.
+
+    A common zero y of A and B in F_q makes the Sylvester matrix kill
+    the vector of powers of y, so its fibre is kept whatever the leading
+    coefficients are: a superset of the fibres with a common zero. At
+    m = n = 0 the resultant is 1, and a fibre is kept where A and B both
+    vanish. The test is symmetric in A and B, so m >= n, and each
+    resultant is tested as an equality of its two sides, kernel values
+    being canonical.
+    """
+    import numpy as np
+    minus = ctx.const(-ctx.field.one())
+
+    def mul(x, y):
+        return None if x is None or y is None else ctx.mul(x, y)
+
+    def add(x, y):
+        return y if x is None else x if y is None else ctx.add(x, y)
+
+    def sub(x, y):
+        return add(x, mul(y, minus))
+
+    def same(x, y):
+        if x is None or y is None:
+            x = y if x is None else x
+            return True if x is None else x == ctx.zero
+        return x == y
+
+    if len(a) < len(b):
+        a, b = b, a
+    m, n = len(a) - 1, len(b) - 1
+    if n == 0:  # b_0^m, and 1 at m = 0, where both must vanish
+        keep = same(b[0], None) & (m > 0 or same(a[0], None))
+    elif m == 1:  # a_1 b_0 = a_0 b_1
+        keep = same(mul(a[1], b[0]), mul(a[0], b[1]))
+    elif n == 1:  # a_2 b_0^2 + a_0 b_1^2 = a_1 b_1 b_0
+        keep = same(add(mul(a[2], mul(b[0], b[0])),
+                        mul(a[0], mul(b[1], b[1]))),
+                    mul(a[1], mul(b[1], b[0])))
+    else:  # (a_2 b_0 - a_0 b_2)^2 = (a_2 b_1 - a_1 b_2)(a_1 b_0 - a_0 b_1)
+        s = sub(mul(a[2], b[0]), mul(a[0], b[2]))
+        keep = same(mul(s, s), mul(sub(mul(a[2], b[1]), mul(a[1], b[2])),
+                                   sub(mul(a[1], b[0]), mul(a[0], b[1]))))
+    return np.flatnonzero(np.broadcast_to(keep, (size,)))
 
 
 def _block_values(ctx: VectorContext,
@@ -284,7 +404,7 @@ def _block_values(ctx: VectorContext,
     values = [ctx.scalar(c) for c in outer]
     acc = None
     for exps, grid_values in parts:
-        s = ctx.monomial(values, exps)
+        s = ctx.power_product(values, exps)
         if s == ctx.zero:
             continue
         term = grid_values if s == ctx.one else ctx.mul(grid_values, s)
@@ -391,19 +511,25 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     order of the module docstring.
 
     The free coordinates of each pivot stratum split as lead | y | grid
-    (`_grid_count`). The first generator is split as sum_a lead^a h_a
-    (`_split`), each h_a is evaluated once on the grid, and for each lead
-    tuple `_block_values` sums the grid arrays times scalar monomials into
-    H_e, so that the generator is sum_e H_e y^e over the grid. In the log
-    kernel at degree <= 2 in y, `_fibre_hits` gives its zeros in y exactly
-    by the quadratic formula (all of F_q where the H_e all vanish);
-    otherwise `_enumerated_hits` evaluates it at every value of y by
-    Horner's rule, in bands of at most `chunk` points. The point
-    [0:...:0:1] is decided from the terms of the first generator in x_N
-    alone. The indices of the zeros are pooled across lead tuples and
-    strata, at most `chunk` at a time, and the later generators run on the
-    pool whenever it would pass `chunk` points; only their common zeros
-    are put in scan order.
+    (`_grid_count`). The first generator A is split as sum_a lead^a h_a
+    (`_split`), each h_a is evaluated once on the grid by a nested
+    Horner scheme (`_grid_values`), and for each lead tuple
+    `_block_values` sums the grid arrays times scalar monomials into
+    H_e, so that A is sum_e H_e y^e over the grid. Where A has degree 1
+    or 2 in y, the later generator B of lowest degree <= 2 in y is split
+    and summed the same way, and only the fibres where Res_y(A, B)
+    vanishes go on (`_resultant_zeros`): every fibre with a common zero
+    is among them. The filter runs where the zero search of A visits at
+    least chunk // 4 points, below which it costs more than it saves. In
+    the log kernel at degree <= 2 in y, `_fibre_hits` gives the zeros of
+    A in y exactly by the quadratic formula (all of F_q where the H_e all
+    vanish); otherwise `_enumerated_hits` evaluates it at every value of y
+    by Horner's rule, in bands of at most `chunk` points. A stratum where
+    A is a constant, as on [0:...:0:1], is decided by that constant. The
+    indices of the zeros are pooled across lead tuples and strata, at most
+    `chunk` at a time, and the later generators run on the pool whenever
+    it would pass `chunk` points; only their common zeros are put in scan
+    order.
     """
     import numpy as np
     gens = [g for g in gens if not g.is_zero()]
@@ -440,7 +566,7 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
             pt.coords = coords
             out.append(pt)
 
-    pooled = 0
+    pooled, axis = 0, None
 
     def collect(pivot: int, hits: np.ndarray):
         """Pool the stratum indices of zeros of gens[0] in `hits`, after
@@ -454,29 +580,57 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
 
     for pivot in range(n_proj, -1, -1):
         free = n_proj - pivot
-        if not free:  # [0:...:0:1]: only the terms in x_N alone are left
-            value = sum((c for mono, c in gens[0].terms.items()
-                         if not any(mono[:pivot])), field.zero())
-            if value.is_zero():
+        # where gens[0] is a constant on the stratum, as always on
+        # [0:...:0:1], a nonzero one rules the stratum out; a zero one
+        # leaves every point of it, as whole fibres below
+        on = [(mono, c) for mono, c in gens[0].terms.items()
+              if not any(mono[:pivot])]
+        if not any(any(mono[pivot + 1:]) for mono, _ in on):
+            if not sum((c for _, c in on), field.zero()).is_zero():
+                continue
+            if not free:
                 collect(pivot, np.zeros(1, dtype=np.int32))
-            continue
+                continue
         on_grid = _grid_count(free, q, chunk)
-        size = q ** on_grid
-        grid = _codes(n_proj, pivot, q, np.arange(size))
-        # the parts of the first generator by the exponent of y
-        groups: Dict[int, List[Tuple[Monomial, np.ndarray]]] = {}
-        for exps, h in _split(gens[0], pivot, free - on_grid):
-            groups.setdefault(exps[-1], []).append((exps[:-1],
-                                                    ctx.eval_poly(h, grid)))
+        size, n_outer = q ** on_grid, free - on_grid
+        if on_grid and axis is None:
+            axis = ctx.coords(np.arange(q))
+        groups = _parts(ctx, gens[0], pivot, n_outer, axis, size)
         degree = max(groups, default=0)
-        hits_of = (_fibre_hits if ctx.mode == "log" and degree <= 2
-                   else _enumerated_hits)
+        solve = ctx.mode == "log" and degree <= 2
+        # B, the later generator of lowest degree <= 2 in y, filters the
+        # fibres where A = gens[0] has degree 1 or 2 in y (for A free of
+        # y and B of degree n >= 1, Res_y(A, B) = a_0^n keeps just the
+        # whole fibres of zeros of A), and where the zero search of A
+        # visits at least chunk // 4 points: one per fibre when solved,
+        # q by Horner's rule. Below that its fixed cost passes what it
+        # saves
+        other: Dict[int, List[Tuple[Monomial, np.ndarray]]] = {}
+        if 1 <= degree <= 2 and size * (1 if solve else q) >= chunk // 4:
+            low = min(((d, i) for i, g in enumerate(gens[1:], 1)
+                       for d in [_degree_in(g, pivot, pivot + n_outer)]
+                       if 0 <= d <= 2), default=None)
+            if low is not None:
+                other = _parts(ctx, gens[low[1]], pivot, n_outer, axis, size)
+        hits_of = _fibre_hits if solve else _enumerated_hits
         index = np.int32 if q ** free < 2 ** 31 else np.int64
-        for rank, lead in enumerate(product(range(q),
-                                            repeat=free - on_grid - 1)):
+        for rank, lead in enumerate(product(range(q), repeat=n_outer - 1)):
             coeffs = [_block_values(ctx, groups[e], lead) if e in groups
                       else None for e in range(max(degree, 2) + 1)]
-            for hits in hits_of(ctx, coeffs, size, chunk):
+            fibres = size
+            if other:
+                kept = _resultant_zeros(
+                    ctx, coeffs[:degree + 1],
+                    [_block_values(ctx, other[e], lead) if e in other
+                     else None for e in range(max(other) + 1)], size)
+                if not len(kept):
+                    continue
+                fibres = len(kept)
+                coeffs = [None if h is None else h[kept] for h in coeffs]
+            for hits in hits_of(ctx, coeffs, fibres, chunk):
+                if fibres < size:  # back from the kept fibres to the grid
+                    y, j = np.divmod(hits, fibres)
+                    hits = y * size + kept[j]
                 collect(pivot, hits.astype(index, copy=False)
                         + rank * q * size)
     if pooled:

@@ -18,6 +18,15 @@ from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 from fanolines.solve import exact_relative_degree
 
 
+def monomial(field, exps, coeff=None):
+    """The polynomial coeff * x^exps in len(exps) variables; coeff is a
+    field element or an int, 1 when omitted."""
+    c = field.one() if coeff is None else coeff
+    if not isinstance(c, FieldElement):
+        c = field.from_int(c)
+    return Polynomial(field, len(exps), {tuple(exps): c})
+
+
 @pytest.fixture(scope="session")
 def f7():
     return PrimeField(7)
@@ -686,7 +695,7 @@ class _TokenParser:
                              f"maximum {MAX_TERM_DEGREE}", term_pos)
         if sign < 0:
             coeff = -coeff
-        return Polynomial.monomial(self.field, tuple(exps), coeff)
+        return monomial(self.field, tuple(exps), coeff)
 
 
 def token_parse(text, names, field):

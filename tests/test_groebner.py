@@ -21,7 +21,7 @@ from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
 from fanolines.errors import NotZeroDimensional, ResourceLimit
 from fanolines import groebner
 
-from conftest import (dehomogenize, mono_lcm, mono_mul, parse,
+from conftest import (dehomogenize, mono_lcm, mono_mul, monomial, parse,
                       plain_normal_form)
 
 F7 = PrimeField(7)
@@ -34,7 +34,7 @@ def random_poly(field, nvars, max_deg, rng, terms=5):
         exps = tuple(rng.randrange(max_deg + 1) for _ in range(nvars))
         if sum(exps) > max_deg:
             continue
-        out = out + Polynomial.monomial(field, exps, field.sample(rng))
+        out = out + monomial(field, exps, field.sample(rng))
     return out
 
 
@@ -105,8 +105,8 @@ def test_s_polynomials_reduce_to_zero():
             mi = fi.leading_monomial(GREVLEX)
             mj = fj.leading_monomial(GREVLEX)
             lcm = mono_lcm(mi, mj)
-            s = Polynomial.monomial(F7, tuple(map(sub, lcm, mi))) * fi - \
-                Polynomial.monomial(F7, tuple(map(sub, lcm, mj))) * fj
+            s = monomial(F7, tuple(map(sub, lcm, mi))) * fi - \
+                monomial(F7, tuple(map(sub, lcm, mj))) * fj
             assert normal_form(s, basis).is_zero()
 
 
@@ -282,7 +282,7 @@ def affine_zero_dim_system(field, nvars, rng):
     for i in range(nvars):
         head = [0] * nvars
         head[i] = rng.randrange(2, 4)
-        f = Polynomial.monomial(field, tuple(head))
+        f = monomial(field, tuple(head))
         gens.append(f + random_poly(field, nvars, head[i] - 1, rng))
     return gens
 
@@ -643,8 +643,8 @@ def test_product_budget_of_packed_s_pairs(p, k, monkeypatch):
     for gi, gj in itertools.combinations(reference, 2):
         mi, mj = gi.leading_monomial(GREVLEX), gj.leading_monomial(GREVLEX)
         lcm = mono_lcm(mi, mj)
-        s = (Polynomial.monomial(field, tuple(map(sub, lcm, mi))) * gi
-             - Polynomial.monomial(field, tuple(map(sub, lcm, mj))) * gj)
+        s = (monomial(field, tuple(map(sub, lcm, mi))) * gi
+             - monomial(field, tuple(map(sub, lcm, mj))) * gj)
         assert plain_normal_form(groebner._to_payload(s, packing), payloads,
                                  packing, field) == {}
     packer = field._packer

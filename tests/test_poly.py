@@ -17,7 +17,7 @@ from fanolines.errors import (FanolinesError, ParseError, UnknownVariable,
                               ZeroPolynomial)
 
 from conftest import (dehomogenize, jacobian_rank_oracle, mat_identity,
-                      mat_vec, parse, plain_evaluate, plain_gradient,
+                      mat_vec, monomial, parse, plain_evaluate, plain_gradient,
                       plain_restrict, plain_substitute_all, token_parse)
 from test_cli_fuzz import POLY_PIECES, forms, pieces
 
@@ -35,7 +35,7 @@ def random_poly(field, nvars, max_deg, rng, terms=6):
         exps = tuple(rng.randrange(max_deg + 1) for _ in range(nvars))
         if sum(exps) > max_deg:
             continue
-        out = out + Polynomial.monomial(field, exps, field.sample(rng))
+        out = out + monomial(field, exps, field.sample(rng))
     return out
 
 

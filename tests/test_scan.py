@@ -11,9 +11,9 @@ import pytest
 from fanolines import Polynomial, PrimeField, build_extension, scan
 from fanolines.poly import evaluate_at, random_homogeneous
 from fanolines.scan import (VectorContext, _block_values, _codes, _grid_count,
-                            _split, singular_scan, variety_scan)
+                            _grid_values, _split, singular_scan, variety_scan)
 
-from conftest import enumerate_projective_points, parse
+from conftest import enumerate_projective_points, monomial, parse
 
 
 def test_large_prime_evaluates_exactly_instead_of_overflowing_int64():
@@ -378,6 +378,9 @@ def test_vanishing_fibres_past_the_chunk_are_pooled_in_bounded_pieces(
 
     monkeypatch.setattr(scan, "_fibre_hits", recorded)
     monkeypatch.setattr(scan, "_codes", sized)
+    # g filters no fibre of [f, g]: f is free of y on the pivot-0
+    # stratum, and the grids of the other two, 9 and 1 points, are below
+    # chunk // 4
     for gens in ([f], [f, g]):
         pieces.clear()
         flushes.clear()
@@ -395,8 +398,8 @@ def test_object_kernel_block_values_on_p1_match_evaluate():
     assert ctx.dtype is object
     rng = random.Random(5)
     f = random_homogeneous(field, 2, 4, rng)
-    grid = _codes(1, 0, field.order(), np.arange(1))
-    parts = [(exps, ctx.eval_poly(h, grid)) for exps, h in _split(f, 0, 1)]
+    parts = [(exps, _grid_values(ctx, terms, None, 1))
+             for exps, terms in _split(f, 0, 1)]
     codes = [0, 1, field.order() - 1] + [rng.randrange(field.order())
                                          for _ in range(20)]
     exact = evaluate_at([f], [[field.one(), field.element_from_code(code)]
@@ -406,20 +409,232 @@ def test_object_kernel_block_values_on_p1_match_evaluate():
         assert (0 if values is None else int(values[0])) == value.payload
 
 
+@pytest.mark.parametrize("kernel,p,k", [
+    ("int64", 7, 1), ("object", 5, 1), ("object", 4294967311, 1),
+    ("log", 3, 2), ("log", 5, 2)])
+def test_grid_values_match_eval_poly_on_the_code_grid(kernel, p, k):
+    # the nested Horner scheme against `eval_poly` on the code arrays of
+    # the grid of g = 0..3 coordinates, for dense sums, sums with gaps in
+    # the exponents, sums free of the first or last coordinate, constants
+    # and zero. Over F_4294967311 the axis is 6 sampled codes, and the
+    # grid their product; elsewhere it is every code, the grid `_codes`
+    field = PrimeField(p) if k == 1 else build_extension(p, k)
+    ctx = (ObjectContext if kernel == "object" else VectorContext)(field)
+    assert ctx.dtype == {"int64": np.int64, "object": object,
+                         "log": np.int32}[kernel]
+    q = field.order()
+    rng = random.Random(p * 10 + k)
+    codes = (np.arange(q) if q < 100 else
+             np.array([0, 1, q - 1] + rng.sample(range(2, q - 1), 3)))
+    axis = ctx.coords(codes)
+    for g in range(4):
+        grid = [c.ravel() for c in np.meshgrid(*[codes] * g, indexing="ij")]
+        if q < 100 and g:
+            assert [a.tolist() for a in grid] == [
+                a.tolist() for a in _codes(g, 0, q, np.arange(q ** g))[1:]]
+        polys = [Polynomial.zero(field, g),
+                 Polynomial.constant(field, g, field.sample(rng))]
+        if g:
+            dense = sum((random_homogeneous(field, g, d, rng)
+                         for d in (1, 2, 3)), polys[1])
+            polys += [dense, monomial(field, (2,) + (0,) * (g - 1), 3),
+                      monomial(field, (0,) * (g - 1) + (3,), 5)
+                      + monomial(field, (0,) * g, 1),
+                      monomial(field, (4,) + (0,) * (g - 1))
+                      + monomial(field, (1,) * g, 2)]
+        for f in polys:
+            got = _grid_values(ctx, f.terms, axis if g else None,
+                               len(codes) ** g)
+            want = (ctx.eval_poly(f, grid) if g else
+                    [ctx.const(f.terms.get((), field.zero()))])
+            assert [int(v) for v in got] == [int(v) for v in want], (g, f)
+
+
+def code_tables(field):
+    """The sum and product of every pair of codes of F_q, by field
+    arithmetic, as q x q arrays of codes."""
+    elements = [field.element_from_code(c) for c in range(field.order())]
+    return [np.array([[field.code_of(op(a, b)) for b in elements]
+                      for a in elements])
+            for op in (lambda a, b: a + b, lambda a, b: a * b)]
+
+
+def fibre_coefficients(field, m, n, count, rng):
+    """Codes of the coefficients of A of formal degree m and B of formal
+    degree n on `count` fibres, cycling through random fibres, vanishing
+    leading coefficients, A or B or both zero, and a planted common root
+    (A and B both multiples of y - r)."""
+    zero, q = field.zero(), field.order()
+
+    def draw(degree):
+        return [field.sample(rng) for _ in range(degree + 1)]
+
+    def times_root(coeffs, r):  # (y - r) * sum c_e y^e, one degree up
+        return [(coeffs[e - 1] if e else zero)
+                - (r * coeffs[e] if e < len(coeffs) else zero)
+                for e in range(len(coeffs) + 1)]
+
+    rows = []
+    for i in range(count):
+        a, b = draw(m), draw(n)
+        kind = i % 6
+        if kind == 1:
+            a[m] = b[n] = zero
+        elif kind == 2:
+            a = [zero] * (m + 1)
+        elif kind == 3:
+            b = [zero] * (n + 1)
+        elif kind == 4 and m and n:
+            r = field.element_from_code(rng.randrange(q))
+            a, b = times_root(draw(m - 1), r), times_root(draw(n - 1), r)
+        elif kind == 5:
+            a[m] = zero
+        rows.append([field.code_of(c) for c in a + b])
+    return np.array(rows).reshape(count, m + n + 2)
+
+
+def sylvester_vanishes(field, a, b):
+    """Res_y(A, B) == 0 at the formal degrees len(a) - 1, len(b) - 1, by
+    `mat_det` of the Sylvester matrix; where both degrees are 0, whether
+    A and B both vanish."""
+    from fanolines.linalg import mat_det
+    m, n, zero = len(a) - 1, len(b) - 1, field.zero()
+    if m == n == 0:
+        return a[0].is_zero() and b[0].is_zero()
+    rows = ([[zero] * i + a[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + b[::-1] + [zero] * (m - 1 - i) for i in range(m)])
+    return mat_det(rows).is_zero()
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (11, 2), (7, 1), (11, 1)])
+def test_resultant_filter_keeps_every_fibre_with_a_common_root(p, k):
+    # every formal degree pair (m, n) in {0, 1, 2}^2, with coefficient
+    # arrays given or None (zero); the kept fibres are exactly those of
+    # a vanishing Sylvester determinant, and they contain every fibre
+    # where a brute-force search over F_q finds a common root
+    field = PrimeField(p) if k == 1 else build_extension(p, k)
+    ctx = VectorContext(field)
+    q = field.order()
+    add, mul = code_tables(field)
+    rng = random.Random(q)
+    y = np.arange(q)
+    common_seen = dropped_seen = 0
+    for m in range(3):
+        for n in range(3):
+            rows = fibre_coefficients(field, m, n, 60, rng)
+            for blank in [None] + list(range(m + n + 2)):
+                data = rows.copy()
+                if blank is not None:
+                    data[:, blank] = 0
+                columns = [None if j == blank else ctx.coords(data[:, j])
+                           for j in range(m + n + 2)]
+                kept = scan._resultant_zeros(
+                    ctx, columns[:m + 1], columns[m + 1:], len(data))
+                want, common = [], []
+                for j, row in enumerate(data.tolist()):
+                    a, b = row[:m + 1], row[m + 1:]
+                    elements = [field.element_from_code(c) for c in row]
+                    if sylvester_vanishes(field, elements[:m + 1],
+                                          elements[m + 1:]):
+                        want.append(j)
+                    values = []
+                    for coeffs in (a, b):  # Horner's rule at every y
+                        acc = np.zeros(q, dtype=np.int64)
+                        for c in reversed(coeffs):
+                            acc = add[mul[acc, y], c]
+                        values.append(acc)
+                    if np.any((values[0] == 0) & (values[1] == 0)):
+                        common.append(j)
+                assert kept.tolist() == want, (m, n, blank)
+                assert set(common) <= set(want), (m, n, blank)
+                common_seen += len(common)
+                dropped_seen += len(data) - len(want)
+    assert common_seen and dropped_seen
+
+
+def filter_systems(field, rng):
+    """Generators [A, C, B] on P^2 whose degrees in x1 on the pivot-0
+    stratum are (m, 3, n) for m in {1, 2} and n in {0, 1, 2}, so that B
+    is the generator the filter takes, each with a common factor of A, B
+    and C (the line x1 - c x2 - d x0) and with one of A and C alone. A's
+    leading coefficient vanishes where x2 does, and at m = 1 A is zero
+    on the fibres of x2 (x2 - e x0) = 0."""
+    x0, x1, x2 = (Polynomial.variable(field, 3, i) for i in range(3))
+    c, d, e = (Polynomial.constant(field, 3, field.sample(rng))
+               for _ in range(3))
+    line = x1 - c * x2 - d * x0
+    two = random_homogeneous(field, 2, 2, rng).substitute([x0, x2])
+    out = []
+    for common in (True, False):
+        factor = line if common else x1 + x2
+        a = {1: factor * x2 * (x2 - e * x0),
+             2: factor * (x1 * x2 + two)}
+        b = {0: x2 * (x2 - e * x0) * (x2 - d * x0),
+             1: (line if common else x1 - x0) * two,
+             2: line * (x1 - d * x2) if common else x1 ** 2 - x0 * x2}
+        cubic = factor * (x1 ** 2 + x0 * x2)
+        out += [((m, n), [a[m], cubic, b[n]]) for m in (1, 2)
+                for n in (0, 1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (11, 2), (7, 1), (11, 1)])
+def test_filtered_scan_matches_enumeration_in_every_degree_pair(
+        p, k, monkeypatch):
+    # chunk q gives the pivot-0 stratum of P^2 the grid x2 and y = x1,
+    # where the filter runs at every (m, n); chunk 2 leaves a one-point
+    # grid, so it runs once per lead tuple x1 with y = x2 (not over
+    # F_121, where pooling 2 points at a time takes seconds)
+    field = PrimeField(p) if k == 1 else build_extension(p, k)
+    q = field.order()
+    resultant, pairs, dropped = scan._resultant_zeros, set(), []
+
+    def recorded(ctx, a, b, size):
+        pairs.add((len(a) - 1, len(b) - 1))
+        kept = resultant(ctx, a, b, size)
+        dropped.append(size - len(kept))
+        return kept
+
+    monkeypatch.setattr(scan, "_resultant_zeros", recorded)
+    systems = filter_systems(field, random.Random(q))
+    # each distinct generator is evaluated once at every point
+    gens = list({id(g): g for _, system in systems for g in system}.values())
+    column = {id(g): j for j, g in enumerate(gens)}
+    points = [pt.coords for pt in enumerate_projective_points(2, field)]
+    values = evaluate_at(gens, points)
+    found = 0
+    for (m, n), system in systems:
+        want = [coords for coords, row in zip(points, values)
+                if not any(row[column[id(g)]] for g in system)]
+        found += len(want)
+        for chunk in (q, 2) if q < 100 else (q,):
+            pairs.clear()
+            got = variety_scan(system, field, chunk=chunk)
+            assert [pt.coords for pt in got] == want, ((m, n), chunk)
+            if chunk == q:
+                assert (m, n) in pairs
+    assert found and any(dropped)
+
+
 def test_scan_kernel_work_is_pinned(monkeypatch):
-    # sing-locus of nodal.txt over F_121: each stratum evaluates its first
-    # generator once on its grid, and the later ones run once on the pool
-    # of its zeros; per-chunk evaluation took 899 calls on 1,815,973 points
+    # sing-locus of nodal.txt over F_121: each stratum evaluates the parts
+    # of its first generator once on its grid (`_grid_values`), and the
+    # later generators run once on the pool of its zeros (`eval_poly`);
+    # per-chunk evaluation took 899 calls on 1,815,973 points
     from fanolines.field import relative_extension
     f11 = PrimeField(11)
     field, embed = relative_extension(f11, 2)
     f = parse("x0*x1^2 + x2^3 + x3^3", 4, f11).map_coefficients(field, embed)
     sizes = []
-    eval_poly = VectorContext.eval_poly
+    eval_poly, grid_values = VectorContext.eval_poly, scan._grid_values
 
     def counted(self, g, arrays):
         sizes.append(len(arrays[0]))
         return eval_poly(self, g, arrays)
+
+    def counted_grid(ctx, terms, axis, size):
+        sizes.append(size)
+        return grid_values(ctx, terms, axis, size)
 
     block_values, blocks = scan._block_values, []
 
@@ -434,15 +649,18 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
         return build_logs(self, field)
 
     monkeypatch.setattr(VectorContext, "eval_poly", counted)
+    monkeypatch.setattr(scan, "_grid_values", counted_grid)
     monkeypatch.setattr(scan, "_block_values", counted_block_values)
     monkeypatch.setattr(VectorContext, "_build_logs", counted_builds)
     points = singular_scan([f], 1, field)
     assert [pt.coords for pt in points] == [
         (field.one(), field.zero(), field.zero(), field.zero())]
     assert len(sizes) <= 6
-    # the pivot-1 stratum solves for x2 over a 121-point grid, where
-    # evaluating its whole 14,641-point grid took 58931 points in all
-    assert sum(sizes) <= 44411
+    # the pivot-0 stratum keeps the 121 of its 14,641 fibres where
+    # B = 3 x2^2 vanishes, so 243 zeros are pooled, not 14,763 (44,411
+    # points in all); the first partial x1^2 is the constant 1 on the
+    # pivot-1 stratum, which it rules out (its 121-point grid took 30,012)
+    assert sum(sizes) <= 29891
     # the pivot-0 stratum solves for x1 in one pass; one block per value
     # of x1 took 121 blocks there
     assert len(blocks) <= 4
@@ -468,21 +686,25 @@ def test_first_generator_is_combined_per_lead_tuple_and_band(p, k, bound,
     f = parse("x0^3 + x1^3 + x2^3 - x3^3 + x0*x1*x2 + x1*x2*x3", 4, field)
     want = oracle_scan([f], field)
     depth, adds = [0], []
-    eval_poly, add = VectorContext.eval_poly, VectorContext.add
+    add = VectorContext.add
 
-    def evaluated(self, g, arrays):
-        depth[0] += 1
-        try:
-            return eval_poly(self, g, arrays)
-        finally:
-            depth[0] -= 1
+    def evaluated(evaluate):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return evaluate(*args)
+            finally:
+                depth[0] -= 1
+        return run
 
     def counted(self, a, b):
         if not depth[0]:  # combining grid values, not evaluating a grid
             adds.append(1)
         return add(self, a, b)
 
-    monkeypatch.setattr(VectorContext, "eval_poly", evaluated)
+    monkeypatch.setattr(VectorContext, "eval_poly",
+                        evaluated(VectorContext.eval_poly))
+    monkeypatch.setattr(scan, "_grid_values", evaluated(scan._grid_values))
     monkeypatch.setattr(VectorContext, "add", counted)
     assert [pt.coords for pt in variety_scan([f], field, chunk=60)] == want
     assert len(adds) <= bound
