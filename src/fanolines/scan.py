@@ -281,35 +281,23 @@ def _split(f: Polynomial, pivot: int, n_outer: int
 
 
 def _grid_values(ctx: VectorContext, terms: Dict[Monomial, FieldElement],
-                 axis: Optional[np.ndarray], size: int) -> np.ndarray:
-    """Values of sum_m c_m z^m, for terms {m: c_m} in the g coordinates z
-    of the grid, at its size = q^g points, the first coordinate most
-    significant; axis holds the kernel values of the codes 0..q-1 (unused
-    at g = 0, where the sum is a constant on a one-point grid)."""
-    import numpy as np
-    value = _horner(ctx, {m: ctx.const(c) for m, c in terms.items()}, axis)
-    if isinstance(value, np.ndarray):
-        return value
-    return np.full(size, ctx.zero if value is None else value,
-                   dtype=ctx.dtype)
-
-
-def _horner(ctx: VectorContext, terms: Dict[Monomial, int],
-            axis: Optional[np.ndarray]):
-    """sum_m c_m z^m on the grid axis^g of its g coordinates, for kernel
-    scalars c_m, by a nested Horner scheme: the sum is sum_e x^e s_e in
-    the first coordinate x, each s_e is evaluated on the grid of the rest,
-    and Horner's rule in x combines the (q, 1) array of x with the
+                 axis: Optional[np.ndarray]):
+    """sum_m c_m z^m, for terms {m: c_m} in the g coordinates z of the
+    grid, at its q^g points, the first coordinate most significant; axis
+    holds the kernel values of the codes 0..q-1 (unused at g = 0). A
+    nested Horner scheme: the sum is sum_e x^e s_e in the first
+    coordinate x, each s_e is evaluated on the grid of the rest, and
+    Horner's rule in x combines the (q, 1) array of x with the
     (1, q^(g-1)) arrays of the s_e by broadcasting. A sum in no grid
-    coordinate stays a kernel scalar, and one with no term is None; any
+    coordinate is a kernel scalar, and one with no term is None; any
     other is a flat array of the whole grid."""
     import numpy as np
     if not terms:
         return None
     g = len(next(iter(terms)))
     if g == 0:
-        return terms[()]
-    inner: Dict[int, Dict[Monomial, int]] = {}
+        return ctx.const(terms[()])
+    inner: Dict[int, Dict[Monomial, FieldElement]] = {}
     for mono, c in terms.items():
         inner.setdefault(mono[0], {})[mono[1:]] = c
     x, acc = axis[:, None], None
@@ -317,7 +305,8 @@ def _horner(ctx: VectorContext, terms: Dict[Monomial, int],
         if acc is not None:
             acc = ctx.mul(acc, x)
         if e in inner:
-            h = inner[e][()] if g == 1 else _horner(ctx, inner[e], axis)
+            h = (ctx.const(inner[e][()]) if g == 1
+                 else _grid_values(ctx, inner[e], axis))
             acc = h if acc is None else ctx.add(acc, h)
     if not isinstance(acc, np.ndarray):
         return acc
@@ -330,11 +319,16 @@ def _parts(ctx: VectorContext, f: Polynomial, pivot: int, n_outer: int,
            ) -> Dict[int, List[Tuple[Monomial, np.ndarray]]]:
     """The parts of f on the pivot stratum (`_split`) as
     {e: [(lead exponents, grid values)]} by the exponent e of y, the last
-    outer coordinate."""
+    outer coordinate; each part's values fill an array of the `size`
+    grid points."""
+    import numpy as np
     groups: Dict[int, List[Tuple[Monomial, np.ndarray]]] = {}
     for exps, terms in _split(f, pivot, n_outer):
-        groups.setdefault(exps[-1], []).append(
-            (exps[:-1], _grid_values(ctx, terms, axis, size)))
+        values = _grid_values(ctx, terms, axis)
+        if not isinstance(values, np.ndarray):
+            values = np.full(size, ctx.zero if values is None else values,
+                             dtype=ctx.dtype)
+        groups.setdefault(exps[-1], []).append((exps[:-1], values))
     return groups
 
 

@@ -11,7 +11,8 @@ import pytest
 from fanolines import Polynomial, PrimeField, build_extension, scan
 from fanolines.poly import evaluate_at, random_homogeneous
 from fanolines.scan import (VectorContext, _block_values, _codes, _grid_count,
-                            _grid_values, _split, singular_scan, variety_scan)
+                            _grid_values, _parts, _split, singular_scan,
+                            variety_scan)
 
 from conftest import enumerate_projective_points, monomial, parse
 
@@ -262,13 +263,18 @@ def test_scan_matches_enumeration_for_every_block_shape(kernel, p, k, n_proj,
     assert [_split(systems[1][0], pivot, 0)
             for pivot in range(1, n_proj + 1)] == [[]] * n_proj
     sizes = []
-    eval_poly = VectorContext.eval_poly
+    eval_poly, parts = VectorContext.eval_poly, scan._parts
 
     def sized(self, g, arrays):
         sizes.append(len(arrays[0]))
         return eval_poly(self, g, arrays)
 
+    def sized_grid(ctx, f, pivot, n_outer, axis, size):
+        sizes.append(size)
+        return parts(ctx, f, pivot, n_outer, axis, size)
+
     monkeypatch.setattr(VectorContext, "eval_poly", sized)
+    monkeypatch.setattr(scan, "_parts", sized_grid)
     for gens in systems:
         want = oracle_scan(gens, field)
         assert want
@@ -398,8 +404,9 @@ def test_object_kernel_block_values_on_p1_match_evaluate():
     assert ctx.dtype is object
     rng = random.Random(5)
     f = random_homogeneous(field, 2, 4, rng)
-    parts = [(exps, _grid_values(ctx, terms, None, 1))
-             for exps, terms in _split(f, 0, 1)]
+    parts = [((e,) + lead, values)
+             for e, group in _parts(ctx, f, 0, 1, None, 1).items()
+             for lead, values in group]
     codes = [0, 1, field.order() - 1] + [rng.randrange(field.order())
                                          for _ in range(20)]
     exact = evaluate_at([f], [[field.one(), field.element_from_code(code)]
@@ -443,10 +450,15 @@ def test_grid_values_match_eval_poly_on_the_code_grid(kernel, p, k):
                       monomial(field, (4,) + (0,) * (g - 1))
                       + monomial(field, (1,) * g, 2)]
         for f in polys:
-            got = _grid_values(ctx, f.terms, axis if g else None,
-                               len(codes) ** g)
+            got = _grid_values(ctx, f.terms, axis if g else None)
+            if f.is_zero():
+                assert got is None
+                continue
             want = (ctx.eval_poly(f, grid) if g else
-                    [ctx.const(f.terms.get((), field.zero()))])
+                    [ctx.const(f.terms[()])])
+            # a sum in no grid coordinate is one kernel scalar
+            assert isinstance(got, np.ndarray) != f.is_constant(), (g, f)
+            got = np.broadcast_to(got, (len(codes) ** g,))
             assert [int(v) for v in got] == [int(v) for v in want], (g, f)
 
 
@@ -618,7 +630,7 @@ def test_filtered_scan_matches_enumeration_in_every_degree_pair(
 
 def test_scan_kernel_work_is_pinned(monkeypatch):
     # sing-locus of nodal.txt over F_121: each stratum evaluates the parts
-    # of its first generator once on its grid (`_grid_values`), and the
+    # of its first generator once on its grid (`_parts`), and the
     # later generators run once on the pool of its zeros (`eval_poly`);
     # per-chunk evaluation took 899 calls on 1,815,973 points
     from fanolines.field import relative_extension
@@ -626,15 +638,16 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
     field, embed = relative_extension(f11, 2)
     f = parse("x0*x1^2 + x2^3 + x3^3", 4, f11).map_coefficients(field, embed)
     sizes = []
-    eval_poly, grid_values = VectorContext.eval_poly, scan._grid_values
+    eval_poly, parts = VectorContext.eval_poly, scan._parts
 
     def counted(self, g, arrays):
         sizes.append(len(arrays[0]))
         return eval_poly(self, g, arrays)
 
-    def counted_grid(ctx, terms, axis, size):
-        sizes.append(size)
-        return grid_values(ctx, terms, axis, size)
+    def counted_grid(ctx, f, pivot, n_outer, axis, size):
+        groups = parts(ctx, f, pivot, n_outer, axis, size)
+        sizes.extend(size for group in groups.values() for _ in group)
+        return groups
 
     block_values, blocks = scan._block_values, []
 
@@ -649,7 +662,7 @@ def test_scan_kernel_work_is_pinned(monkeypatch):
         return build_logs(self, field)
 
     monkeypatch.setattr(VectorContext, "eval_poly", counted)
-    monkeypatch.setattr(scan, "_grid_values", counted_grid)
+    monkeypatch.setattr(scan, "_parts", counted_grid)
     monkeypatch.setattr(scan, "_block_values", counted_block_values)
     monkeypatch.setattr(VectorContext, "_build_logs", counted_builds)
     points = singular_scan([f], 1, field)
@@ -704,7 +717,7 @@ def test_first_generator_is_combined_per_lead_tuple_and_band(p, k, bound,
 
     monkeypatch.setattr(VectorContext, "eval_poly",
                         evaluated(VectorContext.eval_poly))
-    monkeypatch.setattr(scan, "_grid_values", evaluated(scan._grid_values))
+    monkeypatch.setattr(scan, "_parts", evaluated(scan._parts))
     monkeypatch.setattr(VectorContext, "add", counted)
     assert [pt.coords for pt in variety_scan([f], field, chunk=60)] == want
     assert len(adds) <= bound
