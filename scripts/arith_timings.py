@@ -17,7 +17,11 @@ per operation:
   variables over F_10007 (1,287 terms);
 - `singular_scan`: the singular points of `normal_form_cubic(1, F_11, 0)`
   over F_121, the scan of an r = 1 `sing-locus --kmax 2`;
-- `variety_scan`: the points of a fixed random cubic surface over F_121.
+- `variety_scan`: the points of a fixed random cubic surface over F_121;
+- `solve_orbit6` and `jacobian_orbit6`: `solve_projective` of the line
+  system of `lines-through --random 4 3 1 --seed 3` from its grevlex
+  basis, whose six lines are one Frobenius orbit over F_{10007^6}, and
+  `jacobian_rank_at` of its generators at those six lines.
 
 Only names that every version of the package has are used, so the same
 script times two checkouts for comparison.
@@ -32,9 +36,12 @@ import statistics
 import timeit
 
 from fanolines import PrimeField, build_extension, parse_polynomial
+from fanolines.fano import line_system, random_pointed_hypersurface
 from fanolines.field import relative_extension
-from fanolines.poly import (default_names, monomials_of_degree,
-                            random_homogeneous)
+from fanolines.idealkit import groebner_of
+from fanolines.poly import (default_names, jacobian_rank_at,
+                            monomials_of_degree, random_homogeneous)
+from fanolines.solve import solve_projective
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import roots_in_field
 from fanolines.voisin import normal_form_cubic
@@ -93,6 +100,13 @@ def operations():
     cubic = random_homogeneous(f121, 4, 3, rng)
     ops.append(("variety_scan cubic GF(11^2)",
                 lambda: variety_scan([cubic], f121), 1))
+    ideal = line_system(random_pointed_hypersurface(4, 3, 1, ground, 3)).ideal()
+    basis, gens = groebner_of(ideal), ideal.nonzero_generators()
+    lines = solve_projective(basis, 6).points
+    ops.append(("solve_orbit6 GF(10007^6)",
+                lambda: solve_projective(basis, 6), 1))
+    ops.append(("jacobian_orbit6 GF(10007^6)",
+                lambda: jacobian_rank_at(gens, lines), 1))
     return ops
 
 

@@ -32,8 +32,9 @@ FFLAS): the overflow slots mod p fold back by packed reduced rows, and
 the unit slots mod p are the digits. A field keeps its ring for one
 product, widened per `_packer(terms)` width once. The ring of a field
 holds the one Euclid for polynomials over it, a division adding one
-packed product per step (`_Ring.divmod`), and inverts by extended
-Euclid over F_p on the digit lists (ibid., §4.2).
+packed product per step (`_Ring.divmod`), a synthetic division by
+x - root with one packed product per step (`_Ring.deflate`), and
+inverts by extended Euclid over F_p on the digit lists (ibid., §4.2).
 """
 
 from __future__ import annotations
@@ -676,6 +677,32 @@ class _Ring:
         return (tuple(chain.from_iterable(quot)),
                 self.trim(gather(work[:lb - 1])))
 
+    def deflate(self, a, root) -> tuple:
+        """The quotient of the trimmed polynomial a by x - root, for a root
+        of a: synthetic division from the top, c_(i-1) = a_i + root * c_i,
+        one packed product per coefficient step. The remainder a(root) is
+        asserted zero."""
+        p, n = self.p, self.n
+        top = range(len(a) - n, -1, -n)
+        out = []
+        if n == 1:
+            r, c = root[0], 0
+            for i in top:
+                c = (a[i] + r * c) % p
+                out.append(c)
+            rem = (c,)
+        else:
+            ring = self.widen(2)
+            pack, reduce = ring.pack, ring.reduce
+            r, rem = pack(root), (0,) * n
+            for i in top:
+                rem = reduce(pack(a[i:i + n]) + r * pack(rem))
+                out.append(rem)
+        assert not any(rem), "deflating by a non-root"
+        out.pop()
+        out.reverse()
+        return tuple(chain.from_iterable(out)) if n > 1 else tuple(out)
+
     def gcd(self, a, b) -> tuple:
         """The monic gcd of the trimmed polynomials a and b, () when both
         are zero."""
@@ -804,7 +831,8 @@ def payload_lift(src: Field, dst: Field):
     lift = _embedding_cache.get(key)
     if lift is None:
         from .unipoly import roots_in_field
-        modulus = [dst.from_int(c) for c in src.modulus]
+        ground = build_extension(src.p, 1)
+        modulus = [ground.from_int(c) for c in src.modulus]
         rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
         root = roots_in_field(modulus, dst, rng, orbit=1)[0]
         rows = _power_rows(dst, root.payload, src.k)

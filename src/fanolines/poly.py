@@ -548,6 +548,16 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     field. Entry (g, i) at P is dg/dx_i at P: the term lists of
     `_lowered(g)` go to `_term_sums` as they are, so no partial
     derivative is built as a Polynomial.
+
+    Each Frobenius orbit is ranked once. When the generators' field is
+    F_q, sigma: x -> x^q is an automorphism of every extension F_(q^j)
+    that fixes F_q, so it fixes every coefficient of every partial, and
+    J(sigma P) = sigma(J(P)) entry by entry: the same rank, since sigma
+    is a field automorphism (Lidl-Niederreiter, *Finite Fields*, ch. 2).
+    sigma fixes 0 and 1, so it maps a canonical point to a canonical
+    point, and a point equal to sigma^i of an earlier one, or to an
+    earlier one itself, takes that point's rank. Points over QQ or over
+    F_q itself are ranked one by one.
     """
     if not gens or not points:
         return [0] * len(points)
@@ -556,10 +566,29 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     for g in gens:
         assert g.nvars == n and g.field == field
         entries += _lowered(g)
-    return [payload_rank(target, n, [sums[k:k + n]
-                                     for k in range(0, len(sums), n)])
-            for target, sums in _term_sums(field, n, entries,
-                                           [pt.coords for pt in points])]
+    ranked: List[Sequence[FieldElement]] = []  # one point per orbit
+    orbit_of: Dict[tuple, int] = {}
+    slots = []
+    for pt in points:
+        target, coords = pt.field, pt.coords
+        key = (target, tuple(c.payload for c in coords))
+        slot = orbit_of.get(key)
+        if slot is None:
+            slot = orbit_of[key] = len(ranked)
+            ranked.append(coords)
+            if field.is_finite and target != field:
+                while True:
+                    coords = [target.frobenius(c, field.degree)
+                              for c in coords]
+                    conjugate = (target, tuple(c.payload for c in coords))
+                    if conjugate == key:
+                        break
+                    orbit_of[conjugate] = slot
+        slots.append(slot)
+    ranks = [payload_rank(target, n, [sums[k:k + n]
+                                      for k in range(0, len(sums), n)])
+             for target, sums in _term_sums(field, n, entries, ranked)]
+    return [ranks[slot] for slot in slots]
 
 
 def _top_degree(polys: Sequence[Polynomial]) -> int:

@@ -8,13 +8,19 @@ into the chart's lex basis over the ground field F_q. Each chart is then
 solved by one recursion. The eliminant e(x_last) of the lex basis is
 factored once over F_q by distinct degrees; the degree-j part holds
 exactly the last coordinates of residue degree j, so it alone is split,
-one Frobenius orbit at a time, over F_{q^j}. Each root r is substituted
-into the basis. When that leaves {x_i - c_i} (a basis in shape position
-always does), the point is read off; otherwise the lex basis of the
-fiber over F_{q^j} is solved the same way, for residue degrees up to
-k_max // j. A point found i levels down over F_{q^j} has residue degree
-j * i over F_q by construction, so no residue-degree test is needed and
-no field is visited that holds no point.
+one Frobenius orbit at a time, over F_{q^j}. One root r per orbit is
+substituted into the basis. When that leaves {x_i - c_i} (a basis in
+shape position always does), the point is read off; otherwise the lex
+basis of the fiber over F_{q^j} is solved the same way, for residue
+degrees up to k_max // j. A point found i levels down over F_{q^j} has
+residue degree j * i over F_q by construction, so no residue-degree test
+is needed and no field is visited that holds no point.
+
+The other roots of the orbit are sigma(r), ..., sigma^(j-1)(r), sigma:
+x -> x^q. sigma fixes F_q, so every coefficient of the basis, and it is
+a field automorphism of each extension: it maps the points over r one
+to one onto the points over sigma(r). So those fibers are not solved;
+their points are the images of r's under sigma, coordinate by coordinate.
 
 Every solution with coordinates in F_{q^k}, k <= k_max, is found once,
 over the extension of its exact residue degree.
@@ -98,22 +104,45 @@ def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
     for j, part in distinct_degree_factorization(eliminant, ground, k_max).items():
         ext, embed = relative_extension(ground, j)
         basis = rest if j == 1 else [g.map_coefficients(ext, embed) for g in rest]
-        for root in roots_in_field([embed(c) for c in part], ext, rng, orbit=j):
-            fiber = [g for g in restrict(basis, nvars, root) if g]
-            values = _read_off(fiber, nvars)
-            if values is not None:
-                out.append((j, values + (root,)))
+        solved = set()
+        for root in roots_in_field(part, ext, rng, orbit=j):
+            if root.payload in solved:
                 continue
-            if not fiber:
-                raise NotZeroDimensional("system vanished identically during solving")
-            for i, coords in _affine_points(lex_basis_zero_dim(fiber), ext,
-                                            k_max // j, rng):
-                top, lift = relative_extension(ext, i)
-                point = coords + (lift(root),)
-                shift = _frobenius_shift(ground, ext, top)
-                if shift:
-                    point = tuple(top.frobenius(c, shift) for c in point)
-                out.append((j * i, point))
+            points = _fiber_points(basis, nvars, root, ground, k_max // j, rng)
+            for i in range(j):  # the orbit root, sigma(root), ...
+                if i:
+                    root = ext.frobenius(root, ground.degree)
+                    points = [(d, tuple(c.field.frobenius(c, ground.degree)
+                                        for c in point))
+                              for d, point in points]
+                solved.add(root.payload)
+                out += points
+    return out
+
+
+def _fiber_points(basis: List[Polynomial], nvars: int, root: FieldElement,
+                  ground: Field, k_max: int,
+                  rng: random.Random) -> List[Tuple[int, Tuple[FieldElement, ...]]]:
+    """The points of `_affine_points` whose last coordinate is root, an
+    element of residue degree j over ground: read off the fiber's system,
+    or solved from its lex basis for residue degrees up to k_max over the
+    root's field."""
+    ext = root.field
+    j = ext.degree // ground.degree
+    fiber = [g for g in restrict(basis, nvars, root) if g]
+    values = _read_off(fiber, nvars)
+    if values is not None:
+        return [(j, values + (root,))]
+    if not fiber:
+        raise NotZeroDimensional("system vanished identically during solving")
+    out = []
+    for i, coords in _affine_points(lex_basis_zero_dim(fiber), ext, k_max, rng):
+        top, lift = relative_extension(ext, i)
+        point = coords + (lift(root),)
+        shift = _frobenius_shift(ground, ext, top)
+        if shift:
+            point = tuple(top.frobenius(c, shift) for c in point)
+        out.append((j * i, point))
     return out
 
 

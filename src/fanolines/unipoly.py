@@ -5,10 +5,11 @@ Gathen-Gerhard, Modern Computer Algebra, ch. 14).
 The public functions take and return little-endian lists of FieldElement.
 Inside, a polynomial over F_(p^k) is a flat digit tuple, digit j of
 coefficient i at index i*k + j, and all its arithmetic is the field's
-`_Ring` (`field.py`): gcds, divisions, monic forms and deflations by the
-Euclid of the field's own ring, and products, powers and Frobenius steps
-by a ring for F_(p^k)[x]/(m), built once per m from the field's fold rows
-with slots for a Frobenius sum. The hot loops build no FieldElement.
+`_Ring` (`field.py`): gcds, divisions and monic forms by the Euclid of
+the field's own ring, deflations by x - root by its synthetic division,
+and products, powers and Frobenius steps by a ring for F_(p^k)[x]/(m),
+built once per m from the field's fold rows with slots for a Frobenius
+sum. The hot loops build no FieldElement.
 
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
@@ -24,15 +25,19 @@ the modulus of a subfield.
 Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) is not taken by
 squaring up to Q: from x^p mod the polynomial, each p-th power is one
 Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
-log p + 2D products instead of 1.5 * D * log p.
+log p + 2D products instead of 1.5 * D * log p. x^p itself is taken over
+the field the part comes in, F_q0 from the factorization, and lifted into
+F_Q: for a line count over F_10007 that is a ring with one digit per
+coefficient, not D.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Dict, List
 
-from .field import Field, FieldElement, _Ring
+from .field import Field, FieldElement, _Ring, payload_lift
 
 
 def _flat(a: List[FieldElement], field: Field) -> tuple:
@@ -46,6 +51,17 @@ def _elements(field: Field, flat) -> List[FieldElement]:
     k = field.degree
     return [FieldElement(field, flat[i] if k == 1 else tuple(flat[i:i + k]))
             for i in range(0, len(flat), k)]
+
+
+def _lift(sub: Field, field: Field, flat) -> tuple:
+    """A flat polynomial over the subfield sub as one over field."""
+    lift = payload_lift(sub, field)
+    if lift is None:
+        return flat
+    s = sub.degree
+    return tuple(chain.from_iterable(
+        lift(flat[i] if s == 1 else flat[i:i + s])
+        for i in range(0, len(flat), s)))
 
 
 def _sub(ring: _Ring, a, b) -> tuple:
@@ -153,8 +169,7 @@ def _orbit_roots(field: Field, rings: Dict[tuple, _Ring], f, xp,
             if i:
                 root = field.frobenius(root, steps)
             roots.append(root)
-            f, rem = ring.divmod(f, _flat([-root, field.one()], field))
-            assert not rem, "deflating by a non-root"
+            f = ring.deflate(f, root.payload if k > 1 else (root.payload,))
     return roots
 
 
@@ -164,22 +179,32 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
 
     orbit=j promises that `a` is a product of distinct irreducible factors
     of degree j over the subfield F_q0 of index j (q0^j = |field|), e.g.
-    the degree-j part of a distinct-degree factorization over F_q0, mapped
-    into the field. Then every root has exactly j conjugates over F_q0 and
-    the roots come one orbit at a time. The rng only influences internal
-    splitting choices.
+    the degree-j part of a distinct-degree factorization over F_q0. Then
+    sigma: x -> x^q0 fixes the coefficients, so it permutes the roots,
+    and every root has exactly j conjugates r, sigma(r), ...,
+    sigma^(j-1)(r): the roots come one orbit at a time. The rng only
+    influences internal splitting choices.
+
+    The coefficients of `a` lie in the field or in a subfield F_s of it,
+    such as F_q0 for a part as the factorization returns it. The splitting
+    starts from x^p mod a, and that is taken where `a` lives, in
+    F_s[x]/(a), then lifted (`payload_lift`): embedding F_s is a ring map,
+    so it sends x^p mod a to x^p mod the embedded a. For a part over
+    F_10007 split in F_(10007^6) the power runs on one digit per
+    coefficient instead of six.
     """
     assert field.is_finite and field.degree % orbit == 0
-    k, p = field.degree, field.characteristic()
-    f = _flat(a, field)
-    if len(f) <= k:
+    sub = a[0].field if a else field
+    k, s, p = field.degree, sub.degree, field.characteristic()
+    assert k % s == 0
+    f = _flat(a, sub)
+    if len(f) <= s:
         return []  # constants (callers guard the zero polynomial)
-    f = field.ring.monic(f)
-    if len(f) == 2 * k:
-        roots = [-_elements(field, f[:k])[0]]
-    else:
-        rings: Dict[tuple, _Ring] = {}
-        x = (0,) * k + (1,) + (0,) * (k - 1)
-        xp = _powmod(field, rings, x, p, f)
-        roots = _orbit_roots(field, rings, f, xp, orbit, rng)
+    f = sub.ring.monic(f)
+    if len(f) == 2 * s:
+        return [-_elements(field, _lift(sub, field, f[:s]))[0]]
+    rings: Dict[tuple, _Ring] = {}
+    x = (0,) * s + (1,) + (0,) * (s - 1)
+    xp = _lift(sub, field, _powmod(sub, rings, x, p, f))
+    roots = _orbit_roots(field, rings, _lift(sub, field, f), xp, orbit, rng)
     return sorted(roots, key=field.code_of)

@@ -217,3 +217,39 @@ def test_reports_empty_system_when_overdetermined_boundary():
     # d = m + n - 2 exactly is the 0-dim boundary; beyond it is rejected
     with pytest.raises(InvalidParameters):
         random_pointed_hypersurface(3, 4, 2, F10007, seed=0)
+
+
+def test_one_orbit_of_lines_is_solved_and_ranked_once(monkeypatch):
+    # `lines-through --random 4 3 1 --seed 3`: its six lines are one
+    # Frobenius orbit over F_(10007^6). One root's fibre is restricted and
+    # one Jacobian ranked; x -> x^10007 gives the other five lines and
+    # their ranks. Every power x^10007 mod a polynomial runs in a ring over
+    # F_10007, one digit per coefficient. Line by line, the solver
+    # restricted 6 fibres and ranked 6 Jacobians, and took x^p in a ring
+    # over F_(10007^6)
+    from fanolines import poly, solve
+    from fanolines.field import _Ring
+    restricted, ranked, powers = [], [], []
+    restrict, rank, power = solve.restrict, poly.payload_rank, _Ring.pow
+
+    def counted_restrict(polys, last, value):
+        restricted.append(value.field.degree)
+        return restrict(polys, last, value)
+
+    def counted_rank(field, width, rows):
+        ranked.append(field.degree)
+        return rank(field, width, rows)
+
+    def counted_pow(ring, a, e):
+        powers.append((ring.k, e))
+        return power(ring, a, e)
+
+    monkeypatch.setattr(solve, "restrict", counted_restrict)
+    monkeypatch.setattr(poly, "payload_rank", counted_rank)
+    monkeypatch.setattr(_Ring, "pow", counted_pow)
+    report = run_line_analysis(4, 3, 1, PrimeField(10007), seed=3)
+    assert report.matched() and len(report.attempts) == 1
+    assert report.counts_by_degree == {"6": "6"}
+    assert sorted(restricted) == [1, 1, 1, 1, 6]  # four charts, one fibre
+    assert ranked == [6]
+    assert {k for k, e in powers if e == 10007} == {1}

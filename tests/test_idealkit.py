@@ -308,6 +308,71 @@ def test_jacobian_ranks_of_mixed_fields_come_in_point_order():
         assert jacobian_rank_at(gens, points[::-1]) == expected[::-1]
 
 
+def conjugate(point, j):
+    """The point with x -> x^(p^j) applied to every coordinate."""
+    return ProjectivePoint([point.field.frobenius(c, j) for c in point.coords])
+
+
+def test_jacobian_ranks_follow_the_ground_frobenius_not_the_prime_one():
+    # generators over F_49 with the coefficient t, which is not in F_7, at
+    # points over F_(7^4). The gradient of (x1 - t x0)^2 x2 vanishes where
+    # x1 = t x0, so P = [1 : t : s] has rank 1 and so has sigma(P) = P^49,
+    # sigma fixing t; but P^7 has x1 = t^7 != t x0 and rank 2. Random
+    # points come with all their conjugates under x -> x^7
+    f49, f2401 = build_extension(7, 2), build_extension(7, 4)
+    t = Polynomial.constant(f49, 3, f49.generator())
+    x0, x1, x2 = (Polynomial.variable(f49, 3, i) for i in range(3))
+    gens = [(x1 - t * x0) ** 2 * x2, x0 * x1 + t * x2 ** 2]
+    rng = random.Random("ground-frobenius")
+    s = next(e for e in iter(lambda: f2401.sample(rng), None)
+             if f2401.frobenius(e, 2) != e)
+    lift = embedding(f49, f2401)
+    on = ProjectivePoint([f2401.one(), lift(f49.generator()), s])
+    points = [conjugate(on, j) for j in range(4)]
+    for pt in special_points(f2401, 3, rng)[3:]:
+        points += [conjugate(pt, j) for j in range(4)]
+    rng.shuffle(points)
+    expected = [jacobian_rank_oracle(gens, pt) for pt in points]
+    assert [jacobian_rank_oracle(gens, conjugate(on, j))
+            for j in range(4)] == [1, 2, 1, 2]
+    assert jacobian_rank_at(gens, points) == expected
+
+
+def test_jacobian_ranks_of_a_shuffled_orbit_list(monkeypatch):
+    # over F_7: a rational point, an orbit over F_(7^3) on the locus where
+    # the gradient of (x1^3 - 3 x0^3)^2 x2 vanishes (3 is not a cube mod
+    # 7), a generic orbit over F_(7^3), one over F_(7^2), and one point
+    # twice, shuffled. Each orbit and the rational point are ranked once
+    from fanolines import poly
+    f343, f49 = build_extension(7, 3), build_extension(7, 2)
+    gens = [parse("x1^6*x2 - 6*x0^3*x1^3*x2 + 9*x0^6*x2", 3, F7),
+            parse("x0*x2 + x1^2", 3, F7)]
+    rng = random.Random("orbit-list")
+    cube_root = next(e for e in map(f343.element_from_code, range(343))
+                     if e ** 3 == f343.from_int(3))
+    on = ProjectivePoint([f343.one(), cube_root, f343.from_int(2)])
+    generic = random_point(f343, 2, rng)
+    quadratic = random_point(f49, 2, rng)
+    rational = ProjectivePoint([F7.from_int(c) for c in (1, 2, 3)])
+    points = ([conjugate(on, j) for j in range(3)]
+              + [conjugate(generic, j) for j in range(3)]
+              + [quadratic, conjugate(quadratic, 1), rational, on])
+    rng.shuffle(points)
+    expected = [jacobian_rank_oracle(gens, pt) for pt in points]
+    assert jacobian_rank_oracle(gens, on) == 1
+    assert jacobian_rank_oracle(gens, generic) == 2
+    ranked = []
+    rank = poly.payload_rank
+
+    def counted(*args):
+        ranked.append(args[0])
+        return rank(*args)
+
+    monkeypatch.setattr(poly, "payload_rank", counted)
+    assert jacobian_rank_at(gens, points) == expected
+    assert sorted(field.degree for field in ranked) == [1, 2, 3, 3]
+
+
 def test_jacobian_certificate_work_is_pinned(monkeypatch):
     # the six lines of `lines-through --random 4 3 1 --seed 0`, over
     # F_10007^k. Each entry is one packed sum reduced once and each

@@ -220,6 +220,38 @@ def test_points_over_an_extension_ground_lie_on_the_system():
         assert all(g.evaluate(coords).is_zero() for g in gens)
 
 
+@pytest.mark.parametrize("q", [9, 25])
+def test_routes_agree_over_a_quadratic_ground(q):
+    # the solver over F_(p^2), as for a node over F_(p^2), against the
+    # scan of every point over F_(q^k). Its orbits are orbits of x -> x^q:
+    # the coefficients lie outside F_p, so x -> x^p does not map points of
+    # the system to points of it. Random conic pairs are read off; on
+    # x2^2 = c x0^2, (x1 - c x2)(x1 - (c + 1) x2) = 0 with c a non-square
+    # (so not in F_p) two points lie over each root x2, so every fibre
+    # goes through its own lex basis
+    ground = build_extension({9: 3, 25: 5}[q], 2)
+    rng = random.Random(f"quadratic-ground-{q}")
+    degrees = set()
+    for trial in range(3):
+        gens = [random_homogeneous(ground, 3, 2, rng) for _ in range(2)]
+        ideal = Ideal(gens)
+        if hilbert_data(ideal)[0] != 0:
+            continue
+        solved, scanned = both_routes(ideal, k_max=2, seed=trial)
+        assert solved == scanned
+        degrees |= {deg for deg, _ in solved}
+    assert degrees == {2, 4}  # over F_p: rational and quadratic points
+    c = next(e for e in map(ground.element_from_code, range(q))
+             if e ** ((q - 1) // 2) == ground.from_int(-1))
+    c, c1 = (Polynomial.constant(ground, 3, e) for e in (c, c + 1))
+    x0, x1, x2 = (Polynomial.variable(ground, 3, i) for i in range(3))
+    ideal = Ideal([x2 ** 2 - c * x0 ** 2, (x1 - c * x2) * (x1 - c1 * x2)])
+    assert not first_chart_in_shape_position(ideal)
+    solved, scanned = both_routes(ideal, k_max=2)
+    assert solved == scanned and {deg for deg, _ in solved} == {4}
+    assert len(solved) == 4
+
+
 CHART_FIELDS = {"5": lambda: PrimeField(5), "7": lambda: PrimeField(7),
                 "10007": lambda: PrimeField(10007),
                 "7^2": lambda: build_extension(7, 2)}

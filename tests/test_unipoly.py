@@ -255,3 +255,27 @@ def test_orbit_six_root_work_is_pinned(monkeypatch):
     roots = roots_in_field(mapped, ext, random.Random(0), orbit=6)
     assert len(roots) == 6
     assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("ground", [PrimeField(7), PrimeField(10007),
+                                    PrimeField(4294967311),
+                                    build_extension(7, 2)], ids=str)
+def test_roots_of_a_ground_part_match_the_embedded_part(ground):
+    # the part of a distinct-degree factorization as it comes, over the
+    # ground field, and mapped into the splitting field: x^p mod the part
+    # is taken over the ground in the first case and lifted, so both must
+    # give the same roots, each a root of the embedded part
+    rng = random.Random(f"ground-parts-{ground}")
+    seen = set()
+    for trial in range(4):
+        e = [ground.sample(rng) for _ in range(8)] + [ground.one()]
+        for j, part in distinct_degree_factorization(e, ground, 4).items():
+            ext, embed = relative_extension(ground, j)
+            mapped = [embed(c) for c in part]
+            own = roots_in_field(part, ext, random.Random(trial), orbit=j)
+            assert own == roots_in_field(mapped, ext, random.Random(trial),
+                                         orbit=j)
+            assert len(own) == len(part) - 1
+            assert all(horner(mapped, r).is_zero() for r in own)
+            seen.add(j)
+    assert max(seen) >= 3
