@@ -682,26 +682,16 @@ class _Ring:
         of a: synthetic division from the top, c_(i-1) = a_i + root * c_i,
         one packed product per coefficient step. The remainder a(root) is
         asserted zero."""
-        p, n = self.p, self.n
-        top = range(len(a) - n, -1, -n)
-        out = []
-        if n == 1:
-            r, c = root[0], 0
-            for i in top:
-                c = (a[i] + r * c) % p
-                out.append(c)
-            rem = (c,)
-        else:
-            ring = self.widen(2)
-            pack, reduce = ring.pack, ring.reduce
-            r, rem = pack(root), (0,) * n
-            for i in top:
-                rem = reduce(pack(a[i:i + n]) + r * pack(rem))
-                out.append(rem)
+        n = self.n
+        pack, reduce, _, _ = self._coefficients(2)
+        r, rem, out = pack(root), (0,) * n, []
+        for i in range(len(a) - n, -1, -n):
+            rem = reduce(pack(a[i:i + n]) + r * pack(rem))
+            out.append(rem)
         assert not any(rem), "deflating by a non-root"
         out.pop()
         out.reverse()
-        return tuple(chain.from_iterable(out)) if n > 1 else tuple(out)
+        return tuple(chain.from_iterable(out))
 
     def gcd(self, a, b) -> tuple:
         """The monic gcd of the trimmed polynomials a and b, () when both
