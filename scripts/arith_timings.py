@@ -13,6 +13,10 @@ per operation:
 - `roots_orbit6`: `roots_in_field` on the irreducible sextic over
   F_10007 of `test_orbit_six_root_work_is_pinned`, split in
   F_{10007^6};
+- `ddf`: `distinct_degree_factorization` at k_max 6 of that sextic over
+  F_10007, and of an irreducible sextic over F_{10007^2} (`DDF_SIX_EXT`,
+  payloads in the seeded modulus t^2 + 2163 t + 3393 of
+  `build_extension(10007, 2)`);
 - `parse`: `parse_polynomial` on a fixed dense form of degree 8 in 6
   variables over F_10007 (1,287 terms);
 - `singular_scan`: the singular points of `normal_form_cubic(1, F_11, 0)`
@@ -37,18 +41,21 @@ import timeit
 
 from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.fano import line_system, random_pointed_hypersurface
-from fanolines.field import relative_extension
+from fanolines.field import FieldElement, relative_extension
 from fanolines.idealkit import groebner_of
 from fanolines.poly import (default_names, jacobian_rank_at,
                             monomials_of_degree, random_homogeneous)
 from fanolines.solve import solve_projective
 from fanolines.scan import singular_scan, variety_scan
-from fanolines.unipoly import roots_in_field
+from fanolines.unipoly import distinct_degree_factorization, roots_in_field
 from fanolines.voisin import normal_form_cubic
 
 FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
 
 ORBIT_SIX = [1596, 8186, 9026, 1665, 7777, 3788, 1]
+
+DDF_SIX_EXT = [(9678, 76), (8262, 1670), (5852, 1562), (7376, 8848),
+               (5656, 5900), (8522, 1653), (1, 0)]
 
 
 def median_us(stmt, number: int, repeat: int) -> float:
@@ -85,6 +92,14 @@ def operations():
     ops.append(("roots_orbit6 GF(10007^6)",
                 lambda: roots_in_field(sextic, ext, random.Random(0),
                                        orbit=6), 1))
+    f_ground = [ground.from_int(c) for c in ORBIT_SIX]
+    ops.append(("ddf sextic GF(10007)",
+                lambda: distinct_degree_factorization(f_ground, ground, 6), 1))
+    square = build_extension(10007, 2)
+    assert square.modulus == (3393, 2163, 1)
+    f_ext = [FieldElement(square, c) for c in DDF_SIX_EXT]
+    ops.append(("ddf sextic GF(10007^2)",
+                lambda: distinct_degree_factorization(f_ext, square, 6), 1))
     names = default_names(6)
     dense = " + ".join(
         f"{rng.randrange(1, 10007)}*"

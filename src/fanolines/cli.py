@@ -24,12 +24,14 @@ from typing import Dict, List, Optional
 from .errors import (BudgetExceeded, DegenerateInstance, Inconclusive,
                      InvalidParameters, NotPrime, NotZeroDimensional,
                      ParseError, UnknownVariable, ZeroPolynomial)
-from .fano import PointedHypersurface, analyze_lines, run_line_analysis
+from .fano import (LINE_SAMPLES, PointedHypersurface, analyze_lines,
+                   run_line_analysis)
 from .field import DEFAULT_PRIME, PrimeField
 from .groebner import groebner_basis
-from .idealkit import (DEFAULT_BUDGET, Ideal, complete_intersection_report,
-                       dimension_text, groebner_of, hilbert_data,
-                       singular_points)
+from .idealkit import (BEZOUT_SAMPLES, DEFAULT_BUDGET, LINE_COUNT_KMAX,
+                       SAMPLE_KMAX, SING_LOCUS_KMAX, Ideal,
+                       complete_intersection_report, dimension_text,
+                       groebner_of, hilbert_data, singular_points)
 from .poly import (_TOKEN_RE, LEX, Polynomial, default_names,
                    parse_polynomial)
 from .projgeo import ProjectivePoint
@@ -93,18 +95,16 @@ def _write_json(path: str, text: str):
         raise
 
 
-def _summarize(report: Dict[str, object], stream=None):
-    # resolve lazily so stream redirection after import is respected
-    stream = sys.stdout if stream is None else stream
+def _summarize(report: Dict[str, object]):
     predicted = report.get("predicted", {})
     computed = report.get("computed", {})
     if isinstance(predicted, dict) and predicted:
-        print("predicted vs computed:", file=stream)
+        print("predicted vs computed:")
         for key in sorted(set(predicted) | set(computed)):
             want = predicted.get(key, "-")
             got = computed.get(key, "-")
             tick = "ok" if key not in predicted or want == got else "MISMATCH"
-            print(f"  {key:<22} {want:>10}  {got:>10}  {tick}", file=stream)
+            print(f"  {key:<22} {want:>10}  {got:>10}  {tick}")
     plain = ("basis", "count", "singular_points")
     if not predicted:
         plain = ("dimension", "degree") + plain
@@ -112,29 +112,29 @@ def _summarize(report: Dict[str, object], stream=None):
         value = report.get(key)
         if isinstance(value, list):
             if value:
-                print(f"{key}:", file=stream)
+                print(f"{key}:")
                 for line in value:
                     if isinstance(line, list):
                         line = " : ".join(line)
-                    print(f"  {line}", file=stream)
+                    print(f"  {line}")
         elif value is not None:
-            print(f"{key}: {value}", file=stream)
+            print(f"{key}: {value}")
     counts = report.get("counts_by_degree")
     if counts:
         pairs = ", ".join(f"{k}:{v}" for k, v in sorted(
             counts.items(), key=lambda kv: int(kv[0])))
-        print(f"points by residue degree: {pairs}", file=stream)
+        print(f"points by residue degree: {pairs}")
     solutions = report.get("solutions")
     if solutions:
-        print(f"solutions found: {len(solutions)}", file=stream)
+        print(f"solutions found: {len(solutions)}")
     for flag in report.get("flags", []):
-        print(f"flag: {flag}", file=stream)
+        print(f"flag: {flag}")
     attempts = report.get("attempts", [])
     if len(attempts) > 1:
         print(f"attempts: {len(attempts)} (reseeded "
-              f"{len(attempts) - 1} times)", file=stream)
+              f"{len(attempts) - 1} times)")
     if "matched" in report:
-        print(f"matched: {report['matched']}", file=stream)
+        print(f"matched: {report['matched']}")
 
 
 def _finish(config: RunConfig, report: Dict[str, object],
@@ -181,8 +181,8 @@ def _parse_point(text: str, field) -> ProjectivePoint:
 
 def cmd_lines_through(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    k_max = args.kmax if args.kmax is not None else 6
-    samples = args.trials if args.trials is not None else 8
+    k_max = args.kmax if args.kmax is not None else LINE_COUNT_KMAX
+    samples = args.trials if args.trials is not None else LINE_SAMPLES
     if args.random:
         n, d, m = args.random
         config = RunConfig("lines-through", args.seed, args.prime, k_max,
@@ -241,7 +241,7 @@ def cmd_groebner(args: argparse.Namespace) -> int:
 
 def cmd_sing_locus(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    k_max = args.kmax if args.kmax is not None else 1
+    k_max = args.kmax if args.kmax is not None else SING_LOCUS_KMAX
     gens = _read_poly_file(args.file, field)
     ideal = Ideal(gens)
     points = singular_points(ideal, k_max=k_max, budget=args.budget)
@@ -259,8 +259,8 @@ def cmd_sing_locus(args: argparse.Namespace) -> int:
 
 def cmd_bezout_check(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    k_max = args.kmax if args.kmax is not None else 4
-    samples = args.trials if args.trials is not None else 6
+    k_max = args.kmax if args.kmax is not None else SAMPLE_KMAX
+    samples = args.trials if args.trials is not None else BEZOUT_SAMPLES
     report = complete_intersection_report(args.degrees, args.n, field,
                                           args.seed, samples=samples,
                                           k_max=k_max, budget=args.budget)
@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extension-degree bound of the lines "
                              "lines-through counts, the levels sing-locus "
                              "scans and the points bezout-check finds; "
-                             "lines-through samples points of degree <= 4 "
-                             "regardless")
+                             "lines-through samples points of degree <= "
+                             f"{SAMPLE_KMAX} regardless")
     common.add_argument("--trials", type=_int_at_least(1), default=None,
                         help="sample count for smoothness certificates")
     common.add_argument("--budget", type=_int_at_least(0),

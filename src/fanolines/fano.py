@@ -22,13 +22,14 @@ from typing import List, Optional
 
 from .errors import InvalidParameters, ZeroPolynomial
 from .field import Field
-from .idealkit import (DEFAULT_BUDGET, Ideal, LINE_COUNT_KMAX, VarietyReport,
-                       add_jacobian_certificates, sample_smooth_points,
-                       solve_report, variety_report)
+from .idealkit import (DEFAULT_BUDGET, Ideal, LINE_COUNT_KMAX, SAMPLE_KMAX,
+                       VarietyReport, add_jacobian_certificates,
+                       sample_smooth_points, solve_report, variety_report)
 from .poly import Polynomial, random_homogeneous
 from .projgeo import ProjectivePoint, base_point, move_to_base_point
 
 MAX_RESAMPLES = 5
+LINE_SAMPLES = 8  # smoothness samples of a positive-dimensional line system
 
 
 def direction_components(f: Polynomial, point: ProjectivePoint) -> List[Polynomial]:
@@ -171,7 +172,7 @@ def line_system(ph: PointedHypersurface) -> LineSystem:
 
 
 def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
-                  samples: int = 8, seed: int = 0,
+                  samples: int = LINE_SAMPLES, seed: int = 0,
                   budget: int = DEFAULT_BUDGET) -> VarietyReport:
     """Full verification pass over one instance's line system.
 
@@ -218,8 +219,9 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
             report.predicted["points_found"] = str(degree)
             report.computed["points_found"] = str(found)
     elif dim > 0:
+        # sampling keeps its own degree bound, whatever k_max is
         pts = sample_smooth_points(ideal, samples, random.Random(seed),
-                                   budget=budget)
+                                   k_max=SAMPLE_KMAX, budget=budget)
         add_jacobian_certificates(report, ideal, pts)
         if not pts:
             report.flags.append("no smoothness samples found; field too small"
@@ -230,7 +232,8 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
 
 
 def run_line_analysis(n: int, d: int, m: int, field: Field, seed: int,
-                      k_max: int = LINE_COUNT_KMAX, samples: int = 8,
+                      k_max: int = LINE_COUNT_KMAX,
+                      samples: int = LINE_SAMPLES,
                       retries: int = MAX_RESAMPLES,
                       budget: int = DEFAULT_BUDGET) -> VarietyReport:
     """Sample-and-verify pipeline with reseeding on failed certificates.

@@ -58,7 +58,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond any modulus used here."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -191,15 +191,13 @@ class Field:
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self, self._from_int(n))
 
-    def from_fraction(self, numer, denom: int = 1) -> FieldElement:
-        """numer/denom in this field; numer may be a Fraction.
+    def from_fraction(self, value: Fraction) -> FieldElement:
+        """The rational `value` in this field.
 
         Raises ZeroInversion when the denominator vanishes (e.g. mod p).
         """
-        if isinstance(numer, Fraction):
-            assert denom == 1
-            numer, denom = numer.numerator, numer.denominator
-        return self.from_int(numer) * self.from_int(denom).inverse()
+        return (self.from_int(value.numerator)
+                * self.from_int(value.denominator).inverse())
 
     def key(self):
         raise NotImplementedError
@@ -292,6 +290,7 @@ class PrimeField(Field):
             raise InvalidParameters("characteristic 2 is unsupported")
         self.p = p
         self.ring = _Ring(p, (0, 1), 1)  # F_p[x]/(x): Euclid over F_p
+        self.frob_rows = [(1,)]  # the Frobenius row table: c^p = c
 
     def key(self):
         return ("prime", self.p)

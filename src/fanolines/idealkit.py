@@ -30,6 +30,12 @@ from .solve import SolveResult, exact_relative_degree, solve_projective
 
 DEFAULT_KMAX = 2
 LINE_COUNT_KMAX = 6  # raised default for the 0-dimensional line-count suites
+SING_LOCUS_KMAX = 1  # singular points over the ground field alone
+# sampled smoothness certificates: points of residue degree <= SAMPLE_KMAX
+# from at most SAMPLE_SLICES random slices
+SAMPLE_KMAX = 4
+SAMPLE_SLICES = 4
+BEZOUT_SAMPLES = 6
 
 
 @dataclass(eq=False)
@@ -224,7 +230,7 @@ def certify_reduced_point(ideal: Ideal, points: Sequence[ProjectivePoint],
             jacobian_rank_at(ideal.nonzero_generators(), points)]
 
 
-def singular_points(ideal: Ideal, k_max: int = 1,
+def singular_points(ideal: Ideal, k_max: int = SING_LOCUS_KMAX,
                     budget: int = DEFAULT_BUDGET) -> List[ProjectivePoint]:
     """Enumerated points of V(I) where the Jacobian rank drops below the
     codimension, over F_{q^k} for k <= k_max (deduplicated by exact degree).
@@ -266,18 +272,18 @@ def _slices(ideal: Ideal, trials: int, rng: random.Random, k_max: int,
         yield pts
 
 
-def slice_degree(ideal: Ideal, trials: int, rng: random.Random,
-                 k_max: int = LINE_COUNT_KMAX,
-                 budget: int = DEFAULT_BUDGET) -> int:
+def slice_degree(ideal: Ideal, trials: int, rng: random.Random) -> int:
     """Degree via random linear slices: cut by dim-many hyperplanes and
-    count solutions, returning the modal count over the trials.
+    count the solutions up to residue degree LINE_COUNT_KMAX, returning
+    the modal count over the trials.
 
     Raises Inconclusive when no count reaches a strict majority (field too
     small, or slices keep hitting non-generic positions).
     """
     assert hilbert_data(ideal)[0] >= 1, \
         "slice_degree needs a positive-dimensional scheme"
-    counts = [len(pts) for pts in _slices(ideal, trials, rng, k_max, budget)]
+    counts = [len(pts) for pts in _slices(ideal, trials, rng,
+                                           LINE_COUNT_KMAX, DEFAULT_BUDGET)]
     if not counts:
         raise Inconclusive("every slice was degenerate")
     best = max(set(counts), key=lambda v: (counts.count(v), -v))
@@ -287,19 +293,20 @@ def slice_degree(ideal: Ideal, trials: int, rng: random.Random,
 
 
 def sample_smooth_points(ideal: Ideal, count: int, rng: random.Random,
-                         k_max: int = 4, trials: int = 4,
+                         k_max: int = SAMPLE_KMAX,
                          budget: int = DEFAULT_BUDGET) -> List[ProjectivePoint]:
     """Sample geometric points of a positive-dimensional scheme by slicing
     with random hyperplanes and solving the resulting finite system.
 
-    Returns up to `count` points lying on V(I), drawn from however many
-    slice trials it takes (degenerate slices are skipped). The list can be
-    shorter than `count` when every residue degree exceeds k_max.
+    Returns up to `count` points lying on V(I), drawn from up to
+    SAMPLE_SLICES slices, as many as it takes (degenerate slices are
+    skipped). The list can be shorter than `count` when every residue
+    degree exceeds k_max.
     """
     dim, _ = hilbert_data(ideal)
     assert dim >= 1, "smoothness sampling needs a positive-dimensional scheme"
     points: List[ProjectivePoint] = []
-    slices = _slices(ideal, trials, rng, k_max, budget)
+    slices = _slices(ideal, SAMPLE_SLICES, rng, k_max, budget)
     while len(points) < count:
         pts = next(slices, None)
         if pts is None:
@@ -408,7 +415,8 @@ def add_jacobian_certificates(report: VarietyReport, ideal: Ideal,
 
 def complete_intersection_report(degrees: Sequence[int], n_proj: int,
                                  field: Field, seed: int,
-                                 samples: int = 6, k_max: int = 4,
+                                 samples: int = BEZOUT_SAMPLES,
+                                 k_max: int = SAMPLE_KMAX,
                                  budget: int = DEFAULT_BUDGET) -> VarietyReport:
     """Random forms of the given degrees in P^n_proj, checked against the
     Bezout predictions: codimension len(degrees), degree prod(degrees),

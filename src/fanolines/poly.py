@@ -326,18 +326,6 @@ class Polynomial:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> FieldElement:
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        inv = self.leading_coefficient(order).inverse()
-        return self * inv
-
-    def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
-
     # -- calculus and structure -------------------------------------------
 
     def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
@@ -400,7 +388,8 @@ class Polynomial:
         assert len(names) == self.nvars
         rational = isinstance(self.field, RationalField)
         pieces = []
-        for mono, coeff in self.sorted_terms(GREVLEX):
+        for mono, coeff in sorted(self.terms.items(), reverse=True,
+                                  key=lambda kv: GREVLEX.key(kv[0])):
             if rational:
                 negative = coeff.payload < 0
                 mag = -coeff.payload if negative else coeff.payload

@@ -633,8 +633,7 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
 
 
 def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
-                  budget: int = DEFAULT_BUDGET,
-                  chunk: int = DEFAULT_CHUNK) -> List[ProjectivePoint]:
+                  budget: int = DEFAULT_BUDGET) -> List[ProjectivePoint]:
     """Points of V(gens) where the Jacobian has rank < codim.
 
     For a single generator this reduces to the vanishing of all partial
@@ -647,7 +646,7 @@ def singular_scan(gens: Sequence[Polynomial], codim: int, field: Field,
     if len(gens) == 1 and codim == 1:
         f = gens[0]
         system = [g for g in f.gradient() if not g.is_zero()] + [f]
-        return variety_scan(system, field, budget, chunk)
-    points = variety_scan(gens, field, budget, chunk)
+        return variety_scan(system, field, budget)
+    points = variety_scan(gens, field, budget)
     return [pt for pt, rank in zip(points, jacobian_rank_at(gens, points))
             if rank < codim]

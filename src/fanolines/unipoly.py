@@ -8,23 +8,25 @@ coefficient i at index i*k + j, and all its arithmetic is the field's
 `_Ring` (`field.py`): gcds, divisions and monic forms by the Euclid of
 the field's own ring, deflations by x - root by its synthetic division,
 and products, powers and Frobenius steps by a ring for F_(p^k)[x]/(m),
-built once per m from the field's fold rows with slots for a Frobenius
-sum. The hot loops build no FieldElement.
+built from the field's fold rows with slots for a Frobenius sum. The
+hot loops build no FieldElement.
 
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
 and returns, for each j, the product of the irreducible factors of degree
-j. Every root of that degree-j part has residue degree exactly j, so it
-is split over F_(q0^j) and nowhere else: roots_in_field(..., orbit=j)
-finds one root per Frobenius orbit by descent into the smaller factor of
-each random split, takes its conjugates a^q0, ..., a^(q0^(j-1)) through
-the field's Frobenius row table and divides the orbit out. With orbit=1
-the same descent roots any product of distinct linear factors, such as
-the modulus of a subfield.
+j. It works in one ring, F_q0[x]/(e): x^p by squaring once, then each
+q0-th power as [F_q0 : F_p] Frobenius steps (von zur Gathen-Shoup 1992),
+over F_p and its extensions alike. Every root of that degree-j part has
+residue degree exactly j, so it is split over F_(q0^j) and nowhere else:
+roots_in_field(..., orbit=j) finds one root per Frobenius orbit by
+descent into the smaller factor of each random split, takes its
+conjugates a^q0, ..., a^(q0^(j-1)) through the field's Frobenius row
+table and divides the orbit out. With orbit=1 the same descent roots any
+product of distinct linear factors, such as the modulus of a subfield.
 
 Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) is not taken by
-squaring up to Q: from x^p mod the polynomial, each p-th power is one
-Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
+squaring up to Q either: from x^p mod the polynomial, each p-th power is
+one Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
 log p + 2D products instead of 1.5 * D * log p. x^p itself is taken over
 the field the part comes in, F_q0 from the factorization, and lifted into
 F_Q: for a line count over F_10007 that is a ring with one digit per
@@ -71,20 +73,11 @@ def _sub(ring: _Ring, a, b) -> tuple:
     return ring.trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
-def _quotient_ring(field: Field, rings: Dict[tuple, _Ring], m) -> _Ring:
-    """F[x]/(m) for the monic flat m, built once per m, with slots for a
-    Frobenius sum (`_Ring.frobenius_table`)."""
-    ring = rings.get(m)
-    if ring is None:
-        k, p = field.degree, field.characteristic()
-        ring = rings[m] = _Ring(p, m, k * (p - 1), field.ring)
-    return ring
-
-
-def _powmod(field: Field, rings: Dict[tuple, _Ring], base, e: int, m) -> tuple:
-    """base^e mod the monic m, e >= 1."""
-    ring = _quotient_ring(field, rings, m)
-    return field.ring.trim(ring.pow(field.ring.divmod(base, m)[1], e))
+def _quotient_ring(field: Field, m) -> _Ring:
+    """F[x]/(m) for the monic flat m, with slots for a Frobenius sum
+    (`_Ring.frobenius_table`)."""
+    p = field.characteristic()
+    return _Ring(p, m, field.degree * (p - 1), field.ring)
 
 
 def distinct_degree_factorization(e: List[FieldElement], field: Field,
@@ -92,19 +85,21 @@ def distinct_degree_factorization(e: List[FieldElement], field: Field,
     """{j: product of the distinct monic irreducible degree-j factors of e}
     for j <= k_max, omitting the j with no such factor.
 
-    gcd(x^(q^j) - x, f) is squarefree, so repeated factors, p-th powers
-    included, need no derivative: once found, every copy of a factor is
-    divided out of f and later steps never see it again.
+    All powers are taken in one ring, F_q[x]/(e), q = p^k: x^p once by
+    squaring, and then each q-th power w^q as k Frobenius steps from the
+    table of x^(i*p) mod e. As f | e, w mod e reduced mod f is w mod f,
+    so the gcds run against the shrinking f and w is never reduced
+    again. gcd(x^(q^j) - x, f) is squarefree, so repeated factors, p-th
+    powers included, need no derivative: once found, every copy of a
+    factor is divided out of f and later steps never see it again.
     """
     assert field.is_finite
-    ring, k = field.ring, field.degree
+    base, k = field.ring, field.degree
     f = _flat(e, field)
     assert f, "the zero polynomial has no factorization"
-    f = ring.monic(f)
-    q = field.order()
+    f = base.monic(f)
     x = (0,) * k + (1,) + (0,) * (k - 1)
     w = x
-    rings: Dict[tuple, _Ring] = {}
     parts: Dict[int, tuple] = {}
     for j in range(1, k_max + 1):
         degree = len(f) // k - 1
@@ -113,19 +108,22 @@ def distinct_degree_factorization(e: List[FieldElement], field: Field,
             if 0 < degree <= k_max:
                 parts[degree] = f
             break
-        w = _powmod(field, rings, w, q, f)
-        g = ring.gcd(_sub(ring, w, x), f)
+        if j == 1:  # f is still e
+            ring = _quotient_ring(field, f)
+            table = ring.frobenius_table(
+                ring.pow(x, field.characteristic()), field.frob_rows)
+        for _ in range(k):
+            w = ring.frobenius(w, table)
+        g = base.gcd(_sub(base, w, x), f)
         if len(g) > k:
             parts[j] = g
             while len(g) > k:  # every copy of every factor of g
-                f = ring.divmod(f, g)[0]
-                g = ring.gcd(f, g)
-            w = ring.divmod(w, f)[1]
+                f = base.divmod(f, g)[0]
+                g = base.gcd(f, g)
     return {j: _elements(field, part) for j, part in sorted(parts.items())}
 
 
-def _split_one(field: Field, rings: Dict[tuple, _Ring], f, xp,
-               rng: random.Random) -> tuple:
+def _split_one(field: Field, f, xp, rng: random.Random) -> tuple:
     """A proper monic factor of f, a product of linear factors over the
     field F_Q, Q = p^D, from gcd((x + r)^((Q-1)/2) - 1, f) for random r.
 
@@ -136,7 +134,7 @@ def _split_one(field: Field, rings: Dict[tuple, _Ring], f, xp,
     """
     k, p = field.degree, field.characteristic()
     d = len(f) // k - 1
-    ring = _quotient_ring(field, rings, f)
+    ring = _quotient_ring(field, f)
     one = (1,) + (0,) * (k - 1)
     if k > 1:
         table = ring.frobenius_table(field.ring.divmod(xp, f)[1],
@@ -153,8 +151,8 @@ def _split_one(field: Field, rings: Dict[tuple, _Ring], f, xp,
             return g
 
 
-def _orbit_roots(field: Field, rings: Dict[tuple, _Ring], f, xp,
-                 orbit: int, rng: random.Random) -> list:
+def _orbit_roots(field: Field, f, xp, orbit: int,
+                 rng: random.Random) -> list:
     """One root per Frobenius orbit by descent, then its conjugates."""
     ring, k = field.ring, field.degree
     steps = k // orbit  # root^q0 is `steps` Frobenius steps
@@ -162,7 +160,7 @@ def _orbit_roots(field: Field, rings: Dict[tuple, _Ring], f, xp,
     while len(f) > k:
         g = f
         while len(g) > 2 * k:
-            h = _split_one(field, rings, g, xp, rng)
+            h = _split_one(field, g, xp, rng)
             g = h if 2 * len(h) <= len(g) + k else ring.divmod(g, h)[0]
         root = -_elements(field, g[:k])[0]
         for i in range(orbit):
@@ -203,8 +201,7 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     f = sub.ring.monic(f)
     if len(f) == 2 * s:
         return [-_elements(field, _lift(sub, field, f[:s]))[0]]
-    rings: Dict[tuple, _Ring] = {}
     x = (0,) * s + (1,) + (0,) * (s - 1)
-    xp = _lift(sub, field, _powmod(sub, rings, x, p, f))
-    roots = _orbit_roots(field, rings, _lift(sub, field, f), xp, orbit, rng)
+    xp = _lift(sub, field, sub.ring.trim(_quotient_ring(sub, f).pow(x, p)))
+    roots = _orbit_roots(field, _lift(sub, field, f), xp, orbit, rng)
     return sorted(roots, key=field.code_of)

@@ -10,7 +10,8 @@ from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
 from fanolines.errors import BudgetExceeded, ParseError, UnknownVariable
 from fanolines.fano import direction_components
-from fanolines.field import FieldElement, payload_lift, relative_extension
+from fanolines.field import (FieldElement, _Ring, payload_lift,
+                             relative_extension)
 from fanolines.linalg import mat_rank
 from fanolines.poly import (MAX_TERM_DEGREE, _tokenize, default_names,
                             substitute_all)
@@ -385,6 +386,37 @@ def schoolbook_powmod(field, a, e, m):
         e >>= 1
         a = schoolbook_mulmod(field, a, a, m)
     return out
+
+
+def plain_ddf(e, field, k_max):
+    """{j: payload list of the product of the distinct monic irreducible
+    degree-j factors of e} for j <= k_max: gcd(x^(q^j) - x, f) with every
+    x^(q^j) mod f one power by q in a new ring F_q[x]/(f), and w reduced
+    mod f whenever f shrinks. The oracle of
+    `unipoly.distinct_degree_factorization`, which takes each q-th power
+    as Frobenius steps in the one ring of e."""
+    base, k, p = field.ring, field.degree, field.characteristic()
+    f = base.monic(base.trim(ring_digits(field, [c.payload for c in e])))
+    x = (0,) * k + (1,) + (0,) * (k - 1)
+    w, parts = x, {}
+    for j in range(1, k_max + 1):
+        degree = len(f) // k - 1
+        if degree < 2 * j:
+            if 0 < degree <= k_max:
+                parts[degree] = f
+            break
+        w = base.trim(_Ring(p, f, 1, base).pow(base.divmod(w, f)[1],
+                                               field.order()))
+        pad = (0,) * max(len(w), len(x))
+        diff = [(a - b) % p
+                for a, b in zip(w + pad[len(w):], x + pad[len(x):])]
+        g = base.gcd(base.trim(diff), f)
+        if len(g) > k:
+            parts[j] = g
+            while len(g) > k:
+                f = base.divmod(f, g)[0]
+                g = base.gcd(f, g)
+    return {j: ring_payloads(field, part) for j, part in parts.items()}
 
 
 def mono_mul(a, b):

@@ -56,7 +56,7 @@ def test_parse_cancellation_gives_zero():
 def test_parse_reduces_coefficients_mod_p():
     f5 = PrimeField(5)
     f = parse("7*x1^2*x0", 2, f5)
-    assert f.leading_coefficient(GREVLEX) == f5.from_int(2)
+    assert f.terms[f.leading_monomial(GREVLEX)] == f5.from_int(2)
 
 
 def test_parse_grammar_flexibility():

@@ -1,5 +1,7 @@
-"""Univariate layer: distinct-degree factorization against sympy, and root
-extraction by Frobenius orbits against brute force over the whole field.
+"""Univariate layer: distinct-degree factorization against sympy over F_p
+and against plain powers by q (`plain_ddf`) over extension grounds, and
+root extraction by Frobenius orbits against brute force over the whole
+field.
 
 Random draws include repeated and p-th-power factors, whose derivative
 vanishes, so a factorization that leaned on the squarefree part would
@@ -11,13 +13,14 @@ import random
 import pytest
 
 from fanolines import PrimeField, build_extension
-from fanolines.field import _STRUCT_BITS, FieldElement, relative_extension
+from fanolines.field import (_STRUCT_BITS, FieldElement, _Ring,
+                             relative_extension)
 from fanolines.solve import exact_relative_degree
 from fanolines.unipoly import (_quotient_ring, distinct_degree_factorization,
                                roots_in_field)
 
-from conftest import (ring_digits, ring_payloads, schoolbook_mulmod,
-                      schoolbook_powmod)
+from conftest import (plain_ddf, ring_digits, ring_payloads,
+                      schoolbook_mulmod, schoolbook_powmod)
 
 
 def horner(coeffs, x):
@@ -95,6 +98,70 @@ def test_distinct_degree_factorization_of_pth_power_alone():
         {2: [1, 0, 1]}
 
 
+def draw_over(field, rng, pth_power):
+    """A monic product over `field` of random factors, one of them
+    squared and, when pth_power, a linear and a quadratic factor raised
+    to the p-th power, as FieldElement lists."""
+    def monic(degree):
+        return [field.sample(rng) for _ in range(degree)] + [field.one()]
+
+    def times(a, b):
+        out = [field.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    out = [field.one()]
+    for _ in range(rng.randint(1, 3)):
+        out = times(out, monic(rng.randint(1, 4)))
+    square = monic(rng.randint(1, 2))
+    out = times(times(out, square), square)
+    if pth_power:
+        for factor in (monic(1), monic(2)):
+            for _ in range(field.characteristic()):
+                out = times(out, factor)
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (7, 2), (10007, 2)],
+                         ids=["F9", "F49", "F10007^2"])
+def test_distinct_degree_factorization_matches_plain_powers(p, k):
+    # over extension grounds, where a q-th power is k Frobenius steps;
+    # the oracle takes it as one power by q in a ring per step
+    field = build_extension(p, k)
+    rng = random.Random(f"ddf-ext-{p}-{k}")
+    seen = set()
+    for trial in range(8):
+        e = draw_over(field, rng, pth_power=p < 10 and trial % 2 == 0)
+        for k_max in (2, 4):
+            got = distinct_degree_factorization(e, field, k_max)
+            got = {j: [c.payload for c in part] for j, part in got.items()}
+            assert got == plain_ddf(e, field, k_max), (trial, k_max)
+            seen.update(got)
+    assert seen >= {1, 2, 3}
+
+
+def test_distinct_degree_factorization_takes_one_power(monkeypatch):
+    # the irreducible sextic of test_orbit_six_root_work_is_pinned: x^p by
+    # squaring once, then every x^(q^j) by Frobenius steps; one power by
+    # q per step took three
+    ground = PrimeField(10007)
+    sextic = [ground.from_int(c)
+              for c in [1596, 8186, 9026, 1665, 7777, 3788, 1]]
+    calls = []
+    power = _Ring.pow
+
+    def counted_pow(self, a, e):
+        calls.append(e)
+        return power(self, a, e)
+
+    monkeypatch.setattr(_Ring, "pow", counted_pow)
+    parts = distinct_degree_factorization(sextic, ground, 6)
+    assert parts == {6: sextic}
+    assert calls == [10007]
+
+
 @pytest.mark.parametrize("ground", [PrimeField(3), PrimeField(5),
                                     PrimeField(7), build_extension(3, 2)],
                          ids=["F3", "F5", "F7", "F9"])
@@ -161,7 +228,7 @@ def test_packed_products_match_the_schoolbook_oracle(p, k):
     assert field.ring.width == expected_width(p, 1, k, 1)
     for n in range(1, 9):
         m = [field.sample(rng).payload for _ in range(n)] + [one]
-        ring = _quotient_ring(field, {}, tuple(ring_digits(field, m)))
+        ring = _quotient_ring(field, tuple(ring_digits(field, m)))
         # F[x]/(m), for a Frobenius sum of k(p - 1) products: 64-bit
         # slots at p = 10007 from n k = 6 on, never for the 33-bit prime
         assert ring.width == expected_width(p, k, n, k * (p - 1))
@@ -183,8 +250,7 @@ def test_packed_products_match_the_schoolbook_oracle(p, k):
         powers = [[one]]
         while len(powers) < n:
             powers.append(schoolbook_mulmod(field, powers[-1], xp, m))
-        table = ring.frobenius_table(
-            ring_digits(field, xp), field.frob_rows if k > 1 else [(1,)])
+        table = ring.frobenius_table(ring_digits(field, xp), field.frob_rows)
         for u in cases:
             want = [zero] * n
             for c, xjp in zip(u, powers):
