@@ -25,7 +25,10 @@ per operation:
 - `solve_orbit6` and `jacobian_orbit6`: `solve_projective` of the line
   system of `lines-through --random 4 3 1 --seed 3` from its grevlex
   basis, whose six lines are one Frobenius orbit over F_{10007^6}, and
-  `jacobian_rank_at` of its generators at those six lines.
+  `jacobian_rank_at` of its generators at those six lines;
+- `groebner rankdrop`: `groebner_basis` of the rank-drop ideals of
+  `voisin-demo 2` at seeds 585427, 1, 2 and 3 over F_10007, each at its
+  first node (12 generators in 5 variables), all four per call.
 
 Only names that every version of the package has are used, so the same
 script times two checkouts for comparison.
@@ -41,6 +44,7 @@ import timeit
 
 from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.fano import line_system, random_pointed_hypersurface
+from fanolines.groebner import groebner_basis
 from fanolines.field import FieldElement, relative_extension
 from fanolines.idealkit import groebner_of
 from fanolines.poly import (default_names, jacobian_rank_at,
@@ -48,7 +52,8 @@ from fanolines.poly import (default_names, jacobian_rank_at,
 from fanolines.solve import solve_projective
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import distinct_degree_factorization, roots_in_field
-from fanolines.voisin import normal_form_cubic
+from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
+                              rank_drop_ideal)
 
 FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
 
@@ -122,6 +127,14 @@ def operations():
                 lambda: solve_projective(basis, 6), 1))
     ops.append(("jacobian_orbit6 GF(10007^6)",
                 lambda: jacobian_rank_at(gens, lines), 1))
+    rank_drops = []
+    for seed in (585427, 1, 2, 3):
+        nfc = normal_form_cubic(2, ground, seed)
+        node = nodes(nfc, seed=seed)[0].point
+        rank_drops.append(rank_drop_ideal(
+            node_line_system(nfc, node)).nonzero_generators())
+    ops.append(("groebner rankdrop r2 GF(10007)",
+                lambda: [groebner_basis(g) for g in rank_drops], 1))
     return ops
 
 

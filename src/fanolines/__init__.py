@@ -11,14 +11,13 @@ the pipelines live in their modules (`fanolines.fano`,
 `fanolines.voisin`, `fanolines.idealkit`, `fanolines.cli`).
 """
 
-from .field import PrimeField, QQ, build_extension, embedding
+from .field import PrimeField, build_extension, embedding
 from .poly import Polynomial, parse_polynomial
 from .projgeo import ProjectivePoint
 from .idealkit import Ideal
 from . import errors
 
 __all__ = [
-    "QQ",
     "PrimeField",
     "build_extension",
     "embedding",

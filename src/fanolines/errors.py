@@ -40,10 +40,6 @@ class BudgetExceeded(FanolinesError):
     """Requested enumeration is larger than the configured point budget."""
 
 
-class ResourceLimit(FanolinesError):
-    """Groebner computation exceeded its configured work ceiling."""
-
-
 class InvalidParameters(FanolinesError):
     """Pipeline parameters outside the supported range."""
 

@@ -1,4 +1,4 @@
-"""Exact field arithmetic: rationals, prime fields, and small extension fields.
+"""Exact field arithmetic: prime fields and small extension fields.
 
 Elements are immutable value objects carrying a reference to their field.
 Extension fields F_{p^k} store elements as little-endian coefficient tuples
@@ -49,7 +49,6 @@ from typing import Callable, Tuple, Union
 from .errors import InvalidParameters, NotPrime, ZeroInversion
 
 DEFAULT_PRIME = 10007
-DEFAULT_RATIONAL_BOUND = 50
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -210,71 +209,11 @@ class Field:
     def __hash__(self):
         return hash(self.key())
 
-    @property
-    def is_finite(self) -> bool:
-        return self.order() is not None
-
-    def order(self):
-        """Number of elements, or None for infinite fields."""
-        return None
-
-    def characteristic(self) -> int:
-        return 0
-
     def element_str(self, payload) -> str:
         return str(payload)
 
-    def sample(self, rng: random.Random, bound: int = DEFAULT_RATIONAL_BOUND) -> FieldElement:
+    def sample(self, rng: random.Random) -> FieldElement:
         raise NotImplementedError
-
-
-class RationalField(Field):
-    """The rationals with arbitrary-precision reduced fractions."""
-
-    kind = "rationals"
-
-    def key(self):
-        return ("rationals",)
-
-    def _zero_payload(self):
-        return Fraction(0)
-
-    def _one_payload(self):
-        return Fraction(1)
-
-    def _from_int(self, n):
-        return Fraction(n)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        if a == 0:
-            raise ZeroInversion(f"zero has no inverse in {self}")
-        return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _packer(self, terms: int) -> Packer:
-        """Fractions sum as they are."""
-        return _same, _same
-
-    def sample(self, rng, bound=DEFAULT_RATIONAL_BOUND):
-        """Uniform integer in [-bound, bound], as a rational."""
-        return FieldElement(self, Fraction(rng.randint(-bound, bound)))
-
-    def __repr__(self):
-        return "QQ"
 
 
 class PrimeField(Field):
@@ -338,7 +277,7 @@ class PrimeField(Field):
         """Residues sum as ints and are reduced mod p once."""
         return _same, self.p.__rmod__
 
-    def sample(self, rng, bound=None):
+    def sample(self, rng):
         return FieldElement(self, rng.randrange(self.p))
 
     def code_of(self, e: FieldElement) -> int:
@@ -458,7 +397,7 @@ class ExtensionField(Field):
             code //= self.p
         return FieldElement(self, tuple(digits))
 
-    def sample(self, rng, bound=None):
+    def sample(self, rng):
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
 
     def __repr__(self):
@@ -901,5 +840,3 @@ def relative_extension(ground: Field, k: int):
     ext = build_extension(ground.p, ground.degree * k)
     return ext, embedding(ground, ext)
 
-
-QQ = RationalField()

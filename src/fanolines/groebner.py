@@ -2,10 +2,10 @@
 Gebauer-Moeller pair update, producing the unique monic reduced basis.
 
 Everything below the Polynomial-level API works on dicts mapping packed
-monomials to raw coefficient payloads (ints mod p, Fractions, coefficient
-tuples) through the field's payload hooks; exponent tuples and
-FieldElement wrappers only appear at the API boundary, which packs its
-input and unpacks its output.
+monomials to raw coefficient payloads (ints mod p, coefficient tuples)
+through the field's payload hooks; exponent tuples and FieldElement
+wrappers only appear at the API boundary, which packs its input and
+unpacks its output.
 
 A packed monomial is one int (see `Packing`): slots of equal width, one
 per row of the order's `MonomialOrder.slots` layout, each holding a
@@ -64,13 +64,9 @@ from itertools import chain
 from operator import mul as _mul, or_ as _or
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .errors import ResourceLimit, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .field import Field
 from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial
-
-# Groebner bases over the rationals can blow up; this caps the total bit
-# size of any single polynomial's coefficients mid-computation.
-DEFAULT_COEFF_BIT_LIMIT = 1_000_000
 
 # least slot width of a packing, guard bit included
 _SLOT_BITS = 8
@@ -181,11 +177,6 @@ def _from_payload(d: PayloadPoly, packing: Packing, field: Field,
                                     {decode(k): c for k, c in d.items()})
 
 
-def _bits(c) -> int:
-    """Bits of numerator and denominator; 0 for a cancelled entry."""
-    return c.numerator.bit_length() + c.denominator.bit_length() if c else 0
-
-
 def _reducer(d: PayloadPoly, field: Field) -> Reducer:
     pack, lm = field._packer(_TERMS)[0], max(d)
     return (lm, field._neg(field._inv(d[lm])),
@@ -194,18 +185,17 @@ def _reducer(d: PayloadPoly, field: Field) -> Reducer:
 
 def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
                         memo: Dict[int, Tuple[int, int]], packing: Packing,
-                        field: Field,
-                        bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> PayloadPoly:
+                        field: Field) -> PayloadPoly:
     """`_packed_normal_form` of the payload dict f, packed."""
     pack = field._packer(_TERMS)[0]
     return _packed_normal_form({m: pack(c) for m, c in f.items()}, 1,
-                               reducers, memo, packing, field, bit_limit)
+                               reducers, memo, packing, field)
 
 
 def _packed_normal_form(work: Dict[int, int], products: int,
                         reducers: Sequence[Reducer],
                         memo: Dict[int, Tuple[int, int]], packing: Packing,
-                        field: Field, bit_limit: int) -> PayloadPoly:
+                        field: Field) -> PayloadPoly:
     """Full normal form of `work`, packed coefficients (`Field._packer`)
     of at most `products` products each, maybe 0; the dict is consumed.
 
@@ -214,22 +204,18 @@ def _packed_normal_form(work: Dict[int, int], products: int,
     out in descending order. `memo` maps a monomial to (index of its
     first dividing reducer or -1, number of reducers checked), and may be
     shared by every normal form against one reducer list that is only
-    ever appended to. Over the rationals, ResourceLimit is raised once a
-    step leaves more than bit_limit bits of numerators and denominators
-    in the work list. _SlotOverflow is raised when a term of `work`, or
+    ever appended to. _SlotOverflow is raised when a term of `work`, or
     one new to it, reaches a guard bit of `packing`.
 
-    The rationals and F_p need no bound on their sums. Over F_{p^k} a
-    step adds at most one product to any value (the shifted tail
-    monomials of one reducer are distinct), so before a step would take
-    a value past _TERMS products every value is packed anew (one
-    product, as pack(1) = 1).
+    F_p needs no bound on its sums. Over F_{p^k} a step adds at most one
+    product to any value (the shifted tail monomials of one reducer are
+    distinct), so before a step would take a value past _TERMS products
+    every value is packed anew (one product, as pack(1) = 1).
     """
     pack, unpack = field._packer(_TERMS)
     mul, zero = field._mul, field._zero_payload()
     guard = packing.guard
     push, pop = heapq.heappush, heapq.heappop
-    rational = field.characteristic() == 0
     count = len(reducers)
     if reduce(_or, work, 0) & guard:
         raise _SlotOverflow
@@ -237,14 +223,11 @@ def _packed_normal_form(work: Dict[int, int], products: int,
     # monomials only, so a popped one never comes back
     heap = [-m for m in work]  # a min-heap of -m pops the largest m first
     heapq.heapify(heap)
-    bits = sum(map(_bits, work.values())) if rational else 0
     remainder: PayloadPoly = {}
     held = products  # the most products any work value holds
     while heap:
         lm = -pop(heap)
         lc = unpack(work.pop(lm))
-        if rational:
-            bits -= _bits(lc)
         if lc == zero:
             continue  # cancelled after it was pushed
         hit = memo.get(lm)
@@ -266,9 +249,6 @@ def _packed_normal_form(work: Dict[int, int], products: int,
         red_lm, red_scale, red_tail = reducers[hit[0]]
         shift = lm - red_lm
         factor = pack(mul(lc, red_scale))
-        if rational:
-            touched = [m + shift for m, _ in red_tail]
-            bits -= sum(_bits(work[k]) for k in touched if k in work)
         for m, c in red_tail:
             key = m + shift
             cur = work.get(key)
@@ -279,10 +259,6 @@ def _packed_normal_form(work: Dict[int, int], products: int,
                 push(heap, -key)
             else:
                 work[key] = cur + factor * c
-        if rational:
-            bits += sum(_bits(work[k]) for k in touched if k in work)
-            if bits > bit_limit:
-                raise ResourceLimit("coefficient size exceeded during reduction")
     return remainder
 
 
@@ -302,8 +278,8 @@ def _spoly(ra: Reducer, rb: Reducer, lcm: int, field: Field) -> Dict[int, int]:
     return out
 
 
-def buchberger_payload(gens: List[PayloadPoly], packing: Packing, field: Field,
-                       bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> List[PayloadPoly]:
+def buchberger_payload(gens: List[PayloadPoly], packing: Packing,
+                       field: Field) -> List[PayloadPoly]:
     """Reduced Groebner basis of the nonzero packed payload polynomials.
 
     Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller 1988;
@@ -361,15 +337,15 @@ def buchberger_payload(gens: List[PayloadPoly], packing: Packing, field: Field,
     while pairs:
         lcm, i, j, _ = heapq.heappop(pairs)
         r = _packed_normal_form(_spoly(reducers[i], reducers[j], lcm, field),
-                                2, reducers, memo, packing, field, bit_limit)
+                                2, reducers, memo, packing, field)
         if r:
             insert(r)
 
-    return _reduce_basis(reducers, packing, field, bit_limit)
+    return _reduce_basis(reducers, packing, field)
 
 
-def _reduce_basis(reducers: List[Reducer], packing: Packing, field: Field,
-                  bit_limit: int) -> List[PayloadPoly]:
+def _reduce_basis(reducers: List[Reducer], packing: Packing,
+                  field: Field) -> List[PayloadPoly]:
     """The monic reduced basis of a Groebner basis given as reducers,
     sorted by leading monomial ascending.
 
@@ -388,8 +364,7 @@ def _reduce_basis(reducers: List[Reducer], packing: Packing, field: Field,
     one, mul, neg = field._one_payload(), field._mul, field._neg
     out = []
     for lm, scale, tail in kept:
-        rest = _packed_normal_form(dict(tail), 1, kept, memo, packing, field,
-                                   bit_limit)
+        rest = _packed_normal_form(dict(tail), 1, kept, memo, packing, field)
         inv = neg(scale)
         reduced = {lm: one}
         reduced.update((m, mul(c, inv)) for m, c in rest.items())
@@ -402,8 +377,8 @@ def _reduce_basis(reducers: List[Reducer], packing: Packing, field: Field,
 # the way out
 
 
-def groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-                   bit_limit: int = DEFAULT_COEFF_BIT_LIMIT) -> List[Polynomial]:
+def groebner_basis(gens: Sequence[Polynomial],
+                   order: MonomialOrder = GREVLEX) -> List[Polynomial]:
     """Unique monic reduced Groebner basis; [] for the zero ideal."""
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
@@ -414,7 +389,7 @@ def groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
 
     def run(packing: Packing) -> List[PayloadPoly]:
         return buchberger_payload([_to_payload(g, packing) for g in nonzero],
-                                  packing, field, bit_limit)
+                                  packing, field)
 
     packing, basis = _widening(
         Packing.for_degree(order, nvars, max(g.degree() for g in nonzero)), run)

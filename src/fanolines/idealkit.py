@@ -127,7 +127,6 @@ def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
     enumerate raises BudgetExceeded.
     """
     field = ideal.field
-    assert field.is_finite, "point scanning needs a finite field"
     if not ideal.nonzero_generators():
         raise BudgetExceeded("the zero ideal has the whole space as zeros")
     if not exceeds_budget(ideal.ambient_proj_dim, field.order(), budget,

@@ -24,7 +24,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
-from .field import Field, FieldElement, RationalField, payload_lift
+from .field import Field, FieldElement, payload_lift
 from .linalg import payload_rank
 
 if TYPE_CHECKING:
@@ -227,12 +227,7 @@ class Polynomial:
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, FieldElement):
-            return Polynomial.constant(self.field, self.nvars, other)
-        if isinstance(other, (int, Fraction)):
-            if isinstance(other, Fraction):
-                return Polynomial.constant(self.field, self.nvars,
-                                           self.field.from_fraction(other))
+        if isinstance(other, (int, FieldElement)):
             return Polynomial.constant(self.field, self.nvars, other)
         return None
 
@@ -272,12 +267,8 @@ class Polynomial:
         """Product with a scalar or a polynomial, on raw payloads."""
         field = self.field
         mul = field._mul
-        if isinstance(other, (int, Fraction, FieldElement)):
-            c = other
-            if isinstance(c, Fraction):
-                c = field.from_fraction(c)
-            elif isinstance(c, int):
-                c = field.from_int(c)
+        if isinstance(other, (int, FieldElement)):
+            c = field.from_int(other) if isinstance(other, int) else other
             if c.is_zero():
                 return Polynomial.zero(field, self.nvars)
             c = c.payload
@@ -386,21 +377,13 @@ class Polynomial:
             return "0"
         names = list(names) if names is not None else default_names(self.nvars)
         assert len(names) == self.nvars
-        rational = isinstance(self.field, RationalField)
         pieces = []
         for mono, coeff in sorted(self.terms.items(), reverse=True,
                                   key=lambda kv: GREVLEX.key(kv[0])):
-            if rational:
-                negative = coeff.payload < 0
-                mag = -coeff.payload if negative else coeff.payload
-                coeff_str = str(mag)
-                is_unit = mag == 1
-            else:
-                negative = False
-                coeff_str = self.field.element_str(coeff.payload)
-                if any(ch in coeff_str for ch in "+- "):
-                    coeff_str = f"({coeff_str})"  # multi-term extension coefficient
-                is_unit = coeff == self.field.one()
+            coeff_str = self.field.element_str(coeff.payload)
+            if any(ch in coeff_str for ch in "+- "):
+                coeff_str = f"({coeff_str})"  # multi-term extension coefficient
+            is_unit = coeff == self.field.one()
             factors = []
             for i, e in enumerate(mono):
                 if e == 0:
@@ -412,12 +395,8 @@ class Polynomial:
                 body = "*".join(factors)
             else:
                 body = "*".join([coeff_str] + factors)
-            pieces.append((negative, body))
-        first_neg, first_body = pieces[0]
-        out = ("-" if first_neg else "") + first_body
-        for negative, body in pieces[1:]:
-            out += (" - " if negative else " + ") + body
-        return out
+            pieces.append(body)
+        return " + ".join(pieces)
 
     def __repr__(self):
         return f"Polynomial({self.to_text()})"
@@ -545,8 +524,8 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     is a field automorphism (Lidl-Niederreiter, *Finite Fields*, ch. 2).
     sigma fixes 0 and 1, so it maps a canonical point to a canonical
     point, and a point equal to sigma^i of an earlier one, or to an
-    earlier one itself, takes that point's rank. Points over QQ or over
-    F_q itself are ranked one by one.
+    earlier one itself, takes that point's rank. Points over F_q itself
+    are ranked one by one.
     """
     if not gens or not points:
         return [0] * len(points)
@@ -565,7 +544,7 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
         if slot is None:
             slot = orbit_of[key] = len(ranked)
             ranked.append(coords)
-            if field.is_finite and target != field:
+            if target != field:
                 while True:
                     coords = [target.frobenius(c, field.degree)
                               for c in coords]

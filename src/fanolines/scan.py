@@ -89,7 +89,6 @@ class VectorContext:
 
     def __init__(self, field: Field):
         import numpy as np
-        assert field.is_finite
         self.field = field
         self.q = field.order()
         if isinstance(field, PrimeField):

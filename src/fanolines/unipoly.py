@@ -93,7 +93,6 @@ def distinct_degree_factorization(e: List[FieldElement], field: Field,
     powers included, need no derivative: once found, every copy of a
     factor is divided out of f and later steps never see it again.
     """
-    assert field.is_finite
     base, k = field.ring, field.degree
     f = _flat(e, field)
     assert f, "the zero polynomial has no factorization"
@@ -191,7 +190,7 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     F_10007 split in F_(10007^6) the power runs on one digit per
     coefficient instead of six.
     """
-    assert field.is_finite and field.degree % orbit == 0
+    assert field.degree % orbit == 0
     sub = a[0].field if a else field
     k, s, p = field.degree, sub.degree, field.characteristic()
     assert k % s == 0

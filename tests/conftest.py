@@ -67,7 +67,6 @@ def enumerate_projective_points(n_proj, field, budget=DEFAULT_BUDGET):
     coordinates run in ascending code order, leftmost coordinate most
     significant. Raises BudgetExceeded above budget points. The
     scan-order oracle."""
-    assert field.is_finite, "enumeration needs a finite field"
     q = field.order()
     total = projective_count(n_proj, q)
     if total > budget:
@@ -432,20 +431,14 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def plain_normal_form(f, basis, packing, field, bit_limit=None, stats=None):
+def plain_normal_form(f, basis, packing, field, stats=None):
     """Normal form of the payload dict f against the payload dicts of
     basis, keyed by monomials packed by `packing`: one field call per
     product, difference and zero test of every tail term. Each step
     reduces by the first element whose leading monomial divides the work
-    list's; over the rationals ResourceLimit is raised once a step leaves
-    more than bit_limit bits of numerators and denominators in the work
-    list. `stats`, when given, gets the number of steps and the most bits
-    a step left. The oracle of `groebner.normal_form_payload`."""
+    list's. `stats`, when given, gets the number of steps. The oracle of
+    `groebner.normal_form_payload`."""
     import heapq
-    from fanolines.errors import ResourceLimit
-
-    def bits(c):
-        return c.numerator.bit_length() + c.denominator.bit_length()
 
     mul, sub, neg, is_zero = field._mul, field._sub, field._neg, field._is_zero
     reducers = []
@@ -453,20 +446,16 @@ def plain_normal_form(f, basis, packing, field, bit_limit=None, stats=None):
         lm = max(d)
         reducers.append((lm, field._inv(d[lm]),
                          [(m, c) for m, c in d.items() if m != lm]))
-    rational = field.characteristic() == 0
     work = dict(f)
     heap = [-m for m in work]
     heapq.heapify(heap)
-    total = sum(map(bits, work.values())) if rational else 0
-    steps = peak = 0
+    steps = 0
     remainder = {}
     while heap:
         lm = -heapq.heappop(heap)
         lc = work.pop(lm, None)
         if lc is None:
             continue
-        if rational:
-            total -= bits(lc)
         red = next((r for r in reducers if packing.divides(r[0], lm)), None)
         if red is None:
             remainder[lm] = lc
@@ -474,9 +463,6 @@ def plain_normal_form(f, basis, packing, field, bit_limit=None, stats=None):
         red_lm, red_inv, red_tail = red
         shift = lm - red_lm
         factor = mul(lc, red_inv)
-        touched = [m + shift for m, _ in red_tail]
-        if rational:
-            total -= sum(bits(work[k]) for k in touched if k in work)
         for m, c in red_tail:
             key = m + shift
             cur = work.get(key)
@@ -490,13 +476,8 @@ def plain_normal_form(f, basis, packing, field, bit_limit=None, stats=None):
                 else:
                     work[key] = new
         steps += 1
-        if rational:
-            total += sum(bits(work[k]) for k in touched if k in work)
-            peak = max(peak, total)
-            if bit_limit is not None and total > bit_limit:
-                raise ResourceLimit("coefficient size exceeded")
     if stats is not None:
-        stats.update(steps=steps, peak_bits=peak)
+        stats.update(steps=steps)
     return remainder
 
 

@@ -313,6 +313,22 @@ def test_denominator_not_invertible_mod_p_exit_2(tmp_path, command, capsys):
     assert main([command, str(bad), "--prime", "7", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["groebner"], "1/2*x0^2 + x1^2 - x2^2\nx0*x1 - 1/2*x2^2\n"),
+    (["sing-locus"], "1/2*x0^3 + x0^2*x1\n"),
+    (["lines-through", "--point", "1:0:0:0", "--poly"],
+     "x0*x1^2 + 1/2*x0*x2*x3 + x1^3 + x2^3 + x3^3 - 1/2*x1*x2*x3\n")],
+    ids=["groebner", "sing-locus", "lines-through"])
+def test_fraction_coefficient_gives_the_report_of_its_residue(
+        tmp_path, capsys, argv, text):
+    # 1/2 is read through Field.from_fraction as 5004 mod 10007, the
+    # default prime, so both spellings give the same report bytes
+    half, residue = _reports(tmp_path, capsys, argv,
+                             [text, text.replace("1/2", "5004")])
+    assert half == residue
+    assert half[0] == 0
+
+
 def test_bad_point_format_exit_2(nodal_file):
     assert main(["lines-through", "--poly", nodal_file,
                  "--point", "1:zz:0:0"]) == 2

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanolines import QQ, PrimeField, build_extension
+from fanolines import PrimeField, build_extension
 from fanolines.field import (FieldElement, embedding, is_prime,
                              payload_descent, relative_extension)
 from fanolines.errors import NotPrime, ZeroInversion
@@ -23,9 +23,9 @@ from conftest import (PlainArith, fermat_inverse, plain_extension_mul,
 # packing, F_(10007^6) through 64-bit struct slots
 FIELDS = [PrimeField(7), PrimeField(10007), build_extension(3, 2),
           build_extension(7, 3), build_extension(7, 4),
-          build_extension(10007, 6), build_extension(4294967311, 2), QQ]
+          build_extension(10007, 6), build_extension(4294967311, 2)]
 FIELD_IDS = ["F7", "F10007", "F9", "F343", "F2401", "F10007^6",
-             "F4294967311^2", "QQ"]
+             "F4294967311^2"]
 
 
 def sample_many(field, seed, count):
@@ -56,8 +56,8 @@ def test_field_axioms_random_triples(field):
 def test_inverse_examples(f7):
     assert f7.one().inverse() == f7.one()
     assert f7.from_int(3).inverse() == f7.from_int(5)
-    assert QQ.from_fraction(Fraction(-2, 3)).inverse() == \
-        QQ.from_fraction(Fraction(-3, 2))
+    assert f7.from_fraction(Fraction(-2, 3)).inverse() == \
+        f7.from_fraction(Fraction(-3, 2))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -184,13 +184,6 @@ def test_sample_uniformity_f7():
         assert abs(c - 1000) <= 5 * sigma
 
 
-def test_rational_sample_bound():
-    rng = random.Random(1)
-    for _ in range(200):
-        e = QQ.sample(rng, bound=1)
-        assert e.payload in (Fraction(-1), Fraction(0), Fraction(1))
-
-
 @pytest.mark.parametrize("p,k", [(3, 5), (7, 4), (10007, 6)])
 def test_frobenius_row_table_matches_powers(p, k):
     # e^(p^j) by square and multiply is the oracle
@@ -279,7 +272,7 @@ def test_integer_codes_enumerate_the_field(field):
     assert all(field.element_from_code(field.code_of(e)) == e for e in elems)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(10007),
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(10007),
                                    build_extension(3, 2),
                                    build_extension(7, 4),
                                    build_extension(10007, 6),
@@ -305,9 +298,8 @@ def test_packed_sums_of_products_match_field_arithmetic(field):
             got = unpack(sum(pack(a) * pack(b) for a, b in pairs))
             assert got == want, (terms, pairs)
         assert unpack(pack(top)) == top
-    if field.kind != "rationals":
-        # a payload from F_p packs to the small int itself
-        assert pack(field.from_int(2).payload) == 2
+    # a payload from F_p packs to the small int itself
+    assert pack(field.from_int(2).payload) == 2
 
 
 # the product and the inverse of every extension degree 2..7, at primes

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fanolines import (QQ, Ideal, Polynomial, PrimeField, ProjectivePoint,
+from fanolines import (Ideal, Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding)
 from fanolines.idealkit import (add_jacobian_certificates,
                                 complete_intersection_report,
@@ -250,7 +250,7 @@ BIG_PRIME = 4294967311
 JACOBIAN_FIELDS = (
     [(PrimeField(7), PrimeField(7)), (PrimeField(10007), PrimeField(10007)),
      (PrimeField(7), build_extension(7, 3)),
-     (build_extension(7, 2), build_extension(7, 4)), (QQ, QQ),
+     (build_extension(7, 2), build_extension(7, 4)),
      (PrimeField(3), PrimeField(3))]
     + [(PrimeField(p), build_extension(p, k))
        for p in (3, 10007) for k in range(2, 7)]
@@ -261,13 +261,13 @@ JACOBIAN_FIELDS = (
 
 @pytest.mark.parametrize(
     "ground,point_field", JACOBIAN_FIELDS,
-    ids=["F7", "F10007", "F7-F343", "F49-F2401", "QQ", "F3"]
+    ids=["F7", "F10007", "F7-F343", "F49-F2401", "F3"]
     + [f"F{p}-F{p}^{k}" for p in (3, 10007) for k in range(2, 7)]
     + ["F49-F7^6", "F10007^2-F10007^4", "Fbig-Fbig^2"])
 def test_jacobian_rank_at_matches_partials_then_evaluate(ground, point_field):
     # the packed kernel against the oracle, point by point, in one call per
     # point list
-    rng = random.Random(ground.order() or 0)
+    rng = random.Random(ground.order())
     for _ in range(3):
         gens = dependent_generators(ground, 4, rng)
         points = special_points(point_field, 4, rng)
@@ -446,23 +446,22 @@ def test_is_complete_intersection():
     assert not is_complete_intersection(triangle)
 
 
-def sympy_hilbert_function(texts, nvars, degrees, modulus=None):
-    """Hilbert function of the homogeneous ideal at each of degrees, by
-    sympy: the grevlex basis of `sympy.groebner`, then the monomials of
-    each degree that no leading monomial divides."""
+def sympy_hilbert_function(texts, nvars, degrees, modulus):
+    """Hilbert function of the homogeneous ideal over F_modulus at each
+    of degrees, by sympy: the grevlex basis of `sympy.groebner`, then the
+    monomials of each degree that no leading monomial divides."""
     sympy = pytest.importorskip("sympy")
     from fanolines.poly import monomials_of_degree, mono_divides
     xs = sympy.symbols(f"x0:{nvars}")
-    kwargs = {} if modulus is None else {"modulus": modulus}
     basis = sympy.groebner([sympy.sympify(t) for t in texts], *xs,
-                           order="grevlex", **kwargs)
+                           order="grevlex", modulus=modulus)
     lms = [sympy.Poly(g, *xs).LM(order="grevlex").exponents
            for g in basis.exprs]
     return [sum(not any(mono_divides(lm, m) for lm in lms)
                 for m in monomials_of_degree(nvars, d)) for d in degrees]
 
 
-@pytest.mark.parametrize("field", [F7, F10007, QQ], ids=str)
+@pytest.mark.parametrize("field", [F7, F10007], ids=str)
 def test_twisted_cubic_is_not_a_complete_intersection(field):
     # the twisted cubic is cut out by three quadrics but has codimension
     # 2: a curve of degree 3, not a complete intersection. sympy's basis
@@ -474,9 +473,8 @@ def test_twisted_cubic_is_not_a_complete_intersection(field):
     assert (report["dimension"], report["degree"]) == ("1", "3")
     assert report["computed"]["codimension"] == "2"
     assert report["matched"] == "true"
-    modulus = field.characteristic() or None
     values = sympy_hilbert_function([t.replace("^", "**") for t in texts], 4,
-                                    range(3, 7), modulus)
+                                    range(3, 7), field.characteristic())
     assert values == [3 * t + 1 for t in range(3, 7)]
 
 
