@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .errors import (BudgetExceeded, DegenerateInstance, Inconclusive,
@@ -48,35 +47,16 @@ EXIT_BUDGET = 4
 MAX_VARIABLES = 64
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output."""
-
-    command: str
-    seed: int
-    prime: int
-    k_max: Optional[int]
-    trials: Optional[int]
-    budget: int
-    params: Dict[str, str]
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "command": self.command,
-            "seed": str(self.seed),
-            "prime": str(self.prime),
-            "budget": str(self.budget),
-        }
-        if self.k_max is not None:
-            out["k_max"] = str(self.k_max)
-        if self.trials is not None:
-            out["trials"] = str(self.trials)
-        out.update(self.params)
-        return out
+def _config(args: argparse.Namespace, **settings) -> Dict[str, str]:
+    """Everything that determines a run's output, as strings: the
+    command, its seed, prime and budget, and its own settings."""
+    return {"command": args.command, "seed": str(args.seed),
+            "prime": str(args.prime), "budget": str(args.budget),
+            **{key: str(value) for key, value in settings.items()}}
 
 
-def _render(config: RunConfig, report: Dict[str, object]) -> str:
-    doc = {"config": config.to_dict(), "report": report}
+def _render(config: Dict[str, str], report: Dict[str, object]) -> str:
+    doc = {"config": config, "report": report}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -137,7 +117,7 @@ def _summarize(report: Dict[str, object]):
         print(f"matched: {report['matched']}")
 
 
-def _finish(config: RunConfig, report: Dict[str, object],
+def _finish(config: Dict[str, str], report: Dict[str, object],
             args: argparse.Namespace, matched: bool) -> int:
     text = _render(config, report)
     if args.json:
@@ -185,9 +165,7 @@ def cmd_lines_through(args: argparse.Namespace) -> int:
     samples = args.trials if args.trials is not None else LINE_SAMPLES
     if args.random:
         n, d, m = args.random
-        config = RunConfig("lines-through", args.seed, args.prime, k_max,
-                           samples, args.budget,
-                           {"n": str(n), "d": str(d), "m": str(m)})
+        config = _config(args, k_max=k_max, trials=samples, n=n, d=d, m=m)
         report = run_line_analysis(n, d, m, field, args.seed, k_max=k_max,
                                    samples=samples, budget=args.budget)
     else:
@@ -197,11 +175,8 @@ def cmd_lines_through(args: argparse.Namespace) -> int:
         f = polys[0]
         point = _parse_point(args.point, field)
         ph = PointedHypersurface(f, point)
-        config = RunConfig("lines-through", args.seed, args.prime, k_max,
-                           samples, args.budget,
-                           {"poly": f.to_text(),
-                            "point": ":".join(point.serialize()),
-                            "m": str(ph.multiplicity)})
+        config = _config(args, k_max=k_max, trials=samples, poly=f.to_text(),
+                         point=":".join(point.serialize()), m=ph.multiplicity)
         report = analyze_lines(ph, k_max=k_max, samples=samples,
                                seed=args.seed, budget=args.budget)
     return _finish(config, report.to_dict(), args, report.matched())
@@ -209,8 +184,7 @@ def cmd_lines_through(args: argparse.Namespace) -> int:
 
 def cmd_voisin_demo(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    config = RunConfig("voisin-demo", args.seed, args.prime, None, None,
-                       args.budget, {"r": str(args.r)})
+    config = _config(args, r=args.r)
     analysis = run_node_analysis(args.r, field, args.seed, budget=args.budget)
     report = analysis.report.to_dict()
     report["chosen_node"] = " : ".join(analysis.chosen_node.serialize())
@@ -233,9 +207,7 @@ def cmd_groebner(args: argparse.Namespace) -> int:
         dim, degree = hilbert_data(ideal)
         report["dimension"] = dimension_text(dim)
         report["degree"] = str(degree)
-    config = RunConfig("groebner", args.seed, args.prime, None, None,
-                       args.budget, {"file": os.path.basename(args.file),
-                                     "order": args.order})
+    config = _config(args, file=os.path.basename(args.file), order=args.order)
     return _finish(config, report, args, True)
 
 
@@ -252,8 +224,7 @@ def cmd_sing_locus(args: argparse.Namespace) -> int:
         "count": str(len(points)),
         "singular_points": [p.serialize() for p in points],
     }
-    config = RunConfig("sing-locus", args.seed, args.prime, k_max, None,
-                       args.budget, {"file": os.path.basename(args.file)})
+    config = _config(args, k_max=k_max, file=os.path.basename(args.file))
     return _finish(config, report, args, True)
 
 
@@ -264,9 +235,8 @@ def cmd_bezout_check(args: argparse.Namespace) -> int:
     report = complete_intersection_report(args.degrees, args.n, field,
                                           args.seed, samples=samples,
                                           k_max=k_max, budget=args.budget)
-    config = RunConfig("bezout-check", args.seed, args.prime, k_max, samples,
-                       args.budget, {"n": str(args.n), "degrees": ",".join(
-                           str(d) for d in args.degrees)})
+    config = _config(args, k_max=k_max, trials=samples, n=args.n,
+                     degrees=",".join(map(str, args.degrees)))
     return _finish(config, report.to_dict(), args, report.matched())
 
 

@@ -52,12 +52,9 @@ def direction_components(f: Polynomial, point: ProjectivePoint) -> List[Polynomi
     # merges no two terms
     local = Polynomial(f.field, f.nvars - 1,
                        {m[1:]: c for m, c in moved.terms.items()})
-    d = f.degree()
-    if local.is_zero():
-        return [Polynomial.zero(f.field, f.nvars - 1) for _ in range(d + 1)]
     parts = local.homogeneous_components()
     return [parts.get(i, Polynomial.zero(f.field, f.nvars - 1))
-            for i in range(d + 1)]
+            for i in range(f.degree() + 1)]
 
 
 def _check_shape(n: int, d: int, m: int):
@@ -94,10 +91,6 @@ class PointedHypersurface:
         object.__setattr__(self, "components", parts)
 
     @property
-    def field(self) -> Field:
-        return self.f.field
-
-    @property
     def ambient_proj_dim(self) -> int:
         return self.f.nvars - 1
 
@@ -117,14 +110,16 @@ def random_pointed_hypersurface(n: int, d: int, m: int, field: Field,
     """
     _check_shape(n, d, m)
     rng = random.Random(seed)
-    f = Polynomial.zero(field, n + 1)
-    x0 = Polynomial.variable(field, n + 1, 0)
+    terms = {}
     for i in range(m, d + 1):
         comp = random_homogeneous(field, n, i, rng)
         while comp.is_zero():
             comp = random_homogeneous(field, n, i, rng)
-        f = f + x0 ** (d - i) * comp.extend_variables(n + 1, 1)
-    return PointedHypersurface(f, base_point(field, n))
+        # x_0^(d-i) f_i: each part has its own degree in x_0, so no two
+        # terms meet
+        terms.update({(d - i,) + mono: c for mono, c in comp.terms.items()})
+    return PointedHypersurface(Polynomial(field, n + 1, terms),
+                               base_point(field, n))
 
 
 @dataclass(frozen=True)
@@ -234,19 +229,18 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
 def run_line_analysis(n: int, d: int, m: int, field: Field, seed: int,
                       k_max: int = LINE_COUNT_KMAX,
                       samples: int = LINE_SAMPLES,
-                      retries: int = MAX_RESAMPLES,
                       budget: int = DEFAULT_BUDGET) -> VarietyReport:
     """Sample-and-verify pipeline with reseeding on failed certificates.
 
     Finite fields can hit the measure-zero bad locus that a generic
     complex instance avoids, so a mismatched report triggers a resample
-    at seed+1, up to `retries` attempts; every attempt is logged in the
-    returned report.
+    at seed+1, up to MAX_RESAMPLES attempts; every attempt is logged in
+    the returned report.
     """
     attempts = []
     report: Optional[VarietyReport] = None
     s = seed
-    for _ in range(retries):
+    for _ in range(MAX_RESAMPLES):
         ph = random_pointed_hypersurface(n, d, m, field, s)
         report = analyze_lines(ph, k_max=k_max, samples=samples, seed=s,
                                budget=budget)

@@ -39,12 +39,13 @@ inverts by extended Euclid over F_p on the digit lists (ibid., §4.2).
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import chain
 from operator import lshift, mul
 import struct
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 from .errors import InvalidParameters, NotPrime, ZeroInversion
 
@@ -166,8 +167,6 @@ class FieldElement:
     def __repr__(self):
         return self.field.element_str(self.payload)
 
-
-Scalar = Union[FieldElement, int]
 
 Packer = Tuple[Callable, Callable]
 
@@ -683,39 +682,30 @@ def _slot_width(p: int, k: int, n: int, terms: int) -> int:
     return 64 if width <= 64 and span * width > _STRUCT_BITS else width
 
 
-_extension_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def build_extension(p: int, k: int) -> Field:
     """Field with p^k elements; k = 1 gives the prime field itself.
 
     The modulus is found by seeded random search over monic degree-k
     candidates, so the result is reproducible for fixed (p, k).
     """
-    cached = _extension_cache.get((p, k))
-    if cached is not None:
-        return cached
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
     if k == 1:
-        result = PrimeField(p)
-    else:
-        from .unipoly import distinct_degree_factorization
-        ground = PrimeField(p)
-        rng = random.Random(f"fanolines-modulus-{p}-{k}-0")
-        while True:
-            cand = [rng.randrange(p) for _ in range(k)] + [1]
-            if cand[0] == 0:  # reducible: t divides
-                continue
-            # irreducible: no factor of degree <= k/2
-            if not distinct_degree_factorization(
-                    [FieldElement(ground, c) for c in cand], ground, k // 2):
-                result = ExtensionField(p, k, cand)
-                break
-    _extension_cache[(p, k)] = result
-    return result
+        return PrimeField(p)
+    from .unipoly import distinct_degree_factorization
+    ground = PrimeField(p)
+    rng = random.Random(f"fanolines-modulus-{p}-{k}-0")
+    while True:
+        cand = [rng.randrange(p) for _ in range(k)] + [1]
+        if cand[0] == 0:  # reducible: t divides
+            continue
+        # irreducible: no factor of degree <= k/2
+        if not distinct_degree_factorization(
+                [FieldElement(ground, c) for c in cand], ground, k // 2):
+            return ExtensionField(p, k, cand)
 
 
 def _power_rows(field: ExtensionField, x, n: int) -> list:
@@ -737,9 +727,7 @@ def _apply_rows(rows: list, c, p: int) -> tuple:
     return tuple(v % p for v in out)
 
 
-_embedding_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def payload_lift(src: Field, dst: Field):
     """The payload map of `embedding(src, dst)`; None when dst is src.
 
@@ -755,17 +743,13 @@ def payload_lift(src: Field, dst: Field):
         return dst._from_int
     assert isinstance(src, ExtensionField) and isinstance(dst, ExtensionField)
     assert src.p == dst.p and dst.k % src.k == 0
-    key = (src.key(), dst.key())
-    lift = _embedding_cache.get(key)
-    if lift is None:
-        from .unipoly import roots_in_field
-        ground = build_extension(src.p, 1)
-        modulus = [ground.from_int(c) for c in src.modulus]
-        rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
-        root = roots_in_field(modulus, dst, rng, orbit=1)[0]
-        rows = _power_rows(dst, root.payload, src.k)
-        lift = _embedding_cache[key] = lambda c: _apply_rows(rows, c, src.p)
-    return lift
+    from .unipoly import roots_in_field
+    ground = build_extension(src.p, 1)
+    modulus = [ground.from_int(c) for c in src.modulus]
+    rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
+    root = roots_in_field(modulus, dst, rng, orbit=1)[0]
+    rows = _power_rows(dst, root.payload, src.k)
+    return lambda c: _apply_rows(rows, c, src.p)
 
 
 def embedding(src: Field, dst: Field):
@@ -798,9 +782,7 @@ def _frobenius_shift(ground: Field, mid: Field, top: Field) -> int:
     raise AssertionError("embeddings of one field differ by no Frobenius power")
 
 
-_descent_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def payload_descent(ground: Field, sub: Field, top: Field):
     """The payload map that brings an element of top lying in sub back
     down to sub: the inverse, on its image, of the embedding e of sub in
@@ -817,20 +799,16 @@ def payload_descent(ground: Field, sub: Field, top: Field):
     """
     if isinstance(sub, PrimeField):
         return lambda c: c[0]
-    key = (ground.key(), sub.key(), top.key())
-    descent = _descent_cache.get(key)
-    if descent is None:
-        from .linalg import Echelon
-        p, k, lift = sub.p, sub.k, payload_lift(sub, top)
-        shift = _frobenius_shift(ground, sub, top)
-        rows = Echelon(build_extension(p, 1), top.k)
-        for i in range(k):
-            unit = [int(i == j) for j in range(k)]
-            image = top.frobenius(FieldElement(top, lift(unit)), shift)
-            rows.add(list(image.payload) + unit)
-        descent = _descent_cache[key] = lambda c: tuple(
-            -v % p for v in rows.reduce(list(c) + [0] * k)[top.k:])
-    return descent
+    from .linalg import Echelon
+    p, k, lift = sub.p, sub.k, payload_lift(sub, top)
+    shift = _frobenius_shift(ground, sub, top)
+    rows = Echelon(build_extension(p, 1), top.k)
+    for i in range(k):
+        unit = [int(i == j) for j in range(k)]
+        image = top.frobenius(FieldElement(top, lift(unit)), shift)
+        rows.add(list(image.payload) + unit)
+    return lambda c: tuple(
+        -v % p for v in rows.reduce(list(c) + [0] * k)[top.k:])
 
 
 def relative_extension(ground: Field, k: int):

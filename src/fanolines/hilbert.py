@@ -33,11 +33,11 @@ IntSeries = Tuple[int, ...]
 
 
 def _series_mul_one_minus_td(series: IntSeries, d: int) -> IntSeries:
+    # d >= 1, so a trimmed series gives a trimmed product: its top
+    # coefficient is -series[-1]
     out = list(series) + [0] * d
     for i in range(len(series)):
         out[i + d] -= series[i]
-    while out and out[-1] == 0:
-        out.pop()
     return tuple(out)
 
 
@@ -111,18 +111,16 @@ def staircase_data(lead_monomials: Sequence[Monomial], nvars: int) -> Tuple[int,
     cancelled = 0
     coeffs = list(num)
     while sum(coeffs) == 0:
-        # exact division by (1 - t): prefix sums
+        # exact division by (1 - t): prefix sums. coeffs is trimmed and
+        # sums to 0, so it has two or more entries, and the quotient's top
+        # entry, -coeffs[-1], is nonzero: the quotient is trimmed too
         acc = 0
         quotient = []
         for c in coeffs[:-1]:
             acc += c
             quotient.append(acc)
-        while quotient and quotient[-1] == 0:
-            quotient.pop()
-        coeffs = quotient if quotient else [0]
+        coeffs = quotient
         cancelled += 1
-        if coeffs == [0]:
-            return (-1, 0)
     pole_order = nvars - cancelled  # affine dimension of the cone
     degree = sum(coeffs)
     if pole_order <= 0:

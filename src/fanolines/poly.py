@@ -354,14 +354,6 @@ class Polynomial:
         assert all(len(matrix[i]) == n for i in range(n))
         return self.substitute(images)
 
-    def extend_variables(self, nvars: int, offset: int = 0) -> "Polynomial":
-        """Reindex into a larger ring: x_i -> x_(i + offset)."""
-        assert offset + self.nvars <= nvars
-        pre = (0,) * offset
-        post = (0,) * (nvars - offset - self.nvars)
-        terms = {pre + m + post: c for m, c in self.terms.items()}
-        return Polynomial(self.field, nvars, terms)
-
     def map_coefficients(self, target: Field, convert) -> "Polynomial":
         terms = {}
         for mono, coeff in self.terms.items():

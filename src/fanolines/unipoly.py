@@ -129,7 +129,8 @@ def _split_one(field: Field, f, xp, rng: random.Random) -> tuple:
     (Q-1)/2 = (p-1)/2 * (1 + p + ... + p^(D-1)), so the power is
     b * b^p * ... * b^(p^(D-1)) with b = (x + r)^((p-1)/2): each p-th power
     is a Frobenius step from the table of x^(j*p) mod f, built from xp =
-    x^p mod a multiple of f.
+    x^p mod a multiple of f. Over F_p (D = 1) there is no step, and xp is
+    None.
     """
     k, p = field.degree, field.characteristic()
     d = len(f) // k - 1
@@ -183,12 +184,12 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     influences internal splitting choices.
 
     The coefficients of `a` lie in the field or in a subfield F_s of it,
-    such as F_q0 for a part as the factorization returns it. The splitting
-    starts from x^p mod a, and that is taken where `a` lives, in
-    F_s[x]/(a), then lifted (`payload_lift`): embedding F_s is a ring map,
-    so it sends x^p mod a to x^p mod the embedded a. For a part over
-    F_10007 split in F_(10007^6) the power runs on one digit per
-    coefficient instead of six.
+    such as F_q0 for a part as the factorization returns it. Over an
+    extension the splitting starts from x^p mod a, and that is taken where
+    `a` lives, in F_s[x]/(a), then lifted (`payload_lift`): embedding F_s
+    is a ring map, so it sends x^p mod a to x^p mod the embedded a. For a
+    part over F_10007 split in F_(10007^6) the power runs on one digit
+    per coefficient instead of six.
     """
     assert field.degree % orbit == 0
     sub = a[0].field if a else field
@@ -201,6 +202,8 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     if len(f) == 2 * s:
         return [-_elements(field, _lift(sub, field, f[:s]))[0]]
     x = (0,) * s + (1,) + (0,) * (s - 1)
-    xp = _lift(sub, field, sub.ring.trim(_quotient_ring(sub, f).pow(x, p)))
+    # over F_p a split is one power of x + r, and _split_one reads no x^p
+    xp = (_lift(sub, field, sub.ring.trim(_quotient_ring(sub, f).pow(x, p)))
+          if k > 1 else None)
     roots = _orbit_roots(field, _lift(sub, field, f), xp, orbit, rng)
     return sorted(roots, key=field.code_of)

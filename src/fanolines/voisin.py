@@ -74,10 +74,6 @@ class NormalFormCubic:
     def field(self) -> Field:
         return self.f.field
 
-    @property
-    def nvars(self) -> int:
-        return 2 * self.r + 2
-
 
 @dataclass(frozen=True)
 class NodeCertificate:

@@ -223,6 +223,41 @@ def test_bezout_check_ok(capsys):
     assert code == 0
 
 
+def test_bezout_check_zero_dimensional_route(capsys):
+    # two conics in P^2 meet in 4 points, each of residue degree 4 here
+    code = main(["bezout-check", "2", "2", "2", "--seed", "1", "--json", "-"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["matched"] == "true"
+    assert [(c["residue_degree"], c["jacobian_rank"])
+            for c in report["certificates"]] == [("4", "2")] * 4
+
+
+def test_voisin_demo_without_instance_exits_3(tmp_path, capsys):
+    # over F_3 no seed from 5 to 9 gives a non-degenerate cubic
+    target = tmp_path / "report.json"
+    code = main(["voisin-demo", "1", "--prime", "3", "--seed", "5",
+                 "--json", str(target)])
+    assert code == 3
+    assert ("verification failed: no non-degenerate instance in 5 attempts "
+            "from seed 5") in capsys.readouterr().err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["bezout-check", "2", "2", "2", "2"], None),
+    (["lines-through", "--point", "1:0:0:0"], "x0^3 + x1^2*x2 + x3\n"),
+    (["lines-through", "--point", "0:0:0:0"], NODAL),
+], ids=["more-degrees-than-dimension", "inhomogeneous", "zero-point"])
+def test_invalid_input_exit_2(tmp_path, argv, text, capsys):
+    if text is not None:
+        path = tmp_path / "form.txt"
+        path.write_text(text)
+        argv = argv + ["--poly", str(path)]
+    assert main(argv) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_json_files_byte_identical_between_reruns(tmp_path, fixture_file):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for target in (a, b):

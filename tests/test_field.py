@@ -86,6 +86,21 @@ def test_is_prime_small_cases():
     assert is_prime(10007)
 
 
+def test_is_prime_matches_a_sieve_and_rejects_pseudoprimes():
+    # past 37 a number with no small factor reaches Miller-Rabin: 65537
+    # squares through its loop, 1763 = 41 * 43 fails every base, and
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5, 7
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 1)
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, limit + 1, i))
+    assert [n for n in range(limit + 1) if is_prime(n)] == [
+        n for n, prime in enumerate(sieve) if prime]
+    assert is_prime(65537)
+    assert not is_prime(1763) and not is_prime(3215031751)
+
+
 def test_build_extension_degenerate_is_prime_field():
     assert build_extension(5, 1) == PrimeField(5)
 

@@ -6,10 +6,11 @@ imported name counts as used when it appears as a name anywhere in the
 module, in a quoted annotation, or in `__all__`. A module-level private
 function or class, or a method of a private class, counts as used when
 its name appears as a name or an attribute anywhere in the package. A
-public function, class or method counts as used when its name appears
-outside its own definition as a name or an attribute in the package,
-the scripts or the benchmark, or as a word in a string of the benchmark
-(its tracer names the layers it wraps in strings). Tests do not count:
+public function, class, method or module-level name bound by assignment
+counts as used when its name appears outside its own definition as a
+name or an attribute in the package, the scripts or the benchmark, in an
+`__all__` list, or as a word in a string of the benchmark (its tracer
+names the layers it wraps in strings). Tests do not count:
 code that only tests call belongs in `tests/conftest.py` as a named
 oracle.
 """
@@ -120,11 +121,12 @@ CALLERS = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("verdictbench/*.py")])
 
 
 def dead_public_code(package, callers, strings=()):
-    """`module.name` of every public module-level function or class, and
-    every public method of a public class, of `package` (module name ->
-    source text) that is named nowhere outside its own definition: not as
-    a name or an attribute in `package` or `callers` (more sources), nor
-    as a word in a string constant of `strings` (more sources)."""
+    """`module.name` of every public module-level function, class or name
+    bound by assignment, and every public method of a public class, of
+    `package` (module name -> source text) that is named nowhere outside
+    its own definition: not as a name or an attribute in `package` or
+    `callers` (more sources), in an `__all__` list, nor as a word in a
+    string constant of `strings` (more sources)."""
     def named(tree):
         return Counter(n.id if isinstance(n, ast.Name) else n.attr
                        for n in ast.walk(tree)
@@ -134,6 +136,10 @@ def dead_public_code(package, callers, strings=()):
     used = Counter()
     for tree in [*trees.values(), *map(ast.parse, callers)]:
         used += named(tree)
+        used.update(elt.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and _assigned(node) == ["__all__"]
+                    for elt in node.value.elts)
     for text in strings:
         used.update(word for node in ast.walk(ast.parse(text))
                     if isinstance(node, ast.Constant)
@@ -154,7 +160,19 @@ def dead_public_code(package, callers, strings=()):
                          for item in public(node.body)]
             dead += [label for label, item in defs
                      if used[item.name] <= named(item)[item.name]]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                dead += [f"{module}.{name}" for name in _assigned(node)
+                         if not name.startswith("_")
+                         and used[name] <= named(node)[name]]
     return sorted(dead)
+
+
+def _assigned(node):
+    """The names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
 
 
 def test_the_check_sees_dead_public_code():
@@ -163,10 +181,16 @@ def test_the_check_sees_dead_public_code():
                      "def listed(): return 2\n"
                      "class Box:\n"
                      "    def live(self): return used()\n"
-                     "    def stale(self): return self.stale\n"),
+                     "    def stale(self): return self.stale\n"
+                     "LIMIT = 3\n"
+                     "Alias = int\n"
+                     "Spare: int = LIMIT\n"
+                     "Exported = 4\n"
+                     "__all__ = ['Exported']\n"),
                "n": "def helper(box): return box.live()\n"}
     assert dead_public_code(package, [], ['LAYERS = {"m": ("listed",)}']) == [
-        "m.Box", "m.Box.stale", "m.recursive", "n.helper"]
+        "m.Alias", "m.Box", "m.Box.stale", "m.Spare", "m.recursive",
+        "n.helper"]
 
 
 def test_no_dead_public_code():

@@ -231,9 +231,8 @@ def differential_systems(field, n_proj, rng):
     their points survives it), and a curve on the cubic."""
     nvars = n_proj + 1
     x = [Polynomial.variable(field, nvars, i) for i in range(nvars)]
-    f = x[0] * random_homogeneous(field, n_proj, 2, rng).extend_variables(
-        nvars, 1) + random_homogeneous(field, n_proj, 3, rng).extend_variables(
-        nvars, 1)
+    f = (x[0] * random_homogeneous(field, n_proj, 2, rng).substitute(x[1:])
+         + random_homogeneous(field, n_proj, 3, rng).substitute(x[1:]))
     partials = [f.partial_derivative(i) for i in range(nvars)]
     quadric = random_homogeneous(field, nvars, 2, rng)
     return [[g for g in partials if g] + [f],

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import Ideal, Polynomial, PrimeField, build_extension
+from fanolines.field import FieldElement, _frobenius_shift, embedding
 from fanolines.idealkit import (enumerated_points, groebner_of, hilbert_data,
                                 solve_report)
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim
@@ -205,8 +206,8 @@ def test_routes_agree_on_charts_not_in_shape_position(name, p):
 
 def test_points_over_an_extension_ground_lie_on_the_system():
     # over F_49, x2 = sqrt(t) lies in F_7^4 and x1 = sqrt(x2) in F_7^8: the
-    # fiber is solved over F_7^4, whose own map into F_7^8 differs from the
-    # one of F_49 by a Frobenius power, which the solver must undo
+    # chart x2 = 1 has a degree-4 eliminant over F_49 and every fibre is
+    # read off; a fibre solved over F_7^4 is the next test's
     field = build_extension(7, 2)
     x0, x1, x2 = (Polynomial.variable(field, 3, i) for i in range(3))
     gens = [x2 ** 2 - x0 ** 2 * Polynomial.constant(field, 3, field.generator()),
@@ -218,6 +219,27 @@ def test_points_over_an_extension_ground_lie_on_the_system():
         coords = list(pt.coords)
         assert exact_relative_degree(coords, field, 4) == 4
         assert all(g.evaluate(coords).is_zero() for g in gens)
+
+
+def test_fibre_points_over_a_larger_field_take_the_frobenius_shift():
+    # over G = F_49 the eliminant's roots lie in F_7^4, and each fibre is a
+    # quadratic solved over F_7^4 with points in F_7^8. On G the map of
+    # F_7^4 into F_7^8 differs from G's own by one Frobenius step, which the
+    # solver must undo
+    field = build_extension(7, 2)
+    x0, x1, x2 = (Polynomial.variable(field, 3, i) for i in range(3))
+    a, c, d = (Polynomial.constant(field, 3, FieldElement(field, v))
+               for v in ((6, 3), (0, 2), (4, 3)))
+    gens = [x1 ** 2 + a * x1 * x2 + a * x2 ** 2,
+            x0 ** 2 - c * x1 * x2 - d * x2 ** 2]
+    assert _frobenius_shift(field, build_extension(7, 4),
+                            build_extension(7, 8)) == 1
+    result = solve_projective(groebner_basis(gens), k_max=4)
+    assert result.counts_by_degree == {4: 4}
+    for pt in result.points:
+        embed = embedding(field, pt.field)
+        assert all(g.map_coefficients(pt.field, embed).evaluate(
+            pt.coords).is_zero() for g in gens)
 
 
 @pytest.mark.parametrize("q", [9, 25])

@@ -162,6 +162,24 @@ def test_distinct_degree_factorization_takes_one_power(monkeypatch):
     assert calls == [10007]
 
 
+def test_roots_over_the_prime_field_take_no_power_by_p(monkeypatch):
+    # a split over F_p is one power of x + r by (p-1)/2; x^p mod the part
+    # only feeds the Frobenius steps of a split over an extension
+    ground = PrimeField(10007)
+    cubic = [ground.from_int(c) for c in [10001, 11, 10001, 1]]  # roots 1, 2, 3
+    calls = []
+    power = _Ring.pow
+
+    def counted_pow(self, a, e):
+        calls.append(e)
+        return power(self, a, e)
+
+    monkeypatch.setattr(_Ring, "pow", counted_pow)
+    roots = roots_in_field(cubic, ground, random.Random(0), orbit=1)
+    assert roots == [ground.from_int(c) for c in (1, 2, 3)]
+    assert calls and 10007 not in calls
+
+
 @pytest.mark.parametrize("ground", [PrimeField(3), PrimeField(5),
                                     PrimeField(7), build_extension(3, 2)],
                          ids=["F3", "F5", "F7", "F9"])
