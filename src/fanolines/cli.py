@@ -161,13 +161,12 @@ def _parse_point(text: str, field) -> ProjectivePoint:
 
 def cmd_lines_through(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    k_max = args.kmax if args.kmax is not None else LINE_COUNT_KMAX
-    samples = args.trials if args.trials is not None else LINE_SAMPLES
     if args.random:
         n, d, m = args.random
-        config = _config(args, k_max=k_max, trials=samples, n=n, d=d, m=m)
-        report = run_line_analysis(n, d, m, field, args.seed, k_max=k_max,
-                                   samples=samples, budget=args.budget)
+        config = _config(args, k_max=args.kmax, trials=args.trials,
+                         n=n, d=d, m=m)
+        report = run_line_analysis(n, d, m, field, args.seed, k_max=args.kmax,
+                                   samples=args.trials, budget=args.budget)
     else:
         polys = _read_poly_file(args.poly, field)
         if len(polys) != 1:
@@ -175,9 +174,10 @@ def cmd_lines_through(args: argparse.Namespace) -> int:
         f = polys[0]
         point = _parse_point(args.point, field)
         ph = PointedHypersurface(f, point)
-        config = _config(args, k_max=k_max, trials=samples, poly=f.to_text(),
-                         point=":".join(point.serialize()), m=ph.multiplicity)
-        report = analyze_lines(ph, k_max=k_max, samples=samples,
+        config = _config(args, k_max=args.kmax, trials=args.trials,
+                         poly=f.to_text(), point=":".join(point.serialize()),
+                         m=ph.multiplicity)
+        report = analyze_lines(ph, k_max=args.kmax, samples=args.trials,
                                seed=args.seed, budget=args.budget)
     return _finish(config, report.to_dict(), args, report.matched())
 
@@ -213,10 +213,9 @@ def cmd_groebner(args: argparse.Namespace) -> int:
 
 def cmd_sing_locus(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    k_max = args.kmax if args.kmax is not None else SING_LOCUS_KMAX
     gens = _read_poly_file(args.file, field)
     ideal = Ideal(gens)
-    points = singular_points(ideal, k_max=k_max, budget=args.budget)
+    points = singular_points(ideal, k_max=args.kmax, budget=args.budget)
     dim, degree = hilbert_data(ideal)
     report: Dict[str, object] = {
         "dimension": dimension_text(dim),
@@ -224,18 +223,16 @@ def cmd_sing_locus(args: argparse.Namespace) -> int:
         "count": str(len(points)),
         "singular_points": [p.serialize() for p in points],
     }
-    config = _config(args, k_max=k_max, file=os.path.basename(args.file))
+    config = _config(args, k_max=args.kmax, file=os.path.basename(args.file))
     return _finish(config, report, args, True)
 
 
 def cmd_bezout_check(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
-    k_max = args.kmax if args.kmax is not None else SAMPLE_KMAX
-    samples = args.trials if args.trials is not None else BEZOUT_SAMPLES
     report = complete_intersection_report(args.degrees, args.n, field,
-                                          args.seed, samples=samples,
-                                          k_max=k_max, budget=args.budget)
-    config = _config(args, k_max=k_max, trials=samples, n=args.n,
+                                          args.seed, samples=args.trials,
+                                          k_max=args.kmax, budget=args.budget)
+    config = _config(args, k_max=args.kmax, trials=args.trials, n=args.n,
                      degrees=",".join(map(str, args.degrees)))
     return _finish(config, report.to_dict(), args, report.matched())
 
@@ -276,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (falls back to $FANO_SEED, then 0)")
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                         help="odd prime for the ground field")
-    common.add_argument("--kmax", type=_int_at_least(1), default=None,
-                        help="extension-degree bound of the lines "
-                             "lines-through counts, the levels sing-locus "
-                             "scans and the points bezout-check finds; "
-                             "lines-through samples points of degree <= "
-                             f"{SAMPLE_KMAX} regardless")
-    common.add_argument("--trials", type=_int_at_least(1), default=None,
-                        help="sample count for smoothness certificates")
     common.add_argument("--budget", type=_int_at_least(0),
                         default=DEFAULT_BUDGET,
                         help="enumeration budget ceiling")
@@ -304,6 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file holding one homogeneous form in x0..xn")
     p.add_argument("--point", metavar="P",
                    help="colon-separated point coordinates, e.g. 1:0:0:0")
+    p.add_argument("--kmax", type=_int_at_least(1), default=LINE_COUNT_KMAX,
+                   help="extension-degree bound of the lines counted; "
+                        f"points are sampled up to degree {SAMPLE_KMAX}")
+    p.add_argument("--trials", type=_int_at_least(1), default=LINE_SAMPLES,
+                   help="sample count for smoothness certificates")
     p.set_defaults(func=cmd_lines_through)
 
     p = sub.add_parser("voisin-demo", parents=[common],
@@ -321,6 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sing-locus", parents=[common],
                        help="enumerate singular points of a projective scheme")
     p.add_argument("file", help="one polynomial per line, variables x0..xn")
+    p.add_argument("--kmax", type=_int_at_least(1), default=SING_LOCUS_KMAX,
+                   help="extension-degree bound of the levels scanned")
     p.set_defaults(func=cmd_sing_locus)
 
     p = sub.add_parser("bezout-check", parents=[common],
@@ -329,6 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, help="ambient projective dimension")
     p.add_argument("degrees", nargs="+", type=int,
                    help="generator degrees, e.g. 2 3")
+    p.add_argument("--kmax", type=_int_at_least(1), default=SAMPLE_KMAX,
+                   help="extension-degree bound of the points found")
+    p.add_argument("--trials", type=_int_at_least(1), default=BEZOUT_SAMPLES,
+                   help="sample count for smoothness certificates")
     p.set_defaults(func=cmd_bezout_check)
     return parser
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial
-from typing import List, Optional
+from typing import List
 
 from .errors import InvalidParameters, ZeroPolynomial
 from .field import Field
@@ -104,17 +104,15 @@ def random_pointed_hypersurface(n: int, d: int, m: int, field: Field,
     """Random degree-d hypersurface in P^n with multiplicity m at [1:0:...:0].
 
     Samples f = sum_{i=m}^{d} x_0^{d-i} f_i with every f_i a random
-    homogeneous form of degree i in the last n variables (resampled if
-    zero).  Requires 1 <= m <= d <= n+m-2; larger d makes the line system
-    an excess intersection, which this pipeline does not model.
+    homogeneous form of degree i in the last n variables.  Requires
+    1 <= m <= d <= n+m-2; larger d makes the line system an excess
+    intersection, which this pipeline does not model.
     """
     _check_shape(n, d, m)
     rng = random.Random(seed)
     terms = {}
     for i in range(m, d + 1):
         comp = random_homogeneous(field, n, i, rng)
-        while comp.is_zero():
-            comp = random_homogeneous(field, n, i, rng)
         # x_0^(d-i) f_i: each part has its own degree in x_0, so no two
         # terms meet
         terms.update({(d - i,) + mono: c for mono, c in comp.terms.items()})
@@ -213,16 +211,15 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
         else:
             report.predicted["points_found"] = str(degree)
             report.computed["points_found"] = str(found)
-    elif dim > 0:
-        # sampling keeps its own degree bound, whatever k_max is
+    else:
+        # d - m + 1 <= n - 1 forms in P^{n-1}, so dim >= 0; sampling keeps
+        # its own degree bound, whatever k_max is
         pts = sample_smooth_points(ideal, samples, random.Random(seed),
                                    k_max=SAMPLE_KMAX, budget=budget)
         add_jacobian_certificates(report, ideal, pts)
         if not pts:
             report.flags.append("no smoothness samples found; field too small"
                                 " or every slice degenerated")
-    else:
-        report.flags.append("line system is empty")
     return report
 
 
@@ -238,9 +235,7 @@ def run_line_analysis(n: int, d: int, m: int, field: Field, seed: int,
     the returned report.
     """
     attempts = []
-    report: Optional[VarietyReport] = None
-    s = seed
-    for _ in range(MAX_RESAMPLES):
+    for s in range(seed, seed + MAX_RESAMPLES):
         ph = random_pointed_hypersurface(n, d, m, field, s)
         report = analyze_lines(ph, k_max=k_max, samples=samples, seed=s,
                                budget=budget)
@@ -248,7 +243,5 @@ def run_line_analysis(n: int, d: int, m: int, field: Field, seed: int,
         attempts.append({"seed": str(s), "outcome": outcome})
         if report.matched():
             break
-        s += 1
-    assert report is not None
     report.attempts = attempts
     return report

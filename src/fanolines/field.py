@@ -178,8 +178,6 @@ def _same(a):
 class Field:
     """Common interface; concrete fields implement the payload hooks."""
 
-    kind = "abstract"
-
     def zero(self) -> FieldElement:
         return FieldElement(self, self._zero_payload())
 
@@ -217,8 +215,6 @@ class Field:
 
 class PrimeField(Field):
     """F_p for an odd prime p, least-residue representatives."""
-
-    kind = "prime"
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -292,8 +288,6 @@ class PrimeField(Field):
 
 class ExtensionField(Field):
     """F_{p^k} = F_p[t]/(modulus), elements as coefficient k-tuples."""
-
-    kind = "extension"
 
     def __init__(self, p: int, k: int, modulus):
         if not is_prime(p):
@@ -664,9 +658,8 @@ class _Ring:
             r0, r1 = r1, r0[:d]
             while not r1[-1]:
                 r1.pop()
+            # deg s0 < deg s1, so s's top coefficient is -lc(q) lc(s1) != 0
             s0, s1 = s1, [x % p for x in s]
-            while not s1[-1]:
-                s1.pop()
         inv = pow(r1[0], -1, p)
         return tuple(x * inv % p for x in s1) + (0,) * (n - len(s1))
 

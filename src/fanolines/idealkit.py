@@ -22,8 +22,7 @@ from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
 from .field import Field, FieldElement, payload_descent, relative_extension
 from .groebner import groebner_basis
 from .hilbert import staircase_data
-from .poly import (GREVLEX, Polynomial, jacobian_rank_at, random_homogeneous,
-                   random_linear_form)
+from .poly import GREVLEX, Polynomial, jacobian_rank_at, random_homogeneous
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, exceeds_budget
 from .scan import singular_scan, variety_scan
 from .solve import SolveResult, exact_relative_degree, solve_projective
@@ -257,7 +256,7 @@ def _slices(ideal: Ideal, trials: int, rng: random.Random, k_max: int,
     """
     dim, _ = hilbert_data(ideal)
     for _ in range(trials):
-        forms = [random_linear_form(ideal.field, ideal.nvars, rng)
+        forms = [random_homogeneous(ideal.field, ideal.nvars, 1, rng)
                  for _ in range(dim)]
         sliced = Ideal(list(ideal.generators) + forms)
         sliced_dim, _ = hilbert_data(sliced)
@@ -424,13 +423,8 @@ def complete_intersection_report(degrees: Sequence[int], n_proj: int,
     if not degrees or any(d < 1 for d in degrees) or len(degrees) > n_proj:
         raise InvalidParameters("need 1 <= len(degrees) <= n_proj, degrees >= 1")
     rng = random.Random(seed)
-    gens: List[Polynomial] = []
-    for d in degrees:
-        g = random_homogeneous(field, n_proj + 1, d, rng)
-        while g.is_zero():
-            g = random_homogeneous(field, n_proj + 1, d, rng)
-        gens.append(g)
-    ideal = Ideal(gens)
+    ideal = Ideal([random_homogeneous(field, n_proj + 1, d, rng)
+                   for d in degrees])
     codim = len(degrees)
     report = variety_report(ideal, {
         "dimension": str(n_proj - codim),
@@ -438,13 +432,12 @@ def complete_intersection_report(degrees: Sequence[int], n_proj: int,
         "codimension": str(codim),
         "smooth_rank": str(codim),
     })
+    # len(degrees) <= n_proj forms in P^n_proj, so the dimension is >= 0
     if report.dimension == 0:
         pts = rational_points(ideal, k_max=k_max, budget=budget,
                               seed=rng.randrange(2**32))
-    elif report.dimension > 0:
+    else:
         pts = sample_smooth_points(ideal, samples, rng, k_max=k_max,
                                    budget=budget)
-    else:
-        pts = []
     add_jacobian_certificates(report, ideal, pts)
     return report

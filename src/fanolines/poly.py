@@ -779,19 +779,14 @@ def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomia
 
 def random_homogeneous(field: Field, nvars: int, degree: int,
                        rng: random.Random) -> Polynomial:
-    """Dense random homogeneous polynomial: every degree-`degree` monomial
-    gets an independent field.sample coefficient (zeros allowed)."""
-    terms = {}
-    for mono in monomials_of_degree(nvars, degree):
-        c = field.sample(rng)
-        if not c.is_zero():
-            terms[mono] = c
-    return Polynomial(field, nvars, terms)
-
-
-def random_linear_form(field: Field, nvars: int, rng: random.Random) -> Polynomial:
-    """Random nonzero linear form."""
+    """Dense random nonzero homogeneous polynomial: every degree-`degree`
+    monomial gets an independent field.sample coefficient (zeros allowed),
+    drawn again while every coefficient is zero."""
     while True:
-        f = random_homogeneous(field, nvars, 1, rng)
-        if not f.is_zero():
-            return f
+        terms = {}
+        for mono in monomials_of_degree(nvars, degree):
+            c = field.sample(rng)
+            if not c.is_zero():
+                terms[mono] = c
+        if terms:
+            return Polynomial(field, nvars, terms)

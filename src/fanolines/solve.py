@@ -41,16 +41,10 @@ from .projgeo import ProjectivePoint
 from .unipoly import distinct_degree_factorization, roots_in_field
 
 
-def _univariate_in_last(g: Polynomial) -> Optional[List[FieldElement]]:
-    """Little-endian coefficients when g involves only its last variable."""
-    n = g.nvars
-    deg = 0
-    for mono in g.terms:
-        if any(mono[i] for i in range(n - 1)):
-            return None
-        deg = max(deg, mono[-1])
-    zero = g.field.zero()
-    out = [zero] * (deg + 1)
+def _univariate_in_last(g: Polynomial) -> List[FieldElement]:
+    """Little-endian coefficients of g, a polynomial in its last variable."""
+    assert not any(any(mono[:-1]) for mono in g.terms), "not univariate"
+    out = [g.field.zero()] * (g.degree() + 1)
     for mono, coeff in g.terms.items():
         out[mono[-1]] = coeff
     return out
@@ -91,14 +85,9 @@ def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
                    rng: random.Random) -> List[Tuple[int, Tuple[FieldElement, ...]]]:
     """Points of residue degree <= k_max over the finite field ground of
     the zero-dimensional affine scheme with reduced lex basis gb, as
-    (residue degree k, coordinates in relative_extension(ground, k))."""
-    for elim in gb:
-        eliminant = _univariate_in_last(elim)
-        if eliminant is not None:
-            break
-    else:
-        raise NotZeroDimensional("no univariate eliminant: positive-dimensional chart")
-    rest = [g for g in gb if g is not elim]
+    (residue degree k, coordinates in relative_extension(ground, k)). gb[0]
+    is the eliminant: `fglm_lex` meets every power of x_last first."""
+    eliminant, rest = _univariate_in_last(gb[0]), gb[1:]
     nvars = gb[0].nvars - 1
     out: List[Tuple[int, Tuple[FieldElement, ...]]] = []
     for j, part in distinct_degree_factorization(eliminant, ground, k_max).items():

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegenerateInstance, InvalidParameters
 from .field import Field, embedding
-from .fano import PointedHypersurface, line_system
+from .fano import MAX_RESAMPLES, PointedHypersurface, line_system
 from .groebner import Packing
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
@@ -33,7 +33,6 @@ from .poly import (LEX, Polynomial, _lowered, evaluate_at,
                    random_homogeneous, restrict, substitute_all)
 from .projgeo import ProjectivePoint
 
-MAX_RESAMPLES = 5
 SLICE_RETRIES = 3
 
 
@@ -99,12 +98,7 @@ def normal_form_cubic(r: int, field: Field, seed: int) -> NormalFormCubic:
         raise InvalidParameters("odd characteristic required")
     rng = random.Random(seed)
     nvars = 2 * r + 2
-    quadrics = []
-    for _ in range(r):
-        q = random_homogeneous(field, nvars, 2, rng)
-        while q.is_zero():
-            q = random_homogeneous(field, nvars, 2, rng)
-        quadrics.append(q)
+    quadrics = [random_homogeneous(field, nvars, 2, rng) for _ in range(r)]
     return NormalFormCubic(r, _normal_form(field, r, quadrics), tuple(quadrics))
 
 
@@ -317,14 +311,15 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
 class NodalCubicAnalysis:
     """Everything the node pipeline produced for one (r, seed) run."""
 
-    cubic: NormalFormCubic
     node_certificates: List[NodeCertificate]
-    chosen_node: ProjectivePoint
     report: VarietyReport
+
+    @property
+    def chosen_node(self) -> ProjectivePoint:
+        return self.node_certificates[0].point
 
 
 def run_node_analysis(r: int, field: Field, seed: int,
-                      retries: int = MAX_RESAMPLES,
                       budget: int = DEFAULT_BUDGET) -> NodalCubicAnalysis:
     """Sample a normal-form cubic, certify its nodes, and analyze the
     lines through one of them, resampling on degenerate draws.
@@ -333,18 +328,15 @@ def run_node_analysis(r: int, field: Field, seed: int,
     one of smallest residue degree; every attempt (degenerate or
     mismatched) is logged in the report."""
     attempts: List[Dict[str, str]] = []
-    analysis: Optional[NodalCubicAnalysis] = None
-    s = seed
-    for _ in range(retries):
+    analysis = None
+    for s in range(seed, seed + MAX_RESAMPLES):
         nfc = normal_form_cubic(r, field, s)
         try:
             certs = nodes(nfc, seed=s)
         except DegenerateInstance as exc:
             attempts.append({"seed": str(s), "outcome": f"degenerate: {exc}"})
-            s += 1
             continue
-        node = certs[0].point
-        ideal = node_line_system(nfc, node)
+        ideal = node_line_system(nfc, certs[0].point)
         report = analyze_node_lines(ideal, r, seed=s, budget=budget)
         report.predicted["node_count"] = str(2 ** r)
         report.computed["node_count"] = str(len(certs))
@@ -354,14 +346,13 @@ def run_node_analysis(r: int, field: Field, seed: int,
             is_simple_double_point=(
                 "true" if c.is_simple_double_point else "false"))
             for c in certs] + report.certificates
-        analysis = NodalCubicAnalysis(nfc, certs, node, report)
+        analysis = NodalCubicAnalysis(certs, report)
         outcome = "ok" if report.matched() else "certificate mismatch"
         attempts.append({"seed": str(s), "outcome": outcome})
         if report.matched():
             break
-        s += 1
     if analysis is None:
-        raise DegenerateInstance(
-            f"no non-degenerate instance in {retries} attempts from seed {seed}")
+        raise DegenerateInstance(f"no non-degenerate instance in "
+                                 f"{MAX_RESAMPLES} attempts from seed {seed}")
     analysis.report.attempts = attempts
     return analysis

@@ -62,12 +62,39 @@ def test_lines_through_requires_exactly_one_source(nodal_file):
 
 def test_lines_through_invalid_parameters_exit_2():
     assert main(["lines-through", "--random", "3", "9", "2"]) == 2
-    # out-of-range common options fail at parse time, for every command
+    # out-of-range settings fail at parse time in each command that reads them
     for option in (["--kmax", "0"], ["--kmax", "-1"], ["--trials", "0"],
                    ["--trials", "-3"], ["--budget", "-5"]):
         assert main(["lines-through", "--random", "3", "3", "2"]
                     + option) == 2, option
         assert main(["bezout-check", "3", "2", "2"] + option) == 2, option
+
+
+@pytest.mark.parametrize("argv", [
+    ["voisin-demo", "1", "--kmax", "3"], ["voisin-demo", "1", "--trials", "2"],
+    ["groebner", "FILE", "--kmax", "2"], ["groebner", "FILE", "--trials", "2"],
+    ["sing-locus", "FILE", "--trials", "2"]], ids=" ".join)
+def test_a_command_rejects_a_setting_it_does_not_read(fixture_file, tmp_path,
+                                                      argv):
+    target = tmp_path / "out.json"
+    argv = [fixture_file if a == "FILE" else a for a in argv]
+    assert main(argv + ["--json", str(target), "--quiet"]) == 2
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, settings", [
+    (["lines-through", "--random", "3", "3", "2"], ("6", "8")),
+    (["sing-locus", "FILE", "--prime", "7"], ("1", None)),
+    (["bezout-check", "3", "2", "2"], ("4", "6"))],
+    ids=["lines-through", "sing-locus", "bezout-check"])
+def test_each_command_records_its_own_defaults(fixture_file, tmp_path, argv,
+                                               settings):
+    # a default shared through a parent parser would be the last command's
+    target = tmp_path / "out.json"
+    argv = [fixture_file if a == "FILE" else a for a in argv]
+    assert main(argv + ["--json", str(target), "--quiet"]) == 0
+    config = json.loads(target.read_text())["config"]
+    assert (config.get("k_max"), config.get("trials")) == settings
 
 
 def test_lines_through_poly_outside_the_model_exit_2(tmp_path, capsys):

@@ -18,7 +18,7 @@ from fanolines.linalg import mat_rank
 from fanolines.projgeo import projective_count
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import distinct_degree_factorization
-from fanolines.poly import random_homogeneous, random_linear_form
+from fanolines.poly import random_homogeneous
 from fanolines.errors import Inconclusive, InvalidParameters
 
 from conftest import (jacobian_rank_oracle, parse, per_level_points,
@@ -513,7 +513,7 @@ def test_sample_smooth_points_stops_drawing_at_count():
     assert len(sample_smooth_points(ideal, 2, rng)) == 2
     replay = random.Random(3)
     for _ in range(2):
-        random_linear_form(F10007, 4, replay)
+        random_homogeneous(F10007, 4, 1, replay)
     replay.randrange(2**32)
     assert rng.getstate() == replay.getstate()
 

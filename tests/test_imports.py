@@ -10,9 +10,10 @@ public function, class, method or module-level name bound by assignment
 counts as used when its name appears outside its own definition as a
 name or an attribute in the package, the scripts or the benchmark, in an
 `__all__` list, or as a word in a string of the benchmark (its tracer
-names the layers it wraps in strings). Tests do not count:
-code that only tests call belongs in `tests/conftest.py` as a named
-oracle.
+names the layers it wraps in strings). Likewise every public class
+attribute is read as `.name`, and every defaulted parameter is set by
+some call, outside the tests. Tests do not count: code that only tests
+call belongs in `tests/conftest.py` as a named oracle.
 """
 
 import ast
@@ -198,3 +199,112 @@ def test_no_dead_public_code():
         {p.stem: p.read_text() for p in PACKAGE},
         [p.read_text() for p in CALLERS],
         [p.read_text() for p in ROOT.glob("verdictbench/*.py")]) == []
+
+
+def unread_class_attributes(package, callers):
+    """`module.Class.name` of every public class attribute of `package`
+    (module name -> source text), a class-body assignment or dataclass
+    field, that no `.name` read in `package` or `callers` uses."""
+    trees = {module: ast.parse(text) for module, text in package.items()}
+    read = {n.attr for tree in [*trees.values(), *map(ast.parse, callers)]
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{module}.{cls.name}.{name}"
+                  for module, tree in trees.items()
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for item in cls.body
+                  if isinstance(item, (ast.Assign, ast.AnnAssign))
+                  for name in _assigned(item)
+                  if not name.startswith("_") and name not in read)
+
+
+def test_the_check_sees_an_unread_class_attribute():
+    package = {"m": ("@dataclass\n"
+                     "class Box:\n"
+                     "    size: int\n"
+                     "    label: str = ''\n"
+                     "    kind = 'box'\n"
+                     "    _tag = 0\n"
+                     "def area(box):\n"
+                     "    box.label = 'sized'\n"
+                     "    return box.size\n")}
+    assert unread_class_attributes(package, ["print(Box.kind)"]) == [
+        "m.Box.label"]
+
+
+def test_no_unread_class_attributes():
+    assert unread_class_attributes({p.stem: p.read_text() for p in PACKAGE},
+                                   [p.read_text() for p in CALLERS]) == []
+
+
+def unset_defaults(package, callers):
+    """`module.function(param)` of every defaulted parameter of a function
+    or method of `package` (module name -> source text) that no call in
+    `package` or `callers` sets, by keyword or by position. A call counts
+    when it names the function (the class, for `__init__`); a method's
+    calls leave out self, and a `*` or `**` argument sets every parameter
+    of its kind."""
+    trees = {module: ast.parse(text) for module, text in package.items()}
+    positional, keywords = {}, set()
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                count = (float("inf") if any(isinstance(a, ast.Starred)
+                                             for a in call.args)
+                         else len(call.args))
+                positional[name] = max(positional.get(name, 0), count)
+                keywords |= {(name, k.arg) for k in call.keywords}
+    unset = []
+    for module, tree in trees.items():
+        classes = {id(item): cls for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = classes.get(id(fn))
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            params = fn.args.posonlyargs + fn.args.args
+            first = len(params) - len(fn.args.defaults)
+            defaulted = [(arg, i - bool(cls))
+                         for i, arg in enumerate(params) if i >= first]
+            defaulted += [(arg, None) for arg, default in zip(
+                fn.args.kwonlyargs, fn.args.kw_defaults) if default]
+            label = f"{module}.{cls.name + '.' if cls else ''}{fn.name}"
+            unset += [f"{label}({arg.arg})" for arg, index in defaulted
+                      if not {(name, arg.arg), (name, None)} & keywords
+                      and (index is None
+                           or positional.get(name, 0) <= index)]
+    return sorted(unset)
+
+
+def test_the_check_sees_an_unset_default():
+    package = {"m": ("def scale(x, factor=2, shift=0, *, clip=None):\n"
+                     "    return x\n"
+                     "class Box:\n"
+                     "    def __init__(self, size, unit='m'): pass\n"
+                     "    def grow(self, by=1, to=None): return self\n"
+                     "y = scale(1, 3)\n"
+                     "z = Box(2).grow(to=5)\n")}
+    callers = ["Box(1).grow(2)"]
+    assert unset_defaults(package, callers) == [
+        "m.Box.__init__(unit)", "m.scale(clip)", "m.scale(shift)"]
+    package["n"] = "def spread(**kw): return scale(0, **kw)\n"
+    assert unset_defaults(package, callers) == ["m.Box.__init__(unit)"]
+
+
+# Defaulted parameters that no caller sets, each kept for its reason.
+UNSET_KEPT = {
+    # a test seam: tests force band and pool boundaries on small inputs
+    "scan.variety_scan(chunk)",
+    # benchmark-pinned: verdictbench's LAYERS traces is_member by name, and
+    # ROADMAP item 2 decides its fate
+    "groebner.is_member(order)",
+}
+
+
+def test_no_unset_defaults():
+    unset = unset_defaults({p.stem: p.read_text() for p in PACKAGE},
+                           [p.read_text() for p in CALLERS])
+    assert unset == sorted(UNSET_KEPT)

@@ -409,6 +409,22 @@ def test_random_homogeneous_reproducible():
     assert a == b and a.is_homogeneous() and a.degree() == 2
 
 
+def test_random_homogeneous_draws_again_until_nonzero():
+    # over F_3 in one variable the one coefficient is zero a third of the
+    # time; the form is then drawn again from the same rng
+    field, redrawn = PrimeField(3), 0
+    for seed in range(20):
+        rng, replay = random.Random(seed), random.Random(seed)
+        f = random_homogeneous(field, 1, 2, rng)
+        c = field.sample(replay)
+        while c.is_zero():
+            redrawn += 1
+            c = field.sample(replay)
+        assert f.terms == {(2,): c}
+        assert rng.getstate() == replay.getstate()
+    assert redrawn
+
+
 def test_extend_variables_and_substitute():
     g = parse("x1^2 + x2", 3, F7)
     images = [Polynomial.variable(F7, 3, i) for i in range(3)]

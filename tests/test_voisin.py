@@ -429,7 +429,7 @@ def test_run_node_analysis_end_to_end():
 
 def test_run_node_analysis_small_field_resamples():
     # tiny fields hit degenerate draws; the retry loop must cope or give up
-    analysis = run_node_analysis(1, F5, seed=1, retries=10)
+    analysis = run_node_analysis(1, F5, seed=1)
     assert analysis.report.matched()
     assert analysis.report.attempts
 
