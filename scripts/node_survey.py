@@ -32,14 +32,13 @@ def main():
         for seed in range(args.seeds):
             t0 = time.monotonic()
             try:
-                analysis = run_node_analysis(r, field, seed=seed)
+                rep = run_node_analysis(r, field, seed=seed)
             except DegenerateInstance as exc:
                 print(f"  seed {seed}: degenerate ({exc})")
                 continue
-            rep = analysis.report
             dt = time.monotonic() - t0
-            ranks = sorted(c.quadratic_part_rank
-                           for c in analysis.node_certificates)
+            ranks = sorted(int(c["quadratic_part_rank"])
+                           for c in rep.certificates if c["kind"] == "node")
             line = (f"  seed {seed}: nodes {rep.computed['node_count']} "
                     f"(hessian ranks {ranks}), line scheme "
                     f"dim {rep.computed['dimension']} "

@@ -20,11 +20,11 @@ import sys
 import tempfile
 from typing import Dict, List, Optional
 
-from .errors import (BudgetExceeded, DegenerateInstance, Inconclusive,
-                     InvalidParameters, NotPrime, NotZeroDimensional,
-                     ParseError, UnknownVariable, ZeroPolynomial)
+from .errors import (BudgetExceeded, DegenerateInstance, InvalidParameters,
+                     NotPrime, NotZeroDimensional, ParseError,
+                     UnknownVariable, ZeroPolynomial)
 from .fano import (LINE_SAMPLES, PointedHypersurface, analyze_lines,
-                   run_line_analysis)
+                   direction_components, run_line_analysis)
 from .field import DEFAULT_PRIME, PrimeField
 from .groebner import groebner_basis
 from .idealkit import (BEZOUT_SAMPLES, DEFAULT_BUDGET, LINE_COUNT_KMAX,
@@ -131,8 +131,8 @@ def _infer_nvars(text: str) -> int:
     """One more than the highest i of the names x<i> among the parser's
     own tokens, so `2x3` counts x3; a bad character is passed over here
     and left for the parser to report."""
-    indices = [int(m[2][1:]) for m in _TOKEN_RE.finditer(text)
-               if re.fullmatch(r"x\d+", m[2] or "")]
+    indices = [int(m["name"][1:]) for m in _TOKEN_RE.finditer(text)
+               if re.fullmatch(r"x\d+", m["name"] or "")]
     if not indices:
         raise InvalidParameters("no variables of the form x<i> found")
     top = max(indices)
@@ -173,7 +173,7 @@ def cmd_lines_through(args: argparse.Namespace) -> int:
             raise InvalidParameters("--poly file must hold exactly one form")
         f = polys[0]
         point = _parse_point(args.point, field)
-        ph = PointedHypersurface(f, point)
+        ph = PointedHypersurface(direction_components(f, point))
         config = _config(args, k_max=args.kmax, trials=args.trials,
                          poly=f.to_text(), point=":".join(point.serialize()),
                          m=ph.multiplicity)
@@ -185,10 +185,11 @@ def cmd_lines_through(args: argparse.Namespace) -> int:
 def cmd_voisin_demo(args: argparse.Namespace) -> int:
     field = PrimeField(args.prime)
     config = _config(args, r=args.r)
-    analysis = run_node_analysis(args.r, field, args.seed, budget=args.budget)
-    report = analysis.report.to_dict()
-    report["chosen_node"] = " : ".join(analysis.chosen_node.serialize())
-    return _finish(config, report, args, analysis.report.matched())
+    report = run_node_analysis(args.r, field, args.seed, budget=args.budget)
+    doc = report.to_dict()
+    # the analyzed node's own certificate comes first
+    doc["chosen_node"] = report.certificates[0]["point"]
+    return _finish(config, doc, args, report.matched())
 
 
 def cmd_groebner(args: argparse.Namespace) -> int:
@@ -360,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ZeroPolynomial, NotZeroDimensional, OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateInstance, Inconclusive) as exc:
+    except DegenerateInstance as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -18,15 +18,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial
-from typing import List
+from typing import Callable, Dict, List
 
-from .errors import InvalidParameters, ZeroPolynomial
+from .errors import DegenerateInstance, InvalidParameters, ZeroPolynomial
 from .field import Field
 from .idealkit import (DEFAULT_BUDGET, Ideal, LINE_COUNT_KMAX, SAMPLE_KMAX,
                        VarietyReport, add_jacobian_certificates,
                        sample_smooth_points, solve_report, variety_report)
 from .poly import Polynomial, random_homogeneous
-from .projgeo import ProjectivePoint, base_point, move_to_base_point
+from .projgeo import ProjectivePoint, move_to_base_point
 
 MAX_RESAMPLES = 5
 LINE_SAMPLES = 8  # smoothness samples of a positive-dimensional line system
@@ -65,59 +65,52 @@ def _check_shape(n: int, d: int, m: int):
 
 @dataclass(frozen=True)
 class PointedHypersurface:
-    """A homogeneous form together with a marked point on it.
+    """A hypersurface with a marked point, held as its direction-chart
+    components at the point: `components[i]` is the degree-i part, a
+    form in the n direction coordinates, for i = 0, ..., d.
 
-    The direction-chart components at the point are kept, as
-    `components[i]` of degree i, and the multiplicity m of the form at
-    the point is the lowest degree among the nonzero ones. A point off
-    the hypersurface (m = 0) raises InvalidParameters, and so does a
-    shape outside 1 <= m <= d <= n+m-2 with n >= 2.
+    The multiplicity m at the point is the lowest degree among the
+    nonzero components. A point off the hypersurface (m = 0) raises
+    InvalidParameters, and so does a shape outside 1 <= m <= d <= n+m-2
+    with n >= 2.
     """
 
-    f: Polynomial
-    point: ProjectivePoint
+    components: List[Polynomial]
     multiplicity: int = dataclass_field(init=False)
-    components: List[Polynomial] = dataclass_field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parts = direction_components(self.f, self.point)
-        # f is a nonzero form, so its expansion at the point is nonzero
-        m = next(i for i, part in enumerate(parts) if not part.is_zero())
+        # the components of a nonzero form are not all zero
+        m = next(i for i, part in enumerate(self.components)
+                 if not part.is_zero())
         if m == 0:
             raise InvalidParameters("the point does not lie on the hypersurface")
         _check_shape(self.ambient_proj_dim, self.degree, m)
         object.__setattr__(self, "multiplicity", m)
-        object.__setattr__(self, "components", parts)
 
     @property
     def ambient_proj_dim(self) -> int:
-        return self.f.nvars - 1
+        return self.components[0].nvars
 
     @property
     def degree(self) -> int:
-        return self.f.degree()
+        return len(self.components) - 1
 
 
 def random_pointed_hypersurface(n: int, d: int, m: int, field: Field,
                                 seed: int) -> PointedHypersurface:
     """Random degree-d hypersurface in P^n with multiplicity m at [1:0:...:0].
 
-    Samples f = sum_{i=m}^{d} x_0^{d-i} f_i with every f_i a random
-    homogeneous form of degree i in the last n variables.  Requires
-    1 <= m <= d <= n+m-2; larger d makes the line system an excess
-    intersection, which this pipeline does not model.
+    The hypersurface is f = sum_{i=m}^{d} x_0^{d-i} f_i with every f_i a
+    random homogeneous form of degree i in the last n variables, built
+    straight from those parts, which are its components at the point.
+    Requires 1 <= m <= d <= n+m-2; larger d makes the line system an
+    excess intersection, which this pipeline does not model.
     """
     _check_shape(n, d, m)
     rng = random.Random(seed)
-    terms = {}
-    for i in range(m, d + 1):
-        comp = random_homogeneous(field, n, i, rng)
-        # x_0^(d-i) f_i: each part has its own degree in x_0, so no two
-        # terms meet
-        terms.update({(d - i,) + mono: c for mono, c in comp.terms.items()})
-    return PointedHypersurface(Polynomial(field, n + 1, terms),
-                               base_point(field, n))
+    return PointedHypersurface(
+        [Polynomial.zero(field, n)] * m
+        + [random_homogeneous(field, n, i, rng) for i in range(m, d + 1)])
 
 
 @dataclass(frozen=True)
@@ -151,11 +144,7 @@ def expected_count(d: int, m: int) -> int:
     """Number of lines in the finite case d = m+n-2: the product m(m+1)...d."""
     if not 1 <= m <= d:
         raise InvalidParameters(f"need 1 <= m <= d, got d={d} m={m}")
-    count = 1
-    for i in range(m, d + 1):
-        count *= i
-    assert count * factorial(m - 1) == factorial(d)
-    return count
+    return factorial(d) // factorial(m - 1)
 
 
 def line_system(ph: PointedHypersurface) -> LineSystem:
@@ -223,25 +212,42 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
     return report
 
 
-def run_line_analysis(n: int, d: int, m: int, field: Field, seed: int,
-                      k_max: int = LINE_COUNT_KMAX,
-                      samples: int = LINE_SAMPLES,
-                      budget: int = DEFAULT_BUDGET) -> VarietyReport:
-    """Sample-and-verify pipeline with reseeding on failed certificates.
+def resample(attempt: Callable[[int], VarietyReport],
+             seeds: range) -> VarietyReport:
+    """Run `attempt` at each seed in turn until its report matches.
 
     Finite fields can hit the measure-zero bad locus that a generic
-    complex instance avoids, so a mismatched report triggers a resample
-    at seed+1, up to MAX_RESAMPLES attempts; every attempt is logged in
-    the returned report.
+    complex instance avoids, so an attempt may raise DegenerateInstance
+    or give a mismatched report; either moves on to the next seed. Every
+    attempt is logged in the returned report, the last one that was not
+    degenerate; DegenerateInstance is raised when every attempt was.
     """
-    attempts = []
-    for s in range(seed, seed + MAX_RESAMPLES):
-        ph = random_pointed_hypersurface(n, d, m, field, s)
-        report = analyze_lines(ph, k_max=k_max, samples=samples, seed=s,
-                               budget=budget)
+    attempts: List[Dict[str, str]] = []
+    report = None
+    for s in seeds:
+        try:
+            report = attempt(s)
+        except DegenerateInstance as exc:
+            attempts.append({"seed": str(s), "outcome": f"degenerate: {exc}"})
+            continue
         outcome = "ok" if report.matched() else "certificate mismatch"
         attempts.append({"seed": str(s), "outcome": outcome})
         if report.matched():
             break
+    if report is None:
+        raise DegenerateInstance(f"no non-degenerate instance in "
+                                 f"{len(seeds)} attempts from seed {seeds[0]}")
     report.attempts = attempts
     return report
+
+
+def run_line_analysis(n: int, d: int, m: int, field: Field, seed: int,
+                      k_max: int = LINE_COUNT_KMAX,
+                      samples: int = LINE_SAMPLES,
+                      budget: int = DEFAULT_BUDGET) -> VarietyReport:
+    """Sample-and-verify pipeline, resampled at seed+1, ... up to
+    MAX_RESAMPLES attempts while certificates mismatch (`resample`)."""
+    return resample(lambda s: analyze_lines(
+        random_pointed_hypersurface(n, d, m, field, s), k_max=k_max,
+        samples=samples, seed=s, budget=budget),
+        range(seed, seed + MAX_RESAMPLES))

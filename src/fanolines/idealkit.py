@@ -37,12 +37,8 @@ SAMPLE_SLICES = 4
 BEZOUT_SAMPLES = 6
 
 
-@dataclass(eq=False)
 class Ideal:
     """Generators in a fixed polynomial ring; its Groebner basis is grevlex."""
-
-    generators: Tuple[Polynomial, ...]
-    _cache: dict = dataclass_field(default_factory=dict, repr=False)
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)

@@ -658,7 +658,8 @@ def default_names(nvars: int) -> List[str]:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^])|(\S)")
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(?P<op>[-+*/^])|(?P<bad>\S)")
 
 # Highest total degree of a parsed term. Evaluation, Jacobian ranks and
 # substitution reach a monomial along a chain of up to that many prefix
@@ -671,17 +672,16 @@ MAX_TERM_DEGREE = 512
 
 
 def _tokenize(text: str):
+    """(kind, value, position) per token, kind the name of the group that
+    matched it, then an end marker."""
     tokens = []
     for match in _TOKEN_RE.finditer(text):
-        pos = match.start()
-        if match.group(1) is not None:
-            tokens.append(("num", int(match.group(1)), pos))
-        elif match.group(2) is not None:
-            tokens.append(("name", match.group(2), pos))
-        elif match.group(3) is not None:
-            tokens.append(("op", match.group(3), pos))
-        else:
-            raise ParseError(f"unexpected character {match.group(4)!r}", pos)
+        kind, value = match.lastgroup, match[0]
+        if kind == "num":
+            value = int(value)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", match.start())
+        tokens.append((kind, value, match.start()))
     tokens.append(("end", None, len(text)))
     return tokens
 

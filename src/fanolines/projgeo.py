@@ -80,12 +80,6 @@ class ProjectivePoint:
         return "[" + ":".join(self.serialize()) + "]"
 
 
-def base_point(field: Field, n_proj: int) -> ProjectivePoint:
-    """[1:0:...:0] in P^N."""
-    coords = [field.one()] + [field.zero()] * n_proj
-    return ProjectivePoint(coords)
-
-
 def move_to_base_point(y: ProjectivePoint) -> Matrix:
     """Invertible M with M e0 = y, completing y by standard basis vectors.
 

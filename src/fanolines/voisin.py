@@ -17,12 +17,13 @@ at most 2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegenerateInstance, InvalidParameters
 from .field import Field, embedding
-from .fano import MAX_RESAMPLES, PointedHypersurface, line_system
+from .fano import (MAX_RESAMPLES, PointedHypersurface, direction_components,
+                   line_system, resample)
 from .groebner import Packing
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
@@ -48,30 +49,30 @@ def _normal_form(field: Field, r: int, quadrics) -> Polynomial:
 
 @dataclass(frozen=True)
 class NormalFormCubic:
-    """A cubic x_{r+1}^2 x_0 + sum_i x_{r+1+i} Q_i in 2r+2 variables.
-
-    The structural identity is re-verified on construction; quadrics are
-    stored alongside f so the node-finding step can restrict them without
-    re-extracting coefficients.
+    """The cubic x_{r+1}^2 x_0 + sum_i x_{r+1+i} Q_i in 2r+2 variables,
+    built from its r quadrics Q_i; they are kept alongside f so the
+    node-finding step can restrict them without re-extracting
+    coefficients.
     """
 
-    r: int
-    f: Polynomial
     quadrics: Tuple[Polynomial, ...]
+    f: Polynomial = dataclass_field(init=False)
 
     def __post_init__(self):
-        r = self.r
-        if r < 1:
+        if not self.quadrics:
             raise InvalidParameters("need r >= 1")
-        nvars = 2 * r + 2
-        if self.f.nvars != nvars or len(self.quadrics) != r:
-            raise InvalidParameters("wrong number of variables or quadrics")
-        if self.f != _normal_form(self.f.field, r, self.quadrics):
-            raise InvalidParameters("cubic is not in normal form")
+        if any(q.nvars != 2 * self.r + 2 for q in self.quadrics):
+            raise InvalidParameters("quadrics must be in 2r+2 variables")
+        object.__setattr__(self, "f", _normal_form(
+            self.field, self.r, self.quadrics))
+
+    @property
+    def r(self) -> int:
+        return len(self.quadrics)
 
     @property
     def field(self) -> Field:
-        return self.f.field
+        return self.quadrics[0].field
 
 
 @dataclass(frozen=True)
@@ -92,26 +93,15 @@ class NodeCertificate:
 
 def normal_form_cubic(r: int, field: Field, seed: int) -> NormalFormCubic:
     """Sample the normal-form cubic with dense random quadrics Q_i."""
-    if r < 1:
-        raise InvalidParameters("need r >= 1")
-    if field.characteristic() == 2:
-        raise InvalidParameters("odd characteristic required")
     rng = random.Random(seed)
-    nvars = 2 * r + 2
-    quadrics = [random_homogeneous(field, nvars, 2, rng) for _ in range(r)]
-    return NormalFormCubic(r, _normal_form(field, r, quadrics), tuple(quadrics))
+    return NormalFormCubic(tuple(random_homogeneous(field, 2 * r + 2, 2, rng)
+                                 for _ in range(r)))
 
 
 def restricted_quadrics(nfc: NormalFormCubic) -> List[Polynomial]:
     """The Q_i restricted to the r-plane x_{r+1} = ... = x_{2r+1} = 0,
     as quadrics in the r+1 surviving variables (`poly.restrict`)."""
     return restrict(nfc.quadrics, nfc.r + 1, nfc.field.zero())
-
-
-def _mapped_to(f: Polynomial, target: Field) -> Polynomial:
-    if f.field == target:
-        return f
-    return f.map_coefficients(target, embedding(f.field, target))
 
 
 def certify_node(nfc: NormalFormCubic,
@@ -175,8 +165,11 @@ def node_line_system(nfc: NormalFormCubic, node: ProjectivePoint) -> Ideal:
     no degree-0 or degree-1 part (that is what being a double point
     means); the lines through the node are V(f_2, f_3) in the P^{2r} of
     directions."""
-    f = _mapped_to(nfc.f, node.field)
-    return line_system(PointedHypersurface(f, node)).ideal()
+    f = nfc.f
+    if f.field != node.field:
+        f = f.map_coefficients(node.field, embedding(f.field, node.field))
+    return line_system(PointedHypersurface(
+        direction_components(f, node))).ideal()
 
 
 def rank_drop_ideal(ideal: Ideal) -> Ideal:
@@ -307,35 +300,18 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
     return report
 
 
-@dataclass
-class NodalCubicAnalysis:
-    """Everything the node pipeline produced for one (r, seed) run."""
-
-    node_certificates: List[NodeCertificate]
-    report: VarietyReport
-
-    @property
-    def chosen_node(self) -> ProjectivePoint:
-        return self.node_certificates[0].point
-
-
 def run_node_analysis(r: int, field: Field, seed: int,
-                      budget: int = DEFAULT_BUDGET) -> NodalCubicAnalysis:
+                      budget: int = DEFAULT_BUDGET) -> VarietyReport:
     """Sample a normal-form cubic, certify its nodes, and analyze the
-    lines through one of them, resampling on degenerate draws.
+    lines through one of them, resampled at seed+1, ... up to
+    MAX_RESAMPLES attempts on degenerate or mismatched draws (`resample`).
 
     The analyzed node is the first certificate in sorted order, so the
-    one of smallest residue degree; every attempt (degenerate or
-    mismatched) is logged in the report."""
-    attempts: List[Dict[str, str]] = []
-    analysis = None
-    for s in range(seed, seed + MAX_RESAMPLES):
+    one of smallest residue degree; the report's certificates start with
+    the nodes', in that order."""
+    def attempt(s: int) -> VarietyReport:
         nfc = normal_form_cubic(r, field, s)
-        try:
-            certs = nodes(nfc, seed=s)
-        except DegenerateInstance as exc:
-            attempts.append({"seed": str(s), "outcome": f"degenerate: {exc}"})
-            continue
+        certs = nodes(nfc, seed=s)
         ideal = node_line_system(nfc, certs[0].point)
         report = analyze_node_lines(ideal, r, seed=s, budget=budget)
         report.predicted["node_count"] = str(2 ** r)
@@ -346,13 +322,6 @@ def run_node_analysis(r: int, field: Field, seed: int,
             is_simple_double_point=(
                 "true" if c.is_simple_double_point else "false"))
             for c in certs] + report.certificates
-        analysis = NodalCubicAnalysis(certs, report)
-        outcome = "ok" if report.matched() else "certificate mismatch"
-        attempts.append({"seed": str(s), "outcome": outcome})
-        if report.matched():
-            break
-    if analysis is None:
-        raise DegenerateInstance(f"no non-degenerate instance in "
-                                 f"{MAX_RESAMPLES} attempts from seed {seed}")
-    analysis.report.attempts = attempts
-    return analysis
+        return report
+
+    return resample(attempt, range(seed, seed + MAX_RESAMPLES))

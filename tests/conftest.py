@@ -52,6 +52,11 @@ def parse(text, nvars, field):
     return parse_polynomial(text, default_names(nvars), field)
 
 
+def base_point(field, n_proj):
+    """[1:0:...:0] in P^n_proj."""
+    return ProjectivePoint([field.one()] + [field.zero()] * n_proj)
+
+
 def random_point(field, n_proj, rng):
     """A uniformly drawn nonzero vector of F^(n_proj+1), as a point."""
     while True:

@@ -176,8 +176,7 @@ def test_criterion_08_rank_drop_three_singular_points():
                            "points across 10 seeds"):
         reseeds = 0
         for seed in range(10):
-            analysis = run_node_analysis(2, F10007, seed=seed)
-            report = analysis.report
+            report = run_node_analysis(2, F10007, seed=seed)
             assert report.matched()
             assert report.computed["singular_dimension"] == "0"
             assert report.computed["singular_degree"] == "3"

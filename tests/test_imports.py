@@ -13,7 +13,8 @@ name or an attribute in the package, the scripts or the benchmark, in an
 names the layers it wraps in strings). Likewise every public class
 attribute is read as `.name`, and every defaulted parameter is set by
 some call, outside the tests. Tests do not count: code that only tests
-call belongs in `tests/conftest.py` as a named oracle.
+call belongs in `tests/conftest.py` as a named oracle. Last, no dataclass
+of the package writes its own `__init__`.
 """
 
 import ast
@@ -308,3 +309,45 @@ def test_no_unset_defaults():
     unset = unset_defaults({p.stem: p.read_text() for p in PACKAGE},
                            [p.read_text() for p in CALLERS])
     assert unset == sorted(UNSET_KEPT)
+
+
+def dataclasses_with_init(package):
+    """`module.Class` of every class of `package` (module name -> source
+    text) decorated with `dataclass`, called or not, that writes its own
+    `__init__`; the decorator then adds only what the class did not ask
+    for."""
+    found = []
+    for module, text in package.items():
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in cls.decorator_list]
+            if (any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                    for d in decorators)
+                    and any(isinstance(item, ast.FunctionDef)
+                            and item.name == "__init__" for item in cls.body)):
+                found.append(f"{module}.{cls.name}")
+    return sorted(found)
+
+
+def test_the_check_sees_a_dataclass_with_its_own_init():
+    package = {"m": ("@dataclass(eq=False)\n"
+                     "class Box:\n"
+                     "    size: int\n"
+                     "    def __init__(self, size): self.size = size\n"
+                     "@dataclasses.dataclass\n"
+                     "class Crate:\n"
+                     "    def __init__(self): pass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Bag:\n"
+                     "    size: int\n"
+                     "    def __post_init__(self): pass\n"
+                     "class Tin:\n"
+                     "    def __init__(self): pass\n")}
+    assert dataclasses_with_init(package) == ["m.Box", "m.Crate"]
+
+
+def test_no_dataclass_writes_its_own_init():
+    assert dataclasses_with_init(
+        {p.stem: p.read_text() for p in PACKAGE}) == []

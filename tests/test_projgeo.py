@@ -6,13 +6,13 @@ import pytest
 
 from fanolines import PrimeField, ProjectivePoint, build_extension
 from fanolines.linalg import mat_inverse
-from fanolines.projgeo import (base_point, exceeds_budget, move_to_base_point,
+from fanolines.projgeo import (exceeds_budget, move_to_base_point,
                                projective_count)
 from fanolines.poly import random_homogeneous
 from fanolines.errors import BudgetExceeded
 
-from conftest import (dehomogenize, enumerate_projective_points, line_lies_in,
-                      mat_identity, mat_vec, parse, random_point)
+from conftest import (base_point, dehomogenize, enumerate_projective_points,
+                      line_lies_in, mat_identity, mat_vec, parse, random_point)
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)

@@ -15,8 +15,9 @@ from fanolines import (Ideal, Polynomial, PrimeField, ProjectivePoint,
                        build_extension)
 from fanolines.linalg import random_invertible
 from fanolines.poly import random_homogeneous
-from fanolines.voisin import (NormalFormCubic, _normal_form,
-                              _random_linear_slice, analyze_node_lines,
+from fanolines import voisin
+from fanolines.voisin import (NormalFormCubic, _random_linear_slice,
+                              analyze_node_lines,
                               certify_node, node_line_system, nodes,
                               normal_form_cubic, rank_drop_ideal,
                               restricted_quadrics, run_node_analysis)
@@ -58,12 +59,24 @@ def test_normal_form_structure(r):
         assert sum(mono[r + 1:]) >= 1
 
 
-def test_normal_form_rejects_tampering():
-    nfc = normal_form_cubic(2, F10007, seed=0)
-    bad = list(nfc.quadrics)
-    bad[0] = parse("x0^2", 6, F10007)
-    with pytest.raises(InvalidParameters):
-        NormalFormCubic(nfc.r, nfc.f, tuple(bad))
+def test_normal_form_is_built_once_from_its_quadrics(monkeypatch):
+    calls = []
+    build = voisin._normal_form
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(voisin, "_normal_form", counted)
+    for r in (1, 2, 3):
+        nfc = normal_form_cubic(r, F10007, seed=r)
+        assert nfc.r == r and len(calls) == r
+        assert nfc.f == build(F10007, r, nfc.quadrics)
+
+
+def test_normal_form_rejects_quadrics_in_the_wrong_ring():
+    with pytest.raises(InvalidParameters, match="2r\\+2 variables"):
+        NormalFormCubic((parse("x0^2", 6, F10007),))
 
 
 def test_normal_form_needs_odd_characteristic():
@@ -131,7 +144,7 @@ def test_node_certificate_says_no_off_simple_double_points(
         p, quadric, coords, rank, certified):
     field = PrimeField(p)
     q = parse(quadric, 4, field)
-    nfc = NormalFormCubic(1, _normal_form(field, 1, [q]), (q,))
+    nfc = NormalFormCubic((q,))
     point = ProjectivePoint([field.from_int(int(c))
                              for c in coords.split(":")])
     [cert] = certify_node(nfc, [point])
@@ -181,7 +194,7 @@ def test_nodes_sorted_by_residue_degree():
 
 
 def test_node_certificate_serialization():
-    d = run_node_analysis(1, F10007, seed=0).report.certificates[0]
+    d = run_node_analysis(1, F10007, seed=0).certificates[0]
     assert d["kind"] == "node"
     assert d["quadratic_part_rank"] == "3"
 
@@ -420,18 +433,23 @@ def test_analyze_node_lines_r3_bounds_singular_dimension():
 
 def test_run_node_analysis_end_to_end():
     for r in (1, 2):
-        analysis = run_node_analysis(r, F10007, seed=0)
-        assert analysis.report.matched()
-        assert analysis.report.computed["node_count"] == str(2 ** r)
-        assert len(analysis.node_certificates) == 2 ** r
-        assert analysis.chosen_node == analysis.node_certificates[0].point
+        report = run_node_analysis(r, F10007, seed=0)
+        assert report.matched()
+        assert report.computed["node_count"] == str(2 ** r)
+        # the node certificates come first, the analyzed node's leading
+        nfc = normal_form_cubic(r, F10007, seed=0)
+        certs = nodes(nfc, seed=0)
+        assert [c["point"] for c in report.certificates[:2 ** r]] == [
+            " : ".join(c.point.serialize()) for c in certs]
+        assert {c["kind"] for c in report.certificates[:2 ** r]} == {"node"}
 
 
 def test_run_node_analysis_small_field_resamples():
     # tiny fields hit degenerate draws; the retry loop must cope or give up
-    analysis = run_node_analysis(1, F5, seed=1)
-    assert analysis.report.matched()
-    assert analysis.report.attempts
+    report = run_node_analysis(1, F5, seed=1)
+    assert report.matched()
+    assert [a["outcome"].split(":")[0] for a in report.attempts] == [
+        "degenerate", "degenerate", "ok"]
 
 
 def test_invalid_rank_r():
