@@ -28,10 +28,14 @@ per operation:
   `jacobian_rank_at` of its generators at those six lines;
 - `groebner rankdrop`: `groebner_basis` of the rank-drop ideals of
   `voisin-demo 2` at seeds 585427, 1, 2 and 3 over F_10007, each at its
-  first node (12 generators in 5 variables), all four per call.
+  first node (12 generators in 5 variables), all four per call;
+- `slice r3`: the r = 3 singular-dimension certificate of `voisin-demo
+  3 --seed 0` over F_10007, one `random_slice` of codimension 3 of the
+  rank-drop ideal at its first node plus its `hilbert_data`.
 
-Only names that every version of the package has are used, so the same
-script times two checkouts for comparison.
+Every name used exists in each version of the package that has
+`idealkit.random_slice`, so the same script times two such checkouts for
+comparison.
 
 Usage:
     PYTHONPATH=src python3 scripts/arith_timings.py --repeat 7
@@ -46,7 +50,7 @@ from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.fano import line_system, random_pointed_hypersurface
 from fanolines.groebner import groebner_basis
 from fanolines.field import FieldElement, relative_extension
-from fanolines.idealkit import groebner_of
+from fanolines.idealkit import groebner_of, hilbert_data, random_slice
 from fanolines.poly import (default_names, jacobian_rank_at,
                             monomials_of_degree, random_homogeneous)
 from fanolines.solve import solve_projective
@@ -135,6 +139,10 @@ def operations():
             node_line_system(nfc, node)).nonzero_generators())
     ops.append(("groebner rankdrop r2 GF(10007)",
                 lambda: [groebner_basis(g) for g in rank_drops], 1))
+    nfc = normal_form_cubic(3, ground, 0)
+    rd = rank_drop_ideal(node_line_system(nfc, nodes(nfc, seed=0)[0].point))
+    ops.append(("slice r3 GF(10007)",
+                lambda: hilbert_data(random_slice(rd, 3, random.Random(0))), 1))
     return ops
 
 

@@ -14,7 +14,7 @@ F_{p^a}, built once per pair of fields.
 
 Sums of products run on ints: polynomial values and Jacobian entries at
 a point (`poly._term_sums`), the coefficients of a substituted
-polynomial (`poly.substitute_all`), of a restriction to x_last = value
+polynomial (`Polynomial.substitute`), of a restriction to x_last = value
 (`poly.restrict`: the solver's charts and fibres) and of a rank-drop
 minor (`voisin.rank_drop_ideal`) and the work coefficients of a normal
 form (`groebner.normal_form_payload`).

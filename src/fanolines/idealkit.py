@@ -17,8 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (BudgetExceeded, Inconclusive, InvalidParameters,
-                     NotZeroDimensional)
+from .errors import BudgetExceeded, Inconclusive, InvalidParameters
 from .field import Field, FieldElement, payload_descent, relative_extension
 from .groebner import groebner_basis
 from .hilbert import staircase_data
@@ -241,29 +240,36 @@ def singular_points(ideal: Ideal, k_max: int = SING_LOCUS_KMAX,
                         singular_scan(gens, codim, ext, budget))
 
 
+def random_slice(ideal: Ideal, codim: int, rng: random.Random) -> Ideal:
+    """The generators and `codim` random linear forms, drawn in order by
+    `random_homogeneous`.
+
+    An empty cut certifies dim V(I) < codim over the algebraic closure:
+    the forms, possibly dependent, cut out a linear subspace of
+    codimension c' <= codim, and a projective variety of dimension >= c'
+    meets every linear subspace of codimension c'.
+    """
+    return Ideal(list(ideal.generators) + [
+        random_homogeneous(ideal.field, ideal.nvars, 1, rng)
+        for _ in range(codim)])
+
+
 def _slices(ideal: Ideal, trials: int, rng: random.Random, k_max: int,
             budget: int) -> Iterator[List[ProjectivePoint]]:
     """The points of up to `trials` random slices of a positive-dimensional
     scheme, one list per slice.
 
-    Each slice adds dim random linear forms. A slice that is not
-    zero-dimensional yields nothing. The rng is drawn lazily, so a caller
-    that stops early draws no further slice.
+    Each slice adds dim random linear forms (`random_slice`). A slice that
+    is not zero-dimensional yields nothing. The rng is drawn lazily, so a
+    caller that stops early draws no further slice.
     """
     dim, _ = hilbert_data(ideal)
     for _ in range(trials):
-        forms = [random_homogeneous(ideal.field, ideal.nvars, 1, rng)
-                 for _ in range(dim)]
-        sliced = Ideal(list(ideal.generators) + forms)
-        sliced_dim, _ = hilbert_data(sliced)
-        if sliced_dim != 0:
+        sliced = random_slice(ideal, dim, rng)
+        if hilbert_data(sliced)[0] != 0:
             continue  # non-generic slice; try again
-        try:
-            pts = rational_points(sliced, k_max=k_max, budget=budget,
-                                  seed=rng.randrange(2**32))
-        except NotZeroDimensional:
-            continue
-        yield pts
+        yield rational_points(sliced, k_max=k_max, budget=budget,
+                              seed=rng.randrange(2**32))
 
 
 def slice_degree(ideal: Ideal, trials: int, rng: random.Random) -> int:

@@ -344,8 +344,55 @@ class Polynomial:
                 for d, t in sorted(buckets.items())}
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map x_i -> images[i]; see `substitute_all`."""
-        return substitute_all([self], images)[0]
+        """The ring map x_i -> images[i].
+
+        The images live in one ring over the same field, possibly with a
+        different number of variables. Runs on raw coefficient payloads.
+        The image of each monomial of self is built along one `_chain`,
+        as its prefix's image times one image, and cached for the
+        monomials that extend it.
+
+        A target monomial is one int key: exponent j in slot j of w bits
+        (Kronecker), w the bit length of the largest degree an image can
+        reach, so no slot carries and a product is a key sum.
+        Coefficients are packed (`Field._packer`) and summed unreduced. In
+        a cached image of mono = prefix * x_i, a key gets at most one
+        product per term of images[i], since the prefix's keys are
+        distinct; in the output, at most one per term of self, since each
+        image's keys are distinct. So one packer for the most terms of
+        self or of any image holds every sum, and each is unpacked once.
+        """
+        field, nvars = self.field, self.nvars
+        assert len(images) == nvars
+        target_nvars = images[0].nvars if images else nvars
+        width = max(1, (_top_degree([self])
+                        * _top_degree(images)).bit_length())
+        shifts = [j * width for j in range(target_nvars)]
+        mask = (1 << width) - 1
+        pack, unpack = field._packer(
+            max(1, len(self.terms), *(len(g.terms) for g in images)))
+        zero = field._zero_payload()
+        image_terms = [[(sum(map(_lshift, m, shifts)), pack(c.payload))
+                        for m, c in g.terms.items()] for g in images]
+        index, chain = _chain(self.terms, nvars)
+        cache: List[Dict[int, int]] = [{0: pack(field._one_payload())}]
+        cache += map(dict, image_terms)
+        for parent, i in chain:
+            sums: Dict[int, int] = {}
+            for k1, c1 in cache[parent].items():
+                for k2, c2 in image_terms[i]:
+                    k = k1 + k2
+                    sums[k] = sums.get(k, 0) + c1 * c2
+            cache.append({k: pack(c) for k, v in sums.items()
+                          if (c := unpack(v)) != zero})
+        sums = {}
+        for mono, coeff in self.terms.items():
+            c = pack(coeff.payload)
+            for k, v in cache[index[mono]].items():
+                sums[k] = sums.get(k, 0) + c * v
+        return Polynomial.from_payloads(field, target_nvars, {
+            tuple(k >> s & mask for s in shifts): c
+            for k, v in sums.items() if (c := unpack(v)) != zero})
 
     def apply_matrix(self, matrix) -> "Polynomial":
         """Substitute x_i -> sum_j matrix[i][j] x_j (linear coordinate change)."""
@@ -590,65 +637,6 @@ def restrict(polys: Sequence[Polynomial], last: int,
         out.append(Polynomial.from_payloads(field, last, {
             m: c for m, v in sums.items() if (c := unpack(v)) != zero}))
     return out
-
-
-def substitute_all(polys: Sequence[Polynomial],
-                   images: Sequence[Polynomial]) -> List[Polynomial]:
-    """The ring map x_i -> images[i] applied to each polynomial of one ring.
-
-    The images live in one ring over the same field, possibly with a
-    different number of variables. Runs on raw coefficient payloads. The
-    image of each source monomial is cached across all the polynomials
-    and built along one `_chain`, as its prefix's image times one image.
-
-    A target monomial is one int key: exponent j in slot j of w bits
-    (Kronecker), w the bit length of the largest degree an image can
-    reach, so no slot carries and a product is a key sum. Coefficients
-    are packed (`Field._packer`) and summed unreduced. In a cached image
-    of mono = prefix * x_i, a key gets at most one product per term of
-    images[i], since the prefix's keys are distinct; in an output
-    polynomial, at most one per term of its source, since each image's
-    keys are distinct. So one packer for the most terms of any image or
-    source holds every sum, and each is unpacked once.
-    """
-    if not polys:
-        return []
-    field, nvars = polys[0].field, polys[0].nvars
-    assert len(images) == nvars
-    assert all(f.field == field and f.nvars == nvars for f in polys)
-    target_nvars = images[0].nvars if images else nvars
-    width = max(1, (_top_degree(polys) * _top_degree(images)).bit_length())
-    shifts = [j * width for j in range(target_nvars)]
-    mask = (1 << width) - 1
-    pack, unpack = field._packer(
-        max(1, max(len(g.terms) for g in itertools.chain(polys, images))))
-    zero = field._zero_payload()
-    image_terms = [[(sum(map(_lshift, m, shifts)), pack(c.payload))
-                    for m, c in g.terms.items()] for g in images]
-    index, chain = _chain(
-        itertools.chain.from_iterable(f.terms for f in polys), nvars)
-    cache: List[Dict[int, int]] = [{0: pack(field._one_payload())}]
-    cache += map(dict, image_terms)
-    for parent, i in chain:
-        sums: Dict[int, int] = {}
-        for k1, c1 in cache[parent].items():
-            for k2, c2 in image_terms[i]:
-                k = k1 + k2
-                sums[k] = sums.get(k, 0) + c1 * c2
-        cache.append({k: pack(c) for k, v in sums.items()
-                      if (c := unpack(v)) != zero})
-
-    result = []
-    for f in polys:
-        sums = {}
-        for mono, coeff in f.terms.items():
-            c = pack(coeff.payload)
-            for k, v in cache[index[mono]].items():
-                sums[k] = sums.get(k, 0) + c * v
-        result.append(Polynomial.from_payloads(field, target_nvars, {
-            tuple(k >> s & mask for s in shifts): c
-            for k, v in sums.items() if (c := unpack(v)) != zero}))
-    return result
 
 
 def default_names(nvars: int) -> List[str]:

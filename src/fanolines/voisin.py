@@ -27,11 +27,10 @@ from .fano import (MAX_RESAMPLES, PointedHypersurface, direction_components,
 from .groebner import Packing
 from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
                        certify_reduced_point, dimension_text, hilbert_data,
-                       jacobian_rank_at, point_certificate, rational_points,
-                       solve_report, variety_report)
-from .linalg import random_invertible
+                       jacobian_rank_at, point_certificate, random_slice,
+                       rational_points, solve_report, variety_report)
 from .poly import (LEX, Polynomial, _lowered, evaluate_at,
-                   random_homogeneous, restrict, substitute_all)
+                   random_homogeneous, restrict)
 from .projgeo import ProjectivePoint
 
 SLICE_RETRIES = 3
@@ -220,32 +219,6 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
         for sums in minors])
 
 
-def _random_linear_slice(ideal: Ideal, codim: int,
-                         rng: random.Random) -> List[Polynomial]:
-    """The generators restricted to a random linear subspace of the given
-    codimension, written in its n - codim coordinates.
-
-    The subspace is M applied to {y_m = ... = y_{n-1} = 0} for a random
-    invertible M, so the restriction is the one ring map
-    x_i -> sum_{j<m} M[i][j] y_j."""
-    field = ideal.field
-    n = ideal.nvars
-    matrix = random_invertible(field, n, rng)
-    m = n - codim
-    images = [Polynomial.linear(field, row[:m]) for row in matrix]
-    return substitute_all(ideal.generators, images)
-
-
-def _empty_linear_slice(ideal: Ideal, codim: int, rng: random.Random) -> bool:
-    """Whether a random linear subspace of the given codimension misses
-    V(I) over the algebraic closure.
-
-    A positive answer certifies dim V(I) < codim: a projective variety of
-    dimension >= codim meets every linear subspace of that codimension."""
-    dim, _ = hilbert_data(Ideal(_random_linear_slice(ideal, codim, rng)))
-    return dim < 0
-
-
 def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
                        budget: int = DEFAULT_BUDGET) -> VarietyReport:
     """Verify the line system through a node: dimension 2r-2, degree 6,
@@ -254,8 +227,8 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
     For r = 1 the system is finite and smooth, so the rank-drop ideal
     must be empty. For r = 2 the singular locus is three reduced points,
     solved and certified individually. For r >= 3 only the dimension
-    bound 2r-4 is certified, by exhibiting a random linear slice of
-    complementary codimension that misses the locus."""
+    bound 2r-4 is certified, by exhibiting a random linear cut of
+    codimension 2r-3 that misses the locus (`idealkit.random_slice`)."""
     report = variety_report(ideal, {
         "dimension": str(2 * r - 2),
         "degree": "6",
@@ -290,8 +263,9 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
         bound = 2 * r - 4
         predicted["singular_dim_bound"] = f"<={bound}"
         rng = random.Random(seed)
-        certified = any(_empty_linear_slice(rd, bound + 1, rng)
-                        for _ in range(SLICE_RETRIES))
+        certified = any(
+            hilbert_data(random_slice(rd, bound + 1, rng))[0] < 0
+            for _ in range(SLICE_RETRIES))
         computed["singular_dim_bound"] = f"<={bound}" if certified else "unknown"
         if not certified:
             report.flags.append(

@@ -13,8 +13,7 @@ from fanolines.fano import direction_components
 from fanolines.field import (FieldElement, _Ring, payload_lift,
                              relative_extension)
 from fanolines.linalg import mat_rank
-from fanolines.poly import (MAX_TERM_DEGREE, _tokenize, default_names,
-                            substitute_all)
+from fanolines.poly import MAX_TERM_DEGREE, _tokenize, default_names
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 from fanolines.solve import exact_relative_degree
 
@@ -225,13 +224,13 @@ def plain_gradient(f):
 
 def plain_restrict(polys, last, value):
     """Each of polys with x_last = value and every later variable 0, by the
-    ring map x_i -> x_i (i < last), x_last -> value, the rest -> 0, in
-    one `substitute_all` call. The oracle of `poly.restrict`."""
+    ring map x_i -> x_i (i < last), x_last -> value, the rest -> 0, one
+    `Polynomial.substitute` call each. The oracle of `poly.restrict`."""
     field = value.field
     images = ([Polynomial.variable(field, last, i) for i in range(last)]
               + [Polynomial.constant(field, last, value)]
               + [Polynomial.zero(field, last)] * (polys[0].nvars - 1 - last))
-    return substitute_all(polys, images)
+    return [f.substitute(images) for f in polys]
 
 
 def dehomogenize(f, index=0):
@@ -489,7 +488,7 @@ def plain_normal_form(f, basis, packing, field, stats=None):
 def plain_substitute_all(polys, images):
     """x_i -> images[i] applied to each of polys: every monomial image is
     built from its prefix's image, one field multiplication and addition
-    per pair of terms. The oracle of `poly.substitute_all`."""
+    per pair of terms. The oracle of `Polynomial.substitute`."""
     field, nvars = polys[0].field, polys[0].nvars
     mul, add, is_zero = field._mul, field._add, field._is_zero
     target_nvars = images[0].nvars if images else nvars
@@ -583,14 +582,14 @@ def plain_hilbert_numerator(lead_monomials, nvars):
 def plain_chart_system(polys, last):
     """The nonzero ones among polys with x_last = 1 and every later
     variable 0, by the ring map x_i -> x_i (i < last), x_last -> 1, the
-    rest -> 0, in one `substitute_all` call. The oracle of
+    rest -> 0, one `Polynomial.substitute` call each. The oracle of
     `solve.chart_system`."""
-    from fanolines.poly import substitute_all
     field = polys[0].field
     images = ([Polynomial.variable(field, last, i) for i in range(last)]
               + [Polynomial.constant(field, last, 1)]
               + [Polynomial.zero(field, last)] * (polys[0].nvars - 1 - last))
-    return [g for g in substitute_all(polys, images) if not g.is_zero()]
+    return [g for g in (f.substitute(images) for f in polys)
+            if not g.is_zero()]
 
 
 def plain_rank_drop_ideal(ideal):

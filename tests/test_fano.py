@@ -128,7 +128,7 @@ def test_random_instance_has_requested_shape():
 def test_random_instance_is_built_from_its_draws(monkeypatch):
     # no coordinate change: the drawn parts are the components at the
     # base point of the form they assemble to
-    calls = {"apply_matrix": 0, "substitute_all": 0}
+    calls = {"apply_matrix": 0, "substitute": 0}
 
     def counter(name, fn):
         def wrapped(*args, **kwargs):
@@ -138,17 +138,17 @@ def test_random_instance_is_built_from_its_draws(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "apply_matrix", counter(
         "apply_matrix", Polynomial.apply_matrix))
-    monkeypatch.setattr(poly, "substitute_all", counter(
-        "substitute_all", poly.substitute_all))
+    monkeypatch.setattr(Polynomial, "substitute", counter(
+        "substitute", Polynomial.substitute))
     shapes = [(3, 3, 2, 0), (4, 3, 1, 1), (5, 5, 3, 2), (3, 2, 1, 3)]
     drawn = [random_pointed_hypersurface(n, d, m, F10007, seed)
              for n, d, m, seed in shapes]
-    assert calls == {"apply_matrix": 0, "substitute_all": 0}
+    assert calls == {"apply_matrix": 0, "substitute": 0}
     for ph, (n, d, m, seed) in zip(drawn, shapes):
         f = assembled_form(n, d, m, F10007, seed)
         assert ph.components == direction_components(f, base_point(F10007, n))
     # the counters see the move that direction_components makes
-    assert calls == {"apply_matrix": 4, "substitute_all": 4}
+    assert calls == {"apply_matrix": 4, "substitute": 4}
 
 
 def test_line_system_shape():

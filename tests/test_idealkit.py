@@ -11,7 +11,8 @@ from fanolines.idealkit import (add_jacobian_certificates,
                                 certify_reduced_point, enumerated_points,
                                 hilbert_data,
                                 is_complete_intersection, jacobian_rank_at,
-                                rational_points, sample_smooth_points,
+                                random_slice, rational_points,
+                                sample_smooth_points,
                                 singular_points, slice_degree, solve_report,
                                 variety_report)
 from fanolines.linalg import mat_rank
@@ -434,6 +435,29 @@ def test_slice_degree_agrees_with_hilbert_on_random_ci():
     dim, degree = hilbert_data(ideal)
     assert (dim, degree) == (1, 4)
     assert slice_degree(ideal, 3, rng) == 4
+
+
+def test_random_slice_never_bounds_below_the_dimension():
+    # the plane V(x3, x4, x5, x6) in P^6 meets every linear subspace of
+    # codimension 2, so no cut of that codimension may come out empty; a
+    # generic cut of codimension c leaves a linear space of dimension 2 - c
+    plane = Ideal([parse(f"x{i}", 7, F10007) for i in range(3, 7)])
+    assert hilbert_data(plane) == (2, 1)
+    for seed in range(20):
+        rng = random.Random(seed)
+        for codim in (1, 2, 3):
+            assert hilbert_data(random_slice(plane, codim, rng)) == (
+                (2 - codim, 1) if codim <= 2 else (-1, 0))
+
+
+def test_random_slice_appends_the_drawn_linear_forms():
+    ideal = Ideal([parse("x0*x3 - x1*x2", 4, F10007)])
+    rng, replay = random.Random(8), random.Random(8)
+    sliced = random_slice(ideal, 3, rng)
+    assert sliced.generators == ideal.generators + tuple(
+        random_homogeneous(F10007, 4, 1, replay) for _ in range(3))
+    assert rng.getstate() == replay.getstate()
+    assert random_slice(ideal, 0, rng).generators == ideal.generators
 
 
 def test_is_complete_intersection():

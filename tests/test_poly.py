@@ -10,7 +10,7 @@ from fanolines import (PrimeField, Polynomial, ProjectivePoint,
 from fanolines.field import FieldElement, relative_extension
 from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
                             evaluate_at, jacobian_rank_at, monomials_of_degree,
-                            random_homogeneous, restrict, substitute_all)
+                            random_homogeneous, restrict)
 from fanolines.unipoly import roots_in_field
 from fanolines.linalg import random_invertible
 from fanolines.errors import (FanolinesError, ParseError, UnknownVariable,
@@ -456,17 +456,6 @@ def test_substitute_commutes_with_evaluation(field, seed):
         assert g.evaluate(v) == f.evaluate([h.evaluate(v) for h in images])
 
 
-@pytest.mark.parametrize("field", [F7, F9], ids=str)
-def test_substitute_all_matches_one_at_a_time(field):
-    # the shared monomial-image cache must not leak between polynomials
-    rng = random.Random(11)
-    polys = [random_poly(field, 3, 4, rng, terms=10) for _ in range(5)]
-    polys.append(Polynomial.zero(field, 3))
-    images = [random_image(field, 4, rng) for _ in range(3)]
-    assert substitute_all(polys, images) == [f.substitute(images) for f in polys]
-    assert substitute_all([], images) == []
-
-
 @given(st.integers(0, 10**6),
        st.sampled_from([F7, F10007, PrimeField(4294967311), F9,
                         build_extension(10007, 6)]),
@@ -480,7 +469,8 @@ def test_substitute_all_matches_plain_route(seed, field, nvars, target):
     images = [random_image(field, target, rng) if rng.randrange(2)
               else random_poly(field, target, 2, rng, terms=20)
               for _ in range(nvars)]
-    assert substitute_all(polys, images) == plain_substitute_all(polys, images)
+    assert [f.substitute(images) for f in polys] == plain_substitute_all(
+        polys, images)
 
 
 @pytest.mark.parametrize("field", [F7, F9], ids=str)

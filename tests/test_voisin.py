@@ -13,11 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from fanolines import (Ideal, Polynomial, PrimeField, ProjectivePoint,
                        build_extension)
-from fanolines.linalg import random_invertible
 from fanolines.poly import random_homogeneous
 from fanolines import voisin
-from fanolines.voisin import (NormalFormCubic, _random_linear_slice,
-                              analyze_node_lines,
+from fanolines.voisin import (NormalFormCubic, analyze_node_lines,
                               certify_node, node_line_system, nodes,
                               normal_form_cubic, rank_drop_ideal,
                               restricted_quadrics, run_node_analysis)
@@ -372,16 +370,16 @@ def test_singular_locus_work_is_pinned(monkeypatch):
                 phase[0] = outer
         return run
 
-    counted = {"substitute_all": poly.substitute_all,
-               "mono_divides": poly.mono_divides,
+    counted = {"mono_divides": poly.mono_divides,
                "groebner_basis": groebner.groebner_basis}
     for name, module in list(sys.modules.items()):
         for fn_name, fn in counted.items():
             if (name.startswith("fanolines")
                     and getattr(module, fn_name, None) is fn):
                 monkeypatch.setattr(module, fn_name, counter(fn_name, fn))
-    monkeypatch.setattr(Polynomial, "__mul__",
-                        counter("__mul__", Polynomial.__mul__))
+    for method in ("__mul__", "substitute"):
+        monkeypatch.setattr(Polynomial, method,
+                            counter(method, getattr(Polynomial, method)))
     monkeypatch.setattr(voisin, "rank_drop_ideal", staged(
         "rank_drop_ideal", voisin.rank_drop_ideal))
     monkeypatch.setattr(idealkit, "solve_projective", staged(
@@ -392,7 +390,7 @@ def test_singular_locus_work_is_pinned(monkeypatch):
     assert report.matched()
     assert report.computed["singular_count"] == "3"
     assert calls.get(("rank_drop_ideal", "__mul__"), 0) == 0
-    assert calls.get(("solve_projective", "substitute_all"), 0) == 0
+    assert calls.get(("solve_projective", "substitute"), 0) == 0
     assert calls.get(("staircase_data", "mono_divides"), 0) == 0
     assert sum(n for (_, name), n in calls.items()
                if name == "groebner_basis") == 2
@@ -456,21 +454,3 @@ def test_invalid_rank_r():
     with pytest.raises(InvalidParameters):
         normal_form_cubic(0, F10007, seed=0)
 
-
-def test_slice_is_one_substitution_of_the_two_ring_maps():
-    # x -> M x followed by y_j -> 0 for j >= m, done as one ring map, from
-    # the same rng stream
-    nfc = normal_form_cubic(3, F10007, seed=0)
-    certs = nodes(nfc, seed=0)
-    rd = rank_drop_ideal(node_line_system(nfc, certs[0].point))
-    n, codim = rd.nvars, 3
-    m = n - codim
-    for seed in range(3):
-        sliced = _random_linear_slice(rd, codim, random.Random(seed))
-        matrix = random_invertible(F10007, n, random.Random(seed))
-        restrict = [Polynomial.variable(F10007, m, i) if i < m
-                    else Polynomial.zero(F10007, m) for i in range(n)]
-        expected = [g.apply_matrix(matrix).substitute(restrict)
-                    for g in rd.generators]
-        assert sliced == expected
-        assert all(g.nvars == m for g in sliced)
