@@ -31,7 +31,10 @@ per operation:
   first node (12 generators in 5 variables), all four per call;
 - `slice r3`: the r = 3 singular-dimension certificate of `voisin-demo
   3 --seed 0` over F_10007, one `random_slice` of codimension 3 of the
-  rank-drop ideal at its first node plus its `hilbert_data`.
+  rank-drop ideal at its first node plus its `hilbert_data`;
+- `readoff`: `enumerated_points` at k_max 4 of the conics x0^2 - 3 x2^2,
+  x1 x2 - x0^2 over F_7, whose points have residue degrees 1, 2 and 2:
+  F_{7^4} is scanned and levels 1 and 2 are read off it.
 
 Every name used exists in each version of the package that has
 `idealkit.random_slice`, so the same script times two such checkouts for
@@ -50,7 +53,8 @@ from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.fano import line_system, random_pointed_hypersurface
 from fanolines.groebner import groebner_basis
 from fanolines.field import FieldElement, relative_extension
-from fanolines.idealkit import groebner_of, hilbert_data, random_slice
+from fanolines.idealkit import (Ideal, enumerated_points, groebner_of,
+                               hilbert_data, random_slice)
 from fanolines.poly import (default_names, jacobian_rank_at,
                             monomials_of_degree, random_homogeneous)
 from fanolines.solve import solve_projective
@@ -143,6 +147,11 @@ def operations():
     rd = rank_drop_ideal(node_line_system(nfc, nodes(nfc, seed=0)[0].point))
     ops.append(("slice r3 GF(10007)",
                 lambda: hilbert_data(random_slice(rd, 3, random.Random(0))), 1))
+    f7 = PrimeField(7)
+    conics = Ideal([parse_polynomial(text, default_names(3), f7)
+                    for text in ("x0^2 - 3*x2^2", "x1*x2 - x0^2")])
+    ops.append(("readoff conics GF(7^4)",
+                lambda: enumerated_points(conics, k_max=4), 1))
     return ops
 
 

@@ -776,32 +776,23 @@ def _frobenius_shift(ground: Field, mid: Field, top: Field) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def payload_descent(ground: Field, sub: Field, top: Field):
-    """The payload map that brings an element of top lying in sub back
-    down to sub: the inverse, on its image, of the embedding e of sub in
-    top that agrees with embedding(ground, top) on the image of
-    embedding(ground, sub). So a point over top of a system embedded from
-    ground, with coordinates in sub, comes down to a point over sub of
-    the same system embedded into sub.
+def subfield_table(ground: Field, sub: Field, top: Field) -> dict:
+    """{payload in top: payload in sub} over the subfield of top with
+    |sub| elements, sub a proper subfield of top.
 
-    e is `payload_lift(sub, top)` followed by the Frobenius power
-    `_frobenius_shift(ground, sub, top)`. It is F_p-linear, so an image x
-    is sum a_i e(t^i): x reduced against the rows e(t^i), each followed by
-    its unit vector, leaves zero with -(a_i) in the unit slots. Built
-    once per (ground, sub, top).
+    Each element of sub goes up by the embedding e that agrees with
+    embedding(ground, top) on the image of embedding(ground, sub):
+    `payload_lift(sub, top)` followed by the Frobenius power
+    `_frobenius_shift(ground, sub, top)`. So a key lies in that subfield,
+    and its value brings a point over top of a system embedded from
+    ground down to a point over sub of the same system embedded into sub.
+    Built once per (ground, sub, top).
     """
-    if isinstance(sub, PrimeField):
-        return lambda c: c[0]
-    from .linalg import Echelon
-    p, k, lift = sub.p, sub.k, payload_lift(sub, top)
-    shift = _frobenius_shift(ground, sub, top)
-    rows = Echelon(build_extension(p, 1), top.k)
-    for i in range(k):
-        unit = [int(i == j) for j in range(k)]
-        image = top.frobenius(FieldElement(top, lift(unit)), shift)
-        rows.add(list(image.payload) + unit)
-    return lambda c: tuple(
-        -v % p for v in rows.reduce(list(c) + [0] * k)[top.k:])
+    lift, shift = payload_lift(sub, top), _frobenius_shift(ground, sub, top)
+    payloads = (sub.element_from_code(code).payload
+                for code in range(sub.order()))
+    return {top.frobenius(FieldElement(top, lift(c)), shift).payload: c
+            for c in payloads}
 
 
 def relative_extension(ground: Field, k: int):

@@ -18,13 +18,13 @@ from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, Inconclusive, InvalidParameters
-from .field import Field, FieldElement, payload_descent, relative_extension
+from .field import Field, FieldElement, relative_extension, subfield_table
 from .groebner import groebner_basis
 from .hilbert import staircase_data
 from .poly import GREVLEX, Polynomial, jacobian_rank_at, random_homogeneous
 from .projgeo import DEFAULT_BUDGET, ProjectivePoint, exceeds_budget
 from .scan import singular_scan, variety_scan
-from .solve import SolveResult, exact_relative_degree, solve_projective
+from .solve import SolveResult, solve_projective
 
 DEFAULT_KMAX = 2
 LINE_COUNT_KMAX = 6  # raised default for the 0-dimensional line-count suites
@@ -162,11 +162,15 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
     Only the top levels are scanned: the k <= k_max that divide no larger
     k' <= k_max (F_{q^2} alone at k_max = 2), since P^N(F_{q^k'}) holds
     P^N(F_{q^k}). A lower level j is read off the largest top level it
-    divides: the scanned points of exact residue degree j come down to
-    relative_extension(field, j) by `payload_descent`, and are sorted by
-    their codes there, which is that level's scan order (embedded codes
-    need not keep it). The top level is the largest, so the budget is
-    checked against it before any level is scanned.
+    divides. A scanned point's residue degree is the least proper divisor
+    of the top level whose `subfield_table` holds every coordinate, and
+    the top level when none does; a point of a lower level takes its
+    coordinates there from that table and the level is sorted by their
+    codes, its scan order (embedded codes need not keep it). With
+    Q = q^top a table has at most sqrt(Q) entries, while scanning F_Q
+    builds log tables of about 11 Q int32 entries, so every table of a
+    top level is built before its scan. The top level is the largest, so
+    the budget is checked against it before any level is scanned.
     """
     field = ideal.field
     n_proj = ideal.ambient_proj_dim
@@ -185,15 +189,17 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
                if top % j == 0 and j not in levels]
         for j in own:
             levels[j] = []
+        tables = {j: subfield_table(field, relative_extension(field, j)[0], ext)
+                  for j in range(1, top) if top % j == 0}
         for pt in scan(mapped, ext):
-            j = exact_relative_degree(pt.coords, field, top)
+            j = next((j for j, table in tables.items()
+                      if all(c.payload in table for c in pt.coords)), top)
             if j in own:
                 levels[j].append(pt)
         for j in own[:-1]:
             sub = relative_extension(field, j)[0]
-            descent = payload_descent(field, sub, ext)
             for pt in levels[j]:
-                pt.coords = tuple(FieldElement(sub, descent(c.payload))
+                pt.coords = tuple(FieldElement(sub, tables[j][c.payload])
                                   for c in pt.coords)
             levels[j].sort(key=lambda pt: [sub.code_of(c) for c in pt.coords])
     return [pt for j in sorted(levels) for pt in levels[j]]

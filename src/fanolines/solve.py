@@ -69,18 +69,6 @@ def _read_off(fiber: List[Polynomial],
     return tuple(values)
 
 
-def exact_relative_degree(coords: Sequence[FieldElement], ground: Field,
-                          k: int) -> int:
-    """Smallest j | k such that every coordinate, an element of the degree-k
-    extension of ground, lies in its degree-j subextension: the residue
-    degree over ground of the point they span."""
-    for j in range(1, k):
-        if k % j == 0 and all(c.field.frobenius(c, ground.degree * j) == c
-                              for c in coords):
-            return j
-    return k
-
-
 def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
                    rng: random.Random) -> List[Tuple[int, Tuple[FieldElement, ...]]]:
     """Points of residue degree <= k_max over the finite field ground of
@@ -122,8 +110,6 @@ def _fiber_points(basis: List[Polynomial], nvars: int, root: FieldElement,
     values = _read_off(fiber, nvars)
     if values is not None:
         return [(j, values + (root,))]
-    if not fiber:
-        raise NotZeroDimensional("system vanished identically during solving")
     out = []
     for i, coords in _affine_points(lex_basis_zero_dim(fiber), ext, k_max, rng):
         top, lift = relative_extension(ext, i)

@@ -15,7 +15,6 @@ from fanolines.field import (FieldElement, _Ring, payload_lift,
 from fanolines.linalg import mat_rank
 from fanolines.poly import MAX_TERM_DEGREE, _tokenize, default_names
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
-from fanolines.solve import exact_relative_degree
 
 
 def monomial(field, exps, coeff=None):
@@ -86,6 +85,18 @@ def enumerate_projective_points(n_proj, field, budget=DEFAULT_BUDGET):
             yield pt
 
 
+def frobenius_residue_degree(coords, ground, k):
+    """The least j | k such that x^(q^j) = x for every coordinate x, an
+    element of the degree-k extension of ground F_q: the residue degree
+    over ground of the point they span. The Frobenius fixed-point oracle
+    of `field.subfield_table` and the solver's residue degrees."""
+    for j in range(1, k):
+        if k % j == 0 and all(c.field.frobenius(c, ground.degree * j) == c
+                              for c in coords):
+            return j
+    return k
+
+
 def per_level_points(ideal, k_max, scan):
     """The points `scan(generators over F_{q^k}, F_{q^k})` returns for
     k = 1..k_max, every level scanned on its own, each point kept only at
@@ -98,7 +109,7 @@ def per_level_points(ideal, k_max, scan):
         ext, embed = relative_extension(field, k)
         mapped = [g.map_coefficients(ext, embed) for g in gens]
         out.extend(pt for pt in scan(mapped, ext)
-                   if exact_relative_degree(pt.coords, field, k) == k)
+                   if frobenius_residue_degree(pt.coords, field, k) == k)
     return out
 
 

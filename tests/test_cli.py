@@ -245,6 +245,23 @@ def test_sing_locus_finds_node(nodal_file, capsys):
     assert doc["report"]["singular_points"] == [["1", "0", "0", "0"]]
 
 
+def test_plain_reports_print_their_summary(fixture_file, nodal_file, capsys):
+    assert main(["groebner", fixture_file]) == 0
+    assert capsys.readouterr().out == (
+        "dimension: 0\ndegree: 4\nbasis:\n  x0*x1 + 10006*x2^2\n"
+        "  x0^2 + x1^2 + 10006*x2^2\n  x1^3 + x0*x2^2 + 10006*x1*x2^2\n")
+    assert main(["sing-locus", nodal_file, "--prime", "11", "--kmax", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "dimension: 2\ndegree: 3\ncount: 1\nsingular_points:\n"
+        "  1 : 0 : 0 : 0\n")
+
+
+def test_summary_counts_reseeded_attempts(capsys):
+    assert main(["lines-through", "--random", "3", "3", "2", "--prime", "5",
+                 "--seed", "1"]) == 0
+    assert "attempts: 3 (reseeded 2 times)\n" in capsys.readouterr().out
+
+
 def test_bezout_check_ok(capsys):
     code = main(["bezout-check", "3", "2", "2", "--seed", "1", "--quiet"])
     assert code == 0
@@ -271,18 +288,23 @@ def test_voisin_demo_without_instance_exits_3(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["bezout-check", "2", "2", "2", "2"], None),
-    (["lines-through", "--point", "1:0:0:0"], "x0^3 + x1^2*x2 + x3\n"),
-    (["lines-through", "--point", "0:0:0:0"], NODAL),
-], ids=["more-degrees-than-dimension", "inhomogeneous", "zero-point"])
-def test_invalid_input_exit_2(tmp_path, argv, text, capsys):
+@pytest.mark.parametrize("argv,text,message", [
+    (["bezout-check", "2", "2", "2", "2"], None,
+     "need 1 <= len(degrees) <= n_proj, degrees >= 1"),
+    (["lines-through", "--point", "1:0:0:0"], "x0^3 + x1^2*x2 + x3\n",
+     "hypersurface equation must be homogeneous"),
+    (["lines-through", "--point", "0:0:0:0"], NODAL, "all coordinates zero"),
+    (["lines-through", "--point", "1:0:0:0"], "x0 - x0\n",
+     "hypersurface equation is zero"),
+], ids=["more-degrees-than-dimension", "inhomogeneous", "zero-point",
+        "zero-form"])
+def test_invalid_input_exit_2(tmp_path, argv, text, message, capsys):
     if text is not None:
         path = tmp_path / "form.txt"
         path.write_text(text)
         argv = argv + ["--poly", str(path)]
     assert main(argv) == 2
-    assert "invalid input" in capsys.readouterr().err
+    assert f"invalid input: {message}" in capsys.readouterr().err
 
 
 def test_json_files_byte_identical_between_reruns(tmp_path, fixture_file):

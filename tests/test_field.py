@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from fanolines import PrimeField, build_extension
 from fanolines.field import (FieldElement, embedding, is_prime,
-                             payload_descent, relative_extension)
+                             relative_extension, subfield_table)
 from fanolines.errors import NotPrime, ZeroInversion
 
-from conftest import (PlainArith, fermat_inverse, plain_extension_mul,
-                      ring_digits, ring_payloads)
+from conftest import (PlainArith, fermat_inverse, frobenius_residue_degree,
+                      plain_extension_mul, ring_digits, ring_payloads)
 
 # F_(7^4) and F_(p^2), p = 4294967311, also multiply through slot-by-slot
 # packing, F_(10007^6) through 64-bit struct slots
@@ -245,9 +245,9 @@ def test_relative_extension_tower():
 @pytest.mark.parametrize("p,d,j,k", [
     (5, 1, 1, 4), (5, 1, 2, 4), (3, 2, 1, 2), (3, 2, 2, 4), (3, 2, 3, 6),
     (3, 3, 2, 4)])
-def test_payload_descent_is_a_field_map_that_fixes_the_ground(p, d, j, k):
+def test_subfield_table_is_a_field_map_that_fixes_the_ground(p, d, j, k):
     # sub and top are the degree-j and degree-k extensions of the ground.
-    # The descent must map sub's image in top onto sub as a field map
+    # The table must map sub's image in top onto sub as a field map
     # that commutes with both embeddings of the ground; at (3, 2, 3, 6)
     # and (3, 3, 2, 4) the plain inverse of embedding(sub, top) does not,
     # as embedding the ground into top through sub differs from embedding
@@ -255,18 +255,25 @@ def test_payload_descent_is_a_field_map_that_fixes_the_ground(p, d, j, k):
     ground = PrimeField(p) if d == 1 else build_extension(p, d)
     sub, to_sub = relative_extension(ground, j)
     top, to_top = relative_extension(ground, k)
-    descent = payload_descent(ground, sub, top)
+    table = subfield_table(ground, sub, top)
     up = embedding(sub, top)
 
     def down(u):
-        return FieldElement(sub, descent(u.payload))
+        return FieldElement(sub, table[u.payload])
 
+    assert len(table) == sub.order()
     for a in sample_many(ground, 1, 20):
         assert down(to_top(a)) == to_sub(a)
     for x, y in zip(sample_many(sub, 2, 20), sample_many(sub, 3, 20)):
         assert down(up(x) * up(y)) == down(up(x)) * down(up(y))
         assert down(up(x) + up(y)) == down(up(x)) + down(up(y))
     assert down(up(sub.one())) == sub.one()
+    # the keys are the elements of top that the Frobenius oracle puts in
+    # the subfield of degree j over the ground, i.e. of residue degree | j
+    keys = random.Random(4).sample(sorted(table), min(20, len(table)))
+    for u in [FieldElement(top, c) for c in keys] + sample_many(top, 5, 40):
+        degree = frobenius_residue_degree([u], ground, k)
+        assert (u.payload in table) == (j % degree == 0)
 
 
 @given(st.integers(min_value=-200, max_value=200))

@@ -15,12 +15,11 @@ import pytest
 from fanolines import PrimeField, build_extension
 from fanolines.field import (_STRUCT_BITS, FieldElement, _Ring,
                              relative_extension)
-from fanolines.solve import exact_relative_degree
 from fanolines.unipoly import (_quotient_ring, distinct_degree_factorization,
                                roots_in_field)
 
-from conftest import (plain_ddf, ring_digits, ring_payloads,
-                      schoolbook_mulmod, schoolbook_powmod)
+from conftest import (frobenius_residue_degree, plain_ddf, ring_digits,
+                      ring_payloads, schoolbook_mulmod, schoolbook_powmod)
 
 
 def horner(coeffs, x):
@@ -195,7 +194,7 @@ def test_orbit_roots_match_general_roots_and_brute_force(ground):
             mapped = [embed(c) for c in e]
             brute = [z for z in map(ext.element_from_code, range(ext.order()))
                      if horner(mapped, z).is_zero()
-                     and exact_relative_degree([z], ground, j) == j]
+                     and frobenius_residue_degree([z], ground, j) == j]
             orbit = roots_in_field([embed(c) for c in parts[j]], ext, rng,
                                    orbit=j) if j in parts else []
             assert orbit == brute, (trial, j)

@@ -7,6 +7,7 @@ the certified list, extension level by extension level.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,16 @@ def test_restricted_quadrics_cut_finite_scheme():
         nfc = normal_form_cubic(r, F10007, seed=0)
         ideal = Ideal(restricted_quadrics(nfc))
         assert hilbert_data(ideal) == (0, 2 ** r)
+
+
+def test_nodes_reject_restricted_quadrics_that_are_not_finite():
+    # x2*x3 vanishes on the line x2 = x3 = 0, so the restricted system
+    # is all of P^1, not two points
+    nfc = NormalFormCubic((parse("x2*x3", 4, PrimeField(7)),))
+    with pytest.raises(DegenerateInstance, match=re.escape(
+            "restricted quadrics give (dim, degree) = (1, 1), "
+            "expected (0, 2)")):
+        nodes(nfc)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
