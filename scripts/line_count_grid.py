@@ -15,6 +15,7 @@ import time
 
 from fanolines import PrimeField
 from fanolines.fano import expected_count, run_line_analysis
+from fanolines.idealkit import matched
 
 
 def main():
@@ -42,14 +43,14 @@ def main():
         dt = time.monotonic() - t0
         if d == m + n - 2:
             want = expected_count(d, m)
-            found = f"{len(rep.solutions)}/{want} by deg " + ",".join(
-                f"{k}:{v}" for k, v in sorted(rep.counts_by_degree.items()))
+            found = f"{len(rep['solutions'])}/{want} by deg " + ",".join(
+                f"{k}:{v}" for k, v in sorted(rep["counts_by_degree"].items()))
         else:
-            found = f"{len(rep.certificates)} smooth samples"
-        print(f"{n:>2} {d:>2} {m:>2} {rep.computed['dimension']:>4} "
-              f"{rep.computed['degree']:>5} "
-              f"{str(rep.matched()).lower():>5} {found:>18} {dt:5.1f}s")
-        for flag in rep.flags:
+            found = f"{len(rep['certificates'])} smooth samples"
+        print(f"{n:>2} {d:>2} {m:>2} {rep['computed']['dimension']:>4} "
+              f"{rep['computed']['degree']:>5} "
+              f"{str(matched(rep)).lower():>5} {found:>18} {dt:5.1f}s")
+        for flag in rep["flags"]:
             print(f"         flag: {flag}")
 
 

@@ -15,6 +15,7 @@ import time
 
 from fanolines import PrimeField
 from fanolines.errors import DegenerateInstance
+from fanolines.idealkit import matched
 from fanolines.voisin import run_node_analysis
 
 
@@ -38,21 +39,22 @@ def main():
                 continue
             dt = time.monotonic() - t0
             ranks = sorted(int(c["quadratic_part_rank"])
-                           for c in rep.certificates if c["kind"] == "node")
-            line = (f"  seed {seed}: nodes {rep.computed['node_count']} "
+                           for c in rep["certificates"] if c["kind"] == "node")
+            computed = rep["computed"]
+            line = (f"  seed {seed}: nodes {computed['node_count']} "
                     f"(hessian ranks {ranks}), line scheme "
-                    f"dim {rep.computed['dimension']} "
-                    f"deg {rep.computed['degree']}")
+                    f"dim {computed['dimension']} "
+                    f"deg {computed['degree']}")
             if r == 2:
-                line += (f", singular locus {rep.computed['singular_count']}"
-                         f" pts reduced={rep.computed['singular_reduced']}")
+                line += (f", singular locus {computed['singular_count']}"
+                         f" pts reduced={computed['singular_reduced']}")
             elif r >= 3:
-                line += f", sing dim {rep.computed['singular_dim_bound']}"
-            line += (f", matched={str(rep.matched()).lower()}"
+                line += f", sing dim {computed['singular_dim_bound']}"
+            line += (f", matched={str(matched(rep)).lower()}"
                      f", {dt:.1f}s")
             print(line)
-            if len(rep.attempts) > 1:
-                print(f"    resampled: {rep.attempts}")
+            if len(rep["attempts"]) > 1:
+                print(f"    resampled: {rep['attempts']}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List
 from .errors import DegenerateInstance, InvalidParameters, ZeroPolynomial
 from .field import Field
 from .idealkit import (DEFAULT_BUDGET, Ideal, LINE_COUNT_KMAX, SAMPLE_KMAX,
-                       VarietyReport, add_jacobian_certificates,
+                       add_jacobian_certificates, hilbert_data, matched,
                        sample_smooth_points, solve_report, variety_report)
 from .poly import Polynomial, random_homogeneous
 from .projgeo import ProjectivePoint, move_to_base_point
@@ -155,7 +155,7 @@ def line_system(ph: PointedHypersurface) -> LineSystem:
 
 def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
                   samples: int = LINE_SAMPLES, seed: int = 0,
-                  budget: int = DEFAULT_BUDGET) -> VarietyReport:
+                  budget: int = DEFAULT_BUDGET) -> Dict:
     """Full verification pass over one instance's line system.
 
     Dimension and degree come from the Hilbert series.  Finite systems
@@ -176,30 +176,30 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
         "codimension": str(codim),
         "smooth_rank": str(codim),
     })
-    dim, degree = report.dimension, report.degree
+    dim, degree = hilbert_data(ideal)
     if dim == 0:
         result = solve_report(ideal, k_max, seed=seed)
         # reduced isolated points need full ambient codimension n-1
         ranks = add_jacobian_certificates(report, ideal, result.points,
                                           reduced_rank=n - 1)
-        report.solutions = [pt.serialize() for pt in result.points]
-        report.counts_by_degree = {
+        report["solutions"] = [pt.serialize() for pt in result.points]
+        report["counts_by_degree"] = {
             str(k): str(v) for k, v in sorted(result.counts_by_degree.items())}
-        report.predicted["smooth_rank"] = str(n - 1)
+        report["predicted"]["smooth_rank"] = str(n - 1)
         found = len(result.points)
         if found < degree:
             nonreduced = sum(1 for r in ranks if r < n - 1)
             if nonreduced:
-                report.flags.append(
+                report["flags"].append(
                     f"line scheme is non-reduced at {nonreduced} of "
                     f"{found} computed points")
-            report.flags.append(
+            report["flags"].append(
                 f"computed points account for {found} of scheme degree "
                 f"{degree}; the rest lies in extensions beyond "
                 f"k_max={k_max} or in point multiplicities")
         else:
-            report.predicted["points_found"] = str(degree)
-            report.computed["points_found"] = str(found)
+            report["predicted"]["points_found"] = str(degree)
+            report["computed"]["points_found"] = str(found)
     else:
         # d - m + 1 <= n - 1 forms in P^{n-1}, so dim >= 0; sampling keeps
         # its own degree bound, whatever k_max is
@@ -207,13 +207,12 @@ def analyze_lines(ph: PointedHypersurface, k_max: int = LINE_COUNT_KMAX,
                                    k_max=SAMPLE_KMAX, budget=budget)
         add_jacobian_certificates(report, ideal, pts)
         if not pts:
-            report.flags.append("no smoothness samples found; field too small"
-                                " or every slice degenerated")
+            report["flags"].append("no smoothness samples found; field too "
+                                   "small or every slice degenerated")
     return report
 
 
-def resample(attempt: Callable[[int], VarietyReport],
-             seeds: range) -> VarietyReport:
+def resample(attempt: Callable[[int], Dict], seeds: range) -> Dict:
     """Run `attempt` at each seed in turn until its report matches.
 
     Finite fields can hit the measure-zero bad locus that a generic
@@ -230,21 +229,21 @@ def resample(attempt: Callable[[int], VarietyReport],
         except DegenerateInstance as exc:
             attempts.append({"seed": str(s), "outcome": f"degenerate: {exc}"})
             continue
-        outcome = "ok" if report.matched() else "certificate mismatch"
+        outcome = "ok" if matched(report) else "certificate mismatch"
         attempts.append({"seed": str(s), "outcome": outcome})
-        if report.matched():
+        if outcome == "ok":
             break
     if report is None:
         raise DegenerateInstance(f"no non-degenerate instance in "
                                  f"{len(seeds)} attempts from seed {seeds[0]}")
-    report.attempts = attempts
+    report["attempts"] = attempts
     return report
 
 
 def run_line_analysis(n: int, d: int, m: int, field: Field, seed: int,
                       k_max: int = LINE_COUNT_KMAX,
                       samples: int = LINE_SAMPLES,
-                      budget: int = DEFAULT_BUDGET) -> VarietyReport:
+                      budget: int = DEFAULT_BUDGET) -> Dict:
     """Sample-and-verify pipeline, resampled at seed+1, ... up to
     MAX_RESAMPLES attempts while certificates mismatch (`resample`)."""
     return resample(lambda s: analyze_lines(

@@ -1,6 +1,7 @@
 """Ideal-level analysis: Groebner bases, dimension and degree, point
 finding over extensions, singular loci, and random-slice degree checks;
-and the one builder of `VarietyReport`s that every pipeline uses.
+and `variety_report`, the one builder of the JSON report that every
+pipeline fills in.
 
 Dimension and degree always come from the Hilbert series of the
 leading-term ideal. Point counts come from two independent routes: the
@@ -13,7 +14,6 @@ other in the test suite on small fields.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -22,8 +22,8 @@ from .field import Field, FieldElement, relative_extension, subfield_table
 from .groebner import groebner_basis
 from .hilbert import staircase_data
 from .poly import GREVLEX, Polynomial, jacobian_rank_at, random_homogeneous
-from .projgeo import DEFAULT_BUDGET, ProjectivePoint, exceeds_budget
-from .scan import singular_scan, variety_scan
+from .projgeo import DEFAULT_BUDGET, ProjectivePoint
+from .scan import check_budget, singular_scan, variety_scan
 from .solve import SolveResult, solve_projective
 
 DEFAULT_KMAX = 2
@@ -114,18 +114,19 @@ def rational_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
     """Common zeros in P^N(F_{q^k}) for every k <= k_max, deduplicated.
 
     Each point appears once, over the extension matching its exact residue
-    degree. When P^N(F_{q^k_max}) fits the budget the points are
-    enumerated (`enumerated_points`); otherwise the scheme must be
-    zero-dimensional and the elimination solver finds them
-    (`solve_report`). A positive-dimensional scheme too large to
+    degree. When the scan of P^N(F_{q^k_max}) fits the budget, its points
+    and its tables (`scan.check_budget`), the points are enumerated
+    (`enumerated_points`); otherwise the scheme must be zero-dimensional
+    and the elimination solver finds them (`solve_report`), in the same
+    order on P^0 and P^1. A positive-dimensional scheme too large to
     enumerate raises BudgetExceeded.
     """
-    field = ideal.field
     if not ideal.nonzero_generators():
         raise BudgetExceeded("the zero ideal has the whole space as zeros")
-    if not exceeds_budget(ideal.ambient_proj_dim, field.order(), budget,
-                          k_max):
+    try:
         return enumerated_points(ideal, k_max, budget)
+    except BudgetExceeded:
+        pass  # raised before any level is scanned: solve instead
     dim, _ = hilbert_data(ideal)
     if dim > 0:
         raise BudgetExceeded(
@@ -146,7 +147,8 @@ def enumerated_points(ideal: Ideal, k_max: int = DEFAULT_KMAX,
     over the level of its exact residue degree. Only the top levels are
     scanned; the lower ones are read off them (`_scan_levels`).
 
-    Raises BudgetExceeded when P^N(F_{q^k_max}) exceeds the budget.
+    Raises BudgetExceeded when the scan of P^N(F_{q^k_max}) exceeds the
+    budget (`scan.check_budget`).
     """
     return _scan_levels(ideal, k_max, budget,
                         lambda gens, ext: variety_scan(gens, ext, budget))
@@ -170,14 +172,11 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
     Q = q^top a table has at most sqrt(Q) entries, while scanning F_Q
     builds log tables of about 11 Q int32 entries, so every table of a
     top level is built before its scan. The top level is the largest, so
-    the budget is checked against it before any level is scanned.
+    the budget, which counts its points and its log tables, is checked
+    against it before any table is built or level scanned.
     """
     field = ideal.field
-    n_proj = ideal.ambient_proj_dim
-    q = field.order()
-    if exceeds_budget(n_proj, q, budget, k_max):
-        raise BudgetExceeded(
-            f"P^{n_proj}(F_{q}^{k_max}) has more than {budget} points")
+    check_budget(ideal.ambient_proj_dim, field, k_max, budget)
     gens = ideal.nonzero_generators()
     levels: Dict[int, List[ProjectivePoint]] = {}
     for top in range(k_max, 0, -1):
@@ -325,68 +324,31 @@ def sample_smooth_points(ideal: Ideal, count: int, rng: random.Random,
 # reports
 
 
-@dataclass
-class VarietyReport:
-    """Computed invariants next to the values the construction predicts.
-
-    All numeric values are serialized as strings so reports are exact and
-    byte-stable. `predicted` and `computed` share keys; a report matches
-    when every predicted value equals its computed counterpart.
-    """
-
-    dimension: int
-    degree: int
-    is_complete_intersection: bool
-    predicted: Dict[str, str]
-    computed: Dict[str, str]
-    solutions: List[List[str]] = dataclass_field(default_factory=list)
-    singular: List[List[str]] = dataclass_field(default_factory=list)
-    counts_by_degree: Dict[str, str] = dataclass_field(default_factory=dict)
-    flags: List[str] = dataclass_field(default_factory=list)
-    attempts: List[Dict[str, str]] = dataclass_field(default_factory=list)
-    certificates: List[Dict[str, str]] = dataclass_field(default_factory=list)
-
-    def matched(self) -> bool:
-        return all(self.computed.get(k) == v for k, v in self.predicted.items())
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": dimension_text(self.dimension),
-            "degree": str(self.degree),
-            "is_complete_intersection": "true" if self.is_complete_intersection else "false",
-            "predicted": dict(self.predicted),
-            "computed": dict(self.computed),
-            "solutions": [list(s) for s in self.solutions],
-            "singular_points": [list(s) for s in self.singular],
-            "counts_by_degree": dict(self.counts_by_degree),
-            "flags": list(self.flags),
-            "attempts": [dict(a) for a in self.attempts],
-            "certificates": [dict(c) for c in self.certificates],
-            "matched": "true" if self.matched() else "false",
-        }
-
-
 def dimension_text(dim: int) -> str:
     """A projective dimension as reported; -1 is the empty scheme."""
     return "empty" if dim < 0 else str(dim)
 
 
-def variety_report(ideal: Ideal, predicted: Dict[str, str]) -> VarietyReport:
-    """A report of the ideal's Hilbert invariants against `predicted`:
-    computed dimension, degree and codimension, and whether the
-    codimension equals the number of nonzero generators."""
+def variety_report(ideal: Ideal, predicted: Dict[str, str]) -> Dict:
+    """The JSON report of the ideal's Hilbert invariants against
+    `predicted`, every value a string: computed dimension, degree and
+    codimension, whether the codimension equals the number of nonzero
+    generators, and empty the lists and dicts a pipeline fills in."""
     dim, degree = hilbert_data(ideal)
-    return VarietyReport(
-        dimension=dim,
-        degree=degree,
-        is_complete_intersection=is_complete_intersection(ideal),
-        predicted=predicted,
-        computed={
-            "dimension": dimension_text(dim),
-            "degree": str(degree),
-            "codimension": str(ideal.ambient_proj_dim - dim),
-        },
-    )
+    computed = {"dimension": dimension_text(dim), "degree": str(degree),
+                "codimension": str(ideal.ambient_proj_dim - dim)}
+    return {"dimension": computed["dimension"], "degree": computed["degree"],
+            "is_complete_intersection": (
+                "true" if is_complete_intersection(ideal) else "false"),
+            "predicted": predicted, "computed": computed,
+            "solutions": [], "singular_points": [], "counts_by_degree": {},
+            "flags": [], "attempts": [], "certificates": []}
+
+
+def matched(report: Dict) -> bool:
+    """Whether every predicted value equals its computed counterpart."""
+    return all(report["computed"].get(k) == v
+               for k, v in report["predicted"].items())
 
 
 def point_certificate(point: ProjectivePoint, ground: Field,
@@ -398,7 +360,7 @@ def point_certificate(point: ProjectivePoint, ground: Field,
             **fields}
 
 
-def add_jacobian_certificates(report: VarietyReport, ideal: Ideal,
+def add_jacobian_certificates(report: Dict, ideal: Ideal,
                               points: Sequence[ProjectivePoint],
                               reduced_rank: Optional[int] = None) -> List[int]:
     """Certify each point by the Jacobian rank of the ideal's generators
@@ -414,8 +376,10 @@ def add_jacobian_certificates(report: VarietyReport, ideal: Ideal,
         fields = {"jacobian_rank": str(rank)}
         if reduced_rank is not None:
             fields["reduced"] = "true" if rank >= reduced_rank else "false"
-        report.certificates.append(point_certificate(pt, ideal.field, **fields))
-    report.computed["smooth_rank"] = str(min(ranks)) if ranks else "unsampled"
+        report["certificates"].append(
+            point_certificate(pt, ideal.field, **fields))
+    report["computed"]["smooth_rank"] = (
+        str(min(ranks)) if ranks else "unsampled")
     return ranks
 
 
@@ -423,7 +387,7 @@ def complete_intersection_report(degrees: Sequence[int], n_proj: int,
                                  field: Field, seed: int,
                                  samples: int = BEZOUT_SAMPLES,
                                  k_max: int = SAMPLE_KMAX,
-                                 budget: int = DEFAULT_BUDGET) -> VarietyReport:
+                                 budget: int = DEFAULT_BUDGET) -> Dict:
     """Random forms of the given degrees in P^n_proj, checked against the
     Bezout predictions: codimension len(degrees), degree prod(degrees),
     with sampled Jacobian certificates for smoothness.
@@ -441,7 +405,7 @@ def complete_intersection_report(degrees: Sequence[int], n_proj: int,
         "smooth_rank": str(codim),
     })
     # len(degrees) <= n_proj forms in P^n_proj, so the dimension is >= 0
-    if report.dimension == 0:
+    if hilbert_data(ideal)[0] == 0:
         pts = rational_points(ideal, k_max=k_max, budget=budget,
                               seed=rng.randrange(2**32))
     else:

@@ -227,12 +227,25 @@ class VectorContext:
         return acc
 
 
-@lru_cache(maxsize=None)
-def _log_context(field: ExtensionField) -> VectorContext:
-    """The log kernel of the field, built once per field and process: its
-    tables cost O(q) field products, and every scan of the field reads
-    the same ones."""
-    return VectorContext(field)
+# each field's kernel, built once per process: log tables cost O(q) field
+# products, and every scan of the field reads the same ones
+_context = lru_cache(maxsize=None)(VectorContext)
+
+
+def check_budget(n_proj: int, field: Field, k: int, budget: int):
+    """Raise BudgetExceeded unless a scan of P^N(F_Q), Q = |field|^k, fits
+    the budget: its points and, for an extension field F_Q, the 11 Q
+    int32 entries of its log tables (`VectorContext._build_logs`), more
+    than any `field.subfield_table` of it holds. Q is not built when it
+    is huge: 11 Q > budget exactly when |P^1(F_Q)| = Q + 1 is above
+    budget // 11 + 1 (`projgeo.exceeds_budget`)."""
+    q = field.order()
+    if exceeds_budget(n_proj, q, budget, k):
+        raise BudgetExceeded(
+            f"P^{n_proj}(F_{q}^{k}) has more than {budget} points")
+    if k * field.degree > 1 and exceeds_budget(1, q, budget // 11 + 1, k):
+        raise BudgetExceeded(
+            f"the log tables of F_{q}^{k} have more than {budget} entries")
 
 
 def _grid_count(free: int, q: int, chunk: int) -> int:
@@ -523,17 +536,17 @@ def variety_scan(gens: Sequence[Polynomial], field: Field,
     `chunk` at a time, and the later generators run on the pool whenever
     it would pass `chunk` points; only their common zeros are put in scan
     order.
+
+    Raises BudgetExceeded before any table is built when the scan does
+    not fit the budget (`check_budget`).
     """
     import numpy as np
     gens = [g for g in gens if not g.is_zero()]
     assert gens, "no nonzero generators"
     n_proj = gens[0].nvars - 1
+    check_budget(n_proj, field, 1, budget)
     q = field.order()
-    if exceeds_budget(n_proj, q, budget):
-        raise BudgetExceeded(
-            f"P^{n_proj}(F_{q}) has more than {budget} points")
-    ctx = (VectorContext(field) if isinstance(field, PrimeField)
-           else _log_context(field))
+    ctx = _context(field)
     out: List[ProjectivePoint] = []
     pool: Dict[int, List[np.ndarray]] = {}  # pivot -> zeros of gens[0]
 

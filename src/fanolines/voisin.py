@@ -25,10 +25,10 @@ from .field import Field, embedding
 from .fano import (MAX_RESAMPLES, PointedHypersurface, direction_components,
                    line_system, resample)
 from .groebner import Packing
-from .idealkit import (DEFAULT_BUDGET, Ideal, VarietyReport,
-                       certify_reduced_point, dimension_text, hilbert_data,
-                       jacobian_rank_at, point_certificate, random_slice,
-                       rational_points, solve_report, variety_report)
+from .idealkit import (DEFAULT_BUDGET, Ideal, certify_reduced_point,
+                       dimension_text, hilbert_data, jacobian_rank_at,
+                       point_certificate, random_slice, rational_points,
+                       solve_report, variety_report)
 from .poly import (LEX, Polynomial, _lowered, evaluate_at,
                    random_homogeneous, restrict)
 from .projgeo import ProjectivePoint
@@ -220,7 +220,7 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
 
 
 def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
-                       budget: int = DEFAULT_BUDGET) -> VarietyReport:
+                       budget: int = DEFAULT_BUDGET) -> Dict:
     """Verify the line system through a node: dimension 2r-2, degree 6,
     complete intersection, plus its singular locus.
 
@@ -234,7 +234,7 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
         "degree": "6",
         "codimension": "2",
     })
-    predicted, computed = report.predicted, report.computed
+    predicted, computed = report["predicted"], report["computed"]
     rd = rank_drop_ideal(ideal)
     if r <= 2:
         # for r = 1 the cubic surface has a second node; the direction of
@@ -252,8 +252,8 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
                 pts = rational_points(rd, k_max=6, budget=budget, seed=seed)
                 reduced = certify_reduced_point(rd, pts, codim=2 * r)
                 for pt, ok in zip(pts, reduced):
-                    report.singular.append(pt.serialize())
-                    report.certificates.append(point_certificate(
+                    report["singular_points"].append(pt.serialize())
+                    report["certificates"].append(point_certificate(
                         pt, ideal.field, kind="singular_point",
                         reduced="true" if ok else "false"))
                 computed["singular_count"] = str(len(pts))
@@ -268,34 +268,36 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
             for _ in range(SLICE_RETRIES))
         computed["singular_dim_bound"] = f"<={bound}" if certified else "unknown"
         if not certified:
-            report.flags.append(
+            report["flags"].append(
                 f"no random codimension-{bound + 1} slice missed the "
                 "singular locus; dimension bound unverified")
     return report
 
 
 def run_node_analysis(r: int, field: Field, seed: int,
-                      budget: int = DEFAULT_BUDGET) -> VarietyReport:
+                      budget: int = DEFAULT_BUDGET) -> Dict:
     """Sample a normal-form cubic, certify its nodes, and analyze the
     lines through one of them, resampled at seed+1, ... up to
     MAX_RESAMPLES attempts on degenerate or mismatched draws (`resample`).
 
     The analyzed node is the first certificate in sorted order, so the
     one of smallest residue degree; the report's certificates start with
-    the nodes', in that order."""
-    def attempt(s: int) -> VarietyReport:
+    the nodes', in that order, and its `chosen_node` is the analyzed
+    one's point."""
+    def attempt(s: int) -> Dict:
         nfc = normal_form_cubic(r, field, s)
         certs = nodes(nfc, seed=s)
         ideal = node_line_system(nfc, certs[0].point)
         report = analyze_node_lines(ideal, r, seed=s, budget=budget)
-        report.predicted["node_count"] = str(2 ** r)
-        report.computed["node_count"] = str(len(certs))
-        report.certificates = [point_certificate(
+        report["predicted"]["node_count"] = str(2 ** r)
+        report["computed"]["node_count"] = str(len(certs))
+        report["certificates"][:0] = [point_certificate(
             c.point, field, kind="node",
             quadratic_part_rank=str(c.quadratic_part_rank),
             is_simple_double_point=(
                 "true" if c.is_simple_double_point else "false"))
-            for c in certs] + report.certificates
+            for c in certs]
+        report["chosen_node"] = report["certificates"][0]["point"]
         return report
 
     return resample(attempt, range(seed, seed + MAX_RESAMPLES))

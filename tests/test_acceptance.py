@@ -14,7 +14,7 @@ from fanolines import Ideal, PrimeField
 from fanolines.cli import main as cli_main
 from fanolines.fano import expected_count, run_line_analysis
 from fanolines.idealkit import (complete_intersection_report,
-                                certify_reduced_point, hilbert_data,
+                                certify_reduced_point, hilbert_data, matched,
                                 singular_points, slice_degree, solve_report)
 from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
                               run_node_analysis)
@@ -46,7 +46,7 @@ def criterion(number, limit_s, label):
 
 
 def all_reduced(report):
-    return all(c.get("reduced") == "true" for c in report.certificates
+    return all(c.get("reduced") == "true" for c in report["certificates"]
                if "reduced" in c)
 
 
@@ -54,9 +54,9 @@ def test_criterion_01_nodal_cubic_surface_six_lines():
     with criterion(1, 5, "nodal cubic surface: 6 reduced lines through "
                          "the node"):
         report = run_line_analysis(3, 3, 2, F10007, seed=0)
-        assert report.matched()
-        assert report.computed["dimension"] == "0"
-        assert len(report.solutions) == 6
+        assert matched(report)
+        assert report["computed"]["dimension"] == "0"
+        assert len(report["solutions"]) == 6
         assert all_reduced(report)
 
 
@@ -64,8 +64,8 @@ def test_criterion_02_cubic_threefold_general_point():
     with criterion(2, 10, "cubic threefold: 6 lines through a general "
                           "point"):
         report = run_line_analysis(4, 3, 1, F10007, seed=0)
-        assert report.matched()
-        assert len(report.solutions) == 6
+        assert matched(report)
+        assert len(report["solutions"]) == 6
         assert all_reduced(report)
 
 
@@ -76,11 +76,11 @@ def test_criterion_03_count_grid():
             assert expected_count(d, m) == want
             assert want * factorial(m - 1) == factorial(d)
             report = run_line_analysis(n, d, m, F10007, seed=0)
-            assert report.matched()
-            assert report.computed["degree"] == str(want)
-            found = len(report.solutions)
+            assert matched(report)
+            assert report["computed"]["degree"] == str(want)
+            found = len(report["solutions"])
             if found < want:
-                assert any("extensions beyond" in fl for fl in report.flags)
+                assert any("extensions beyond" in fl for fl in report["flags"])
             else:
                 assert found == want and all_reduced(report)
 
@@ -95,13 +95,13 @@ def test_criterion_04_dimension_smoothness_suite():
                            "codim, smoothness"):
         for (n, d, m), seed in instances:
             report = run_line_analysis(n, d, m, F10007, seed=seed)
-            assert report.matched(), (n, d, m, report.predicted,
-                                      report.computed)
-            assert report.computed["dimension"] == str(m + n - 2 - d)
-            assert report.computed["codimension"] == str(d - m + 1)
-            assert report.is_complete_intersection
+            assert matched(report), (n, d, m, report["predicted"],
+                                      report["computed"])
+            assert report["computed"]["dimension"] == str(m + n - 2 - d)
+            assert report["computed"]["codimension"] == str(d - m + 1)
+            assert report["is_complete_intersection"] == "true"
             # sampled smoothness: every certificate carries full rank
-            assert report.computed["smooth_rank"] == str(d - m + 1)
+            assert report["computed"]["smooth_rank"] == str(d - m + 1)
 
 
 def test_criterion_05_complete_intersection_degrees():
@@ -109,10 +109,10 @@ def test_criterion_05_complete_intersection_degrees():
                           "degrees 4 and 6, smooth samples"):
         for degrees, want in [((2, 2), 4), ((2, 3), 6)]:
             report = complete_intersection_report(degrees, 4, F10007, seed=1)
-            assert report.matched()
-            assert report.computed["degree"] == str(want)
-            assert report.computed["smooth_rank"] == "2"
-            assert report.certificates
+            assert matched(report)
+            assert report["computed"]["degree"] == str(want)
+            assert report["computed"]["smooth_rank"] == "2"
+            assert report["certificates"]
 
 
 def test_criterion_06_node_counts_and_exhaustive_scan():
@@ -177,12 +177,12 @@ def test_criterion_08_rank_drop_three_singular_points():
         reseeds = 0
         for seed in range(10):
             report = run_node_analysis(2, F10007, seed=seed)
-            assert report.matched()
-            assert report.computed["singular_dimension"] == "0"
-            assert report.computed["singular_degree"] == "3"
-            assert report.computed["singular_count"] == "3"
-            assert report.computed["singular_reduced"] == "true"
-            reseeds += len(report.attempts) - 1
+            assert matched(report)
+            assert report["computed"]["singular_dimension"] == "0"
+            assert report["computed"]["singular_degree"] == "3"
+            assert report["computed"]["singular_count"] == "3"
+            assert report["computed"]["singular_reduced"] == "true"
+            reseeds += len(report["attempts"]) - 1
         # reseeding on degenerate draws is allowed but must be logged
         assert reseeds >= 0
 

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from fanolines import PrimeField
+from fanolines import Ideal, PrimeField
 from fanolines.cli import main
+from fanolines.idealkit import variety_report
 from fanolines.field import DEFAULT_PRIME
 
 from conftest import parse
@@ -215,6 +216,24 @@ def test_sing_locus_huge_kmax_is_a_budget_overflow(fixture_file, k_max,
     assert "more than 100000000 points" in capsys.readouterr().err
 
 
+def test_sing_locus_budget_counts_the_scan_tables(tmp_path, monkeypatch,
+                                                  capsys):
+    # P^1(F_9973^2) has 99,460,730 points, inside the default budget, but
+    # its log tables would hold about 1.09e9 int32 entries
+    def table_built(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr("fanolines.scan.VectorContext._build_logs",
+                        table_built)
+    monkeypatch.setattr("fanolines.idealkit.subfield_table", table_built)
+    path = tmp_path / "binary.txt"
+    path.write_text("x0^2*x1 + x1^3\n")
+    assert main(["sing-locus", str(path), "--prime", "9973",
+                 "--kmax", "2"]) == 4
+    assert capsys.readouterr().err == (
+        "budget exceeded: the log tables of F_9973^2 have more than "
+        "100000000 entries\n")
+
+
 def test_bezout_check_huge_kmax_does_not_build_the_count():
     # the slices of two quadrics in P^3 are solved, not enumerated;
     # deciding that took 22.5 s at --kmax 100000 while q^k_max was built
@@ -275,6 +294,49 @@ def test_bezout_check_zero_dimensional_route(capsys):
     assert report["matched"] == "true"
     assert [(c["residue_degree"], c["jacobian_rank"])
             for c in report["certificates"]] == [("4", "2")] * 4
+
+
+# a finite and a positive-dimensional line system, voisin-demo at
+# r = 1, 2, 3, bezout-check at dimension 0 and 1, a resampled draw and a
+# mismatched report
+PIPELINE_RUNS = [
+    ["lines-through", "--random", "3", "3", "2", "--seed", "0"],
+    ["lines-through", "--random", "4", "3", "2", "--seed", "0"],
+    ["voisin-demo", "1", "--seed", "0"],
+    ["voisin-demo", "2", "--seed", "0"],
+    ["voisin-demo", "3", "--seed", "0"],
+    ["bezout-check", "2", "2", "2", "--seed", "3"],
+    ["bezout-check", "3", "2", "2", "--seed", "1"],
+    ["lines-through", "--random", "3", "3", "2", "--prime", "5", "--seed", "1"],
+    ["lines-through", "--poly", "NODAL", "--point", "1:0:0:0"],
+]
+
+
+def leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in leaves(item)]
+    return [value]
+
+
+@pytest.mark.parametrize("argv", PIPELINE_RUNS, ids=" ".join)
+def test_pipeline_report_is_the_builders_document(argv, nodal_file, capsys):
+    code = main([nodal_file if a == "NODAL" else a for a in argv]
+                + ["--json", "-"])
+    report = json.loads(capsys.readouterr().out)["report"]
+    field = PrimeField(7)
+    built = variety_report(Ideal([parse("x0", 1, field)]), {})
+    extra = {"matched"} | ({"chosen_node"} if argv[0] == "voisin-demo"
+                           else set())
+    assert set(report) == set(built) | extra
+    assert all(isinstance(leaf, str) for leaf in leaves(report))
+    agree = all(report["computed"].get(key) == value
+                for key, value in report["predicted"].items())
+    assert report["matched"] == ("true" if agree else "false")
+    assert code == (0 if agree else 3)
+    if "--prime" in argv:  # the resampled draw: two reseeds logged
+        assert len(report["attempts"]) == 3
 
 
 def test_voisin_demo_without_instance_exits_3(tmp_path, capsys):

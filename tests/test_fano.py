@@ -17,9 +17,9 @@ from fanolines.fano import (PointedHypersurface, analyze_lines,
                             line_system, random_pointed_hypersurface,
                             resample, run_line_analysis)
 from fanolines.groebner import is_member
-from fanolines.idealkit import (VarietyReport, groebner_of, hilbert_data,
-                                is_complete_intersection, rational_points,
-                                slice_degree)
+from fanolines.idealkit import (groebner_of, hilbert_data,
+                                is_complete_intersection, matched,
+                                rational_points, slice_degree)
 from fanolines.linalg import mat_inverse, random_invertible
 from fanolines.poly import random_homogeneous
 from fanolines.projgeo import ProjectivePoint, move_to_base_point
@@ -249,11 +249,11 @@ def test_cubic_threefold_smooth_point_dim_and_slice():
 def test_analyze_lines_nodal_cubic_end_to_end():
     f = parse(NODAL_CUBIC, 4, F10007)
     report = analyze_lines(pointed(f, base_point(F10007, 3)), seed=0)
-    assert report.dimension == 0 and report.degree == 6
-    assert report.computed["codimension"] == "2"
+    assert (report["dimension"], report["degree"]) == ("0", "6")
+    assert report["computed"]["codimension"] == "2"
     # this specific cubic is degenerate: three double lines
-    assert len(report.solutions) == 3
-    assert any("non-reduced" in fl for fl in report.flags)
+    assert len(report["solutions"]) == 3
+    assert any("non-reduced" in fl for fl in report["flags"])
 
 
 @pytest.mark.parametrize("p", [7, 10007])
@@ -268,22 +268,22 @@ def test_double_lines_are_not_certified_reduced(p):
     x0 = parse("x0", 3, field)
     assert is_member(x0 * x0, basis) and not is_member(x0, basis)
     report = analyze_lines(ph, seed=0)
-    assert len(report.solutions) == 3
-    assert all(pt[0] == "0" for pt in report.solutions)
-    assert [c["reduced"] for c in report.certificates] == ["false"] * 3
-    assert not report.matched()
+    assert len(report["solutions"]) == 3
+    assert all(pt[0] == "0" for pt in report["solutions"])
+    assert [c["reduced"] for c in report["certificates"]] == ["false"] * 3
+    assert not matched(report)
 
 
 def test_run_line_analysis_matched_with_attempt_log():
     report = run_line_analysis(3, 3, 2, F10007, seed=0)
-    assert report.matched()
-    assert report.attempts and report.attempts[-1]["outcome"] == "ok"
-    assert report.predicted["points_found"] == "6"
+    assert matched(report)
+    assert report["attempts"] and report["attempts"][-1]["outcome"] == "ok"
+    assert report["predicted"]["points_found"] == "6"
 
 
-def stub_report(matched):
-    return VarietyReport(0, 1, True, {"degree": "1"},
-                         {"degree": "1" if matched else "2"})
+def stub_report(ok):
+    return {"predicted": {"degree": "1"},
+            "computed": {"degree": "1" if ok else "2"}}
 
 
 def test_resample_logs_attempts_and_stops_at_the_first_match():
@@ -300,7 +300,7 @@ def test_resample_logs_attempts_and_stops_at_the_first_match():
     report = resample(attempt, range(10, 15))
     assert tried == [10, 11, 12]
     assert report is reports[12]
-    assert report.attempts == [
+    assert report["attempts"] == [
         {"seed": "10", "outcome": "degenerate: two nodes meet"},
         {"seed": "11", "outcome": "certificate mismatch"},
         {"seed": "12", "outcome": "ok"}]
@@ -318,7 +318,7 @@ def test_resample_keeps_the_last_report_and_raises_without_one():
 
     report = resample(attempt, range(3, 8))
     assert tried == [3, 4, 5, 6, 7] and report is mismatched
-    assert [a["outcome"] for a in report.attempts] == [
+    assert [a["outcome"] for a in report["attempts"]] == [
         "certificate mismatch"] + ["degenerate: no nodes"] * 4
     tried.clear()
     with pytest.raises(DegenerateInstance, match=(
@@ -362,8 +362,8 @@ def test_one_orbit_of_lines_is_solved_and_ranked_once(monkeypatch):
     monkeypatch.setattr(poly, "payload_rank", counted_rank)
     monkeypatch.setattr(_Ring, "pow", counted_pow)
     report = run_line_analysis(4, 3, 1, PrimeField(10007), seed=3)
-    assert report.matched() and len(report.attempts) == 1
-    assert report.counts_by_degree == {"6": "6"}
+    assert matched(report) and len(report["attempts"]) == 1
+    assert report["counts_by_degree"] == {"6": "6"}
     assert sorted(restricted) == [1, 1, 1, 1, 6]  # four charts, one fibre
     assert ranked == [6]
     assert {k for k, e in powers if e == 10007} == {1}

@@ -11,7 +11,7 @@ from fanolines.idealkit import (add_jacobian_certificates,
                                 certify_reduced_point, enumerated_points,
                                 hilbert_data,
                                 is_complete_intersection, jacobian_rank_at,
-                                random_slice, rational_points,
+                                matched, random_slice, rational_points,
                                 sample_smooth_points,
                                 singular_points, slice_degree, solve_report,
                                 variety_report)
@@ -20,7 +20,7 @@ from fanolines.projgeo import projective_count
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import distinct_degree_factorization
 from fanolines.poly import random_homogeneous
-from fanolines.errors import Inconclusive, InvalidParameters
+from fanolines.errors import BudgetExceeded, Inconclusive, InvalidParameters
 
 from conftest import (jacobian_rank_oracle, parse, per_level_points,
                       random_point)
@@ -83,6 +83,43 @@ def test_rational_points_enumerates_within_budget_and_solves_beyond(
         beyond = rational_points(ideal, k_max=2, budget=2450)
     assert [p.serialize() for p in within] == expected
     assert sorted(p.serialize() for p in beyond) == sorted(expected)
+
+
+def no_table(*args, **kwargs):
+    raise AssertionError("a table was built")
+
+
+def test_budget_counts_the_scan_tables_before_building_any(monkeypatch):
+    # P^0 over F_10007^4 is one point, but its log tables would hold about
+    # 11 * 10^16 entries
+    monkeypatch.setattr("fanolines.scan.VectorContext._build_logs", no_table)
+    monkeypatch.setattr("fanolines.idealkit.subfield_table", no_table)
+    ideal = Ideal([parse("x0", 1, F10007)])
+    with pytest.raises(BudgetExceeded, match="log tables of F_10007\\^4"):
+        enumerated_points(ideal, k_max=4)
+    assert rational_points(ideal, k_max=4) == []
+    # P^1(F_7^3) has 344 points, its tables 11 * 343 = 3773 entries
+    line = Ideal([parse("x0*x1", 2, F7)])
+    with pytest.raises(BudgetExceeded, match="more than 3772 entries"):
+        enumerated_points(line, k_max=3, budget=3772)
+
+
+@pytest.mark.parametrize("p,k_max", [(3, 2), (3, 4), (5, 3), (7, 2), (7, 3)])
+def test_solver_keeps_the_scan_order_on_the_line(p, k_max, monkeypatch):
+    # binary forms whose points fit the budget but whose scan tables do
+    # not are solved, and the solver's order on P^1 is the scan's
+    field = PrimeField(p)
+    q = p ** k_max
+    rng = random.Random(p * k_max)
+    forms = [parse("x0^2*x1 - 2*x0*x1^2", 2, field)] + [
+        random_homogeneous(field, 2, d, rng) for d in (2, 3, 4, 5, 6)]
+    for f in forms:
+        ideal = Ideal([f])
+        scanned = [pt.serialize() for pt in enumerated_points(ideal, k_max)]
+        with monkeypatch.context() as patch:
+            patch.setattr("fanolines.idealkit.variety_scan", no_table)
+            solved = rational_points(ideal, k_max, budget=q + 1)
+        assert [pt.serialize() for pt in solved] == scanned
 
 
 def test_solve_report_counts():
@@ -492,11 +529,11 @@ def test_twisted_cubic_is_not_a_complete_intersection(field):
     # gives the Hilbert function 3t + 1, so dimension 1 and degree 3
     texts = ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]
     ideal = Ideal([parse(t, 4, field) for t in texts])
-    report = variety_report(ideal, {"dimension": "1", "degree": "3"}).to_dict()
+    report = variety_report(ideal, {"dimension": "1", "degree": "3"})
     assert report["is_complete_intersection"] == "false"
     assert (report["dimension"], report["degree"]) == ("1", "3")
     assert report["computed"]["codimension"] == "2"
-    assert report["matched"] == "true"
+    assert matched(report)
     values = sympy_hilbert_function([t.replace("^", "**") for t in texts], 4,
                                     range(3, 7), field.characteristic())
     assert values == [3 * t + 1 for t in range(3, 7)]
@@ -544,10 +581,10 @@ def test_sample_smooth_points_stops_drawing_at_count():
 
 def test_complete_intersection_report_quadric_cubic():
     report = complete_intersection_report((2, 3), 4, F10007, seed=5)
-    assert report.matched()
-    assert report.predicted["degree"] == "6"
-    assert report.computed["dimension"] == "2"
-    assert report.certificates
+    assert matched(report)
+    assert report["predicted"]["degree"] == "6"
+    assert report["computed"]["dimension"] == "2"
+    assert report["certificates"]
 
 
 def test_degenerate_inputs_reported_not_raised():
@@ -570,30 +607,30 @@ def test_report_builder_invariants_and_certificates():
     conic = Ideal([parse("x0*x1 - x2^2", 3, F7)])
     predicted = {"dimension": "1", "degree": "2", "smooth_rank": "1"}
     report = variety_report(conic, predicted)
-    assert report.computed == {"dimension": "1", "degree": "2",
+    assert report["computed"] == {"dimension": "1", "degree": "2",
                                "codimension": "1"}
-    assert report.is_complete_intersection
+    assert report["is_complete_intersection"] == "true"
     assert add_jacobian_certificates(report, conic, []) == []
-    assert report.computed["smooth_rank"] == "unsampled"
-    assert not report.matched()
+    assert report["computed"]["smooth_rank"] == "unsampled"
+    assert not matched(report)
     f49 = build_extension(7, 2)
     t = f49.generator()
     points = [ProjectivePoint([F7.one(), F7.zero(), F7.zero()]),
               ProjectivePoint([f49.one(), t * t, t])]
     assert add_jacobian_certificates(report, conic, points,
                                      reduced_rank=1) == [1, 1]
-    assert report.certificates == [
+    assert report["certificates"] == [
         {"point": "1 : 0 : 0", "residue_degree": "1", "jacobian_rank": "1",
          "reduced": "true"},
         {"point": "1 : 4*t + 1 : t",
          "residue_degree": "2", "jacobian_rank": "1", "reduced": "true"}]
-    assert report.matched()
+    assert matched(report)
     # residue degrees count over the ideal's own field, here F_49
     f49_conic = Ideal([parse("x0*x1 - x2^2", 3, f49)])
     s = build_extension(7, 4).generator()
     over = variety_report(f49_conic, {})
     add_jacobian_certificates(over, f49_conic,
                               [ProjectivePoint([s.field.one(), s * s, s])])
-    assert over.certificates[0]["residue_degree"] == "2"
+    assert over["certificates"][0]["residue_degree"] == "2"
     empty = variety_report(Ideal([parse("x0", 2, F7), parse("x1", 2, F7)]), {})
-    assert empty.computed["dimension"] == empty.to_dict()["dimension"] == "empty"
+    assert empty["computed"]["dimension"] == empty["dimension"] == "empty"

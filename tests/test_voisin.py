@@ -21,7 +21,7 @@ from fanolines.voisin import (NormalFormCubic, analyze_node_lines,
                               normal_form_cubic, rank_drop_ideal,
                               restricted_quadrics, run_node_analysis)
 from fanolines.idealkit import (certify_reduced_point, hilbert_data,
-                                singular_points, slice_degree)
+                                matched, singular_points, slice_degree)
 from fanolines.errors import DegenerateInstance, InvalidParameters
 
 from conftest import (chart_quadratic_rank, parse, plain_rank_drop_ideal,
@@ -203,7 +203,7 @@ def test_nodes_sorted_by_residue_degree():
 
 
 def test_node_certificate_serialization():
-    d = run_node_analysis(1, F10007, seed=0).certificates[0]
+    d = run_node_analysis(1, F10007, seed=0)["certificates"][0]
     assert d["kind"] == "node"
     assert d["quadratic_part_rank"] == "3"
 
@@ -345,11 +345,11 @@ def test_cusp_rank_drop_point_is_not_certified_reduced(p):
     assert hilbert_data(rd) == (0, 2)
     assert certify_reduced_point(rd, [point], codim=4) == [False]
     report = analyze_node_lines(ideal, 2)
-    assert report.singular == [point.serialize()]
-    assert (report.computed["singular_count"],
-            report.computed["singular_degree"],
-            report.computed["singular_reduced"]) == ("1", "2", "false")
-    assert not report.matched()
+    assert report["singular_points"] == [point.serialize()]
+    assert (report["computed"]["singular_count"],
+            report["computed"]["singular_degree"],
+            report["computed"]["singular_reduced"]) == ("1", "2", "false")
+    assert not matched(report)
 
 
 def test_singular_locus_work_is_pinned(monkeypatch):
@@ -398,8 +398,8 @@ def test_singular_locus_work_is_pinned(monkeypatch):
     monkeypatch.setattr(idealkit, "staircase_data", staged(
         "staircase_data", idealkit.staircase_data))
     report = analyze_node_lines(ideal, 2, seed=585427)
-    assert report.matched()
-    assert report.computed["singular_count"] == "3"
+    assert matched(report)
+    assert report["computed"]["singular_count"] == "3"
     assert calls.get(("rank_drop_ideal", "__mul__"), 0) == 0
     assert calls.get(("solve_projective", "substitute"), 0) == 0
     assert calls.get(("staircase_data", "mono_divides"), 0) == 0
@@ -412,10 +412,10 @@ def test_analyze_node_lines_r2_three_singular_points():
     certs = nodes(nfc, seed=0)
     ideal = node_line_system(nfc, certs[0].point)
     report = analyze_node_lines(ideal, 2, seed=0)
-    assert report.matched()
-    assert report.computed["singular_count"] == "3"
-    assert report.computed["singular_reduced"] == "true"
-    kinds = {c.get("kind") for c in report.certificates}
+    assert matched(report)
+    assert report["computed"]["singular_count"] == "3"
+    assert report["computed"]["singular_reduced"] == "true"
+    kinds = {c.get("kind") for c in report["certificates"]}
     assert "singular_point" in kinds
 
 
@@ -426,9 +426,9 @@ def test_analyze_node_lines_r1_records_singular_dim():
     report = analyze_node_lines(ideal, 1, seed=0)
     # the twin node contributes a double point: singular locus is 0-dim,
     # recorded without a prediction
-    assert report.computed["singular_dimension"] == "0"
-    assert "singular_dimension" not in report.predicted
-    assert report.matched()
+    assert report["computed"]["singular_dimension"] == "0"
+    assert "singular_dimension" not in report["predicted"]
+    assert matched(report)
 
 
 def test_analyze_node_lines_r3_bounds_singular_dimension():
@@ -436,28 +436,28 @@ def test_analyze_node_lines_r3_bounds_singular_dimension():
     certs = nodes(nfc, seed=0)
     ideal = node_line_system(nfc, certs[0].point)
     report = analyze_node_lines(ideal, 3, seed=0)
-    assert report.matched()
-    assert report.predicted["singular_dim_bound"] == "<=2"
+    assert matched(report)
+    assert report["predicted"]["singular_dim_bound"] == "<=2"
 
 
 def test_run_node_analysis_end_to_end():
     for r in (1, 2):
         report = run_node_analysis(r, F10007, seed=0)
-        assert report.matched()
-        assert report.computed["node_count"] == str(2 ** r)
+        assert matched(report)
+        assert report["computed"]["node_count"] == str(2 ** r)
         # the node certificates come first, the analyzed node's leading
         nfc = normal_form_cubic(r, F10007, seed=0)
         certs = nodes(nfc, seed=0)
-        assert [c["point"] for c in report.certificates[:2 ** r]] == [
+        assert [c["point"] for c in report["certificates"][:2 ** r]] == [
             " : ".join(c.point.serialize()) for c in certs]
-        assert {c["kind"] for c in report.certificates[:2 ** r]} == {"node"}
+        assert {c["kind"] for c in report["certificates"][:2 ** r]} == {"node"}
 
 
 def test_run_node_analysis_small_field_resamples():
     # tiny fields hit degenerate draws; the retry loop must cope or give up
     report = run_node_analysis(1, F5, seed=1)
-    assert report.matched()
-    assert [a["outcome"].split(":")[0] for a in report.attempts] == [
+    assert matched(report)
+    assert [a["outcome"].split(":")[0] for a in report["attempts"]] == [
         "degenerate", "degenerate", "ok"]
 
 
