@@ -10,6 +10,8 @@ per operation:
   F_{10007^2}, F_{10007^6}, F_{3^6} and F_{4294967311^2};
 - `packer64`: one `Field._packer(64)` call, as `groebner` makes per
   reducer;
+- `frobenius` and `embed`: one Frobenius step in F_{10007^6}, and one
+  `embedding` of F_{10007^2} into F_{10007^6}, of random elements;
 - `roots_orbit6`: `roots_in_field` on the irreducible sextic over
   F_10007 of `test_orbit_six_root_work_is_pinned`, split in
   F_{10007^6};
@@ -52,7 +54,7 @@ import timeit
 from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.fano import line_system, random_pointed_hypersurface
 from fanolines.groebner import groebner_basis
-from fanolines.field import FieldElement, relative_extension
+from fanolines.field import FieldElement, embedding, relative_extension
 from fanolines.idealkit import (Ideal, enumerated_points, groebner_of,
                                hilbert_data, random_slice)
 from fanolines.poly import (default_names, jacobian_rank_at,
@@ -101,6 +103,15 @@ def operations():
                     lambda field=field: field._packer(64), 1))
     ground = PrimeField(10007)
     ext, embed = relative_extension(ground, 6)
+    square = build_extension(10007, 2)
+    maps = random.Random("arith-timings-maps")  # rng's draws stay as before
+    elements = [ext.sample(maps) for _ in range(64)]
+    ops.append((f"frobenius {ext}",
+                lambda: [ext.frobenius(e) for e in elements], len(elements)))
+    lift, below = embedding(square, ext), [square.sample(maps)
+                                           for _ in range(64)]
+    ops.append((f"embed {square}->{ext}",
+                lambda: [lift(e) for e in below], len(below)))
     sextic = [embed(ground.from_int(c)) for c in ORBIT_SIX]
     ops.append(("roots_orbit6 GF(10007^6)",
                 lambda: roots_in_field(sextic, ext, random.Random(0),
@@ -108,7 +119,6 @@ def operations():
     f_ground = [ground.from_int(c) for c in ORBIT_SIX]
     ops.append(("ddf sextic GF(10007)",
                 lambda: distinct_degree_factorization(f_ground, ground, 6), 1))
-    square = build_extension(10007, 2)
     assert square.modulus == (3393, 2163, 1)
     f_ext = [FieldElement(square, c) for c in DDF_SIX_EXT]
     ops.append(("ddf sextic GF(10007^2)",

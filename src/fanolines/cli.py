@@ -55,11 +55,6 @@ def _config(args: argparse.Namespace, **settings) -> Dict[str, str]:
             **{key: str(value) for key, value in settings.items()}}
 
 
-def _render(config: Dict[str, str], report: Dict[str, object]) -> str:
-    doc = {"config": config, "report": report}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _write_json(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
@@ -121,7 +116,8 @@ def _finish(config: Dict[str, str], report: Dict[str, object],
             args: argparse.Namespace) -> int:
     if "predicted" in report:  # a pipeline report gets its verdict here
         report["matched"] = "true" if matched(report) else "false"
-    text = _render(config, report)
+    text = json.dumps({"config": config, "report": report}, sort_keys=True,
+                      indent=2) + "\n"
     if args.json:
         _write_json(args.json, text)
     if not args.quiet and args.json != "-":
@@ -161,38 +157,35 @@ def _parse_point(text: str, field) -> ProjectivePoint:
     return ProjectivePoint(coords)
 
 
-def cmd_lines_through(args: argparse.Namespace) -> int:
-    field = PrimeField(args.prime)
+# Each command takes the parsed arguments and the ground field and
+# returns (report, settings): the settings join the common flags in the
+# report's config.
+def cmd_lines_through(args: argparse.Namespace, field) -> tuple:
+    settings = {"k_max": args.kmax, "trials": args.trials}
     if args.random:
         n, d, m = args.random
-        config = _config(args, k_max=args.kmax, trials=args.trials,
-                         n=n, d=d, m=m)
         report = run_line_analysis(n, d, m, field, args.seed, k_max=args.kmax,
                                    samples=args.trials, budget=args.budget)
-    else:
-        polys = _read_poly_file(args.poly, field)
-        if len(polys) != 1:
-            raise InvalidParameters("--poly file must hold exactly one form")
-        f = polys[0]
-        point = _parse_point(args.point, field)
-        ph = PointedHypersurface(direction_components(f, point))
-        config = _config(args, k_max=args.kmax, trials=args.trials,
-                         poly=f.to_text(), point=":".join(point.serialize()),
-                         m=ph.multiplicity)
-        report = analyze_lines(ph, k_max=args.kmax, samples=args.trials,
-                               seed=args.seed, budget=args.budget)
-    return _finish(config, report, args)
+        return report, {**settings, "n": n, "d": d, "m": m}
+    polys = _read_poly_file(args.poly, field)
+    if len(polys) != 1:
+        raise InvalidParameters("--poly file must hold exactly one form")
+    f = polys[0]
+    point = _parse_point(args.point, field)
+    ph = PointedHypersurface(direction_components(f, point))
+    report = analyze_lines(ph, k_max=args.kmax, samples=args.trials,
+                           seed=args.seed, budget=args.budget)
+    return report, {**settings, "poly": f.to_text(),
+                    "point": ":".join(point.serialize()),
+                    "m": ph.multiplicity}
 
 
-def cmd_voisin_demo(args: argparse.Namespace) -> int:
-    field = PrimeField(args.prime)
-    config = _config(args, r=args.r)
+def cmd_voisin_demo(args: argparse.Namespace, field) -> tuple:
     report = run_node_analysis(args.r, field, args.seed, budget=args.budget)
-    return _finish(config, report, args)
+    return report, {"r": args.r}
 
 
-def cmd_groebner(args: argparse.Namespace) -> int:
-    field = PrimeField(args.prime)
+def cmd_groebner(args: argparse.Namespace, field) -> tuple:
     gens = _read_poly_file(args.file, field)
     ideal = Ideal(gens)
     basis = (groebner_basis(gens, LEX) if args.order == "lex"
@@ -207,12 +200,10 @@ def cmd_groebner(args: argparse.Namespace) -> int:
         dim, degree = hilbert_data(ideal)
         report["dimension"] = dimension_text(dim)
         report["degree"] = str(degree)
-    config = _config(args, file=os.path.basename(args.file), order=args.order)
-    return _finish(config, report, args)
+    return report, {"file": os.path.basename(args.file), "order": args.order}
 
 
-def cmd_sing_locus(args: argparse.Namespace) -> int:
-    field = PrimeField(args.prime)
+def cmd_sing_locus(args: argparse.Namespace, field) -> tuple:
     gens = _read_poly_file(args.file, field)
     ideal = Ideal(gens)
     points = singular_points(ideal, k_max=args.kmax, budget=args.budget)
@@ -223,18 +214,15 @@ def cmd_sing_locus(args: argparse.Namespace) -> int:
         "count": str(len(points)),
         "singular_points": [p.serialize() for p in points],
     }
-    config = _config(args, k_max=args.kmax, file=os.path.basename(args.file))
-    return _finish(config, report, args)
+    return report, {"k_max": args.kmax, "file": os.path.basename(args.file)}
 
 
-def cmd_bezout_check(args: argparse.Namespace) -> int:
-    field = PrimeField(args.prime)
+def cmd_bezout_check(args: argparse.Namespace, field) -> tuple:
     report = complete_intersection_report(args.degrees, args.n, field,
                                           args.seed, samples=args.trials,
                                           k_max=args.kmax, budget=args.budget)
-    config = _config(args, k_max=args.kmax, trials=args.trials, n=args.n,
-                     degrees=",".join(map(str, args.degrees)))
-    return _finish(config, report, args)
+    return report, {"k_max": args.kmax, "trials": args.trials, "n": args.n,
+                    "degrees": ",".join(map(str, args.degrees))}
 
 
 def _int_at_least(low: int):
@@ -352,7 +340,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        return args.func(args)
+        report, settings = args.func(args, PrimeField(args.prime))
+        return _finish(_config(args, **settings), report, args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -5,12 +5,13 @@ Extension fields F_{p^k} store elements as little-endian coefficient tuples
 reduced modulo a fixed irreducible polynomial in the generator t.
 
 Every map between extension payloads is F_p-linear on their coefficient
-digits, so it is one row table: row i is the image of t^i, and
-`_apply_rows` sends a payload c to sum c_i * row_i mod p
-(Lidl-Niederreiter, *Finite Fields*, ch. 2). Frobenius c -> c^p has the
-rows (t^p)^i, built once per field. An embedding F_{p^a} -> F_{p^b} has
-the rows r^i, r the smallest-code root in F_{p^b} of the modulus of
-F_{p^a}, built once per pair of fields.
+digits, so it is one row table: row i is the image of t^i, packed in
+the target field's ring, and `_Ring.apply` sends a payload c to
+sum c_i * row_i, reduced once (Lidl-Niederreiter, *Finite Fields*,
+ch. 2). Frobenius c -> c^p has the rows (t^p)^i, packed once per
+field. An embedding F_{p^a} -> F_{p^b} has the rows r^i, r the
+smallest-code root in F_{p^b} of the modulus of F_{p^a}, packed once
+per pair of fields.
 
 Sums of products run on ints: polynomial values and Jacobian entries at
 a point (`poly._term_sums`), the coefficients of a substituted
@@ -298,8 +299,9 @@ class ExtensionField(Field):
         self.modulus = tuple(c % p for c in modulus)
         self.ring = _Ring(p, self.modulus, 1)  # for `_mul` and `_inv`
         self._pack, self._unpack = self.ring.pack, self.ring.reduce
-        # the Frobenius row table: row i is (t^p)^i
+        # the Frobenius row table: row i is (t^p)^i, as digits and packed
         self.frob_rows = _power_rows(self, (self.generator() ** p).payload, k)
+        self._frob_table = [self._pack(row) for row in self.frob_rows]
 
     def key(self):
         return ("extension", self.p, self.k, self.modulus)
@@ -370,10 +372,10 @@ class ExtensionField(Field):
         return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
 
     def frobenius(self, e: FieldElement, j: int = 1) -> FieldElement:
-        """e^(p^j): the Frobenius row table applied j mod k times."""
-        c = e.payload
+        """e^(p^j): the packed Frobenius rows applied j mod k times."""
+        c, apply, table = e.payload, self.ring.apply, self._frob_table
         for _ in range(j % self.k):
-            c = _apply_rows(self.frob_rows, c, self.p)
+            c = apply(c, table)
         return FieldElement(self, c)
 
     def code_of(self, e: FieldElement) -> int:
@@ -531,7 +533,7 @@ class _Ring:
         return a
 
     def frobenius_table(self, xp, frob_rows) -> list:
-        """Packed rows for `frobenius`, from xp = x^p mod m and the
+        """Packed rows for `apply`: u -> u^p, from xp = x^p mod m and the
         field's Frobenius rows: row j*k + d is t^(d p) x^(j p), a product
         of two packed elements left unreduced. The ring must be built for
         at least k(p - 1) terms."""
@@ -542,10 +544,14 @@ class _Ring:
         return [s * x for x in map(self.pack, powers[:self.n])
                 for s in scalars]
 
-    def frobenius(self, u, table: list) -> tuple:
-        """u^p mod m: sum of c_j^p * x^(j*p), where c_j^p is F_p-linear in
-        the digits of c_j, so u^p is the sum of each digit of u times its
-        table row."""
+    def apply(self, u, table: list) -> tuple:
+        """The F_p-linear map with these packed rows at the digits u: each
+        digit times its row, summed, then reduced once, so every slot must
+        hold its sum. Rows packed from reduced digits (Frobenius steps and
+        embeddings in a field's ring) leave a slot at most n
+        digit-times-row products, which a field ring's slots hold. The
+        rows of `frobenius_table` are unreduced products, so its ring is
+        built for k(p - 1) terms."""
         return self.reduce(sum(map(mul, u, table)))
 
     # Euclid over the field F_p[x]/(m), on polynomials whose coefficients
@@ -709,25 +715,14 @@ def _power_rows(field: ExtensionField, x, n: int) -> list:
     return rows
 
 
-def _apply_rows(rows: list, c, p: int) -> tuple:
-    """sum c_i * rows[i] mod p: the F_p-linear map with this row table,
-    applied to the payload c."""
-    out = [0] * len(rows[0])
-    for ci, row in zip(c, rows):
-        if ci:
-            for i, v in enumerate(row):
-                out[i] += ci * v
-    return tuple(v % p for v in out)
-
-
 @functools.lru_cache(maxsize=None)
 def payload_lift(src: Field, dst: Field):
     """The payload map of `embedding(src, dst)`; None when dst is src.
 
     From F_p it is the canonical map. Between extensions it applies the
-    rows r^i, i < [src : F_p], where r is the smallest-code root of src's
-    modulus in dst, so the same pair of fields always yields the same map;
-    it is built once per pair.
+    rows r^i, i < [src : F_p], packed in dst's ring, where r is the
+    smallest-code root of src's modulus in dst, so the same pair of fields
+    always yields the same map; it is built once per pair.
     """
     if src == dst:
         return None
@@ -741,8 +736,9 @@ def payload_lift(src: Field, dst: Field):
     modulus = [ground.from_int(c) for c in src.modulus]
     rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
     root = roots_in_field(modulus, dst, rng, orbit=1)[0]
-    rows = _power_rows(dst, root.payload, src.k)
-    return lambda c: _apply_rows(rows, c, src.p)
+    ring = dst.ring
+    table = [ring.pack(row) for row in _power_rows(dst, root.payload, src.k)]
+    return lambda c: ring.apply(c, table)
 
 
 def embedding(src: Field, dst: Field):

@@ -7,9 +7,9 @@ Inside, a polynomial over F_(p^k) is a flat digit tuple, digit j of
 coefficient i at index i*k + j, and all its arithmetic is the field's
 `_Ring` (`field.py`): gcds, divisions and monic forms by the Euclid of
 the field's own ring, deflations by x - root by its synthetic division,
-and products, powers and Frobenius steps by a ring for F_(p^k)[x]/(m),
-built from the field's fold rows with slots for a Frobenius sum. The
-hot loops build no FieldElement.
+and products, powers and Frobenius steps (`_Ring.apply` on packed rows)
+by a ring for F_(p^k)[x]/(m), built from the field's fold rows with
+slots for a Frobenius sum. The hot loops build no FieldElement.
 
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
@@ -112,7 +112,7 @@ def distinct_degree_factorization(e: List[FieldElement], field: Field,
             table = ring.frobenius_table(
                 ring.pow(x, field.characteristic()), field.frob_rows)
         for _ in range(k):
-            w = ring.frobenius(w, table)
+            w = ring.apply(w, table)
         g = base.gcd(_sub(base, w, x), f)
         if len(g) > k:
             parts[j] = g
@@ -144,7 +144,7 @@ def _split_one(field: Field, f, xp, rng: random.Random) -> tuple:
                      (p - 1) // 2)
         h = b
         for _ in range(k - 1):
-            b = ring.frobenius(b, table)
+            b = ring.apply(b, table)
             h = ring.mul(h, b)
         g = field.ring.gcd(_sub(field.ring, h, one), f)
         if 0 < len(g) // k - 1 < d:

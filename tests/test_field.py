@@ -199,10 +199,14 @@ def test_sample_uniformity_f7():
         assert abs(c - 1000) <= 5 * sigma
 
 
-@pytest.mark.parametrize("p,k", [(3, 5), (7, 4), (10007, 6)])
+@pytest.mark.parametrize("p,k", [(3, 5), (7, 4), (10007, 6), (10007, 8),
+                                 (4294967311, 2)])
 def test_frobenius_row_table_matches_powers(p, k):
-    # e^(p^j) by square and multiply is the oracle
+    # e^(p^j) by square and multiply is the oracle; F_{10007^8} unpacks
+    # its packed rows through 64-bit struct slots, F_{4294967311^2}
+    # through 66-bit slots by shifts
     ext = build_extension(p, k)
+    assert bool(ext.ring.layouts) == (k == 8)
     rng = random.Random(f"frobenius-{p}-{k}")
     for _ in range(10):
         a = ext.sample(rng)
@@ -213,7 +217,8 @@ def test_frobenius_row_table_matches_powers(p, k):
 # the image of the generator of src under embedding(src, dst), by its code
 # in dst; no pinned CLI report builds an extension-to-extension embedding
 EMBEDDING_PAIRS = [(3, 2, 4, 15), (7, 2, 4, 893), (7, 3, 6, 20005),
-                   (10007, 2, 6, 237566485309849260923408)]
+                   (10007, 2, 6, 237566485309849260923408),
+                   (10007, 2, 8, 28894650911893016681905838386616)]
 
 
 @pytest.mark.parametrize("p,a,b,code", EMBEDDING_PAIRS,
