@@ -15,6 +15,10 @@ per operation:
 - `roots_orbit6`: `roots_in_field` on the irreducible sextic over
   F_10007 of `test_orbit_six_root_work_is_pinned`, split in
   F_{10007^6};
+- `roots quadratic`, `roots orbit4` and `roots orbit5`: `roots_in_field`
+  on one irreducible part over F_10007 of degree 2, 4 and 5
+  (`ORBIT_PARTS`), given over F_10007 as the solver gives it and rooted
+  in F_{10007^2}, F_{10007^4} and F_{10007^5};
 - `ddf`: `distinct_degree_factorization` at k_max 6 of that sextic over
   F_10007, and of an irreducible sextic over F_{10007^2} (`DDF_SIX_EXT`,
   payloads in the seeded modulus t^2 + 2163 t + 3393 of
@@ -69,6 +73,11 @@ FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
 
 ORBIT_SIX = [1596, 8186, 9026, 1665, 7777, 3788, 1]
 
+# irreducible over F_10007, drawn with random.Random("arith-timings-roots")
+ORBIT_PARTS = {"quadratic": [206, 997, 1],
+               "orbit4": [3099, 3308, 3751, 8713, 1],
+               "orbit5": [3930, 7132, 4068, 874, 218, 1]}
+
 DDF_SIX_EXT = [(9678, 76), (8262, 1670), (5852, 1562), (7376, 8848),
                (5656, 5900), (8522, 1653), (1, 0)]
 
@@ -116,6 +125,13 @@ def operations():
     ops.append(("roots_orbit6 GF(10007^6)",
                 lambda: roots_in_field(sextic, ext, random.Random(0),
                                        orbit=6), 1))
+    for name, coeffs in ORBIT_PARTS.items():
+        part = [ground.from_int(c) for c in coeffs]
+        split = relative_extension(ground, len(part) - 1)[0]
+        ops.append((f"roots {name} {split}",
+                    lambda part=part, split=split: roots_in_field(
+                        part, split, random.Random(0),
+                        orbit=len(part) - 1), 1))
     f_ground = [ground.from_int(c) for c in ORBIT_SIX]
     ops.append(("ddf sextic GF(10007)",
                 lambda: distinct_degree_factorization(f_ground, ground, 6), 1))

@@ -532,27 +532,27 @@ class _Ring:
                 a = self.reduce(self.pack(a) * base)
         return a
 
-    def frobenius_table(self, xp, frob_rows) -> list:
-        """Packed rows for `apply`: u -> u^p, from xp = x^p mod m and the
-        field's Frobenius rows: row j*k + d is t^(d p) x^(j p), a product
-        of two packed elements left unreduced. The ring must be built for
-        at least k(p - 1) terms."""
-        powers = [(1,) + (0,) * (self.k - 1), xp]
-        while len(powers) < self.n:
-            powers.append(self.mul(powers[-1], xp))
+    def frobenius_table(self, powers, frob_rows) -> list:
+        """Packed rows for `apply`: u -> u^p, from powers[j] = x^(j p) mod
+        m, j < n, and the field's Frobenius rows: row j*k + d is
+        t^(d p) x^(j p), a product of two packed elements left unreduced.
+        The ring must be built for at least k(p - 1) terms."""
         scalars = [self.pack(c) for c in frob_rows]
-        return [s * x for x in map(self.pack, powers[:self.n])
-                for s in scalars]
+        return [s * x for x in map(self.pack, powers) for s in scalars]
 
     def apply(self, u, table: list) -> tuple:
         """The F_p-linear map with these packed rows at the digits u: each
-        digit times its row, summed, then reduced once, so every slot must
-        hold its sum. Rows packed from reduced digits (Frobenius steps and
-        embeddings in a field's ring) leave a slot at most n
-        digit-times-row products, which a field ring's slots hold. The
-        rows of `frobenius_table` are unreduced products, so its ring is
-        built for k(p - 1) terms."""
-        return self.reduce(sum(map(mul, u, table)))
+        digit times its row, summed, then read once, so every slot must
+        hold its sum. The ring's kind decides the read:
+        - a field's own ring (no `base`) applies rows packed from reduced
+          digits (Frobenius steps, embeddings): a slot sums at most n
+          digit-times-row products, which its slots hold, and the
+          nonunit slots stay empty, so the sum is read by `digits`;
+        - a quotient ring over a field applies `frobenius_table`'s
+          unreduced products, so it is built for k(p - 1) terms and the
+          sum is folded by `reduce`."""
+        v = sum(map(mul, u, table))
+        return self.reduce(v) if self.base else self.digits(v)
 
     # Euclid over the field F_p[x]/(m), on polynomials whose coefficients
     # are n digits each
@@ -596,6 +596,17 @@ class _Ring:
         la, lb = len(a) // n, len(b) // n
         if la < lb:
             return (), tuple(a)
+        if n == 1:  # over F_p a coefficient is its own digit
+            work, neg = list(a), [p - d for d in b[:-1]]
+            inv, quot = pow(b[-1], -1, p), []
+            for i in range(la - 1, lb - 2, -1):
+                c = work[i] * inv % p
+                quot.append(c)
+                if c:
+                    low = i - lb + 1
+                    work[low:i] = [w + c * x for w, x in zip(work[low:i], neg)]
+            quot.reverse()
+            return tuple(quot), self.trim([w % p for w in work[:lb - 1]])
         pack, reduce, spread, gather = self._coefficients(la - lb + 2)
         work, neg = spread(a), spread([-d % p for d in b[:-n]])
         lead = b[-n:]

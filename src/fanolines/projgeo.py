@@ -47,8 +47,11 @@ class ProjectivePoint:
                 break
         if pivot is None:
             raise ValueError("all coordinates zero")
-        inv = coords[pivot].inverse()
-        self.coords = tuple(c * inv for c in coords)
+        lead = coords[pivot]
+        if lead != 1:
+            inv = lead.inverse()
+            coords = tuple(c * inv for c in coords)
+        self.coords = coords
 
     @property
     def field(self) -> Field:

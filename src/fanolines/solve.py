@@ -19,8 +19,12 @@ is needed and no field is visited that holds no point.
 The other roots of the orbit are sigma(r), ..., sigma^(j-1)(r), sigma:
 x -> x^q. sigma fixes F_q, so every coefficient of the basis, and it is
 a field automorphism of each extension: it maps the points over r one
-to one onto the points over sigma(r). So those fibers are not solved;
-their points are the images of r's under sigma, coordinate by coordinate.
+to one onto the points over sigma(r). So those fibers are not solved,
+and the recursion returns one point per orbit of sigma: a point of
+residue degree k has k images, coordinate by coordinate. sigma maps
+canonical projective points (first nonzero coordinate 1) to canonical
+ones, so each orbit's point is normalized once and its images are
+mapped from its canonical coordinates.
 
 Every solution with coordinates in F_{q^k}, k <= k_max, is found once,
 over the extension of its exact residue degree.
@@ -65,35 +69,34 @@ def _read_off(fiber: List[Polynomial],
         if values[i] is not None:
             return None
         const = h.terms.get((0,) * nvars, h.field.zero())
-        values[i] = -const / h.terms[lead[0]]
+        coeff = h.terms[lead[0]]
+        values[i] = -const if coeff == 1 else -const / coeff
     return tuple(values)
 
 
 def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
                    rng: random.Random) -> List[Tuple[int, Tuple[FieldElement, ...]]]:
-    """Points of residue degree <= k_max over the finite field ground of
-    the zero-dimensional affine scheme with reduced lex basis gb, as
-    (residue degree k, coordinates in relative_extension(ground, k)). gb[0]
-    is the eliminant: `fglm_lex` meets every power of x_last first."""
+    """One point per Frobenius orbit over the finite field ground of the
+    points of residue degree <= k_max of the zero-dimensional affine
+    scheme with reduced lex basis gb, as (residue degree k, coordinates in
+    relative_extension(ground, k)). gb[0] is the eliminant: `fglm_lex`
+    meets every power of x_last first."""
     eliminant, rest = _univariate_in_last(gb[0]), gb[1:]
     nvars = gb[0].nvars - 1
     out: List[Tuple[int, Tuple[FieldElement, ...]]] = []
-    for j, part in distinct_degree_factorization(eliminant, ground, k_max).items():
+    for j, (part, xp) in distinct_degree_factorization(eliminant, ground,
+                                                       k_max).items():
         ext, embed = relative_extension(ground, j)
         basis = rest if j == 1 else [g.map_coefficients(ext, embed) for g in rest]
         solved = set()
-        for root in roots_in_field(part, ext, rng, orbit=j):
+        for root in roots_in_field(part, ext, rng, orbit=j, xp=xp):
             if root.payload in solved:
                 continue
-            points = _fiber_points(basis, nvars, root, ground, k_max // j, rng)
-            for i in range(j):  # the orbit root, sigma(root), ...
-                if i:
-                    root = ext.frobenius(root, ground.degree)
-                    points = [(d, tuple(c.field.frobenius(c, ground.degree)
-                                        for c in point))
-                              for d, point in points]
+            out += _fiber_points(basis, nvars, root, ground, k_max // j, rng)
+            solved.add(root.payload)
+            for _ in range(j - 1):  # sigma(root), ...: the same orbits
+                root = ext.frobenius(root, ground.degree)
                 solved.add(root.payload)
-                out += points
     return out
 
 
@@ -101,9 +104,9 @@ def _fiber_points(basis: List[Polynomial], nvars: int, root: FieldElement,
                   ground: Field, k_max: int,
                   rng: random.Random) -> List[Tuple[int, Tuple[FieldElement, ...]]]:
     """The points of `_affine_points` whose last coordinate is root, an
-    element of residue degree j over ground: read off the fiber's system,
-    or solved from its lex basis for residue degrees up to k_max over the
-    root's field."""
+    element of residue degree j over ground, one per Frobenius orbit over
+    the root's field: read off the fiber's system, or solved from its lex
+    basis for residue degrees up to k_max over the root's field."""
     ext = root.field
     j = ext.degree // ground.degree
     fiber = [g for g in restrict(basis, nvars, root) if g]
@@ -172,8 +175,14 @@ def solve_projective(basis: List[Polynomial], k_max: int,
             continue
         for k, coords in _affine_points(fglm_lex(chart), ground, k_max, rng):
             ext = coords[0].field
-            found.append((k, ProjectivePoint(
-                coords + (ext.one(),) + (ext.zero(),) * (nvars - 1 - last))))
+            point = ProjectivePoint(
+                coords + (ext.one(),) + (ext.zero(),) * (nvars - 1 - last))
+            found.append((k, point))
+            coords = point.coords
+            for _ in range(k - 1):  # canonical images of a canonical point
+                coords = tuple(ext.frobenius(c, ground.degree) if c else c
+                               for c in coords)
+                found.append((k, ProjectivePoint(coords)))
     found.sort(key=lambda item: (
         item[0], item[1].pivot() != nvars - 1, item[1].pivot(),
         tuple(c.field.code_of(c) for c in reversed(item[1].coords))))

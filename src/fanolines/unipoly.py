@@ -14,32 +14,56 @@ slots for a Frobenius sum. The hot loops build no FieldElement.
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
 and returns, for each j, the product of the irreducible factors of degree
-j. It works in one ring, F_q0[x]/(e): x^p by squaring once, then each
-q0-th power as [F_q0 : F_p] Frobenius steps (von zur Gathen-Shoup 1992),
-over F_p and its extensions alike. Every root of that degree-j part has
-residue degree exactly j, so it is split over F_(q0^j) and nowhere else:
-roots_in_field(..., orbit=j) finds one root per Frobenius orbit by
-descent into the smaller factor of each random split, takes its
-conjugates a^q0, ..., a^(q0^(j-1)) through the field's Frobenius row
-table and divides the orbit out. With orbit=1 the same descent roots any
-product of distinct linear factors, such as the modulus of a subfield.
+j, with x^p mod that part. It works in one ring, F_q0[x]/(e): x^p by
+squaring once, then each q0-th power as [F_q0 : F_p] Frobenius steps (von
+zur Gathen-Shoup 1992), over F_p and its extensions alike. Every root of
+that degree-j part has residue degree exactly j, so its roots lie in
+F_(q0^j) and nowhere else, one Frobenius orbit r, r^q0, ...,
+r^(q0^(j-1)) per irreducible factor.
+
+roots_in_field(..., orbit=j) ends every orbit in a square root. Random
+splits (x + r)^((Q^d-1)/2) - 1 of a product of degree-d factors over F_Q
+descend into the smaller factor until one of degree at most 2 is left,
+and its roots come by the quadratic formula. For odd j, or a part given
+over the splitting field, the descent runs over F_(q0^j) on linear
+factors. For even j = 2h a part over F_q0 splits over the half-degree
+field F_(q0^h) into quadratics, in a ring with half the digits per
+coefficient. A part of one orbit takes no split there: of degree 2 it
+is its own quadratic, and of degree 2h >= 4 its quadratic through x
+has the trace and norm of x down to F_(q0^h) as coefficients, brought
+into F_(q0^h) by a root of the trace's minimal polynomial, a part of
+orbit h. Over F_(q0^h) a quadratic's discriminant D is a non-square,
+so sqrt(D) = sqrt(D/z) sqrt(z) for a fixed non-square z of F_(q0^h),
+with sqrt(z) in F_(q0^j) found once per pair of fields. The other roots
+of the orbit are Frobenius images of the one found, and so are its
+other quadratics over F_(q0^h), which are divided out there.
+
+Square roots take no long power, only norms to subfields and Frobenius
+steps (as in Adj-Rodriguez-Henriquez 2014): over
+F_(p^e), e odd, sqrt(a) = a^((S+1)/2) / sqrt(N(a)) with S = 1 + p + ... +
+p^(e-1), a power by (p+1)/2 and Frobenius steps, N(a) = a^S in F_p; over
+F_(q^2), sqrt(a) = (a + n) / sqrt(a + a^q + 2n) with n = +-sqrt(a^(q+1)),
+two square roots in F_q. Only F_p takes a Tonelli-Shanks power, on ints.
 
 Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) is not taken by
 squaring up to Q either: from x^p mod the polynomial, each p-th power is
 one Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
-log p + 2D products instead of 1.5 * D * log p. x^p itself is taken over
-the field the part comes in, F_q0 from the factorization, and lifted into
-F_Q: for a line count over F_10007 that is a ring with one digit per
+log p + 2D products instead of 1.5 * D * log p. x^p and its powers are
+taken over the field the part comes in, F_q0 from the factorization, and
+lifted: for a line count over F_10007 that is a ring with one digit per
 coefficient, not D.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from itertools import chain
-from typing import Dict, List
+from itertools import chain, count
+from typing import Dict, List, Optional, Tuple
 
-from .field import Field, FieldElement, _Ring, payload_lift
+from .field import (Field, FieldElement, _frobenius_shift, _Ring,
+                    build_extension, payload_lift)
+from .linalg import Echelon, unit_row
 
 
 def _flat(a: List[FieldElement], field: Field) -> tuple:
@@ -80,24 +104,41 @@ def _quotient_ring(field: Field, m) -> _Ring:
     return _Ring(p, m, field.degree * (p - 1), field.ring)
 
 
-def distinct_degree_factorization(e: List[FieldElement], field: Field,
-                                  k_max: int) -> Dict[int, List[FieldElement]]:
-    """{j: product of the distinct monic irreducible degree-j factors of e}
-    for j <= k_max, omitting the j with no such factor.
+def _xp_powers(ring: _Ring, xp) -> list:
+    """1, x^p, x^(2p), ... mod m: the n powers of xp = x^p mod m below
+    x^(n p), n = deg m, that `_Ring.frobenius_table` packs."""
+    powers = [ring.digits(1), xp]
+    while len(powers) < ring.n:
+        powers.append(ring.mul(powers[-1], xp))
+    return powers[:ring.n]
+
+
+def distinct_degree_factorization(
+        e: List[FieldElement], field: Field, k_max: int
+) -> Dict[int, Tuple[List[FieldElement], List[FieldElement]]]:
+    """{j: (part, x^p mod part)} for j <= k_max, part the product of the
+    distinct monic irreducible degree-j factors of e, omitting the j with
+    no such factor.
 
     All powers are taken in one ring, F_q[x]/(e), q = p^k: x^p once by
     squaring, and then each q-th power w^q as k Frobenius steps from the
     table of x^(i*p) mod e. As f | e, w mod e reduced mod f is w mod f,
     so the gcds run against the shrinking f and w is never reduced
-    again. gcd(x^(q^j) - x, f) is squarefree, so repeated factors, p-th
-    powers included, need no derivative: once found, every copy of a
-    factor is divided out of f and later steps never see it again.
+    again; x^p mod a part is x^p mod e reduced the same way.
+    gcd(x^(q^j) - x, f) is squarefree, so repeated factors, p-th powers
+    included, need no derivative: once found, every copy of a factor is
+    divided out of f and later steps never see it again.
     """
     base, k = field.ring, field.degree
     f = _flat(e, field)
     assert f, "the zero polynomial has no factorization"
     f = base.monic(f)
+    if len(f) == k:
+        return {}  # a nonzero constant
     x = (0,) * k + (1,) + (0,) * (k - 1)
+    ring = _quotient_ring(field, f)
+    xp = base.trim(ring.pow(base.divmod(x, f)[1], field.characteristic()))
+    table = ring.frobenius_table(_xp_powers(ring, xp), field.frob_rows)
     w = x
     parts: Dict[int, tuple] = {}
     for j in range(1, k_max + 1):
@@ -107,10 +148,6 @@ def distinct_degree_factorization(e: List[FieldElement], field: Field,
             if 0 < degree <= k_max:
                 parts[degree] = f
             break
-        if j == 1:  # f is still e
-            ring = _quotient_ring(field, f)
-            table = ring.frobenius_table(
-                ring.pow(x, field.characteristic()), field.frob_rows)
         for _ in range(k):
             w = ring.apply(w, table)
         g = base.gcd(_sub(base, w, x), f)
@@ -119,60 +156,332 @@ def distinct_degree_factorization(e: List[FieldElement], field: Field,
             while len(g) > k:  # every copy of every factor of g
                 f = base.divmod(f, g)[0]
                 g = base.gcd(f, g)
-    return {j: _elements(field, part) for j, part in sorted(parts.items())}
+    return {j: (_elements(field, part),
+                _elements(field, base.divmod(xp, part)[1]))
+            for j, part in sorted(parts.items())}
 
 
-def _split_one(field: Field, f, xp, rng: random.Random) -> tuple:
-    """A proper monic factor of f, a product of linear factors over the
-    field F_Q, Q = p^D, from gcd((x + r)^((Q-1)/2) - 1, f) for random r.
+def _sqrt_mod(a: int, p: int) -> Optional[int]:
+    """A square root of the nonzero a mod the odd prime p, None for a
+    non-square (Tonelli-Shanks; one power when p = 3 mod 4)."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s, t = 0, p - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = next(z for z in count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, x, b = pow(z, t, p), pow(a, (t + 1) // 2, p), pow(a, t, p)
+    while b != 1:  # b = x^2 / a has order 2^i < 2^s
+        i, b2 = 0, b
+        while b2 != 1:
+            b2, i = b2 * b2 % p, i + 1
+        g = pow(c, 1 << (s - i - 1), p)
+        s, c, x, b = i, g * g % p, x * g % p, b * g * g % p
+    return x
 
-    (Q-1)/2 = (p-1)/2 * (1 + p + ... + p^(D-1)), so the power is
-    b * b^p * ... * b^(p^(D-1)) with b = (x + r)^((p-1)/2): each p-th power
-    is a Frobenius step from the table of x^(j*p) mod f, built from xp =
-    x^p mod a multiple of f. Over F_p (D = 1) there is no step, and xp is
-    None.
+
+@functools.lru_cache(maxsize=None)
+def _twist(field: Field, e: int) -> Tuple[FieldElement, FieldElement]:
+    """(w, 1/w^2) for an element w of the subfield F_(q^2) of `field`,
+    q = p^(e/2), with w^q = -w: so w^2 is a non-square of F_q. w is
+    u - u^q for u the trace into F_(q^2) of the first power of the
+    generator t whose trace lies outside F_q (u = t when F_(q^2) is the
+    field)."""
+    v = t = field.generator()
+    while True:
+        u = v
+        for i in range(1, field.degree // e):
+            u = u + field.frobenius(v, i * e)
+        w = u - field.frobenius(u, e // 2)
+        if w:
+            return w, (w * w).inverse()
+        v = v * t
+
+
+def _sqrt(a: FieldElement, e: int = 0) -> Optional[FieldElement]:
+    """A square root of a in its field F, or None when a is a non-square.
+    a lies in the subfield of F of degree e over F_p (F itself when e is
+    0), and every step runs in F's representation."""
+    field, p = a.field, a.field.characteristic()
+    e = e or field.degree
+    if a.is_zero():
+        return a
+    if e == 1:  # a in F_p
+        root = _sqrt_mod(a.payload if field.degree == 1 else a.payload[0], p)
+        return None if root is None else field.from_int(root)
+    if e % 2:
+        # (S + 1)/2 = 1 + p (p + 1)/2 (1 + p^2 + ... + p^(e-3)), and
+        # x = a^((S+1)/2) has x^2 = a N(a), N(a) = a^S in F_p
+        c = field.frobenius(
+            FieldElement(field, field.ring.pow(a.payload, (p + 1) // 2)))
+        x = a * c
+        for _ in range(e // 2 - 1):
+            c = field.frobenius(c, 2)
+            x = x * c
+        i = next(i for i, d in enumerate(a.payload) if d)
+        root = _sqrt_mod((x * x).payload[i] * pow(a.payload[i], -1, p), p)
+        return None if root is None else x * field.from_int(pow(root, -1, p))
+    h = e // 2  # a in F_(q^2), q = p^h
+    conj = field.frobenius(a, h)
+    if conj == a:  # a in F_q: a square there, or a non-square times w^2
+        root = _sqrt(a, h)
+        if root is None:
+            w, z_inv = _twist(field, e)
+            root = _sqrt(a * z_inv, h) * w
+        return root
+    # x^2 = a gives (x + x^q)^2 = a + a^q + 2 x^(q+1), x^(q+1) = +-n, and
+    # x (x + x^q) = a + x^(q+1); with the wrong sign the sum is a
+    # non-square of F_q
+    n = _sqrt(a * conj, h)
+    if n is None:
+        return None
+    for s in (n, -n):
+        y = _sqrt(a + conj + s + s, h)
+        if y:
+            return (a + s) / y
+    raise AssertionError("a square of F_(q^2) has a root")
+
+
+def _orbit(field: Field, root: FieldElement, orbit: int) -> List[FieldElement]:
+    """root, sigma(root), ..., sigma^(orbit-1)(root), sigma the Frobenius
+    of the subfield of index orbit."""
+    out = [root]
+    for _ in range(orbit - 1):
+        out.append(field.frobenius(out[-1], field.degree // orbit))
+    return out
+
+
+def _quadratic_roots(field: Field, g) -> List[FieldElement]:
+    """The roots of the monic flat g of degree 1 or 2 over field, all of
+    them in field."""
+    c = _elements(field, g)
+    if len(c) == 2:
+        return [-c[0]]
+    root = _sqrt(c[1] * c[1] - 4 * c[0])
+    half = field.from_int((field.characteristic() + 1) // 2)
+    return [(root - c[1]) * half, (-root - c[1]) * half]
+
+
+@functools.lru_cache(maxsize=None)
+def _half_field(sub: Field, field: Field):
+    """(half, root) for parts over sub with roots in `field` that split
+    into quadratics over half, the subfield of index 2: root(g) is a root
+    in field of the monic quadratic g over half, irreducible there, given
+    as its coefficient list. Built once per pair of fields.
+
+    half goes into field by payload_lift(half, field) and then the
+    Frobenius power that makes it agree with payload_lift(sub, field) on
+    sub (`_frobenius_shift`). The discriminant D of g is a non-square of
+    half, so with z a fixed non-square of half, sqrt(D) = sqrt(D/z)
+    sqrt(z): one square root in half, and sqrt(z) in field, taken here."""
+    half = build_extension(field.characteristic(), field.degree // 2)
+    embed = payload_lift(half, field)
+    shift = _frobenius_shift(sub, half, field)
+
+    def lift(c) -> FieldElement:
+        image = FieldElement(field, embed(c))
+        return field.frobenius(image, shift) if shift else image
+
+    start = half.generator() if half.degree > 1 else half.zero()
+    z = next(z for z in (start + c for c in count(2)) if _sqrt(z) is None)
+    z_inv, root_z = z.inverse(), _sqrt(lift(z.payload))
+    half_one = field.from_int((field.characteristic() + 1) // 2)
+
+    def root(g: List[FieldElement]) -> FieldElement:
+        root_d = lift(_sqrt((g[1] * g[1] - 4 * g[0]) * z_inv).payload)
+        return (root_d * root_z - lift(g[1].payload)) * half_one
+
+    return half, root
+
+
+def _split_one(field: Field, ring: _Ring, table, f, rng: random.Random,
+               degree: int) -> tuple:
+    """A proper monic factor of f, a product of distinct irreducible
+    factors of degree `degree` over the field F_Q, Q = p^D, from
+    gcd((x + r)^((Q^degree-1)/2) - 1, f) for random r; ring is F_Q[x]/(f).
+
+    (Q^degree-1)/2 = (p-1)/2 * (1 + p + ... + p^(degree*D-1)), so the
+    power is b * b^p * ... with b = (x + r)^((p-1)/2): each p-th power is
+    a Frobenius step by `table`, None when there is no step (D = degree
+    = 1).
     """
     k, p = field.degree, field.characteristic()
     d = len(f) // k - 1
-    ring = _quotient_ring(field, f)
     one = (1,) + (0,) * (k - 1)
-    if k > 1:
-        table = ring.frobenius_table(field.ring.divmod(xp, f)[1],
-                                     field.frob_rows)
     while True:
         b = ring.pow(_flat([field.sample(rng), field.one()], field),
                      (p - 1) // 2)
         h = b
-        for _ in range(k - 1):
+        for _ in range(degree * k - 1):
             b = ring.apply(b, table)
             h = ring.mul(h, b)
+        if not any(h[k:]):
+            continue  # h = +-1: every factor gave the same sign
         g = field.ring.gcd(_sub(field.ring, h, one), f)
         if 0 < len(g) // k - 1 < d:
             return g
 
 
-def _orbit_roots(field: Field, f, xp, orbit: int,
-                 rng: random.Random) -> list:
-    """One root per Frobenius orbit by descent, then its conjugates."""
-    ring, k = field.ring, field.degree
-    steps = k // orbit  # root^q0 is `steps` Frobenius steps
-    roots = []
-    while len(f) > k:
+def _ground_ring(sub: Field, f, xp):
+    """(A, xp, powers): A = F_sub[x]/(f) with slots for a Frobenius sum,
+    x^p mod f (taken in A unless given) and its powers below x^(n p)."""
+    s, p = sub.degree, sub.characteristic()
+    ring = _quotient_ring(sub, f)
+    if xp is None:
+        xp = sub.ring.trim(ring.pow((0,) * s + (1,) + (0,) * (s - 1), p))
+    return ring, xp, _xp_powers(ring, xp)
+
+
+class _Descent:
+    """Descent over `field` to factors of degree at most 2 of f, a monic
+    product of distinct irreducible factors of degree `degree` over it,
+    for parts over a subfield sub: f and x^p mod f come over sub and are
+    lifted, and the first split's ring and Frobenius table come from
+    F_sub[x]/(f), taken only when f needs a split: its powers of x^p are
+    lifted, and when sub is the field the ring is the split's own."""
+
+    def __init__(self, sub: Field, field: Field, f, xp, degree: int):
+        self.field, self.degree = field, degree
+        self.f, self.xp, self.first = _lift(sub, field, f), None, None
+        if len(f) <= 3 * sub.degree:
+            return  # no split
+        if degree * field.degree == 1:  # a split over F_p takes no step
+            self.first = _quotient_ring(field, self.f), None
+            return
+        ring, xp, powers = _ground_ring(sub, f, xp)
+        self.xp = _lift(sub, field, xp)
+        if sub != field:
+            ring = _quotient_ring(field, self.f)
+            powers = [_lift(sub, field, w) for w in powers]
+        self.first = ring, ring.frobenius_table(powers, field.frob_rows)
+
+    def factor(self, f, rng: random.Random) -> tuple:
+        """A monic factor of degree 1 or 2 of f, a factor of self.f, by
+        descent into the smaller factor of each split."""
+        field, k = self.field, self.field.degree
         g = f
-        while len(g) > 2 * k:
-            h = _split_one(field, g, xp, rng)
-            g = h if 2 * len(h) <= len(g) + k else ring.divmod(g, h)[0]
-        root = -_elements(field, g[:k])[0]
-        for i in range(orbit):
-            if i:
-                root = field.frobenius(root, steps)
-            roots.append(root)
-            f = ring.deflate(f, root.payload if k > 1 else (root.payload,))
+        while len(g) > 3 * k:
+            if g == self.f:
+                ring, table = self.first
+            else:
+                ring, table = _quotient_ring(field, g), None
+                if self.xp is not None:
+                    table = ring.frobenius_table(_xp_powers(
+                        ring, field.ring.divmod(self.xp, g)[1]),
+                        field.frob_rows)
+            h = _split_one(field, ring, table, g, rng, self.degree)
+            g = h if 2 * len(h) <= len(g) + k else field.ring.divmod(g, h)[0]
+        return g
+
+
+def _orbit_quadratic(sub: Field, half: Field, f, xp,
+                     rng: random.Random) -> Optional[List[FieldElement]]:
+    """The quadratic factor over half through one root of f, one Frobenius
+    orbit of degree 2h > 2 over sub = F_q0, with no split; None when the
+    trace below does not generate the subfield.
+
+    A = F_q0[x]/(f) is a copy of F_(q0^2h), so x is a root of f and y =
+    x^(q0^h) its conjugate over the subfield S of index 2, and (X - x)(X
+    - y) has its coefficients v = x + y and u = x y in S. When v
+    generates S, its minimal polynomial over F_q0 has degree h and roots
+    in half: one of them, found as a part of orbit h, fixes an embedding
+    of S in half, and u = a_0 + a_1 v + ... + a_(h-1) v^(h-1)
+    (`linalg.Echelon`) goes along."""
+    s, p = sub.degree, sub.characteristic()
+    ring, _, powers = _ground_ring(sub, f, xp)
+    table = ring.frobenius_table(powers, sub.frob_rows)
+    n = ring.n
+    h = n // 2
+
+    def sigma(w):  # w^q0
+        for _ in range(s):
+            w = ring.apply(w, table)
+        return w
+
+    def add(a, b):
+        return tuple((c + d) % p for c, d in zip(a, b))
+
+    x = (0,) * s + (1,) + (0,) * (n * s - s - 1)
+    y = x
+    for _ in range(h):
+        y = sigma(y)
+    v, u = add(x, y), ring.mul(x, y)
+    conjugates = [v]
+    for _ in range(h - 1):
+        conjugates.append(sigma(conjugates[-1]))
+    if v in conjugates[1:]:
+        return None  # v lies in a smaller subfield
+    # the minimal polynomial of v, prod (Y - v_i), little-endian in Y,
+    # has its coefficients in F_q0: their first s digits
+    minimal = [ring.digits(1)]
+    for c in conjugates:
+        c = tuple(-d % p for d in c)
+        minimal = [add(low, ring.mul(c, high)) for low, high in
+                   zip([(0,) * (n * s)] + minimal, minimal + [(0,) * (n * s)])]
+    root = _roots(sub, half, tuple(d for w in minimal for d in w[:s]), None,
+                  h, rng)[0]
+    echelon = Echelon(sub, n)
+    w = ring.digits(1)
+    for i in range(h):  # v^0, ..., v^(h-1), each tagged by a unit vector
+        echelon.add([c.payload for c in _elements(sub, w)]
+                    + unit_row(sub, i, h + 1))
+        w = ring.mul(w, v)
+    combination = echelon.reduce([c.payload for c in _elements(sub, u)]
+                                 + unit_row(sub, h, h + 1))[n:]
+    lift = payload_lift(sub, half)
+    image = half.zero()
+    for a in reversed(combination[:h]):  # u = -sum combination[i] v^i
+        image = image * root - FieldElement(half, lift(a))
+    return [image, -root, half.one()]
+
+
+def _roots(sub: Field, field: Field, f, xp, orbit: int,
+           rng: random.Random) -> List[FieldElement]:
+    """The roots in field of the monic flat f over sub, of degree > 0, as
+    promised by `roots_in_field`, unsorted; xp is x^p mod f or None."""
+    k, s = field.degree, sub.degree
+    if orbit % 2 or s * orbit != k:
+        descent, roots = _Descent(sub, field, f, xp, 1), []
+        f = descent.f
+        while len(f) > 3 * k:
+            for root in _quadratic_roots(field, descent.factor(f, rng)):
+                if root in roots:
+                    continue  # the other root of a quadratic, in this orbit
+                conjugates = _orbit(field, root, orbit)
+                roots += conjugates
+                if len(f) == (orbit + 1) * k:
+                    f = f[-k:]  # f was this orbit
+                    break
+                for r in conjugates:
+                    f = field.ring.deflate(
+                        f, r.payload if k > 1 else (r.payload,))
+        if len(f) > k:
+            roots += _quadratic_roots(field, f)
+        return roots
+    half, root = _half_field(sub, field)
+    if orbit > 2 and len(f) == (orbit + 1) * s:  # one orbit
+        g = _orbit_quadratic(sub, half, f, xp, rng)
+        if g is not None:
+            return _orbit(field, root(g), orbit)
+    descent, roots = _Descent(sub, half, f, xp, 2), []
+    f = descent.f
+    while len(f) > half.degree:
+        g = _elements(half, descent.factor(f, rng))
+        roots += _orbit(field, root(g), orbit)
+        if len(f) == (orbit + 1) * half.degree:
+            break  # f was this orbit
+        for _ in range(orbit // 2):  # this orbit's quadratics over half
+            f = half.ring.divmod(f, _flat(g, half))[0]
+            g = [half.frobenius(c, s) if half.degree > 1 else c for c in g]
     return roots
 
 
 def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
-                   *, orbit: int) -> List[FieldElement]:
+                   *, orbit: int,
+                   xp: Optional[List[FieldElement]] = None
+                   ) -> List[FieldElement]:
     """Distinct roots of `a` lying in the finite field itself, sorted.
 
     orbit=j promises that `a` is a product of distinct irreducible factors
@@ -184,26 +493,20 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     influences internal splitting choices.
 
     The coefficients of `a` lie in the field or in a subfield F_s of it,
-    such as F_q0 for a part as the factorization returns it. Over an
-    extension the splitting starts from x^p mod a, and that is taken where
-    `a` lives, in F_s[x]/(a), then lifted (`payload_lift`): embedding F_s
-    is a ring map, so it sends x^p mod a to x^p mod the embedded a. For a
-    part over F_10007 split in F_(10007^6) the power runs on one digit
-    per coefficient instead of six.
+    such as F_q0 for a part as the factorization returns it, and xp, when
+    given, is x^p mod `a` over F_s, as the factorization returns it too.
+    Over an extension the splitting starts from x^p mod a, and that is
+    taken where `a` lives, in F_s[x]/(a), then lifted (`payload_lift`):
+    embedding F_s is a ring map, so it sends x^p mod a to x^p mod the
+    embedded a. A part over F_q0 of even orbit j = 2h goes through
+    F_(q0^h); every other part descends over the field.
     """
     assert field.degree % orbit == 0
     sub = a[0].field if a else field
-    k, s, p = field.degree, sub.degree, field.characteristic()
-    assert k % s == 0
+    assert field.degree % sub.degree == 0
     f = _flat(a, sub)
-    if len(f) <= s:
+    if len(f) <= sub.degree:
         return []  # constants (callers guard the zero polynomial)
-    f = sub.ring.monic(f)
-    if len(f) == 2 * s:
-        return [-_elements(field, _lift(sub, field, f[:s]))[0]]
-    x = (0,) * s + (1,) + (0,) * (s - 1)
-    # over F_p a split is one power of x + r, and _split_one reads no x^p
-    xp = (_lift(sub, field, sub.ring.trim(_quotient_ring(sub, f).pow(x, p)))
-          if k > 1 else None)
-    roots = _orbit_roots(field, _lift(sub, field, f), xp, orbit, rng)
+    roots = _roots(sub, field, sub.ring.monic(f),
+                   None if xp is None else _flat(xp, sub), orbit, rng)
     return sorted(roots, key=field.code_of)

@@ -56,6 +56,21 @@ def draw(p, rng, pth_power):
     return out
 
 
+def payload_parts(parts):
+    """{j: payload list of the part} of a distinct-degree factorization,
+    after checking that each part comes with x^p mod it
+    (`schoolbook_powmod`)."""
+    out = {}
+    for j, (part, xp) in parts.items():
+        field = part[0].field
+        payloads = [c.payload for c in part]
+        x = [field._zero_payload(), field._one_payload()]
+        assert [c.payload for c in xp] == schoolbook_powmod(
+            field, x, field.characteristic(), payloads), j
+        out[j] = payloads
+    return out
+
+
 def sympy_parts(coeffs, p, k_max):
     """{j: coefficients of the product of the distinct monic irreducible
     degree-j factors}, from sympy's factorization mod p."""
@@ -80,8 +95,7 @@ def test_distinct_degree_factorization_matches_sympy(p):
         coeffs = draw(p, rng, pth_power=p < 10 and trial % 2 == 0)
         e = [field.from_int(c) for c in coeffs]
         for k_max in (2, 4):
-            got = distinct_degree_factorization(e, field, k_max)
-            got = {j: [c.payload for c in part] for j, part in got.items()}
+            got = payload_parts(distinct_degree_factorization(e, field, k_max))
             assert got == sympy_parts(coeffs, p, k_max), (coeffs, k_max)
 
 
@@ -93,8 +107,16 @@ def test_distinct_degree_factorization_of_pth_power_alone():
                      square_plus_one, 3)
     parts = distinct_degree_factorization(
         [f3.from_int(c) for c in coeffs], f3, 4)
-    assert {j: [c.payload for c in part] for j, part in parts.items()} == \
-        {2: [1, 0, 1]}
+    assert payload_parts(parts) == {2: [1, 0, 1]}
+
+
+def times(a, b):
+    """The product of two FieldElement coefficient lists."""
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 def draw_over(field, rng, pth_power):
@@ -103,13 +125,6 @@ def draw_over(field, rng, pth_power):
     to the p-th power, as FieldElement lists."""
     def monic(degree):
         return [field.sample(rng) for _ in range(degree)] + [field.one()]
-
-    def times(a, b):
-        out = [field.zero()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return out
 
     out = [field.one()]
     for _ in range(rng.randint(1, 3)):
@@ -134,8 +149,7 @@ def test_distinct_degree_factorization_matches_plain_powers(p, k):
     for trial in range(8):
         e = draw_over(field, rng, pth_power=p < 10 and trial % 2 == 0)
         for k_max in (2, 4):
-            got = distinct_degree_factorization(e, field, k_max)
-            got = {j: [c.payload for c in part] for j, part in got.items()}
+            got = payload_parts(distinct_degree_factorization(e, field, k_max))
             assert got == plain_ddf(e, field, k_max), (trial, k_max)
             seen.update(got)
     assert seen >= {1, 2, 3}
@@ -157,7 +171,7 @@ def test_distinct_degree_factorization_takes_one_power(monkeypatch):
 
     monkeypatch.setattr(_Ring, "pow", counted_pow)
     parts = distinct_degree_factorization(sextic, ground, 6)
-    assert parts == {6: sextic}
+    assert list(parts) == [6] and parts[6][0] == sextic
     assert calls == [10007]
 
 
@@ -195,8 +209,8 @@ def test_orbit_roots_match_general_roots_and_brute_force(ground):
             brute = [z for z in map(ext.element_from_code, range(ext.order()))
                      if horner(mapped, z).is_zero()
                      and frobenius_residue_degree([z], ground, j) == j]
-            orbit = roots_in_field([embed(c) for c in parts[j]], ext, rng,
-                                   orbit=j) if j in parts else []
+            orbit = roots_in_field([embed(c) for c in parts[j][0]], ext,
+                                   rng, orbit=j) if j in parts else []
             assert orbit == brute, (trial, j)
 
 
@@ -267,7 +281,8 @@ def test_packed_products_match_the_schoolbook_oracle(p, k):
         powers = [[one]]
         while len(powers) < n:
             powers.append(schoolbook_mulmod(field, powers[-1], xp, m))
-        table = ring.frobenius_table(ring_digits(field, xp), field.frob_rows)
+        table = ring.frobenius_table([ring_digits(field, w) for w in powers],
+                                     field.frob_rows)
         for u in cases:
             want = [zero] * n
             for c, xjp in zip(u, powers):
@@ -289,7 +304,7 @@ def irreducible(field, j, rng):
         coeffs = [rng.randrange(field.p) for _ in range(j)] + [1]
         parts = distinct_degree_factorization(
             [field.from_int(c) for c in coeffs], field, j)
-        if list(parts) == [j] and len(parts[j]) == j + 1:
+        if list(parts) == [j] and len(parts[j][0]) == j + 1:
             return coeffs
 
 
@@ -315,29 +330,75 @@ def test_orbit_roots_at_benchmark_scale(j):
     assert roots == roots_in_field(mapped, ext, random.Random(2), orbit=j)
 
 
+def count_work(monkeypatch):
+    """(field products, base digits of each `_Ring` built, `_split_one`
+    calls) counted from here on."""
+    from fanolines import unipoly
+    from fanolines.field import ExtensionField
+    products, rings, splits = [], [], []
+    mul, build, split = ExtensionField._mul, _Ring.__init__, unipoly._split_one
+
+    def counted_mul(self, a, b):
+        products.append(1)
+        return mul(self, a, b)
+
+    def counted_build(self, p, m, terms, base=None, widths=None):
+        rings.append(base.n if base else 0)
+        build(self, p, m, terms, base, widths)
+
+    def counted_split(*args):
+        splits.append(1)
+        return split(*args)
+
+    monkeypatch.setattr(ExtensionField, "_mul", counted_mul)
+    monkeypatch.setattr(_Ring, "__init__", counted_build)
+    monkeypatch.setattr(unipoly, "_split_one", counted_split)
+    return products, rings, splits
+
+
 def test_orbit_six_root_work_is_pinned(monkeypatch):
-    # one irreducible sextic over F_10007 split in F_(10007^6), as in a
+    # one irreducible sextic over F_10007 rooted in F_(10007^6), as in a
     # depth-6 line count. The products of polynomials are packed ints and
     # the Frobenius row table comes with the field, so field
     # multiplications are left only in gcds and deflation; the tuple-loop
-    # products made 2945, and building the table per call 27 more.
-    from fanolines.field import ExtensionField
+    # products made 2945, and building the table per call 27 more. Given
+    # over F_(10007^6), the part builds its ring there once. Given over
+    # F_10007, as the solver gives it, its quadratic factor over
+    # F_(10007^3) comes from traces with no ring over F_(10007^6): a
+    # split there took a ring over each field
     ground = PrimeField(10007)
     coeffs = irreducible(ground, 6, random.Random("pinned-orbit-6"))
     assert coeffs == [1596, 8186, 9026, 1665, 7777, 3788, 1]
     ext, embed = relative_extension(ground, 6)
-    mapped = [embed(ground.from_int(c)) for c in coeffs]
-    calls = []
-    mul = ExtensionField._mul
-
-    def counted_mul(self, a, b):
-        calls.append(1)
-        return mul(self, a, b)
-
-    monkeypatch.setattr(ExtensionField, "_mul", counted_mul)
+    part = [ground.from_int(c) for c in coeffs]
+    mapped = [embed(c) for c in part]
+    roots_in_field(part, ext, random.Random(1), orbit=6)  # per-field caches
+    products, rings, _ = count_work(monkeypatch)
     roots = roots_in_field(mapped, ext, random.Random(0), orbit=6)
     assert len(roots) == 6
-    assert len(calls) <= 60
+    assert len(products) <= 60
+    assert rings == [6]  # F[x]/(f) once, for x^p and the split
+    products.clear()
+    rings.clear()
+    assert roots_in_field(part, ext, random.Random(0), orbit=6) == roots
+    assert len(products) <= 12
+    assert 6 not in rings
+
+
+def test_quadratic_part_takes_no_split(monkeypatch):
+    # one orbit of degree 2 over F_10007: the quadratic formula over
+    # F_(10007^2), with sqrt(z) of the pair of fields taken once
+    ground = PrimeField(10007)
+    ext, embed = relative_extension(ground, 2)
+    rng = random.Random("quadratic-part")
+    first, second = irreducible(ground, 2, rng), irreducible(ground, 2, rng)
+    roots_in_field([ground.from_int(c) for c in first], ext, rng, orbit=2)
+    _, rings, splits = count_work(monkeypatch)
+    part = [ground.from_int(c) for c in second]
+    roots = roots_in_field(part, ext, rng, orbit=2)
+    assert rings == [] and splits == []
+    assert len(roots) == 2
+    assert all(horner([embed(c) for c in part], r).is_zero() for r in roots)
 
 
 @pytest.mark.parametrize("ground", [PrimeField(7), PrimeField(10007),
@@ -352,7 +413,8 @@ def test_roots_of_a_ground_part_match_the_embedded_part(ground):
     seen = set()
     for trial in range(4):
         e = [ground.sample(rng) for _ in range(8)] + [ground.one()]
-        for j, part in distinct_degree_factorization(e, ground, 4).items():
+        for j, (part, _) in distinct_degree_factorization(e, ground,
+                                                          4).items():
             ext, embed = relative_extension(ground, j)
             mapped = [embed(c) for c in part]
             own = roots_in_field(part, ext, random.Random(trial), orbit=j)
@@ -362,3 +424,72 @@ def test_roots_of_a_ground_part_match_the_embedded_part(ground):
             assert all(horner(mapped, r).is_zero() for r in own)
             seen.add(j)
     assert max(seen) >= 3
+
+
+def irreducible_over(field, j, rng):
+    """A random monic irreducible of degree j over the field, as a
+    FieldElement list."""
+    while True:
+        f = [field.sample(rng) for _ in range(j)] + [field.one()]
+        parts = distinct_degree_factorization(f, field, j)
+        if list(parts) == [j] and len(parts[j][0]) == j + 1:
+            return f
+
+
+# (p, k, k_max): grounds F_(p^k) and the largest orbit rooted over each
+COMPLETE_GROUNDS = ([(3, 1, 6), (5, 1, 6), (7, 1, 6), (13, 1, 6),
+                     (10009, 1, 6), (3, 2, 4), (5, 2, 4), (7, 2, 4)]
+                    + [(10007, k, max(2, 6 // k)) for k in range(1, 7)]
+                    + [(4294967311, 2, 2)])
+
+
+@pytest.mark.parametrize("p,k,k_max", COMPLETE_GROUNDS,
+                         ids=[f"F{p}^{k}" for p, k, _ in COMPLETE_GROUNDS])
+def test_roots_of_every_orbit_are_complete(p, k, k_max):
+    # parts of one orbit at every residue degree j <= k_max, and of two
+    # at j <= 4, rooted as the factorization gives them (with x^p mod the
+    # part and without) and mapped into the splitting field: as many
+    # distinct roots as the degree, each a root, so none is missing.
+    # F_10009 has p = 1 mod 8 (Tonelli-Shanks with s >= 3)
+    ground = build_extension(p, k)
+    rng = random.Random(f"complete-{p}-{k}")
+    parts = []
+    for orbits in (1, 2):
+        e = [ground.one()]
+        for j in range(1, k_max + 1):
+            for _ in range(orbits if j <= 4 else 1):
+                e = times(e, irreducible_over(ground, j, rng))
+        factored = distinct_degree_factorization(e, ground, k_max)
+        assert list(factored) == list(range(1, k_max + 1))
+        parts += factored.items()
+    for j, (part, xp) in parts:
+        ext, embed = relative_extension(ground, j)
+        mapped = [embed(c) for c in part]
+        got = [roots_in_field(part, ext, rng, orbit=j, xp=xp),
+               roots_in_field(part, ext, rng, orbit=j),
+               roots_in_field(mapped, ext, rng, orbit=j)]
+        roots = got[0]
+        assert len(set(roots)) == len(roots) == len(part) - 1, j
+        assert all(horner(mapped, r).is_zero() for r in roots), j
+        assert got[1] == got[2] == roots, j
+
+
+@pytest.mark.parametrize("j", [4, 6])
+def test_every_irreducible_over_f3_is_rooted(j):
+    # every monic irreducible of degree j over F_3: for some of them the
+    # trace x + x^(3^(j/2)) lies in a smaller subfield than F_(3^(j/2)),
+    # and the part splits over F_(3^(j/2)) instead
+    f3 = PrimeField(3)
+    ext, embed = relative_extension(f3, j)
+    rng = random.Random(f"every-{j}")
+    count = 0
+    for code in range(3 ** j):
+        f = [f3.from_int(code // 3 ** i % 3) for i in range(j)] + [f3.one()]
+        parts = distinct_degree_factorization(f, f3, j)
+        if list(parts) != [j]:
+            continue
+        count += 1
+        roots = roots_in_field(f, ext, rng, orbit=j, xp=parts[j][1])
+        assert len(set(roots)) == len(roots) == j, f
+        assert all(horner([embed(c) for c in f], r).is_zero() for r in roots)
+    assert count == {4: 18, 6: 116}[j]
