@@ -13,12 +13,16 @@ per operation:
 - `frobenius` and `embed`: one Frobenius step in F_{10007^6}, and one
   `embedding` of F_{10007^2} into F_{10007^6}, of random elements;
 - `roots_orbit6`: `roots_in_field` on the irreducible sextic over
-  F_10007 of `test_orbit_six_root_work_is_pinned`, split in
-  F_{10007^6};
+  F_10007 of `test_orbit_six_root_work_is_pinned`, given over F_10007
+  as the solver gives it and rooted in F_{10007^6};
 - `roots quadratic`, `roots orbit4` and `roots orbit5`: `roots_in_field`
   on one irreducible part over F_10007 of degree 2, 4 and 5
-  (`ORBIT_PARTS`), given over F_10007 as the solver gives it and rooted
-  in F_{10007^2}, F_{10007^4} and F_{10007^5};
+  (`ORBIT_PARTS`), given the same way and rooted in F_{10007^2},
+  F_{10007^4} and F_{10007^5};
+- `roots orbit3x2`: `roots_in_field` on the product of two irreducible
+  cubics over F_10007 (`TWO_CUBICS`), given the same way and rooted in
+  F_{10007^3}, per call over the rngs random.Random(0) to (7): the
+  splits of a part of two orbits retry a random number of times;
 - `ddf`: `distinct_degree_factorization` at k_max 6 of that sextic over
   F_10007, and of an irreducible sextic over F_{10007^2} (`DDF_SIX_EXT`,
   payloads in the seeded modulus t^2 + 2163 t + 3393 of
@@ -78,6 +82,10 @@ ORBIT_PARTS = {"quadratic": [206, 997, 1],
                "orbit4": [3099, 3308, 3751, 8713, 1],
                "orbit5": [3930, 7132, 4068, 874, 218, 1]}
 
+# (7307 + 3369 x + 7166 x^2 + x^3)(6698 + 1071 x + 7275 x^2 + x^3): the
+# first two irreducible cubics that rng draws
+TWO_CUBICS = [8056, 100, 1209, 5747, 620, 4434, 1]
+
 DDF_SIX_EXT = [(9678, 76), (8262, 1670), (5852, 1562), (7376, 8848),
                (5656, 5900), (8522, 1653), (1, 0)]
 
@@ -111,7 +119,7 @@ def operations():
         ops.append((f"packer64 {field}",
                     lambda field=field: field._packer(64), 1))
     ground = PrimeField(10007)
-    ext, embed = relative_extension(ground, 6)
+    ext = relative_extension(ground, 6)[0]
     square = build_extension(10007, 2)
     maps = random.Random("arith-timings-maps")  # rng's draws stay as before
     elements = [ext.sample(maps) for _ in range(64)]
@@ -121,9 +129,9 @@ def operations():
                                            for _ in range(64)]
     ops.append((f"embed {square}->{ext}",
                 lambda: [lift(e) for e in below], len(below)))
-    sextic = [embed(ground.from_int(c)) for c in ORBIT_SIX]
+    f_ground = [ground.from_int(c) for c in ORBIT_SIX]
     ops.append(("roots_orbit6 GF(10007^6)",
-                lambda: roots_in_field(sextic, ext, random.Random(0),
+                lambda: roots_in_field(f_ground, ext, random.Random(0),
                                        orbit=6), 1))
     for name, coeffs in ORBIT_PARTS.items():
         part = [ground.from_int(c) for c in coeffs]
@@ -132,7 +140,11 @@ def operations():
                     lambda part=part, split=split: roots_in_field(
                         part, split, random.Random(0),
                         orbit=len(part) - 1), 1))
-    f_ground = [ground.from_int(c) for c in ORBIT_SIX]
+    cubics = [ground.from_int(c) for c in TWO_CUBICS]
+    cube = relative_extension(ground, 3)[0]
+    ops.append((f"roots orbit3x2 {cube}",
+                lambda: [roots_in_field(cubics, cube, random.Random(i),
+                                        orbit=3) for i in range(8)], 8))
     ops.append(("ddf sextic GF(10007)",
                 lambda: distinct_degree_factorization(f_ground, ground, 6), 1))
     assert square.modulus == (3393, 2163, 1)

@@ -33,9 +33,8 @@ FFLAS): the overflow slots mod p fold back by packed reduced rows, and
 the unit slots mod p are the digits. A field keeps its ring for one
 product, widened per `_packer(terms)` width once. The ring of a field
 holds the one Euclid for polynomials over it, a division adding one
-packed product per step (`_Ring.divmod`), a synthetic division by
-x - root with one packed product per step (`_Ring.deflate`), and
-inverts by extended Euclid over F_p on the digit lists (ibid., §4.2).
+packed product per step (`_Ring.divmod`), and inverts by extended
+Euclid over F_p on the digit lists (ibid., §4.2).
 """
 
 from __future__ import annotations
@@ -625,22 +624,6 @@ class _Ring:
         return (tuple(chain.from_iterable(quot)),
                 self.trim(gather(work[:lb - 1])))
 
-    def deflate(self, a, root) -> tuple:
-        """The quotient of the trimmed polynomial a by x - root, for a root
-        of a: synthetic division from the top, c_(i-1) = a_i + root * c_i,
-        one packed product per coefficient step. The remainder a(root) is
-        asserted zero."""
-        n = self.n
-        pack, reduce, _, _ = self._coefficients(2)
-        r, rem, out = pack(root), (0,) * n, []
-        for i in range(len(a) - n, -1, -n):
-            rem = reduce(pack(a[i:i + n]) + r * pack(rem))
-            out.append(rem)
-        assert not any(rem), "deflating by a non-root"
-        out.pop()
-        out.reverse()
-        return tuple(chain.from_iterable(out))
-
     def gcd(self, a, b) -> tuple:
         """The monic gcd of the trimmed polynomials a and b, () when both
         are zero."""
@@ -743,8 +726,7 @@ def payload_lift(src: Field, dst: Field):
     assert isinstance(src, ExtensionField) and isinstance(dst, ExtensionField)
     assert src.p == dst.p and dst.k % src.k == 0
     from .unipoly import roots_in_field
-    ground = build_extension(src.p, 1)
-    modulus = [ground.from_int(c) for c in src.modulus]
+    modulus = [dst.from_int(c) for c in src.modulus]
     rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
     root = roots_in_field(modulus, dst, rng, orbit=1)[0]
     ring = dst.ring

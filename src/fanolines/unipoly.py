@@ -6,10 +6,10 @@ The public functions take and return little-endian lists of FieldElement.
 Inside, a polynomial over F_(p^k) is a flat digit tuple, digit j of
 coefficient i at index i*k + j, and all its arithmetic is the field's
 `_Ring` (`field.py`): gcds, divisions and monic forms by the Euclid of
-the field's own ring, deflations by x - root by its synthetic division,
-and products, powers and Frobenius steps (`_Ring.apply` on packed rows)
-by a ring for F_(p^k)[x]/(m), built from the field's fold rows with
-slots for a Frobenius sum. The hot loops build no FieldElement.
+the field's own ring, and products, powers and Frobenius steps
+(`_Ring.apply` on packed rows) by a ring for F_(p^k)[x]/(m), built from
+the field's fold rows with slots for a Frobenius sum. The hot loops
+build no FieldElement.
 
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
@@ -21,22 +21,21 @@ that degree-j part has residue degree exactly j, so its roots lie in
 F_(q0^j) and nowhere else, one Frobenius orbit r, r^q0, ...,
 r^(q0^(j-1)) per irreducible factor.
 
-roots_in_field(..., orbit=j) ends every orbit in a square root. Random
-splits (x + r)^((Q^d-1)/2) - 1 of a product of degree-d factors over F_Q
-descend into the smaller factor until one of degree at most 2 is left,
-and its roots come by the quadratic formula. For odd j, or a part given
-over the splitting field, the descent runs over F_(q0^j) on linear
-factors. For even j = 2h a part over F_q0 splits over the half-degree
-field F_(q0^h) into quadratics, in a ring with half the digits per
-coefficient. A part of one orbit takes no split there: of degree 2 it
-is its own quadratic, and of degree 2h >= 4 its quadratic through x
-has the trace and norm of x down to F_(q0^h) as coefficients, brought
-into F_(q0^h) by a root of the trace's minimal polynomial, a part of
-orbit h. Over F_(q0^h) a quadratic's discriminant D is a non-square,
-so sqrt(D) = sqrt(D/z) sqrt(z) for a fixed non-square z of F_(q0^h),
-with sqrt(z) in F_(q0^j) found once per pair of fields. The other roots
-of the orbit are Frobenius images of the one found, and so are its
-other quadratics over F_(q0^h), which are divided out there.
+roots_in_field(..., orbit=j) first splits a part over F_q0 into its
+irreducible factors (equal-degree factorization): random splits (x +
+r)^((Q^d-1)/2) - 1 of a product of degree-d factors over F_Q, each
+descending into the smaller factor. Each factor is one orbit, rooted
+once; the rest of the orbit is Frobenius images of that root. Every
+root ends in the quadratic formula. A factor of degree 2 is its own
+quadratic. For one of degree 2h >= 4, its quadratic through x over
+the half-degree field F_(q0^h) has the trace and norm of x down to
+F_(q0^h) as coefficients, brought into F_(q0^h) by a root of the
+trace's minimal polynomial, a factor of degree h. A factor of odd
+degree, or one whose trace lies in a smaller subfield, descends by the
+same splits over F_(q0^j) on linear factors to one of degree at most
+2. Over F_(q0^h) a quadratic's discriminant D is a non-square, so
+sqrt(D) = sqrt(D/z) sqrt(z) for a fixed non-square z of F_(q0^h), with
+sqrt(z) in F_(q0^j) found once per pair of fields.
 
 Square roots take no long power, only norms to subfields and Frobenius
 steps (as in Adj-Rodriguez-Henriquez 2014): over
@@ -49,7 +48,7 @@ Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) is not taken by
 squaring up to Q either: from x^p mod the polynomial, each p-th power is
 one Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
 log p + 2D products instead of 1.5 * D * log p. x^p and its powers are
-taken over the field the part comes in, F_q0 from the factorization, and
+taken over F_q0, where the factorization returns x^p mod each part, and
 lifted: for a line count over F_10007 that is a ring with one digit per
 coefficient, not D.
 """
@@ -266,10 +265,11 @@ def _quadratic_roots(field: Field, g) -> List[FieldElement]:
 
 @functools.lru_cache(maxsize=None)
 def _half_field(sub: Field, field: Field):
-    """(half, root) for parts over sub with roots in `field` that split
-    into quadratics over half, the subfield of index 2: root(g) is a root
-    in field of the monic quadratic g over half, irreducible there, given
-    as its coefficient list. Built once per pair of fields.
+    """(half, root) for irreducible factors over sub of even degree
+    [field : sub], with a quadratic factor over half, the subfield of
+    index 2: root(g) is a root in field of the monic quadratic g over
+    half, irreducible there, given as its coefficient list. Built once
+    per pair of fields.
 
     half goes into field by payload_lift(half, field) and then the
     Frobenius power that makes it agree with payload_lift(sub, field) on
@@ -324,6 +324,38 @@ def _split_one(field: Field, ring: _Ring, table, f, rng: random.Random,
             return g
 
 
+def _factors(field: Field, f, xp, degree: int, stop: int,
+             rng: random.Random, first=None):
+    """The factors of degree <= stop of the monic flat f, a product of
+    distinct irreducible factors of degree `degree` over field, smaller
+    first: each split (`_split_one`) descends into its smaller factor and
+    stacks the other, a cofactor g/h divided out only when popped. xp is
+    x^p mod f, None when a split takes no Frobenius step; first is the
+    (ring, table) of f's first split, else built from xp mod g."""
+    k = field.degree
+    stack = [(f, None)]  # (g, h): the factor g, or g/h when h is given
+    while stack:
+        g, h = stack.pop()
+        if h is not None:
+            g = field.ring.divmod(g, h)[0]
+        while len(g) > (stop + 1) * k:
+            if first is None:
+                ring, table = _quotient_ring(field, g), None
+                if xp is not None:
+                    table = ring.frobenius_table(_xp_powers(
+                        ring, field.ring.divmod(xp, g)[1]), field.frob_rows)
+            else:
+                (ring, table), first = first, None
+            h = _split_one(field, ring, table, g, rng, degree)
+            if 2 * len(h) <= len(g) + k:
+                stack.append((g, h))
+                g = h
+            else:
+                stack.append((h, None))
+                g = field.ring.divmod(g, h)[0]
+        yield g
+
+
 def _ground_ring(sub: Field, f, xp):
     """(A, xp, powers): A = F_sub[x]/(f) with slots for a Frobenius sum,
     x^p mod f (taken in A unless given) and its powers below x^(n p)."""
@@ -332,48 +364,6 @@ def _ground_ring(sub: Field, f, xp):
     if xp is None:
         xp = sub.ring.trim(ring.pow((0,) * s + (1,) + (0,) * (s - 1), p))
     return ring, xp, _xp_powers(ring, xp)
-
-
-class _Descent:
-    """Descent over `field` to factors of degree at most 2 of f, a monic
-    product of distinct irreducible factors of degree `degree` over it,
-    for parts over a subfield sub: f and x^p mod f come over sub and are
-    lifted, and the first split's ring and Frobenius table come from
-    F_sub[x]/(f), taken only when f needs a split: its powers of x^p are
-    lifted, and when sub is the field the ring is the split's own."""
-
-    def __init__(self, sub: Field, field: Field, f, xp, degree: int):
-        self.field, self.degree = field, degree
-        self.f, self.xp, self.first = _lift(sub, field, f), None, None
-        if len(f) <= 3 * sub.degree:
-            return  # no split
-        if degree * field.degree == 1:  # a split over F_p takes no step
-            self.first = _quotient_ring(field, self.f), None
-            return
-        ring, xp, powers = _ground_ring(sub, f, xp)
-        self.xp = _lift(sub, field, xp)
-        if sub != field:
-            ring = _quotient_ring(field, self.f)
-            powers = [_lift(sub, field, w) for w in powers]
-        self.first = ring, ring.frobenius_table(powers, field.frob_rows)
-
-    def factor(self, f, rng: random.Random) -> tuple:
-        """A monic factor of degree 1 or 2 of f, a factor of self.f, by
-        descent into the smaller factor of each split."""
-        field, k = self.field, self.field.degree
-        g = f
-        while len(g) > 3 * k:
-            if g == self.f:
-                ring, table = self.first
-            else:
-                ring, table = _quotient_ring(field, g), None
-                if self.xp is not None:
-                    table = ring.frobenius_table(_xp_powers(
-                        ring, field.ring.divmod(self.xp, g)[1]),
-                        field.frob_rows)
-            h = _split_one(field, ring, table, g, rng, self.degree)
-            g = h if 2 * len(h) <= len(g) + k else field.ring.divmod(g, h)[0]
-        return g
 
 
 def _orbit_quadratic(sub: Field, half: Field, f, xp,
@@ -386,7 +376,7 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp,
     x^(q0^h) its conjugate over the subfield S of index 2, and (X - x)(X
     - y) has its coefficients v = x + y and u = x y in S. When v
     generates S, its minimal polynomial over F_q0 has degree h and roots
-    in half: one of them, found as a part of orbit h, fixes an embedding
+    in half: one of them (`_one_root`) fixes an embedding
     of S in half, and u = a_0 + a_1 v + ... + a_(h-1) v^(h-1)
     (`linalg.Echelon`) goes along."""
     s, p = sub.degree, sub.characteristic()
@@ -420,8 +410,8 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp,
         c = tuple(-d % p for d in c)
         minimal = [add(low, ring.mul(c, high)) for low, high in
                    zip([(0,) * (n * s)] + minimal, minimal + [(0,) * (n * s)])]
-    root = _roots(sub, half, tuple(d for w in minimal for d in w[:s]), None,
-                  h, rng)[0]
+    root = _one_root(sub, half, tuple(d for w in minimal for d in w[:s]),
+                     None, rng)
     echelon = Echelon(sub, n)
     w = ring.digits(1)
     for i in range(h):  # v^0, ..., v^(h-1), each tagged by a unit vector
@@ -437,44 +427,49 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp,
     return [image, -root, half.one()]
 
 
+def _one_root(sub: Field, field: Field, g, xp,
+              rng: random.Random) -> FieldElement:
+    """A root in field of the monic flat g, irreducible of degree j =
+    [field : sub] >= 2 over sub, xp x^p mod g or None: by the quadratic
+    over the half field at even j, else by descent over field, its
+    first table the powers of x^p in F_sub[x]/(g), lifted."""
+    j = field.degree // sub.degree
+    if j % 2 == 0:
+        half, root = _half_field(sub, field)
+        if j == 2:
+            return root(_elements(half, _lift(sub, half, g)))
+        quadratic = _orbit_quadratic(sub, half, g, xp, rng)
+        if quadratic is not None:
+            return root(quadratic)
+    _, xp, powers = _ground_ring(sub, g, xp)
+    f = _lift(sub, field, g)
+    ring = _quotient_ring(field, f)
+    first = ring, ring.frobenius_table([_lift(sub, field, w) for w in powers],
+                                       field.frob_rows)
+    piece = next(_factors(field, f, _lift(sub, field, xp), 1, 2, rng, first))
+    return _quadratic_roots(field, piece)[0]
+
+
 def _roots(sub: Field, field: Field, f, xp, orbit: int,
            rng: random.Random) -> List[FieldElement]:
     """The roots in field of the monic flat f over sub, of degree > 0, as
-    promised by `roots_in_field`, unsorted; xp is x^p mod f or None."""
-    k, s = field.degree, sub.degree
-    if orbit % 2 or s * orbit != k:
-        descent, roots = _Descent(sub, field, f, xp, 1), []
-        f = descent.f
-        while len(f) > 3 * k:
-            for root in _quadratic_roots(field, descent.factor(f, rng)):
-                if root in roots:
-                    continue  # the other root of a quadratic, in this orbit
-                conjugates = _orbit(field, root, orbit)
-                roots += conjugates
-                if len(f) == (orbit + 1) * k:
-                    f = f[-k:]  # f was this orbit
-                    break
-                for r in conjugates:
-                    f = field.ring.deflate(
-                        f, r.payload if k > 1 else (r.payload,))
-        if len(f) > k:
-            roots += _quadratic_roots(field, f)
-        return roots
-    half, root = _half_field(sub, field)
-    if orbit > 2 and len(f) == (orbit + 1) * s:  # one orbit
-        g = _orbit_quadratic(sub, half, f, xp, rng)
-        if g is not None:
-            return _orbit(field, root(g), orbit)
-    descent, roots = _Descent(sub, half, f, xp, 2), []
-    f = descent.f
-    while len(f) > half.degree:
-        g = _elements(half, descent.factor(f, rng))
-        roots += _orbit(field, root(g), orbit)
-        if len(f) == (orbit + 1) * half.degree:
-            break  # f was this orbit
-        for _ in range(orbit // 2):  # this orbit's quadratics over half
-            f = half.ring.divmod(f, _flat(g, half))[0]
-            g = [half.frobenius(c, s) if half.degree > 1 else c for c in g]
+    promised by `roots_in_field`, unsorted; xp is x^p mod f or None. f
+    splits over sub into one orbit per factor (at orbit 1, factors of
+    degree <= 2), its first split in F_sub[x]/(f)."""
+    k, stop = sub.degree, max(orbit, 2)
+    first = None
+    if orbit * k == 1:
+        xp = None  # a split over F_p takes no Frobenius step
+    elif len(f) > (stop + 1) * k:  # more than one orbit: a split
+        ring, xp, powers = _ground_ring(sub, f, xp)
+        first = ring, ring.frobenius_table(powers, sub.frob_rows)
+    roots = []
+    for g in _factors(sub, f, xp, orbit, stop, rng, first):
+        if orbit == 1:
+            roots += _quadratic_roots(sub, g)
+        else:
+            below = None if xp is None else sub.ring.divmod(xp, g)[1]
+            roots += _orbit(field, _one_root(sub, field, g, below, rng), orbit)
     return roots
 
 
@@ -485,25 +480,17 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     """Distinct roots of `a` lying in the finite field itself, sorted.
 
     orbit=j promises that `a` is a product of distinct irreducible factors
-    of degree j over the subfield F_q0 of index j (q0^j = |field|), e.g.
-    the degree-j part of a distinct-degree factorization over F_q0. Then
-    sigma: x -> x^q0 fixes the coefficients, so it permutes the roots,
-    and every root has exactly j conjugates r, sigma(r), ...,
-    sigma^(j-1)(r): the roots come one orbit at a time. The rng only
-    influences internal splitting choices.
-
-    The coefficients of `a` lie in the field or in a subfield F_s of it,
-    such as F_q0 for a part as the factorization returns it, and xp, when
-    given, is x^p mod `a` over F_s, as the factorization returns it too.
-    Over an extension the splitting starts from x^p mod a, and that is
-    taken where `a` lives, in F_s[x]/(a), then lifted (`payload_lift`):
-    embedding F_s is a ring map, so it sends x^p mod a to x^p mod the
-    embedded a. A part over F_q0 of even orbit j = 2h goes through
-    F_(q0^h); every other part descends over the field.
+    of degree j over the subfield F_q0 of index j (q0^j = |field|), with
+    its coefficients in F_q0 (in the field itself at orbit=1): the
+    degree-j part of a distinct-degree factorization over F_q0, as it
+    returns it, and xp, when given, is x^p mod `a` over F_q0, as it
+    returns it too. Then sigma: x -> x^q0 fixes the coefficients, so it
+    permutes the roots, and every root has exactly j conjugates r,
+    sigma(r), ..., sigma^(j-1)(r): one orbit per irreducible factor,
+    rooted once. The rng only influences internal splitting choices.
     """
-    assert field.degree % orbit == 0
-    sub = a[0].field if a else field
-    assert field.degree % sub.degree == 0
+    sub = a[0].field
+    assert sub.degree * orbit == field.degree
     f = _flat(a, sub)
     if len(f) <= sub.degree:
         return []  # constants (callers guard the zero polynomial)

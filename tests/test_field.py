@@ -440,31 +440,3 @@ def test_division_sums_reach_the_slot_bound(p, k):
     assert ring_payloads(field, ring.gcd(ring_digits(field, f),
                                          ring_digits(field, g))) == \
         ar.gcd(f, g)
-
-
-DEFLATION_FIELDS = [PrimeField(7), PrimeField(10007), PrimeField(4294967311),
-                    build_extension(3, 6), build_extension(10007, 2),
-                    build_extension(10007, 6)]
-
-
-@pytest.mark.parametrize("field", DEFLATION_FIELDS, ids=str)
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_synthetic_deflation_matches_ring_division(field, data):
-    # `_Ring.deflate` against the ring's own Euclid dividing by x - root:
-    # a polynomial minus its remainder at root is a multiple of x - root.
-    # Every digit p - 1 is drawn on purpose: the widest packed sums
-    ring, p, k = field.ring, field.p, field.degree
-    digit = st.one_of(st.just(p - 1), st.integers(0, p - 1))
-    coefficient = st.tuples(*[digit] * k)
-    root = data.draw(coefficient)
-    a = [d for c in data.draw(st.lists(coefficient, min_size=1, max_size=9))
-         for d in c] + [1] + [0] * (k - 1)
-    linear = ring.trim(tuple(-d % p for d in root) + (1,) + (0,) * (k - 1))
-    quot, rem = ring.divmod(tuple(a), linear)
-    for j, d in enumerate(rem):
-        a[j] = (a[j] - d) % p
-    assert ring.deflate(tuple(a), root) == quot
-    a[0] = (a[0] + 1) % p  # now a(root) = 1
-    with pytest.raises(AssertionError, match="non-root"):
-        ring.deflate(tuple(a), root)

@@ -209,8 +209,8 @@ def test_orbit_roots_match_general_roots_and_brute_force(ground):
             brute = [z for z in map(ext.element_from_code, range(ext.order()))
                      if horner(mapped, z).is_zero()
                      and frobenius_residue_degree([z], ground, j) == j]
-            orbit = roots_in_field([embed(c) for c in parts[j][0]], ext,
-                                   rng, orbit=j) if j in parts else []
+            orbit = roots_in_field(parts[j][0], ext, rng,
+                                   orbit=j) if j in parts else []
             assert orbit == brute, (trial, j)
 
 
@@ -310,8 +310,8 @@ def irreducible(field, j, rng):
 
 @pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
 def test_orbit_roots_at_benchmark_scale(j):
-    # the line-counts shapes: a degree-j part over F_10007, split in
-    # F_(10007^j); two orbits, so the descent splits a reducible part
+    # the line-counts shapes: a degree-j part over F_10007, rooted in
+    # F_(10007^j); two orbits, so the part splits over F_10007 first
     ground = PrimeField(10007)
     rng = random.Random(f"scale-{j}")
     first = irreducible(ground, j, rng)
@@ -319,20 +319,20 @@ def test_orbit_roots_at_benchmark_scale(j):
     while second == first:
         second = irreducible(ground, j, rng)
     ext, embed = relative_extension(ground, j)
-    mapped = [embed(ground.from_int(c))
-              for c in int_mul(first, second, ground.p)]
-    roots = roots_in_field(mapped, ext, random.Random(1), orbit=j)
-    assert len(roots) == len(mapped) - 1 == 2 * j
+    part = [ground.from_int(c) for c in int_mul(first, second, ground.p)]
+    mapped = [embed(c) for c in part]
+    roots = roots_in_field(part, ext, random.Random(1), orbit=j)
+    assert len(roots) == len(part) - 1 == 2 * j
     assert all(horner(mapped, r).is_zero() for r in roots)
     assert {ext.frobenius(r) for r in roots} == set(roots)
     codes = [ext.code_of(r) for r in roots]
     assert codes == sorted(codes)
-    assert roots == roots_in_field(mapped, ext, random.Random(2), orbit=j)
+    assert roots == roots_in_field(part, ext, random.Random(2), orbit=j)
 
 
 def count_work(monkeypatch):
-    """(field products, base digits of each `_Ring` built, `_split_one`
-    calls) counted from here on."""
+    """(field products, (base digits, modulus degree) of each `_Ring`
+    built, `_split_one` calls) counted from here on."""
     from fanolines import unipoly
     from fanolines.field import ExtensionField
     products, rings, splits = [], [], []
@@ -343,7 +343,8 @@ def count_work(monkeypatch):
         return mul(self, a, b)
 
     def counted_build(self, p, m, terms, base=None, widths=None):
-        rings.append(base.n if base else 0)
+        k = base.n if base else 1
+        rings.append((base.n if base else 0, len(m) // k - 1))
         build(self, p, m, terms, base, widths)
 
     def counted_split(*args):
@@ -360,12 +361,13 @@ def test_orbit_six_root_work_is_pinned(monkeypatch):
     # one irreducible sextic over F_10007 rooted in F_(10007^6), as in a
     # depth-6 line count. The products of polynomials are packed ints and
     # the Frobenius row table comes with the field, so field
-    # multiplications are left only in gcds and deflation; the tuple-loop
-    # products made 2945, and building the table per call 27 more. Given
-    # over F_(10007^6), the part builds its ring there once. Given over
-    # F_10007, as the solver gives it, its quadratic factor over
-    # F_(10007^3) comes from traces with no ring over F_(10007^6): a
-    # split there took a ring over each field
+    # multiplications are left only in gcds and the quadratic formula;
+    # the tuple-loop products made 2945, and building the table per call
+    # 27 more. Mapped into F_(10007^6) and split there into linear
+    # factors, F[x]/(f) of the sextic is built once, for x^p and the
+    # first split. Given over F_10007, as the solver gives it, its
+    # quadratic factor over F_(10007^3) comes from traces with no ring
+    # over F_(10007^6): a split there took a ring over each field
     ground = PrimeField(10007)
     coeffs = irreducible(ground, 6, random.Random("pinned-orbit-6"))
     assert coeffs == [1596, 8186, 9026, 1665, 7777, 3788, 1]
@@ -374,15 +376,39 @@ def test_orbit_six_root_work_is_pinned(monkeypatch):
     mapped = [embed(c) for c in part]
     roots_in_field(part, ext, random.Random(1), orbit=6)  # per-field caches
     products, rings, _ = count_work(monkeypatch)
-    roots = roots_in_field(mapped, ext, random.Random(0), orbit=6)
+    roots = roots_in_field(mapped, ext, random.Random(0), orbit=1)
     assert len(roots) == 6
     assert len(products) <= 60
-    assert rings == [6]  # F[x]/(f) once, for x^p and the split
+    assert rings.count((6, 6)) == 1  # F[x]/(f) over F_(10007^6)
     products.clear()
     rings.clear()
     assert roots_in_field(part, ext, random.Random(0), orbit=6) == roots
     assert len(products) <= 12
-    assert 6 not in rings
+    assert all(base != 6 for base, _ in rings)
+
+
+def test_two_cubic_orbits_split_over_the_ground_first(monkeypatch):
+    # two irreducible cubics over F_10007 at orbit 3: the part splits into
+    # its cubics over F_10007, and each cubic, one orbit, descends over
+    # F_(10007^3) from its own ring, not from one of the whole sextic
+    ground = PrimeField(10007)
+    rng = random.Random("two-cubic-orbits")
+    first = irreducible(ground, 3, rng)
+    second = first
+    while second == first:
+        second = irreducible(ground, 3, rng)
+    ext, embed = relative_extension(ground, 3)
+    part = [ground.from_int(c) for c in int_mul(first, second, ground.p)]
+    roots_in_field(part, ext, random.Random(1), orbit=3)  # per-field caches
+    _, rings, _ = count_work(monkeypatch)
+    roots = roots_in_field(part, ext, random.Random(0), orbit=3)
+    built = [ring for ring in rings if ring[0]]  # F[x]/(m), not a widening
+    assert built[0] == (1, 6)  # the first split, over F_10007
+    over_ext = [degree for base, degree in built if base == 3]
+    assert over_ext and set(over_ext) == {3}
+    mapped = [embed(c) for c in part]
+    assert len(roots) == 6
+    assert roots == roots_in_field(mapped, ext, random.Random(0), orbit=1)
 
 
 def test_quadratic_part_takes_no_split(monkeypatch):
@@ -406,9 +432,10 @@ def test_quadratic_part_takes_no_split(monkeypatch):
                                     build_extension(7, 2)], ids=str)
 def test_roots_of_a_ground_part_match_the_embedded_part(ground):
     # the part of a distinct-degree factorization as it comes, over the
-    # ground field, and mapped into the splitting field: x^p mod the part
-    # is taken over the ground in the first case and lifted, so both must
-    # give the same roots, each a root of the embedded part
+    # ground field, split there into orbits, and mapped into the
+    # splitting field and split there into linear factors (orbit 1): two
+    # independent routes, so both must give the same roots, each a root
+    # of the embedded part
     rng = random.Random(f"ground-parts-{ground}")
     seen = set()
     for trial in range(4):
@@ -419,7 +446,7 @@ def test_roots_of_a_ground_part_match_the_embedded_part(ground):
             mapped = [embed(c) for c in part]
             own = roots_in_field(part, ext, random.Random(trial), orbit=j)
             assert own == roots_in_field(mapped, ext, random.Random(trial),
-                                         orbit=j)
+                                         orbit=1)
             assert len(own) == len(part) - 1
             assert all(horner(mapped, r).is_zero() for r in own)
             seen.add(j)
@@ -448,8 +475,9 @@ COMPLETE_GROUNDS = ([(3, 1, 6), (5, 1, 6), (7, 1, 6), (13, 1, 6),
 def test_roots_of_every_orbit_are_complete(p, k, k_max):
     # parts of one orbit at every residue degree j <= k_max, and of two
     # at j <= 4, rooted as the factorization gives them (with x^p mod the
-    # part and without) and mapped into the splitting field: as many
-    # distinct roots as the degree, each a root, so none is missing.
+    # part and without) and mapped into the splitting field at orbit 1:
+    # as many distinct roots as the degree, each a root, so none is
+    # missing.
     # F_10009 has p = 1 mod 8 (Tonelli-Shanks with s >= 3)
     ground = build_extension(p, k)
     rng = random.Random(f"complete-{p}-{k}")
@@ -467,7 +495,7 @@ def test_roots_of_every_orbit_are_complete(p, k, k_max):
         mapped = [embed(c) for c in part]
         got = [roots_in_field(part, ext, rng, orbit=j, xp=xp),
                roots_in_field(part, ext, rng, orbit=j),
-               roots_in_field(mapped, ext, rng, orbit=j)]
+               roots_in_field(mapped, ext, rng, orbit=1)]
         roots = got[0]
         assert len(set(roots)) == len(roots) == len(part) - 1, j
         assert all(horner(mapped, r).is_zero() for r in roots), j
