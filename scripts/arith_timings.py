@@ -29,6 +29,10 @@ per operation:
   `build_extension(10007, 2)`);
 - `parse`: `parse_polynomial` on a fixed dense form of degree 8 in 6
   variables over F_10007 (1,287 terms);
+- `read poly file`: `cli._read_poly_file` on the file of a scan-oracle
+  instance of verdictbench, `normal_form_cubic(1, F_11, 0)` as its text
+  (10 terms), and on the two-conic file of a comment line and two forms
+  over F_7 that `tests/test_cli.py` reads;
 - `singular_scan`: the singular points of `normal_form_cubic(1, F_11, 0)`
   over F_121, the scan of an r = 1 `sing-locus --kmax 2`;
 - `variety_scan`: the points of a fixed random cubic surface over F_121;
@@ -47,26 +51,29 @@ per operation:
   F_{7^4} is scanned and levels 1 and 2 are read off it.
 
 Every name used exists in each version of the package that has
-`idealkit.random_slice`, so the same script times two such checkouts for
-comparison.
+`idealkit.random_slice` and `parse_polynomial(text, nvars, field)`, so
+the same script times two such checkouts for comparison.
 
 Usage:
     PYTHONPATH=src python3 scripts/arith_timings.py --repeat 7
 """
 
 import argparse
+import os
 import random
 import statistics
+import tempfile
 import timeit
 
 from fanolines import PrimeField, build_extension, parse_polynomial
+from fanolines.cli import _read_poly_file
 from fanolines.fano import line_system, random_pointed_hypersurface
 from fanolines.groebner import groebner_basis
 from fanolines.field import FieldElement, embedding, relative_extension
 from fanolines.idealkit import (Ideal, enumerated_points, groebner_of,
                                hilbert_data, random_slice)
-from fanolines.poly import (default_names, jacobian_rank_at,
-                            monomials_of_degree, random_homogeneous)
+from fanolines.poly import (jacobian_rank_at, monomials_of_degree,
+                            random_homogeneous)
 from fanolines.solve import solve_projective
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import distinct_degree_factorization, roots_in_field
@@ -95,8 +102,9 @@ def median_us(stmt, number: int, repeat: int) -> float:
     return statistics.median(times) / number * 1e6
 
 
-def operations():
-    """(name, callable) of every timed operation."""
+def operations(directory: str):
+    """(name, callable, calls per run) of every timed operation; the
+    input files of `read poly file` are written under directory."""
     rng = random.Random("arith-timings")
     ops = []
     for p, k in FIELDS:
@@ -151,16 +159,25 @@ def operations():
     f_ext = [FieldElement(square, c) for c in DDF_SIX_EXT]
     ops.append(("ddf sextic GF(10007^2)",
                 lambda: distinct_degree_factorization(f_ext, square, 6), 1))
-    names = default_names(6)
     dense = " + ".join(
         f"{rng.randrange(1, 10007)}*"
-        + "*".join(f"{x}^{e}" for x, e in zip(names, mono) if e)
+        + "*".join(f"x{i}^{e}" for i, e in enumerate(mono) if e)
         for mono in monomials_of_degree(6, 8))
     ops.append(("parse GF(10007) 1287 terms",
-                lambda: parse_polynomial(dense, names, ground), 1))
-    f11 = PrimeField(11)
+                lambda: parse_polynomial(dense, 6, ground), 1))
+    f7, f11 = PrimeField(7), PrimeField(11)
+    cubic_f11 = normal_form_cubic(1, f11, 0).f
+    for name, field, text in (
+            ("cubic GF(11)", f11, cubic_f11.to_text() + "\n"),
+            ("conics GF(7)", f7, "# two conics\nx0^2 + x1^2 - x2^2\n"
+                                 "x0*x1 - x2^2\n")):
+        path = os.path.join(directory, name.split()[0] + ".txt")
+        with open(path, "w") as handle:
+            handle.write(text)
+        ops.append((f"read poly file {name}",
+                    lambda p=path, f=field: _read_poly_file(p, f), 1))
     f121, embed = relative_extension(f11, 2)
-    nodal = normal_form_cubic(1, f11, 0).f.map_coefficients(f121, embed)
+    nodal = cubic_f11.map_coefficients(f121, embed)
     ops.append(("singular_scan r1 GF(11^2)",
                 lambda: singular_scan([nodal], 1, f121), 1))
     cubic = random_homogeneous(f121, 4, 3, rng)
@@ -185,8 +202,7 @@ def operations():
     rd = rank_drop_ideal(node_line_system(nfc, nodes(nfc, seed=0)[0].point))
     ops.append(("slice r3 GF(10007)",
                 lambda: hilbert_data(random_slice(rd, 3, random.Random(0))), 1))
-    f7 = PrimeField(7)
-    conics = Ideal([parse_polynomial(text, default_names(3), f7)
+    conics = Ideal([parse_polynomial(text, 3, f7)
                     for text in ("x0^2 - 3*x2^2", "x1*x2 - x0^2")])
     ops.append(("readoff conics GF(7^4)",
                 lambda: enumerated_points(conics, k_max=4), 1))
@@ -199,9 +215,10 @@ def main():
     ap.add_argument("--number", type=int, default=50,
                     help="calls of each operation per repeat")
     args = ap.parse_args()
-    for name, run, calls in operations():
-        us = median_us(run, args.number, args.repeat) / calls
-        print(f"{name:<32} {us:10.2f} us")
+    with tempfile.TemporaryDirectory() as directory:
+        for name, run, calls in operations(directory):
+            us = median_us(run, args.number, args.repeat) / calls
+            print(f"{name:<32} {us:10.2f} us")
 
 
 if __name__ == "__main__":

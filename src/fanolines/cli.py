@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import tempfile
 from typing import Dict, List, Optional
@@ -31,8 +30,7 @@ from .idealkit import (BEZOUT_SAMPLES, DEFAULT_BUDGET, LINE_COUNT_KMAX,
                        SAMPLE_KMAX, SING_LOCUS_KMAX, Ideal,
                        complete_intersection_report, dimension_text,
                        groebner_of, hilbert_data, matched, singular_points)
-from .poly import (_TOKEN_RE, LEX, Polynomial, default_names,
-                   parse_polynomial)
+from .poly import LEX, Polynomial, _parse, _tokenize
 from .projgeo import ProjectivePoint
 from .voisin import run_node_analysis
 
@@ -125,30 +123,26 @@ def _finish(config: Dict[str, str], report: Dict[str, object],
     return EXIT_VERIFY if report.get("matched") == "false" else EXIT_OK
 
 
-def _infer_nvars(text: str) -> int:
-    """One more than the highest i of the names x<i> among the parser's
-    own tokens, so `2x3` counts x3; a bad character is passed over here
-    and left for the parser to report."""
-    indices = [int(m["name"][1:]) for m in _TOKEN_RE.finditer(text)
-               if re.fullmatch(r"x\d+", m["name"] or "")]
+def _read_poly_file(path: str, field) -> List[Polynomial]:
+    """The forms of a file, one per line, lines that start with '#'
+    skipped. Each line is tokenized once. The ring is sized first, over
+    the whole file, as one more than the highest i of the name tokens
+    x<i> (so `2x3` counts x3, and x03 counts 3 but is no variable); a bad
+    character is left for the parse of its line to report."""
+    with open(path) as handle:
+        lines = [ln.strip() for ln in handle]
+    lines = [_tokenize(ln) for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise InvalidParameters(f"{path} contains no polynomials")
+    indices = [int(value[1:]) for tokens in lines for kind, value, _ in tokens
+               if kind == "name" and value[0] == "x" and value[1:].isdigit()]
     if not indices:
         raise InvalidParameters("no variables of the form x<i> found")
     top = max(indices)
     if top >= MAX_VARIABLES:
         raise InvalidParameters(
             f"x{top} is past the last variable x{MAX_VARIABLES - 1}")
-    return top + 1
-
-
-def _read_poly_file(path: str, field) -> List[Polynomial]:
-    with open(path) as handle:
-        lines = [ln.strip() for ln in handle]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise InvalidParameters(f"{path} contains no polynomials")
-    nvars = _infer_nvars(" ".join(lines))
-    names = default_names(nvars)
-    return [parse_polynomial(ln, names, field) for ln in lines]
+    return [_parse(tokens, top + 1, field) for tokens in lines]
 
 
 def _parse_point(text: str, field) -> ProjectivePoint:
@@ -190,11 +184,10 @@ def cmd_groebner(args: argparse.Namespace, field) -> tuple:
     ideal = Ideal(gens)
     basis = (groebner_basis(gens, LEX) if args.order == "lex"
              else groebner_of(ideal))
-    names = default_names(ideal.nvars)
     report: Dict[str, object] = {
         "order": args.order,
-        "generators": [g.to_text(names) for g in gens],
-        "basis": [g.to_text(names) for g in basis] or ["0"],
+        "generators": [g.to_text() for g in gens],
+        "basis": [g.to_text() for g in basis] or ["0"],
     }
     if ideal.is_homogeneous():
         dim, degree = hilbert_data(ideal)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import lshift, mul
 import struct
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 from .errors import InvalidParameters, NotPrime, ZeroInversion
 
@@ -396,6 +396,15 @@ class ExtensionField(Field):
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
+
+
+def _orbit(field: Field, e: FieldElement, size: int) -> List[FieldElement]:
+    """e, sigma(e), ..., sigma^(size-1)(e), sigma the Frobenius of the
+    subfield of index size; [e] at size 1, over any field."""
+    out = [e]
+    for _ in range(size - 1):
+        out.append(field.frobenius(out[-1], field.degree // size))
+    return out
 
 
 # A product of two packed values of more than this many bits at the

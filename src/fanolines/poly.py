@@ -5,10 +5,10 @@ Monomial orders are small key objects so Groebner code can be order-generic;
 grevlex is the workhorse, lex exists for elimination.
 
 The text format is deliberately narrow: integer or fraction coefficients,
-variables with optional ^exponent, '*' between factors, '+'/'-' between
-terms. Parsing is one pass over the tokens: each term's coefficient
-payload adds into one dict keyed by its exponent tuple, and the
-polynomial is built from that dict once. Printing is canonical
+variables x0, x1, ... with optional ^exponent, '*' between factors,
+'+'/'-' between terms. Parsing is one pass over the tokens: each term's
+coefficient payload adds into one dict keyed by its exponent tuple, and
+the polynomial is built from that dict once. Printing is canonical
 (grevlex-descending, least-residue coefficients over prime fields) so
 equal polynomials print identically.
 """
@@ -20,11 +20,10 @@ import random
 import re
 from fractions import Fraction
 from operator import add as _add, lshift as _lshift, mul as _mul
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
-from .field import Field, FieldElement, payload_lift
+from .field import Field, FieldElement, _orbit, payload_lift
 from .linalg import payload_rank
 
 if TYPE_CHECKING:
@@ -411,11 +410,9 @@ class Polynomial:
 
     # -- printing ---------------------------------------------------------
 
-    def to_text(self, names: Optional[Sequence[str]] = None) -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
-        names = list(names) if names is not None else default_names(self.nvars)
-        assert len(names) == self.nvars
         pieces = []
         for mono, coeff in sorted(self.terms.items(), reverse=True,
                                   key=lambda kv: GREVLEX.key(kv[0])):
@@ -427,7 +424,7 @@ class Polynomial:
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
-                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
+                factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
             if not factors:
                 body = coeff_str
             elif is_unit:
@@ -578,19 +575,13 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     slots = []
     for pt in points:
         target, coords = pt.field, pt.coords
-        key = (target, tuple(c.payload for c in coords))
-        slot = orbit_of.get(key)
+        slot = orbit_of.get((target, tuple(c.payload for c in coords)))
         if slot is None:
-            slot = orbit_of[key] = len(ranked)
+            slot = len(ranked)
             ranked.append(coords)
-            if target != field:
-                while True:
-                    coords = [target.frobenius(c, field.degree)
-                              for c in coords]
-                    conjugate = (target, tuple(c.payload for c in coords))
-                    if conjugate == key:
-                        break
-                    orbit_of[conjugate] = slot
+            j = target.degree // field.degree
+            for image in zip(*(_orbit(target, c, j) for c in coords)):
+                orbit_of[(target, tuple(c.payload for c in image))] = slot
         slots.append(slot)
     ranks = [payload_rank(target, n, [sums[k:k + n]
                                       for k in range(0, len(sums), n)])
@@ -639,10 +630,6 @@ def restrict(polys: Sequence[Polynomial], last: int,
     return out
 
 
-def default_names(nvars: int) -> List[str]:
-    return [f"x{i}" for i in range(nvars)]
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -660,22 +647,31 @@ MAX_TERM_DEGREE = 512
 
 
 def _tokenize(text: str):
-    """(kind, value, position) per token, kind the name of the group that
-    matched it, then an end marker."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind, value = match.lastgroup, match[0]
-        if kind == "num":
-            value = int(value)
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", match.start())
-        tokens.append((kind, value, match.start()))
+    """(kind, text, position) per token, kind the name of the group that
+    matched it ("bad" for any other character), then an end marker."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomial:
-    """Parse the textual grammar; raises ParseError / UnknownVariable.
+def default_names(nvars: int) -> List[str]:
+    return [f"x{i}" for i in range(nvars)]
+
+
+def parse_polynomial(text: str, nvars: int, field: Field) -> Polynomial:
+    """The polynomial in x0, ..., x(nvars-1) that text spells (`_parse`);
+    nvars may also come as its name list `default_names(nvars)`."""
+    if not isinstance(nvars, int):
+        assert list(nvars) == default_names(len(nvars))
+        nvars = len(nvars)
+    return _parse(_tokenize(text), nvars, field)
+
+
+def _parse(tokens, nvars: int, field: Field) -> Polynomial:
+    """The polynomial in x0, ..., x(nvars-1) that tokens (`_tokenize`)
+    spell, its numbers read in place; raises ParseError / UnknownVariable,
+    at the first bad character before any grammar error. A variable has
+    one spelling: x3, not x03.
 
     One pass over the tokens: each term's coefficient payload adds into
     one dict keyed by its exponent tuple, and a key whose sum cancels is
@@ -683,10 +679,14 @@ def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomia
     operator token is told by its value alone, which no name, number or
     end marker can equal.
     """
-    if not text.strip():
+    if len(tokens) == 1:
         raise ParseError("empty polynomial text", 0)
-    tokens = _tokenize(text)
-    index_of = {name: i for i, name in enumerate(names)}
+    for n, (kind, value, pos) in enumerate(tokens):
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "num":
+            tokens[n] = (kind, int(value), pos)
+    index_of = {f"x{i}": i for i in range(nvars)}
     add, neg, is_zero = field._add, field._neg, field._is_zero
     zero, one = field.zero().payload, field.one().payload
     payloads: Dict[Monomial, object] = {}
@@ -724,7 +724,7 @@ def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomia
             # zero or more '*' before the first factor
             while tokens[i][1] == "*":
                 i += 1
-        exps = [0] * len(names)
+        exps = [0] * nvars
         kind, value, pos = tokens[i]
         if kind != "name" and coeff is None:
             raise ParseError("expected a coefficient or variable", pos)
@@ -759,7 +759,7 @@ def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomia
         else:
             payloads[mono] = total
         if tokens[i][0] == "end":
-            return Polynomial.from_payloads(field, len(names), payloads)
+            return Polynomial.from_payloads(field, nvars, payloads)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotZeroDimensional
 from .fglm import fglm_lex, lex_basis_zero_dim
-from .field import Field, FieldElement, _frobenius_shift, relative_extension
+from .field import (Field, FieldElement, _frobenius_shift, _orbit,
+                    relative_extension)
 from .poly import Polynomial, restrict
 from .projgeo import ProjectivePoint
 from .unipoly import distinct_degree_factorization, roots_in_field
@@ -93,10 +94,8 @@ def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
             if root.payload in solved:
                 continue
             out += _fiber_points(basis, nvars, root, ground, k_max // j, rng)
-            solved.add(root.payload)
-            for _ in range(j - 1):  # sigma(root), ...: the same orbits
-                root = ext.frobenius(root, ground.degree)
-                solved.add(root.payload)
+            # root, sigma(root), ...: the same orbits
+            solved.update(r.payload for r in _orbit(ext, root, j))
     return out
 
 
@@ -177,12 +176,9 @@ def solve_projective(basis: List[Polynomial], k_max: int,
             ext = coords[0].field
             point = ProjectivePoint(
                 coords + (ext.one(),) + (ext.zero(),) * (nvars - 1 - last))
-            found.append((k, point))
-            coords = point.coords
-            for _ in range(k - 1):  # canonical images of a canonical point
-                coords = tuple(ext.frobenius(c, ground.degree) if c else c
-                               for c in coords)
-                found.append((k, ProjectivePoint(coords)))
+            # canonical images of a canonical point, the point itself first
+            found += [(k, ProjectivePoint(image)) for image in
+                      zip(*(_orbit(ext, c, k) for c in point.coords))]
     found.sort(key=lambda item: (
         item[0], item[1].pivot() != nvars - 1, item[1].pivot(),
         tuple(c.field.code_of(c) for c in reversed(item[1].coords))))

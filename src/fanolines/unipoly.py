@@ -60,7 +60,7 @@ import random
 from itertools import chain, count
 from typing import Dict, List, Optional, Tuple
 
-from .field import (Field, FieldElement, _frobenius_shift, _Ring,
+from .field import (Field, FieldElement, _frobenius_shift, _orbit, _Ring,
                     build_extension, payload_lift)
 from .linalg import Echelon, unit_row
 
@@ -243,15 +243,6 @@ def _sqrt(a: FieldElement, e: int = 0) -> Optional[FieldElement]:
     raise AssertionError("a square of F_(q^2) has a root")
 
 
-def _orbit(field: Field, root: FieldElement, orbit: int) -> List[FieldElement]:
-    """root, sigma(root), ..., sigma^(orbit-1)(root), sigma the Frobenius
-    of the subfield of index orbit."""
-    out = [root]
-    for _ in range(orbit - 1):
-        out.append(field.frobenius(out[-1], field.degree // orbit))
-    return out
-
-
 def _quadratic_roots(field: Field, g) -> List[FieldElement]:
     """The roots of the monic flat g of degree 1 or 2 over field, all of
     them in field."""
@@ -296,6 +287,11 @@ def _half_field(sub: Field, field: Field):
     return half, root
 
 
+# Most draws of `_split_one`: each splits two or more factors with
+# probability about 1/2 or more, so running out means a wrong input.
+SPLIT_DRAWS = 100
+
+
 def _split_one(field: Field, ring: _Ring, table, f, rng: random.Random,
                degree: int) -> tuple:
     """A proper monic factor of f, a product of distinct irreducible
@@ -310,7 +306,7 @@ def _split_one(field: Field, ring: _Ring, table, f, rng: random.Random,
     k, p = field.degree, field.characteristic()
     d = len(f) // k - 1
     one = (1,) + (0,) * (k - 1)
-    while True:
+    for _ in range(SPLIT_DRAWS):
         b = ring.pow(_flat([field.sample(rng), field.one()], field),
                      (p - 1) // 2)
         h = b
@@ -322,6 +318,8 @@ def _split_one(field: Field, ring: _Ring, table, f, rng: random.Random,
         g = field.ring.gcd(_sub(field.ring, h, one), f)
         if 0 < len(g) // k - 1 < d:
             return g
+    raise AssertionError(f"no split of a product of degree-{degree} factors "
+                         f"over {field} in {SPLIT_DRAWS} draws")
 
 
 def _factors(field: Field, f, xp, degree: int, stop: int,

@@ -13,7 +13,7 @@ from fanolines.fano import direction_components
 from fanolines.field import (FieldElement, _Ring, payload_lift,
                              relative_extension)
 from fanolines.linalg import mat_rank
-from fanolines.poly import MAX_TERM_DEGREE, _tokenize, default_names
+from fanolines.poly import MAX_TERM_DEGREE, _tokenize
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 
 
@@ -47,7 +47,7 @@ def f9():
 
 
 def parse(text, nvars, field):
-    return parse_polynomial(text, default_names(nvars), field)
+    return parse_polynomial(text, nvars, field)
 
 
 def base_point(field, n_proj):
@@ -618,14 +618,21 @@ def plain_rank_drop_ideal(ideal):
 
 class _TokenParser:
     """The parser as it was before `parse_polynomial` took one pass: one
-    `Polynomial.monomial` per term, summed with `Polynomial.__add__`."""
+    `Polynomial.monomial` per term, summed with `Polynomial.__add__`.
+    It reads the tokens of `_tokenize` itself, its first bad character
+    an error before any other."""
 
-    def __init__(self, text, names, field):
-        self.tokens = _tokenize(text)
+    def __init__(self, text, nvars, field):
+        self.tokens = []
+        for kind, value, pos in _tokenize(text):
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", pos)
+            self.tokens.append((kind, int(value) if kind == "num" else value,
+                                pos))
         self.i = 0
         self.field = field
-        self.index_of = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
+        self.index_of = {f"x{i}": i for i in range(nvars)}
+        self.nvars = nvars
 
     def peek(self):
         return self.tokens[self.i]
@@ -726,12 +733,12 @@ class _TokenParser:
         return monomial(self.field, tuple(exps), coeff)
 
 
-def token_parse(text, names, field):
+def token_parse(text, nvars, field):
     """Oracle of `parse_polynomial`: the same grammar, errors and term
     order, read by a token-at-a-time parser that adds term by term."""
     if not text.strip():
         raise ParseError("empty polynomial text", 0)
-    return _TokenParser(text, names, field).parse()
+    return _TokenParser(text, nvars, field).parse()
 
 
 # acceptance-gate result lines, echoed after the run so they survive

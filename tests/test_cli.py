@@ -134,6 +134,58 @@ def test_variable_index_past_the_limit_exit_2(tmp_path, command, capsys):
     assert "past the last variable x63" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["groebner", "sing-locus"])
+@pytest.mark.parametrize("text,error", [
+    ("x060010007 + x1 $\n", "x60010007 is past the last variable x63"),
+    ("2 $ 3\n", "no variables of the form x<i> found"),
+    ("x03 + x1\n", "unknown variable 'x03' at position 0"),
+    ("y\n", "no variables of the form x<i> found"),
+    ("# a comment\n\n# another\n", "{path} contains no polynomials"),
+    ("x0 + * x3 ?\n", "unexpected character '?' (at position 10)"),
+    ("x0 + * x3\nx1 ? x2\n",
+     "expected a coefficient or variable (at position 5)")],
+    ids=["bad-char-and-x060010007", "bad-char-no-variable", "x03", "y",
+         "only-comments", "bad-char-after-grammar-error",
+         "grammar-error-before-bad-line"])
+def test_input_errors_come_in_a_fixed_order(tmp_path, capsys, command, text,
+                                            error):
+    # the ring is sized over the whole file before any line is parsed;
+    # then, line by line, a bad character before any grammar error. x03
+    # counts as x3 for the ring but is no variable: names have one
+    # spelling each
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {error.format(path=path)}\n"
+
+
+class _CountingPattern:
+    """A compiled pattern that counts the texts it scans."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scans = pattern, 0
+
+    def finditer(self, text):
+        self.scans += 1
+        return self.pattern.finditer(text)
+
+
+def test_each_input_line_is_scanned_once(tmp_path, monkeypatch):
+    from fanolines import cli, poly
+    counter = _CountingPattern(poly._TOKEN_RE)
+    monkeypatch.setattr(poly, "_TOKEN_RE", counter)
+    monkeypatch.setattr(cli, "_TOKEN_RE", counter, raising=False)
+    path = tmp_path / "remark.txt"
+    path.write_text(FIXTURE)  # a comment line and two forms
+    field = PrimeField(7)
+    gens = cli._read_poly_file(str(path), field)
+    monkeypatch.undo()
+    assert counter.scans == 2
+    assert gens == [parse(line, 3, field) for line in FIXTURE.splitlines()[1:]]
+
+
 def _reports(tmp_path, capsys, argv, texts):
     """(exit code, --json stdout) of `argv` on each text, all written to
     one file name so the configs agree."""

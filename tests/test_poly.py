@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from fanolines import (PrimeField, Polynomial, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
 from fanolines.field import FieldElement, relative_extension
-from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, default_names,
-                            evaluate_at, jacobian_rank_at, monomials_of_degree,
+from fanolines.poly import (GREVLEX, LEX, MAX_TERM_DEGREE, evaluate_at,
+                            jacobian_rank_at, monomials_of_degree,
                             random_homogeneous, restrict)
 from fanolines.unipoly import roots_in_field
 from fanolines.linalg import random_invertible
@@ -108,7 +108,7 @@ PARSE_FIELDS = [PrimeField(5), F7, F10007]
 def parse_outcome(parser, text, field):
     """(class, message, position) of the error, or (nvars, ordered terms)."""
     try:
-        f = parser(text, default_names(4), field)
+        f = parser(text, 4, field)
     except FanolinesError as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
     return f.nvars, list(f.terms.items())
@@ -147,7 +147,7 @@ def test_parse_builds_one_polynomial_and_adds_none(monkeypatch):
                             counted(name, getattr(Polynomial, name)))
     monkeypatch.setattr(Polynomial, "from_payloads", classmethod(counted(
         "from_payloads", Polynomial.from_payloads.__func__)))
-    f = parse_polynomial(text, default_names(6), F10007)
+    f = parse_polynomial(text, 6, F10007)
     monkeypatch.undo()
     assert len(f.terms) == 56 and f == dense
     assert calls == {"__add__": 0, "__init__": 0, "from_payloads": 1}
@@ -159,7 +159,7 @@ def test_parse_round_trip_random():
         f = random_poly(F7, 3, 4, rng)
         if f.is_zero():
             continue
-        again = parse_polynomial(f.to_text(), default_names(3), F7)
+        again = parse_polynomial(f.to_text(), 3, F7)
         assert again == f
 
 
@@ -175,8 +175,6 @@ def test_to_text_prints_the_canonical_strings():
     f = poly(F7, 3, {(0, 0, 0): 4, (1, 0, 0): 5, (1, 0, 1): 3, (0, 2, 0): 1,
                      (0, 1, 2): 6, (2, 1, 0): 1})
     assert f.to_text() == "x0^2*x1 + 6*x1*x2^2 + x1^2 + 3*x0*x2 + 5*x0 + 4"
-    assert f.to_text(["a", "b", "c"]) == \
-        "a^2*b + 6*b*c^2 + b^2 + 3*a*c + 5*a + 4"
     g = poly(F9, 2, {(1, 0): (0, 2), (0, 0): (2, 1), (0, 2): (0, 1),
                      (1, 1): (1, 2), (2, 0): (1, 0)})
     assert g.to_text() == "x0^2 + (2*t + 1)*x0*x1 + t*x1^2 + 2*t*x0 + (t + 2)"

@@ -9,14 +9,15 @@ miss them.
 """
 
 import random
+import signal
 
 import pytest
 
 from fanolines import PrimeField, build_extension
 from fanolines.field import (_STRUCT_BITS, FieldElement, _Ring,
                              relative_extension)
-from fanolines.unipoly import (_quotient_ring, distinct_degree_factorization,
-                               roots_in_field)
+from fanolines.unipoly import (_ground_ring, _quotient_ring, _split_one,
+                               distinct_degree_factorization, roots_in_field)
 
 from conftest import (frobenius_residue_degree, plain_ddf, ring_digits,
                       ring_payloads, schoolbook_mulmod, schoolbook_powmod)
@@ -521,3 +522,27 @@ def test_every_irreducible_over_f3_is_rooted(j):
         assert len(set(roots)) == len(roots) == j, f
         assert all(horner([embed(c) for c in f], r).is_zero() for r in roots)
     assert count == {4: 18, 6: 116}[j]
+
+
+def test_a_split_with_no_proper_factor_fails_rather_than_hangs():
+    # x^2 + 1 is irreducible over F_7, so no draw splits it: a fault that
+    # hands `_split_one` a single factor (or a wrong Frobenius table)
+    # must raise after a bounded number of draws. The alarm turns a
+    # search without end into a failure instead of a stalled suite.
+    f7 = PrimeField(7)
+    f = (1, 0, 1)
+    ring, _, powers = _ground_ring(f7, f, None)
+    table = ring.frobenius_table(powers, f7.frob_rows)
+
+    def timeout(signum, frame):
+        raise TimeoutError("_split_one drew without end")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(AssertionError,
+                           match=r"degree-2 factors over GF\(7\) in \d+ "):
+            _split_one(f7, ring, table, f, random.Random(0), 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
