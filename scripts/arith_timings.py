@@ -43,6 +43,13 @@ per operation:
 - `groebner rankdrop`: `groebner_basis` of the rank-drop ideals of
   `voisin-demo 2` at seeds 585427, 1, 2 and 3 over F_10007, each at its
   first node (12 generators in 5 variables), all four per call;
+- `rank-drop points r2`: `rational_points` at k_max 6 of the rank-drop
+  ideal of `voisin-demo 2 --seed 585427` at its first node, whose
+  grevlex basis and Hilbert data are cached on the ideal before timing:
+  the three singular points of an r = 2 verdict;
+- `certify_node r2` and `certify_node r3`: `certify_node` at the four
+  nodes of `normal_form_cubic(2, F_10007, 585427)` and at the eight of
+  `normal_form_cubic(3, F_10007, 0)`;
 - `slice r3`: the r = 3 singular-dimension certificate of `voisin-demo
   3 --seed 0` over F_10007, one `random_slice` of codimension 3 of the
   rank-drop ideal at its first node plus its `hilbert_data`;
@@ -71,14 +78,14 @@ from fanolines.fano import line_system, random_pointed_hypersurface
 from fanolines.groebner import groebner_basis
 from fanolines.field import FieldElement, embedding, relative_extension
 from fanolines.idealkit import (Ideal, enumerated_points, groebner_of,
-                               hilbert_data, random_slice)
+                               hilbert_data, random_slice, rational_points)
 from fanolines.poly import (jacobian_rank_at, monomials_of_degree,
                             random_homogeneous)
 from fanolines.solve import solve_projective
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import distinct_degree_factorization, roots_in_field
-from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
-                              rank_drop_ideal)
+from fanolines.voisin import (certify_node, node_line_system, nodes,
+                              normal_form_cubic, rank_drop_ideal)
 
 FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
 
@@ -194,10 +201,20 @@ def operations(directory: str):
     for seed in (585427, 1, 2, 3):
         nfc = normal_form_cubic(2, ground, seed)
         node = nodes(nfc, seed=seed)[0].point
-        rank_drops.append(rank_drop_ideal(
-            node_line_system(nfc, node)).nonzero_generators())
+        rank_drops.append(rank_drop_ideal(node_line_system(nfc, node)))
+    minors = [rd.nonzero_generators() for rd in rank_drops]
     ops.append(("groebner rankdrop r2 GF(10007)",
-                lambda: [groebner_basis(g) for g in rank_drops], 1))
+                lambda: [groebner_basis(g) for g in minors], 1))
+    hilbert_data(rank_drops[0])  # caches the basis the solver reads
+    ops.append(("rank-drop points r2 GF(10007)",
+                lambda: rational_points(rank_drops[0], k_max=6, seed=585427),
+                1))
+    for r, seed in ((2, 585427), (3, 0)):
+        nfc = normal_form_cubic(r, ground, seed)
+        points = [c.point for c in nodes(nfc, seed=seed)]
+        ops.append((f"certify_node r{r} GF(10007)",
+                    lambda nfc=nfc, points=points: certify_node(nfc, points),
+                    1))
     nfc = normal_form_cubic(3, ground, 0)
     rd = rank_drop_ideal(node_line_system(nfc, nodes(nfc, seed=0)[0].point))
     ops.append(("slice r3 GF(10007)",

@@ -470,14 +470,21 @@ def _lowered(f: Polynomial) -> List[List[Tuple[Monomial, object]]]:
     """Per variable x_i, the payload terms (m - e_i, m_i * c) of df/dx_i
     over the terms c * x^m of f with m_i > 0. Lowering one exponent maps
     distinct terms to distinct monomials, so no two terms combine; a term
-    whose exponent m_i the characteristic divides drops out."""
+    whose exponent m_i the characteristic divides drops out. Exponent 1
+    takes no product, and each other exponent one `from_int`."""
     field = f.field
     mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
+    ints: Dict[int, object] = {}
     rows: List[List[Tuple[Monomial, object]]] = [[] for _ in range(f.nvars)]
     for mono, coeff in f.terms.items():
         for i, e in enumerate(mono):
-            if e and not is_zero(c := mul(coeff.payload, from_int(e))):
-                rows[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
+            if e == 1:
+                rows[i].append((mono[:i] + (0,) + mono[i + 1:], coeff.payload))
+            elif e:
+                if e not in ints:
+                    ints[e] = from_int(e)
+                if not is_zero(c := mul(coeff.payload, ints[e])):
+                    rows[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
     return rows
 
 
@@ -488,12 +495,19 @@ def _term_sums(field: Field, nvars: int,
 
     The one monomial-value kernel. A term list holds (m, payload c over
     `field`); a point is nvars coordinates in `field` or an extension of
-    it, and points may mix fields. One `_chain` serves all the lists. The
-    coefficients are lifted (`payload_lift`) and packed (`Field._packer`)
-    once per field of the points. At a point each chain value is one
-    packed product, reduced and packed again, and each output one int sum
-    of packed products, reduced once.
+    it, and points may mix fields. A term with a positive exponent at a
+    coordinate that is 0 at every point is 0 at every point, so it is
+    dropped first; x_i^0 = 1 keeps a term with exponent 0 there. One
+    `_chain` serves all the lists. The coefficients are lifted
+    (`payload_lift`) and packed (`Field._packer`) once per field of the
+    points. At a point each chain value is one packed product, reduced
+    and packed again, and each output one int sum of packed products,
+    reduced once.
     """
+    dead = [i for i, column in enumerate(zip(*points)) if not any(column)]
+    if dead:
+        term_lists = [[(m, c) for m, c in terms if not any(m[i] for i in dead)]
+                      for terms in term_lists]
     index, chain = _chain((m for terms in term_lists for m, _ in terms), nvars)
     plan = [([index[m] for m, _ in terms], [c for _, c in terms])
             for terms in term_lists]
@@ -544,6 +558,40 @@ def evaluate_at(polys: Sequence[Polynomial],
                 points)]
 
 
+def frobenius_orbits(ground: Field, points: Sequence[ProjectivePoint]
+                     ) -> Tuple[List[int], List[int]]:
+    """(the index of the first point of each Frobenius orbit among points,
+    in order; per point, the position of its orbit in that list).
+
+    The points lie over extensions of the finite field ground F_q.
+    sigma: x -> x^q is an automorphism of every extension F_(q^j) that
+    fixes F_q (Lidl-Niederreiter, *Finite Fields*, ch. 2), so a
+    polynomial over F_q vanishes at sigma P exactly when it vanishes at P,
+    and a matrix of such polynomials has the same rank at both. sigma
+    fixes 0 and 1, so it maps a canonical point to a canonical point, and
+    a point equal to sigma^i of an earlier one, or to an earlier one
+    itself, joins that one's orbit. A point over F_q itself is its own
+    orbit, and the images of a point are taken only when a later point
+    lies over its field.
+    """
+    firsts: List[int] = []
+    orbit_of: Dict[tuple, int] = {}
+    last_over = {pt.field: index for index, pt in enumerate(points)}
+    slots = []
+    for index, pt in enumerate(points):
+        target, coords = pt.field, pt.coords
+        slot = orbit_of.get((target, tuple(c.payload for c in coords)))
+        if slot is None:
+            slot = len(firsts)
+            firsts.append(index)
+            if last_over[target] > index:
+                j = target.degree // ground.degree
+                for image in zip(*(_orbit(target, c, j) for c in coords)):
+                    orbit_of[(target, tuple(c.payload for c in image))] = slot
+        slots.append(slot)
+    return firsts, slots
+
+
 def jacobian_rank_at(gens: Sequence[Polynomial],
                      points: Sequence[ProjectivePoint]) -> List[int]:
     """Ranks of the Jacobian of gens at points, in the points' order.
@@ -551,17 +599,10 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     The points may lie over any mix of extensions of the generators'
     field. Entry (g, i) at P is dg/dx_i at P: the term lists of
     `_lowered(g)` go to `_term_sums` as they are, so no partial
-    derivative is built as a Polynomial.
-
-    Each Frobenius orbit is ranked once. When the generators' field is
-    F_q, sigma: x -> x^q is an automorphism of every extension F_(q^j)
-    that fixes F_q, so it fixes every coefficient of every partial, and
-    J(sigma P) = sigma(J(P)) entry by entry: the same rank, since sigma
-    is a field automorphism (Lidl-Niederreiter, *Finite Fields*, ch. 2).
-    sigma fixes 0 and 1, so it maps a canonical point to a canonical
-    point, and a point equal to sigma^i of an earlier one, or to an
-    earlier one itself, takes that point's rank. Points over F_q itself
-    are ranked one by one.
+    derivative is built as a Polynomial. Each Frobenius orbit is ranked
+    once, at its first point (`frobenius_orbits`): sigma fixes every
+    coefficient of every partial, so J(sigma P) = sigma(J(P)) entry by
+    entry, of the same rank.
     """
     if not gens or not points:
         return [0] * len(points)
@@ -570,22 +611,11 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
     for g in gens:
         assert g.nvars == n and g.field == field
         entries += _lowered(g)
-    ranked: List[Sequence[FieldElement]] = []  # one point per orbit
-    orbit_of: Dict[tuple, int] = {}
-    slots = []
-    for pt in points:
-        target, coords = pt.field, pt.coords
-        slot = orbit_of.get((target, tuple(c.payload for c in coords)))
-        if slot is None:
-            slot = len(ranked)
-            ranked.append(coords)
-            j = target.degree // field.degree
-            for image in zip(*(_orbit(target, c, j) for c in coords)):
-                orbit_of[(target, tuple(c.payload for c in image))] = slot
-        slots.append(slot)
-    ranks = [payload_rank(target, n, [sums[k:k + n]
-                                      for k in range(0, len(sums), n)])
-             for target, sums in _term_sums(field, n, entries, ranked)]
+    firsts, slots = frobenius_orbits(field, points)
+    ranks = [payload_rank(target, n, (sums[k:k + n]
+                                      for k in range(0, len(sums), n)))
+             for target, sums in _term_sums(
+                 field, n, entries, [points[i].coords for i in firsts])]
     return [ranks[slot] for slot in slots]
 
 

@@ -4,7 +4,10 @@ Works chart by chart from the ideal's one grevlex Groebner basis. Chart p
 holds the points whose last nonzero coordinate is x_p: setting x_p = 1
 and every later coordinate to 0 in that basis gives a grevlex basis of
 the chart, since those are the smallest variables, and FGLM turns it
-into the chart's lex basis over the ground field F_q. Each chart is then
+into the chart's lex basis over the ground field F_q. A chart where some
+element restricts to a nonzero constant holds no point; those charts
+are read off the basis's leading monomials, one of which is then a power
+of x_p, and are never restricted. Each other chart is then
 solved by one recursion. The eliminant e(x_last) of the lex basis is
 factored once over F_q by distinct degrees; the degree-j part holds
 exactly the last coordinates of residue degree j, so it alone is split,
@@ -35,7 +38,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import NotZeroDimensional
 from .fglm import fglm_lex, lex_basis_zero_dim
@@ -138,6 +141,27 @@ def chart_system(polys: Sequence[Polynomial], last: int) -> List[Polynomial]:
     return [g for g in restrict(polys, last, polys[0].field.one()) if g]
 
 
+def empty_charts(basis: Sequence[Polynomial]) -> Set[int]:
+    """The charts on which some element of the grevlex basis basis of a
+    homogeneous ideal restricts to a nonzero constant (`chart_system`),
+    so the charts that hold no point over any extension.
+
+    Read off the leading monomials: g restricts to a nonzero constant on
+    chart last exactly when its leading monomial is a power of x_last, 1
+    included. Under grevlex, a form whose leading monomial x_N divides is
+    divisible by x_N, so setting x_N = 0 gives 0 or keeps the leading
+    monomial (Bayer-Stillman 1987), and so for x_N, ..., x_{last+1} in
+    turn. A form in x_0, ..., x_last whose leading monomial is x_last^d,
+    the least monomial of degree d, is c * x_last^d, which is c at
+    x_last = 1.
+    """
+    out: Set[int] = set()
+    for g in basis:
+        m = g.leading_monomial()
+        out.update(i for i, e in enumerate(m) if e == sum(m))
+    return out
+
+
 def solve_projective(basis: List[Polynomial], k_max: int,
                      seed: int = 0) -> SolveResult:
     """All points of V(I) in P^N over F_{q^k} for every k <= k_max.
@@ -161,10 +185,11 @@ def solve_projective(basis: List[Polynomial], k_max: int,
     rng = random.Random(f"fanolines-solve-{seed}")
 
     found: List[Tuple[int, ProjectivePoint]] = []
+    empty = empty_charts(basis)
     for last in range(nvars):
+        if last in empty:
+            continue
         chart = chart_system(basis, last)
-        if any(g.is_constant() for g in chart):
-            continue  # chart empty over every extension
         if not chart:
             if last > 0:
                 raise NotZeroDimensional(

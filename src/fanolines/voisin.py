@@ -29,7 +29,7 @@ from .idealkit import (DEFAULT_BUDGET, Ideal, certify_reduced_point,
                        dimension_text, hilbert_data, jacobian_rank_at,
                        point_certificate, random_slice, rational_points,
                        solve_report, variety_report)
-from .poly import (LEX, Polynomial, _lowered, evaluate_at,
+from .poly import (LEX, Polynomial, _lowered, evaluate_at, frobenius_orbits,
                    random_homogeneous, restrict)
 from .projgeo import ProjectivePoint
 
@@ -113,15 +113,21 @@ def certify_node(nfc: NormalFormCubic,
     characteristic rank H(p) is that part's rank, and H(p) != 0 makes the
     multiplicity exactly 2. f(p) = 0 is checked on its own: in
     characteristic 3 Euler's relation does not give it from the gradient.
+
+    f has its coefficients in the ground field, so each Frobenius orbit
+    of points is certified once, at its first point (`frobenius_orbits`),
+    and its other points take that certificate's rank.
     """
     f = nfc.f
     gradient = f.gradient()
+    firsts, slots = frobenius_orbits(nfc.field, points)
+    certified = [points[i] for i in firsts]
     ranks = [0 if any(values) else rank for values, rank in zip(
-        evaluate_at([f] + gradient, [p.coords for p in points]),
-        jacobian_rank_at(gradient, points))]
+        evaluate_at([f] + gradient, [p.coords for p in certified]),
+        jacobian_rank_at(gradient, certified))]
     return [NodeCertificate(point, point.field.degree // nfc.field.degree,
-                            rank, rank == 2 * nfc.r + 1)
-            for point, rank in zip(points, ranks)]
+                            ranks[slot], ranks[slot] == 2 * nfc.r + 1)
+            for point, slot in zip(points, slots)]
 
 
 def nodes(nfc: NormalFormCubic, seed: int = 0) -> List[NodeCertificate]:

@@ -338,9 +338,11 @@ def test_one_orbit_of_lines_is_solved_and_ranked_once(monkeypatch):
     # Frobenius orbit over F_(10007^6). One root's fibre is restricted and
     # one Jacobian ranked; x -> x^10007 gives the other five lines and
     # their ranks. Every power x^10007 mod a polynomial runs in a ring over
-    # F_10007, one digit per coefficient. Line by line, the solver
-    # restricted 6 fibres and ranked 6 Jacobians, and took x^p in a ring
-    # over F_(10007^6)
+    # F_10007, one digit per coefficient. Of the four charts only one holds
+    # points; the leading monomials of the basis rule out the other three
+    # before any restriction (`solve.empty_charts`). Line by line, the
+    # solver restricted 6 fibres and ranked 6 Jacobians, and took x^p in a
+    # ring over F_(10007^6)
     from fanolines import poly, solve
     from fanolines.field import _Ring
     restricted, ranked, powers = [], [], []
@@ -364,6 +366,6 @@ def test_one_orbit_of_lines_is_solved_and_ranked_once(monkeypatch):
     report = run_line_analysis(4, 3, 1, PrimeField(10007), seed=3)
     assert matched(report) and len(report["attempts"]) == 1
     assert report["counts_by_degree"] == {"6": "6"}
-    assert sorted(restricted) == [1, 1, 1, 1, 6]  # four charts, one fibre
+    assert sorted(restricted) == [1, 6]  # one chart, one fibre
     assert ranked == [6]
     assert {k for k, e in powers if e == 10007} == {1}

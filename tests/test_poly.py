@@ -527,6 +527,42 @@ def test_evaluate_matches_plain_route(seed, fields, nvars):
     assert evaluate_at([], points) == [[] for _ in points]
 
 
+@given(st.integers(0, 10**6), st.sampled_from(EVALUATION_FIELDS),
+       st.integers(3, 5))
+@example(0, (F7, build_extension(7, 3)), 3)
+@settings(max_examples=60, deadline=None)
+def test_terms_at_a_coordinate_zero_at_every_point(seed, fields, nvars):
+    # x_dead is 0 at every point, x_some at every other point and the rest
+    # at none. Values and Jacobian ranks against the oracles, and one
+    # point per call, over polynomials with terms of exponent 0 at x_dead,
+    # one whose every term has x_dead and one whose partial in x_dead
+    # keeps a term
+    ground, ext = fields
+    rng = random.Random(seed)
+    dead, some = rng.sample(range(nvars), 2)
+    x = Polynomial.variable(ground, nvars, dead)
+    polys = [random_poly(ground, nvars, 4, rng, terms=rng.randrange(1, 20))
+             for _ in range(3)]
+    polys += [x * random_poly(ground, nvars, 3, rng) + x ** 2,
+              random_poly(ground, nvars, 3, rng) + x + 1]
+    points = []
+    for i in range(6):
+        field = rng.choice((ground, ext))
+        coords = [field.sample(rng) or field.one() for _ in range(nvars)]
+        coords[dead] = field.zero()
+        if i % 2:
+            coords[some] = field.zero()
+        points.append(ProjectivePoint(coords))
+    expected = [[plain_evaluate(f, pt.coords) for f in polys] for pt in points]
+    assert not any(values[3] for values in expected)
+    assert any(values[4] for values in expected)
+    assert evaluate_at(polys, [pt.coords for pt in points]) == expected
+    assert [[f.evaluate(pt.coords) for f in polys] for pt in points] == expected
+    for gens in (polys, polys[3:], polys[:1]):
+        assert jacobian_rank_at(gens, points) == [
+            jacobian_rank_oracle(gens, pt) for pt in points]
+
+
 def test_evaluate_rejects_coordinates_in_different_fields():
     f = parse("x0*x1 + 1", 2, F7)
     with pytest.raises(TypeError):

@@ -16,12 +16,13 @@ from fanolines.idealkit import (enumerated_points, groebner_of, hilbert_data,
                                 solve_report)
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim
 from fanolines.groebner import groebner_basis
-from fanolines.solve import chart_system, solve_projective
+from fanolines.solve import chart_system, empty_charts, solve_projective
 from fanolines.poly import LEX, random_homogeneous
 from fanolines.errors import BudgetExceeded, NotZeroDimensional
 
-from conftest import (dehomogenize, frobenius_residue_degree, parse,
-                      plain_chart_system)
+from conftest import (dehomogenize, every_chart_points,
+                      frobenius_residue_degree, parse, plain_chart_system)
+from test_groebner import seed_585427_rank_drop
 
 PRIMES = [3, 5, 7]
 
@@ -355,6 +356,94 @@ def test_chart_system_at_the_packer_bound(field):
     f = Polynomial(field, 3, {(1, e, 0): c for e in range(64)})
     assert chart_system([f], 1) == plain_chart_system([f], 1)
     assert chart_system([f], 1) == [parse("64*x0", 1, field) * c]
+
+
+def form_through(field, points, rng):
+    """A product of random linear forms, one through each of points."""
+    out = Polynomial.constant(field, len(points[0]), 1)
+    for point in points:
+        coeffs = [field.sample(rng) for _ in point]
+        i = next(i for i, c in enumerate(point) if c)
+        rest = sum((c * x for j, (c, x) in enumerate(zip(coeffs, point))
+                    if j != i), field.zero())
+        coeffs[i] = -rest / point[i]
+        out = out * Polynomial.linear(field, coeffs)
+    return out
+
+
+def zero_dimensional(draw):
+    """The first list draw() gives whose ideal is zero-dimensional."""
+    while True:
+        gens = draw()
+        if hilbert_data(Ideal(gens))[0] == 0:
+            return gens
+
+
+def empty_chart_systems(field, rng):
+    """Random zero-dimensional systems, systems through points planted on
+    coordinate subspaces ([1:0:0], [0:1:0], [0:0:1] and points
+    [1:a:0:0:0], where the singular points of an r = 2 rank-drop ideal
+    lie), the systems of `coordinate_product_systems`, an ideal with no
+    projective point and the unit ideal."""
+    out = []
+    for nvars in (2, 3, 3, 4, 4):
+        degrees = [rng.randrange(1, 4) for _ in range(nvars - 1 + nvars % 2)]
+        out.append(zero_dimensional(lambda: [
+            random_homogeneous(field, nvars, d, rng) for d in degrees]))
+    one, zero = field.one(), field.zero()
+    plants = [[[one, zero, zero], [zero, one, zero], [zero, zero, one]],
+              [[zero, one, zero], [zero, zero, one]],
+              [[one, zero, zero, zero, zero], [zero, one, zero, zero, zero]]]
+    plants.append([[one, field.sample(rng), zero, zero, zero]
+                   for _ in range(3)])
+    for points in plants:
+        out.append(zero_dimensional(lambda: [
+            form_through(field, points, rng) for _ in points[0]]))
+    out += [gens for _, gens in coordinate_product_systems(field, rng)]
+    out.append([parse(t, 3, field) for t in ("x0^2", "x1", "x2")])
+    out.append([Polynomial.constant(field, 3, 1)])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHART_FIELDS))
+def test_empty_charts_are_the_charts_with_a_constant(name):
+    # the leading-monomial test against the restriction itself, chart by
+    # chart, and the solver against the route that restricts every chart
+    field = CHART_FIELDS[name]()
+    rng = random.Random(f"empty-charts-{name}")
+    seen = set()
+    for gens in empty_chart_systems(field, rng):
+        basis = groebner_of(Ideal(gens))
+        empty = empty_charts(basis)
+        for last in range(basis[0].nvars):
+            constant = any(g.is_constant() for g in chart_system(basis, last))
+            assert (last in empty) == constant
+            seen.add((last, constant))
+        assert solve_projective(basis, 2).points == every_chart_points(basis, 2)
+    assert {constant for _, constant in seen} == {False, True}
+    assert {last for last, constant in seen if not constant} >= {0, 1, 2, 3}
+
+
+def test_rank_drop_points_restrict_one_chart(monkeypatch):
+    # the rank-drop basis of `voisin-demo 2 --seed 585427`: its three
+    # singular points are [1:a:0:0:0] with a != 0, so charts 0, 2, 3 and 4
+    # are empty, and their leading monomials say so before any restriction
+    from fanolines import solve
+    basis = groebner_basis(seed_585427_rank_drop())
+    assert len(basis) == 33 and empty_charts(basis) == {0, 2, 3, 4}
+    restricted = []
+
+    def counted(polys, last):
+        restricted.append(last)
+        return chart_system(polys, last)
+
+    monkeypatch.setattr(solve, "chart_system", counted)
+    points = solve_projective(basis, 3, seed=585427).points
+    assert restricted == [1]
+    assert [pt.serialize() for pt in points] == [
+        ["1", "3485", "0", "0", "0"], ["1", "4047*t + 4331", "0", "0", "0"],
+        ["1", "5960*t + 6795", "0", "0", "0"]]
+    assert points == every_chart_points(basis, 3, seed=585427)
 
 
 @pytest.mark.parametrize("text", ["x0^2 + x1^2 - x2^2", "x2"])

@@ -168,16 +168,21 @@ def test_node_certificate_work_is_pinned(monkeypatch):
     # the four candidates of normal_form_cubic(2, F_10007, 0), one over
     # F_p and three over F_(p^3), take one `evaluate_at` call for f and its
     # gradient and one Jacobian call for the Hessian, with no coordinate
-    # change and no per-candidate `Polynomial.evaluate`
+    # change and no per-candidate `Polynomial.evaluate`. Each call gets
+    # one point per Frobenius orbit: the rational node and one of the
+    # three conjugates
     import sys
     from fanolines import poly
     counted = {"jacobian_rank_at": poly.jacobian_rank_at,
                "evaluate_at": poly.evaluate_at}
     calls = dict.fromkeys([*counted, "evaluate", "apply_matrix"], 0)
+    points = {}
 
     def counter(name, fn):
         def wrapped(*args, **kwargs):
             calls[name] += 1
+            if name in counted:
+                points.setdefault(name, []).append(len(args[1]))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -193,6 +198,36 @@ def test_node_certificate_work_is_pinned(monkeypatch):
     assert [c.residue_degree for c in certs] == [1, 3, 3, 3]
     assert calls == {"jacobian_rank_at": 1, "evaluate_at": 1,
                      "evaluate": 0, "apply_matrix": 0}
+    assert points == {"jacobian_rank_at": [2], "evaluate_at": [2]}
+
+
+def conjugates(point, k):
+    """point and its images under x -> x^p, k in all."""
+    field = point.field
+    return [ProjectivePoint([field.frobenius(c, j) for c in point.coords])
+            for j in range(k)]
+
+
+def test_node_certificates_of_an_orbit_match_one_point_calls():
+    # normal_form_cubic(3, F_10007, 3) has nodes of residue degrees
+    # 1, 2, 2, 5, 5, 5, 5, 5. Among them, shuffled: the orbit of five
+    # points off the plane next to a node of degree 5, and five points of
+    # the plane that are not nodes; every point certified on its own
+    nfc = normal_form_cubic(3, F10007, 3)
+    certs = nodes(nfc, seed=3)
+    assert [c.residue_degree for c in certs] == [1, 2, 2, 5, 5, 5, 5, 5]
+    node = certs[-1].point
+    ext, zero, one = node.field, node.field.zero(), node.field.one()
+    off_plane = ProjectivePoint(node.coords[:4] + (one, zero, zero, zero))
+    rng = random.Random(3)
+    on_plane = ProjectivePoint([ext.sample(rng) for _ in range(4)]
+                               + [zero] * 4)
+    points = ([c.point for c in certs] + conjugates(off_plane, 5)
+              + conjugates(on_plane, 5))
+    rng.shuffle(points)
+    expected = [certify_node(nfc, [pt])[0] for pt in points]
+    assert [c.quadratic_part_rank for c in expected].count(7) == 8
+    assert certify_node(nfc, points) == expected
 
 
 def test_nodes_sorted_by_residue_degree():
