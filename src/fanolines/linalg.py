@@ -89,12 +89,9 @@ class Echelon:
 
 
 def payload_rank(field: Field, width: int, rows: Iterable[list]) -> int:
-    """Rank of payload rows whose leading `width` entries are the matrix.
-    Rows after the rank reaches the width are not reduced."""
+    """Rank of payload rows whose leading `width` entries are the matrix."""
     echelon = Echelon(field, width)
     for row in rows:
-        if echelon.rank == width:
-            break
         echelon.add(row)
     return echelon.rank
 

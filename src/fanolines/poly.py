@@ -470,21 +470,14 @@ def _lowered(f: Polynomial) -> List[List[Tuple[Monomial, object]]]:
     """Per variable x_i, the payload terms (m - e_i, m_i * c) of df/dx_i
     over the terms c * x^m of f with m_i > 0. Lowering one exponent maps
     distinct terms to distinct monomials, so no two terms combine; a term
-    whose exponent m_i the characteristic divides drops out. Exponent 1
-    takes no product, and each other exponent one `from_int`."""
+    whose exponent m_i the characteristic divides drops out."""
     field = f.field
     mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
-    ints: Dict[int, object] = {}
     rows: List[List[Tuple[Monomial, object]]] = [[] for _ in range(f.nvars)]
     for mono, coeff in f.terms.items():
         for i, e in enumerate(mono):
-            if e == 1:
-                rows[i].append((mono[:i] + (0,) + mono[i + 1:], coeff.payload))
-            elif e:
-                if e not in ints:
-                    ints[e] = from_int(e)
-                if not is_zero(c := mul(coeff.payload, ints[e])):
-                    rows[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
+            if e and not is_zero(c := mul(coeff.payload, from_int(e))):
+                rows[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
     return rows
 
 
@@ -612,8 +605,8 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
         assert g.nvars == n and g.field == field
         entries += _lowered(g)
     firsts, slots = frobenius_orbits(field, points)
-    ranks = [payload_rank(target, n, (sums[k:k + n]
-                                      for k in range(0, len(sums), n)))
+    ranks = [payload_rank(target, n, [sums[k:k + n]
+                                      for k in range(0, len(sums), n)])
              for target, sums in _term_sums(
                  field, n, entries, [points[i].coords for i in firsts])]
     return [ranks[slot] for slot in slots]

@@ -2,7 +2,6 @@
 plain routes that the package's fast paths are tested against."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +10,11 @@ from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
 from fanolines.errors import BudgetExceeded, ParseError, UnknownVariable
 from fanolines.fano import direction_components
-from fanolines.fglm import fglm_lex
-from fanolines.field import (FieldElement, _orbit, _Ring, payload_lift,
+from fanolines.field import (FieldElement, _Ring, payload_lift,
                              relative_extension)
 from fanolines.linalg import mat_rank
 from fanolines.poly import MAX_TERM_DEGREE, _tokenize
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
-from fanolines.solve import _affine_points
 
 
 def monomial(field, exps, coeff=None):
@@ -604,34 +601,6 @@ def plain_chart_system(polys, last):
               + [Polynomial.zero(field, last)] * (polys[0].nvars - 1 - last))
     return [g for g in (f.substitute(images) for f in polys)
             if not g.is_zero()]
-
-
-def every_chart_points(basis, k_max, seed=0):
-    """The points of `solve.solve_projective`, in its order, with every
-    chart restricted (`plain_chart_system`) and passed over only when a
-    restriction is a nonzero constant: the route with no leading-monomial
-    test. Each chart's points come from the solver's own chart solve. The
-    oracle of `solve.empty_charts`."""
-    ground, nvars = basis[0].field, basis[0].nvars
-    rng = random.Random(f"fanolines-solve-{seed}")
-    found = []
-    for last in range(nvars):
-        chart = plain_chart_system(basis, last)
-        if any(g.is_constant() for g in chart):
-            continue
-        if not chart:
-            assert last == 0, "positive-dimensional chart"
-            found.append((1, base_point(ground, nvars - 1)))
-            continue
-        for k, coords in _affine_points(fglm_lex(chart), ground, k_max, rng):
-            ext = coords[0].field
-            point = coords + (ext.one(),) + (ext.zero(),) * (nvars - 1 - last)
-            found += [(k, ProjectivePoint(image)) for image in
-                      zip(*(_orbit(ext, c, k) for c in point))]
-    found.sort(key=lambda item: (
-        item[0], item[1].pivot() != nvars - 1, item[1].pivot(),
-        tuple(c.field.code_of(c) for c in reversed(item[1].coords))))
-    return [point for _, point in found]
 
 
 def plain_rank_drop_ideal(ideal):

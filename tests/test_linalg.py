@@ -8,7 +8,6 @@ import pytest
 
 from fanolines import PrimeField, build_extension
 from fanolines.errors import SingularMatrix
-from fanolines import linalg
 from fanolines.linalg import mat_det, mat_inverse, mat_rank, payload_rank
 
 from conftest import mat_identity
@@ -124,60 +123,3 @@ def test_full_rank_inverts_every_pivot_but_the_last(field, monkeypatch):
             calls.clear()
             assert payload_rank(field, width, rows) == r
             assert len(calls) == r - 1
-
-
-def sympy_rank(a):
-    """Rank of a over F_p or F_(p^2) by sympy over GF(p): an F_(p^2) matrix
-    is first written over F_p with each entry c as the 2x2 matrix of
-    x -> c x in the basis 1, t, which multiplies the rank by 2."""
-    import sympy
-    from sympy.polys.matrices import DomainMatrix
-    field = a[0][0].field
-    p, k = field.characteristic(), field.degree
-    K = sympy.GF(p)
-    if k == 1:
-        rows = [[x.payload for x in row] for row in a]
-    else:
-        basis = [field._one_payload(), field.generator().payload]
-        rows = [[field._mul(x.payload, b)[i] for x in row for b in basis]
-                for row in a for i in range(k)]
-    dm = DomainMatrix([[K(x) for x in row] for row in rows],
-                      (len(rows), len(rows[0])), K)
-    return dm.rank() // k
-
-
-@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(10007),
-                                   build_extension(7, 2),
-                                   build_extension(10007, 2)], ids=str)
-def test_tall_rank_stops_at_the_width(field, monkeypatch):
-    # more rows than columns: a matrix whose leading rows reach full rank
-    # reduces no row after them; one that starts with zero rows, and one
-    # with a zero column, reduce more
-    pytest.importorskip("sympy")
-    added = []
-    add = linalg.Echelon.add
-
-    def counted(self, row):
-        added.append(row)
-        return add(self, row)
-
-    monkeypatch.setattr(linalg.Echelon, "add", counted)
-    rng = random.Random(f"tall-{field}")
-    zero = field.zero()
-    for width in (1, 2, 3, 5):
-        for extra in (1, 4):
-            while True:
-                a = [[field.sample(rng) for _ in range(width)]
-                     for _ in range(width + extra)]
-                if sympy_rank(a[:width]) == width:
-                    break
-            late = [[zero] * width] * extra + a[:width]
-            deficient = [[zero] + row[1:] for row in a]
-            for m, rank, reduced in ((a, width, width),
-                                     (late, width, extra + width),
-                                     (deficient, width - 1, len(a))):
-                added.clear()
-                assert payload_rank(field, width, [[x.payload for x in row]
-                                                   for row in m]) == rank
-                assert len(added) == reduced
-                assert mat_rank(m) == sympy_rank(m) == rank

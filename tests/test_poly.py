@@ -535,8 +535,8 @@ def test_terms_at_a_coordinate_zero_at_every_point(seed, fields, nvars):
     # x_dead is 0 at every point, x_some at every other point and the rest
     # at none. Values and Jacobian ranks against the oracles, and one
     # point per call, over polynomials with terms of exponent 0 at x_dead,
-    # one whose every term has x_dead and one whose partial in x_dead
-    # keeps a term
+    # one whose every term has x_dead and one that is 1 at every point
+    # while its partial in x_dead keeps terms
     ground, ext = fields
     rng = random.Random(seed)
     dead, some = rng.sample(range(nvars), 2)
@@ -544,7 +544,7 @@ def test_terms_at_a_coordinate_zero_at_every_point(seed, fields, nvars):
     polys = [random_poly(ground, nvars, 4, rng, terms=rng.randrange(1, 20))
              for _ in range(3)]
     polys += [x * random_poly(ground, nvars, 3, rng) + x ** 2,
-              random_poly(ground, nvars, 3, rng) + x + 1]
+              x * random_poly(ground, nvars, 3, rng) + x + 1]
     points = []
     for i in range(6):
         field = rng.choice((ground, ext))
@@ -555,7 +555,7 @@ def test_terms_at_a_coordinate_zero_at_every_point(seed, fields, nvars):
         points.append(ProjectivePoint(coords))
     expected = [[plain_evaluate(f, pt.coords) for f in polys] for pt in points]
     assert not any(values[3] for values in expected)
-    assert any(values[4] for values in expected)
+    assert all(values[4] == values[4].field.one() for values in expected)
     assert evaluate_at(polys, [pt.coords for pt in points]) == expected
     assert [[f.evaluate(pt.coords) for f in polys] for pt in points] == expected
     for gens in (polys, polys[3:], polys[:1]):
