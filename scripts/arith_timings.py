@@ -4,7 +4,13 @@ and scanning.
 
 Each operation runs `--number` times per repeat; the script prints the
 median over `--repeat` repeats of the microseconds per call, one line
-per operation:
+per operation, and the median of the same times calibrated: each
+repeat divided by its speed factor, the time of a fixed pure-Python
+loop (`calibrate`, the loop verdictbench times next to each call) right
+before and right after the repeat, over the loop's nominal time
+`CALIBRATION_REF_S`. A box that changes speed between processes moves
+the raw column with it; compare two checkouts by the calibrated one.
+The operations:
 
 - `mul` and `inv`: one product and one inverse of random payloads of
   F_{10007^2}, F_{10007^6}, F_{3^6} and F_{4294967311^2};
@@ -42,7 +48,13 @@ per operation:
   `jacobian_rank_at` of its generators at those six lines;
 - `groebner rankdrop`: `groebner_basis` of the rank-drop ideals of
   `voisin-demo 2` at seeds 585427, 1, 2 and 3 over F_10007, each at its
-  first node (12 generators in 5 variables), all four per call;
+  first node (12 generators in 5 variables), all four per call: each
+  takes 2610 normal-form steps on 209 reducer multiples;
+- `groebner line system`: `groebner_basis` of the line systems of
+  `lines-through --random 3 3 2 --seed 3` and `--random 4 3 1 --seed 3`
+  over F_10007 (2 generators in 3 variables, 3 in 4), the bases of the
+  two line-counts shapes, both per call: 12 and 25 steps, one per
+  multiple, so each shifted tail is built for one use;
 - `rank-drop points r2`: `rational_points` at k_max 6 of the rank-drop
   ideal of `voisin-demo 2 --seed 585427` at its first node, whose
   grevlex basis and Hilbert data are cached on the ideal before timing:
@@ -70,7 +82,9 @@ import os
 import random
 import statistics
 import tempfile
+import time
 import timeit
+from typing import Tuple
 
 from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.cli import _read_poly_file
@@ -104,9 +118,34 @@ DDF_SIX_EXT = [(9678, 76), (8262, 1670), (5852, 1562), (7376, 8848),
                (5656, 5900), (8522, 1653), (1, 0)]
 
 
-def median_us(stmt, number: int, repeat: int) -> float:
-    times = timeit.repeat(stmt, number=number, repeat=repeat)
-    return statistics.median(times) / number * 1e6
+# the speed reference: the calibration loop verdictbench times next to
+# each call, and its nominal time there
+CALIBRATION_ROUNDS = 40000
+CALIBRATION_REF_S = 0.018
+
+
+def calibrate() -> float:
+    """Seconds taken by a fixed amount of pure-Python work."""
+    p = 10007
+    x, acc = 1, {}
+    start = time.perf_counter()
+    for i in range(CALIBRATION_ROUNDS):
+        x = x * 48271 % p
+        key = (x & 63, i & 7)
+        acc[key] = acc.get(key, 0) + x
+    return time.perf_counter() - start
+
+
+def median_us(stmt, number: int, repeat: int) -> Tuple[float, float]:
+    """Medians over `repeat` repeats of the microseconds per call, raw
+    and calibrated."""
+    raw, calibrated = [], []
+    for _ in range(repeat):
+        before = calibrate()
+        us = timeit.timeit(stmt, number=number) / number * 1e6
+        raw.append(us)
+        calibrated.append(us * 2 * CALIBRATION_REF_S / (before + calibrate()))
+    return statistics.median(raw), statistics.median(calibrated)
 
 
 def operations(directory: str):
@@ -205,6 +244,10 @@ def operations(directory: str):
     minors = [rd.nonzero_generators() for rd in rank_drops]
     ops.append(("groebner rankdrop r2 GF(10007)",
                 lambda: [groebner_basis(g) for g in minors], 1))
+    systems = [line_system(random_pointed_hypersurface(3, 3, 2, ground, 3))
+               .ideal().nonzero_generators(), gens]
+    ops.append(("groebner line system GF(10007)",
+                lambda: [groebner_basis(g) for g in systems], 1))
     hilbert_data(rank_drops[0])  # caches the basis the solver reads
     ops.append(("rank-drop points r2 GF(10007)",
                 lambda: rational_points(rank_drops[0], k_max=6, seed=585427),
@@ -232,10 +275,12 @@ def main():
     ap.add_argument("--number", type=int, default=50,
                     help="calls of each operation per repeat")
     args = ap.parse_args()
+    print(f"{'operation':<32} {'raw':>10}    {'calibrated':>10}")
     with tempfile.TemporaryDirectory() as directory:
         for name, run, calls in operations(directory):
-            us = median_us(run, args.number, args.repeat) / calls
-            print(f"{name:<32} {us:10.2f} us")
+            raw, calibrated = median_us(run, args.number, args.repeat)
+            print(f"{name:<32} {raw / calls:10.2f} us "
+                  f"{calibrated / calls:10.2f} us")
 
 
 if __name__ == "__main__":

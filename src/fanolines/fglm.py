@@ -13,7 +13,7 @@ Everything runs on raw payloads. The vector of x_i * m comes from the
 vector of the lex member m by the normal forms of x_i * s for the
 grevlex staircase monomials s in its support; each such normal form is
 taken once, on packed monomials (`groebner.Packing`), against one
-reducer list and one first-divisor memo. The
+reducer list and one first-divisor memo (`groebner.DivisorMemo`). The
 dependences come from `linalg.Echelon`: each candidate's vector goes in
 with its own unit vector appended, and a vector that reduces to zero
 leaves the coefficients of the new basis element in the appended part.
@@ -25,8 +25,8 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotZeroDimensional
-from .groebner import (Packing, _reducer, _to_payload, groebner_basis,
-                       normal_form_payload)
+from .groebner import (DivisorMemo, Packing, _reducer, _to_payload,
+                       groebner_basis, normal_form_payload)
 from .linalg import Echelon, unit_row
 from .poly import GREVLEX, Monomial, Polynomial, mono_divides
 
@@ -79,7 +79,7 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
     packing = Packing.for_degree(GREVLEX, nvars, degree)
     encode, decode = packing.encode, packing.decode
     reducers = [_reducer(_to_payload(g, packing), field) for g in basis]
-    memo: Dict[int, Tuple[int, int]] = {}
+    memo = DivisorMemo(packing)
     zero, one = field._zero_payload(), field._one_payload()
     add, mul, is_zero = field._add, field._mul, field._is_zero
     columns: Dict[Monomial, List[Tuple[int, object]]] = {}
@@ -92,7 +92,7 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
         col = columns.get(mono)
         if col is None:
             nf = normal_form_payload({encode(mono): one}, reducers, memo,
-                                     packing, field)
+                                     field)
             col = columns[mono] = [(index[decode(m)], c) for m, c in nf.items()]
         return col
 

@@ -271,7 +271,8 @@ def test_terms_reaching_a_guard_bit_are_refused():
     past = packing.encode((7, 0)) + packing.encode((1, 0))
     assert past & packing.guard
     with pytest.raises(groebner._SlotOverflow):
-        groebner.normal_form_payload({past: 1}, [], {}, packing, F7)
+        groebner.normal_form_payload({past: 1}, [],
+                                     groebner.DivisorMemo(packing), F7)
 
 
 # conversion route: grevlex basis + staircase walk vs direct lex Buchberger
@@ -518,6 +519,34 @@ def test_normal_form_field_calls_are_pinned(monkeypatch):
     assert calls["is_zero"] == 0
 
 
+def counted_shifted_tails(monkeypatch):
+    """The shift of each tail `DivisorMemo.shifted_tail` builds from now
+    on, in a list that grows as they are built."""
+    built = []
+    shifted_tail = groebner.DivisorMemo.shifted_tail
+
+    def counted_shifted_tail(memo, tail, shift):
+        built.append(shift)
+        return shifted_tail(memo, tail, shift)
+
+    monkeypatch.setattr(groebner.DivisorMemo, "shifted_tail",
+                        counted_shifted_tail)
+    return built
+
+
+def test_rank_drop_shifted_tails_are_reused(monkeypatch):
+    # the seed-585427 rank-drop ideal: its normal forms take 2610 steps
+    # (the 2925 `_mul` calls of test_normal_form_field_calls_are_pinned,
+    # less the 315 that scale the reduced basis's tail terms) on 209
+    # distinct multiples x^a g_i, about 12.5 steps each. A multiple's
+    # shifted tail is built once, when the first-divisor memo finds its
+    # monomial's divisor, and each later step on that monomial reuses it
+    gens = seed_585427_rank_drop()
+    built = counted_shifted_tails(monkeypatch)
+    assert len(groebner_basis(gens)) == 33
+    assert 0 < len(built) <= 209
+
+
 # fields of the normal-form differentials: a 33-bit prime, and F_{p^k}
 # whose packed work values need renormalising
 NF_FIELDS = [F7, F10007, PrimeField(4294967311), build_extension(10007, 2),
@@ -546,12 +575,12 @@ def assert_normal_forms_match(field, packing, fs, basis):
     """normal_form_payload against plain_normal_form on each of fs, with
     one memo shared by all. Returns the most steps any normal form took."""
     reducers = [groebner._reducer(d, field) for d in basis]
-    memo = {}
+    memo = groebner.DivisorMemo(packing)
     most = 0
     for f in fs:
         stats = {}
         expected = plain_normal_form(f, basis, packing, field, stats=stats)
-        got = groebner.normal_form_payload(f, reducers, memo, packing, field)
+        got = groebner.normal_form_payload(f, reducers, memo, field)
         assert list(got.items()) == list(expected.items())
         most = max(most, stats["steps"])
     return most
@@ -591,6 +620,51 @@ def test_normal_form_matches_plain_loop_past_renormalising(field, monkeypatch):
     assert 350 > 5 * (groebner._TERMS - 1)
     monkeypatch.setattr(groebner, "_TERMS", 2)
     assert_normal_forms_match(field, packing, [f], basis)
+
+
+@pytest.mark.parametrize("field", NF_FIELDS, ids=str)
+def test_normal_form_against_a_growing_reducer_list(field, monkeypatch):
+    # one memo per reducer list, kept while the list grows, as Buchberger
+    # keeps it: f is reduced against two reducers, a third whose leading
+    # monomial is that remainder's largest monomial is appended, and f is
+    # reduced again with the same memo. The monomial that had no divisor
+    # now has one, and the steps before it reuse the tails the first
+    # normal form cached (f's leading monomial is reducible, so there is
+    # at least one). Between the two, f is reduced against another list
+    # with its own memo, which must not see the first list's tails
+    built = counted_shifted_tails(monkeypatch)
+    rng = random.Random(f"growing reducer list {field}")
+
+    def reduce_both(f, basis, reducers, memo, stats=None):
+        got = groebner.normal_form_payload(f, reducers, memo, field)
+        expected = plain_normal_form(f, basis, packing, field, stats=stats)
+        assert list(got.items()) == list(expected.items())
+        return got
+
+    for _ in range(4):
+        while True:
+            packing, (f, *_), basis = payload_system(field, rng, 3, 6, 4, 2)
+            reducers = [groebner._reducer(d, field) for d in basis]
+            memo = groebner.DivisorMemo(packing)
+            first = reduce_both(f, basis, reducers, memo)
+            if first and any(packing.divides(max(d), max(f)) for d in basis):
+                break
+        top = next(iter(first))
+        other = payload_system(field, rng, 3, 6, 4, 2)[2]
+        reduce_both(f, other, [groebner._reducer(d, field) for d in other],
+                    groebner.DivisorMemo(packing))
+        tail = groebner._to_payload(random_poly(field, 3, 6, rng, 8), packing)
+        grown = {m: c for m, c in tail.items() if m < top}
+        grown[top] = field.sample(rng).payload
+        while field._is_zero(grown[top]):
+            grown[top] = field.sample(rng).payload
+        basis.append(grown)
+        reducers.append(groebner._reducer(grown, field))
+        built.clear()
+        stats = {}
+        second = reduce_both(f, basis, reducers, memo, stats)
+        assert top not in second
+        assert len(built) < stats["steps"]
 
 
 class Products(int):
