@@ -10,8 +10,9 @@ the target field's ring, and `_Ring.apply` sends a payload c to
 sum c_i * row_i, reduced once (Lidl-Niederreiter, *Finite Fields*,
 ch. 2). Frobenius c -> c^p has the rows (t^p)^i, packed once per
 field. An embedding F_{p^a} -> F_{p^b} has the rows r^i, r the
-smallest-code root in F_{p^b} of the modulus of F_{p^a}, packed once
-per pair of fields.
+smallest-code root in F_{p^b} of the modulus of F_{p^a} whose map
+agrees with the embeddings of the subfields of F_{p^a}, packed once per
+pair of fields: embeddings compose (`payload_lift`).
 
 Sums of products run on ints: polynomial values and Jacobian entries at
 a point (`poly._term_sums`), the coefficients of a substituted
@@ -724,8 +725,16 @@ def payload_lift(src: Field, dst: Field):
 
     From F_p it is the canonical map. Between extensions it applies the
     rows r^i, i < [src : F_p], packed in dst's ring, where r is the
-    smallest-code root of src's modulus in dst, so the same pair of fields
-    always yields the same map; it is built once per pair.
+    smallest-code root in dst of src's modulus whose map agrees with
+    payload_lift(S, dst) on the image of the generator of S under
+    payload_lift(S, src), for every proper subfield S of src of degree
+    >= 2. So embeddings compose: payload_lift(mid, dst) after
+    payload_lift(src, mid) is payload_lift(src, dst) (Bosma-Cannon-Steel,
+    "Lattices of compatibly embedded finite fields", 1997). A root
+    qualifies: the roots are r_0^(p^i), i < [src : F_p], the constraint
+    of S fixes i mod [S : F_p], and built in order of degree these agree
+    on each intersection of subfields, so one i meets them all (CRT).
+    Built once per pair.
     """
     if src == dst:
         return None
@@ -737,10 +746,18 @@ def payload_lift(src: Field, dst: Field):
     from .unipoly import roots_in_field
     modulus = [dst.from_int(c) for c in src.modulus]
     rng = random.Random(f"fanolines-embed-{src.key()}-{dst.key()}")
-    root = roots_in_field(modulus, dst, rng, orbit=1)[0]
+    # the generator of each proper subfield, embedded in src and in dst
+    gens = [build_extension(src.p, s).generator() for s in range(2, src.k)
+            if src.k % s == 0]
+    images = [(payload_lift(g.field, src)(g.payload),
+               payload_lift(g.field, dst)(g.payload)) for g in gens]
     ring = dst.ring
-    table = [ring.pack(row) for row in _power_rows(dst, root.payload, src.k)]
-    return lambda c: ring.apply(c, table)
+    for root in roots_in_field(modulus, dst, rng, orbit=1):
+        table = [ring.pack(row) for row in _power_rows(dst, root.payload,
+                                                       src.k)]
+        if all(ring.apply(c, table) == image for c, image in images):
+            return lambda c: ring.apply(c, table)
+    raise AssertionError("no root agrees with the subfield embeddings")
 
 
 def embedding(src: Field, dst: Field):
@@ -753,44 +770,17 @@ def embedding(src: Field, dst: Field):
     return lambda e: FieldElement(dst, lift(e.payload))
 
 
-def _frobenius_shift(ground: Field, mid: Field, top: Field) -> int:
-    """The s for which x -> x^(p^s) after embedding(mid, top) agrees with
-    embedding(ground, top) on the image of embedding(ground, mid).
-
-    The two maps of ground into top need not agree when ground is itself
-    an extension; applying that power of Frobenius to a point found over
-    top through mid turns it into a point of the system as embedded
-    directly from ground."""
-    if ground.degree == 1 or mid is ground:
-        return 0
-    gen = ground.generator()
-    target = embedding(ground, top)(gen)
-    image = embedding(mid, top)(embedding(ground, mid)(gen))
-    for s in range(ground.degree):
-        if image == target:
-            return s
-        image = top.frobenius(image)
-    raise AssertionError("embeddings of one field differ by no Frobenius power")
-
-
 @functools.lru_cache(maxsize=None)
-def subfield_table(ground: Field, sub: Field, top: Field) -> dict:
-    """{payload in top: payload in sub} over the subfield of top with
-    |sub| elements, sub a proper subfield of top.
-
-    Each element of sub goes up by the embedding e that agrees with
-    embedding(ground, top) on the image of embedding(ground, sub):
-    `payload_lift(sub, top)` followed by the Frobenius power
-    `_frobenius_shift(ground, sub, top)`. So a key lies in that subfield,
-    and its value brings a point over top of a system embedded from
-    ground down to a point over sub of the same system embedded into sub.
-    Built once per (ground, sub, top).
+def subfield_table(sub: Field, top: Field) -> dict:
+    """{payload in top: payload in sub} over the image of
+    `payload_lift(sub, top)`, sub a proper subfield of top: the inverse
+    of that map. Embeddings compose, so a point over top of a system
+    embedded from a field below sub comes down to the point over sub of
+    the same system embedded into sub. Built once per pair of fields.
     """
-    lift, shift = payload_lift(sub, top), _frobenius_shift(ground, sub, top)
-    payloads = (sub.element_from_code(code).payload
-                for code in range(sub.order()))
-    return {top.frobenius(FieldElement(top, lift(c)), shift).payload: c
-            for c in payloads}
+    lift = payload_lift(sub, top)
+    return {lift(c): c for c in (sub.element_from_code(code).payload
+                                 for code in range(sub.order()))}
 
 
 def relative_extension(ground: Field, k: int):

@@ -44,8 +44,9 @@ every S-pair reduction; FGLM makes its reducers the same way.
   over F_{p^k} the sums are bounded by renormalising (see
   `_packed_normal_form`). Every step uses the first reducer whose
   leading monomial divides the current one, so the intermediate
-  polynomials do not depend on the data structure. S-polynomials and
-  inter-reduction hand their packed tail sums over as the work list.
+  polynomials do not depend on the data structure. An S-polynomial is
+  two reducer multiples: the pair loop and inter-reduction hand their
+  tails over as (slot, packed coefficient) pairs, summed per slot.
 - First-divisor memo: one `DivisorMemo` per reducer list keeps, per
   slot, the first dividing reducer's shifted tail, built at its first
   step, or how far the scan got without one.
@@ -239,23 +240,23 @@ class DivisorMemo:
 def normal_form_payload(f: PayloadPoly, reducers: Sequence[Reducer],
                         memo: DivisorMemo, field: Field) -> PayloadPoly:
     """`_packed_normal_form` of the payload dict f, packed."""
-    pack = field._packer(_TERMS)[0]
-    return _packed_normal_form([(m, pack(c)) for m, c in f.items()], 1,
-                               reducers, memo, field)
+    pack, slot_of = field._packer(_TERMS)[0], memo.slot_of
+    return _packed_normal_form([(slot_of(m), pack(c)) for m, c in f.items()],
+                               1, reducers, memo, field)
 
 
 def _packed_normal_form(terms: Iterable[Tuple[int, int]], products: int,
                         reducers: Sequence[Reducer], memo: DivisorMemo,
                         field: Field) -> PayloadPoly:
-    """Full normal form of the polynomial with the (packed monomial,
-    packed coefficient) pairs `terms`, distinct monomials, each
-    coefficient (`Field._packer`) of at most `products` products, maybe 0.
+    """Full normal form of the polynomial that sums the (slot of `memo`,
+    packed coefficient) pairs `terms`, a slot's coefficients
+    (`Field._packer`) summing to at most `products` products, maybe 0.
 
     Each step reduces by the first of `reducers` whose leading monomial
     divides the work list's leading monomial; the remainder's terms come
     out in descending order. The work values sit in `memo.work`.
-    _SlotOverflow is raised when a monomial new to `memo`, of `terms` or
-    of a shifted tail, reaches a guard bit.
+    _SlotOverflow is raised when a monomial new to `memo`, of a shifted
+    tail, reaches a guard bit.
 
     F_p needs no bound on its sums. Over F_{p^k} a step adds at most one
     product to any value (the shifted tail monomials of one reducer are
@@ -266,13 +267,16 @@ def _packed_normal_form(terms: Iterable[Tuple[int, int]], products: int,
     mul, zero = field._mul, field._zero_payload()
     push, pop = heapq.heappush, heapq.heappop
     slot, keys, work, divisor = memo.slot, memo.keys, memo.work, memo.divisor
-    guard, slot_of, count = memo.guard, memo.slot_of, len(reducers)
+    guard, count = memo.guard, len(reducers)
     # a monomial enters the work list and the heap once: terms reduce to
     # smaller monomials only, so a popped one never comes back
     heap = []  # a min-heap of -m pops the largest m first
-    for m, c in terms:
-        work[slot_of(m)] = c
-        heap.append(-m)
+    for j, c in terms:
+        if work[j] is None:
+            work[j] = c
+            heap.append(keys[j])
+        else:
+            work[j] += c
     heapq.heapify(heap)
     remainder: PayloadPoly = {}
     held = products  # the most products any work value holds
@@ -312,22 +316,6 @@ def _packed_normal_form(terms: Iterable[Tuple[int, int]], products: int,
             else:
                 work[i] = cur + factor * c
     return remainder
-
-
-def _spoly(ra: Reducer, rb: Reducer, lcm: int, field: Field) -> Dict[int, int]:
-    """Monic S-polynomial of two reducers whose leading monomials have
-    the packed lcm `lcm`; the leading terms cancel, so only the tails are
-    expanded. With the reducers' negated inverses n_a, n_b it is
-    -n_a * x^sa * tail_a + n_b * x^sb * tail_b, returned packed: each
-    coefficient a sum of at most two products, possibly a packed 0."""
-    pack = field._packer(_TERMS)[0]
-    (lma, na, taila), (lmb, nb, tailb) = ra, rb
-    sa, sb, fa, fb = lcm - lma, lcm - lmb, pack(field._neg(na)), pack(nb)
-    out = {m + sa: fa * c for m, c in taila}
-    for m, c in tailb:
-        key = m + sb
-        out[key] = out.get(key, 0) + fb * c
-    return out
 
 
 def buchberger_payload(gens: List[PayloadPoly], packing: Packing,
@@ -386,10 +374,17 @@ def buchberger_payload(gens: List[PayloadPoly], packing: Packing,
                     key=lambda d: sorted(d, reverse=True)):
         insert(g)
     memo = DivisorMemo(packing)
+    slot_of, pack = memo.slot_of, field._packer(_TERMS)[0]
     while pairs:
+        # the S-polynomial -n_i x^si tail_i + n_j x^sj tail_j, n the
+        # reducers' negated inverses: the leading terms cancel
         lcm, i, j, _ = heapq.heappop(pairs)
-        s = _spoly(reducers[i], reducers[j], lcm, field)
-        r = _packed_normal_form(s.items(), 2, reducers, memo, field)
+        (lmi, ni, taili), (lmj, nj, tailj) = reducers[i], reducers[j]
+        si, sj, fi, fj = lcm - lmi, lcm - lmj, pack(field._neg(ni)), pack(nj)
+        r = _packed_normal_form(
+            [(slot_of(m + si), fi * c) for m, c in taili]
+            + [(slot_of(m + sj), fj * c) for m, c in tailj],
+            2, reducers, memo, field)
         if r:
             insert(r)
 
@@ -416,7 +411,8 @@ def _reduce_basis(reducers: List[Reducer], packing: Packing,
     one, mul, neg = field._one_payload(), field._mul, field._neg
     out = []
     for lm, scale, tail in kept:
-        rest = _packed_normal_form(tail, 1, kept, memo, field)
+        rest = _packed_normal_form([(memo.slot_of(m), c) for m, c in tail],
+                                   1, kept, memo, field)
         inv = neg(scale)
         reduced = {lm: one}
         reduced.update((m, mul(c, inv)) for m, c in rest.items())

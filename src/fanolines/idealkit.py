@@ -166,10 +166,12 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
     P^N(F_{q^k}). A lower level j is read off the largest top level it
     divides. A scanned point's residue degree is the least proper divisor
     of the top level whose `subfield_table` holds every coordinate, and
-    the top level when none does; a point of a lower level takes its
-    coordinates there from that table and the level is sorted by their
-    codes, its scan order (embedded codes need not keep it). With
-    Q = q^top a table has at most sqrt(Q) entries, while scanning F_Q
+    the top level when none does. A point of a lower level takes its
+    coordinates there from that table, the inverse of the level's
+    embedding into the top level; embeddings compose, so it is a point
+    of the system as embedded into the lower level. The level is sorted
+    by their codes, its scan order (embedded codes need not keep it).
+    With Q = q^top a table has at most sqrt(Q) entries, while scanning F_Q
     builds log tables of about 11 Q int32 entries, so every table of a
     top level is built before its scan. The top level is the largest, so
     the budget, which counts its points and its log tables, is checked
@@ -188,7 +190,7 @@ def _scan_levels(ideal: Ideal, k_max: int, budget: int,
                if top % j == 0 and j not in levels]
         for j in own:
             levels[j] = []
-        tables = {j: subfield_table(field, relative_extension(field, j)[0], ext)
+        tables = {j: subfield_table(relative_extension(field, j)[0], ext)
                   for j in range(1, top) if top % j == 0}
         for pt in scan(mapped, ext):
             j = next((j for j, table in tables.items()

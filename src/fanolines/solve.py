@@ -42,8 +42,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import NotZeroDimensional
 from .fglm import fglm_lex, lex_basis_zero_dim
-from .field import (Field, FieldElement, _frobenius_shift, _orbit,
-                    relative_extension)
+from .field import Field, FieldElement, _orbit, relative_extension
 from .poly import Polynomial, restrict
 from .projgeo import ProjectivePoint
 from .unipoly import distinct_degree_factorization, roots_in_field
@@ -117,12 +116,8 @@ def _fiber_points(basis: List[Polynomial], nvars: int, root: FieldElement,
         return [(j, values + (root,))]
     out = []
     for i, coords in _affine_points(lex_basis_zero_dim(fiber), ext, k_max, rng):
-        top, lift = relative_extension(ext, i)
-        point = coords + (lift(root),)
-        shift = _frobenius_shift(ground, ext, top)
-        if shift:
-            point = tuple(top.frobenius(c, shift) for c in point)
-        out.append((j * i, point))
+        lift = relative_extension(ext, i)[1]
+        out.append((j * i, coords + (lift(root),)))
     return out
 
 

@@ -60,8 +60,8 @@ import random
 from itertools import chain, count
 from typing import Dict, List, Optional, Tuple
 
-from .field import (Field, FieldElement, _frobenius_shift, _orbit, _Ring,
-                    build_extension, payload_lift)
+from .field import (Field, FieldElement, _orbit, _Ring, build_extension,
+                    embedding, payload_lift)
 from .linalg import Echelon, unit_row
 
 
@@ -255,34 +255,27 @@ def _quadratic_roots(field: Field, g) -> List[FieldElement]:
 
 
 @functools.lru_cache(maxsize=None)
-def _half_field(sub: Field, field: Field):
-    """(half, root) for irreducible factors over sub of even degree
-    [field : sub], with a quadratic factor over half, the subfield of
-    index 2: root(g) is a root in field of the monic quadratic g over
-    half, irreducible there, given as its coefficient list. Built once
-    per pair of fields.
+def _half_field(field: Field):
+    """(half, root) for quadratic factors over half, the subfield of
+    index 2 of field: root(g) is a root in field of the monic quadratic
+    g over half, irreducible there, given as its coefficient list. Built
+    once per field.
 
-    half goes into field by payload_lift(half, field) and then the
-    Frobenius power that makes it agree with payload_lift(sub, field) on
-    sub (`_frobenius_shift`). The discriminant D of g is a non-square of
+    half goes into field by `embedding(half, field)`; embeddings compose,
+    so a factor over any subfield of half lifted through half is the
+    factor lifted directly. The discriminant D of g is a non-square of
     half, so with z a fixed non-square of half, sqrt(D) = sqrt(D/z)
     sqrt(z): one square root in half, and sqrt(z) in field, taken here."""
     half = build_extension(field.characteristic(), field.degree // 2)
-    embed = payload_lift(half, field)
-    shift = _frobenius_shift(sub, half, field)
-
-    def lift(c) -> FieldElement:
-        image = FieldElement(field, embed(c))
-        return field.frobenius(image, shift) if shift else image
-
+    lift = embedding(half, field)
     start = half.generator() if half.degree > 1 else half.zero()
     z = next(z for z in (start + c for c in count(2)) if _sqrt(z) is None)
-    z_inv, root_z = z.inverse(), _sqrt(lift(z.payload))
+    z_inv, root_z = z.inverse(), _sqrt(lift(z))
     half_one = field.from_int((field.characteristic() + 1) // 2)
 
     def root(g: List[FieldElement]) -> FieldElement:
-        root_d = lift(_sqrt((g[1] * g[1] - 4 * g[0]) * z_inv).payload)
-        return (root_d * root_z - lift(g[1].payload)) * half_one
+        root_d = lift(_sqrt((g[1] * g[1] - 4 * g[0]) * z_inv))
+        return (root_d * root_z - lift(g[1])) * half_one
 
     return half, root
 
@@ -433,7 +426,7 @@ def _one_root(sub: Field, field: Field, g, xp,
     first table the powers of x^p in F_sub[x]/(g), lifted."""
     j = field.degree // sub.degree
     if j % 2 == 0:
-        half, root = _half_field(sub, field)
+        half, root = _half_field(field)
         if j == 2:
             return root(_elements(half, _lift(sub, half, g)))
         quadratic = _orbit_quadratic(sub, half, g, xp, rng)

@@ -216,9 +216,12 @@ def test_frobenius_row_table_matches_powers(p, k):
 
 # the image of the generator of src under embedding(src, dst), by its code
 # in dst; no pinned CLI report builds an extension-to-extension embedding
+# the image of the generator; a source of composite degree (F_7^4) takes
+# the smallest-code root that agrees with its subfields' embeddings
 EMBEDDING_PAIRS = [(3, 2, 4, 15), (7, 2, 4, 893), (7, 3, 6, 20005),
                    (10007, 2, 6, 237566485309849260923408),
-                   (10007, 2, 8, 28894650911893016681905838386616)]
+                   (10007, 2, 8, 28894650911893016681905838386616),
+                   (7, 4, 8, 4317123)]
 
 
 @pytest.mark.parametrize("p,a,b,code", EMBEDDING_PAIRS,
@@ -239,6 +242,24 @@ def test_embedding_is_ring_homomorphism(p, a, b, code):
     assert embed(src.one()) == dst.one()
 
 
+# every chain of extension degrees a | b | c, 2 <= a < b < c <= 12
+CHAINS = [(p, a, b, c) for p in (3, 5, 7, 11) for c in range(2, 13)
+          for b in range(2, c) for a in range(2, b)
+          if b % a == 0 and c % b == 0]
+
+
+@pytest.mark.parametrize("p,a,b,c", CHAINS,
+                         ids=[f"{p}^{a}-{p}^{b}-{p}^{c}" for p, a, b, c in CHAINS])
+def test_embeddings_compose(p, a, b, c):
+    # embedding(b, c) after embedding(a, b) is embedding(a, c) on the
+    # generator of F_(p^a), so on all of it: a point found over F_(p^c)
+    # through F_(p^b) is a point of the system embedded directly
+    small, mid, top = (build_extension(p, k) for k in (a, b, c))
+    gen = small.generator()
+    assert embedding(mid, top)(embedding(small, mid)(gen)) == embedding(
+        small, top)(gen)
+
+
 def test_relative_extension_tower():
     ground = build_extension(5, 2)
     ext, embed = relative_extension(ground, 3)
@@ -252,15 +273,15 @@ def test_relative_extension_tower():
     (3, 3, 2, 4)])
 def test_subfield_table_is_a_field_map_that_fixes_the_ground(p, d, j, k):
     # sub and top are the degree-j and degree-k extensions of the ground.
-    # The table must map sub's image in top onto sub as a field map
-    # that commutes with both embeddings of the ground; at (3, 2, 3, 6)
-    # and (3, 3, 2, 4) the plain inverse of embedding(sub, top) does not,
-    # as embedding the ground into top through sub differs from embedding
-    # it directly by a Frobenius power
+    # The table, the plain inverse of embedding(sub, top), must map sub's
+    # image in top onto sub as a field map that commutes with both
+    # embeddings of the ground. At (3, 2, 3, 6) and (3, 3, 2, 4) it does
+    # only because embeddings compose: the ground goes into top through
+    # sub as it goes directly
     ground = PrimeField(p) if d == 1 else build_extension(p, d)
     sub, to_sub = relative_extension(ground, j)
     top, to_top = relative_extension(ground, k)
-    table = subfield_table(ground, sub, top)
+    table = subfield_table(sub, top)
     up = embedding(sub, top)
 
     def down(u):

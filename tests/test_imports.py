@@ -13,8 +13,10 @@ name or an attribute in the package, the scripts or the benchmark, in an
 names the layers it wraps in strings). Likewise every public class
 attribute is read as `.name`, and every defaulted parameter is set by
 some call, outside the tests. Tests do not count: code that only tests
-call belongs in `tests/conftest.py` as a named oracle. Last, no dataclass
-of the package writes its own `__init__`.
+call belongs in `tests/conftest.py` as a named oracle. Every parameter
+of a package function is read in its body, save where several classes
+of a module define the method. Last, no dataclass of the package writes
+its own `__init__`.
 """
 
 import ast
@@ -309,6 +311,58 @@ def test_no_unset_defaults():
     unset = unset_defaults({p.stem: p.read_text() for p in PACKAGE},
                            [p.read_text() for p in CALLERS])
     assert unset == sorted(UNSET_KEPT)
+
+
+def unread_parameters(package):
+    """`module.function(param)` of every parameter of a function or
+    method of `package` (module name -> source text) that its body never
+    reads, a method's self or cls aside. A method whose name several
+    classes of its module define is exempt: the classes share one
+    interface, and not every class needs every argument."""
+    unread = []
+    for module, text in package.items():
+        tree = ast.parse(text)
+        owner = {id(item): cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for item in cls.body
+                 if isinstance(item, ast.FunctionDef)}
+        shared = Counter(fn.name for fn in ast.walk(tree) if id(fn) in owner)
+        for fn in ast.walk(tree):
+            cls = owner.get(id(fn))
+            if not isinstance(fn, ast.FunctionDef) or (
+                    cls and shared[fn.name] > 1):
+                continue
+            args = fn.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            if cls and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in fn.decorator_list):
+                params = params[1:]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            label = f"{module}.{cls.name + '.' if cls else ''}{fn.name}"
+            unread += [f"{label}({arg.arg})" for arg in params
+                       if arg.arg not in read]
+    return sorted(unread)
+
+
+def test_the_check_sees_an_unread_parameter():
+    package = {"m": ("def lift(sub, field, *rest):\n"
+                     "    return build(field)\n"
+                     "def scale(x, *, by=2): return lambda: x * by\n"
+                     "class Box:\n"
+                     "    def grow(self, by): return self\n"
+                     "    @staticmethod\n"
+                     "    def make(size): return Box()\n"
+                     "class Shape:\n"
+                     "    def area(self, unit): return 0\n"
+                     "class Square(Shape):\n"
+                     "    def area(self, unit): return unit\n")}
+    assert unread_parameters(package) == [
+        "m.Box.grow(by)", "m.Box.make(size)", "m.lift(rest)", "m.lift(sub)"]
+
+
+def test_no_unread_parameters():
+    assert unread_parameters({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def dataclasses_with_init(package):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import Ideal, Polynomial, PrimeField, build_extension
-from fanolines.field import FieldElement, _frobenius_shift, embedding
+from fanolines.field import FieldElement, embedding
 from fanolines.idealkit import (enumerated_points, groebner_of, hilbert_data,
                                 solve_report)
 from fanolines.fglm import fglm_lex, lex_basis_zero_dim
@@ -223,19 +223,21 @@ def test_points_over_an_extension_ground_lie_on_the_system():
         assert all(g.evaluate(coords).is_zero() for g in gens)
 
 
-def test_fibre_points_over_a_larger_field_take_the_frobenius_shift():
+def test_fibre_points_over_a_larger_field_are_points_of_the_system():
     # over G = F_49 the eliminant's roots lie in F_7^4, and each fibre is a
-    # quadratic solved over F_7^4 with points in F_7^8. On G the map of
-    # F_7^4 into F_7^8 differs from G's own by one Frobenius step, which the
-    # solver must undo
+    # quadratic solved over F_7^4 with points in F_7^8. They are points of
+    # the system embedded directly from G because the map of G into F_7^8
+    # through F_7^4 is G's own: embeddings compose
     field = build_extension(7, 2)
     x0, x1, x2 = (Polynomial.variable(field, 3, i) for i in range(3))
     a, c, d = (Polynomial.constant(field, 3, FieldElement(field, v))
                for v in ((6, 3), (0, 2), (4, 3)))
     gens = [x1 ** 2 + a * x1 * x2 + a * x2 ** 2,
             x0 ** 2 - c * x1 * x2 - d * x2 ** 2]
-    assert _frobenius_shift(field, build_extension(7, 4),
-                            build_extension(7, 8)) == 1
+    mid, top = build_extension(7, 4), build_extension(7, 8)
+    gen = field.generator()
+    assert embedding(mid, top)(embedding(field, mid)(gen)) == embedding(
+        field, top)(gen)
     result = solve_projective(groebner_basis(gens), k_max=4)
     assert result.counts_by_degree == {4: 4}
     for pt in result.points:
