@@ -49,7 +49,11 @@ The operations:
 - `groebner rankdrop`: `groebner_basis` of the rank-drop ideals of
   `voisin-demo 2` at seeds 585427, 1, 2 and 3 over F_10007, each at its
   first node (12 generators in 5 variables), all four per call: each
-  takes 2610 normal-form steps on 209 reducer multiples;
+  takes 2610 normal-form steps on 180 reducer multiples;
+- `hilbert data rankdrop r2`: `hilbert_data` of those four rank-drop
+  ideals, all four per call, each with its grevlex basis cached and its
+  Hilbert data dropped from the ideal's cache before the call: the
+  leading monomials of the basis and the staircase they span;
 - `groebner line system`: `groebner_basis` of the line systems of
   `lines-through --random 3 3 2 --seed 3` and `--random 4 3 1 --seed 3`
   over F_10007 (2 generators in 3 variables, 3 in 4), the bases of the
@@ -244,6 +248,16 @@ def operations(directory: str):
     minors = [rd.nonzero_generators() for rd in rank_drops]
     ops.append(("groebner rankdrop r2 GF(10007)",
                 lambda: [groebner_basis(g) for g in minors], 1))
+    for rd in rank_drops:
+        groebner_of(rd)
+
+    def rank_drop_hilbert_data():
+        for rd in rank_drops:
+            rd._cache.pop(("hilbert",), None)
+            hilbert_data(rd)
+
+    ops.append(("hilbert data rankdrop r2 GF(10007)", rank_drop_hilbert_data,
+                1))
     systems = [line_system(random_pointed_hypersurface(3, 3, 2, ground, 3))
                .ideal().nonzero_generators(), gens]
     ops.append(("groebner line system GF(10007)",

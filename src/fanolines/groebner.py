@@ -13,7 +13,7 @@ nonnegative linear form of the exponents with a guard bit on top. For
 grevlex the rows are [deg | P_{n-2} | ... | P_0 | e_{n-1} | ... | e_1]
 with prefix sums P_j = e_0 + ... + e_j, for lex [e_0 | ... | e_{n-1}].
 So the order is int order, a product is an int sum, a quotient an int
-difference, and a | b is `d = b - a; d >= 0 and not d & guard`.
+difference, and a | b is `not (b - a) & guard`.
 
 - Widening: the slot width starts at the least that holds twice the
   input degree (8 bits at the least). A term that would reach a guard
@@ -29,9 +29,12 @@ made. The reducer list is extended once per basis growth and shared by
 every S-pair reduction; FGLM makes its reducers the same way.
 
 - Pair update (Gebauer-Moeller 1988): when an element joins the basis,
-  its new pairs are pruned against each other and the queued pairs it
-  makes redundant are dropped, so a popped pair is reduced with no
-  further check, all on packed ints (see `buchberger_payload`).
+  the queued pairs it makes redundant are dropped and its new pairs are
+  grouped by lcm; only the minimal lcms are queued, each once, found by
+  walking the lcms in ascending int order against the minimal ones kept
+  so far, so a popped pair is reduced with no further check, all on
+  packed ints with one guard-bit mask per divisibility test (see
+  `_update_pairs`).
 - Reduction: the work coefficients sit in a list by slot, a small int
   per packed monomial (`DivisorMemo`), with a heap of the negated
   monomials, pushed once when a monomial enters the work list. A step
@@ -49,13 +52,16 @@ every S-pair reduction; FGLM makes its reducers the same way.
   tails over as (slot, packed coefficient) pairs, summed per slot.
 - First-divisor memo: one `DivisorMemo` per reducer list keeps, per
   slot, the first dividing reducer's shifted tail, built at its first
-  step, or how far the scan got without one.
-- Inter-reduction: one normal form of each minimal-basis element's tail,
-  with no fixed-point loop (see `_reduce_basis`).
+  step, or how far the scan got without one. Buchberger's pair loop and
+  inter-reduction share one list and one memo; FGLM has its own.
+- Inter-reduction: one normal form of each minimal-basis element's tail
+  against the pair loop's whole reducer list, with its memo, so the
+  shifted tails the pair loop built are reused, and with no fixed-point
+  loop (see `_reduce_basis`).
 
 Reducer multiples x^a * g_i repeat, the observation F4 (Faugere 1999)
 rests on: the r = 2 rank-drop basis of `voisin-demo 2 --seed 585427`
-takes 2610 steps on 209 multiples, and nodal-cubics' bases about 10
+takes 2610 steps on 180 multiples, and nodal-cubics' bases about 10
 steps per multiple, each after the first with no key arithmetic. A
 line-counts verdict's normal forms take about 1.3 steps per multiple,
 where building each shifted tail is a small extra cost.
@@ -64,8 +70,7 @@ where building each shifted tail is a small extra cost.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
-from operator import mul as _mul
+from operator import itemgetter, mul as _mul
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -103,9 +108,11 @@ class Packing:
 
     - a + b is their product; a slot that reached `limit` shows as a set
       guard bit (`key & guard`), and no slot ever carries into the next;
-    - a divides b exactly when d = b - a has d >= 0 and `not d & guard`:
-      the lowest slot of b that is smaller than a's borrows, which sets
-      its guard bit.
+    - a divides b exactly when `(b - a) & guard` is 0: otherwise the
+      lowest slot of b that is smaller than a's borrows, which sets its
+      guard bit, a negative difference included (`&` reads it in two's
+      complement, so its slots are those of the difference mod a power
+      of two).
     """
 
     __slots__ = ("order", "nvars", "width", "limit", "guard", "units",
@@ -137,10 +144,6 @@ class Packing:
     def decode(self, key: int) -> Monomial:
         mask = self.limit - 1
         return tuple(key >> s & mask for s in self._shifts)
-
-    def divides(self, a: int, b: int) -> bool:
-        d = b - a
-        return d >= 0 and not d & self.guard
 
     def lcms(self, a: int, others: List[int]) -> List[int]:
         """lcm(a, b) for each b of `others`, all cut to `exponents`, the
@@ -318,56 +321,78 @@ def _packed_normal_form(terms: Iterable[Tuple[int, int]], products: int,
     return remainder
 
 
+def _update_pairs(lm: int, lms: List[int], live: List[int], pairs: list,
+                  packing: Packing) -> None:
+    """The Gebauer-Moeller update (Gebauer-Moeller 1988;
+    Becker-Weispfenning, *Groebner Bases*, algorithm UPDATE) for a new
+    basis element h, its leading monomial lm cut to `packing.exponents`
+    as every entry of lms: h joins lms and live, and `pairs`, a heap of
+    (packed lcm, i, j, lcm cut to exponents) with i < j, is updated.
+
+    - A queued pair (i, j) is dropped when lm divides lcm(i, j) and that
+      lcm differs from both lcm(i, h) and lcm(j, h).
+    - h pairs with every live g, and the new pairs are grouped by lcm
+      (`Packing.lcms`). Only a minimal lcm, one that no other lcm of the
+      group set divides, is queued, once, with the last g of its group in
+      live order; an lcm that a coprime pair (lcm = lm + lms[g]) shares
+      is not queued at all.
+    - g stops being live when lm divides lms[g]; it stays a reducer.
+
+    A divisor of a packed monomial is never larger as an int, so walking
+    the lcms in ascending order tests each only against the minimal ones
+    kept so far; every test is one guard-bit mask, as (b - a) & guard is
+    nonzero exactly when a does not divide b, negative differences
+    included.
+    """
+    guard, new = packing.guard, len(lms)
+    lcms = packing.lcms(lm, lms)
+    kept = [pr for pr in pairs if (pr[3] - lm) & guard
+            or lcms[pr[1]] == pr[3] or lcms[pr[2]] == pr[3]]
+    if len(kept) < len(pairs):
+        pairs[:] = kept
+        heapq.heapify(pairs)
+    last: Dict[int, int] = {}  # lcm -> its last g in live order
+    shared = set()  # the lcms of coprime pairs
+    for g in live:
+        lcm = lcms[g]
+        last[lcm] = g
+        if lcm - lms[g] == lm:
+            shared.add(lcm)
+    decode, encode = packing.decode, packing.encode
+    minimal: List[int] = []
+    for lcm in sorted(last):
+        for m in minimal:
+            if not (lcm - m) & guard:
+                break
+        else:
+            minimal.append(lcm)
+            if lcm not in shared:
+                heapq.heappush(pairs, (encode(decode(lcm)), last[lcm], new,
+                                       lcm))
+    live[:] = [g for g in live if (lms[g] - lm) & guard]
+    live.append(new)
+    lms.append(lm)
+
+
 def buchberger_payload(gens: List[PayloadPoly], packing: Packing,
                        field: Field) -> List[PayloadPoly]:
     """Reduced Groebner basis of the nonzero packed payload polynomials.
 
-    Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller 1988;
-    Becker-Weispfenning, *Groebner Bases*, algorithm UPDATE), run once
-    for each generator and each new basis element h:
-
-    - h pairs with every live element g. A new pair is dropped when the
-      lcm of another new pair divides its lcm (of equal lcms one is
-      kept); coprime pairs take part in that test but are never queued.
-    - A queued pair (i, j) is dropped when lm(h) divides lcm(i, j) and
-      that lcm differs from both lcm(i, h) and lcm(j, h).
-    - g stops being live when lm(h) divides lm(g); it stays a reducer.
-
-    So every popped pair is reduced with no further check. The update
-    keeps leading monomials cut to `packing.exponents` and takes each
-    lcm(lm(g), lm(h)) once (`Packing.lcms`); a kept pair is queued under
-    its lcm packed in full, so pairs pop in order of packed lcm.
+    Each generator and each new basis element h joins the reducer list
+    and goes through the pair update (`_update_pairs`), so every popped
+    pair is reduced with no further check. The update keeps leading
+    monomials cut to `packing.exponents`; a kept pair is queued under its
+    lcm packed in full, so pairs pop in order of packed lcm. Every
+    normal form, inter-reduction's included (`_reduce_basis`), runs
+    against this one reducer list and its one `DivisorMemo`.
     """
-    decode, encode, divides = packing.decode, packing.encode, packing.divides
     lms: List[int] = []  # cut to the exponent slots
     reducers: List[Reducer] = []
     live: List[int] = []
     pairs: list = []  # heap of (packed lcm, i, j, lcm cut to exponents), i < j
 
     def insert(h: PayloadPoly):
-        lm = max(h) & packing.exponents
-        new = len(reducers)
-        lcms = packing.lcms(lm, lms)
-        candidates = [(lcms[g], g) for g in live]
-        chosen = []
-        for idx, (lcm, g) in enumerate(candidates):
-            coprime = lcm == lm + lms[g]
-            if coprime or not any(
-                    divides(other[0], lcm)
-                    for other in chain(chosen, candidates[idx + 1:])):
-                chosen.append((lcm, g, coprime))
-        kept = [pr for pr in pairs
-                if not (divides(lm, pr[3]) and lcms[pr[1]] != pr[3]
-                        and lcms[pr[2]] != pr[3])]
-        if len(kept) < len(pairs):
-            pairs[:] = kept
-            heapq.heapify(pairs)
-        for lcm, g, coprime in chosen:
-            if not coprime:
-                heapq.heappush(pairs, (encode(decode(lcm)), g, new, lcm))
-        live[:] = [g for g in live if not divides(lm, lms[g])]
-        live.append(new)
-        lms.append(lm)
+        _update_pairs(max(h) & packing.exponents, lms, live, pairs, packing)
         reducers.append(_reducer(h, field))
 
     for g in sorted((dict(g) for g in gens if g),
@@ -388,31 +413,38 @@ def buchberger_payload(gens: List[PayloadPoly], packing: Packing,
         if r:
             insert(r)
 
-    return _reduce_basis(reducers, packing, field)
+    return _reduce_basis(reducers, memo, field)
 
 
-def _reduce_basis(reducers: List[Reducer], packing: Packing,
+def _reduce_basis(reducers: List[Reducer], memo: DivisorMemo,
                   field: Field) -> List[PayloadPoly]:
-    """The monic reduced basis of a Groebner basis given as reducers,
-    sorted by leading monomial ascending.
+    """The monic reduced basis of the Groebner basis `reducers`, sorted by
+    leading monomial ascending.
 
-    Minimalizing keeps a Groebner basis, and an element's leading
-    monomial divides none of its tail monomials, which are all smaller.
-    So each reduced element is its leading term plus the unique normal
-    form of its tail modulo the whole minimal basis, scaled to be monic:
-    one normal form per element.
+    The minimal basis keeps, in ascending order of leading monomial, each
+    element whose leading monomial no kept one divides (one guard-bit
+    mask per test, as in `_update_pairs`). An element's leading monomial
+    divides none of its tail monomials, which are all smaller. So each
+    reduced element is its leading term plus the normal form of its tail,
+    scaled to be monic: one normal form per element, against the whole
+    list `reducers` with its memo `memo`, the pair loop's own. Each
+    reducer lies in the ideal and the list is a Groebner basis, so that
+    normal form is the unique remainder, and every shifted tail the pair
+    loop built is reused.
     """
-    # minimal: drop any element whose LM is divisible by another's LM
-    kept: List[Reducer] = []
-    for red in sorted(reducers, key=lambda r: r[0]):
-        if not any(packing.divides(other[0], red[0]) for other in kept):
+    guard, kept = memo.guard, []
+    for red in sorted(reducers, key=itemgetter(0)):
+        for other in kept:
+            if not (red[0] - other[0]) & guard:
+                break
+        else:
             kept.append(red)
-    memo = DivisorMemo(packing)
-    one, mul, neg = field._one_payload(), field._mul, field._neg
+    one, mul, neg, slot_of = (field._one_payload(), field._mul, field._neg,
+                              memo.slot_of)
     out = []
     for lm, scale, tail in kept:
-        rest = _packed_normal_form([(memo.slot_of(m), c) for m, c in tail],
-                                   1, kept, memo, field)
+        rest = _packed_normal_form([(slot_of(m), c) for m, c in tail],
+                                   1, reducers, memo, field)
         inv = neg(scale)
         reduced = {lm: one}
         reduced.update((m, mul(c, inv)) for m, c in rest.items())
@@ -427,7 +459,9 @@ def _reduce_basis(reducers: List[Reducer], packing: Packing,
 
 def groebner_basis(gens: Sequence[Polynomial],
                    order: MonomialOrder = GREVLEX) -> List[Polynomial]:
-    """Unique monic reduced Groebner basis; [] for the zero ideal."""
+    """Unique monic reduced Groebner basis, sorted by leading monomial
+    ascending; [] for the zero ideal. Each element's terms list its
+    leading monomial first."""
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return []

@@ -92,7 +92,8 @@ def hilbert_data(ideal: Ideal) -> Tuple[int, int]:
     if not gb:
         result = (ideal.ambient_proj_dim, 1)
     else:
-        lms = [g.leading_monomial(GREVLEX) for g in gb]
+        # each reduced basis element lists its leading monomial first
+        lms = [next(iter(g.terms)) for g in gb]
         result = staircase_data(lms, ideal.nvars)
     ideal._cache[key] = result
     return result

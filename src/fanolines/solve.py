@@ -87,12 +87,13 @@ def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
     eliminant, rest = _univariate_in_last(gb[0]), gb[1:]
     nvars = gb[0].nvars - 1
     out: List[Tuple[int, Tuple[FieldElement, ...]]] = []
-    for j, (part, xp) in distinct_degree_factorization(eliminant, ground,
-                                                       k_max).items():
+    for j, (part, xp, ring) in distinct_degree_factorization(
+            eliminant, ground, k_max).items():
         ext, embed = relative_extension(ground, j)
         basis = rest if j == 1 else [g.map_coefficients(ext, embed) for g in rest]
         solved = set()
-        for root in roots_in_field(part, ext, rng, orbit=j, xp=xp):
+        for root in roots_in_field(part, ext, rng, orbit=j, xp=xp,
+                                   ring=ring):
             if root.payload in solved:
                 continue
             out += _fiber_points(basis, nvars, root, ground, k_max // j, rng)

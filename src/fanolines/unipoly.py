@@ -14,9 +14,12 @@ build no FieldElement.
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
 and returns, for each j, the product of the irreducible factors of degree
-j, with x^p mod that part. It works in one ring, F_q0[x]/(e): x^p by
-squaring once, then each q0-th power as [F_q0 : F_p] Frobenius steps (von
-zur Gathen-Shoup 1992), over F_p and its extensions alike. Every root of
+j, with x^p mod that part, and with the ring itself when the part is all
+of e, so that rooting a one-part eliminant (one orbit, as at every
+depth-6 line count) builds no second ring. It works in one ring,
+F_q0[x]/(e): x^p by squaring once, then each q0-th power as [F_q0 : F_p]
+Frobenius steps (von zur Gathen-Shoup 1992), over F_p and its extensions
+alike. Every root of
 that degree-j part has residue degree exactly j, so its roots lie in
 F_(q0^j) and nowhere else, one Frobenius orbit r, r^q0, ...,
 r^(q0^(j-1)) per irreducible factor.
@@ -114,10 +117,13 @@ def _xp_powers(ring: _Ring, xp) -> list:
 
 def distinct_degree_factorization(
         e: List[FieldElement], field: Field, k_max: int
-) -> Dict[int, Tuple[List[FieldElement], List[FieldElement]]]:
-    """{j: (part, x^p mod part)} for j <= k_max, part the product of the
-    distinct monic irreducible degree-j factors of e, omitting the j with
-    no such factor.
+) -> Dict[int, Tuple[List[FieldElement], List[FieldElement], Optional[tuple]]]:
+    """{j: (part, x^p mod part, ring)} for j <= k_max, part the product
+    of the distinct monic irreducible degree-j factors of e, omitting the
+    j with no such factor. ring is F_q[x]/(part) as `_ground_ring`
+    gives it when the part is all of e (e squarefree of one factor
+    degree), the ring the powers were taken in, else None;
+    `roots_in_field` takes it as it is.
 
     All powers are taken in one ring, F_q[x]/(e), q = p^k: x^p once by
     squaring, and then each q-th power w^q as k Frobenius steps from the
@@ -137,8 +143,9 @@ def distinct_degree_factorization(
     x = (0,) * k + (1,) + (0,) * (k - 1)
     ring = _quotient_ring(field, f)
     xp = base.trim(ring.pow(base.divmod(x, f)[1], field.characteristic()))
-    table = ring.frobenius_table(_xp_powers(ring, xp), field.frob_rows)
-    w = x
+    ground = ring, xp, _xp_powers(ring, xp)
+    table = ring.frobenius_table(ground[2], field.frob_rows)
+    whole, w = f, x
     parts: Dict[int, tuple] = {}
     for j in range(1, k_max + 1):
         degree = len(f) // k - 1
@@ -156,7 +163,8 @@ def distinct_degree_factorization(
                 f = base.divmod(f, g)[0]
                 g = base.gcd(f, g)
     return {j: (_elements(field, part),
-                _elements(field, base.divmod(xp, part)[1]))
+                _elements(field, base.divmod(xp, part)[1]),
+                ground if part == whole else None)
             for j, part in sorted(parts.items())}
 
 
@@ -349,7 +357,9 @@ def _factors(field: Field, f, xp, degree: int, stop: int,
 
 def _ground_ring(sub: Field, f, xp):
     """(A, xp, powers): A = F_sub[x]/(f) with slots for a Frobenius sum,
-    x^p mod f (taken in A unless given) and its powers below x^(n p)."""
+    x^p mod f (taken in A unless given) and its powers below x^(n p).
+    Its callers take the one `distinct_degree_factorization` hands over
+    with a part, when there is one, in place of a call."""
     s, p = sub.degree, sub.characteristic()
     ring = _quotient_ring(sub, f)
     if xp is None:
@@ -357,7 +367,7 @@ def _ground_ring(sub: Field, f, xp):
     return ring, xp, _xp_powers(ring, xp)
 
 
-def _orbit_quadratic(sub: Field, half: Field, f, xp,
+def _orbit_quadratic(sub: Field, half: Field, f, xp, ground,
                      rng: random.Random) -> Optional[List[FieldElement]]:
     """The quadratic factor over half through one root of f, one Frobenius
     orbit of degree 2h > 2 over sub = F_q0, with no split; None when the
@@ -371,7 +381,7 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp,
     of S in half, and u = a_0 + a_1 v + ... + a_(h-1) v^(h-1)
     (`linalg.Echelon`) goes along."""
     s, p = sub.degree, sub.characteristic()
-    ring, _, powers = _ground_ring(sub, f, xp)
+    ring, _, powers = ground or _ground_ring(sub, f, xp)
     table = ring.frobenius_table(powers, sub.frob_rows)
     n = ring.n
     h = n // 2
@@ -402,7 +412,7 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp,
         minimal = [add(low, ring.mul(c, high)) for low, high in
                    zip([(0,) * (n * s)] + minimal, minimal + [(0,) * (n * s)])]
     root = _one_root(sub, half, tuple(d for w in minimal for d in w[:s]),
-                     None, rng)
+                     None, None, rng)
     echelon = Echelon(sub, n)
     w = ring.digits(1)
     for i in range(h):  # v^0, ..., v^(h-1), each tagged by a unit vector
@@ -418,21 +428,22 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp,
     return [image, -root, half.one()]
 
 
-def _one_root(sub: Field, field: Field, g, xp,
+def _one_root(sub: Field, field: Field, g, xp, ground,
               rng: random.Random) -> FieldElement:
     """A root in field of the monic flat g, irreducible of degree j =
-    [field : sub] >= 2 over sub, xp x^p mod g or None: by the quadratic
-    over the half field at even j, else by descent over field, its
-    first table the powers of x^p in F_sub[x]/(g), lifted."""
+    [field : sub] >= 2 over sub, xp x^p mod g or None, ground the
+    `_ground_ring` of g or None: by the quadratic over the half field at
+    even j, else by descent over field, its first table the powers of
+    x^p in F_sub[x]/(g), lifted."""
     j = field.degree // sub.degree
     if j % 2 == 0:
         half, root = _half_field(field)
         if j == 2:
             return root(_elements(half, _lift(sub, half, g)))
-        quadratic = _orbit_quadratic(sub, half, g, xp, rng)
+        quadratic = _orbit_quadratic(sub, half, g, xp, ground, rng)
         if quadratic is not None:
             return root(quadratic)
-    _, xp, powers = _ground_ring(sub, g, xp)
+    _, xp, powers = ground or _ground_ring(sub, g, xp)
     f = _lift(sub, field, g)
     ring = _quotient_ring(field, f)
     first = ring, ring.frobenius_table([_lift(sub, field, w) for w in powers],
@@ -441,33 +452,36 @@ def _one_root(sub: Field, field: Field, g, xp,
     return _quadratic_roots(field, piece)[0]
 
 
-def _roots(sub: Field, field: Field, f, xp, orbit: int,
+def _roots(sub: Field, field: Field, f, xp, ground, orbit: int,
            rng: random.Random) -> List[FieldElement]:
     """The roots in field of the monic flat f over sub, of degree > 0, as
-    promised by `roots_in_field`, unsorted; xp is x^p mod f or None. f
-    splits over sub into one orbit per factor (at orbit 1, factors of
-    degree <= 2), its first split in F_sub[x]/(f)."""
+    promised by `roots_in_field`, unsorted; xp is x^p mod f or None, and
+    ground the `_ground_ring` of f or None. f splits over sub into one
+    orbit per factor (at orbit 1, factors of degree <= 2), its first
+    split in F_sub[x]/(f); a single orbit is rooted in that ring."""
     k, stop = sub.degree, max(orbit, 2)
     first = None
     if orbit * k == 1:
         xp = None  # a split over F_p takes no Frobenius step
     elif len(f) > (stop + 1) * k:  # more than one orbit: a split
-        ring, xp, powers = _ground_ring(sub, f, xp)
+        ring, xp, powers = ground or _ground_ring(sub, f, xp)
         first = ring, ring.frobenius_table(powers, sub.frob_rows)
+        ground = None  # each factor has a ring of its own
     roots = []
     for g in _factors(sub, f, xp, orbit, stop, rng, first):
         if orbit == 1:
             roots += _quadratic_roots(sub, g)
         else:
             below = None if xp is None else sub.ring.divmod(xp, g)[1]
-            roots += _orbit(field, _one_root(sub, field, g, below, rng), orbit)
+            roots += _orbit(field, _one_root(sub, field, g, below, ground,
+                                             rng), orbit)
     return roots
 
 
 def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
                    *, orbit: int,
-                   xp: Optional[List[FieldElement]] = None
-                   ) -> List[FieldElement]:
+                   xp: Optional[List[FieldElement]] = None,
+                   ring: Optional[tuple] = None) -> List[FieldElement]:
     """Distinct roots of `a` lying in the finite field itself, sorted.
 
     orbit=j promises that `a` is a product of distinct irreducible factors
@@ -475,7 +489,7 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     its coefficients in F_q0 (in the field itself at orbit=1): the
     degree-j part of a distinct-degree factorization over F_q0, as it
     returns it, and xp, when given, is x^p mod `a` over F_q0, as it
-    returns it too. Then sigma: x -> x^q0 fixes the coefficients, so it
+    returns it too, as is ring, the ring it took its powers in. Then sigma: x -> x^q0 fixes the coefficients, so it
     permutes the roots, and every root has exactly j conjugates r,
     sigma(r), ..., sigma^(j-1)(r): one orbit per irreducible factor,
     rooted once. The rng only influences internal splitting choices.
@@ -486,5 +500,5 @@ def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
     if len(f) <= sub.degree:
         return []  # constants (callers guard the zero polynomial)
     roots = _roots(sub, field, sub.ring.monic(f),
-                   None if xp is None else _flat(xp, sub), orbit, rng)
+                   None if xp is None else _flat(xp, sub), ring, orbit, rng)
     return sorted(roots, key=field.code_of)

@@ -13,7 +13,7 @@ from fanolines.fano import direction_components
 from fanolines.field import (FieldElement, _Ring, payload_lift,
                              relative_extension)
 from fanolines.linalg import mat_rank
-from fanolines.poly import MAX_TERM_DEGREE, _tokenize
+from fanolines.poly import MAX_TERM_DEGREE, _tokenize, mono_divides
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 
 
@@ -446,6 +446,37 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def plain_pair_update(lm, lms, live, pairs, packing):
+    """(sorted queued pairs, live list) after the Gebauer-Moeller update
+    for a new basis element whose leading monomial, cut to the exponent
+    slots of `packing`, is lm, as `groebner._update_pairs` takes its
+    arguments; nothing is changed in place. Monomials are compared as
+    exponent tuples (`mono_lcm`, `mono_divides`), and the new pairs are
+    chosen by a scan in live order: a pair is kept when it is coprime,
+    or when no earlier kept pair's lcm and no later pair's lcm divides
+    its lcm; a coprime pair is kept but never queued. The oracle of
+    `groebner._update_pairs`."""
+    decode, new = packing.decode, len(lms)
+    h, exps = decode(lm), [decode(m) for m in lms]
+    lcm_of = [mono_lcm(h, e) for e in exps]
+    queued = [pr for pr in pairs
+              if not (mono_divides(h, decode(pr[3]))
+                      and lcm_of[pr[1]] != decode(pr[3])
+                      and lcm_of[pr[2]] != decode(pr[3]))]
+    candidates = [(lcm_of[g], g) for g in live]
+    chosen = []
+    for idx, (lcm, g) in enumerate(candidates):
+        coprime = lcm == mono_mul(h, exps[g])
+        if coprime or not any(mono_divides(other[0], lcm)
+                              for other in chosen + candidates[idx + 1:]):
+            chosen.append((lcm, g, coprime))
+    queued += [(packing.encode(lcm), g, new,
+                sum(e << s for e, s in zip(lcm, packing._shifts)))
+               for lcm, g, coprime in chosen if not coprime]
+    return (sorted(queued),
+            [g for g in live if not mono_divides(h, exps[g])] + [new])
+
+
 def plain_normal_form(f, basis, packing, field, stats=None):
     """Normal form of the payload dict f against the payload dicts of
     basis, keyed by monomials packed by `packing`: one field call per
@@ -471,7 +502,9 @@ def plain_normal_form(f, basis, packing, field, stats=None):
         lc = work.pop(lm, None)
         if lc is None:
             continue
-        red = next((r for r in reducers if packing.divides(r[0], lm)), None)
+        lm_exps = packing.decode(lm)
+        red = next((r for r in reducers
+                    if mono_divides(packing.decode(r[0]), lm_exps)), None)
         if red is None:
             remainder[lm] = lc
             continue

@@ -22,7 +22,7 @@ from fanolines.errors import NotZeroDimensional
 from fanolines import groebner
 
 from conftest import (dehomogenize, mono_lcm, mono_mul, monomial, parse,
-                      plain_normal_form)
+                      plain_normal_form, plain_pair_update)
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -147,6 +147,13 @@ def monomials(draw, count):
     return [draw(exps) for _ in range(count)]
 
 
+def divides(packing, a, b):
+    """The package's inline guard-bit divisibility test of packed
+    monomials: (b - a) & guard is nonzero exactly when a does not divide
+    b, a negative difference included."""
+    return not (b - a) & packing.guard
+
+
 def packing_for(order, monos):
     return Packing.for_degree(order, len(monos[0]), max(map(sum, monos)))
 
@@ -191,9 +198,9 @@ def test_guard_bit_divisibility_is_mono_divides(order, monos):
     a, b, c = monos
     packing = packing_for(order, [mono_mul(a, c), b])
     pa, pb = packing.encode(a), packing.encode(b)
-    assert packing.divides(pa, pb) == mono_divides(a, b)
-    assert packing.divides(pb, pa) == mono_divides(b, a)
-    assert packing.divides(pa, packing.encode(mono_mul(a, c)))
+    assert divides(packing, pa, pb) == mono_divides(a, b)
+    assert divides(packing, pb, pa) == mono_divides(b, a)
+    assert divides(packing, pa, packing.encode(mono_mul(a, c)))
 
 
 def exponent_slots(packing, mono):
@@ -225,9 +232,9 @@ def test_exponent_slot_lcm_coprime_and_divisibility(order, data):
     for b, lcm in zip(others, lcms):
         pb = exponent_slots(packing, b)
         assert (lcm == pa + pb) == (mono_lcm(a, b) == mono_mul(a, b))
-        assert packing.divides(pa, pb) == mono_divides(a, b)
-        assert packing.divides(pb, pa) == mono_divides(b, a)
-        assert packing.divides(pa, lcm) and packing.divides(pb, lcm)
+        assert divides(packing, pa, pb) == mono_divides(a, b)
+        assert divides(packing, pb, pa) == mono_divides(b, a)
+        assert divides(packing, pa, lcm) and divides(packing, pb, lcm)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
@@ -356,6 +363,10 @@ def test_basis_matches_sympy(p, order, seed):
                    {m: c.payload for m, c in g.terms.items()}) for g in basis)
     assert [lm for lm, _ in ours] == [lm for lm, _ in expected]
     assert ours == expected
+    # sorted by leading monomial, each listed first (`hilbert_data` reads it)
+    lms = [next(iter(g.terms)) for g in basis]
+    assert lms == [g.leading_monomial(order) for g in basis]
+    assert lms == sorted(lms, key=order.key)
 
 
 def minor_ideal(field, nvars, rng):
@@ -431,6 +442,75 @@ def test_rank_drop_basis_work_is_pinned(monkeypatch):
     assert calls["pairs"] <= 109
     assert calls["zero"] <= 82
     assert calls["inter"] <= 33
+
+
+def checked_pair_updates(monkeypatch):
+    """Checks every `groebner._update_pairs` call from here on against
+    `plain_pair_update`, both its queued pairs and its live list, and
+    returns a list that gets, per update, the new pairs it queued as
+    sorted (lcm exponents, i, j); a slot overflow must come from both or
+    from neither."""
+    updates = []
+    update = groebner._update_pairs
+
+    def checked_update(lm, lms, live, pairs, packing):
+        try:
+            expected = plain_pair_update(lm, lms, live, pairs, packing)
+        except groebner._SlotOverflow:
+            expected = None
+        try:
+            update(lm, lms, live, pairs, packing)
+        except groebner._SlotOverflow:
+            assert expected is None
+            raise
+        assert (sorted(pairs), live) == expected
+        new = len(lms) - 1
+        updates.append(sorted((packing.decode(pr[0]), pr[1], pr[2])
+                              for pr in pairs if pr[2] == new))
+
+    monkeypatch.setattr(groebner, "_update_pairs", checked_update)
+    return updates
+
+
+@pytest.mark.parametrize("field", [F7, F10007], ids=str)
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+def test_pair_update_over_equal_and_coprime_lcms(field, order, monkeypatch):
+    # leading monomials x3, x0 x3, x0 x2, x1 x2 and x0 x1 (the last one
+    # inserted in both orders, x0 x2 after x1 x2). x0 x1 pairs with x0 x2
+    # and x1 x2 at the lcm x0 x1 x2, queued once, under x0 x2, the later
+    # in live order, and with x3, coprime, at x0 x1 x3, which x0 x3
+    # shares: nothing is queued there
+    gens = [parse(text, 4, field) for text in
+            ("x3 - 1", "x0*x3 - 2", "x0*x2 - 3", "x1*x2 - 4", "x0*x1 - 5")]
+    updates = checked_pair_updates(monkeypatch)
+    groebner_basis(gens, order)
+    inserted = sorted(gens, key=lambda g: sorted(
+        (order.key(m) for m in g.terms), reverse=True))
+    index = {g.leading_monomial(order): i for i, g in enumerate(inserted)}
+    assert index[(1, 1, 0, 0)] == 4 and index[(1, 0, 1, 0)] > index[(0, 1, 1, 0)]
+    assert updates[4] == [((1, 1, 1, 0), index[(1, 0, 1, 0)], 4)]
+
+
+@pytest.mark.parametrize("field", [F7, F10007], ids=str)
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_update_matches_the_plain_choice_rule(field, order, data):
+    # random ideals with small exponents, so that equal lcms, lcms that
+    # divide one another and coprime pairs turn up; every update of the
+    # run, generators and S-pair remainders alike, is checked
+    nvars = data.draw(st.integers(2, 4))
+    mono = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(
+        lambda e: sum(e) <= 3).map(tuple)
+    term = st.tuples(mono, st.integers(1, field.characteristic() - 1))
+    polys = st.lists(term, min_size=1, max_size=4).map(
+        lambda terms: Polynomial(field, nvars, {m: field.from_int(c)
+                                                for m, c in terms}))
+    gens = data.draw(st.lists(polys, min_size=2, max_size=5))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        updates = checked_pair_updates(monkeypatch)
+        groebner_basis(gens, order)
+    assert len(updates) >= len(gens)  # one per generator at the least
 
 
 def test_rank_drop_exponent_tuple_traffic_is_pinned(monkeypatch):
@@ -537,14 +617,16 @@ def counted_shifted_tails(monkeypatch):
 def test_rank_drop_shifted_tails_are_reused(monkeypatch):
     # the seed-585427 rank-drop ideal: its normal forms take 2610 steps
     # (the 2925 `_mul` calls of test_normal_form_field_calls_are_pinned,
-    # less the 315 that scale the reduced basis's tail terms) on 209
-    # distinct multiples x^a g_i, about 12.5 steps each. A multiple's
+    # less the 315 that scale the reduced basis's tail terms) on 180
+    # distinct multiples x^a g_i, about 14.5 steps each. A multiple's
     # shifted tail is built once, when the first-divisor memo finds its
-    # monomial's divisor, and each later step on that monomial reuses it
+    # monomial's divisor, and each later step on that monomial reuses it,
+    # inter-reduction's steps included: they run on the pair loop's
+    # reducers and memo
     gens = seed_585427_rank_drop()
     built = counted_shifted_tails(monkeypatch)
     assert len(groebner_basis(gens)) == 33
-    assert 0 < len(built) <= 209
+    assert 0 < len(built) <= 180
 
 
 # fields of the normal-form differentials: a 33-bit prime, and F_{p^k}
@@ -647,7 +729,7 @@ def test_normal_form_against_a_growing_reducer_list(field, monkeypatch):
             reducers = [groebner._reducer(d, field) for d in basis]
             memo = groebner.DivisorMemo(packing)
             first = reduce_both(f, basis, reducers, memo)
-            if first and any(packing.divides(max(d), max(f)) for d in basis):
+            if first and any(divides(packing, max(d), max(f)) for d in basis):
                 break
         top = next(iter(first))
         other = payload_system(field, rng, 3, 6, 4, 2)[2]

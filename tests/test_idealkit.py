@@ -9,7 +9,7 @@ from fanolines import (Ideal, Polynomial, PrimeField, ProjectivePoint,
 from fanolines.idealkit import (add_jacobian_certificates,
                                 complete_intersection_report,
                                 certify_reduced_point, enumerated_points,
-                                hilbert_data,
+                                groebner_of, hilbert_data,
                                 is_complete_intersection, jacobian_rank_at,
                                 matched, random_slice, rational_points,
                                 sample_smooth_points,
@@ -454,6 +454,30 @@ def test_jacobian_rank_at_drops_exponents_divisible_by_p():
         for pt in special_points(field, 4, rng):
             assert jacobian_rank_at(gens[:1], [pt]) == [0]
             assert jacobian_rank_at(gens, [pt]) == [jacobian_rank_oracle(gens, pt)]
+
+
+def test_hilbert_data_reads_the_bases_leading_monomials(monkeypatch):
+    # the rank-drop ideal of `voisin-demo 2 --seed 585427` at its first
+    # node, its grevlex basis cached: the staircase takes the leading
+    # monomials the reduced basis lists first, with no order key call
+    from fanolines.hilbert import staircase_data
+    from fanolines.poly import GREVLEX, GrevLexOrder
+    from fanolines.voisin import (node_line_system, nodes, normal_form_cubic,
+                                  rank_drop_ideal)
+    nfc = normal_form_cubic(2, F10007, 585427)
+    ideal = rank_drop_ideal(node_line_system(nfc,
+                                             nodes(nfc, seed=585427)[0].point))
+    lms = [g.leading_monomial(GREVLEX) for g in groebner_of(ideal)]
+    keys = []
+    key = GrevLexOrder.key
+
+    def counted_key(self, exps):
+        keys.append(exps)
+        return key(self, exps)
+
+    monkeypatch.setattr(GrevLexOrder, "key", counted_key)
+    assert hilbert_data(ideal) == staircase_data(lms, ideal.nvars) == (0, 3)
+    assert keys == []
 
 
 def test_slice_degree_trivial_cases():

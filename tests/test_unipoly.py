@@ -60,14 +60,22 @@ def draw(p, rng, pth_power):
 def payload_parts(parts):
     """{j: payload list of the part} of a distinct-degree factorization,
     after checking that each part comes with x^p mod it
-    (`schoolbook_powmod`)."""
+    (`schoolbook_powmod`), and with its ring only when it is the one
+    part: that ring's modulus is the part, and it holds x^p and one
+    power of it per coefficient."""
     out = {}
-    for j, (part, xp) in parts.items():
+    for j, (part, xp, quotient) in parts.items():
         field = part[0].field
         payloads = [c.payload for c in part]
         x = [field._zero_payload(), field._one_payload()]
         assert [c.payload for c in xp] == schoolbook_powmod(
             field, x, field.characteristic(), payloads), j
+        if quotient is not None:
+            assert len(parts) == 1
+            ring, flat_xp, powers = quotient
+            assert ring.m == tuple(ring_digits(field, payloads))
+            assert ring_payloads(field, flat_xp) == [c.payload for c in xp]
+            assert len(powers) == len(part) - 1
         out[j] = payloads
     return out
 
@@ -441,8 +449,8 @@ def test_roots_of_a_ground_part_match_the_embedded_part(ground):
     seen = set()
     for trial in range(4):
         e = [ground.sample(rng) for _ in range(8)] + [ground.one()]
-        for j, (part, _) in distinct_degree_factorization(e, ground,
-                                                          4).items():
+        for j, (part, *_) in distinct_degree_factorization(e, ground,
+                                                           4).items():
             ext, embed = relative_extension(ground, j)
             mapped = [embed(c) for c in part]
             own = roots_in_field(part, ext, random.Random(trial), orbit=j)
@@ -491,7 +499,7 @@ def test_roots_of_every_orbit_are_complete(p, k, k_max):
         factored = distinct_degree_factorization(e, ground, k_max)
         assert list(factored) == list(range(1, k_max + 1))
         parts += factored.items()
-    for j, (part, xp) in parts:
+    for j, (part, xp, _) in parts:
         ext, embed = relative_extension(ground, j)
         mapped = [embed(c) for c in part]
         got = [roots_in_field(part, ext, rng, orbit=j, xp=xp),
@@ -501,6 +509,31 @@ def test_roots_of_every_orbit_are_complete(p, k, k_max):
         assert len(set(roots)) == len(roots) == len(part) - 1, j
         assert all(horner(mapped, r).is_zero() for r in roots), j
         assert got[1] == got[2] == roots, j
+
+
+@pytest.mark.parametrize("shape", [(6,), (5,), (4,), (3, 3), (2, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_one_part_eliminant_builds_its_ring_once(shape, monkeypatch):
+    # an eliminant over F_10007 that is one part (one orbit, as at every
+    # depth-6 line count, an odd one, or two of the same degree):
+    # F_10007[x]/(e) is built once, by the factorization, and its
+    # rooting takes that ring with the part, so the roots match those of
+    # the part rooted on its own
+    ground = PrimeField(10007)
+    rng = random.Random(f"one-part-{shape}")
+    e = [1]
+    for j in shape:
+        e = int_mul(e, irreducible(ground, j, rng), ground.p)
+    e = [ground.from_int(c) for c in e]
+    j = shape[0]
+    ext = relative_extension(ground, j)[0]
+    expected = roots_in_field(e, ext, random.Random(0), orbit=j)
+    _, rings, _ = count_work(monkeypatch)
+    (part, xp, ring), = distinct_degree_factorization(e, ground, 6).values()
+    assert part == e and ring is not None
+    assert roots_in_field(part, ext, random.Random(0), orbit=j, xp=xp,
+                          ring=ring) == expected
+    assert rings.count((1, len(e) - 1)) == 1
 
 
 @pytest.mark.parametrize("j", [4, 6])
@@ -518,7 +551,8 @@ def test_every_irreducible_over_f3_is_rooted(j):
         if list(parts) != [j]:
             continue
         count += 1
-        roots = roots_in_field(f, ext, rng, orbit=j, xp=parts[j][1])
+        _, xp, ring = parts[j]
+        roots = roots_in_field(f, ext, rng, orbit=j, xp=xp, ring=ring)
         assert len(set(roots)) == len(roots) == j, f
         assert all(horner([embed(c) for c in f], r).is_zero() for r in roots)
     assert count == {4: 18, 6: 116}[j]
