@@ -71,7 +71,11 @@ The operations:
   rank-drop ideal at its first node plus its `hilbert_data`;
 - `readoff`: `enumerated_points` at k_max 4 of the conics x0^2 - 3 x2^2,
   x1 x2 - x0^2 over F_7, whose points have residue degrees 1, 2 and 2:
-  F_{7^4} is scanned and levels 1 and 2 are read off it.
+  F_{7^4} is scanned and levels 1 and 2 are read off it;
+- `fglm chart 6` and `fglm chart 24`: `fglm_lex` of the one nonempty
+  chart (`chart_system`) of the grevlex basis of the line system of
+  `lines-through --random 4 3 1 --seed 3` and of `--random 5 4 1 --seed
+  3` over F_10007, whose lex bases cut out the 6 and the 24 lines.
 
 Every name used exists in each version of the package that has
 `idealkit.random_slice` and `parse_polynomial(text, nvars, field)`, so
@@ -93,13 +97,14 @@ from typing import Tuple
 from fanolines import PrimeField, build_extension, parse_polynomial
 from fanolines.cli import _read_poly_file
 from fanolines.fano import line_system, random_pointed_hypersurface
+from fanolines.fglm import fglm_lex
 from fanolines.groebner import groebner_basis
 from fanolines.field import FieldElement, embedding, relative_extension
 from fanolines.idealkit import (Ideal, enumerated_points, groebner_of,
                                hilbert_data, random_slice, rational_points)
 from fanolines.poly import (jacobian_rank_at, monomials_of_degree,
                             random_homogeneous)
-from fanolines.solve import solve_projective
+from fanolines.solve import chart_system, empty_charts, solve_projective
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import distinct_degree_factorization, roots_in_field
 from fanolines.voisin import (certify_node, node_line_system, nodes,
@@ -280,6 +285,15 @@ def operations(directory: str):
                     for text in ("x0^2 - 3*x2^2", "x1*x2 - x0^2")])
     ops.append(("readoff conics GF(7^4)",
                 lambda: enumerated_points(conics, k_max=4), 1))
+    for n, d, count in ((4, 3, 6), (5, 4, 24)):
+        gb = groebner_of(line_system(random_pointed_hypersurface(
+            n, d, 1, ground, 3)).ideal())
+        empty = empty_charts(gb)
+        [chart] = [chart for chart in (chart_system(gb, last)
+                                       for last in range(gb[0].nvars)
+                                       if last not in empty) if chart]
+        ops.append((f"fglm chart {count} GF(10007)",
+                    lambda chart=chart: fglm_lex(chart), 1))
     return ops
 
 

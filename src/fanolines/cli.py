@@ -54,6 +54,8 @@ def _config(args: argparse.Namespace, **settings) -> Dict[str, str]:
 
 
 def _write_json(path: str, text: str):
+    """text to stdout for "-", else to path, replaced in one step by a
+    temporary file with the mode of a plain write (`mkstemp` gives 0600)."""
     if path == "-":
         sys.stdout.write(text)
         return
@@ -62,6 +64,8 @@ def _write_json(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

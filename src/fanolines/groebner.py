@@ -7,13 +7,10 @@ through the field's payload hooks; exponent tuples and FieldElement
 wrappers only appear at the API boundary, which packs its input and
 unpacks its output.
 
-A packed monomial is one int (see `Packing`): slots of equal width, one
-per row of the order's `MonomialOrder.slots` layout, each holding a
-nonnegative linear form of the exponents with a guard bit on top. For
-grevlex the rows are [deg | P_{n-2} | ... | P_0 | e_{n-1} | ... | e_1]
-with prefix sums P_j = e_0 + ... + e_j, for lex [e_0 | ... | e_{n-1}].
-So the order is int order, a product is an int sum, a quotient an int
-difference, and a | b is `not (b - a) & guard`.
+A packed monomial is one int of a `poly.Packing`, in slots laid out by
+the order's `MonomialOrder.slots`: the order is int order, a product is
+an int sum, a quotient an int difference, and a | b is
+`not (b - a) & guard`.
 
 - Widening: the slot width starts at the least that holds twice the
   input degree (8 bits at the least). A term that would reach a guard
@@ -70,16 +67,13 @@ where building each shifted tail is a small extra cost.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter, mul as _mul
+from operator import itemgetter
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from .errors import ZeroPolynomial
 from .field import Field
-from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial
-
-# least slot width of a packing, guard bit included
-_SLOT_BITS = 8
+from .poly import GREVLEX, MonomialOrder, Packing, Polynomial, _SlotOverflow
 
 # products a work coefficient sums before it is unpacked and packed again
 _TERMS = 64
@@ -89,77 +83,6 @@ PayloadPoly = Dict[int, object]
 # tail terms with their coefficients packed by the field's packer for
 # _TERMS products)
 Reducer = Tuple[int, object, List[Tuple[int, int]]]
-
-
-class _SlotOverflow(Exception):
-    """A packed term would reach a slot's guard bit."""
-
-
-class Packing:
-    """Monomials in `nvars` variables as ints, for one order and one slot
-    width.
-
-    Slot k (`width` bits, the last row of `order.slots(nvars)` in slot 0)
-    holds that row's weighted sum of the exponents, so x_i packs to
-    `units[i]` and a monomial to sum e_i * units[i]; int order is the
-    monomial order. The top bit of every slot is a guard, clear in every
-    packed monomial, since no slot exceeds the degree and the degree is
-    below `limit` = 2^(width-1). So for packed monomials a and b:
-
-    - a + b is their product; a slot that reached `limit` shows as a set
-      guard bit (`key & guard`), and no slot ever carries into the next;
-    - a divides b exactly when `(b - a) & guard` is 0: otherwise the
-      lowest slot of b that is smaller than a's borrows, which sets its
-      guard bit, a negative difference included (`&` reads it in two's
-      complement, so its slots are those of the difference mod a power
-      of two).
-    """
-
-    __slots__ = ("order", "nvars", "width", "limit", "guard", "units",
-                 "exponents", "_shifts")
-
-    def __init__(self, order: MonomialOrder, nvars: int, width: int):
-        rows = order.slots(nvars)[::-1]  # least significant first
-        self.order, self.nvars, self.width = order, nvars, width
-        self.limit = 1 << (width - 1)
-        self.guard = sum(self.limit << (k * width) for k in range(len(rows)))
-        self.units = [sum(row[i] << (k * width) for k, row in enumerate(rows))
-                      for i in range(nvars)]
-        self._shifts = [rows.index(tuple(int(k == i) for k in range(nvars)))
-                        * width for i in range(nvars)]
-        self.exponents = sum(((1 << width) - 1) << s for s in self._shifts)
-
-    @classmethod
-    def for_degree(cls, order: MonomialOrder, nvars: int,
-                   degree: int) -> "Packing":
-        """The narrowest packing, at least _SLOT_BITS wide, whose slots
-        hold twice `degree`."""
-        return cls(order, nvars, max(_SLOT_BITS, degree.bit_length() + 2))
-
-    def encode(self, mono: Monomial) -> int:
-        if sum(mono) >= self.limit:
-            raise _SlotOverflow
-        return sum(map(_mul, mono, self.units))
-
-    def decode(self, key: int) -> Monomial:
-        mask = self.limit - 1
-        return tuple(key >> s & mask for s in self._shifts)
-
-    def lcms(self, a: int, others: List[int]) -> List[int]:
-        """lcm(a, b) for each b of `others`, all cut to `exponents`, the
-        slots that hold one exponent each (low `nvars` of grevlex, all of
-        lex). With g their guard bits, t = (a | g) - b holds
-        limit + a_k - b_k in slot k with no borrow, so its guard bit is
-        set where a_k >= b_k; for d those bits, d - (d >> (width - 1))
-        masks their slots, and b plus t under that mask is the max."""
-        guard = self.guard & self.exponents
-        high, shift = a | guard, self.width - 1
-        out = []
-        for b in others:
-            t = high - b
-            d = t & guard
-            out.append(b + (t & (d - (d >> shift))))
-        return out
 
 
 def _widening(packing: Packing, run: Callable[[Packing], object]):

@@ -11,7 +11,7 @@ then reads off the projective dimension (pole order - 1) and the degree
 (remaining numerator at t = 1).
 
 The recursion runs on packed monomials: each generator is one int of a
-lex `groebner.Packing`, encoded once on entry, with exponent e_j in its
+lex `poly.Packing`, encoded once on entry, with exponent e_j in its
 own slot under a guard bit. Nothing is ever multiplied, so no slot grows:
 
 - a divides b exactly when b - a sets no guard bit, and a divisor's int
@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .groebner import Packing
-from .poly import LEX, Monomial
+from .poly import LEX, Monomial, Packing
 
 IntSeries = Tuple[int, ...]
 

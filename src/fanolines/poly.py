@@ -19,7 +19,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from operator import add as _add, lshift as _lshift, mul as _mul
+from operator import add as _add, mul as _mul
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ParseError, UnknownVariable, ZeroPolynomial
@@ -34,11 +34,6 @@ Monomial = Tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # monomial helpers
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b."""
-    return all(x <= y for x, y in zip(a, b))
-
 
 def monomials_of_degree(nvars: int, degree: int) -> List[Monomial]:
     """All exponent tuples of the given total degree, lex-descending."""
@@ -62,7 +57,7 @@ class MonomialOrder:
 
     `slots(nvars)` gives the order's packed layout: rows of nonnegative
     integer weights over the variables, most significant first. Packed
-    (see `groebner.Packing`), a monomial is one int whose slot k holds
+    (see `Packing`), a monomial is one int whose slot k holds
     row k's weighted sum of its exponents, so a product is an int sum and,
     because the rows decide every comparison in order, this order is int
     order. Every row has 0/1 weights, so no slot exceeds the degree; the
@@ -127,6 +122,85 @@ class LexOrder(MonomialOrder):
 
 GREVLEX = GrevLexOrder()
 LEX = LexOrder()
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the one format of groebner, fglm, hilbert, voisin and
+# `Polynomial.substitute`
+
+# least slot width of a packing, guard bit included
+_SLOT_BITS = 8
+
+
+class _SlotOverflow(Exception):
+    """A packed term would reach a slot's guard bit."""
+
+
+class Packing:
+    """Monomials in `nvars` variables as ints, for one order and one slot
+    width.
+
+    Slot k (`width` bits, the last row of `order.slots(nvars)` in slot 0)
+    holds that row's weighted sum of the exponents, so x_i packs to
+    `units[i]` and a monomial to sum e_i * units[i]; int order is the
+    monomial order. The top bit of every slot is a guard, clear in every
+    packed monomial, since no slot exceeds the degree and the degree is
+    below `limit` = 2^(width-1). So for packed monomials a and b:
+
+    - a + b is their product; a slot that reached `limit` shows as a set
+      guard bit (`key & guard`), and no slot ever carries into the next;
+    - a divides b exactly when `(b - a) & guard` is 0: otherwise the
+      lowest slot of b that is smaller than a's borrows, which sets its
+      guard bit, a negative difference included (`&` reads it in two's
+      complement, so its slots are those of the difference mod a power
+      of two).
+    """
+
+    __slots__ = ("order", "nvars", "width", "limit", "guard", "units",
+                 "exponents", "_shifts")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        rows = order.slots(nvars)[::-1]  # least significant first
+        self.order, self.nvars, self.width = order, nvars, width
+        self.limit = 1 << (width - 1)
+        self.guard = sum(self.limit << (k * width) for k in range(len(rows)))
+        self.units = [sum(row[i] << (k * width) for k, row in enumerate(rows))
+                      for i in range(nvars)]
+        self._shifts = [rows.index(_unit(nvars, i)) * width
+                        for i in range(nvars)]
+        self.exponents = sum(((1 << width) - 1) << s for s in self._shifts)
+
+    @classmethod
+    def for_degree(cls, order: MonomialOrder, nvars: int,
+                   degree: int) -> "Packing":
+        """The narrowest packing, at least _SLOT_BITS wide, whose slots
+        hold twice `degree`."""
+        return cls(order, nvars, max(_SLOT_BITS, degree.bit_length() + 2))
+
+    def encode(self, mono: Monomial) -> int:
+        if sum(mono) >= self.limit:
+            raise _SlotOverflow
+        return sum(map(_mul, mono, self.units))
+
+    def decode(self, key: int) -> Monomial:
+        mask = self.limit - 1
+        return tuple(key >> s & mask for s in self._shifts)
+
+    def lcms(self, a: int, others: List[int]) -> List[int]:
+        """lcm(a, b) for each b of `others`, all cut to `exponents`, the
+        slots that hold one exponent each (low `nvars` of grevlex, all of
+        lex). With g their guard bits, t = (a | g) - b holds
+        limit + a_k - b_k in slot k with no borrow, so its guard bit is
+        set where a_k >= b_k; for d those bits, d - (d >> (width - 1))
+        masks their slots, and b plus t under that mask is the max."""
+        guard = self.guard & self.exponents
+        high, shift = a | guard, self.width - 1
+        out = []
+        for b in others:
+            t = high - b
+            d = t & guard
+            out.append(b + (t & (d - (d >> shift))))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +377,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    # -- leading data -----------------------------------------------------
-
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
-
     # -- calculus and structure -------------------------------------------
 
     def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
@@ -345,27 +412,26 @@ class Polynomial:
         as its prefix's image times one image, and cached for the
         monomials that extend it.
 
-        A target monomial is one int key: exponent j in slot j of w bits
-        (Kronecker), w the bit length of the largest degree an image can
-        reach, so no slot carries and a product is a key sum.
-        Coefficients are packed (`Field._packer`) and summed unreduced. In
-        a cached image of mono = prefix * x_i, a key gets at most one
-        product per term of images[i], since the prefix's keys are
-        distinct; in the output, at most one per term of self, since each
-        image's keys are distinct. So one packer for the most terms of
-        self or of any image holds every sum, and each is unpacked once.
+        A target monomial is one int key of a lex `Packing` for the largest
+        degree an image, or the image of a monomial of self, can reach, so
+        no slot carries and a product is a key sum. Coefficients are
+        packed (`Field._packer`) and summed unreduced. In a cached image of
+        mono = prefix * x_i, a key gets at most one product per term of
+        images[i], since the prefix's keys are distinct; in the output, at
+        most one per term of self, since each image's keys are distinct.
+        So one packer for the most terms of self or of any image holds
+        every sum, and each is unpacked once.
         """
         field, nvars = self.field, self.nvars
         assert len(images) == nvars
         target_nvars = images[0].nvars if images else nvars
-        width = max(1, (_top_degree([self])
-                        * _top_degree(images)).bit_length())
-        shifts = [j * width for j in range(target_nvars)]
-        mask = (1 << width) - 1
+        packing = Packing.for_degree(
+            LEX, target_nvars,
+            max(1, _top_degree([self])) * _top_degree(images))
         pack, unpack = field._packer(
             max(1, len(self.terms), *(len(g.terms) for g in images)))
         zero = field._zero_payload()
-        image_terms = [[(sum(map(_lshift, m, shifts)), pack(c.payload))
+        image_terms = [[(packing.encode(m), pack(c.payload))
                         for m, c in g.terms.items()] for g in images]
         index, chain = _chain(self.terms, nvars)
         cache: List[Dict[int, int]] = [{0: pack(field._one_payload())}]
@@ -384,7 +450,7 @@ class Polynomial:
             for k, v in cache[index[mono]].items():
                 sums[k] = sums.get(k, 0) + c * v
         return Polynomial.from_payloads(field, target_nvars, {
-            tuple(k >> s & mask for s in shifts): c
+            packing.decode(k): c
             for k, v in sums.items() if (c := unpack(v)) != zero})
 
     def apply_matrix(self, matrix) -> "Polynomial":
@@ -623,7 +689,10 @@ def restrict(polys: Sequence[Polynomial], last: int,
     pack(c) * value^(m_last) (`Field._packer`) at the key m[:last]. So
     at most one product per term meets at a key, and the packer's bound
     is the most terms of any polynomial. The powers of value are built
-    once, packed, and each sum is unpacked once.
+    once, packed, and each sum is unpacked once. The terms keep their
+    order, and of two terms of a form the grevlex-larger keeps the larger
+    degree or, at a tie, stays larger, so a chart of the reduced grevlex
+    basis of a homogeneous ideal lists each leading monomial first.
     """
     field = value.field
     assert all(f.field == field for f in polys)

@@ -142,7 +142,8 @@ def empty_charts(basis: Sequence[Polynomial]) -> Set[int]:
     homogeneous ideal restricts to a nonzero constant (`chart_system`),
     so the charts that hold no point over any extension.
 
-    Read off the leading monomials: g restricts to a nonzero constant on
+    Read off the leading monomials, each element's first term (as
+    `groebner_basis` lists them): g restricts to a nonzero constant on
     chart last exactly when its leading monomial is a power of x_last, 1
     included. Under grevlex, a form whose leading monomial x_N divides is
     divisible by x_N, so setting x_N = 0 gives 0 or keeps the leading
@@ -153,7 +154,7 @@ def empty_charts(basis: Sequence[Polynomial]) -> Set[int]:
     """
     out: Set[int] = set()
     for g in basis:
-        m = g.leading_monomial()
+        m = next(iter(g.terms))
         out.update(i for i, e in enumerate(m) if e == sum(m))
     return out
 

@@ -24,13 +24,12 @@ from .errors import DegenerateInstance, InvalidParameters
 from .field import Field, embedding
 from .fano import (MAX_RESAMPLES, PointedHypersurface, direction_components,
                    line_system, resample)
-from .groebner import Packing
 from .idealkit import (DEFAULT_BUDGET, Ideal, certify_reduced_point,
                        dimension_text, hilbert_data, jacobian_rank_at,
                        point_certificate, random_slice, rational_points,
                        solve_report, variety_report)
-from .poly import (LEX, Polynomial, _lowered, evaluate_at, frobenius_orbits,
-                   random_homogeneous, restrict)
+from .poly import (LEX, Packing, Polynomial, _lowered, evaluate_at,
+                   frobenius_orbits, random_homogeneous, restrict)
 from .projgeo import ProjectivePoint
 
 SLICE_RETRIES = 3
@@ -183,7 +182,7 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
     their Jacobian, i < j.
 
     The minors run on raw payloads. A monomial is one int key of a lex
-    `groebner.Packing` (Kronecker slots) for degree deg g + deg h, above
+    `poly.Packing` (Kronecker slots) for degree deg g + deg h, above
     any degree a minor reaches, so no slot carries and a product is a key
     sum. The partials are the term lists of `poly._lowered`, dg_j
     negated, with their keys and coefficients packed (`Field._packer`).

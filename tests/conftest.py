@@ -8,12 +8,13 @@ import pytest
 
 from fanolines import (Polynomial, PrimeField, ProjectivePoint,
                        build_extension, embedding, parse_polynomial)
-from fanolines.errors import BudgetExceeded, ParseError, UnknownVariable
+from fanolines.errors import (BudgetExceeded, NotZeroDimensional, ParseError,
+                              UnknownVariable, ZeroPolynomial)
 from fanolines.fano import direction_components
 from fanolines.field import (FieldElement, _Ring, payload_lift,
                              relative_extension)
 from fanolines.linalg import mat_rank
-from fanolines.poly import MAX_TERM_DEGREE, _tokenize, mono_divides
+from fanolines.poly import GREVLEX, MAX_TERM_DEGREE, _tokenize
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 
 
@@ -433,16 +434,56 @@ def plain_ddf(e, field, k_max):
     return {j: ring_payloads(field, part) for j, part in parts.items()}
 
 
+def mono_divides(a, b):
+    """Whether the exponent tuple a divides b, exponent by exponent. The
+    oracle of the guard-bit divisibility test of packed monomials
+    (`poly.Packing`)."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def leading_monomial(f, order=GREVLEX):
+    """The largest monomial of f under order, by a max over the order's
+    key of every term. The oracle of reading a basis element's leading
+    monomial as its first term."""
+    if not f.terms:
+        raise ZeroPolynomial("zero polynomial has no leading monomial")
+    return max(f.terms, key=order.key)
+
+
+def quotient_monomials(lead_monomials, nvars):
+    """The exponent tuples that no tuple of lead_monomials divides (the
+    staircase), sorted, by a walk up from 1 on tuples. Raises
+    NotZeroDimensional unless every variable has a pure power among
+    lead_monomials. The oracle of `fglm._staircase`."""
+    for i in range(nvars):
+        if not any(all(e == 0 for j, e in enumerate(lm) if j != i)
+                   for lm in lead_monomials):
+            raise NotZeroDimensional(
+                f"no pure power of variable {i} among the leading terms")
+    origin = (0,) * nvars
+    seen, queue, out = {origin}, [origin], []
+    while queue:
+        mono = queue.pop()
+        out.append(mono)
+        for i in range(nvars):
+            child = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            if child not in seen:
+                seen.add(child)
+                if not any(mono_divides(lm, child) for lm in lead_monomials):
+                    queue.append(child)
+    return sorted(out)
+
+
 def mono_mul(a, b):
     """The product of two exponent tuples, slot by slot. The oracle of a
-    sum of packed monomials (`groebner.Packing`)."""
+    sum of packed monomials (`poly.Packing`)."""
     return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_lcm(a, b):
     """The lcm of two exponent tuples: the larger exponent of each
     variable. The oracle of the pair update's packed lcm
-    (`groebner.Packing.lcms`)."""
+    (`poly.Packing.lcms`)."""
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
@@ -572,8 +613,6 @@ def plain_hilbert_numerator(lead_monomials, nvars):
     generator set, the product of (1 - t^deg) for pairwise coprime
     generators, and the pivot on the first most shared variable. The
     oracle of `hilbert.hilbert_numerator`."""
-    from fanolines.poly import mono_divides
-
     def times_one_minus_t_to(series, d):
         out = list(series) + [0] * d
         for i, c in enumerate(series):

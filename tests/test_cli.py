@@ -430,6 +430,27 @@ def test_json_files_byte_identical_between_reruns(tmp_path, fixture_file):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_json_file_gets_the_mode_of_a_plain_write(tmp_path, capsys):
+    # under umask 022 a new report is 0644, as open(path, "w") makes it,
+    # and a rerun over a 0600 report leaves 0644 too; the bytes are those
+    # the report prints to stdout
+    target = str(tmp_path / "rep.json")
+    argv = ["bezout-check", "3", "2", "2", "--quiet", "--json"]
+    old = os.umask(0o022)
+    try:
+        assert main(argv + [target]) == 0
+        assert os.stat(target).st_mode & 0o777 == 0o644
+        os.chmod(target, 0o600)
+        assert main(argv + [target]) == 0
+        assert os.stat(target).st_mode & 0o777 == 0o644
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert main(argv + ["-"]) == 0
+    assert open(target).read() == capsys.readouterr().out
+
+
 def test_json_numbers_serialized_as_strings(tmp_path):
     target = str(tmp_path / "out.json")
     main(["lines-through", "--random", "3", "3", "2", "--seed", "0",

@@ -14,15 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolines import PrimeField, Polynomial, build_extension
-from fanolines.poly import (GREVLEX, LEX, mono_divides, monomials_of_degree,
+from fanolines.poly import (GREVLEX, LEX, Packing, monomials_of_degree,
                             random_homogeneous)
-from fanolines.groebner import Packing, groebner_basis, is_member, normal_form
-from fanolines.fglm import fglm_lex, lex_basis_zero_dim, quotient_monomials
+from fanolines.groebner import groebner_basis, is_member, normal_form
+from fanolines.fglm import fglm_lex, lex_basis_zero_dim
+from fanolines.solve import chart_system
 from fanolines.errors import NotZeroDimensional
-from fanolines import groebner
+from fanolines import fglm, groebner, poly
 
-from conftest import (dehomogenize, mono_lcm, mono_mul, monomial, parse,
-                      plain_normal_form, plain_pair_update)
+from conftest import (dehomogenize, leading_monomial, mono_divides, mono_lcm,
+                      mono_mul, monomial, parse, plain_normal_form,
+                      plain_pair_update, quotient_monomials)
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -59,7 +61,7 @@ def test_fixture_quotient_dimension_four():
     chart = [dehomogenize(g, 2) for g in basis]
     chart_basis = groebner_basis(chart, GREVLEX)
     stair = quotient_monomials(
-        [g.leading_monomial(GREVLEX) for g in chart_basis], 2)
+        [leading_monomial(g, GREVLEX) for g in chart_basis], 2)
     assert len(stair) == 4
 
 
@@ -102,8 +104,8 @@ def test_s_polynomials_reduce_to_zero():
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             fi, fj = basis[i], basis[j]
-            mi = fi.leading_monomial(GREVLEX)
-            mj = fj.leading_monomial(GREVLEX)
+            mi = leading_monomial(fi, GREVLEX)
+            mj = leading_monomial(fj, GREVLEX)
             lcm = mono_lcm(mi, mj)
             s = monomial(F7, tuple(map(sub, lcm, mi))) * fi - \
                 monomial(F7, tuple(map(sub, lcm, mj))) * fj
@@ -135,7 +137,7 @@ def test_normal_form_is_idempotent_and_linear():
             normal_form(normal_form(f, basis) + normal_form(g, basis), basis)
 
 
-# packed monomials: one int per monomial, see groebner.Packing
+# packed monomials: one int per monomial, see poly.Packing
 
 @st.composite
 def monomials(draw, count):
@@ -251,7 +253,7 @@ def test_slots_widen_past_the_starting_width(order, monkeypatch):
             widths.append(width)
             super().__init__(order, nvars, width)
 
-    monkeypatch.setattr(groebner, "_SLOT_BITS", 4)
+    monkeypatch.setattr(poly, "_SLOT_BITS", 4)
     monkeypatch.setattr(groebner, "Packing", Recorded)
     gens = [parse(text, 4, F7) for text in ("x0 - x1^3", "x1 - x2^3",
                                             "x2 - x3^3")]
@@ -259,7 +261,7 @@ def test_slots_widen_past_the_starting_width(order, monkeypatch):
     assert widths == ([4, 8] if order is LEX else [4])
     if order is LEX:
         assert parse("x0 - x3^27", 4, F7) in basis
-    ours = sorted((g.leading_monomial(order),
+    ours = sorted((leading_monomial(g, order),
                    {m: c.payload for m, c in g.terms.items()}) for g in basis)
     assert ours == sympy_monic_basis(gens, 4, 7, order.name)
     # a lex normal form rises in degree: x0 -> x3^27 against degree-3 inputs
@@ -320,11 +322,70 @@ def test_conversion_rejects_positive_dimension():
         fglm_lex(groebner_basis([parse("x0*x1", 2, F7)]))
 
 
+def packed_staircase(lead_monomials, nvars):
+    """`fglm._staircase` of lead_monomials, decoded, under a grevlex
+    packing whose slots hold every x_i * s (the box's corner degree, as
+    `fglm_lex` sizes it)."""
+    corner = sum(max(m[i] for m in lead_monomials) for i in range(nvars))
+    packing = Packing.for_degree(GREVLEX, nvars, corner)
+    return [packing.decode(s) for s in fglm._staircase(
+        [packing.encode(m) for m in lead_monomials], packing)]
+
+
 def test_quotient_monomials_box_ideal():
     # heads x^2, y^3 leave a 2x3 staircase
     stair = quotient_monomials([(2, 0), (0, 3)], 2)
     assert len(stair) == 6
     assert (1, 2) in stair and (2, 0) not in stair
+    assert packed_staircase([(2, 0), (0, 3)], 2) == sorted(stair,
+                                                           key=GREVLEX.key)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_packed_staircase_matches_the_tuple_walk(data):
+    # random zero-dimensional monomial ideals: a pure power of every
+    # variable, some of them repeated, and more generators, some of them
+    # multiples of others; ascending grevlex, the packed ints' order
+    nvars = data.draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 4), min_size=nvars,
+                    max_size=nvars).map(tuple)
+    lms = [tuple(a * int(j == i) for j in range(nvars))
+           for i in range(nvars)
+           for a in data.draw(st.lists(st.integers(1, 5), min_size=1,
+                                       max_size=2))]
+    lms += data.draw(st.lists(exps.filter(any), max_size=6))
+    lms = data.draw(st.permutations(lms))
+    assert packed_staircase(lms, nvars) == sorted(
+        quotient_monomials(lms, nvars), key=GREVLEX.key)
+
+
+def strictly_descending(g, order):
+    keys = [order.key(m) for m in g.terms]
+    return all(a > b for a, b in zip(keys, keys[1:]))
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([F7, F10007, build_extension(5, 2)]))
+@settings(max_examples=30, deadline=None)
+def test_bases_and_their_charts_list_terms_in_descending_order(seed, field):
+    # what `fglm_lex`, `solve.empty_charts` and `idealkit.hilbert_data`
+    # read: each basis element's leading monomial is its first term, and
+    # so is each chart element's (`chart_system`)
+    rng = random.Random(seed)
+    nvars = rng.randint(2, 3)
+    gens = [random_poly(field, nvars, 3, rng) for _ in range(rng.randint(1, 3))]
+    for order in (GREVLEX, LEX):
+        assert all(strictly_descending(g, order)
+                   for g in groebner_basis(gens, order))
+    nvars = rng.randint(3, 4)
+    forms = [random_homogeneous(field, nvars, rng.randint(1, 2), rng)
+             for _ in range(nvars - rng.randint(1, 2))]
+    basis = groebner_basis(forms)
+    assert all(strictly_descending(g, GREVLEX) for g in basis)
+    for last in range(nvars):
+        assert all(strictly_descending(g, GREVLEX)
+                   for g in chart_system(basis, last))
 
 
 def sympy_monic_basis(gens, nvars, p, order):
@@ -359,13 +420,13 @@ def test_basis_matches_sympy(p, order, seed):
         gens.append(Polynomial(field, nvars, terms))
     expected = sympy_monic_basis(gens, nvars, p, order.name)
     basis = groebner_basis(gens, order)
-    ours = sorted((g.leading_monomial(order),
+    ours = sorted((leading_monomial(g, order),
                    {m: c.payload for m, c in g.terms.items()}) for g in basis)
     assert [lm for lm, _ in ours] == [lm for lm, _ in expected]
     assert ours == expected
     # sorted by leading monomial, each listed first (`hilbert_data` reads it)
     lms = [next(iter(g.terms)) for g in basis]
-    assert lms == [g.leading_monomial(order) for g in basis]
+    assert lms == [leading_monomial(g, order) for g in basis]
     assert lms == sorted(lms, key=order.key)
 
 
@@ -386,7 +447,7 @@ def test_minor_ideal_basis_matches_sympy(p, nvars):
     field = PrimeField(p)
     gens = minor_ideal(field, nvars, random.Random(nvars * 100 + p))
     expected = sympy_monic_basis(gens, nvars, p, "grevlex")
-    ours = sorted((g.leading_monomial(GREVLEX),
+    ours = sorted((leading_monomial(g, GREVLEX),
                    {m: c.payload for m, c in g.terms.items()})
                   for g in groebner_basis(gens))
     assert ours == expected
@@ -405,7 +466,7 @@ def seed_585427_rank_drop():
 
 def test_rank_drop_basis_matches_sympy():
     gens = seed_585427_rank_drop()
-    ours = sorted((g.leading_monomial(GREVLEX),
+    ours = sorted((leading_monomial(g, GREVLEX),
                    {m: c.payload for m, c in g.terms.items()})
                   for g in groebner_basis(gens))
     assert len(ours) == 33
@@ -486,7 +547,7 @@ def test_pair_update_over_equal_and_coprime_lcms(field, order, monkeypatch):
     groebner_basis(gens, order)
     inserted = sorted(gens, key=lambda g: sorted(
         (order.key(m) for m in g.terms), reverse=True))
-    index = {g.leading_monomial(order): i for i, g in enumerate(inserted)}
+    index = {leading_monomial(g, order): i for i, g in enumerate(inserted)}
     assert index[(1, 1, 0, 0)] == 4 and index[(1, 0, 1, 0)] > index[(0, 1, 1, 0)]
     assert updates[4] == [((1, 1, 1, 0), index[(1, 0, 1, 0)], 4)]
 
@@ -789,7 +850,7 @@ def test_product_budget_of_packed_s_pairs(p, k, monkeypatch):
     packing = Packing.for_degree(GREVLEX, 4, 4)
     payloads = [groebner._to_payload(g, packing) for g in reference]
     for gi, gj in itertools.combinations(reference, 2):
-        mi, mj = gi.leading_monomial(GREVLEX), gj.leading_monomial(GREVLEX)
+        mi, mj = leading_monomial(gi, GREVLEX), leading_monomial(gj, GREVLEX)
         lcm = mono_lcm(mi, mj)
         s = (monomial(field, tuple(map(sub, lcm, mi))) * gi
              - monomial(field, tuple(map(sub, lcm, mj))) * gj)

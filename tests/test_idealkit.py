@@ -22,8 +22,8 @@ from fanolines.unipoly import distinct_degree_factorization
 from fanolines.poly import random_homogeneous
 from fanolines.errors import BudgetExceeded, Inconclusive, InvalidParameters
 
-from conftest import (jacobian_rank_oracle, parse, per_level_points,
-                      random_point)
+from conftest import (jacobian_rank_oracle, leading_monomial, mono_divides,
+                      parse, per_level_points, random_point)
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -467,7 +467,7 @@ def test_hilbert_data_reads_the_bases_leading_monomials(monkeypatch):
     nfc = normal_form_cubic(2, F10007, 585427)
     ideal = rank_drop_ideal(node_line_system(nfc,
                                              nodes(nfc, seed=585427)[0].point))
-    lms = [g.leading_monomial(GREVLEX) for g in groebner_of(ideal)]
+    lms = [leading_monomial(g, GREVLEX) for g in groebner_of(ideal)]
     keys = []
     key = GrevLexOrder.key
 
@@ -536,7 +536,7 @@ def sympy_hilbert_function(texts, nvars, degrees, modulus):
     of degrees, by sympy: the grevlex basis of `sympy.groebner`, then the
     monomials of each degree that no leading monomial divides."""
     sympy = pytest.importorskip("sympy")
-    from fanolines.poly import monomials_of_degree, mono_divides
+    from fanolines.poly import monomials_of_degree
     xs = sympy.symbols(f"x0:{nvars}")
     basis = sympy.groebner([sympy.sympify(t) for t in texts], *xs,
                            order="grevlex", modulus=modulus)

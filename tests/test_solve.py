@@ -20,8 +20,8 @@ from fanolines.solve import chart_system, empty_charts, solve_projective
 from fanolines.poly import LEX, random_homogeneous
 from fanolines.errors import BudgetExceeded, NotZeroDimensional
 
-from conftest import (dehomogenize, frobenius_residue_degree, parse,
-                      plain_chart_system)
+from conftest import (dehomogenize, frobenius_residue_degree,
+                      leading_monomial, parse, plain_chart_system)
 from test_groebner import seed_585427_rank_drop
 
 PRIMES = [3, 5, 7]
@@ -114,7 +114,7 @@ def first_chart_in_shape_position(ideal):
     chart = [dehomogenize(g, 0) for g in ideal.nonzero_generators()]
     gb = lex_basis_zero_dim(chart)
     m = gb[0].nvars
-    leads = {g.leading_monomial(LEX) for g in gb}
+    leads = {leading_monomial(g, LEX) for g in gb}
     linear = {tuple(int(j == i) for j in range(m)) for i in range(m - 1)}
     return len(gb) == m and linear <= leads
 

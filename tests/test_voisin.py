@@ -390,11 +390,11 @@ def test_cusp_rank_drop_point_is_not_certified_reduced(p):
 def test_singular_locus_work_is_pinned(monkeypatch):
     # the line system through the first node of `voisin-demo 2 --seed
     # 585427`: the minors make no Polynomial product, the solver's charts
-    # no substitution, the Hilbert numerator no tuple divisibility test,
+    # no substitution, no package module has a tuple divisibility test,
     # and Buchberger runs twice, on the complete intersection and on the
     # rank-drop ideal
     import sys
-    from fanolines import groebner, idealkit, poly, voisin
+    from fanolines import groebner, idealkit, voisin
     nfc = normal_form_cubic(2, F10007, 585427)
     ideal = node_line_system(nfc, nodes(nfc, seed=585427)[0].point)
     phase = ["other"]
@@ -416,8 +416,10 @@ def test_singular_locus_work_is_pinned(monkeypatch):
                 phase[0] = outer
         return run
 
-    counted = {"mono_divides": poly.mono_divides,
-               "groebner_basis": groebner.groebner_basis}
+    assert not [name for name, module in sys.modules.items()
+                if name.startswith("fanolines")
+                and hasattr(module, "mono_divides")]
+    counted = {"groebner_basis": groebner.groebner_basis}
     for name, module in list(sys.modules.items()):
         for fn_name, fn in counted.items():
             if (name.startswith("fanolines")
@@ -430,14 +432,11 @@ def test_singular_locus_work_is_pinned(monkeypatch):
         "rank_drop_ideal", voisin.rank_drop_ideal))
     monkeypatch.setattr(idealkit, "solve_projective", staged(
         "solve_projective", idealkit.solve_projective))
-    monkeypatch.setattr(idealkit, "staircase_data", staged(
-        "staircase_data", idealkit.staircase_data))
     report = analyze_node_lines(ideal, 2, seed=585427)
     assert matched(report)
     assert report["computed"]["singular_count"] == "3"
     assert calls.get(("rank_drop_ideal", "__mul__"), 0) == 0
     assert calls.get(("solve_projective", "substitute"), 0) == 0
-    assert calls.get(("staircase_data", "mono_divides"), 0) == 0
     assert sum(n for (_, name), n in calls.items()
                if name == "groebner_basis") == 2
 
