@@ -75,7 +75,12 @@ The operations:
 - `fglm chart 6` and `fglm chart 24`: `fglm_lex` of the one nonempty
   chart (`chart_system`) of the grevlex basis of the line system of
   `lines-through --random 4 3 1 --seed 3` and of `--random 5 4 1 --seed
-  3` over F_10007, whose lex bases cut out the 6 and the 24 lines.
+  3` over F_10007, whose lex bases cut out the 6 and the 24 lines;
+- `jacobian rankdrop r2`: `jacobian_rank_at` of the four rank-drop
+  ideals of `groebner rankdrop` (12 generators, 283 terms at seed
+  585427) at their three singular points each (`rational_points` at
+  k_max 6, the points an r = 2 verdict certifies reduced), all four
+  per call; every such point lies on x2 = x3 = x4 = 0.
 
 Every name used exists in each version of the package that has
 `idealkit.random_slice` and `parse_polynomial(text, nvars, field)`, so
@@ -294,6 +299,13 @@ def operations(directory: str):
                                        if last not in empty) if chart]
         ops.append((f"fglm chart {count} GF(10007)",
                     lambda chart=chart: fglm_lex(chart), 1))
+    singular = [(rd.nonzero_generators(),
+                 rational_points(rd, k_max=6, seed=seed))
+                for rd, seed in zip(rank_drops, (585427, 1, 2, 3))]
+    assert [len(points) for _, points in singular] == [3] * 4
+    ops.append(("jacobian rankdrop r2 GF(10007)",
+                lambda: [jacobian_rank_at(gens, points)
+                         for gens, points in singular], 1))
     return ops
 
 

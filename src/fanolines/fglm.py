@@ -58,11 +58,14 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
     Each element of basis must list its leading monomial first, as every
     `groebner_basis` element does, and so every chart of one
     (`solve.chart_system`): `poly.restrict` keeps the terms' order.
-    Raises NotZeroDimensional when the quotient algebra is infinite.
+    The unit ideal, a leading monomial 1, gives [1]. Raises
+    NotZeroDimensional when the quotient algebra is infinite.
     """
     field = basis[0].field
     nvars = basis[0].nvars
     lms = [next(iter(g.terms)) for g in basis]
+    if (0,) * nvars in lms:
+        return [Polynomial.constant(field, nvars, 1)]
     box = []  # the least pure power of each variable
     for i in range(nvars):
         powers = [m[i] for m in lms if m[i] == sum(m)]
@@ -156,7 +159,4 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
 
 def lex_basis_zero_dim(gens: List[Polynomial]) -> List[Polynomial]:
     """Lex basis of a zero-dimensional affine system, via grevlex + FGLM."""
-    gb = groebner_basis(gens, GREVLEX)
-    if len(gb) == 1 and gb[0].is_constant():
-        return gb
-    return fglm_lex(gb)
+    return fglm_lex(groebner_basis(gens, GREVLEX))

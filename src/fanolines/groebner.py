@@ -4,8 +4,10 @@ Gebauer-Moeller pair update, producing the unique monic reduced basis.
 Everything below the Polynomial-level API works on dicts mapping packed
 monomials to raw coefficient payloads (ints mod p, coefficient tuples)
 through the field's payload hooks; exponent tuples and FieldElement
-wrappers only appear at the API boundary, which packs its input and
-unpacks its output.
+wrappers only appear at the API boundary, which packs each input term
+and decodes each distinct monomial of the output once (the r = 2
+rank-drop basis of `voisin-demo 2 --seed 585427` has 76 among its 348
+terms).
 
 A packed monomial is one int of a `poly.Packing`, in slots laid out by
 the order's `MonomialOrder.slots`: the order is int order, a product is
@@ -14,10 +16,10 @@ an int sum, a quotient an int difference, and a | b is
 
 - Widening: the slot width starts at the least that holds twice the
   input degree (8 bits at the least). A term that would reach a guard
-  bit (checked where a monomial gets its slot and where an lcm is
-  packed) stops the computation, which reruns with doubled slots; the
-  reduced basis and the normal form are unique, so the answer is the
-  same and no exponent ever wraps.
+  bit (checked where a monomial gets its slot and where a queued lcm
+  gets its key) stops the computation, which reruns with doubled
+  slots; the reduced basis and the normal form are unique, so the
+  answer is the same and no exponent ever wraps.
 
 Each basis element is kept as a reducer: its leading monomial, the
 negated inverse of its leading coefficient and its tail, with the
@@ -93,7 +95,8 @@ def _widening(packing: Packing, run: Callable[[Packing], object]):
         try:
             return packing, run(packing)
         except _SlotOverflow:
-            packing = Packing(packing.order, packing.nvars, 2 * packing.width)
+            packing = Packing.of(packing.order, packing.nvars,
+                                 2 * packing.width)
 
 
 def _to_payload(f: Polynomial, packing: Packing) -> PayloadPoly:
@@ -101,11 +104,14 @@ def _to_payload(f: Polynomial, packing: Packing) -> PayloadPoly:
     return {encode(m): c.payload for m, c in f.terms.items()}
 
 
-def _from_payload(d: PayloadPoly, packing: Packing, field: Field,
-                  nvars: int) -> Polynomial:
-    decode = packing.decode
-    return Polynomial.from_payloads(field, nvars,
-                                    {decode(k): c for k, c in d.items()})
+def _from_payloads(ds: List[PayloadPoly], packing: Packing, field: Field,
+                   nvars: int) -> List[Polynomial]:
+    """The polynomials of the payload dicts ds, each distinct monomial
+    decoded once."""
+    monomial = {k: packing.decode(k) for k in set().union(*ds)}
+    return [Polynomial.from_payloads(field, nvars,
+                                     {monomial[k]: c for k, c in d.items()})
+            for d in ds]
 
 
 def _reducer(d: PayloadPoly, field: Field) -> Reducer:
@@ -257,7 +263,9 @@ def _update_pairs(lm: int, lms: List[int], live: List[int], pairs: list,
     - h pairs with every live g, and the new pairs are grouped by lcm
       (`Packing.lcms`). Only a minimal lcm, one that no other lcm of the
       group set divides, is queued, once, with the last g of its group in
-      live order; an lcm that a coprime pair (lcm = lm + lms[g]) shares
+      live order, under its full packed key (`Packing.full_key`, one
+      linear int map, which raises _SlotOverflow when that key sets a
+      guard bit); an lcm that a coprime pair (lcm = lm + lms[g]) shares
       is not queued at all.
     - g stops being live when lm divides lms[g]; it stays a reducer.
 
@@ -281,8 +289,7 @@ def _update_pairs(lm: int, lms: List[int], live: List[int], pairs: list,
         last[lcm] = g
         if lcm - lms[g] == lm:
             shared.add(lcm)
-    decode, encode = packing.decode, packing.encode
-    minimal: List[int] = []
+    full_key, minimal = packing.full_key, []
     for lcm in sorted(last):
         for m in minimal:
             if not (lcm - m) & guard:
@@ -290,8 +297,7 @@ def _update_pairs(lm: int, lms: List[int], live: List[int], pairs: list,
         else:
             minimal.append(lcm)
             if lcm not in shared:
-                heapq.heappush(pairs, (encode(decode(lcm)), last[lcm], new,
-                                       lcm))
+                heapq.heappush(pairs, (full_key(lcm), last[lcm], new, lcm))
     live[:] = [g for g in live if (lms[g] - lm) & guard]
     live.append(new)
     lms.append(lm)
@@ -398,7 +404,7 @@ def groebner_basis(gens: Sequence[Polynomial],
 
     packing, basis = _widening(
         Packing.for_degree(order, nvars, max(g.degree() for g in nonzero)), run)
-    return [_from_payload(d, packing, field, nvars) for d in basis]
+    return _from_payloads(basis, packing, field, nvars)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -414,7 +420,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
 
     degree = max(g.degree() for g in (f, *basis))
     packing, r = _widening(Packing.for_degree(order, f.nvars, degree), run)
-    return _from_payload(r, packing, field, f.nvars)
+    return _from_payloads([r], packing, field, f.nvars)[0]
 
 
 def is_member(f: Polynomial, basis: Sequence[Polynomial],

@@ -5,10 +5,12 @@ numerator comes from the standard pivot-splitting recursion
 
     N(I) = N(I + (x_j)) + t * N(I : x_j)
 
-with memoized subproblems, a product base case for pairwise coprime
-generators, and minimalization at every node. Cancelling powers of (1-t)
-then reads off the projective dimension (pole order - 1) and the degree
-(remaining numerator at t = 1).
+with subproblems memoized on their minimal generating sets and a
+product base case for pairwise coprime generators. The root is
+minimalized once; of the two children only I : x_j needs it, since the
+generators of I free of x_j, with x_j itself, are minimal already.
+Cancelling powers of (1-t) then reads off the projective dimension
+(pole order - 1) and the degree (remaining numerator at t = 1).
 
 The recursion runs on packed monomials: each generator is one int of a
 lex `poly.Packing`, encoded once on entry, with exponent e_j in its
@@ -24,7 +26,7 @@ own slot under a guard bit. Nothing is ever multiplied, so no slot grows:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .poly import LEX, Monomial, Packing
 
@@ -40,22 +42,26 @@ def _series_mul_one_minus_td(series: IntSeries, d: int) -> IntSeries:
     return tuple(out)
 
 
-def _numerator(gens: FrozenSet[int], packing: Packing,
+def _minimal(monos: Iterable[int], guard: int) -> FrozenSet[int]:
+    """The minimal generators among the packed monomials monos."""
+    kept: List[int] = []
+    for m in sorted(monos):
+        # every kept g is smaller than m, so g | m is one guard-bit test
+        if all(map(guard.__and__, map(m.__sub__, kept))):
+            kept.append(m)
+    return frozenset(kept)
+
+
+def _numerator(monos: FrozenSet[int], packing: Packing,
                masks: List[int], cache: Dict) -> IntSeries:
-    """N(t) of the ideal spanned by the packed monomials gens; masks[j]
-    holds the exponent bits of slot j."""
-    cached = cache.get(gens)
+    """N(t) of the ideal minimally generated by the packed monomials
+    monos; masks[j] holds the exponent bits of slot j."""
+    cached = cache.get(monos)
     if cached is not None:
         return cached
-    guard = packing.guard
-    monos: List[int] = []
-    for m in sorted(gens):
-        # every kept g is smaller than m, so g | m is one guard-bit test
-        if all(map(guard.__and__, map(m.__sub__, monos))):
-            monos.append(m)
     if not monos:
         result: IntSeries = (1,)
-    elif monos[0] == 0:
+    elif 0 in monos:
         result = ()
     else:
         # pairwise coprime (no shared variable) -> product of (1 - t^deg)
@@ -66,11 +72,13 @@ def _numerator(gens: FrozenSet[int], packing: Packing,
                 result = _series_mul_one_minus_td(result,
                                                   sum(packing.decode(m)))
         else:
-            # pivot on the most shared variable
+            # pivot on the most shared variable. The generators free of
+            # x_j and x_j itself are minimal, as no generator is 1
             j = max(range(len(masks)), key=counts.__getitem__)
             mask, var = masks[j], packing.units[j]
             plus = frozenset(m for m in monos if not m & mask) | {var}
-            colon = frozenset(m - var if m & mask else m for m in monos)
+            colon = _minimal((m - var if m & mask else m for m in monos),
+                             packing.guard)
             a = _numerator(plus, packing, masks, cache)
             b = _numerator(colon, packing, masks, cache)
             n = max(len(a), len(b) + 1)
@@ -82,7 +90,7 @@ def _numerator(gens: FrozenSet[int], packing: Packing,
             while out and out[-1] == 0:
                 out.pop()
             result = tuple(out)
-    cache[gens] = result
+    cache[monos] = result
     return result
 
 
@@ -93,8 +101,9 @@ def hilbert_numerator(lead_monomials: Sequence[Monomial], nvars: int) -> List[in
     packing = Packing.for_degree(LEX, nvars,
                                  max(map(sum, lead_monomials), default=0))
     masks = [unit * (packing.limit - 1) for unit in packing.units]
-    return list(_numerator(frozenset(map(packing.encode, lead_monomials)),
-                           packing, masks, {}))
+    return list(_numerator(
+        _minimal(map(packing.encode, lead_monomials), packing.guard),
+        packing, masks, {}))
 
 
 def staircase_data(lead_monomials: Sequence[Monomial], nvars: int) -> Tuple[int, int]:

@@ -131,6 +131,9 @@ LEX = LexOrder()
 # least slot width of a packing, guard bit included
 _SLOT_BITS = 8
 
+# the one Packing of each (order, nvars, width), built on first use
+_PACKINGS: Dict[tuple, "Packing"] = {}
+
 
 class _SlotOverflow(Exception):
     """A packed term would reach a slot's guard bit."""
@@ -154,10 +157,13 @@ class Packing:
       guard bit, a negative difference included (`&` reads it in two's
       complement, so its slots are those of the difference mod a power
       of two).
+
+    A packing holds no state beyond its layout, so `of` hands out one
+    instance per (order, nvars, width).
     """
 
     __slots__ = ("order", "nvars", "width", "limit", "guard", "units",
-                 "exponents", "_shifts")
+                 "exponents", "_shifts", "_e0", "_low", "_spread", "_top")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         rows = order.slots(nvars)[::-1]  # least significant first
@@ -169,13 +175,30 @@ class Packing:
         self._shifts = [rows.index(_unit(nvars, i)) * width
                         for i in range(nvars)]
         self.exponents = sum(((1 << width) - 1) << s for s in self._shifts)
+        # `full_key`: e_0's shift, the other exponent slots, and what x_0
+        # packs to beyond its exponent slot (0 in lex)
+        self._e0 = self._low = self._spread = 0
+        if nvars:
+            self._e0 = self._shifts[0]
+            self._low = self.exponents & ~(((1 << width) - 1) << self._e0)
+            self._spread = self.units[0] - (1 << self._e0)
+        self._top = (1 << (len(rows) * width)) - 1
+
+    @classmethod
+    def of(cls, order: MonomialOrder, nvars: int, width: int) -> "Packing":
+        """The packing of this layout, built on its first use."""
+        key = (order, nvars, width)
+        packing = _PACKINGS.get(key)
+        if packing is None:
+            packing = _PACKINGS[key] = cls(order, nvars, width)
+        return packing
 
     @classmethod
     def for_degree(cls, order: MonomialOrder, nvars: int,
                    degree: int) -> "Packing":
         """The narrowest packing, at least _SLOT_BITS wide, whose slots
         hold twice `degree`."""
-        return cls(order, nvars, max(_SLOT_BITS, degree.bit_length() + 2))
+        return cls.of(order, nvars, max(_SLOT_BITS, degree.bit_length() + 2))
 
     def encode(self, mono: Monomial) -> int:
         if sum(mono) >= self.limit:
@@ -202,6 +225,21 @@ class Packing:
             out.append(b + (t & (d - (d >> shift))))
         return out
 
+    def full_key(self, cut: int) -> int:
+        """The packed monomial whose cut to `exponents` is `cut`, a cut of
+        degree below 2 * limit such as an lcm of two packed monomials;
+        _SlotOverflow when it sets a guard bit (in grevlex, from degree
+        `limit` on). In lex the cut is the key. In grevlex the cut holds
+        e_1 .. e_{n-1} in slots 0 .. n-2 and e_0 in slot n-1, and one
+        product with `_spread` adds e_0 + e_1, put in slot 0, to prefix
+        slots P_1 .. P_{n-1} and e_i to P_i .. P_{n-1}, the slots above
+        the top one masked off; no slot sum reaches 2 * limit, so none
+        carries."""
+        e0 = cut >> self._e0
+        key = cut + (((cut & self._low) + e0) * self._spread & self._top)
+        if key & self.guard:
+            raise _SlotOverflow
+        return key
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -282,9 +320,6 @@ class Polynomial:
             return True
         degs = {sum(m) for m in self.terms}
         return len(degs) == 1
-
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -526,18 +561,39 @@ def _chain(monos: Iterable[Monomial], nvars: int
     return index, chain
 
 
-def _lowered(f: Polynomial) -> List[List[Tuple[Monomial, object]]]:
+def _lowered(f: Polynomial, dead: Sequence[int] = ()
+             ) -> List[List[Tuple[Monomial, object]]]:
     """Per variable x_i, the payload terms (m - e_i, m_i * c) of df/dx_i
-    over the terms c * x^m of f with m_i > 0. Lowering one exponent maps
-    distinct terms to distinct monomials, so no two terms combine; a term
-    whose exponent m_i the characteristic divides drops out."""
+    over the terms c * x^m of f with m_i > 0: c itself where m_i = 1,
+    and m_i from a per-call table of payloads where m_i > 1. Lowering one
+    exponent maps distinct terms to distinct monomials, so no two terms
+    combine; a term whose exponent m_i the characteristic divides drops
+    out.
+
+    Only terms that can be nonzero where every coordinate of `dead` is 0
+    are kept: a term with no positive exponent there feeds every partial;
+    one whose only such exponent is m_j = 1 feeds df/dx_j alone, as c;
+    one with two, or with m_j >= 2, feeds none.
+    """
     field = f.field
     mul, from_int, is_zero = field._mul, field._from_int, field._is_zero
+    # e as a payload, None where the characteristic divides e
+    scales = [None if is_zero(s := from_int(e)) else s
+              for e in range(max(map(sum, f.terms), default=0) + 1)]
     rows: List[List[Tuple[Monomial, object]]] = [[] for _ in range(f.nvars)]
     for mono, coeff in f.terms.items():
+        c = coeff.payload
+        if dead and (hit := [j for j in dead if mono[j]]):
+            j = hit[0]
+            if len(hit) == 1 and mono[j] == 1:
+                rows[j].append((mono[:j] + (0,) + mono[j + 1:], c))
+            continue
         for i, e in enumerate(mono):
-            if e and not is_zero(c := mul(coeff.payload, from_int(e))):
-                rows[i].append((mono[:i] + (e - 1,) + mono[i + 1:], c))
+            if e == 1:
+                rows[i].append((mono[:i] + (0,) + mono[i + 1:], c))
+            elif e and (s := scales[e]) is not None:
+                rows[i].append((mono[:i] + (e - 1,) + mono[i + 1:],
+                                mul(c, s)))
     return rows
 
 
@@ -548,19 +604,14 @@ def _term_sums(field: Field, nvars: int,
 
     The one monomial-value kernel. A term list holds (m, payload c over
     `field`); a point is nvars coordinates in `field` or an extension of
-    it, and points may mix fields. A term with a positive exponent at a
-    coordinate that is 0 at every point is 0 at every point, so it is
-    dropped first; x_i^0 = 1 keeps a term with exponent 0 there. One
-    `_chain` serves all the lists. The coefficients are lifted
-    (`payload_lift`) and packed (`Field._packer`) once per field of the
-    points. At a point each chain value is one packed product, reduced
-    and packed again, and each output one int sum of packed products,
-    reduced once.
+    it, and points may mix fields. The callers leave out the terms that
+    are 0 at every point (`evaluate_at`, `_lowered`), so every term
+    listed is evaluated. One `_chain` serves all the lists. The
+    coefficients are lifted (`payload_lift`) and packed
+    (`Field._packer`) once per field of the points. At a point each
+    chain value is one packed product, reduced and packed again, and
+    each output one int sum of packed products, reduced once.
     """
-    dead = [i for i, column in enumerate(zip(*points)) if not any(column)]
-    if dead:
-        term_lists = [[(m, c) for m, c in terms if not any(m[i] for i in dead)]
-                      for terms in term_lists]
     index, chain = _chain((m for terms in term_lists for m, _ in terms), nvars)
     plan = [([index[m] for m, _ in terms], [c for _, c in terms])
             for terms in term_lists]
@@ -591,6 +642,11 @@ def _term_sums(field: Field, nvars: int,
     return out
 
 
+def _dead(points: Sequence[Sequence[FieldElement]]) -> List[int]:
+    """The coordinates that are 0 at every one of points."""
+    return [i for i, column in enumerate(zip(*points)) if not any(column)]
+
+
 def evaluate_at(polys: Sequence[Polynomial],
                 points: Sequence[Sequence[FieldElement]]
                 ) -> List[List[FieldElement]]:
@@ -598,17 +654,23 @@ def evaluate_at(polys: Sequence[Polynomial],
 
     The polynomials share one ring; a point is a coordinate sequence (a
     ProjectivePoint's `coords`) in their field or an extension of it, and
-    points may mix fields. One `_term_sums` call does all the work.
+    points may mix fields. One `_term_sums` call does all the work. When
+    a coordinate is 0 at every point, a term with a positive exponent
+    there is 0 at every point and is left out first; x_i^0 = 1 keeps a
+    term with exponent 0 there.
     """
     if not polys:
         return [[] for _ in points]
     field, nvars = polys[0].field, polys[0].nvars
     assert all(f.field == field and f.nvars == nvars for f in polys)
+    term_lists = [[(m, c.payload) for m, c in f.terms.items()] for f in polys]
+    dead = _dead(points)
+    if dead:
+        term_lists = [[(m, c) for m, c in terms
+                       if not any(m[i] for i in dead)]
+                      for terms in term_lists]
     return [[FieldElement(target, v) for v in values]
-            for target, values in _term_sums(
-                field, nvars,
-                [[(m, c.payload) for m, c in f.terms.items()] for f in polys],
-                points)]
+            for target, values in _term_sums(field, nvars, term_lists, points)]
 
 
 def frobenius_orbits(ground: Field, points: Sequence[ProjectivePoint]
@@ -651,24 +713,27 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
 
     The points may lie over any mix of extensions of the generators'
     field. Entry (g, i) at P is dg/dx_i at P: the term lists of
-    `_lowered(g)` go to `_term_sums` as they are, so no partial
+    `_lowered(g, dead)` go to `_term_sums` as they are, so no partial
     derivative is built as a Polynomial. Each Frobenius orbit is ranked
     once, at its first point (`frobenius_orbits`): sigma fixes every
     coefficient of every partial, so J(sigma P) = sigma(J(P)) entry by
-    entry, of the same rank.
+    entry, of the same rank. `dead` are the coordinates that are 0 at
+    every orbit's first point, found before anything is lowered, so
+    `_lowered` emits only the terms that can be nonzero there.
     """
     if not gens or not points:
         return [0] * len(points)
     field, n = gens[0].field, gens[0].nvars
+    firsts, slots = frobenius_orbits(field, points)
+    coords = [points[i].coords for i in firsts]
+    dead = _dead(coords)
     entries = []
     for g in gens:
         assert g.nvars == n and g.field == field
-        entries += _lowered(g)
-    firsts, slots = frobenius_orbits(field, points)
+        entries += _lowered(g, dead)
     ranks = [payload_rank(target, n, [sums[k:k + n]
                                       for k in range(0, len(sums), n)])
-             for target, sums in _term_sums(
-                 field, n, entries, [points[i].coords for i in firsts])]
+             for target, sums in _term_sums(field, n, entries, coords)]
     return [ranks[slot] for slot in slots]
 
 

@@ -14,7 +14,7 @@ from fanolines.fano import direction_components
 from fanolines.field import (FieldElement, _Ring, payload_lift,
                              relative_extension)
 from fanolines.linalg import mat_rank
-from fanolines.poly import GREVLEX, MAX_TERM_DEGREE, _tokenize
+from fanolines.poly import GREVLEX, MAX_TERM_DEGREE, _SlotOverflow, _tokenize
 from fanolines.projgeo import DEFAULT_BUDGET, projective_count
 
 
@@ -495,8 +495,9 @@ def plain_pair_update(lm, lms, live, pairs, packing):
     exponent tuples (`mono_lcm`, `mono_divides`), and the new pairs are
     chosen by a scan in live order: a pair is kept when it is coprime,
     or when no earlier kept pair's lcm and no later pair's lcm divides
-    its lcm; a coprime pair is kept but never queued. The oracle of
-    `groebner._update_pairs`."""
+    its lcm; a coprime pair is kept but never queued, and a queued one
+    under its exponents times `packing.units`, _SlotOverflow raised when
+    that key sets a guard bit. The oracle of `groebner._update_pairs`."""
     decode, new = packing.decode, len(lms)
     h, exps = decode(lm), [decode(m) for m in lms]
     lcm_of = [mono_lcm(h, e) for e in exps]
@@ -511,9 +512,14 @@ def plain_pair_update(lm, lms, live, pairs, packing):
         if coprime or not any(mono_divides(other[0], lcm)
                               for other in chosen + candidates[idx + 1:]):
             chosen.append((lcm, g, coprime))
-    queued += [(packing.encode(lcm), g, new,
-                sum(e << s for e, s in zip(lcm, packing._shifts)))
-               for lcm, g, coprime in chosen if not coprime]
+    for lcm, g, coprime in chosen:
+        if coprime:
+            continue
+        key = sum(e * unit for e, unit in zip(lcm, packing.units))
+        if key & packing.guard:
+            raise _SlotOverflow
+        queued.append((key, g, new,
+                       sum(e << s for e, s in zip(lcm, packing._shifts))))
     return (sorted(queued),
             [g for g in live if not mono_divides(h, exps[g])] + [new])
 

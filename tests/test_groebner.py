@@ -239,12 +239,52 @@ def test_exponent_slot_lcm_coprime_and_divisibility(order, data):
         assert divides(packing, pa, lcm) and divides(packing, pb, lcm)
 
 
+@ORDERS
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_full_key_of_a_cut_monomial(order, data):
+    # the pair update's packed key of a queued lcm, one linear map of the
+    # lcm cut to the exponent slots: the packed monomial itself, refused
+    # where that key sets a guard bit, which in grevlex is from degree
+    # `limit` on (the degree slot) and in lex never (each exponent has
+    # its own slot, and an lcm's exponents are below `limit`)
+    nvars = data.draw(st.integers(1, 7))
+    packing = Packing(order, nvars, data.draw(st.sampled_from([8, 16])))
+    top = packing.limit - 1
+    # monomials of degree below `limit`, near it often
+    exps = st.lists(st.integers(0, 3) | st.integers(0, top),
+                    min_size=nvars, max_size=nvars).map(
+        lambda e: tuple(x * top // max(top, sum(e)) for x in e))
+    a, b = data.draw(exps), data.draw(exps)
+    key = packing.encode(a)
+    assert packing.full_key(key & packing.exponents) == key
+    lcm = mono_lcm(a, b)
+    [cut] = packing.lcms(key & packing.exponents,
+                         [packing.encode(b) & packing.exponents])
+    if sum(lcm) < packing.limit:
+        assert packing.full_key(cut) == packing.encode(lcm)
+    elif order is GREVLEX:
+        with pytest.raises(groebner._SlotOverflow):
+            packing.full_key(cut)
+    else:
+        assert packing.full_key(cut) == cut == exponent_slots(packing, lcm)
+
+
+def test_one_packing_per_layout():
+    for order in (GREVLEX, LEX):
+        packing = Packing.for_degree(order, 5, 3)
+        assert Packing.for_degree(order, 5, 2) is packing
+        assert Packing.of(order, 5, packing.width) is packing
+        assert Packing.of(order, 5, 2 * packing.width) is not packing
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
 def test_slots_widen_past_the_starting_width(order, monkeypatch):
     # degree-3 inputs whose lex basis holds x0 - x3^27: 4-bit slots hold
     # at most 7, so the lex run must widen and still match sympy (in
     # grevlex the leading terms x1^3, x2^3, x3^3 are coprime, so the
-    # inputs are already a basis)
+    # inputs are already a basis). A layout's packing is built once, on
+    # its first use, so each recorded run starts from an empty cache
     from fanolines import groebner
     widths = []
 
@@ -254,6 +294,7 @@ def test_slots_widen_past_the_starting_width(order, monkeypatch):
             super().__init__(order, nvars, width)
 
     monkeypatch.setattr(poly, "_SLOT_BITS", 4)
+    monkeypatch.setattr(poly, "_PACKINGS", {})
     monkeypatch.setattr(groebner, "Packing", Recorded)
     gens = [parse(text, 4, F7) for text in ("x0 - x1^3", "x1 - x2^3",
                                             "x2 - x3^3")]
@@ -266,6 +307,7 @@ def test_slots_widen_past_the_starting_width(order, monkeypatch):
     assert ours == sympy_monic_basis(gens, 4, 7, order.name)
     # a lex normal form rises in degree: x0 -> x3^27 against degree-3 inputs
     widths.clear()
+    poly._PACKINGS.clear()
     assert normal_form(parse("x0", 4, F7), gens, LEX) == parse("x3^27", 4, F7)
     assert widths == [4, 8]
 
@@ -320,6 +362,18 @@ def test_conversion_matches_direct_lex_over_extension():
 def test_conversion_rejects_positive_dimension():
     with pytest.raises(NotZeroDimensional):
         fglm_lex(groebner_basis([parse("x0*x1", 2, F7)]))
+
+
+def test_conversion_of_the_unit_ideal_is_one():
+    # a constant among the leading terms: the reduced lex basis is [1],
+    # from fglm_lex itself and through the grevlex route; a nonzero
+    # constant that is not 1, and a basis with more elements, give it too
+    one = Polynomial.constant(F7, 3, 1)
+    for basis in ([one], [Polynomial.constant(F7, 3, 3)],
+                  [parse("x0 - 1", 3, F7), Polynomial.constant(F7, 3, 5)]):
+        assert fglm_lex(basis) == [one]
+    assert lex_basis_zero_dim([parse("x0 - 1", 3, F7),
+                               parse("x0 - 2", 3, F7)]) == [one]
 
 
 def packed_staircase(lead_monomials, nvars):
@@ -576,11 +630,12 @@ def test_pair_update_matches_the_plain_choice_rule(field, order, data):
 
 def test_rank_drop_exponent_tuple_traffic_is_pinned(monkeypatch):
     # the seed-585427 rank-drop ideal: Packing.decode and encode calls,
-    # exponent tuples in or out, over the whole groebner_basis call. The
-    # 283 input and 348 output terms take 631 of them, and each of the
-    # 109 queued pairs one decode and one encode of its lcm. A pair
-    # update on exponent tuples, with one decode per leading monomial
-    # (39) in place of the pairs' decodes, took 779
+    # exponent tuples in or out, over the whole groebner_basis call: one
+    # encode per input term (283) and one decode per distinct monomial
+    # of the basis (76 among 348 terms). A queued pair's lcm gets its key
+    # from `Packing.full_key`, with no tuple; a decode and an encode of
+    # each of the 109 lcms and a decode of every output term took 849,
+    # and a pair update on exponent tuples 779
     calls = {"decode": 0, "encode": 0}
     decode, encode = Packing.decode, Packing.encode
 
@@ -596,7 +651,7 @@ def test_rank_drop_exponent_tuple_traffic_is_pinned(monkeypatch):
     monkeypatch.setattr(Packing, "decode", counted_decode)
     monkeypatch.setattr(Packing, "encode", counted_encode)
     assert len(groebner_basis(gens)) == 33
-    assert calls["decode"] + calls["encode"] <= 849
+    assert calls["decode"] + calls["encode"] <= 359
 
 
 def test_fglm_work_is_pinned(monkeypatch):

@@ -1,5 +1,6 @@
 """Ideal-level toolkit: point finding, singularity scan, slices, reports."""
 
+import itertools
 import random
 
 import pytest
@@ -312,6 +313,73 @@ def test_jacobian_rank_at_matches_partials_then_evaluate(ground, point_field):
         for subset in (gens, gens[:1], gens[2:], gens[:3]):
             assert jacobian_rank_at(subset, points) == \
                 [jacobian_rank_oracle(subset, pt) for pt in points]
+
+
+def dead_pattern_generators(field, nvars, dead, rng):
+    """Generators over `field` whose terms carry every pattern of
+    exponents at the coordinates `dead` (one or two of them): x_d times a
+    form free of dead coordinates, x_d^2 times one, x_d x_e times one,
+    x_d^p times one (p the characteristic, when it is small), and terms
+    free of dead coordinates with exponents p divides. The first two
+    generators are sums of x_d times such forms alone, so at a point with
+    every x_d = 0 their rows sit in the dead columns only."""
+    p = field.characteristic()
+    live = [i for i in range(nvars) if i not in dead]
+    xs = [Polynomial.variable(field, nvars, i) for i in range(nvars)]
+    zero = Polynomial.zero(field, nvars)
+
+    def form(degree):
+        out = zero
+        for combo in itertools.combinations_with_replacement(live, degree):
+            term = Polynomial.constant(field, nvars, field.sample(rng))
+            for i in combo:
+                term = term * xs[i]
+            out = out + term
+        return out
+
+    d, e = dead[0], dead[-1]
+    single = [sum((xs[k] * form(2) for k in dead), zero) for _ in range(2)]
+    rest = xs[d] ** 2 * form(1) + xs[d] * xs[e] * form(1) + form(3)
+    if p <= 7:
+        rest = rest + xs[d] ** p * form(1) + xs[live[0]] ** p * form(1) \
+            + xs[d] * xs[live[-1]] ** p
+    return single + [rest + xs[e] * form(2), xs[d] ** 2 * xs[e] + form(2)]
+
+
+def points_with_zeros(field, nvars, dead, rng, count=6):
+    """Random points whose coordinates at `dead` are 0."""
+    points = []
+    while len(points) < count:
+        coords = [field.zero() if i in dead else field.sample(rng)
+                  for i in range(nvars)]
+        if any(coords):
+            points.append(ProjectivePoint(coords))
+    return points
+
+
+@pytest.mark.parametrize(
+    "ground,point_field", JACOBIAN_FIELDS,
+    ids=["F7", "F10007", "F7-F343", "F49-F2401", "F3"]
+    + [f"F{p}-F{p}^{k}" for p in (3, 10007) for k in range(2, 7)]
+    + ["F49-F7^6", "F10007^2-F10007^4", "Fbig-Fbig^2"])
+def test_pruned_jacobian_at_points_on_a_coordinate_subspace(ground,
+                                                            point_field):
+    # every point lies on x_d = 0 for d in dead, so whole columns of
+    # coordinates are 0 and the kernel prunes the generators' terms
+    # before lowering them; the ranks must still be the oracle's, point
+    # by point
+    rng = random.Random(f"dead-{ground.order()}-{point_field.order()}")
+    for dead in ((4,), (3, 4), (0, 2)):
+        gens = dead_pattern_generators(ground, 5, dead, rng)
+        points = points_with_zeros(point_field, 5, dead, rng)
+        for subset in (gens, gens[:2], gens[2:]):
+            expected = [jacobian_rank_oracle(subset, pt) for pt in points]
+            assert jacobian_rank_at(subset, points) == expected
+        if len(dead) == 2:
+            # x_d times a form feeds d/dx_d alone: rank 2 where the forms
+            # are independent at the point
+            assert max(jacobian_rank_oracle(gens[:2], pt)
+                       for pt in points) == 2
 
 
 def test_jacobian_ranks_come_in_point_order():
