@@ -66,9 +66,6 @@ The operations:
 - `certify_node r2` and `certify_node r3`: `certify_node` at the four
   nodes of `normal_form_cubic(2, F_10007, 585427)` and at the eight of
   `normal_form_cubic(3, F_10007, 0)`;
-- `slice r3`: the r = 3 singular-dimension certificate of `voisin-demo
-  3 --seed 0` over F_10007, one `random_slice` of codimension 3 of the
-  rank-drop ideal at its first node plus its `hilbert_data`;
 - `readoff`: `enumerated_points` at k_max 4 of the conics x0^2 - 3 x2^2,
   x1 x2 - x0^2 over F_7, whose points have residue degrees 1, 2 and 2:
   F_{7^4} is scanned and levels 1 and 2 are read off it;
@@ -80,7 +77,11 @@ The operations:
   ideals of `groebner rankdrop` (12 generators, 283 terms at seed
   585427) at their three singular points each (`rational_points` at
   k_max 6, the points an r = 2 verdict certifies reduced), all four
-  per call; every such point lies on x2 = x3 = x4 = 0.
+  per call; every such point lies on x2 = x3 = x4 = 0;
+- `node lines r3`, `r4` and `r5`: `analyze_node_lines` of the line
+  system through the first node of `voisin-demo r --seed 0` over
+  F_10007, with its Hilbert data cached on the ideal after the first
+  call: the singular-dimension certificate of an r >= 3 verdict.
 
 Every name used exists in each version of the package that has
 `idealkit.random_slice` and `parse_polynomial(text, nvars, field)`, so
@@ -106,14 +107,15 @@ from fanolines.fglm import fglm_lex
 from fanolines.groebner import groebner_basis
 from fanolines.field import FieldElement, embedding, relative_extension
 from fanolines.idealkit import (Ideal, enumerated_points, groebner_of,
-                               hilbert_data, random_slice, rational_points)
+                               hilbert_data, rational_points)
 from fanolines.poly import (jacobian_rank_at, monomials_of_degree,
                             random_homogeneous)
 from fanolines.solve import chart_system, empty_charts, solve_projective
 from fanolines.scan import singular_scan, variety_scan
 from fanolines.unipoly import distinct_degree_factorization, roots_in_field
-from fanolines.voisin import (certify_node, node_line_system, nodes,
-                              normal_form_cubic, rank_drop_ideal)
+from fanolines.voisin import (analyze_node_lines, certify_node,
+                              node_line_system, nodes, normal_form_cubic,
+                              rank_drop_ideal)
 
 FIELDS = [(10007, 2), (10007, 6), (3, 6), (4294967311, 2)]
 
@@ -282,10 +284,6 @@ def operations(directory: str):
         ops.append((f"certify_node r{r} GF(10007)",
                     lambda nfc=nfc, points=points: certify_node(nfc, points),
                     1))
-    nfc = normal_form_cubic(3, ground, 0)
-    rd = rank_drop_ideal(node_line_system(nfc, nodes(nfc, seed=0)[0].point))
-    ops.append(("slice r3 GF(10007)",
-                lambda: hilbert_data(random_slice(rd, 3, random.Random(0))), 1))
     conics = Ideal([parse_polynomial(text, 3, f7)
                     for text in ("x0^2 - 3*x2^2", "x1*x2 - x0^2")])
     ops.append(("readoff conics GF(7^4)",
@@ -306,6 +304,12 @@ def operations(directory: str):
     ops.append(("jacobian rankdrop r2 GF(10007)",
                 lambda: [jacobian_rank_at(gens, points)
                          for gens, points in singular], 1))
+    for r in (3, 4, 5):
+        nfc = normal_form_cubic(r, ground, 0)
+        system = node_line_system(nfc, nodes(nfc, seed=0)[0].point)
+        ops.append((f"node lines r{r} GF(10007)",
+                    lambda r=r, system=system: analyze_node_lines(system, r),
+                    1))
     return ops
 
 

@@ -27,7 +27,7 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotZeroDimensional
-from .groebner import (DivisorMemo, _reducer, _to_payload, groebner_basis,
+from .groebner import (DivisorMemo, _reducer, _to_payloads, groebner_basis,
                        normal_form_payload)
 from .linalg import Echelon, unit_row
 from .poly import GREVLEX, LEX, Monomial, Packing, Polynomial
@@ -77,7 +77,7 @@ def fglm_lex(basis: List[Polynomial]) -> List[Polynomial]:
     # sum(box); no element rises above its leading monomial, nor a
     # grevlex normal form above the monomial it starts from
     packing = Packing.for_degree(GREVLEX, nvars, max(sum(box), *map(sum, lms)))
-    reducers = [_reducer(_to_payload(g, packing), field) for g in basis]
+    reducers = [_reducer(d, field) for d in _to_payloads(basis, packing)]
     staircase = _staircase([lm for lm, _, _ in reducers], packing)
     index = {s: i for i, s in enumerate(staircase)}
     dim = len(staircase)

@@ -99,9 +99,12 @@ def _widening(packing: Packing, run: Callable[[Packing], object]):
                                  2 * packing.width)
 
 
-def _to_payload(f: Polynomial, packing: Packing) -> PayloadPoly:
-    encode = packing.encode
-    return {encode(m): c.payload for m, c in f.terms.items()}
+def _to_payloads(fs: Sequence[Polynomial],
+                 packing: Packing) -> List[PayloadPoly]:
+    """The payload dicts of the polynomials fs, each distinct monomial
+    encoded once."""
+    key = {m: packing.encode(m) for m in set().union(*(f.terms for f in fs))}
+    return [{key[m]: c.payload for m, c in f.terms.items()} for f in fs]
 
 
 def _from_payloads(ds: List[PayloadPoly], packing: Packing, field: Field,
@@ -399,8 +402,8 @@ def groebner_basis(gens: Sequence[Polynomial],
     assert all(g.field == field and g.nvars == nvars for g in nonzero)
 
     def run(packing: Packing) -> List[PayloadPoly]:
-        return buchberger_payload([_to_payload(g, packing) for g in nonzero],
-                                  packing, field)
+        return buchberger_payload(_to_payloads(nonzero, packing), packing,
+                                  field)
 
     packing, basis = _widening(
         Packing.for_degree(order, nvars, max(g.degree() for g in nonzero)), run)
@@ -414,9 +417,9 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
         raise ZeroPolynomial("zero polynomial cannot reduce")
 
     def run(packing: Packing) -> PayloadPoly:
-        reducers = [_reducer(_to_payload(g, packing), field) for g in basis]
-        return normal_form_payload(_to_payload(f, packing), reducers,
-                                   DivisorMemo(packing), field)
+        f_payload, *payloads = _to_payloads([f, *basis], packing)
+        return normal_form_payload(f_payload, [
+            _reducer(d, field) for d in payloads], DivisorMemo(packing), field)
 
     degree = max(g.degree() for g in (f, *basis))
     packing, r = _widening(Packing.for_degree(order, f.nvars, degree), run)

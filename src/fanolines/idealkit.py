@@ -80,14 +80,15 @@ def hilbert_data(ideal: Ideal) -> Tuple[int, int]:
 
     Degenerate inputs are reported, never raised: the zero ideal gives the
     whole ambient space with degree 1, and 1 in the ideal gives (-1, 0).
-    Non-homogeneous generators raise InvalidParameters.
+    Non-homogeneous generators raise InvalidParameters, checked on a cache
+    miss, so such an ideal is never cached.
     """
-    if not ideal.is_homogeneous():
-        raise InvalidParameters("projective analysis needs homogeneous generators")
     key = ("hilbert",)
     hit = ideal._cache.get(key)
     if hit is not None:
         return hit
+    if not ideal.is_homogeneous():
+        raise InvalidParameters("projective analysis needs homogeneous generators")
     gb = groebner_of(ideal)
     if not gb:
         result = (ideal.ambient_proj_dim, 1)
@@ -250,7 +251,8 @@ def singular_points(ideal: Ideal, k_max: int = SING_LOCUS_KMAX,
 
 def random_slice(ideal: Ideal, codim: int, rng: random.Random) -> Ideal:
     """The generators and `codim` random linear forms, drawn in order by
-    `random_homogeneous`.
+    `random_homogeneous`. It serves `_slices`; the singular-dimension
+    cut of `voisin.analyze_node_lines` draws its forms the same way.
 
     An empty cut certifies dim V(I) < codim over the algebraic closure:
     the forms, possibly dependent, cut out a linear subspace of

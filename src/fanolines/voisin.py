@@ -10,14 +10,25 @@ consists of exactly 2^r simple double points, cut out on that r-plane by
 the restricted quadrics.  Moving one node y to [1:0:...:0] decomposes f
 as f_3 + x_0 f_2, and the lines of the cubic through y form the complete
 intersection V(f_2, f_3) in P^{2r}, of dimension 2r-2 and degree 6; for
-r = 2 its singular locus is three points, and for r = 3 it has dimension
-at most 2.
+r = 2 its singular locus is three points, and for r >= 3 it has dimension
+at most 2r-4.
+
+That bound is certified by a random cut of codimension 2r-3 that misses
+the singular locus, decided first on the cut itself: f_2 and f_3
+restricted to it (a P^3 for independent forms, at every r), and the
+rank-drop ideal of the two restrictions, 2 + 6 generators in 4
+variables. By the chain rule and Cauchy-Binet those minors vanish on
+the cut wherever the full ones do, so an empty restriction certifies.
+Only a try whose restriction is not empty, where the cut is tangent to
+the line scheme, appends the forms to the full rank-drop ideal of
+2 + C(2r+1, 2) generators.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegenerateInstance, InvalidParameters
@@ -26,9 +37,10 @@ from .fano import (MAX_RESAMPLES, PointedHypersurface, direction_components,
                    line_system, resample)
 from .idealkit import (DEFAULT_BUDGET, Ideal, certify_reduced_point,
                        dimension_text, hilbert_data, jacobian_rank_at,
-                       point_certificate, random_slice, rational_points,
-                       solve_report, variety_report)
-from .poly import (LEX, Packing, Polynomial, _lowered, evaluate_at,
+                       point_certificate, rational_points, solve_report,
+                       variety_report)
+from .linalg import Echelon, unit_row
+from .poly import (LEX, Packing, Polynomial, _lowered, _unit, evaluate_at,
                    frobenius_orbits, random_homogeneous, restrict)
 from .projgeo import ProjectivePoint
 
@@ -224,6 +236,53 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
         for sums in minors])
 
 
+def linear_section(forms: Sequence[Polynomial]) -> List[Polynomial]:
+    """The images x_i -> (K z)_i of a parametrization of the common zeros
+    L of linear forms in x_0, ..., x_{n-1}: the columns of K are a basis
+    of the null space of the forms' coefficient matrix, so z -> K z maps
+    onto L and is injective, and f(K z) is f restricted to L.
+
+    Column i of that matrix goes into a `linalg.Echelon` with the unit
+    vector e_i appended, as in `fglm.fglm_lex`; a column that reduces to
+    zero leaves in the appended part the null vector it equals. These
+    are n - rank vectors, each with a 1 at its own column and zeros at
+    the later dependent ones, so a basis.
+    """
+    field, n, c = forms[0].field, forms[0].nvars, len(forms)
+    zero, is_zero = field._zero_payload(), field._is_zero
+    echelon = Echelon(field, c)
+    kernel = []
+    for i in range(n):
+        unit, rank = _unit(n, i), echelon.rank
+        w = echelon.add([f.terms[unit].payload if unit in f.terms else zero
+                         for f in forms] + unit_row(field, i, n))
+        if echelon.rank == rank:
+            kernel.append(w[c:])
+    m = len(kernel)
+    return [Polynomial.from_payloads(field, m, {
+        _unit(m, j): v[i] for j, v in enumerate(kernel) if not is_zero(v[i])})
+        for i in range(n)]
+
+
+def restricted_cut_misses(ideal: Ideal, forms: Sequence[Polynomial]) -> bool:
+    """Whether the singular locus of V(g, h) misses L = V(forms), shown
+    on L itself: the rank-drop ideal of g and h restricted to L
+    (`linear_section`) has no zeros.
+
+    By the chain rule J(g o K, h o K)(z) = J(g, h)(K z) K, so by
+    Cauchy-Binet each 2x2 minor of the restricted Jacobian is a
+    combination of the full minors at K z, and the restricted rank-drop
+    locus contains the preimage of L and V(rank_drop_ideal(ideal))
+    meeting. It holds more only where L is tangent to V(g, h), so False
+    leaves the question open; so does a g or h that vanishes on L.
+    """
+    images = linear_section(forms)
+    restricted = [g.substitute(images) for g in ideal.nonzero_generators()]
+    if any(g.is_zero() for g in restricted):
+        return False
+    return hilbert_data(rank_drop_ideal(Ideal(restricted)))[0] < 0
+
+
 def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
                        budget: int = DEFAULT_BUDGET) -> Dict:
     """Verify the line system through a node: dimension 2r-2, degree 6,
@@ -232,16 +291,25 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
     For r = 1 the system is finite and smooth, so the rank-drop ideal
     must be empty. For r = 2 the singular locus is three reduced points,
     solved and certified individually. For r >= 3 only the dimension
-    bound 2r-4 is certified, by exhibiting a random linear cut of
-    codimension 2r-3 that misses the locus (`idealkit.random_slice`)."""
+    bound 2r-4 is certified, by a cut with 2r-3 random linear forms that
+    misses the locus: an empty cut certifies dim < 2r-3 over the
+    algebraic closure, as the forms cut out a subspace L of codimension
+    at most 2r-3. Each of up to SLICE_RETRIES tries draws its forms from
+    random.Random(seed) and is first decided on L, a P^3 for independent
+    forms (`restricted_cut_misses`: 2 + 6 generators in 4 variables at
+    every r). Where that leaves it open, the same forms are appended to
+    the full rank-drop ideal (2 + C(2r+1, 2) generators), built at the
+    first such try; its empty cut is the verdict. An empty restricted
+    cut makes the appended one empty too, so every try's verdict is
+    that of the appended cut alone."""
     report = variety_report(ideal, {
         "dimension": str(2 * r - 2),
         "degree": "6",
         "codimension": "2",
     })
     predicted, computed = report["predicted"], report["computed"]
-    rd = rank_drop_ideal(ideal)
     if r <= 2:
+        rd = rank_drop_ideal(ideal)
         # for r = 1 the cubic surface has a second node; the direction of
         # the line joining the two nodes is a double point of the line
         # system, so the singular locus is recorded but carries no prediction
@@ -268,8 +336,15 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
         bound = 2 * r - 4
         predicted["singular_dim_bound"] = f"<={bound}"
         rng = random.Random(seed)
+        full = cache(lambda: rank_drop_ideal(ideal))
+
+        def misses(forms: List[Polynomial]) -> bool:
+            return restricted_cut_misses(ideal, forms) or hilbert_data(
+                Ideal(list(full().generators) + forms))[0] < 0
+
         certified = any(
-            hilbert_data(random_slice(rd, bound + 1, rng))[0] < 0
+            misses([random_homogeneous(ideal.field, ideal.nvars, 1, rng)
+                    for _ in range(bound + 1)])
             for _ in range(SLICE_RETRIES))
         computed["singular_dim_bound"] = f"<={bound}" if certified else "unknown"
         if not certified:

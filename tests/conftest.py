@@ -694,6 +694,22 @@ def plain_rank_drop_ideal(ideal):
                            for i in range(n) for j in range(i + 1, n)])
 
 
+def appended_cut_tries(ideal, r, seed, tries):
+    """Per try of the r >= 3 singular-dimension certificate of
+    `voisin.analyze_node_lines`, whether the appended cut misses the
+    singular locus: random.Random(seed) draws 2r - 3 linear forms per
+    try, appended to the whole rank-drop ideal (`idealkit.random_slice`),
+    and the cut is empty. Every try is taken, also after one that
+    misses. The oracle of `voisin.restricted_cut_misses`."""
+    import random
+    from fanolines.idealkit import hilbert_data, random_slice
+    from fanolines.voisin import rank_drop_ideal
+    rng = random.Random(seed)
+    rd = rank_drop_ideal(ideal)
+    return [hilbert_data(random_slice(rd, 2 * r - 3, rng))[0] < 0
+            for _ in range(tries)]
+
+
 class _TokenParser:
     """The parser as it was before `parse_polynomial` took one pass: one
     `Polynomial.monomial` per term, summed with `Polynomial.__add__`.

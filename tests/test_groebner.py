@@ -631,11 +631,12 @@ def test_pair_update_matches_the_plain_choice_rule(field, order, data):
 def test_rank_drop_exponent_tuple_traffic_is_pinned(monkeypatch):
     # the seed-585427 rank-drop ideal: Packing.decode and encode calls,
     # exponent tuples in or out, over the whole groebner_basis call: one
-    # encode per input term (283) and one decode per distinct monomial
-    # of the basis (76 among 348 terms). A queued pair's lcm gets its key
-    # from `Packing.full_key`, with no tuple; a decode and an encode of
-    # each of the 109 lcms and a decode of every output term took 849,
-    # and a pair update on exponent tuples 779
+    # encode per distinct monomial of the input (45 among 283 terms) and
+    # one decode per distinct monomial of the basis (76 among 348 terms).
+    # A queued pair's lcm gets its key from `Packing.full_key`, with no
+    # tuple; an encode per input term took 359, a decode and an encode of
+    # each of the 109 lcms and a decode of every output term 849, and a
+    # pair update on exponent tuples 779
     calls = {"decode": 0, "encode": 0}
     decode, encode = Packing.decode, Packing.encode
 
@@ -651,7 +652,7 @@ def test_rank_drop_exponent_tuple_traffic_is_pinned(monkeypatch):
     monkeypatch.setattr(Packing, "decode", counted_decode)
     monkeypatch.setattr(Packing, "encode", counted_encode)
     assert len(groebner_basis(gens)) == 33
-    assert calls["decode"] + calls["encode"] <= 359
+    assert calls["decode"] + calls["encode"] <= 121
 
 
 def test_fglm_work_is_pinned(monkeypatch):
@@ -762,7 +763,7 @@ def payload_system(field, rng, nvars, degree, basis_terms, count):
         while True:
             f = random_poly(field, nvars, max_deg, rng, terms)
             if not f.is_zero():
-                return groebner._to_payload(f, packing)
+                return groebner._to_payloads([f], packing)[0]
 
     fs = [draw(degree, 20) for _ in range(3)]
     basis = [draw(rng.randrange(1, 4), basis_terms) for _ in range(count)]
@@ -805,15 +806,15 @@ def test_normal_form_matches_plain_loop_past_renormalising(field, monkeypatch):
     packing = Packing.for_degree(GREVLEX, 4, 8)
     dense = {m: field.sample(rng) for d in range(9)
              for m in monomials_of_degree(4, d)}
-    f = groebner._to_payload(Polynomial(field, 4, dense), packing)
+    [f] = groebner._to_payloads([Polynomial(field, 4, dense)], packing)
     top = field.element_from_code(field.order() - 1)
     basis = []
     for i in (0, 1):
         terms = {m: top for d in range(3) for m in monomials_of_degree(4, d)
                  if not any(m[:i + 1])}
         terms[tuple(2 * int(j == i) for j in range(4))] = field.one()
-        basis.append(groebner._to_payload(Polynomial(field, 4, terms),
-                                          packing))
+        basis += groebner._to_payloads([Polynomial(field, 4, terms)],
+                                       packing)
     assert assert_normal_forms_match(field, packing, [f], basis) == 350
     assert 350 > 5 * (groebner._TERMS - 1)
     monkeypatch.setattr(groebner, "_TERMS", 2)
@@ -851,7 +852,8 @@ def test_normal_form_against_a_growing_reducer_list(field, monkeypatch):
         other = payload_system(field, rng, 3, 6, 4, 2)[2]
         reduce_both(f, other, [groebner._reducer(d, field) for d in other],
                     groebner.DivisorMemo(packing))
-        tail = groebner._to_payload(random_poly(field, 3, 6, rng, 8), packing)
+        [tail] = groebner._to_payloads([random_poly(field, 3, 6, rng, 8)],
+                                        packing)
         grown = {m: c for m, c in tail.items() if m < top}
         grown[top] = field.sample(rng).payload
         while field._is_zero(grown[top]):
@@ -903,14 +905,14 @@ def test_product_budget_of_packed_s_pairs(p, k, monkeypatch):
     reference = groebner_basis(gens)
     assert len(reference) == 6
     packing = Packing.for_degree(GREVLEX, 4, 4)
-    payloads = [groebner._to_payload(g, packing) for g in reference]
+    payloads = groebner._to_payloads(reference, packing)
     for gi, gj in itertools.combinations(reference, 2):
         mi, mj = leading_monomial(gi, GREVLEX), leading_monomial(gj, GREVLEX)
         lcm = mono_lcm(mi, mj)
         s = (monomial(field, tuple(map(sub, lcm, mi))) * gi
              - monomial(field, tuple(map(sub, lcm, mj))) * gj)
-        assert plain_normal_form(groebner._to_payload(s, packing), payloads,
-                                 packing, field) == {}
+        [s_payload] = groebner._to_payloads([s], packing)
+        assert plain_normal_form(s_payload, payloads, packing, field) == {}
     packer = field._packer
     most = []
 

@@ -14,18 +14,20 @@ from hypothesis import given, settings, strategies as st
 
 from fanolines import (Ideal, Polynomial, PrimeField, ProjectivePoint,
                        build_extension)
-from fanolines.poly import random_homogeneous
+from fanolines.poly import _unit, random_homogeneous
 from fanolines import voisin
 from fanolines.voisin import (NormalFormCubic, analyze_node_lines,
-                              certify_node, node_line_system, nodes,
-                              normal_form_cubic, rank_drop_ideal,
-                              restricted_quadrics, run_node_analysis)
+                              certify_node, linear_section, node_line_system,
+                              nodes, normal_form_cubic, rank_drop_ideal,
+                              restricted_cut_misses, restricted_quadrics,
+                              run_node_analysis)
 from fanolines.idealkit import (certify_reduced_point, hilbert_data,
                                 matched, singular_points, slice_degree)
 from fanolines.errors import DegenerateInstance, InvalidParameters
+from fanolines.linalg import mat_rank
 
-from conftest import (chart_quadratic_rank, parse, plain_rank_drop_ideal,
-                      sympy_hessian_rank)
+from conftest import (appended_cut_tries, chart_quadratic_rank, parse,
+                      plain_rank_drop_ideal, sympy_hessian_rank)
 
 F5 = PrimeField(5)
 F11 = PrimeField(11)
@@ -472,6 +474,141 @@ def test_analyze_node_lines_r3_bounds_singular_dimension():
     report = analyze_node_lines(ideal, 3, seed=0)
     assert matched(report)
     assert report["predicted"]["singular_dim_bound"] == "<=2"
+
+
+def restricted_tries(ideal, r, seed, tries):
+    """Per try, `restricted_cut_misses` on the 2r - 3 forms that
+    `analyze_node_lines` draws from random.Random(seed); every try is
+    taken."""
+    rng = random.Random(seed)
+    return [restricted_cut_misses(ideal, [
+        random_homogeneous(ideal.field, ideal.nvars, 1, rng)
+        for _ in range(2 * r - 3)]) for _ in range(tries)]
+
+
+def appended_cut_report(monkeypatch, ideal, r, seed):
+    """The report of `analyze_node_lines` with each try decided by the
+    appended cut alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(voisin, "restricted_cut_misses",
+                      lambda ideal, forms: False)
+        return analyze_node_lines(ideal, r, seed=seed)
+
+
+def recorded_rank_drop_ideals(monkeypatch):
+    """(generators, variables) of each rank-drop ideal voisin builds."""
+    built = []
+    build = voisin.rank_drop_ideal
+
+    def recorded(ideal):
+        rd = build(ideal)
+        built.append((len(rd.generators), rd.nvars))
+        return rd
+
+    monkeypatch.setattr(voisin, "rank_drop_ideal", recorded)
+    return built
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 10007])
+def test_linear_section_parametrizes_the_common_zeros(p):
+    field, rng = PrimeField(p), random.Random(p)
+    for n, c in ((7, 3), (9, 5), (5, 1)):
+        forms = [random_homogeneous(field, n, 1, rng) for _ in range(c)]
+        forms.append(forms[0] + forms[-1])  # dependent: L stays the same
+        rank = mat_rank([[f.terms.get(_unit(n, i), field.zero())
+                          for i in range(n)] for f in forms])
+        images = linear_section(forms)
+        m = n - rank
+        assert len(images) == n and {im.nvars for im in images} == {m}
+        assert all(f.substitute(images).is_zero() for f in forms)
+        # z -> K z is injective, so it maps onto the common zeros
+        assert mat_rank([[im.terms.get(_unit(m, j), field.zero())
+                          for j in range(m)] for im in images]) == m
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 10007])
+@pytest.mark.parametrize("r", [3, 4])
+def test_restricted_cut_certifies_only_where_the_appended_cut_does(r, p):
+    field, analyzed = PrimeField(p), 0
+    for seed in range(20):
+        try:
+            nfc = normal_form_cubic(r, field, seed)
+            node = nodes(nfc, seed=seed)[0].point
+        except DegenerateInstance:
+            continue
+        analyzed += 1
+        ideal = node_line_system(nfc, node)
+        oracle = appended_cut_tries(ideal, r, seed, voisin.SLICE_RETRIES)
+        restricted = restricted_tries(ideal, r, seed, voisin.SLICE_RETRIES)
+        assert all(o for c, o in zip(restricted, oracle) if c), seed
+        # the oracle route's report differs from this one at most in
+        # its verdict and the flag that comes with it
+        report = analyze_node_lines(ideal, r, seed=seed)
+        assert (report["computed"]["singular_dim_bound"], report["flags"]) == (
+            (f"<={2 * r - 4}", []) if any(oracle) else ("unknown", [
+                f"no random codimension-{2 * r - 3} slice missed the "
+                "singular locus; dimension bound unverified"]))
+    assert analyzed >= 10
+
+
+def test_a_try_the_restriction_leaves_open_is_decided_by_the_full_cut(
+        monkeypatch):
+    # the first node of `voisin-demo 3 --prime 11 --seed 28`: the forms
+    # of the first two tries cut L tangent to the line scheme, so only
+    # the third try's restriction is empty, while every appended cut is.
+    # The first try is decided by the appended cut, the rank-drop ideal
+    # of 2 + 21 generators built once, after the restricted one
+    nfc = normal_form_cubic(3, F11, 28)
+    ideal = node_line_system(nfc, nodes(nfc, seed=28)[0].point)
+    assert restricted_tries(ideal, 3, 28, 3) == [False, False, True]
+    assert appended_cut_tries(ideal, 3, 28, 3) == [True] * 3
+    expected = appended_cut_report(monkeypatch, ideal, 3, 28)
+    built = recorded_rank_drop_ideals(monkeypatch)
+    report = analyze_node_lines(ideal, 3, seed=28)
+    assert built == [(8, 4), (23, 7)]
+    assert report == expected and matched(report)
+    assert report["computed"]["singular_dim_bound"] == "<=2"
+    assert run_node_analysis(3, F11, 28)["attempts"] == [
+        {"seed": "28", "outcome": "ok"}]
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_a_three_dimensional_singular_locus_stays_unknown(p):
+    # V(x0 x1, h) is singular along V(x0, x1, h), of dimension 3 in P^6,
+    # which every codimension-3 cut meets: no try may certify dim <= 2
+    field = PrimeField(p)
+    ideal = Ideal([parse("x0*x1", 7, field),
+                   random_homogeneous(field, 7, 3, random.Random(p))])
+    assert restricted_tries(ideal, 3, 0, 3) == [False] * 3
+    report = analyze_node_lines(ideal, 3, seed=0)
+    assert report["computed"]["singular_dim_bound"] == "unknown"
+    assert report["flags"] == [
+        "no random codimension-3 slice missed the singular locus; "
+        "dimension bound unverified"]
+
+
+def test_restricted_cut_is_open_where_a_generator_vanishes_on_l():
+    # x0 x1 is zero on L = V(x0, x2 - x3, x5), so its restriction is
+    # zero and the restricted cut decides nothing
+    field = F10007
+    ideal = Ideal([parse("x0*x1", 7, field),
+                   parse("x2^3 + x4^3 - x6^3 + x1*x5^2", 7, field)])
+    forms = [parse(text, 7, field) for text in ("x0", "x2 - x3", "x5")]
+    assert linear_section(forms)[0].is_zero()
+    assert not restricted_cut_misses(ideal, forms)
+
+
+def test_r3_cut_work_is_pinned(monkeypatch):
+    # `voisin-demo 3 --seed 0`: the first try's restriction is empty, so
+    # the verdict builds one rank-drop ideal, of g and h restricted to
+    # L = P^3 (2 + 6 generators in 4 variables), and not the full one
+    # (2 + 21 in 7)
+    nfc = normal_form_cubic(3, F10007, 0)
+    ideal = node_line_system(nfc, nodes(nfc, seed=0)[0].point)
+    built = recorded_rank_drop_ideals(monkeypatch)
+    report = analyze_node_lines(ideal, 3, seed=0)
+    assert report["computed"]["singular_dim_bound"] == "<=2"
+    assert built == [(8, 4)]
 
 
 def test_run_node_analysis_end_to_end():
