@@ -252,7 +252,9 @@ def singular_points(ideal: Ideal, k_max: int = SING_LOCUS_KMAX,
 def random_slice(ideal: Ideal, codim: int, rng: random.Random) -> Ideal:
     """The generators and `codim` random linear forms, drawn in order by
     `random_homogeneous`. It serves `_slices`; the singular-dimension
-    cut of `voisin.analyze_node_lines` draws its forms the same way.
+    cut of `voisin.analyze_node_lines` draws its forms the same way but
+    appends none, deciding them on their common zeros
+    (`voisin.restricted_cut_misses`).
 
     An empty cut certifies dim V(I) < codim over the algebraic closure:
     the forms, possibly dependent, cut out a linear subspace of

@@ -14,21 +14,19 @@ r = 2 its singular locus is three points, and for r >= 3 it has dimension
 at most 2r-4.
 
 That bound is certified by a random cut of codimension 2r-3 that misses
-the singular locus, decided first on the cut itself: f_2 and f_3
-restricted to it (a P^3 for independent forms, at every r), and the
-rank-drop ideal of the two restrictions, 2 + 6 generators in 4
-variables. By the chain rule and Cauchy-Binet those minors vanish on
-the cut wherever the full ones do, so an empty restriction certifies.
-Only a try whose restriction is not empty, where the cut is tangent to
-the line scheme, appends the forms to the full rank-drop ideal of
-2 + C(2r+1, 2) generators.
+the singular locus, decided on the cut itself, a P^3 for independent
+forms: f_2 and f_3 restricted to it, first with the rank-drop ideal of
+the two restrictions (2 + 6 generators in 4 variables; by the chain rule
+and Cauchy-Binet its zeros hold the singular points on the cut), and
+where that is not empty with the 2x2 minors of the full Jacobian
+restricted to the cut, whose zeros are exactly those points. No ideal
+in the 2r+1 variables of P^{2r} is built for the cut.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegenerateInstance, InvalidParameters
@@ -191,38 +189,48 @@ def node_line_system(nfc: NormalFormCubic, node: ProjectivePoint) -> Ideal:
 def rank_drop_ideal(ideal: Ideal) -> Ideal:
     """Singular-locus ideal of a codimension-2 complete intersection: the
     generators g, h together with the 2x2 minors dg_i dh_j - dg_j dh_i of
-    their Jacobian, i < j.
-
-    The minors run on raw payloads. A monomial is one int key of a lex
-    `poly.Packing` (Kronecker slots) for degree deg g + deg h, above
-    any degree a minor reaches, so no slot carries and a product is a key
-    sum. The partials are the term lists of `poly._lowered`, dg_j
-    negated, with their keys and coefficients packed (`Field._packer`).
-    A minor is one dict of packed sums: for one term of dg_i the keys of
-    its products with dh_j are distinct, and so for dg_j and dh_i, so a
-    key gets at most len(dg_i) + len(dg_j) <= 2 len(g) products, the
-    packer's bound. Each sum is unpacked once, and each key of the minors
-    decoded once.
+    their Jacobian, i < j, from the partials of `poly._lowered`
+    (`_jacobian_minors`).
     """
     gens = ideal.nonzero_generators()
     if len(gens) != 2:
         raise InvalidParameters("rank-drop ideal needs exactly 2 generators")
     g, h = gens
-    field, n = g.field, g.nvars
-    pack, unpack = field._packer(2 * len(g.terms))
+    return Ideal(gens + _jacobian_minors(
+        g.field, g.nvars, g.degree() + h.degree(), _lowered(g), _lowered(h)))
+
+
+def _jacobian_minors(field: Field, nvars: int, degree: int,
+                     dg: Sequence[list], dh: Sequence[list]
+                     ) -> List[Polynomial]:
+    """The minors dg_i dh_j - dg_j dh_i, i < j, of the two Jacobian rows
+    dg and dh, each entry a list of payload terms (m, c) with distinct
+    monomials m in `nvars` variables; `degree` bounds the degree of
+    every product of an entry of dg and one of dh.
+
+    The minors run on raw payloads. A monomial is one int key of a lex
+    `poly.Packing` (Kronecker slots) for `degree`, above any degree a
+    minor reaches, so no slot carries and a product is a key sum. The
+    entries' keys and coefficients are packed (`Field._packer`), dg_j
+    negated. A minor is one dict of packed sums: for one term of dg_i
+    the keys of its products with dh_j are distinct, and so for dg_j
+    and dh_i, so a key gets at most len(dg_i) + len(dg_j) products, at
+    most twice the longest entry of dg, the packer's bound. Each sum is
+    unpacked once, and each key of the minors decoded once.
+    """
+    pack, unpack = field._packer(2 * max(1, *map(len, dg)))
     zero = field._zero_payload()
-    packing = Packing.for_degree(LEX, n, g.degree() + h.degree())
+    packing = Packing.for_degree(LEX, nvars, degree)
 
-    def partials(f: Polynomial,
-                 sign=lambda c: c) -> List[List[Tuple[int, int]]]:
-        """Per x_i, the (key, packed sign(c)) terms of df/dx_i."""
+    def packed(row, sign=lambda c: c) -> List[List[Tuple[int, int]]]:
+        """Per entry, its (key, packed sign(c)) terms."""
         return [[(packing.encode(m), pack(sign(c))) for m, c in terms]
-                for terms in _lowered(f)]
+                for terms in row]
 
-    dg, minus_dg, dh = partials(g), partials(g, field._neg), partials(h)
+    dg, minus_dg, dh = packed(dg), packed(dg, field._neg), packed(dh)
     minors: List[Dict[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(len(dg)):
+        for j in range(i + 1, len(dg)):
             sums: Dict[int, int] = {}
             for left, right in ((dg[i], dh[j]), (minus_dg[j], dh[i])):
                 for k1, c1 in left:
@@ -231,9 +239,9 @@ def rank_drop_ideal(ideal: Ideal) -> Ideal:
                         sums[k] = sums.get(k, 0) + c1 * c2
             minors.append(sums)
     monomial = {k: packing.decode(k) for k in set().union(*minors)}
-    return Ideal(gens + [Polynomial.from_payloads(field, n, {
+    return [Polynomial.from_payloads(field, nvars, {
         monomial[k]: c for k, v in sums.items() if (c := unpack(v)) != zero})
-        for sums in minors])
+        for sums in minors]
 
 
 def linear_section(forms: Sequence[Polynomial]) -> List[Polynomial]:
@@ -265,22 +273,41 @@ def linear_section(forms: Sequence[Polynomial]) -> List[Polynomial]:
 
 
 def restricted_cut_misses(ideal: Ideal, forms: Sequence[Polynomial]) -> bool:
-    """Whether the singular locus of V(g, h) misses L = V(forms), shown
-    on L itself: the rank-drop ideal of g and h restricted to L
-    (`linear_section`) has no zeros.
+    """Whether the singular locus V(rank_drop_ideal(ideal)) of V(g, h)
+    misses L = V(forms), decided on L itself: True exactly when the
+    rank-drop ideal with the forms appended has no zeros. z -> K z
+    (`linear_section`) maps onto L and is injective, so the singular
+    points on L are the images of the zeros of g o K, h o K and the 2x2
+    minors of J(g, h) at K z.
 
-    By the chain rule J(g o K, h o K)(z) = J(g, h)(K z) K, so by
-    Cauchy-Binet each 2x2 minor of the restricted Jacobian is a
-    combination of the full minors at K z, and the restricted rank-drop
-    locus contains the preimage of L and V(rank_drop_ideal(ideal))
-    meeting. It holds more only where L is tangent to V(g, h), so False
-    leaves the question open; so does a g or h that vanishes on L.
+    Stage 1 is cheaper and runs first: the rank-drop ideal of g o K and
+    h o K, 2 + 6 generators for L = P^3. By the chain rule
+    J(g o K, h o K)(z) = J(g, h)(K z) K, so by Cauchy-Binet each of its
+    minors is a combination of the full minors at K z, and its zeros
+    hold those of stage 2; an empty stage 1 certifies. It holds more
+    only where L is tangent to V(g, h). Stage 2 decides a try stage 1
+    leaves open, or where g o K or h o K is zero: g o K, h o K and the
+    C(n, 2) minors of the partials of g and h (`poly._lowered`)
+    substituted by the same images (`_jacobian_minors`).
     """
     images = linear_section(forms)
-    restricted = [g.substitute(images) for g in ideal.nonzero_generators()]
-    if any(g.is_zero() for g in restricted):
-        return False
-    return hilbert_data(rank_drop_ideal(Ideal(restricted)))[0] < 0
+    gens = ideal.nonzero_generators()
+    restricted = [g.substitute(images) for g in gens]
+    if all(restricted) and hilbert_data(
+            rank_drop_ideal(Ideal(restricted)))[0] < 0:
+        return True
+    g, h = gens
+    field = g.field
+
+    def restricted_partials(f: Polynomial) -> List[list]:
+        """Per x_i, the payload terms (m, c) of df/dx_i o K."""
+        return [[(mono, c.payload) for mono, c in Polynomial.from_payloads(
+            field, f.nvars, dict(terms)).substitute(images).terms.items()]
+            for terms in _lowered(f)]
+
+    return hilbert_data(Ideal(restricted + _jacobian_minors(
+        field, images[0].nvars, g.degree() + h.degree(),
+        restricted_partials(g), restricted_partials(h))))[0] < 0
 
 
 def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
@@ -295,13 +322,10 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
     misses the locus: an empty cut certifies dim < 2r-3 over the
     algebraic closure, as the forms cut out a subspace L of codimension
     at most 2r-3. Each of up to SLICE_RETRIES tries draws its forms from
-    random.Random(seed) and is first decided on L, a P^3 for independent
-    forms (`restricted_cut_misses`: 2 + 6 generators in 4 variables at
-    every r). Where that leaves it open, the same forms are appended to
-    the full rank-drop ideal (2 + C(2r+1, 2) generators), built at the
-    first such try; its empty cut is the verdict. An empty restricted
-    cut makes the appended one empty too, so every try's verdict is
-    that of the appended cut alone."""
+    random.Random(seed) and is decided on L, a P^3 for independent forms
+    (`restricted_cut_misses`), exactly as the forms appended to the full
+    rank-drop ideal would decide it; no ideal in 2r + 1 variables is
+    built."""
     report = variety_report(ideal, {
         "dimension": str(2 * r - 2),
         "degree": "6",
@@ -336,16 +360,9 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
         bound = 2 * r - 4
         predicted["singular_dim_bound"] = f"<={bound}"
         rng = random.Random(seed)
-        full = cache(lambda: rank_drop_ideal(ideal))
-
-        def misses(forms: List[Polynomial]) -> bool:
-            return restricted_cut_misses(ideal, forms) or hilbert_data(
-                Ideal(list(full().generators) + forms))[0] < 0
-
-        certified = any(
-            misses([random_homogeneous(ideal.field, ideal.nvars, 1, rng)
-                    for _ in range(bound + 1)])
-            for _ in range(SLICE_RETRIES))
+        certified = any(restricted_cut_misses(ideal, [
+            random_homogeneous(ideal.field, ideal.nvars, 1, rng)
+            for _ in range(bound + 1)]) for _ in range(SLICE_RETRIES))
         computed["singular_dim_bound"] = f"<={bound}" if certified else "unknown"
         if not certified:
             report["flags"].append(

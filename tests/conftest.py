@@ -694,20 +694,29 @@ def plain_rank_drop_ideal(ideal):
                            for i in range(n) for j in range(i + 1, n)])
 
 
+def appended_cut_misses(ideal, forms):
+    """Whether the linear forms, appended to the whole rank-drop ideal of
+    `ideal` in its own variables, cut out nothing. The oracle of
+    `voisin.restricted_cut_misses`."""
+    from fanolines import Ideal
+    from fanolines.idealkit import hilbert_data
+    from fanolines.voisin import rank_drop_ideal
+    return hilbert_data(Ideal(
+        list(rank_drop_ideal(ideal).generators) + list(forms)))[0] < 0
+
+
 def appended_cut_tries(ideal, r, seed, tries):
     """Per try of the r >= 3 singular-dimension certificate of
     `voisin.analyze_node_lines`, whether the appended cut misses the
-    singular locus: random.Random(seed) draws 2r - 3 linear forms per
-    try, appended to the whole rank-drop ideal (`idealkit.random_slice`),
-    and the cut is empty. Every try is taken, also after one that
-    misses. The oracle of `voisin.restricted_cut_misses`."""
+    singular locus (`appended_cut_misses`): random.Random(seed) draws
+    2r - 3 linear forms per try, as `idealkit.random_slice` does. Every
+    try is taken, also after one that misses."""
     import random
-    from fanolines.idealkit import hilbert_data, random_slice
-    from fanolines.voisin import rank_drop_ideal
+    from fanolines.poly import random_homogeneous
     rng = random.Random(seed)
-    rd = rank_drop_ideal(ideal)
-    return [hilbert_data(random_slice(rd, 2 * r - 3, rng))[0] < 0
-            for _ in range(tries)]
+    return [appended_cut_misses(ideal, [
+        random_homogeneous(ideal.field, ideal.nvars, 1, rng)
+        for _ in range(2 * r - 3)]) for _ in range(tries)]
 
 
 class _TokenParser:

@@ -16,7 +16,7 @@ RUNS = [
     (["node_survey.py", "--rmax", "2", "--seeds", "1"], "matched=true"),
     (["scan_vs_certified.py", "--seeds", "1"], "1/1 seeds fully agree"),
     (["arith_timings.py", "--repeat", "1", "--number", "1"],
-     "node lines r5 GF(10007)"),
+     "node lines open r5 GF(7)"),
 ]
 
 

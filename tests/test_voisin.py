@@ -26,10 +26,12 @@ from fanolines.idealkit import (certify_reduced_point, hilbert_data,
 from fanolines.errors import DegenerateInstance, InvalidParameters
 from fanolines.linalg import mat_rank
 
-from conftest import (appended_cut_tries, chart_quadratic_rank, parse,
-                      plain_rank_drop_ideal, sympy_hessian_rank)
+from conftest import (appended_cut_misses, appended_cut_tries,
+                      chart_quadratic_rank, parse, plain_rank_drop_ideal,
+                      sympy_hessian_rank)
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 F11 = PrimeField(11)
 F10007 = PrimeField(10007)
 
@@ -476,22 +478,25 @@ def test_analyze_node_lines_r3_bounds_singular_dimension():
     assert report["predicted"]["singular_dim_bound"] == "<=2"
 
 
-def restricted_tries(ideal, r, seed, tries):
-    """Per try, `restricted_cut_misses` on the 2r - 3 forms that
-    `analyze_node_lines` draws from random.Random(seed); every try is
-    taken."""
+def drawn_forms(ideal, r, seed, tries):
+    """Per try, the 2r - 3 forms that `analyze_node_lines` draws from
+    random.Random(seed); every try is taken."""
     rng = random.Random(seed)
-    return [restricted_cut_misses(ideal, [
-        random_homogeneous(ideal.field, ideal.nvars, 1, rng)
-        for _ in range(2 * r - 3)]) for _ in range(tries)]
+    return [[random_homogeneous(ideal.field, ideal.nvars, 1, rng)
+             for _ in range(2 * r - 3)] for _ in range(tries)]
+
+
+def restricted_tries(ideal, r, seed, tries):
+    """Per try, `restricted_cut_misses` on the forms of `drawn_forms`."""
+    return [restricted_cut_misses(ideal, forms)
+            for forms in drawn_forms(ideal, r, seed, tries)]
 
 
 def appended_cut_report(monkeypatch, ideal, r, seed):
     """The report of `analyze_node_lines` with each try decided by the
-    appended cut alone."""
+    appended cut (`conftest.appended_cut_misses`)."""
     with monkeypatch.context() as patch:
-        patch.setattr(voisin, "restricted_cut_misses",
-                      lambda ideal, forms: False)
+        patch.setattr(voisin, "restricted_cut_misses", appended_cut_misses)
         return analyze_node_lines(ideal, r, seed=seed)
 
 
@@ -507,6 +512,44 @@ def recorded_rank_drop_ideals(monkeypatch):
 
     monkeypatch.setattr(voisin, "rank_drop_ideal", recorded)
     return built
+
+
+def recorded_cuts(monkeypatch):
+    """Each ideal whose Hilbert data voisin takes, in order."""
+    decided = []
+    decide = voisin.hilbert_data
+
+    def recorded(ideal):
+        decided.append(ideal)
+        return decide(ideal)
+
+    monkeypatch.setattr(voisin, "hilbert_data", recorded)
+    return decided
+
+
+def shapes(ideals):
+    return [(len(ideal.generators), ideal.nvars) for ideal in ideals]
+
+
+def open_tries(ideal, forms_per_try, decided):
+    """The tries stage 1 of `restricted_cut_misses` leaves open, read off
+    the ideals voisin decided (`recorded_cuts`) over `forms_per_try`. Each
+    try decides the 2 + 6 generators of g and h restricted to L = P^3;
+    one whose stage 1 has zeros decides next the full rank-drop ideal's
+    generators (`plain_rank_drop_ideal`) substituted by that try's images
+    (`linear_section`), generator for generator, and nothing else."""
+    full = plain_rank_drop_ideal(ideal).generators
+    opened, calls = [], iter(decided)
+    for t, forms in enumerate(forms_per_try):
+        stage_one = next(calls)
+        assert shapes([stage_one]) == [(8, 4)]
+        if hilbert_data(stage_one)[0] >= 0:
+            images = linear_section(forms)
+            assert list(next(calls).generators) == [
+                f.substitute(images) for f in full]
+            opened.append(t)
+    assert next(calls, None) is None
+    return opened
 
 
 @pytest.mark.parametrize("p", [7, 11, 101, 10007])
@@ -539,10 +582,8 @@ def test_restricted_cut_certifies_only_where_the_appended_cut_does(r, p):
         analyzed += 1
         ideal = node_line_system(nfc, node)
         oracle = appended_cut_tries(ideal, r, seed, voisin.SLICE_RETRIES)
-        restricted = restricted_tries(ideal, r, seed, voisin.SLICE_RETRIES)
-        assert all(o for c, o in zip(restricted, oracle) if c), seed
-        # the oracle route's report differs from this one at most in
-        # its verdict and the flag that comes with it
+        assert restricted_tries(ideal, r, seed, voisin.SLICE_RETRIES) == (
+            oracle), seed
         report = analyze_node_lines(ideal, r, seed=seed)
         assert (report["computed"]["singular_dim_bound"], report["flags"]) == (
             (f"<={2 * r - 4}", []) if any(oracle) else ("unknown", [
@@ -554,22 +595,46 @@ def test_restricted_cut_certifies_only_where_the_appended_cut_does(r, p):
 def test_a_try_the_restriction_leaves_open_is_decided_by_the_full_cut(
         monkeypatch):
     # the first node of `voisin-demo 3 --prime 11 --seed 28`: the forms
-    # of the first two tries cut L tangent to the line scheme, so only
-    # the third try's restriction is empty, while every appended cut is.
-    # The first try is decided by the appended cut, the rank-drop ideal
-    # of 2 + 21 generators built once, after the restricted one
+    # of the first two tries cut L tangent to the line scheme, so stage 1
+    # leaves them open, while every appended cut is empty. Stage 2
+    # decides the first try on L, by the 21 minors of the full Jacobian
+    # restricted to it: 2 + 21 generators in 4 variables, and no ideal
+    # in 7 variables is built
     nfc = normal_form_cubic(3, F11, 28)
     ideal = node_line_system(nfc, nodes(nfc, seed=28)[0].point)
-    assert restricted_tries(ideal, 3, 28, 3) == [False, False, True]
+    forms = drawn_forms(ideal, 3, 28, 3)
     assert appended_cut_tries(ideal, 3, 28, 3) == [True] * 3
     expected = appended_cut_report(monkeypatch, ideal, 3, 28)
     built = recorded_rank_drop_ideals(monkeypatch)
+    decided = recorded_cuts(monkeypatch)
+    assert [restricted_cut_misses(ideal, f) for f in forms] == [True] * 3
+    assert open_tries(ideal, forms, decided) == [0, 1]
+    del built[:], decided[:]
     report = analyze_node_lines(ideal, 3, seed=28)
-    assert built == [(8, 4), (23, 7)]
+    assert built == [(8, 4)]
+    assert shapes(decided) == [(8, 4), (23, 4)]
     assert report == expected and matched(report)
     assert report["computed"]["singular_dim_bound"] == "<=2"
     assert run_node_analysis(3, F11, 28)["attempts"] == [
         {"seed": "28", "outcome": "ok"}]
+
+
+@pytest.mark.parametrize("r, seed, opened", [(4, 4, [2]), (5, 7, [0, 2])])
+def test_open_tries_build_no_ideal_in_the_ambient_space(monkeypatch, r, seed,
+                                                        opened):
+    # the first node of `voisin-demo r --prime 7 --seed s`: every appended
+    # cut is empty, and stage 1 leaves the tries `opened` open. Stage 2
+    # decides them on L, by the C(2r+1, 2) minors of the full Jacobian
+    # restricted to it; no rank-drop ideal in 2r + 1 variables is built
+    nfc = normal_form_cubic(r, F7, seed)
+    ideal = node_line_system(nfc, nodes(nfc, seed=seed)[0].point)
+    forms = drawn_forms(ideal, r, seed, 3)
+    assert appended_cut_tries(ideal, r, seed, 3) == [True] * 3
+    built = recorded_rank_drop_ideals(monkeypatch)
+    decided = recorded_cuts(monkeypatch)
+    assert [restricted_cut_misses(ideal, f) for f in forms] == [True] * 3
+    assert open_tries(ideal, forms, decided) == opened
+    assert built == [(8, 4)] * 3
 
 
 @pytest.mark.parametrize("p", [7, 10007])
@@ -589,13 +654,31 @@ def test_a_three_dimensional_singular_locus_stays_unknown(p):
 
 def test_restricted_cut_is_open_where_a_generator_vanishes_on_l():
     # x0 x1 is zero on L = V(x0, x2 - x3, x5), so its restriction is
-    # zero and the restricted cut decides nothing
+    # zero and stage 1 decides nothing; stage 2 finds the singular points
+    # x1 = h = 0 on L, as the appended cut does
     field = F10007
     ideal = Ideal([parse("x0*x1", 7, field),
                    parse("x2^3 + x4^3 - x6^3 + x1*x5^2", 7, field)])
     forms = [parse(text, 7, field) for text in ("x0", "x2 - x3", "x5")]
     assert linear_section(forms)[0].is_zero()
     assert not restricted_cut_misses(ideal, forms)
+    assert not appended_cut_misses(ideal, forms)
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_a_cut_inside_one_generator_is_decided_on_l(p):
+    # g = x0 x1 + x2 x3 + x4 x5 is zero on L = V(x0, x2, x4), and g has
+    # rank 6, so on L the rank drops only at singular points of h on L
+    # or at g's vertex e6, where this h is not zero: for h a smooth cubic
+    # surface on L, the singular locus misses L, and only stage 2 can
+    # say so
+    field = PrimeField(p)
+    h = random_homogeneous(field, 7, 3, random.Random(p)) + parse(
+        "x6^3 + x1^3 + x3^3 + x5^3", 7, field)
+    ideal = Ideal([parse("x0*x1 + x2*x3 + x4*x5", 7, field), h])
+    forms = [parse(text, 7, field) for text in ("x0", "x2", "x4")]
+    assert appended_cut_misses(ideal, forms)
+    assert restricted_cut_misses(ideal, forms)
 
 
 def test_r3_cut_work_is_pinned(monkeypatch):
@@ -606,9 +689,11 @@ def test_r3_cut_work_is_pinned(monkeypatch):
     nfc = normal_form_cubic(3, F10007, 0)
     ideal = node_line_system(nfc, nodes(nfc, seed=0)[0].point)
     built = recorded_rank_drop_ideals(monkeypatch)
+    decided = recorded_cuts(monkeypatch)
     report = analyze_node_lines(ideal, 3, seed=0)
     assert report["computed"]["singular_dim_bound"] == "<=2"
     assert built == [(8, 4)]
+    assert shapes(decided) == [(8, 4)]
 
 
 def test_run_node_analysis_end_to_end():
