@@ -83,17 +83,17 @@ def _affine_points(gb: List[Polynomial], ground: Field, k_max: int,
     points of residue degree <= k_max of the zero-dimensional affine
     scheme with reduced lex basis gb, as (residue degree k, coordinates in
     relative_extension(ground, k)). gb[0] is the eliminant: `fglm_lex`
-    meets every power of x_last first."""
+    meets every power of x_last first; each part is rooted in its quotient."""
     eliminant, rest = _univariate_in_last(gb[0]), gb[1:]
     nvars = gb[0].nvars - 1
     out: List[Tuple[int, Tuple[FieldElement, ...]]] = []
-    for j, (part, xp, ring) in distinct_degree_factorization(
+    for j, (part, quotient) in distinct_degree_factorization(
             eliminant, ground, k_max).items():
         ext, embed = relative_extension(ground, j)
         basis = rest if j == 1 else [g.map_coefficients(ext, embed) for g in rest]
         solved = set()
-        for root in roots_in_field(part, ext, rng, orbit=j, xp=xp,
-                                   ring=ring):
+        for root in roots_in_field(part, ext, rng, orbit=j,
+                                   quotient=quotient):
             if root.payload in solved:
                 continue
             out += _fiber_points(basis, nvars, root, ground, k_max // j, rng)

@@ -9,20 +9,21 @@ coefficient i at index i*k + j, and all its arithmetic is the field's
 the field's own ring, and products, powers and Frobenius steps
 (`_Ring.apply` on packed rows) by a ring for F_(p^k)[x]/(m), built from
 the field's fold rows with slots for a Frobenius sum. The hot loops
-build no FieldElement.
+build no FieldElement. Each modulus m has one `_Quotient`, which keeps
+that ring, x^p mod m, its powers and their Frobenius table.
 
 Solving factors an eliminant once over the ground field F_q0:
 distinct_degree_factorization takes gcd(x^(q0^j) - x, e) for j = 1, 2, ...
 and returns, for each j, the product of the irreducible factors of degree
-j, with x^p mod that part, and with the ring itself when the part is all
-of e, so that rooting a one-part eliminant (one orbit, as at every
-depth-6 line count) builds no second ring. It works in one ring,
-F_q0[x]/(e): x^p by squaring once, then each q0-th power as [F_q0 : F_p]
-Frobenius steps (von zur Gathen-Shoup 1992), over F_p and its extensions
-alike. Every root of
-that degree-j part has residue degree exactly j, so its roots lie in
-F_(q0^j) and nowhere else, one Frobenius orbit r, r^q0, ...,
-r^(q0^(j-1)) per irreducible factor.
+j with its quotient. When the part is all of e, that is the quotient the
+powers were taken in, so that rooting a one-part eliminant (one orbit,
+as at every depth-6 line count) builds no second ring; otherwise it is
+a factor of it, whose x^p is x^p mod e reduced. It works in one
+quotient, F_q0[x]/(e): x^p by squaring once, then each q0-th power as
+[F_q0 : F_p] Frobenius steps (von zur Gathen-Shoup 1992), over F_p and
+its extensions alike. Every root of that degree-j part has residue
+degree exactly j, so its roots lie in F_(q0^j) and nowhere else, one
+Frobenius orbit r, r^q0, ..., r^(q0^(j-1)) per irreducible factor.
 
 roots_in_field(..., orbit=j) first splits a part over F_q0 into its
 irreducible factors (equal-degree factorization): random splits (x +
@@ -51,9 +52,9 @@ Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) is not taken by
 squaring up to Q either: from x^p mod the polynomial, each p-th power is
 one Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
 log p + 2D products instead of 1.5 * D * log p. x^p and its powers are
-taken over F_q0, where the factorization returns x^p mod each part, and
-lifted: for a line count over F_10007 that is a ring with one digit per
-coefficient, not D.
+taken over F_q0, in the quotient the factorization returns with each
+part, and lifted: for a line count over F_10007 that is a ring with one
+digit per coefficient, not D.
 """
 
 from __future__ import annotations
@@ -99,37 +100,67 @@ def _sub(ring: _Ring, a, b) -> tuple:
     return ring.trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
-def _quotient_ring(field: Field, m) -> _Ring:
-    """F[x]/(m) for the monic flat m, with slots for a Frobenius sum
-    (`_Ring.frobenius_table`)."""
-    p = field.characteristic()
-    return _Ring(p, m, field.degree * (p - 1), field.ring)
+class _Quotient:
+    """F[x]/(f), F the field, f monic flat of degree n >= 1: its `ring`,
+    with slots for a Frobenius sum, `xp` = x^p mod f, the `powers` x^(i p)
+    mod f, i < n, and their Frobenius `table`, each built on first use.
+    x^p is taken in the ring by squaring, unless it was set or it is
+    reduced from the x^p of `multiple`, a quotient f divides."""
 
+    def __init__(self, field: Field, f, multiple: Optional[_Quotient] = None):
+        self.field, self.f, self.multiple = field, f, multiple
 
-def _xp_powers(ring: _Ring, xp) -> list:
-    """1, x^p, x^(2p), ... mod m: the n powers of xp = x^p mod m below
-    x^(n p), n = deg m, that `_Ring.frobenius_table` packs."""
-    powers = [ring.digits(1), xp]
-    while len(powers) < ring.n:
-        powers.append(ring.mul(powers[-1], xp))
-    return powers[:ring.n]
+    @functools.cached_property
+    def ring(self) -> _Ring:
+        p = self.field.characteristic()
+        return _Ring(p, self.f, self.field.degree * (p - 1), self.field.ring)
+
+    @functools.cached_property
+    def xp(self) -> tuple:
+        base, k = self.field.ring, self.field.degree
+        if self.multiple is not None:
+            return base.divmod(self.multiple.xp, self.f)[1]
+        x = base.divmod((0,) * k + (1,) + (0,) * (k - 1), self.f)[1]
+        return base.trim(self.ring.pow(x, self.field.characteristic()))
+
+    @functools.cached_property
+    def powers(self) -> list:
+        ring, xp = self.ring, self.xp
+        powers = [ring.digits(1), xp]
+        while len(powers) < ring.n:
+            powers.append(ring.mul(powers[-1], xp))
+        return powers[:ring.n]
+
+    @functools.cached_property
+    def table(self) -> list:
+        return self.ring.frobenius_table(self.powers, self.field.frob_rows)
+
+    def factor(self, g) -> _Quotient:
+        """The quotient of the monic factor g of f: this one when g is f."""
+        return self if g == self.f else _Quotient(self.field, g, self)
+
+    def qth_power(self, w) -> tuple:
+        """w^q mod f, q = |field|, as [field : F_p] Frobenius steps."""
+        ring, table = self.ring, self.table
+        for _ in range(self.field.degree):
+            w = ring.apply(w, table)
+        return w
 
 
 def distinct_degree_factorization(
         e: List[FieldElement], field: Field, k_max: int
-) -> Dict[int, Tuple[List[FieldElement], List[FieldElement], Optional[tuple]]]:
-    """{j: (part, x^p mod part, ring)} for j <= k_max, part the product
-    of the distinct monic irreducible degree-j factors of e, omitting the
-    j with no such factor. ring is F_q[x]/(part) as `_ground_ring`
-    gives it when the part is all of e (e squarefree of one factor
-    degree), the ring the powers were taken in, else None;
-    `roots_in_field` takes it as it is.
+) -> Dict[int, Tuple[List[FieldElement], _Quotient]]:
+    """{j: (part, quotient)} for j <= k_max, part the product of the
+    distinct monic irreducible degree-j factors of e, omitting the j with
+    no such factor, and quotient its `_Quotient`: the one the powers were
+    taken in when the part is all of e (e squarefree of one factor
+    degree), else a factor of it, whose x^p is reduced from x^p mod e.
 
-    All powers are taken in one ring, F_q[x]/(e), q = p^k: x^p once by
-    squaring, and then each q-th power w^q as k Frobenius steps from the
-    table of x^(i*p) mod e. As f | e, w mod e reduced mod f is w mod f,
-    so the gcds run against the shrinking f and w is never reduced
-    again; x^p mod a part is x^p mod e reduced the same way.
+    All powers are taken in one quotient, F_q[x]/(e), q = p^k: x^p once
+    by squaring, and then each q-th power w^q as k Frobenius steps from
+    the table of x^(i*p) mod e. As f | e, w mod e reduced mod f is w mod
+    f, so the gcds run against the shrinking f and w is never reduced
+    again.
     gcd(x^(q^j) - x, f) is squarefree, so repeated factors, p-th powers
     included, need no derivative: once found, every copy of a factor is
     divided out of f and later steps never see it again.
@@ -140,12 +171,8 @@ def distinct_degree_factorization(
     f = base.monic(f)
     if len(f) == k:
         return {}  # a nonzero constant
-    x = (0,) * k + (1,) + (0,) * (k - 1)
-    ring = _quotient_ring(field, f)
-    xp = base.trim(ring.pow(base.divmod(x, f)[1], field.characteristic()))
-    ground = ring, xp, _xp_powers(ring, xp)
-    table = ring.frobenius_table(ground[2], field.frob_rows)
-    whole, w = f, x
+    whole = _Quotient(field, f)
+    w = x = (0,) * k + (1,) + (0,) * (k - 1)
     parts: Dict[int, tuple] = {}
     for j in range(1, k_max + 1):
         degree = len(f) // k - 1
@@ -154,17 +181,14 @@ def distinct_degree_factorization(
             if 0 < degree <= k_max:
                 parts[degree] = f
             break
-        for _ in range(k):
-            w = ring.apply(w, table)
+        w = whole.qth_power(w)
         g = base.gcd(_sub(base, w, x), f)
         if len(g) > k:
             parts[j] = g
             while len(g) > k:  # every copy of every factor of g
                 f = base.divmod(f, g)[0]
                 g = base.gcd(f, g)
-    return {j: (_elements(field, part),
-                _elements(field, base.divmod(xp, part)[1]),
-                ground if part == whole else None)
+    return {j: (_elements(field, part), whole.factor(part))
             for j, part in sorted(parts.items())}
 
 
@@ -293,18 +317,20 @@ def _half_field(field: Field):
 SPLIT_DRAWS = 100
 
 
-def _split_one(field: Field, ring: _Ring, table, f, rng: random.Random,
+def _split_one(quotient: _Quotient, rng: random.Random,
                degree: int) -> tuple:
-    """A proper monic factor of f, a product of distinct irreducible
-    factors of degree `degree` over the field F_Q, Q = p^D, from
-    gcd((x + r)^((Q^degree-1)/2) - 1, f) for random r; ring is F_Q[x]/(f).
+    """A proper monic factor of the quotient's modulus f, a product of
+    distinct irreducible factors of degree `degree` over its field F_Q,
+    Q = p^D, from gcd((x + r)^((Q^degree-1)/2) - 1, f) for random r.
 
     (Q^degree-1)/2 = (p-1)/2 * (1 + p + ... + p^(degree*D-1)), so the
     power is b * b^p * ... with b = (x + r)^((p-1)/2): each p-th power is
-    a Frobenius step by `table`, None when there is no step (D = degree
-    = 1).
+    a Frobenius step by the quotient's table, built only when there is
+    a step (not at D = degree = 1).
     """
+    field, f, ring = quotient.field, quotient.f, quotient.ring
     k, p = field.degree, field.characteristic()
+    table = quotient.table if degree * k > 1 else None
     d = len(f) // k - 1
     one = (1,) + (0,) * (k - 1)
     for _ in range(SPLIT_DRAWS):
@@ -323,29 +349,21 @@ def _split_one(field: Field, ring: _Ring, table, f, rng: random.Random,
                          f"over {field} in {SPLIT_DRAWS} draws")
 
 
-def _factors(field: Field, f, xp, degree: int, stop: int,
-             rng: random.Random, first=None):
-    """The factors of degree <= stop of the monic flat f, a product of
-    distinct irreducible factors of degree `degree` over field, smaller
-    first: each split (`_split_one`) descends into its smaller factor and
-    stacks the other, a cofactor g/h divided out only when popped. xp is
-    x^p mod f, None when a split takes no Frobenius step; first is the
-    (ring, table) of f's first split, else built from xp mod g."""
-    k = field.degree
-    stack = [(f, None)]  # (g, h): the factor g, or g/h when h is given
+def _factors(quotient: _Quotient, degree: int, stop: int,
+             rng: random.Random):
+    """The factors of degree <= stop of the quotient's modulus f, a
+    product of distinct irreducible factors of degree `degree` over its
+    field, smaller first: each split (`_split_one`, in
+    `quotient.factor(g)`) descends into its smaller factor and stacks the
+    other, a cofactor g/h divided out only when popped."""
+    field, k = quotient.field, quotient.field.degree
+    stack = [(quotient.f, None)]  # (g, h): g, or g/h when h is given
     while stack:
         g, h = stack.pop()
         if h is not None:
             g = field.ring.divmod(g, h)[0]
         while len(g) > (stop + 1) * k:
-            if first is None:
-                ring, table = _quotient_ring(field, g), None
-                if xp is not None:
-                    table = ring.frobenius_table(_xp_powers(
-                        ring, field.ring.divmod(xp, g)[1]), field.frob_rows)
-            else:
-                (ring, table), first = first, None
-            h = _split_one(field, ring, table, g, rng, degree)
+            h = _split_one(quotient.factor(g), rng, degree)
             if 2 * len(h) <= len(g) + k:
                 stack.append((g, h))
                 g = h
@@ -355,23 +373,12 @@ def _factors(field: Field, f, xp, degree: int, stop: int,
         yield g
 
 
-def _ground_ring(sub: Field, f, xp):
-    """(A, xp, powers): A = F_sub[x]/(f) with slots for a Frobenius sum,
-    x^p mod f (taken in A unless given) and its powers below x^(n p).
-    Its callers take the one `distinct_degree_factorization` hands over
-    with a part, when there is one, in place of a call."""
-    s, p = sub.degree, sub.characteristic()
-    ring = _quotient_ring(sub, f)
-    if xp is None:
-        xp = sub.ring.trim(ring.pow((0,) * s + (1,) + (0,) * (s - 1), p))
-    return ring, xp, _xp_powers(ring, xp)
-
-
-def _orbit_quadratic(sub: Field, half: Field, f, xp, ground,
+def _orbit_quadratic(quotient: _Quotient, half: Field,
                      rng: random.Random) -> Optional[List[FieldElement]]:
-    """The quadratic factor over half through one root of f, one Frobenius
-    orbit of degree 2h > 2 over sub = F_q0, with no split; None when the
-    trace below does not generate the subfield.
+    """The quadratic factor over half through one root of f, the
+    quotient's modulus and one Frobenius orbit of degree 2h > 2 over its
+    field sub = F_q0, with no split; None when the trace below does not
+    generate the subfield.
 
     A = F_q0[x]/(f) is a copy of F_(q0^2h), so x is a root of f and y =
     x^(q0^h) its conjugate over the subfield S of index 2, and (X - x)(X
@@ -380,16 +387,10 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp, ground,
     in half: one of them (`_one_root`) fixes an embedding
     of S in half, and u = a_0 + a_1 v + ... + a_(h-1) v^(h-1)
     (`linalg.Echelon`) goes along."""
+    sub, ring = quotient.field, quotient.ring
     s, p = sub.degree, sub.characteristic()
-    ring, _, powers = ground or _ground_ring(sub, f, xp)
-    table = ring.frobenius_table(powers, sub.frob_rows)
     n = ring.n
     h = n // 2
-
-    def sigma(w):  # w^q0
-        for _ in range(s):
-            w = ring.apply(w, table)
-        return w
 
     def add(a, b):
         return tuple((c + d) % p for c, d in zip(a, b))
@@ -397,11 +398,11 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp, ground,
     x = (0,) * s + (1,) + (0,) * (n * s - s - 1)
     y = x
     for _ in range(h):
-        y = sigma(y)
+        y = quotient.qth_power(y)
     v, u = add(x, y), ring.mul(x, y)
     conjugates = [v]
     for _ in range(h - 1):
-        conjugates.append(sigma(conjugates[-1]))
+        conjugates.append(quotient.qth_power(conjugates[-1]))
     if v in conjugates[1:]:
         return None  # v lies in a smaller subfield
     # the minimal polynomial of v, prod (Y - v_i), little-endian in Y,
@@ -411,8 +412,8 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp, ground,
         c = tuple(-d % p for d in c)
         minimal = [add(low, ring.mul(c, high)) for low, high in
                    zip([(0,) * (n * s)] + minimal, minimal + [(0,) * (n * s)])]
-    root = _one_root(sub, half, tuple(d for w in minimal for d in w[:s]),
-                     None, None, rng)
+    root = _one_root(_Quotient(sub, tuple(d for w in minimal for d in w[:s])),
+                     half, rng)
     echelon = Echelon(sub, n)
     w = ring.digits(1)
     for i in range(h):  # v^0, ..., v^(h-1), each tagged by a unit vector
@@ -428,77 +429,67 @@ def _orbit_quadratic(sub: Field, half: Field, f, xp, ground,
     return [image, -root, half.one()]
 
 
-def _one_root(sub: Field, field: Field, g, xp, ground,
+def _one_root(quotient: _Quotient, field: Field,
               rng: random.Random) -> FieldElement:
-    """A root in field of the monic flat g, irreducible of degree j =
-    [field : sub] >= 2 over sub, xp x^p mod g or None, ground the
-    `_ground_ring` of g or None: by the quadratic over the half field at
-    even j, else by descent over field, its first table the powers of
-    x^p in F_sub[x]/(g), lifted."""
+    """A root in field of the quotient's modulus g, irreducible of degree
+    j = [field : sub] >= 2 over its field sub: by the quadratic over the
+    half field at even j, else by descent over field, in the quotient of
+    g lifted to field with x^p and its powers lifted from the quotient
+    over sub."""
+    sub, g = quotient.field, quotient.f
     j = field.degree // sub.degree
     if j % 2 == 0:
         half, root = _half_field(field)
         if j == 2:
             return root(_elements(half, _lift(sub, half, g)))
-        quadratic = _orbit_quadratic(sub, half, g, xp, ground, rng)
+        quadratic = _orbit_quadratic(quotient, half, rng)
         if quadratic is not None:
             return root(quadratic)
-    _, xp, powers = ground or _ground_ring(sub, g, xp)
-    f = _lift(sub, field, g)
-    ring = _quotient_ring(field, f)
-    first = ring, ring.frobenius_table([_lift(sub, field, w) for w in powers],
-                                       field.frob_rows)
-    piece = next(_factors(field, f, _lift(sub, field, xp), 1, 2, rng, first))
+    lifted = _Quotient(field, _lift(sub, field, g))
+    lifted.xp = _lift(sub, field, quotient.xp)
+    lifted.powers = [_lift(sub, field, w) for w in quotient.powers]
+    piece = next(_factors(lifted, 1, 2, rng))
     return _quadratic_roots(field, piece)[0]
 
 
-def _roots(sub: Field, field: Field, f, xp, ground, orbit: int,
+def _roots(quotient: _Quotient, field: Field, orbit: int,
            rng: random.Random) -> List[FieldElement]:
-    """The roots in field of the monic flat f over sub, of degree > 0, as
-    promised by `roots_in_field`, unsorted; xp is x^p mod f or None, and
-    ground the `_ground_ring` of f or None. f splits over sub into one
-    orbit per factor (at orbit 1, factors of degree <= 2), its first
-    split in F_sub[x]/(f); a single orbit is rooted in that ring."""
-    k, stop = sub.degree, max(orbit, 2)
-    first = None
-    if orbit * k == 1:
-        xp = None  # a split over F_p takes no Frobenius step
-    elif len(f) > (stop + 1) * k:  # more than one orbit: a split
-        ring, xp, powers = ground or _ground_ring(sub, f, xp)
-        first = ring, ring.frobenius_table(powers, sub.frob_rows)
-        ground = None  # each factor has a ring of its own
+    """The roots in field of the quotient's modulus f, of degree > 0 over
+    its field sub, as promised by `roots_in_field`, unsorted. f splits
+    over sub in the quotient into one orbit per factor (at orbit 1,
+    factors of degree <= 2), and each orbit is rooted in the quotient of
+    its factor: the quotient itself when f is a single orbit."""
+    sub = quotient.field
     roots = []
-    for g in _factors(sub, f, xp, orbit, stop, rng, first):
+    for g in _factors(quotient, orbit, max(orbit, 2), rng):
         if orbit == 1:
             roots += _quadratic_roots(sub, g)
         else:
-            below = None if xp is None else sub.ring.divmod(xp, g)[1]
-            roots += _orbit(field, _one_root(sub, field, g, below, ground,
-                                             rng), orbit)
+            roots += _orbit(field, _one_root(quotient.factor(g), field, rng),
+                            orbit)
     return roots
 
 
 def roots_in_field(a: List[FieldElement], field: Field, rng: random.Random,
                    *, orbit: int,
-                   xp: Optional[List[FieldElement]] = None,
-                   ring: Optional[tuple] = None) -> List[FieldElement]:
+                   quotient: Optional[_Quotient] = None) -> List[FieldElement]:
     """Distinct roots of `a` lying in the finite field itself, sorted.
 
     orbit=j promises that `a` is a product of distinct irreducible factors
     of degree j over the subfield F_q0 of index j (q0^j = |field|), with
     its coefficients in F_q0 (in the field itself at orbit=1): the
     degree-j part of a distinct-degree factorization over F_q0, as it
-    returns it, and xp, when given, is x^p mod `a` over F_q0, as it
-    returns it too, as is ring, the ring it took its powers in. Then sigma: x -> x^q0 fixes the coefficients, so it
+    returns it, and quotient, when given, is the `_Quotient` it returns
+    with the part. Then sigma: x -> x^q0 fixes the coefficients, so it
     permutes the roots, and every root has exactly j conjugates r,
     sigma(r), ..., sigma^(j-1)(r): one orbit per irreducible factor,
     rooted once. The rng only influences internal splitting choices.
     """
     sub = a[0].field
     assert sub.degree * orbit == field.degree
-    f = _flat(a, sub)
-    if len(f) <= sub.degree:
-        return []  # constants (callers guard the zero polynomial)
-    roots = _roots(sub, field, sub.ring.monic(f),
-                   None if xp is None else _flat(xp, sub), ring, orbit, rng)
-    return sorted(roots, key=field.code_of)
+    if quotient is None:
+        f = _flat(a, sub)
+        if len(f) <= sub.degree:
+            return []  # constants (callers guard the zero polynomial)
+        quotient = _Quotient(sub, sub.ring.monic(f))
+    return sorted(_roots(quotient, field, orbit, rng), key=field.code_of)

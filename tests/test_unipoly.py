@@ -16,7 +16,7 @@ import pytest
 from fanolines import PrimeField, build_extension
 from fanolines.field import (_STRUCT_BITS, FieldElement, _Ring,
                              relative_extension)
-from fanolines.unipoly import (_ground_ring, _quotient_ring, _split_one,
+from fanolines.unipoly import (_Quotient, _split_one,
                                distinct_degree_factorization, roots_in_field)
 
 from conftest import (frobenius_residue_degree, plain_ddf, ring_digits,
@@ -59,23 +59,22 @@ def draw(p, rng, pth_power):
 
 def payload_parts(parts):
     """{j: payload list of the part} of a distinct-degree factorization,
-    after checking that each part comes with x^p mod it
-    (`schoolbook_powmod`), and with its ring only when it is the one
-    part: that ring's modulus is the part, and it holds x^p and one
-    power of it per coefficient."""
+    after checking that each part comes with its quotient: its modulus
+    is the part and its x^p is `schoolbook_powmod`'s, and only the one
+    part of an eliminant may come with the ring the powers were taken
+    in, which holds one power of x^p per coefficient."""
     out = {}
-    for j, (part, xp, quotient) in parts.items():
+    for j, (part, quotient) in parts.items():
         field = part[0].field
         payloads = [c.payload for c in part]
-        x = [field._zero_payload(), field._one_payload()]
-        assert [c.payload for c in xp] == schoolbook_powmod(
-            field, x, field.characteristic(), payloads), j
-        if quotient is not None:
+        if "ring" in vars(quotient):  # built by the factorization
             assert len(parts) == 1
-            ring, flat_xp, powers = quotient
-            assert ring.m == tuple(ring_digits(field, payloads))
-            assert ring_payloads(field, flat_xp) == [c.payload for c in xp]
-            assert len(powers) == len(part) - 1
+            assert len(quotient.powers) == len(part) - 1
+        assert quotient.field == field
+        assert quotient.f == tuple(ring_digits(field, payloads))
+        x = [field._zero_payload(), field._one_payload()]
+        assert ring_payloads(field, quotient.xp) == schoolbook_powmod(
+            field, x, field.characteristic(), payloads), j
         out[j] = payloads
     return out
 
@@ -268,7 +267,7 @@ def test_packed_products_match_the_schoolbook_oracle(p, k):
     assert field.ring.width == expected_width(p, 1, k, 1)
     for n in range(1, 9):
         m = [field.sample(rng).payload for _ in range(n)] + [one]
-        ring = _quotient_ring(field, tuple(ring_digits(field, m)))
+        ring = _Quotient(field, tuple(ring_digits(field, m))).ring
         # F[x]/(m), for a Frobenius sum of k(p - 1) products: 64-bit
         # slots at p = 10007 from n k = 6 on, never for the 33-bit prime
         assert ring.width == expected_width(p, k, n, k * (p - 1))
@@ -483,8 +482,8 @@ COMPLETE_GROUNDS = ([(3, 1, 6), (5, 1, 6), (7, 1, 6), (13, 1, 6),
                          ids=[f"F{p}^{k}" for p, k, _ in COMPLETE_GROUNDS])
 def test_roots_of_every_orbit_are_complete(p, k, k_max):
     # parts of one orbit at every residue degree j <= k_max, and of two
-    # at j <= 4, rooted as the factorization gives them (with x^p mod the
-    # part and without) and mapped into the splitting field at orbit 1:
+    # at j <= 4, rooted as the factorization gives them (with its
+    # quotient and without) and mapped into the splitting field at orbit 1:
     # as many distinct roots as the degree, each a root, so none is
     # missing.
     # F_10009 has p = 1 mod 8 (Tonelli-Shanks with s >= 3)
@@ -499,10 +498,10 @@ def test_roots_of_every_orbit_are_complete(p, k, k_max):
         factored = distinct_degree_factorization(e, ground, k_max)
         assert list(factored) == list(range(1, k_max + 1))
         parts += factored.items()
-    for j, (part, xp, _) in parts:
+    for j, (part, quotient) in parts:
         ext, embed = relative_extension(ground, j)
         mapped = [embed(c) for c in part]
-        got = [roots_in_field(part, ext, rng, orbit=j, xp=xp),
+        got = [roots_in_field(part, ext, rng, orbit=j, quotient=quotient),
                roots_in_field(part, ext, rng, orbit=j),
                roots_in_field(mapped, ext, rng, orbit=1)]
         roots = got[0]
@@ -511,14 +510,15 @@ def test_roots_of_every_orbit_are_complete(p, k, k_max):
         assert got[1] == got[2] == roots, j
 
 
-@pytest.mark.parametrize("shape", [(6,), (5,), (4,), (3, 3), (2, 2)],
+@pytest.mark.parametrize("shape", [(6,), (5,), (4,), (3, 3), (2, 2),
+                                   (1, 1, 1)],
                          ids=lambda shape: "x".join(map(str, shape)))
 def test_one_part_eliminant_builds_its_ring_once(shape, monkeypatch):
     # an eliminant over F_10007 that is one part (one orbit, as at every
-    # depth-6 line count, an odd one, or two of the same degree):
+    # depth-6 line count, an odd one, two or three of the same degree):
     # F_10007[x]/(e) is built once, by the factorization, and its
-    # rooting takes that ring with the part, so the roots match those of
-    # the part rooted on its own
+    # rooting takes that quotient with the part, also for a split over
+    # F_10007, so the roots match those of the part rooted on its own
     ground = PrimeField(10007)
     rng = random.Random(f"one-part-{shape}")
     e = [1]
@@ -529,10 +529,10 @@ def test_one_part_eliminant_builds_its_ring_once(shape, monkeypatch):
     ext = relative_extension(ground, j)[0]
     expected = roots_in_field(e, ext, random.Random(0), orbit=j)
     _, rings, _ = count_work(monkeypatch)
-    (part, xp, ring), = distinct_degree_factorization(e, ground, 6).values()
-    assert part == e and ring is not None
-    assert roots_in_field(part, ext, random.Random(0), orbit=j, xp=xp,
-                          ring=ring) == expected
+    (part, quotient), = distinct_degree_factorization(e, ground, 6).values()
+    assert part == e and "ring" in vars(quotient)
+    assert roots_in_field(part, ext, random.Random(0), orbit=j,
+                          quotient=quotient) == expected
     assert rings.count((1, len(e) - 1)) == 1
 
 
@@ -551,8 +551,7 @@ def test_every_irreducible_over_f3_is_rooted(j):
         if list(parts) != [j]:
             continue
         count += 1
-        _, xp, ring = parts[j]
-        roots = roots_in_field(f, ext, rng, orbit=j, xp=xp, ring=ring)
+        roots = roots_in_field(f, ext, rng, orbit=j, quotient=parts[j][1])
         assert len(set(roots)) == len(roots) == j, f
         assert all(horner([embed(c) for c in f], r).is_zero() for r in roots)
     assert count == {4: 18, 6: 116}[j]
@@ -564,9 +563,7 @@ def test_a_split_with_no_proper_factor_fails_rather_than_hangs():
     # must raise after a bounded number of draws. The alarm turns a
     # search without end into a failure instead of a stalled suite.
     f7 = PrimeField(7)
-    f = (1, 0, 1)
-    ring, _, powers = _ground_ring(f7, f, None)
-    table = ring.frobenius_table(powers, f7.frob_rows)
+    quotient = _Quotient(f7, (1, 0, 1))
 
     def timeout(signum, frame):
         raise TimeoutError("_split_one drew without end")
@@ -576,7 +573,7 @@ def test_a_split_with_no_proper_factor_fails_rather_than_hangs():
     try:
         with pytest.raises(AssertionError,
                            match=r"degree-2 factors over GF\(7\) in \d+ "):
-            _split_one(f7, ring, table, f, random.Random(0), 2)
+            _split_one(quotient, random.Random(0), 2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
