@@ -83,8 +83,8 @@ The operations:
   F_10007, with its Hilbert data cached on the ideal after the first
   call: the singular-dimension certificate of an r >= 3 verdict;
 - `node lines open r3`, `r4` and `r5`: the same at the first node of
-  `voisin-demo r --prime p --seed s` for (r, p, s) = (3, 11, 28),
-  (4, 11, 7) and (5, 7, 7), whose first try is not decided by g and h
+  `voisin-demo r --prime p --seed s` for (r, p, s) = (3, 11, 2),
+  (4, 11, 2) and (5, 7, 5), whose first try is not decided by g and h
   restricted to the cut alone but by the full Jacobian's minors there.
 
 Every name used exists in each version of the package that has
@@ -314,7 +314,7 @@ def operations(directory: str):
         ops.append((f"node lines r{r} GF(10007)",
                     lambda r=r, system=system: analyze_node_lines(system, r),
                     1))
-    for r, p, seed in ((3, 11, 28), (4, 11, 7), (5, 7, 7)):
+    for r, p, seed in ((3, 11, 2), (4, 11, 2), (5, 7, 5)):
         nfc = normal_form_cubic(r, PrimeField(p), seed)
         system = node_line_system(nfc, nodes(nfc, seed=seed)[0].point)
         ops.append((f"node lines open r{r} GF({p})",

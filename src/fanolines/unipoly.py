@@ -26,20 +26,20 @@ degree exactly j, so its roots lie in F_(q0^j) and nowhere else, one
 Frobenius orbit r, r^q0, ..., r^(q0^(j-1)) per irreducible factor.
 
 roots_in_field(..., orbit=j) first splits a part over F_q0 into its
-irreducible factors (equal-degree factorization): random splits (x +
-r)^((Q^d-1)/2) - 1 of a product of degree-d factors over F_Q, each
-descending into the smaller factor. Each factor is one orbit, rooted
-once; the rest of the orbit is Frobenius images of that root. Every
-root ends in the quadratic formula. A factor of degree 2 is its own
-quadratic. For one of degree 2h >= 4, its quadratic through x over
-the half-degree field F_(q0^h) has the trace and norm of x down to
-F_(q0^h) as coefficients, brought into F_(q0^h) by a root of the
+irreducible factors (equal-degree factorization): random splits
+u^((Q^d-1)/2) - 1 of a product of degree-d factors over F_Q, u uniform
+of lower degree, each descending into the smaller factor. Each factor is
+one orbit, rooted once; the rest of the orbit is Frobenius images of
+that root. Every root ends in the quadratic formula. A factor of degree
+2 is its own quadratic. For one of degree 2h >= 4, its quadratic through
+x over the half-degree field F_(q0^h) has the trace and norm of x down
+to F_(q0^h) as coefficients, brought into F_(q0^h) by a root of the
 trace's minimal polynomial, a factor of degree h. A factor of odd
 degree, or one whose trace lies in a smaller subfield, descends by the
-same splits over F_(q0^j) on linear factors to one of degree at most
-2. Over F_(q0^h) a quadratic's discriminant D is a non-square, so
-sqrt(D) = sqrt(D/z) sqrt(z) for a fixed non-square z of F_(q0^h), with
-sqrt(z) in F_(q0^j) found once per pair of fields.
+same splits over F_(q0^j) on linear factors to one of degree at most 2.
+Over F_(q0^h) a quadratic's discriminant D is a non-square, so sqrt(D) =
+sqrt(D/z) sqrt(z) for a fixed non-square z of F_(q0^h), with sqrt(z) in
+F_(q0^j) found once per pair of fields.
 
 Square roots take no long power, only norms to subfields and Frobenius
 steps (as in Adj-Rodriguez-Henriquez 2014): over
@@ -48,7 +48,7 @@ p^(e-1), a power by (p+1)/2 and Frobenius steps, N(a) = a^S in F_p; over
 F_(q^2), sqrt(a) = (a + n) / sqrt(a + a^q + 2n) with n = +-sqrt(a^(q+1)),
 two square roots in F_q. Only F_p takes a Tonelli-Shanks power, on ints.
 
-Over F_Q, Q = p^D, the splitting power (x + r)^((Q-1)/2) is not taken by
+Over F_Q, Q = p^D, the splitting power u^((Q-1)/2) is not taken by
 squaring up to Q either: from x^p mod the polynomial, each p-th power is
 one Frobenius step, sum of c_j^p * x^(j*p), so a power costs about
 log p + 2D products instead of 1.5 * D * log p. x^p and its powers are
@@ -321,10 +321,14 @@ def _split_one(quotient: _Quotient, rng: random.Random,
                degree: int) -> tuple:
     """A proper monic factor of the quotient's modulus f, a product of
     distinct irreducible factors of degree `degree` over its field F_Q,
-    Q = p^D, from gcd((x + r)^((Q^degree-1)/2) - 1, f) for random r.
+    Q = p^D, from gcd(u^((Q^degree-1)/2) - 1, f) for u drawn uniformly of
+    degree < deg f (von zur Gathen-Gerhard, Alg. 14.8). u is a uniform
+    element of every factor's field F_(Q^degree), so each draw splits
+    two or more factors with probability about 1/2 or more; the shifts
+    x + r alone are Q draws, which can all fail.
 
     (Q^degree-1)/2 = (p-1)/2 * (1 + p + ... + p^(degree*D-1)), so the
-    power is b * b^p * ... with b = (x + r)^((p-1)/2): each p-th power is
+    power is b * b^p * ... with b = u^((p-1)/2): each p-th power is
     a Frobenius step by the quotient's table, built only when there is
     a step (not at D = degree = 1).
     """
@@ -334,7 +338,7 @@ def _split_one(quotient: _Quotient, rng: random.Random,
     d = len(f) // k - 1
     one = (1,) + (0,) * (k - 1)
     for _ in range(SPLIT_DRAWS):
-        b = ring.pow(_flat([field.sample(rng), field.one()], field),
+        b = ring.pow(tuple(rng.randrange(p) for _ in range(d * k)),
                      (p - 1) // 2)
         h = b
         for _ in range(degree * k - 1):

@@ -14,13 +14,14 @@ r = 2 its singular locus is three points, and for r >= 3 it has dimension
 at most 2r-4.
 
 That bound is certified by a random cut of codimension 2r-3 that misses
-the singular locus, decided on the cut itself, a P^3 for independent
-forms: f_2 and f_3 restricted to it, first with the rank-drop ideal of
-the two restrictions (2 + 6 generators in 4 variables; by the chain rule
-and Cauchy-Binet its zeros hold the singular points on the cut), and
-where that is not empty with the 2x2 minors of the full Jacobian
-restricted to the cut, whose zeros are exactly those points. No ideal
-in the 2r+1 variables of P^{2r} is built for the cut.
+the singular locus, decided on the cut itself, a P^3 drawn as the image
+of z -> K z, K = [B; I_4] with B random: f_2 and f_3 restricted to it,
+first with the rank-drop ideal of the two restrictions (2 + 6
+generators in 4 variables; by the chain rule and Cauchy-Binet its zeros
+hold the singular points on the cut), and where that is not empty with
+the 2x2 minors of the full Jacobian restricted to the cut, whose zeros
+are exactly those points. No ideal in the 2r+1 variables of P^{2r} is
+built for the cut.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .idealkit import (DEFAULT_BUDGET, Ideal, certify_reduced_point,
                        dimension_text, hilbert_data, jacobian_rank_at,
                        point_certificate, rational_points, solve_report,
                        variety_report)
-from .linalg import Echelon, unit_row
-from .poly import (LEX, Packing, Polynomial, _lowered, _unit, evaluate_at,
+from .poly import (LEX, Packing, Polynomial, _lowered, evaluate_at,
                    frobenius_orbits, random_homogeneous, restrict)
 from .projgeo import ProjectivePoint
 
@@ -244,41 +244,13 @@ def _jacobian_minors(field: Field, nvars: int, degree: int,
         for sums in minors]
 
 
-def linear_section(forms: Sequence[Polynomial]) -> List[Polynomial]:
-    """The images x_i -> (K z)_i of a parametrization of the common zeros
-    L of linear forms in x_0, ..., x_{n-1}: the columns of K are a basis
-    of the null space of the forms' coefficient matrix, so z -> K z maps
-    onto L and is injective, and f(K z) is f restricted to L.
-
-    Column i of that matrix goes into a `linalg.Echelon` with the unit
-    vector e_i appended, as in `fglm.fglm_lex`; a column that reduces to
-    zero leaves in the appended part the null vector it equals. These
-    are n - rank vectors, each with a 1 at its own column and zeros at
-    the later dependent ones, so a basis.
-    """
-    field, n, c = forms[0].field, forms[0].nvars, len(forms)
-    zero, is_zero = field._zero_payload(), field._is_zero
-    echelon = Echelon(field, c)
-    kernel = []
-    for i in range(n):
-        unit, rank = _unit(n, i), echelon.rank
-        w = echelon.add([f.terms[unit].payload if unit in f.terms else zero
-                         for f in forms] + unit_row(field, i, n))
-        if echelon.rank == rank:
-            kernel.append(w[c:])
-    m = len(kernel)
-    return [Polynomial.from_payloads(field, m, {
-        _unit(m, j): v[i] for j, v in enumerate(kernel) if not is_zero(v[i])})
-        for i in range(n)]
-
-
-def restricted_cut_misses(ideal: Ideal, forms: Sequence[Polynomial]) -> bool:
+def restricted_cut_misses(ideal: Ideal,
+                          images: Sequence[Polynomial]) -> bool:
     """Whether the singular locus V(rank_drop_ideal(ideal)) of V(g, h)
-    misses L = V(forms), decided on L itself: True exactly when the
-    rank-drop ideal with the forms appended has no zeros. z -> K z
-    (`linear_section`) maps onto L and is injective, so the singular
-    points on L are the images of the zeros of g o K, h o K and the 2x2
-    minors of J(g, h) at K z.
+    misses L, the image of an injective linear map z -> K z given by
+    the images x_i -> (K z)_i, decided on L itself: the singular points
+    on L are the images of the zeros of g o K, h o K and the 2x2 minors
+    of J(g, h) at K z.
 
     Stage 1 is cheaper and runs first: the rank-drop ideal of g o K and
     h o K, 2 + 6 generators for L = P^3. By the chain rule
@@ -290,7 +262,6 @@ def restricted_cut_misses(ideal: Ideal, forms: Sequence[Polynomial]) -> bool:
     C(n, 2) minors of the partials of g and h (`poly._lowered`)
     substituted by the same images (`_jacobian_minors`).
     """
-    images = linear_section(forms)
     gens = ideal.nonzero_generators()
     restricted = [g.substitute(images) for g in gens]
     if all(restricted) and hilbert_data(
@@ -315,17 +286,20 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
     """Verify the line system through a node: dimension 2r-2, degree 6,
     complete intersection, plus its singular locus.
 
-    For r = 1 the system is finite and smooth, so the rank-drop ideal
-    must be empty. For r = 2 the singular locus is three reduced points,
+    For r = 1 the singular locus is recorded with no prediction: the
+    direction to the cubic surface's second node is a double point of
+    the system. For r = 2 the singular locus is three reduced points,
     solved and certified individually. For r >= 3 only the dimension
-    bound 2r-4 is certified, by a cut with 2r-3 random linear forms that
-    misses the locus: an empty cut certifies dim < 2r-3 over the
-    algebraic closure, as the forms cut out a subspace L of codimension
-    at most 2r-3. Each of up to SLICE_RETRIES tries draws its forms from
-    random.Random(seed) and is decided on L, a P^3 for independent forms
-    (`restricted_cut_misses`), exactly as the forms appended to the full
-    rank-drop ideal would decide it; no ideal in 2r + 1 variables is
-    built."""
+    bound 2r-4 is certified, by a cut of codimension 2r-3 that misses
+    the locus: an empty cut certifies dim < 2r-3 over the algebraic
+    closure. Each of up to SLICE_RETRIES tries draws its cut L, a P^3,
+    from random.Random(seed) as the image of z -> K z, K = [B; I_4]:
+    x_i -> b_i(z) for i < 2r-3, each b_i a random linear form in
+    z_0..z_3, and x_(2r-3+j) -> z_j. 2r-3 random forms F = [F_1 | F_2]
+    with F_1 invertible cut out the image of [B; I_4], B = -F_1^-1 F_2
+    uniform, so these cuts are distributed as theirs. Each try is
+    decided on L (`restricted_cut_misses`); no ideal in 2r + 1
+    variables is built."""
     report = variety_report(ideal, {
         "dimension": str(2 * r - 2),
         "degree": "6",
@@ -360,9 +334,10 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
         bound = 2 * r - 4
         predicted["singular_dim_bound"] = f"<={bound}"
         rng = random.Random(seed)
+        z = [Polynomial.variable(ideal.field, 4, j) for j in range(4)]
         certified = any(restricted_cut_misses(ideal, [
-            random_homogeneous(ideal.field, ideal.nvars, 1, rng)
-            for _ in range(bound + 1)]) for _ in range(SLICE_RETRIES))
+            random_homogeneous(ideal.field, 4, 1, rng)
+            for _ in range(bound + 1)] + z) for _ in range(SLICE_RETRIES))
         computed["singular_dim_bound"] = f"<={bound}" if certified else "unknown"
         if not certified:
             report["flags"].append(

@@ -694,6 +694,21 @@ def plain_rank_drop_ideal(ideal):
                            for i in range(n) for j in range(i + 1, n)])
 
 
+def node_direction(y, z):
+    """The direction from the node y to the point z of P^N, both given by
+    coordinate lists over one field, any representatives: in the frame
+    of `projgeo.move_to_base_point(y)`, z = w_0 y + sum of w_j e_j over
+    j != piv, piv the pivot of y, so the direction is the point of
+    P^(N-1) with coordinates z_j - (z_piv / y_piv) y_j, j != piv. The
+    oracle of the singular points of the line scheme through a node of
+    a normal-form cubic: for r = 2 and 3 they are the directions to the
+    other nodes."""
+    piv = next(i for i, c in enumerate(y) if not c.is_zero())
+    ratio = z[piv] / y[piv]
+    return ProjectivePoint([zj - ratio * yj for j, (yj, zj)
+                            in enumerate(zip(y, z)) if j != piv])
+
+
 def appended_cut_misses(ideal, forms):
     """Whether the linear forms, appended to the whole rank-drop ideal of
     `ideal` in its own variables, cut out nothing. The oracle of
@@ -705,18 +720,36 @@ def appended_cut_misses(ideal, forms):
         list(rank_drop_ideal(ideal).generators) + list(forms)))[0] < 0
 
 
+def cut_forms(images):
+    """The forms x_i - b_i(x_(n-4), ..., x_(n-1)), i < n - 4, whose zeros
+    are the image of z -> K z, K = [B; I_4], given by its images
+    x_i -> b_i(z), i < n - 4, and x_(n-4+j) -> z_j."""
+    from fanolines import Polynomial
+    field, n = images[0].field, len(images)
+    assert images[n - 4:] == [Polynomial.variable(field, 4, j)
+                              for j in range(4)]
+    last = [Polynomial.variable(field, n, n - 4 + j) for j in range(4)]
+    return [Polynomial.variable(field, n, i) - b.substitute(last)
+            for i, b in enumerate(images[:n - 4])]
+
+
 def appended_cut_tries(ideal, r, seed, tries):
     """Per try of the r >= 3 singular-dimension certificate of
     `voisin.analyze_node_lines`, whether the appended cut misses the
     singular locus (`appended_cut_misses`): random.Random(seed) draws
-    2r - 3 linear forms per try, as `idealkit.random_slice` does. Every
-    try is taken, also after one that misses."""
+    2r - 3 linear forms b_i in four variables per try, as
+    `analyze_node_lines` does, and the cut appends the forms that cut
+    out the image of that try's z -> K z (`cut_forms`). Every try is
+    taken, also after one that misses."""
     import random
+    from fanolines import Polynomial
     from fanolines.poly import random_homogeneous
+    field = ideal.field
+    z = [Polynomial.variable(field, 4, j) for j in range(4)]
     rng = random.Random(seed)
-    return [appended_cut_misses(ideal, [
-        random_homogeneous(ideal.field, ideal.nvars, 1, rng)
-        for _ in range(2 * r - 3)]) for _ in range(tries)]
+    return [appended_cut_misses(ideal, cut_forms([
+        random_homogeneous(field, 4, 1, rng) for _ in range(2 * r - 3)] + z))
+        for _ in range(tries)]
 
 
 class _TokenParser:

@@ -298,6 +298,17 @@ def test_voisin_demo_ok(capsys):
     assert code == 0
 
 
+def test_voisin_demo_roots_an_octic_no_shift_splits(capsys):
+    # seed 28 roots (x^4 + x^3 + 3x^2 + 3x + 2)(x^4 + 4x^3 + 5x + 2) over
+    # F_(7^4), whose quartic factors over F_7 the splitting power of no
+    # shift x + r separates; it runs to its resample instead of raising
+    code = main(["voisin-demo", "4", "--prime", "7", "--seed", "28",
+                 "--json", "-"])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0
+    assert [a["seed"] for a in report["attempts"]] == ["28", "29", "30"]
+
+
 def test_groebner_json_to_stdout(fixture_file, capsys):
     code = main(["groebner", fixture_file, "--order", "lex", "--json", "-"])
     assert code == 0

@@ -557,6 +557,21 @@ def test_every_irreducible_over_f3_is_rooted(j):
     assert count == {4: 18, 6: 116}[j]
 
 
+def test_an_octic_no_shift_splits_is_rooted():
+    # (x^4 + x^3 + 3x^2 + 3x + 2)(x^4 + 4x^3 + 5x + 2) over F_7: the
+    # splitting power of no shift x + r, r in F_7, separates its two
+    # quartic factors, so a split must draw u of every degree < 8. Its
+    # eight roots over F_(7^4) are checked against every element there
+    f7 = PrimeField(7)
+    ext, embed = relative_extension(f7, 4)
+    f = [f7.from_int(c) for c in int_mul([2, 3, 3, 1, 1], [2, 5, 0, 4, 1], 7)]
+    roots = roots_in_field(f, ext, random.Random(0), orbit=4)
+    lifted = [embed(c) for c in f]
+    assert roots == [x for x in map(ext.element_from_code, range(7 ** 4))
+                     if horner(lifted, x).is_zero()]
+    assert len(roots) == 8
+
+
 def test_a_split_with_no_proper_factor_fails_rather_than_hangs():
     # x^2 + 1 is irreducible over F_7, so no draw splits it: a fault that
     # hands `_split_one` a single factor (or a wrong Frobenius table)

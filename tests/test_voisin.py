@@ -6,6 +6,7 @@ by an exhaustive Jacobian scan over small fields and compared against
 the certified list, extension level by extension level.
 """
 
+import math
 import random
 import re
 
@@ -14,25 +15,25 @@ from hypothesis import given, settings, strategies as st
 
 from fanolines import (Ideal, Polynomial, PrimeField, ProjectivePoint,
                        build_extension)
-from fanolines.poly import _unit, random_homogeneous
+from fanolines.poly import random_homogeneous
 from fanolines import voisin
 from fanolines.voisin import (NormalFormCubic, analyze_node_lines,
-                              certify_node, linear_section, node_line_system,
+                              certify_node, node_line_system,
                               nodes, normal_form_cubic, rank_drop_ideal,
                               restricted_cut_misses, restricted_quadrics,
                               run_node_analysis)
+from fanolines.field import embedding
 from fanolines.idealkit import (certify_reduced_point, hilbert_data,
-                                matched, singular_points, slice_degree)
+                                matched, rational_points, singular_points,
+                                slice_degree)
 from fanolines.errors import DegenerateInstance, InvalidParameters
-from fanolines.linalg import mat_rank
 
 from conftest import (appended_cut_misses, appended_cut_tries,
-                      chart_quadratic_rank, parse, plain_rank_drop_ideal,
-                      sympy_hessian_rank)
+                      chart_quadratic_rank, cut_forms, node_direction, parse,
+                      plain_rank_drop_ideal, sympy_hessian_rank)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
-F11 = PrimeField(11)
 F10007 = PrimeField(10007)
 
 
@@ -354,6 +355,39 @@ def test_rank_drop_minors_at_the_packer_bound(field):
             == plain_rank_drop_ideal(ideal).generators)
 
 
+def lifted(point, field, scale=1):
+    """The coordinates of point mapped into field (`embedding`), times
+    scale."""
+    lift = embedding(point.field, field)
+    return [lift(c) * scale for c in point.coords]
+
+
+@pytest.mark.parametrize("r, p, seed", [
+    (2, p, seed) for p in (11, 101, 10007) for seed in range(6)] + [
+    (3, p, seed) for p in (101, 10007) for seed in range(3)])
+def test_singular_points_are_the_directions_to_the_other_nodes(r, p, seed):
+    # the paper's second result: the singular locus of the line scheme
+    # through a node y is the 2^r - 1 directions to the other nodes
+    # (`conftest.node_direction`), each a reduced point, and nothing
+    # else: its degree is its count. The analyzed node lies over F_p,
+    # F_(p^2) or F_(p^4), and the two sets meet in a field whose degree
+    # is the lcm of all their degrees. The nodes go in as representatives
+    # scaled by 2 and 3, so that the pivot ratio matters
+    nfc = normal_form_cubic(r, PrimeField(p), seed)
+    certs = nodes(nfc, seed=seed)
+    y = certs[0].point
+    rd = rank_drop_ideal(node_line_system(nfc, y))
+    assert hilbert_data(rd) == (0, 2 ** r - 1)
+    points = rational_points(rd, k_max=2 ** r, seed=seed)
+    common = build_extension(p, math.lcm(*(
+        q.field.degree for q in [c.point for c in certs] + points)))
+    directions = {node_direction(lifted(y, common, 2),
+                                 lifted(c.point, common, 3))
+                  for c in certs[1:]}
+    assert len(directions) == 2 ** r - 1
+    assert {ProjectivePoint(lifted(q, common)) for q in points} == directions
+
+
 def cusp_system(field):
     """g = x0*x4 + Q and h = x0*(x1^2 + x2^2 + x4*(x1 + x3)) + C, Q and C
     random forms in x1..x4 only. At [1:0:0:0:0] the surface V(g, h) is
@@ -478,25 +512,36 @@ def test_analyze_node_lines_r3_bounds_singular_dimension():
     assert report["predicted"]["singular_dim_bound"] == "<=2"
 
 
-def drawn_forms(ideal, r, seed, tries):
-    """Per try, the 2r - 3 forms that `analyze_node_lines` draws from
-    random.Random(seed); every try is taken."""
+def drawn_images(ideal, r, seed, tries):
+    """Per try, the images x_i -> (K z)_i, K = [B; I_4], of the cut L
+    that `analyze_node_lines` draws from random.Random(seed): 2r - 3
+    random linear forms in z_0..z_3, then z_0..z_3 themselves. Every try
+    is taken."""
     rng = random.Random(seed)
-    return [[random_homogeneous(ideal.field, ideal.nvars, 1, rng)
-             for _ in range(2 * r - 3)] for _ in range(tries)]
+    z = [Polynomial.variable(ideal.field, 4, j) for j in range(4)]
+    return [[random_homogeneous(ideal.field, 4, 1, rng)
+             for _ in range(2 * r - 3)] + z for _ in range(tries)]
+
+
+def section(field, texts):
+    """The images x_i -> (K z)_i of a hand-built L, one text each in
+    z_0..z_3 (written x0..x3)."""
+    return [parse(text, 4, field) for text in texts]
 
 
 def restricted_tries(ideal, r, seed, tries):
-    """Per try, `restricted_cut_misses` on the forms of `drawn_forms`."""
-    return [restricted_cut_misses(ideal, forms)
-            for forms in drawn_forms(ideal, r, seed, tries)]
+    """Per try, `restricted_cut_misses` on the images of `drawn_images`."""
+    return [restricted_cut_misses(ideal, images)
+            for images in drawn_images(ideal, r, seed, tries)]
 
 
 def appended_cut_report(monkeypatch, ideal, r, seed):
     """The report of `analyze_node_lines` with each try decided by the
-    appended cut (`conftest.appended_cut_misses`)."""
+    appended cut of the forms that cut out its L
+    (`conftest.appended_cut_misses`, `conftest.cut_forms`)."""
     with monkeypatch.context() as patch:
-        patch.setattr(voisin, "restricted_cut_misses", appended_cut_misses)
+        patch.setattr(voisin, "restricted_cut_misses", lambda ideal, images: (
+            appended_cut_misses(ideal, cut_forms(images))))
         return analyze_node_lines(ideal, r, seed=seed)
 
 
@@ -531,42 +576,24 @@ def shapes(ideals):
     return [(len(ideal.generators), ideal.nvars) for ideal in ideals]
 
 
-def open_tries(ideal, forms_per_try, decided):
+def open_tries(ideal, images_per_try, decided):
     """The tries stage 1 of `restricted_cut_misses` leaves open, read off
-    the ideals voisin decided (`recorded_cuts`) over `forms_per_try`. Each
-    try decides the 2 + 6 generators of g and h restricted to L = P^3;
-    one whose stage 1 has zeros decides next the full rank-drop ideal's
-    generators (`plain_rank_drop_ideal`) substituted by that try's images
-    (`linear_section`), generator for generator, and nothing else."""
+    the ideals voisin decided (`recorded_cuts`) over `images_per_try`.
+    Each try decides the 2 + 6 generators of g and h restricted to
+    L = P^3; one whose stage 1 has zeros decides next the full rank-drop
+    ideal's generators (`plain_rank_drop_ideal`) substituted by that
+    try's images, generator for generator, and nothing else."""
     full = plain_rank_drop_ideal(ideal).generators
     opened, calls = [], iter(decided)
-    for t, forms in enumerate(forms_per_try):
+    for t, images in enumerate(images_per_try):
         stage_one = next(calls)
         assert shapes([stage_one]) == [(8, 4)]
         if hilbert_data(stage_one)[0] >= 0:
-            images = linear_section(forms)
             assert list(next(calls).generators) == [
                 f.substitute(images) for f in full]
             opened.append(t)
     assert next(calls, None) is None
     return opened
-
-
-@pytest.mark.parametrize("p", [7, 11, 101, 10007])
-def test_linear_section_parametrizes_the_common_zeros(p):
-    field, rng = PrimeField(p), random.Random(p)
-    for n, c in ((7, 3), (9, 5), (5, 1)):
-        forms = [random_homogeneous(field, n, 1, rng) for _ in range(c)]
-        forms.append(forms[0] + forms[-1])  # dependent: L stays the same
-        rank = mat_rank([[f.terms.get(_unit(n, i), field.zero())
-                          for i in range(n)] for f in forms])
-        images = linear_section(forms)
-        m = n - rank
-        assert len(images) == n and {im.nvars for im in images} == {m}
-        assert all(f.substitute(images).is_zero() for f in forms)
-        # z -> K z is injective, so it maps onto the common zeros
-        assert mat_rank([[im.terms.get(_unit(m, j), field.zero())
-                          for j in range(m)] for im in images]) == m
 
 
 @pytest.mark.parametrize("p", [7, 11, 101, 10007])
@@ -594,32 +621,33 @@ def test_restricted_cut_certifies_only_where_the_appended_cut_does(r, p):
 
 def test_a_try_the_restriction_leaves_open_is_decided_by_the_full_cut(
         monkeypatch):
-    # the first node of `voisin-demo 3 --prime 11 --seed 28`: the forms
-    # of the first two tries cut L tangent to the line scheme, so stage 1
+    # the first node of `voisin-demo 3 --prime 7 --seed 7`: the cuts L
+    # of the first two tries are tangent to the line scheme, so stage 1
     # leaves them open, while every appended cut is empty. Stage 2
     # decides the first try on L, by the 21 minors of the full Jacobian
     # restricted to it: 2 + 21 generators in 4 variables, and no ideal
     # in 7 variables is built
-    nfc = normal_form_cubic(3, F11, 28)
-    ideal = node_line_system(nfc, nodes(nfc, seed=28)[0].point)
-    forms = drawn_forms(ideal, 3, 28, 3)
-    assert appended_cut_tries(ideal, 3, 28, 3) == [True] * 3
-    expected = appended_cut_report(monkeypatch, ideal, 3, 28)
+    nfc = normal_form_cubic(3, F7, 7)
+    ideal = node_line_system(nfc, nodes(nfc, seed=7)[0].point)
+    images = drawn_images(ideal, 3, 7, 3)
+    assert appended_cut_tries(ideal, 3, 7, 3) == [True] * 3
+    expected = appended_cut_report(monkeypatch, ideal, 3, 7)
     built = recorded_rank_drop_ideals(monkeypatch)
     decided = recorded_cuts(monkeypatch)
-    assert [restricted_cut_misses(ideal, f) for f in forms] == [True] * 3
-    assert open_tries(ideal, forms, decided) == [0, 1]
+    assert [restricted_cut_misses(ideal, i) for i in images] == [True] * 3
+    assert open_tries(ideal, images, decided) == [0, 1]
     del built[:], decided[:]
-    report = analyze_node_lines(ideal, 3, seed=28)
+    report = analyze_node_lines(ideal, 3, seed=7)
     assert built == [(8, 4)]
     assert shapes(decided) == [(8, 4), (23, 4)]
     assert report == expected and matched(report)
     assert report["computed"]["singular_dim_bound"] == "<=2"
-    assert run_node_analysis(3, F11, 28)["attempts"] == [
-        {"seed": "28", "outcome": "ok"}]
+    assert run_node_analysis(3, F7, 7)["attempts"] == [
+        {"seed": "7", "outcome": "ok"}]
 
 
-@pytest.mark.parametrize("r, seed, opened", [(4, 4, [2]), (5, 7, [0, 2])])
+@pytest.mark.parametrize("r, seed, opened", [
+    (4, 4, [0, 1]), (5, 5, [0, 1, 2]), (4, 20, [2])])
 def test_open_tries_build_no_ideal_in_the_ambient_space(monkeypatch, r, seed,
                                                         opened):
     # the first node of `voisin-demo r --prime 7 --seed s`: every appended
@@ -628,12 +656,12 @@ def test_open_tries_build_no_ideal_in_the_ambient_space(monkeypatch, r, seed,
     # restricted to it; no rank-drop ideal in 2r + 1 variables is built
     nfc = normal_form_cubic(r, F7, seed)
     ideal = node_line_system(nfc, nodes(nfc, seed=seed)[0].point)
-    forms = drawn_forms(ideal, r, seed, 3)
+    images = drawn_images(ideal, r, seed, 3)
     assert appended_cut_tries(ideal, r, seed, 3) == [True] * 3
     built = recorded_rank_drop_ideals(monkeypatch)
     decided = recorded_cuts(monkeypatch)
-    assert [restricted_cut_misses(ideal, f) for f in forms] == [True] * 3
-    assert open_tries(ideal, forms, decided) == opened
+    assert [restricted_cut_misses(ideal, i) for i in images] == [True] * 3
+    assert open_tries(ideal, images, decided) == opened
     assert built == [(8, 4)] * 3
 
 
@@ -655,13 +683,15 @@ def test_a_three_dimensional_singular_locus_stays_unknown(p):
 def test_restricted_cut_is_open_where_a_generator_vanishes_on_l():
     # x0 x1 is zero on L = V(x0, x2 - x3, x5), so its restriction is
     # zero and stage 1 decides nothing; stage 2 finds the singular points
-    # x1 = h = 0 on L, as the appended cut does
+    # x1 = h = 0 on L, as the appended cut does. L is the image of
+    # z -> (0, z0, z1, z1, z2, 0, z3)
     field = F10007
     ideal = Ideal([parse("x0*x1", 7, field),
                    parse("x2^3 + x4^3 - x6^3 + x1*x5^2", 7, field)])
+    images = section(field, ("0", "x0", "x1", "x1", "x2", "0", "x3"))
+    assert ideal.generators[0].substitute(images).is_zero()
+    assert not restricted_cut_misses(ideal, images)
     forms = [parse(text, 7, field) for text in ("x0", "x2 - x3", "x5")]
-    assert linear_section(forms)[0].is_zero()
-    assert not restricted_cut_misses(ideal, forms)
     assert not appended_cut_misses(ideal, forms)
 
 
@@ -671,14 +701,15 @@ def test_a_cut_inside_one_generator_is_decided_on_l(p):
     # rank 6, so on L the rank drops only at singular points of h on L
     # or at g's vertex e6, where this h is not zero: for h a smooth cubic
     # surface on L, the singular locus misses L, and only stage 2 can
-    # say so
+    # say so. L is the image of z -> (0, z0, 0, z1, 0, z2, z3)
     field = PrimeField(p)
     h = random_homogeneous(field, 7, 3, random.Random(p)) + parse(
         "x6^3 + x1^3 + x3^3 + x5^3", 7, field)
     ideal = Ideal([parse("x0*x1 + x2*x3 + x4*x5", 7, field), h])
     forms = [parse(text, 7, field) for text in ("x0", "x2", "x4")]
     assert appended_cut_misses(ideal, forms)
-    assert restricted_cut_misses(ideal, forms)
+    assert restricted_cut_misses(ideal, section(
+        field, ("0", "x0", "0", "x1", "0", "x2", "x3")))
 
 
 def test_r3_cut_work_is_pinned(monkeypatch):
