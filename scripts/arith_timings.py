@@ -27,8 +27,10 @@ The operations:
   F_{10007^4} and F_{10007^5};
 - `roots orbit3x2`: `roots_in_field` on the product of two irreducible
   cubics over F_10007 (`TWO_CUBICS`), given the same way and rooted in
-  F_{10007^3}, per call over the rngs random.Random(0) to (7): the
-  splits of a part of two orbits retry a random number of times;
+  F_{10007^3};
+- every `roots` row roots its part once per rng random.Random(0) to
+  (15) (`ROOT_RNGS`) and reports the time per rooting: a split draws a
+  random number of times, so one rng would time one draw's luck;
 - `ddf`: `distinct_degree_factorization` at k_max 6 of that sextic over
   F_10007, and of an irreducible sextic over F_{10007^2} (`DDF_SIX_EXT`,
   payloads in the seeded modulus t^2 + 2163 t + 3393 of
@@ -88,8 +90,9 @@ The operations:
   restricted to the cut alone but by the full Jacobian's minors there.
 
 Every name used exists in each version of the package that has
-`idealkit.random_slice` and `parse_polynomial(text, nvars, field)`, so
-the same script times two such checkouts for comparison.
+`idealkit.random_slice`, `parse_polynomial(text, nvars, field)` and
+`analyze_node_lines(ideal, seed)`, which reads r off the ideal, so the
+same script times two such checkouts for comparison.
 
 Usage:
     PYTHONPATH=src python3 scripts/arith_timings.py --repeat 7
@@ -134,6 +137,9 @@ ORBIT_PARTS = {"quadratic": [206, 997, 1],
 # first two irreducible cubics that rng draws
 TWO_CUBICS = [8056, 100, 1209, 5747, 620, 4434, 1]
 
+# the rngs random.Random(0) to (ROOT_RNGS - 1) of every `roots` row
+ROOT_RNGS = 16
+
 DDF_SIX_EXT = [(9678, 76), (8262, 1670), (5852, 1562), (7376, 8848),
                (5656, 5900), (8522, 1653), (1, 0)]
 
@@ -154,6 +160,12 @@ def calibrate() -> float:
         key = (x & 63, i & 7)
         acc[key] = acc.get(key, 0) + x
     return time.perf_counter() - start
+
+
+def rootings(part, field, orbit: int):
+    """A call rooting part in field once per rng of `ROOT_RNGS`."""
+    return lambda: [roots_in_field(part, field, random.Random(i), orbit=orbit)
+                    for i in range(ROOT_RNGS)]
 
 
 def median_us(stmt, number: int, repeat: int) -> Tuple[float, float]:
@@ -204,21 +216,17 @@ def operations(directory: str):
     ops.append((f"embed {square}->{ext}",
                 lambda: [lift(e) for e in below], len(below)))
     f_ground = [ground.from_int(c) for c in ORBIT_SIX]
-    ops.append(("roots_orbit6 GF(10007^6)",
-                lambda: roots_in_field(f_ground, ext, random.Random(0),
-                                       orbit=6), 1))
+    ops.append(("roots_orbit6 GF(10007^6)", rootings(f_ground, ext, 6),
+                ROOT_RNGS))
     for name, coeffs in ORBIT_PARTS.items():
         part = [ground.from_int(c) for c in coeffs]
         split = relative_extension(ground, len(part) - 1)[0]
         ops.append((f"roots {name} {split}",
-                    lambda part=part, split=split: roots_in_field(
-                        part, split, random.Random(0),
-                        orbit=len(part) - 1), 1))
+                    rootings(part, split, len(part) - 1), ROOT_RNGS))
     cubics = [ground.from_int(c) for c in TWO_CUBICS]
     cube = relative_extension(ground, 3)[0]
-    ops.append((f"roots orbit3x2 {cube}",
-                lambda: [roots_in_field(cubics, cube, random.Random(i),
-                                        orbit=3) for i in range(8)], 8))
+    ops.append((f"roots orbit3x2 {cube}", rootings(cubics, cube, 3),
+                ROOT_RNGS))
     ops.append(("ddf sextic GF(10007)",
                 lambda: distinct_degree_factorization(f_ground, ground, 6), 1))
     assert square.modulus == (3393, 2163, 1)
@@ -312,14 +320,13 @@ def operations(directory: str):
         nfc = normal_form_cubic(r, ground, 0)
         system = node_line_system(nfc, nodes(nfc, seed=0)[0].point)
         ops.append((f"node lines r{r} GF(10007)",
-                    lambda r=r, system=system: analyze_node_lines(system, r),
-                    1))
+                    lambda system=system: analyze_node_lines(system), 1))
     for r, p, seed in ((3, 11, 2), (4, 11, 2), (5, 7, 5)):
         nfc = normal_form_cubic(r, PrimeField(p), seed)
         system = node_line_system(nfc, nodes(nfc, seed=seed)[0].point)
         ops.append((f"node lines open r{r} GF({p})",
-                    lambda r=r, seed=seed, system=system: analyze_node_lines(
-                        system, r, seed=seed), 1))
+                    lambda seed=seed, system=system: analyze_node_lines(
+                        system, seed=seed), 1))
     return ops
 
 

@@ -17,9 +17,9 @@ pair of fields: embeddings compose (`payload_lift`).
 Sums of products run on ints: polynomial values and Jacobian entries at
 a point (`poly._term_sums`), the coefficients of a substituted
 polynomial (`Polynomial.substitute`), of a restriction to x_last = value
-(`poly.restrict`: the solver's charts and fibres) and of a rank-drop
-minor (`voisin.rank_drop_ideal`) and the work coefficients of a normal
-form (`groebner.normal_form_payload`).
+(`poly.restrict`: the solver's charts and fibres) and of a 2x2 minor of
+a Jacobian (`poly.jacobian_minors`) and the work coefficients of a
+normal form (`groebner.normal_form_payload`).
 `Field._packer(terms)` returns (pack, unpack), and unpack(sum of up to
 `terms` products pack(a) * pack(b)) is the payload of the sum of the
 products a * b; pack(1) is 1, so a sum of packed payloads is one too.

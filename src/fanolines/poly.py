@@ -125,8 +125,8 @@ LEX = LexOrder()
 
 
 # ---------------------------------------------------------------------------
-# packed monomials: the one format of groebner, fglm, hilbert, voisin and
-# `Polynomial.substitute`
+# packed monomials: the one format of groebner, fglm, hilbert,
+# `Polynomial.substitute` and `jacobian_minors`
 
 # least slot width of a packing, guard bit included
 _SLOT_BITS = 8
@@ -735,6 +735,51 @@ def jacobian_rank_at(gens: Sequence[Polynomial],
                                       for k in range(0, len(sums), n)])
              for target, sums in _term_sums(field, n, entries, coords)]
     return [ranks[slot] for slot in slots]
+
+
+def jacobian_minors(dg: Sequence[Polynomial],
+                    dh: Sequence[Polynomial]) -> List[Polynomial]:
+    """The minors dg_i dh_j - dg_j dh_i, i < j, of the two Jacobian rows
+    dg and dh, polynomials in one ring: the `gradient()` of two
+    polynomials, or those partials substituted (`substitute`).
+
+    The minors run on raw payloads. A monomial is one int key of a lex
+    `Packing` for the top degree of dg plus that of dh, the most degree
+    a minor reaches, so no slot carries and a product is a key sum. The
+    entries' keys and coefficients are packed (`Field._packer`), dg_j
+    negated. A minor is one dict of packed sums: for one term of dg_i
+    the keys of its products with dh_j are distinct, and so for dg_j
+    and dh_i, so a key gets at most len(dg_i) + len(dg_j) products, at
+    most twice the longest entry of dg, the packer's bound. Each sum is
+    unpacked once, and each key of the minors decoded once.
+    """
+    field, nvars = dg[0].field, dg[0].nvars
+    assert all(d.field == field and d.nvars == nvars for d in [*dg, *dh])
+    pack, unpack = field._packer(2 * max(1, *(len(d.terms) for d in dg)))
+    zero = field._zero_payload()
+    packing = Packing.for_degree(LEX, nvars,
+                                 _top_degree(dg) + _top_degree(dh))
+
+    def packed(row, sign=lambda c: c) -> List[List[Tuple[int, int]]]:
+        """Per entry, its (key, packed sign(c)) terms."""
+        return [[(packing.encode(m), pack(sign(c.payload)))
+                 for m, c in d.terms.items()] for d in row]
+
+    dg, minus_dg, dh = packed(dg), packed(dg, field._neg), packed(dh)
+    minors: List[Dict[int, int]] = []
+    for i in range(len(dg)):
+        for j in range(i + 1, len(dg)):
+            sums: Dict[int, int] = {}
+            for left, right in ((dg[i], dh[j]), (minus_dg[j], dh[i])):
+                for k1, c1 in left:
+                    for k2, c2 in right:
+                        k = k1 + k2
+                        sums[k] = sums.get(k, 0) + c1 * c2
+            minors.append(sums)
+    monomial = {k: packing.decode(k) for k in set().union(*minors)}
+    return [Polynomial.from_payloads(field, nvars, {
+        monomial[k]: c for k, v in sums.items() if (c := unpack(v)) != zero})
+        for sums in minors]
 
 
 def _top_degree(polys: Sequence[Polynomial]) -> int:

@@ -297,13 +297,19 @@ def _half_field(field: Field):
     so a factor over any subfield of half lifted through half is the
     factor lifted directly. The discriminant D of g is a non-square of
     half, so with z a fixed non-square of half, sqrt(D) = sqrt(D/z)
-    sqrt(z): one square root in half, and sqrt(z) in field, taken here."""
-    half = build_extension(field.characteristic(), field.degree // 2)
+    sqrt(z): one square root in half, and sqrt(z) in field, taken here.
+    z is the first non-square among t + 2, ..., t + p + 1, t the
+    generator of half (0 for F_p), and else among all of half by code:
+    those p shifts of t can all be squares, as in GF(3^5)."""
+    p = field.characteristic()
+    half = build_extension(p, field.degree // 2)
     lift = embedding(half, field)
     start = half.generator() if half.degree > 1 else half.zero()
-    z = next(z for z in (start + c for c in count(2)) if _sqrt(z) is None)
+    z = next(z for z in chain((start + c for c in range(2, p + 2)),
+                              map(half.element_from_code, count()))
+             if _sqrt(z) is None)
     z_inv, root_z = z.inverse(), _sqrt(lift(z))
-    half_one = field.from_int((field.characteristic() + 1) // 2)
+    half_one = field.from_int((p + 1) // 2)
 
     def root(g: List[FieldElement]) -> FieldElement:
         root_d = lift(_sqrt((g[1] * g[1] - 4 * g[0]) * z_inv))

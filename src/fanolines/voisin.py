@@ -21,7 +21,8 @@ generators in 4 variables; by the chain rule and Cauchy-Binet its zeros
 hold the singular points on the cut), and where that is not empty with
 the 2x2 minors of the full Jacobian restricted to the cut, whose zeros
 are exactly those points. No ideal in the 2r+1 variables of P^{2r} is
-built for the cut.
+built for the cut. Every rank-drop ideal takes its minors from
+`poly.jacobian_minors`, on rows of partials from `gradient()`.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .idealkit import (DEFAULT_BUDGET, Ideal, certify_reduced_point,
                        dimension_text, hilbert_data, jacobian_rank_at,
                        point_certificate, rational_points, solve_report,
                        variety_report)
-from .poly import (LEX, Packing, Polynomial, _lowered, evaluate_at,
-                   frobenius_orbits, random_homogeneous, restrict)
+from .poly import (Polynomial, evaluate_at, frobenius_orbits,
+                   jacobian_minors, random_homogeneous, restrict)
 from .projgeo import ProjectivePoint
 
 SLICE_RETRIES = 3
@@ -189,59 +190,13 @@ def node_line_system(nfc: NormalFormCubic, node: ProjectivePoint) -> Ideal:
 def rank_drop_ideal(ideal: Ideal) -> Ideal:
     """Singular-locus ideal of a codimension-2 complete intersection: the
     generators g, h together with the 2x2 minors dg_i dh_j - dg_j dh_i of
-    their Jacobian, i < j, from the partials of `poly._lowered`
-    (`_jacobian_minors`).
+    their Jacobian, i < j, the `poly.jacobian_minors` of their gradients.
     """
     gens = ideal.nonzero_generators()
     if len(gens) != 2:
         raise InvalidParameters("rank-drop ideal needs exactly 2 generators")
     g, h = gens
-    return Ideal(gens + _jacobian_minors(
-        g.field, g.nvars, g.degree() + h.degree(), _lowered(g), _lowered(h)))
-
-
-def _jacobian_minors(field: Field, nvars: int, degree: int,
-                     dg: Sequence[list], dh: Sequence[list]
-                     ) -> List[Polynomial]:
-    """The minors dg_i dh_j - dg_j dh_i, i < j, of the two Jacobian rows
-    dg and dh, each entry a list of payload terms (m, c) with distinct
-    monomials m in `nvars` variables; `degree` bounds the degree of
-    every product of an entry of dg and one of dh.
-
-    The minors run on raw payloads. A monomial is one int key of a lex
-    `poly.Packing` (Kronecker slots) for `degree`, above any degree a
-    minor reaches, so no slot carries and a product is a key sum. The
-    entries' keys and coefficients are packed (`Field._packer`), dg_j
-    negated. A minor is one dict of packed sums: for one term of dg_i
-    the keys of its products with dh_j are distinct, and so for dg_j
-    and dh_i, so a key gets at most len(dg_i) + len(dg_j) products, at
-    most twice the longest entry of dg, the packer's bound. Each sum is
-    unpacked once, and each key of the minors decoded once.
-    """
-    pack, unpack = field._packer(2 * max(1, *map(len, dg)))
-    zero = field._zero_payload()
-    packing = Packing.for_degree(LEX, nvars, degree)
-
-    def packed(row, sign=lambda c: c) -> List[List[Tuple[int, int]]]:
-        """Per entry, its (key, packed sign(c)) terms."""
-        return [[(packing.encode(m), pack(sign(c))) for m, c in terms]
-                for terms in row]
-
-    dg, minus_dg, dh = packed(dg), packed(dg, field._neg), packed(dh)
-    minors: List[Dict[int, int]] = []
-    for i in range(len(dg)):
-        for j in range(i + 1, len(dg)):
-            sums: Dict[int, int] = {}
-            for left, right in ((dg[i], dh[j]), (minus_dg[j], dh[i])):
-                for k1, c1 in left:
-                    for k2, c2 in right:
-                        k = k1 + k2
-                        sums[k] = sums.get(k, 0) + c1 * c2
-            minors.append(sums)
-    monomial = {k: packing.decode(k) for k in set().union(*minors)}
-    return [Polynomial.from_payloads(field, nvars, {
-        monomial[k]: c for k, v in sums.items() if (c := unpack(v)) != zero})
-        for sums in minors]
+    return Ideal(gens + jacobian_minors(g.gradient(), h.gradient()))
 
 
 def restricted_cut_misses(ideal: Ideal,
@@ -259,32 +214,23 @@ def restricted_cut_misses(ideal: Ideal,
     hold those of stage 2; an empty stage 1 certifies. It holds more
     only where L is tangent to V(g, h). Stage 2 decides a try stage 1
     leaves open, or where g o K or h o K is zero: g o K, h o K and the
-    C(n, 2) minors of the partials of g and h (`poly._lowered`)
-    substituted by the same images (`_jacobian_minors`).
+    C(n, 2) minors (`poly.jacobian_minors`) of the rows dg o K and
+    dh o K, each partial of `gradient()` substituted by the same images.
     """
     gens = ideal.nonzero_generators()
     restricted = [g.substitute(images) for g in gens]
     if all(restricted) and hilbert_data(
             rank_drop_ideal(Ideal(restricted)))[0] < 0:
         return True
-    g, h = gens
-    field = g.field
-
-    def restricted_partials(f: Polynomial) -> List[list]:
-        """Per x_i, the payload terms (m, c) of df/dx_i o K."""
-        return [[(mono, c.payload) for mono, c in Polynomial.from_payloads(
-            field, f.nvars, dict(terms)).substitute(images).terms.items()]
-            for terms in _lowered(f)]
-
-    return hilbert_data(Ideal(restricted + _jacobian_minors(
-        field, images[0].nvars, g.degree() + h.degree(),
-        restricted_partials(g), restricted_partials(h))))[0] < 0
+    dg, dh = ([d.substitute(images) for d in f.gradient()] for f in gens)
+    return hilbert_data(Ideal(restricted + jacobian_minors(dg, dh)))[0] < 0
 
 
-def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
+def analyze_node_lines(ideal: Ideal, seed: int = 0,
                        budget: int = DEFAULT_BUDGET) -> Dict:
     """Verify the line system through a node: dimension 2r-2, degree 6,
-    complete intersection, plus its singular locus.
+    complete intersection, plus its singular locus. r is read off the
+    ideal, whose 2r + 1 variables are the coordinates of P^{2r}.
 
     For r = 1 the singular locus is recorded with no prediction: the
     direction to the cubic surface's second node is a double point of
@@ -300,6 +246,7 @@ def analyze_node_lines(ideal: Ideal, r: int, seed: int = 0,
     uniform, so these cuts are distributed as theirs. Each try is
     decided on L (`restricted_cut_misses`); no ideal in 2r + 1
     variables is built."""
+    r = ideal.nvars // 2
     report = variety_report(ideal, {
         "dimension": str(2 * r - 2),
         "degree": "6",
@@ -360,7 +307,7 @@ def run_node_analysis(r: int, field: Field, seed: int,
         nfc = normal_form_cubic(r, field, s)
         certs = nodes(nfc, seed=s)
         ideal = node_line_system(nfc, certs[0].point)
-        report = analyze_node_lines(ideal, r, seed=s, budget=budget)
+        report = analyze_node_lines(ideal, seed=s, budget=budget)
         report["predicted"]["node_count"] = str(2 ** r)
         report["computed"]["node_count"] = str(len(certs))
         report["certificates"][:0] = [point_certificate(

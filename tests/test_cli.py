@@ -585,6 +585,27 @@ def test_sing_locus_bad_input_exit_2_without_asserts(tmp_path):
         assert "invalid input" in done.stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["voisin-demo", "5", "--prime", "3", "--seed", "0"], 0),
+    (["bezout-check", "2", "3", "4", "--prime", "3", "--seed", "11",
+      "--kmax", "12"], 3)], ids=["voisin-demo", "bezout-check"])
+def test_roots_over_gf_3_10_end(argv, code):
+    # both root a quadratic over GF(3^5), where t, t + 1 and t + 2 are
+    # all squares, so a non-square searched among them alone is never
+    # found (`unipoly._half_field`). Run in a subprocess so that a hang
+    # fails by timeout. The bezout-check instance has a genuine singular
+    # point at p = 3: smooth_rank 1 against the predicted 2
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    env.pop("FANO_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "fanolines.cli", *argv, "--json", "-"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    if argv[0] == "bezout-check":
+        report = json.loads(done.stdout)["report"]
+        assert report["computed"]["smooth_rank"] == "1"
+
+
 # sha256 of the --json reports, each pinned from the code before a change
 # that had to keep it; any change of point order or formatting shows here.
 # File arguments name the fixtures in PINNED_FILES, written next to the run.

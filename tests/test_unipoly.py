@@ -592,3 +592,32 @@ def test_a_split_with_no_proper_factor_fails_rather_than_hangs():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+EVEN_DEGREES = [(p, k) for p in (3, 5, 7) for k in range(2, 13, 2)] + [
+    (3, 22), (3, 24)]
+
+
+@pytest.mark.parametrize("p,k", EVEN_DEGREES,
+                         ids=[f"{p}^{k}" for p, k in EVEN_DEGREES])
+def test_the_modulus_of_every_even_degree_is_rooted(p, k):
+    # at even k the orbit is rooted by a quadratic over GF(p^(k/2)) and a
+    # fixed non-square z there (`_half_field`). Over GF(3^5), GF(3^11)
+    # and GF(3^12) every shift t + c of the generator is a square, so a
+    # search for z among those alone never ends; the alarm turns such a
+    # search into a failure instead of a stalled suite
+    ext, embed = relative_extension(PrimeField(p), k)
+    f = [PrimeField(p).from_int(c) for c in ext.modulus]
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"rooting the modulus of {ext} did not end")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        roots = roots_in_field(f, ext, random.Random(0), orbit=k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(set(roots)) == len(roots) == k
+    assert all(horner([embed(c) for c in f], r).is_zero() for r in roots)

@@ -417,7 +417,7 @@ def test_cusp_rank_drop_point_is_not_certified_reduced(p):
     point = ProjectivePoint([field.one()] + [field.zero()] * 4)
     assert hilbert_data(rd) == (0, 2)
     assert certify_reduced_point(rd, [point], codim=4) == [False]
-    report = analyze_node_lines(ideal, 2)
+    report = analyze_node_lines(ideal)
     assert report["singular_points"] == [point.serialize()]
     assert (report["computed"]["singular_count"],
             report["computed"]["singular_degree"],
@@ -470,7 +470,7 @@ def test_singular_locus_work_is_pinned(monkeypatch):
         "rank_drop_ideal", voisin.rank_drop_ideal))
     monkeypatch.setattr(idealkit, "solve_projective", staged(
         "solve_projective", idealkit.solve_projective))
-    report = analyze_node_lines(ideal, 2, seed=585427)
+    report = analyze_node_lines(ideal, seed=585427)
     assert matched(report)
     assert report["computed"]["singular_count"] == "3"
     assert calls.get(("rank_drop_ideal", "__mul__"), 0) == 0
@@ -483,7 +483,7 @@ def test_analyze_node_lines_r2_three_singular_points():
     nfc = normal_form_cubic(2, F10007, seed=0)
     certs = nodes(nfc, seed=0)
     ideal = node_line_system(nfc, certs[0].point)
-    report = analyze_node_lines(ideal, 2, seed=0)
+    report = analyze_node_lines(ideal, seed=0)
     assert matched(report)
     assert report["computed"]["singular_count"] == "3"
     assert report["computed"]["singular_reduced"] == "true"
@@ -495,7 +495,7 @@ def test_analyze_node_lines_r1_records_singular_dim():
     nfc = normal_form_cubic(1, F10007, seed=0)
     certs = nodes(nfc, seed=0)
     ideal = node_line_system(nfc, certs[0].point)
-    report = analyze_node_lines(ideal, 1, seed=0)
+    report = analyze_node_lines(ideal, seed=0)
     # the twin node contributes a double point: singular locus is 0-dim,
     # recorded without a prediction
     assert report["computed"]["singular_dimension"] == "0"
@@ -507,7 +507,7 @@ def test_analyze_node_lines_r3_bounds_singular_dimension():
     nfc = normal_form_cubic(3, F10007, seed=0)
     certs = nodes(nfc, seed=0)
     ideal = node_line_system(nfc, certs[0].point)
-    report = analyze_node_lines(ideal, 3, seed=0)
+    report = analyze_node_lines(ideal, seed=0)
     assert matched(report)
     assert report["predicted"]["singular_dim_bound"] == "<=2"
 
@@ -535,14 +535,14 @@ def restricted_tries(ideal, r, seed, tries):
             for images in drawn_images(ideal, r, seed, tries)]
 
 
-def appended_cut_report(monkeypatch, ideal, r, seed):
+def appended_cut_report(monkeypatch, ideal, seed):
     """The report of `analyze_node_lines` with each try decided by the
     appended cut of the forms that cut out its L
     (`conftest.appended_cut_misses`, `conftest.cut_forms`)."""
     with monkeypatch.context() as patch:
         patch.setattr(voisin, "restricted_cut_misses", lambda ideal, images: (
             appended_cut_misses(ideal, cut_forms(images))))
-        return analyze_node_lines(ideal, r, seed=seed)
+        return analyze_node_lines(ideal, seed=seed)
 
 
 def recorded_rank_drop_ideals(monkeypatch):
@@ -611,7 +611,7 @@ def test_restricted_cut_certifies_only_where_the_appended_cut_does(r, p):
         oracle = appended_cut_tries(ideal, r, seed, voisin.SLICE_RETRIES)
         assert restricted_tries(ideal, r, seed, voisin.SLICE_RETRIES) == (
             oracle), seed
-        report = analyze_node_lines(ideal, r, seed=seed)
+        report = analyze_node_lines(ideal, seed=seed)
         assert (report["computed"]["singular_dim_bound"], report["flags"]) == (
             (f"<={2 * r - 4}", []) if any(oracle) else ("unknown", [
                 f"no random codimension-{2 * r - 3} slice missed the "
@@ -631,13 +631,13 @@ def test_a_try_the_restriction_leaves_open_is_decided_by_the_full_cut(
     ideal = node_line_system(nfc, nodes(nfc, seed=7)[0].point)
     images = drawn_images(ideal, 3, 7, 3)
     assert appended_cut_tries(ideal, 3, 7, 3) == [True] * 3
-    expected = appended_cut_report(monkeypatch, ideal, 3, 7)
+    expected = appended_cut_report(monkeypatch, ideal, 7)
     built = recorded_rank_drop_ideals(monkeypatch)
     decided = recorded_cuts(monkeypatch)
     assert [restricted_cut_misses(ideal, i) for i in images] == [True] * 3
     assert open_tries(ideal, images, decided) == [0, 1]
     del built[:], decided[:]
-    report = analyze_node_lines(ideal, 3, seed=7)
+    report = analyze_node_lines(ideal, seed=7)
     assert built == [(8, 4)]
     assert shapes(decided) == [(8, 4), (23, 4)]
     assert report == expected and matched(report)
@@ -673,7 +673,7 @@ def test_a_three_dimensional_singular_locus_stays_unknown(p):
     ideal = Ideal([parse("x0*x1", 7, field),
                    random_homogeneous(field, 7, 3, random.Random(p))])
     assert restricted_tries(ideal, 3, 0, 3) == [False] * 3
-    report = analyze_node_lines(ideal, 3, seed=0)
+    report = analyze_node_lines(ideal, seed=0)
     assert report["computed"]["singular_dim_bound"] == "unknown"
     assert report["flags"] == [
         "no random codimension-3 slice missed the singular locus; "
@@ -721,7 +721,7 @@ def test_r3_cut_work_is_pinned(monkeypatch):
     ideal = node_line_system(nfc, nodes(nfc, seed=0)[0].point)
     built = recorded_rank_drop_ideals(monkeypatch)
     decided = recorded_cuts(monkeypatch)
-    report = analyze_node_lines(ideal, 3, seed=0)
+    report = analyze_node_lines(ideal, seed=0)
     assert report["computed"]["singular_dim_bound"] == "<=2"
     assert built == [(8, 4)]
     assert shapes(decided) == [(8, 4)]
